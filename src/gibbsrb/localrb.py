@@ -176,6 +176,7 @@ class Surrogate:
         self.cells: list[_Cell] = []
         self._scaled_locs = np.zeros((0, model.dim))
         self._ratios: list[float] = []
+        self._ratio_quantile: float | None = None  # of _ratios; reset on append
         self._beta_lb: float | None = None
         self._stability_seed = stability_seed
         self._obs_norm = model.observation_operator_norm()
@@ -194,10 +195,6 @@ class Surrogate:
     def locations(self) -> np.ndarray:
         return np.array([a.location for a in self.atoms])
 
-    @property
-    def holder_alpha(self) -> float:
-        return 2.0 if self.model.loss_kind == "squared_l2" else 1.0
-
     def holder_k(self, n_data: int) -> float:
         """Lipschitz constant of the cumulative loss w.r.t. the state error."""
         D = self.model.n_obs
@@ -214,8 +211,11 @@ class Surrogate:
             return self._beta_lb
         if not self._ratios:
             return self.calibration_safety
-        recent = self._ratios[-CALIBRATION_WINDOW:]
-        return self.calibration_safety * float(np.percentile(recent, CALIBRATION_QUANTILE))
+        q = self._ratio_quantile
+        if q is None:
+            recent = self._ratios[-CALIBRATION_WINDOW:]
+            q = self._ratio_quantile = float(np.percentile(recent, CALIBRATION_QUANTILE))
+        return self.calibration_safety * q
 
     # ----- geometry -----
     def nearest_atom(self, xi: np.ndarray) -> int:
@@ -282,6 +282,7 @@ class Surrogate:
             err = np.linalg.norm(u - pre[1])
             if err > 1e-13 * max(np.linalg.norm(u), 1.0):
                 self._ratios.append(pre[0] / err)
+                self._ratio_quantile = None
         self.insertion_log.append({
             "index": idx, "location": xi.copy(),
             "full_solves": self.model.counters.snapshot()["full"],
@@ -425,14 +426,6 @@ class Surrogate:
         if sol is None:
             sol = self.reduced_solve(xi)
         return self._indicator_raw(xi, sol) / self.stability_constant
-
-    def _loss_indicator(self, eps_u: float, observed: np.ndarray, observations) -> float:
-        model = self.model
-        if model.loss_kind == "squared_l2":
-            step = self._obs_norm * eps_u
-            dists = np.linalg.norm(observed[None, :] - observations.data, axis=1)
-            return float(np.sum(2.0 * dists * step + step**2))
-        return self.holder_k(observations.n) * eps_u
 
     def _loss_eval_raw(self, xi: np.ndarray, observations):
         """(surrogate loss, raw indicator, data-distance sum) at xi.

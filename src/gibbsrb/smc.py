@@ -18,7 +18,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .domain import ParameterDomain
-from .localrb import Surrogate
+from .forward import SolverError
+from .localrb import BasisDegeneracyError, Surrogate
 from .particles import ParticleSet, empirical_moments, ess, log_reweight, reweight
 from .seeding import PHASE_INIT, PHASE_MUTATE, PHASE_RESAMPLE, stream
 
@@ -123,6 +124,8 @@ def adapt_step(weights: np.ndarray, losses: np.ndarray, residual_weight: float,
     """
     if residual_weight < 0:
         raise ValueError("residual weight must be >= 0")
+    if not np.all(np.isfinite(losses)):
+        raise ValueError("losses must be finite")
     with np.errstate(divide="ignore"):
         lw0 = np.log(np.asarray(weights, dtype=float))
     delta = float(residual_weight)
@@ -196,7 +199,7 @@ def mutate(particles: ParticleSet, loss_fn: Optional[Callable], domain: Paramete
                 continue
             try:
                 lp_loss = loss_fn(prop)
-            except Exception:
+            except (BasisDegeneracyError, SolverError):
                 continue
             log_alpha = (-w_target * (lp_loss - lx) + lp_p - lp_x
                          + _log_q(x, prop, mean, var, gamma)
@@ -244,7 +247,7 @@ def _resolve_e_thre(config: SmcConfig, surrogate: Surrogate, points: np.ndarray,
     for p in points:
         try:
             vals.append(surrogate.surrogate_loss(p, observations)[0])
-        except Exception:
+        except BasisDegeneracyError:
             pass
     spread = float(np.std(vals)) if vals else 0.0
     return max(config.e_thre_fraction * spread, config.e_thre_floor)

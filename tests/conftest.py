@@ -1,12 +1,12 @@
+import os
+
+# small kernels run fastest on one BLAS thread; the pin only takes effect
+# when set before numpy is first imported
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
 import numpy as np
 import pytest
-
-try:
-    from threadpoolctl import threadpool_limits
-
-    threadpool_limits(limits=1, user_api="blas")  # small kernels; see README
-except ImportError:
-    pass
 
 from gibbsrb import assemble, gen_data
 

@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 
+import gibbsrb
 from gibbsrb.domain import ParameterDomain, PriorSpec
 
 
@@ -59,3 +65,82 @@ def test_marginal_cdf_monotone():
     assert cdf[0] == 0.0
     assert cdf[-1] == pytest.approx(1.0)
     assert np.all(np.diff(cdf) >= 0)
+
+
+# ----- closed forms against scipy.stats frozen distributions -----
+
+_SPECS = [PriorSpec(), PriorSpec("beta", 0.5, 0.7), PriorSpec("beta", 0.6, 1),
+          PriorSpec("beta", 1, 0.4), PriorSpec("beta", 1, 1), PriorSpec("beta", 1, 3),
+          PriorSpec("beta", 3, 1), PriorSpec("beta", 2.5, 4.0), PriorSpec("beta", 0.8, 2.2)]
+
+
+def _reference(spec, lo, w):
+    if spec.kind == "uniform":
+        return stats.uniform(loc=lo, scale=w)
+    return stats.beta(spec.p, spec.q, loc=lo, scale=w)
+
+
+def _reference_log_pdf(dom, pts):
+    lp = np.zeros(pts.shape[0])
+    inside = dom.contains(pts)
+    lp[~inside] = -np.inf
+    for j, (spec, lo, w) in enumerate(zip(dom.priors, dom.lower, dom.widths)):
+        with np.errstate(divide="ignore", invalid="ignore"):  # +inf - inf at corners
+            lp[inside] += _reference(spec, lo, w).logpdf(pts[inside, j])
+    return lp
+
+
+def _probe_points(dom, rng, n=200):
+    lo, hi = dom.lower, dom.upper
+    inner = lo + (hi - lo) * rng.random((n, dom.dim))
+    faces = np.array([np.where(rng.random(dom.dim) < 0.5, lo, hi) for _ in range(8)])
+    mixed = inner[:8].copy()
+    mixed[:, 0] = lo[0]
+    mixed[4:, -1] = hi[-1]
+    outside = lo + (hi - lo) * (rng.random((20, dom.dim)) * 3.0 - 1.0)
+    return np.vstack([inner, faces, mixed, outside])
+
+
+@pytest.mark.parametrize("spec", _SPECS)
+def test_log_pdf_bit_equal_to_scipy_1d(spec):
+    dom = ParameterDomain(np.array([0.1]), np.array([10.0]), (spec,))
+    pts = _probe_points(dom, np.random.default_rng(0))
+    ref = _reference_log_pdf(dom, pts)
+    assert np.array_equal(dom.log_pdf(pts), ref)
+    for x, r in zip(pts[::7, 0], ref[::7]):  # 1-d input returns a scalar
+        val = dom.log_pdf(np.array([x]))
+        assert np.ndim(val) == 0
+        assert np.array_equal(val, r)
+
+
+def test_log_pdf_bit_equal_to_scipy_2d():
+    rng = np.random.default_rng(1)
+    for a, b in zip(_SPECS, _SPECS[::-1]):
+        dom = ParameterDomain(np.array([-2.0, 0.3]), np.array([1.5, 0.9]), (a, b))
+        pts = _probe_points(dom, rng)
+        ref = _reference_log_pdf(dom, pts)
+        with np.errstate(invalid="ignore"):
+            np.testing.assert_array_equal(dom.log_pdf(pts), ref)
+            for p, r in zip(pts[::11], ref[::11]):
+                np.testing.assert_array_equal(dom.log_pdf(p), r)
+
+
+@pytest.mark.parametrize("spec", _SPECS)
+def test_marginal_cdf_and_moments_match_scipy(spec):
+    dom = ParameterDomain(np.array([-1.0, 0.1]), np.array([2.0, 10.0]), (PriorSpec(), spec))
+    x = np.concatenate([np.linspace(-5.0, 15.0, 301), [0.1, 10.0]])
+    for j in range(dom.dim):
+        ref = _reference(dom.priors[j], dom.lower[j], dom.widths[j])
+        assert np.allclose(dom.marginal_cdf(j, x), ref.cdf(x), rtol=0, atol=1e-12)
+        mean, var = dom.marginal_mean_var(j)
+        assert mean == pytest.approx(ref.mean(), rel=1e-12, abs=1e-12)
+        assert var == pytest.approx(ref.var(), rel=1e-12, abs=1e-12)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    code = "import sys, gibbsrb; print('scipy.stats' in sys.modules)"
+    src = str(Path(gibbsrb.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "False"

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from gibbsrb import ObservationSet, Surrogate, assemble, gen_data
-from gibbsrb.localrb import (AtomBudgetError, BasisDegeneracyError,
+from gibbsrb.localrb import (CALIBRATION_QUANTILE, CALIBRATION_WINDOW,
+                             AtomBudgetError, BasisDegeneracyError,
                              DuplicateAtomError, estimate_sigma_min,
                              fd_gradient_check)
 
@@ -184,8 +185,14 @@ def test_loss_indicator_quadratic_bound_arithmetic():
     stub = S.__new__(S)
     stub.model = _Stub()
     stub._obs_norm = 1.0
+    stub.indicator = "calibrated_cell"
+    stub.calibration_safety = 1.0
+    stub._ratios = []
+    stub._ratio_quantile = None
+    observed = np.array([2.0, 0.0])
     obs = ObservationSet(data=np.array([[1.0, 0.0]]))
-    val = stub._loss_indicator(0.1, np.array([2.0, 0.0]), obs)
+    dist_sum = float(np.sum(np.linalg.norm(observed[None, :] - obs.data, axis=1)))
+    val = stub._loss_indicator_from_raw(0.1, dist_sum, obs.n)
     assert abs(val - 0.21) < 1e-14
 
 
@@ -280,3 +287,36 @@ def test_concurrent_reduced_solves(adv1d_model, adv1d_obs):
     for a, b in zip(serial, parallel):
         assert np.array_equal(a, b)
     assert s.reduced_solves - before == 128
+
+
+def _fresh_stability(s):
+    recent = s._ratios[-CALIBRATION_WINDOW:]
+    return s.calibration_safety * float(np.percentile(recent, CALIBRATION_QUANTILE))
+
+
+def test_cached_stability_constant_tracks_insertions(adv1d_model):
+    s = Surrogate(adv1d_model)
+    assert s.stability_constant == s.calibration_safety
+    rng = np.random.default_rng(12)
+    for xi in rng.random((12, 2)):
+        s.add_atom(xi)
+        if s._ratios:
+            assert s.stability_constant == _fresh_stability(s)
+    assert len(s._ratios) >= 5
+
+
+def test_cached_stability_constant_during_refinement(adv1d_model, adv1d_obs):
+    s = Surrogate(adv1d_model)
+    checked = []
+    from_raw = s._loss_indicator_from_raw
+
+    def checking(raw, dist_sum, n_data):
+        if s._ratios:
+            assert s.stability_constant == _fresh_stability(s)
+            checked.append(len(s._ratios))
+        return from_raw(raw, dist_sum, n_data)
+
+    s._loss_indicator_from_raw = checking
+    s.refine_over_particles(np.random.default_rng(13).random((40, 2)), adv1d_obs,
+                            e_thre=1e-3)
+    assert len(set(checked)) >= 3  # seen across several calibration states

@@ -4,6 +4,7 @@ from scipy import optimize, stats
 
 from gibbsrb import Surrogate, assemble, gen_data
 from gibbsrb.domain import ParameterDomain, PriorSpec
+from gibbsrb.localrb import BasisDegeneracyError
 from gibbsrb.particles import ParticleSet, empirical_moments, ess
 from gibbsrb.seeding import PHASE_INIT, stream
 from gibbsrb.smc import (SmcConfig, SmcIterationError, adapt_step, init_particles,
@@ -114,6 +115,12 @@ def test_adapt_degenerate_flag():
     assert flag
     assert dw < 1e-9
     assert e < 1.5
+
+
+def test_adapt_rejects_nonfinite_loss():
+    w = np.full(4, 0.25)
+    with pytest.raises(ValueError, match="finite"):
+        adapt_step(w, np.array([0.1, np.nan, 0.3, 0.2]), 1.0, 2.0, 0.5, 1.0)
 
 
 # ----- resampling -----
@@ -227,6 +234,33 @@ def test_mutate_rejects_outside_support():
     out, _, _ = mutate(ps, None, dom, 0.0, moments, cfg, 5, 1)
     assert np.all(out.points >= 0.0)
     assert np.all(out.points <= 1.0)
+
+
+def test_mutate_surrogate_failure_is_a_rejection():
+    dom = uniform_domain(2)
+    ps = init_particles(dom, 10, np.random.default_rng(8))
+    cfg = SmcConfig(particles=10, mutation_steps=3)
+
+    def degenerate(xi):
+        raise BasisDegeneracyError("singular reduced system")
+
+    out, rate, _ = mutate(ps, degenerate, dom, 1.0, empirical_moments(ps, dom), cfg, 0, 1,
+                          current_losses=np.zeros(10))
+    assert rate == 0.0
+    assert np.array_equal(out.points, ps.points)
+
+
+def test_mutate_propagates_other_loss_errors():
+    dom = uniform_domain(2)
+    ps = init_particles(dom, 10, np.random.default_rng(8))
+    cfg = SmcConfig(particles=10, mutation_steps=3)
+
+    def broken(xi):
+        raise ValueError("bad loss")
+
+    with pytest.raises(ValueError, match="bad loss"):
+        mutate(ps, broken, dom, 1.0, empirical_moments(ps, dom), cfg, 0, 1,
+               current_losses=np.zeros(10))
 
 
 def test_mutate_thread_count_invariance(adv1d_model, adv1d_obs):
