@@ -21,8 +21,9 @@ from .diagnostics import bound_suite, h_proxy, ks_distance
 from .mcmc import run_rwmh
 from .oracle import grid_posterior
 from .particles import ParticleSet
-from .runio import (weighted_cdf_curve, write_atoms_csv, write_cdfs_csv,
-                    write_history_csv, write_losses_csv, write_manifest)
+from .runio import (pin_blas_threads, weighted_cdf_curve, write_atoms_csv,
+                    write_cdfs_csv, write_history_csv, write_losses_csv,
+                    write_manifest)
 from .smc import SmcConfig, run_smc
 from .weights import evaluate_grid_via_smc
 
@@ -258,12 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    try:
-        # small dense kernels dominate; BLAS threading only adds overhead
-        from threadpoolctl import threadpool_limits
-        threadpool_limits(limits=1, user_api="blas")
-    except ImportError:
-        pass
+    # small dense kernels dominate; BLAS threading only adds overhead
+    pin_blas_threads(1)
     args = build_parser().parse_args(argv)
     return args.fn(args)
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .domain import ParameterDomain
 from .oracle import GridPosterior
-from .particles import ParticleSet, kl_reweighted, reweight
+from .particles import ParticleSet, kl_reweighted
 
 THRESHOLDS_PER_DIM = 32
 AUDIT_FRACTION = 0.10
@@ -217,8 +217,3 @@ def bound_suite(result, model, observations, seed: int = 0,
         report.iterations.append(row)
         report.passed = report.passed and ok_a and ok_b and ok_c
     return report
-
-
-def exact_reweighted(start: ParticleSet, model, observations, delta_w: float) -> ParticleSet:
-    losses = np.array([model.loss(p, observations) for p in start.points])
-    return reweight(start, losses, delta_w)

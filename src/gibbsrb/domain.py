@@ -69,20 +69,24 @@ class ParameterDomain:
         """Log prior density; -inf outside the box.
 
         Per dimension, in dimension order, the same closed form and
-        operation order as scipy's frozen uniform/beta ``logpdf``.
+        operation order as scipy's frozen uniform/beta ``logpdf``.  A
+        boundary point where one marginal density is +inf and another is 0
+        gets -inf (the sum of the logs would be NaN).
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         lp = np.zeros(pts.shape[0])
         inside = self.contains(pts)
         lp[~inside] = -np.inf
-        for j, (spec, lo, w) in enumerate(zip(self.priors, self.lower, self.widths)):
-            if spec.kind == "uniform":
-                lp[inside] += -np.log(w)
-                continue
-            z = (pts[inside, j] - lo) / w
-            term = xlog1py(spec.q - 1.0, -z) + xlogy(spec.p - 1.0, z)
-            term -= betaln(spec.p, spec.q)
-            lp[inside] += term - np.log(w)
+        with np.errstate(invalid="ignore"):  # +inf + -inf, mapped below
+            for j, (spec, lo, w) in enumerate(zip(self.priors, self.lower, self.widths)):
+                if spec.kind == "uniform":
+                    lp[inside] += -np.log(w)
+                    continue
+                z = (pts[inside, j] - lo) / w
+                term = xlog1py(spec.q - 1.0, -z) + xlogy(spec.p - 1.0, z)
+                term -= betaln(spec.p, spec.q)
+                lp[inside] += term - np.log(w)
+        lp[np.isnan(lp)] = -np.inf
         return lp if points.ndim > 1 else lp[0]
 
     def pdf(self, points: np.ndarray) -> np.ndarray:

@@ -2,7 +2,9 @@
 
 A model is A(xi) u = f(xi) with A(xi) = sum_p theta_p(xi) A_p and
 f(xi) = sum_q phi_q(xi) f_q, plus an observation matrix mapping the state
-to measurement channels and a loss kind tying predictions to data.
+to measurement channels and a loss kind tying predictions to data.  The
+coefficients are affine in xi, theta(xi) = theta_0 + xi @ d theta / d xi,
+and A(xi) is assembled into one sparsity pattern fixed at construction.
 """
 
 from __future__ import annotations
@@ -41,22 +43,46 @@ class SolveCounters:
                     "stability": self.stability}
 
 
+def _stack_terms(terms: list, n: int):
+    """Union CSC pattern (indices, indptr) of the square terms, and each
+    term's values on it as a (P, nnz) array with zeros where it has no entry.
+
+    Explicit zeros are dropped first, as scipy's sparse sum drops them.
+    """
+    keys, values = [], []
+    for T in terms:
+        T = sp.csc_matrix(T, copy=True)
+        T.sum_duplicates()
+        T.eliminate_zeros()
+        cols = np.repeat(np.arange(n, dtype=np.int64), np.diff(T.indptr))
+        keys.append(cols * n + T.indices)  # column-major, the CSC order
+        values.append(T.data)
+    union = np.unique(np.concatenate(keys))
+    stacked = np.zeros((len(terms), union.size))
+    for p, (k, v) in enumerate(zip(keys, values)):
+        stacked[p, np.searchsorted(union, k)] = v
+    idx = np.int32 if max(n, union.size) < 2**31 else np.int64
+    indices = (union % n).astype(idx)
+    indptr = np.searchsorted(union // n, np.arange(n + 1)).astype(idx)
+    return indices, indptr, stacked
+
+
 @dataclass
 class ForwardModel:
     """Discrete PDE forward map with affine parameter dependence.
 
-    operator_terms[p] pairs with operator_coeffs[p]; likewise for the rhs.
-    operator_grads[j][p] is d theta_p / d xi_j (the coefficient maps are
-    affine in xi, so these are constants), used for sensitivity solves.
+    operator_terms[p] is A_p with theta_p(xi) = operator_coeff_offsets[p]
+    + xi @ operator_coeff_grads[:, p]; likewise for the rhs.  The grads
+    d theta_p / d xi_j are constants, also used for sensitivity solves.
     """
 
     name: str
     operator_terms: list
-    operator_coeffs: list
+    operator_coeff_offsets: np.ndarray  # (P,) theta(0)
+    operator_coeff_grads: np.ndarray    # (M, P) constants d theta_p / d xi_j
     rhs_terms: list
-    rhs_coeffs: list
-    operator_coeff_grads: np.ndarray  # (M, P) constants d theta_p / d xi_j
-    rhs_coeff_grads: np.ndarray       # (M, Q)
+    rhs_coeff_offsets: np.ndarray       # (Q,) phi(0)
+    rhs_coeff_grads: np.ndarray         # (M, Q)
     obs_matrix: sp.csr_matrix
     loss_kind: str
     domain: "ParameterDomain"
@@ -72,6 +98,18 @@ class ForwardModel:
             raise ValueError(f"loss kind must be one of {LOSS_KINDS}")
         if self.obs_matrix.shape[1] != self.n_dof:
             raise ValueError("observation matrix column count != dof count")
+        self.operator_coeff_offsets = np.asarray(self.operator_coeff_offsets, dtype=float)
+        self.operator_coeff_grads = np.asarray(self.operator_coeff_grads, dtype=float)
+        self.rhs_coeff_offsets = np.asarray(self.rhs_coeff_offsets, dtype=float)
+        self.rhs_coeff_grads = np.asarray(self.rhs_coeff_grads, dtype=float)
+        P, Q, M = len(self.operator_terms), len(self.rhs_terms), self.dim
+        shapes = (self.operator_coeff_offsets.shape, self.operator_coeff_grads.shape,
+                  self.rhs_coeff_offsets.shape, self.rhs_coeff_grads.shape)
+        if shapes != ((P,), (M, P), (Q,), (M, Q)):
+            raise ValueError(f"coefficient arrays need shapes {((P,), (M, P), (Q,), (M, Q))}, "
+                             f"got {shapes}")
+        self._indices, self._indptr, self._term_values = _stack_terms(
+            self.operator_terms, self.n_dof)
 
     @property
     def n_dof(self) -> int:
@@ -86,43 +124,67 @@ class ForwardModel:
         return self.domain.dim
 
     # ----- assembly -----
-    def operator_at(self, xi: np.ndarray) -> sp.csc_matrix:
-        """A(xi) from the cached affine terms."""
+    def coefficients(self, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(theta(xi), phi(xi)), the operator and rhs coefficients."""
         xi = np.asarray(xi, dtype=float)
-        A = self.operator_coeffs[0](xi) * self.operator_terms[0]
-        for theta, term in zip(self.operator_coeffs[1:], self.operator_terms[1:]):
-            A = A + theta(xi) * term
-        return sp.csc_matrix(A)
+        return (self.operator_coeff_offsets + xi @ self.operator_coeff_grads,
+                self.rhs_coeff_offsets + xi @ self.rhs_coeff_grads)
+
+    def operator_at(self, xi: np.ndarray) -> sp.csc_matrix:
+        """A(xi) on the fixed pattern.
+
+        Term by term in order, so every entry is the same float as in the
+        chained sparse sum theta_0 A_0 + theta_1 A_1 + ...; entries that sum
+        to exactly zero are dropped, as that sum drops them.  Every returned
+        matrix shares the model's index arrays: do not change them in place.
+        """
+        theta, _ = self.coefficients(xi)
+        data = theta[0] * self._term_values[0]
+        for t, values in zip(theta[1:], self._term_values[1:]):
+            data += t * values
+        indices, indptr = self._indices, self._indptr
+        keep = data != 0.0
+        if not keep.all():
+            kept = np.concatenate([[0], np.cumsum(keep)])
+            data, indices, indptr = data[keep], indices[keep], kept[indptr]
+        return sp.csc_matrix((data, indices, indptr), shape=(self.n_dof, self.n_dof))
 
     def rhs_at(self, xi: np.ndarray) -> np.ndarray:
-        xi = np.asarray(xi, dtype=float)
+        _, phi = self.coefficients(xi)
         f = np.zeros(self.n_dof)
-        for phi, term in zip(self.rhs_coeffs, self.rhs_terms):
-            f += phi(xi) * term
+        for c, term in zip(phi, self.rhs_terms):
+            f += c * term
         return f
 
-    def _factorize(self, xi: np.ndarray):
+    def factorize(self, xi: np.ndarray) -> tuple[sp.csc_matrix, spla.SuperLU]:
+        """(A(xi), its sparse LU factorization); uncached."""
+        A = self.operator_at(xi)
+        try:
+            # structurally symmetric FEM/FD matrices: symmetric ordering
+            lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A")
+        except RuntimeError as exc:  # SuperLU signals singularity this way
+            raise SolverError(f"operator factorization failed at xi={xi}") from exc
+        return A, lu
+
+    def _factorize(self, xi: np.ndarray) -> tuple[sp.csc_matrix, spla.SuperLU]:
+        """factorize(xi), reusing the result of the last call at the same xi."""
         key = np.asarray(xi, dtype=float).tobytes()
         hit = self._lu_cache.get("last")
         if hit is not None and hit[0] == key:
             return hit[1]
-        try:
-            # structurally symmetric FEM/FD matrices: symmetric ordering
-            lu = spla.splu(self.operator_at(xi), permc_spec="MMD_AT_PLUS_A")
-        except RuntimeError as exc:  # SuperLU signals singularity this way
-            raise SolverError(f"operator factorization failed at xi={xi}") from exc
-        self._lu_cache["last"] = (key, lu)
-        return lu
+        factors = self.factorize(xi)
+        self._lu_cache["last"] = (key, factors)
+        return factors
 
     # ----- solves -----
     def solve_full(self, xi: np.ndarray) -> np.ndarray:
         """High-fidelity solve of A(xi) u = f(xi); increments the full counter."""
         if not bool(self.domain.contains(np.atleast_2d(xi))[0]):
             raise ValueError(f"xi={xi} outside the parameter box")
-        lu = self._factorize(xi)
+        A, lu = self._factorize(xi)
         f = self.rhs_at(xi)
         u = lu.solve(f)
-        resid = np.linalg.norm(f - self.operator_at(xi) @ u)
+        resid = np.linalg.norm(f - A @ u)
         if not np.isfinite(resid) or resid > 1e-10 * max(np.linalg.norm(f), 1e-300):
             raise SolverError(f"solver breakdown at xi={xi}: residual {resid:.3e}")
         self.counters.add("full")
@@ -134,7 +196,7 @@ class ForwardModel:
         Reuses the factorization from the preceding solve_full at xi.
         """
         xi = np.asarray(xi, dtype=float)
-        lu = self._factorize(xi)
+        _, lu = self._factorize(xi)
         rhs = np.zeros((self.n_dof, self.dim))
         for j in range(self.dim):
             for q, g in enumerate(self.rhs_coeff_grads[j]):

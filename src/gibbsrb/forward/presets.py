@@ -8,8 +8,9 @@ elast2d  : plane-stress linear elasticity, piecewise-constant Young's
            modulus over 5 layered or 9 block regions, bilinear quad FEM.
 
 All presets produce an affine decomposition A(xi) = sum_p theta_p(xi) A_p,
-f(xi) = sum_q phi_q(xi) f_q together with a from-scratch direct assembly
-closure used by the consistency checks.
+f(xi) = sum_q phi_q(xi) f_q, with each coefficient given by its value at
+xi = 0 and its constant gradient, together with a from-scratch direct
+assembly closure used by the consistency checks.
 """
 
 from __future__ import annotations
@@ -75,14 +76,13 @@ def adv1d(cells: int = 128, nu: float = 0.1, b1: float = -0.5, b2: float = -0.2,
         return sp.diags([-weights[1:] / (2 * h), np.zeros(m), weights[:-1] / (2 * h)],
                         [-1, 0, 1]).tocsr()
 
+    # theta = (1, b1 + 2 xi_1, b2 + 2 xi_2), phi = (1,)
     a_terms = [sp.csr_matrix(diff), advection(w_left), advection(w_right)]
-    a_coeffs = [lambda xi: 1.0,
-                lambda xi: b1 + 2.0 * xi[0],
-                lambda xi: b2 + 2.0 * xi[1]]
+    a_offsets = np.array([1.0, b1, b2])
     a_grads = np.array([[0.0, 2.0, 0.0],
                         [0.0, 0.0, 2.0]])
     f_terms = [np.ones(m)]
-    f_coeffs = [lambda xi: 1.0]
+    f_offsets = np.array([1.0])
     f_grads = np.zeros((2, 1))
 
     nodes = np.linspace(0.0, 1.0, n + 1)
@@ -113,9 +113,9 @@ def adv1d(cells: int = 128, nu: float = 0.1, b1: float = -0.5, b2: float = -0.2,
 
     return ForwardModel(
         name="adv1d",
-        operator_terms=a_terms, operator_coeffs=a_coeffs,
-        rhs_terms=f_terms, rhs_coeffs=f_coeffs,
-        operator_coeff_grads=a_grads, rhs_coeff_grads=f_grads,
+        operator_terms=a_terms, operator_coeff_offsets=a_offsets,
+        operator_coeff_grads=a_grads,
+        rhs_terms=f_terms, rhs_coeff_offsets=f_offsets, rhs_coeff_grads=f_grads,
         obs_matrix=sp.csr_matrix(obs), loss_kind="squared_l2",
         domain=domain,
         mesh={"kind": "fd1d", "cells": n, "nu": nu, "b1": b1, "b2": b2,
@@ -234,11 +234,12 @@ def adv2d(nx: int = 32, ny: int | None = None, obs_grid: int = 7) -> ForwardMode
     pts = _obs_grid_points(obs_grid)
     obs = _interp_rows(pts, nodes, nx, ny, free)
 
+    # theta = (0.02 + 0.98 xi_1, 1), phi = (xi_2, xi_3)
     a_terms = [sp.csr_matrix(K), sp.csr_matrix(C)]
-    a_coeffs = [lambda xi: 0.02 + 0.98 * xi[0], lambda xi: 1.0]
+    a_offsets = np.array([0.02, 1.0])
     a_grads = np.array([[0.98, 0.0], [0.0, 0.0], [0.0, 0.0]])
     f_terms = [f1[free], f2[free]]
-    f_coeffs = [lambda xi: xi[1], lambda xi: xi[2]]
+    f_offsets = np.zeros(2)
     f_grads = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
     domain = ParameterDomain(np.zeros(3), np.ones(3),
@@ -253,9 +254,9 @@ def adv2d(nx: int = 32, ny: int | None = None, obs_grid: int = 7) -> ForwardMode
 
     return ForwardModel(
         name="adv2d",
-        operator_terms=a_terms, operator_coeffs=a_coeffs,
-        rhs_terms=f_terms, rhs_coeffs=f_coeffs,
-        operator_coeff_grads=a_grads, rhs_coeff_grads=f_grads,
+        operator_terms=a_terms, operator_coeff_offsets=a_offsets,
+        operator_coeff_grads=a_grads,
+        rhs_terms=f_terms, rhs_coeff_offsets=f_offsets, rhs_coeff_grads=f_grads,
         obs_matrix=obs, loss_kind="l1",
         domain=domain,
         mesh={"kind": "q1", "nx": nx, "ny": ny, "obs_grid": obs_grid},
@@ -327,15 +328,12 @@ def elast2d(nx: int = 32, ny: int | None = None, obs_grid: int = 9,
     fixed = np.concatenate([2 * bottom, 2 * bottom + 1])
     free = np.setdiff1d(np.arange(nn2), fixed)
 
+    # theta_r = xi_r, phi = (1,)
     a_terms = [sp.csr_matrix(M[np.ix_(free, free)]) for M in a_terms_full]
-
-    def make_coeff(r):
-        return lambda xi: xi[r]
-
-    a_coeffs = [make_coeff(r) for r in range(n_regions)]
+    a_offsets = np.zeros(n_regions)
     a_grads = np.eye(n_regions)
     f_terms = [load[free]]
-    f_coeffs = [lambda xi: 1.0]
+    f_offsets = np.array([1.0])
     f_grads = np.zeros((n_regions, 1))
 
     pts = _obs_grid_points(obs_grid)
@@ -361,9 +359,9 @@ def elast2d(nx: int = 32, ny: int | None = None, obs_grid: int = 9,
 
     return ForwardModel(
         name=f"elast2d_{layout}",
-        operator_terms=a_terms, operator_coeffs=a_coeffs,
-        rhs_terms=f_terms, rhs_coeffs=f_coeffs,
-        operator_coeff_grads=a_grads, rhs_coeff_grads=f_grads,
+        operator_terms=a_terms, operator_coeff_offsets=a_offsets,
+        operator_coeff_grads=a_grads,
+        rhs_terms=f_terms, rhs_coeff_offsets=f_offsets, rhs_coeff_grads=f_grads,
         obs_matrix=obs, loss_kind="l2",
         domain=domain,
         mesh={"kind": "q1_elast", "nx": nx, "ny": ny, "obs_grid": obs_grid,

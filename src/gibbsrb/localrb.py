@@ -28,7 +28,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .seeding import PHASE_STABILITY, stream
 
@@ -101,7 +100,7 @@ def estimate_sigma_min(model, n_samples: int = 20, seed: int = 0,
     rng = stream(seed, PHASE_STABILITY)
     worst = np.inf
     for xi in model.domain.sample(n_samples, rng):
-        lu = spla.splu(model.operator_at(xi), permc_spec="MMD_AT_PLUS_A")
+        _, lu = model.factorize(xi)
         model.counters.add("stability")
         v = rng.standard_normal(model.n_dof)
         v /= np.linalg.norm(v)
@@ -261,7 +260,7 @@ class Surrogate:
 
         u = self.model.solve_full(xi)
         grad = self.model.solve_sensitivity(xi, u)
-        lu = self.model._factorize(xi)
+        _, lu = self.model._factorize(xi)
 
         idx = self.n_atoms
         self.atoms.append(Atom(location=xi, snapshot=u, gradient=grad))
@@ -302,8 +301,7 @@ class Surrogate:
                 self._lu_cache.pop(idx)  # LRU: move to the back
                 self._lu_cache[idx] = lu
         if lu is None:
-            lu = spla.splu(self.model.operator_at(self.atoms[idx].location),
-                           permc_spec="MMD_AT_PLUS_A")
+            _, lu = self.model.factorize(self.atoms[idx].location)
             self.model.counters.add("stability")
             self._lu_stash(idx, lu)
         return lu
@@ -352,7 +350,7 @@ class Surrogate:
             # identity sum_p theta_p(xi_k) A_k^{-1} A_p Phi = Phi, saving
             # r solve columns
             xi_k = self.atoms[k].location
-            theta_k = np.array([th(xi_k) for th in model.operator_coeffs])
+            theta_k, _ = model.coefficients(xi_k)
             p0 = int(np.argmax(np.abs(theta_k)))
             nq = len(model.rhs_terms)
             r = Phi.shape[1]
@@ -379,10 +377,9 @@ class Surrogate:
 
     # ----- evaluation -----
     def _coeff_vector(self, xi, coeffs):
-        model = self.model
-        fth = [phi(xi) for phi in model.rhs_coeffs]
-        ath = [th(xi) for th in model.operator_coeffs]
-        return np.concatenate([fth] + [-a * coeffs for a in ath])
+        """w with Z w = f(xi) - A(xi) Phi coeffs, for Z = [f_q | A_p Phi]."""
+        ath, fth = self.model.coefficients(xi)
+        return np.concatenate([fth, np.outer(-ath, coeffs).ravel()])
 
     def reduced_solve(self, xi: np.ndarray) -> ReducedSolution:
         """Galerkin solve in the nearest cell's basis.
@@ -393,9 +390,7 @@ class Surrogate:
         xi = np.asarray(xi, dtype=float)
         k = self.nearest_atom(xi)
         cell = self._ensure_cell(k)
-        model = self.model
-        ath = [th(xi) for th in model.operator_coeffs]
-        fth = [phi(xi) for phi in model.rhs_coeffs]
+        ath, fth = self.model.coefficients(xi)
         G = sum(a * Gp for a, Gp in zip(ath, cell.reduced_ops))
         b = sum(a * bq for a, bq in zip(fth, cell.reduced_rhs))
         try:

@@ -8,6 +8,7 @@ thread count.
 from __future__ import annotations
 
 import csv
+import ctypes
 import json
 import time
 from pathlib import Path
@@ -74,10 +75,52 @@ def weighted_cdf_curve(points: np.ndarray, weights: np.ndarray):
     return x, c / c[-1]
 
 
+def _openblas_functions(action: str, restype, argtypes) -> list:
+    """The ``{action}_num_threads`` function of each OpenBLAS in the process.
+
+    Wheels export it under a prefixed name (``scipy_openblas_`` with a
+    ``64_`` suffix for the 64-bit-integer build numpy links), system builds
+    as ``openblas_{action}_num_threads``.  Empty where none can be found.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split(None, 5)[5].strip() for line in fh
+                            if "openblas" in line.lower()})
+        libs = [ctypes.CDLL(path) for path in paths]
+    except OSError:
+        return []
+    names = [f"{prefix}{action}_num_threads{suffix}"
+             for prefix in ("scipy_openblas_", "openblas_") for suffix in ("64_", "")]
+    found = []
+    for lib in libs:
+        for name in names:
+            try:
+                fn = getattr(lib, name)
+            except AttributeError:
+                continue
+            fn.restype, fn.argtypes = restype, argtypes
+            found.append(fn)
+            break
+    return found
+
+
+def pin_blas_threads(n: int = 1) -> None:
+    """Set every loaded OpenBLAS to n threads; nothing if none is found."""
+    for fn in _openblas_functions("set", None, [ctypes.c_int]):
+        fn(n)
+
+
+def blas_threads() -> int | None:
+    """Largest thread count among the loaded OpenBLAS libraries, or None."""
+    counts = [fn() for fn in _openblas_functions("get", ctypes.c_int, [])]
+    return max(counts) if counts else None
+
+
 def write_manifest(path, *, config, seed: int, extra: dict | None = None) -> None:
     manifest = {
         "package_version": PACKAGE_VERSION,
         "created_unix": int(time.time()),
+        "blas_threads": blas_threads(),
         "seed": int(seed),
         "config_digest": config.digest(),
         "config": config.to_dict(),
@@ -85,6 +128,3 @@ def write_manifest(path, *, config, seed: int, extra: dict | None = None) -> Non
     manifest.update(extra or {})
     Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
-
-def read_manifest(run_dir) -> dict:
-    return json.loads((Path(run_dir) / "manifest.json").read_text())

@@ -17,7 +17,6 @@ PHASE_RESAMPLE = 2
 PHASE_MUTATE = 3
 PHASE_STABILITY = 4
 PHASE_MCMC = 5
-PHASE_MISC = 6
 
 
 def stream(master_seed: int, *path: int) -> np.random.Generator:

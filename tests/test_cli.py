@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gibbsrb
 from gibbsrb.cli import main
 
 TINY_SMC = """
@@ -77,6 +81,25 @@ def test_run_mcmc_artifacts(tiny_config, tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "run-mcmc"
     assert manifest["full_solves"] > 0
+
+
+def test_cli_pins_blas_threads(tiny_config, tmp_path):
+    src = str(Path(gibbsrb.__file__).parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = subprocess.run(
+        [sys.executable, "-c", "import gibbsrb.runio as r; print(r.blas_threads())"],
+        env=env, check=True, capture_output=True, text=True).stdout.strip()
+    if probe == "None":
+        pytest.skip("no OpenBLAS library found in the process")
+    # the environment alone leaves OpenBLAS at 2 threads where 2 cores exist
+    assert int(probe) == min(2, len(os.sched_getaffinity(0)))
+    out = tmp_path / "chain"
+    subprocess.run([sys.executable, "-m", "gibbsrb.cli", "run-mcmc", "--config",
+                    str(tiny_config), "--seed", "5", "--out", str(out)],
+                   env=env, check=True, capture_output=True)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["blas_threads"] == 1
 
 
 def test_oracle_and_compare(tiny_config, tmp_path):

@@ -1,8 +1,12 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from gibbsrb import ObservationSet, assemble, gen_data
-from gibbsrb.forward.model import SolverError
+from gibbsrb.forward.model import ForwardModel, SolverError
 
 from conftest import analytic_adv1d
 
@@ -77,6 +81,92 @@ def test_affine_consistency(preset, mesh):
     assert worst <= 1e-12
 
 
+_SMALL_PRESETS = [
+    ("adv1d", {"cells": 64}),
+    ("adv1d", {"cells": 33, "upwind": True}),
+    ("adv2d", {"nx": 10}),
+    ("elast2d_layered", {"nx": 8}),
+    ("elast2d_inclusion", {"nx": 6}),
+]
+
+
+def _preset_coefficients(model, xi):
+    """(theta, phi) from the formulas in the preset docstrings."""
+    if model.name == "adv1d":
+        b1, b2 = model.mesh["b1"], model.mesh["b2"]
+        return [1.0, b1 + 2.0 * xi[0], b2 + 2.0 * xi[1]], [1.0]
+    if model.name == "adv2d":
+        return [0.02 + 0.98 * xi[0], 1.0], [xi[1], xi[2]]
+    return list(xi), [1.0]  # elasticity: theta_r = xi_r
+
+
+def _probe_points(model):
+    """Prior draws, box corners, and for many dimensions a point with
+    equal neighbouring coefficients, where region terms cancel exactly."""
+    lo, hi = model.domain.lower, model.domain.upper
+    pts = list(model.domain.sample(8, np.random.default_rng(4)))
+    if model.dim <= 3:
+        pts += [np.where(c, hi, lo) for c in itertools.product([False, True], repeat=model.dim)]
+    else:
+        alternate = np.arange(model.dim) % 2 == 1
+        pts += [lo, hi, np.where(alternate, hi, lo), np.ones(model.dim)]
+    return pts
+
+
+@pytest.mark.parametrize("preset,mesh", _SMALL_PRESETS)
+def test_operator_at_bit_equal_to_chained_sparse_sum(preset, mesh):
+    model = assemble(preset, mesh)
+    nnz = []
+    for xi in _probe_points(model):
+        theta, _ = _preset_coefficients(model, xi)
+        ref = theta[0] * model.operator_terms[0]
+        for t, term in zip(theta[1:], model.operator_terms[1:]):
+            ref = ref + t * term
+        ref = sp.csc_matrix(ref)
+        A = model.operator_at(xi)
+        assert np.array_equal(A.indptr, ref.indptr)
+        assert np.array_equal(A.indices, ref.indices)
+        assert A.data.tobytes() == ref.data.tobytes()
+        nnz.append(A.nnz)
+    if preset.startswith("elast"):
+        # equal moduli cancel interface entries, which the sum drops
+        assert min(nnz) < max(nnz)
+
+
+@pytest.mark.parametrize("preset,mesh", _SMALL_PRESETS)
+def test_coefficient_arrays_equal_preset_formulas(preset, mesh):
+    model = assemble(preset, mesh)
+    for xi in _probe_points(model):
+        theta, phi = model.coefficients(xi)
+        ref_theta, ref_phi = _preset_coefficients(model, xi)
+        assert theta.tobytes() == np.asarray(ref_theta, dtype=float).tobytes()
+        assert phi.tobytes() == np.asarray(ref_phi, dtype=float).tobytes()
+
+
+def test_coefficient_shapes_are_checked(adv1d_model):
+    with pytest.raises(ValueError, match="coefficient arrays need shapes"):
+        dataclasses.replace(adv1d_model, operator_coeff_offsets=np.zeros(2))
+    with pytest.raises(ValueError, match="coefficient arrays need shapes"):
+        dataclasses.replace(adv1d_model, rhs_coeff_grads=np.zeros((1, 1)))
+
+
+def test_full_solve_assembles_operator_once(monkeypatch):
+    model = assemble("adv1d", {"cells": 32})
+    calls = []
+    original = ForwardModel.operator_at
+
+    def counted(self, xi):
+        calls.append(np.array(xi))
+        return original(self, xi)
+
+    monkeypatch.setattr(ForwardModel, "operator_at", counted)
+    xi = np.array([0.31, 0.47])
+    u = model.solve_full(xi)
+    assert len(calls) == 1
+    model.solve_sensitivity(xi, u)
+    assert len(calls) == 1
+
+
 def test_solve_residual_and_determinism(adv1d_model):
     xi = np.array([0.37, 0.82])
     u1 = adv1d_model.solve_full(xi)
@@ -102,7 +192,7 @@ def test_adv2d_sensitivity_is_scaled_source_response(adv2d_small):
     xi = np.array([0.4, 0.3, 0.6])
     u = adv2d_small.solve_full(xi)
     sens = adv2d_small.solve_sensitivity(xi, u)
-    lu = adv2d_small._factorize(xi)
+    _, lu = adv2d_small._factorize(xi)
     expected = lu.solve(adv2d_small.rhs_terms[0])
     assert np.linalg.norm(sens[:, 1] - expected) <= 1e-12 * np.linalg.norm(expected)
 
