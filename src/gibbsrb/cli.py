@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -32,8 +31,6 @@ def _prepare(args):
     config = RunConfig.from_yaml(args.config)
     if args.seed is not None:
         config.smc = SmcConfig(**{**config.smc.__dict__, "seed": int(args.seed)})
-    if getattr(args, "threads", None):
-        config.smc = SmcConfig(**{**config.smc.__dict__, "threads": int(args.threads)})
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     model = build_model(config)
@@ -226,9 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--config", required=True, help="YAML run config")
         sp.add_argument("--seed", type=int, default=None, help="master seed override")
         sp.add_argument("--out", required=True, help="output directory")
-        sp.add_argument("--threads", type=int,
-                        default=max(1, os.cpu_count() or 1),
-                        help="mutation thread count (results independent of it)")
 
     sp = sub.add_parser("run-smc", help="adaptive SMC pipeline")
     common(sp)

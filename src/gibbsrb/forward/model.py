@@ -9,7 +9,6 @@ and A(xi) is assembled into one sparsity pattern fixed at construction.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -25,22 +24,19 @@ class SolverError(RuntimeError):
 
 
 class SolveCounters:
-    """Thread-safe counters for the different kinds of linear solves."""
+    """Counters for the different kinds of linear solves."""
 
     def __init__(self):
-        self._lock = threading.Lock()
         self.full = 0
         self.sensitivity = 0
         self.stability = 0
 
     def add(self, kind: str, n: int = 1) -> None:
-        with self._lock:
-            setattr(self, kind, getattr(self, kind) + n)
+        setattr(self, kind, getattr(self, kind) + n)
 
     def snapshot(self) -> dict:
-        with self._lock:
-            return {"full": self.full, "sensitivity": self.sensitivity,
-                    "stability": self.stability}
+        return {"full": self.full, "sensitivity": self.sensitivity,
+                "stability": self.stability}
 
 
 def _stack_terms(terms: list, n: int):
@@ -125,7 +121,11 @@ class ForwardModel:
 
     # ----- assembly -----
     def coefficients(self, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(theta(xi), phi(xi)), the operator and rhs coefficients."""
+        """(theta(xi), phi(xi)), the operator and rhs coefficients.
+
+        xi may also be an (n, M) array of points; the coefficients are then
+        (n, P) and (n, Q) arrays, one row per point.
+        """
         xi = np.asarray(xi, dtype=float)
         return (self.operator_coeff_offsets + xi @ self.operator_coeff_grads,
                 self.rhs_coeff_offsets + xi @ self.rhs_coeff_grads)
@@ -212,17 +212,23 @@ class ForwardModel:
     def observe(self, u: np.ndarray) -> np.ndarray:
         return self.obs_matrix @ u
 
-    def loss_from_prediction(self, predicted: np.ndarray, observations) -> float:
-        """Cumulative loss sum_i loss(predicted, d_i) for the model's loss kind."""
-        resid = predicted[None, :] - observations.data
-        if self.loss_kind == "squared_l2":
-            return float(np.sum(resid**2))
-        if self.loss_kind == "l1":
-            return float(np.sum(np.abs(resid)))
-        return float(np.sum(np.linalg.norm(resid, axis=1)))
+    def loss_from_prediction(self, predicted: np.ndarray, observations):
+        """Cumulative loss sum_i loss(predicted, d_i) for the model's loss kind.
+
+        predicted is one (n_obs,) prediction or an (n, n_obs) array of them;
+        the loss is then an (n,) array.  Each loss sums its terms over the
+        flattened (n_data * n_obs) block, as a sum over one prediction does.
+        """
+        resid = predicted[..., None, :] - observations.data
+        if self.loss_kind == "l2":
+            return np.sum(np.linalg.norm(resid, axis=-1), axis=-1)
+        terms = resid**2 if self.loss_kind == "squared_l2" else np.abs(resid)
+        n_data, n_obs = resid.shape[-2:]
+        return np.sum(terms.reshape(resid.shape[:-2] + (n_data * n_obs,)), axis=-1)
 
     def loss(self, xi: np.ndarray, observations) -> float:
-        return self.loss_from_prediction(self.observe(self.solve_full(xi)), observations)
+        return float(self.loss_from_prediction(self.observe(self.solve_full(xi)),
+                                               observations))
 
     # ----- checks -----
     def check_affine_consistency(self, n_samples: int = 100, seed: int = 0,

@@ -23,8 +23,7 @@ l1/l2 kinds.
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor  # patched by bench/layers.py
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -153,10 +152,10 @@ def fd_gradient_check(model, xi, gradient, h: float = 1e-4) -> float:
 class Surrogate:
     """Atom set, local bases, cached reduced operators and error indicators.
 
-    Evaluation methods (nearest_atom, reduced_solve, surrogate_loss) may be
-    called concurrently; a cell whose neighbor set changed is rebuilt
-    lazily on first use behind an internal lock.  add_atom and
-    refine_over_particles mutate shared state and must run exclusively.
+    Evaluation takes whole arrays of points: each cell solves the reduced
+    systems of all the points it hosts in one stacked call.  A cell whose
+    neighbor set changed is rebuilt lazily on first use, so evaluation
+    changes cached state too; no method may run concurrently with another.
     """
 
     def __init__(self, model, neighbor_count: int = DEFAULT_NEIGHBORS,
@@ -180,8 +179,6 @@ class Surrogate:
         self._stability_seed = stability_seed
         self._obs_norm = model.observation_operator_norm()
         self._lu_cache: dict[int, object] = {}
-        self._lock = threading.Lock()
-        self._cache_lock = threading.Lock()
         self.reduced_solves = 0
         self.insertion_log: list[dict] = []
 
@@ -220,11 +217,15 @@ class Surrogate:
     def nearest_atom(self, xi: np.ndarray) -> int:
         """Closest atom in box-scaled Euclidean distance; ties take the
         lowest index (argmin returns the first minimum)."""
+        return int(self._nearest(np.atleast_2d(xi))[0])
+
+    def _nearest(self, points: np.ndarray) -> np.ndarray:
+        """nearest_atom for each row of an (n, M) array."""
         if not self.atoms:
             raise ValueError("surrogate has no atoms yet")
-        s = self.model.domain.scale(np.asarray(xi, dtype=float))
-        d2 = np.sum((self._scaled_locs - s) ** 2, axis=1)
-        return int(np.argmin(d2))
+        s = self.model.domain.scale(points)
+        d2 = ((s[:, None, :] - self._scaled_locs[None, :, :]) ** 2).sum(axis=2)
+        return np.argmin(d2, axis=1)
 
     def _neighbor_sets(self) -> list[tuple]:
         n = self.n_atoms
@@ -289,29 +290,22 @@ class Surrogate:
         return idx
 
     def _lu_stash(self, idx, lu):
-        with self._cache_lock:
-            self._lu_cache[idx] = lu
-            while len(self._lu_cache) > _LU_CACHE_SIZE:
-                self._lu_cache.pop(next(iter(self._lu_cache)))
+        self._lu_cache[idx] = lu
+        while len(self._lu_cache) > _LU_CACHE_SIZE:
+            self._lu_cache.pop(next(iter(self._lu_cache)))
 
     def _lu_for(self, idx):
-        with self._cache_lock:
-            lu = self._lu_cache.get(idx)
-            if lu is not None:
-                self._lu_cache.pop(idx)  # LRU: move to the back
-                self._lu_cache[idx] = lu
+        lu = self._lu_cache.pop(idx, None)  # LRU: a hit moves to the back
         if lu is None:
             _, lu = self.model.factorize(self.atoms[idx].location)
             self.model.counters.add("stability")
-            self._lu_stash(idx, lu)
+        self._lu_stash(idx, lu)
         return lu
 
     def _ensure_cell(self, k: int) -> _Cell:
         cell = self.cells[k]
         if cell.dirty:
-            with self._lock:
-                if cell.dirty:
-                    self._build_cell(k)
+            self._build_cell(k)
         return cell
 
     def _build_cell(self, k: int) -> None:
@@ -336,11 +330,11 @@ class Surrogate:
 
         model = self.model
         cell.basis = Phi
-        cell.reduced_ops = [Phi.T @ (M @ Phi) for M in model.operator_terms]
+        op_cols = [np.asarray(M @ Phi) for M in model.operator_terms]  # A_p Phi
+        cell.reduced_ops = [Phi.T @ AP for AP in op_cols]
         cell.reduced_rhs = [Phi.T @ f for f in model.rhs_terms]
         cell.obs_basis = np.asarray(model.obs_matrix @ Phi)
-        Z = np.column_stack([np.column_stack([f for f in model.rhs_terms])]
-                            + [np.asarray(M @ Phi) for M in model.operator_terms])
+        Z = np.column_stack([np.column_stack([f for f in model.rhs_terms])] + op_cols)
         # the returned residual must match the directly assembled one down
         # to machine-zero at atoms, which only the QR route guarantees
         cell.resid_factor = np.linalg.qr(Z, mode="r")
@@ -376,10 +370,38 @@ class Surrogate:
         cell.dirty = False
 
     # ----- evaluation -----
-    def _coeff_vector(self, xi, coeffs):
-        """w with Z w = f(xi) - A(xi) Phi coeffs, for Z = [f_q | A_p Phi]."""
-        ath, fth = self.model.coefficients(xi)
-        return np.concatenate([fth, np.outer(-ath, coeffs).ravel()])
+    def _solve_cell(self, k: int, ath: np.ndarray, fth: np.ndarray) -> np.ndarray:
+        """Reduced coefficients in cell k for points with operator and rhs
+        coefficients ath (n, P) and fth (n, Q); NaN rows where the reduced
+        system is singular."""
+        cell = self._ensure_cell(k)
+        G = sum(a[:, None, None] * Gp for a, Gp in zip(ath.T, cell.reduced_ops))
+        b = sum(a[:, None] * bq for a, bq in zip(fth.T, cell.reduced_rhs))
+        try:
+            coeffs = np.linalg.solve(G, b[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            coeffs = np.full(b.shape, np.nan)
+            for i in range(len(b)):
+                try:
+                    coeffs[i] = np.linalg.solve(G[i], b[i])
+                except np.linalg.LinAlgError:
+                    pass
+        self.reduced_solves += int(np.count_nonzero(~np.isnan(coeffs[:, 0])))
+        return coeffs
+
+    def _residual_norms(self, factor: np.ndarray, ath, fth, coeffs) -> np.ndarray:
+        """||factor w|| per point, for w with Z w = f(xi) - A(xi) Phi coeffs
+        and Z = [f_q | A_p Phi].
+
+        Stacked matvecs and dot products: each row takes the same BLAS calls
+        as the one-point forms factor @ w and np.linalg.norm, so the values
+        are bit-identical to them.
+        """
+        (n, P), r = ath.shape, coeffs.shape[1]
+        w = np.concatenate([fth, (-ath[:, :, None] * coeffs[:, None, :]).reshape(n, P * r)],
+                           axis=1)
+        v = (factor[None] @ w[:, :, None])[:, :, 0]
+        return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
 
     def reduced_solve(self, xi: np.ndarray) -> ReducedSolution:
         """Galerkin solve in the nearest cell's basis.
@@ -389,20 +411,15 @@ class Surrogate:
         """
         xi = np.asarray(xi, dtype=float)
         k = self.nearest_atom(xi)
-        cell = self._ensure_cell(k)
-        ath, fth = self.model.coefficients(xi)
-        G = sum(a * Gp for a, Gp in zip(ath, cell.reduced_ops))
-        b = sum(a * bq for a, bq in zip(fth, cell.reduced_rhs))
-        try:
-            coeffs = np.linalg.solve(G, b)
-        except np.linalg.LinAlgError as exc:
-            raise BasisDegeneracyError(f"singular reduced system in cell {k}") from exc
-        w = self._coeff_vector(xi, coeffs)
-        resid = float(np.linalg.norm(cell.resid_factor @ w))
-        obs = cell.obs_basis @ coeffs
-        with self._lock:
-            self.reduced_solves += 1
-        return ReducedSolution(coeffs=coeffs, observed=obs, residual=resid, atom_index=k)
+        ath, fth = self.model.coefficients(xi[None])
+        coeffs = self._solve_cell(k, ath, fth)
+        if np.isnan(coeffs[0, 0]):
+            raise BasisDegeneracyError(f"singular reduced system in cell {k}")
+        cell = self.cells[k]
+        resid = float(self._residual_norms(cell.resid_factor, ath, fth, coeffs)[0])
+        coeffs = coeffs[0]
+        return ReducedSolution(coeffs=coeffs, observed=cell.obs_basis @ coeffs,
+                               residual=resid, atom_index=k)
 
     def reconstruct(self, sol: ReducedSolution) -> np.ndarray:
         """Full-space surrogate state (costs O(n_dof * r); for checks)."""
@@ -412,8 +429,9 @@ class Surrogate:
         if self.indicator == "sigma_min":
             return sol.residual
         cell = self._ensure_cell(sol.atom_index)
-        w = self._coeff_vector(xi, sol.coeffs)
-        return float(np.linalg.norm(cell.precond_factor @ w))
+        ath, fth = self.model.coefficients(np.asarray(xi, dtype=float)[None])
+        return float(self._residual_norms(cell.precond_factor, ath, fth,
+                                          sol.coeffs[None])[0])
 
     def error_indicator_u(self, xi: np.ndarray, sol: ReducedSolution | None = None) -> float:
         """Computable proxy bounding the state error of the surrogate."""
@@ -422,19 +440,49 @@ class Surrogate:
             sol = self.reduced_solve(xi)
         return self._indicator_raw(xi, sol) / self.stability_constant
 
-    def _loss_eval_raw(self, xi: np.ndarray, observations):
-        """(surrogate loss, raw indicator, data-distance sum) at xi.
+    def _evaluate(self, points: np.ndarray, observations):
+        """(surrogate losses, raw indicators, data-distance sums) at the rows
+        of an (n, M) array of points.
 
-        The raw quantities do not depend on the calibration state, so they
-        can be cached across refinement steps while the stability constant
-        keeps adapting.
+        Where a cell's reduced system is singular the three are NaN, inf
+        and 0.  The raw quantities do not depend on the calibration state,
+        so they can be cached across refinement steps while the stability
+        constant keeps adapting.
         """
-        sol = self.reduced_solve(xi)
-        lbar = self.model.loss_from_prediction(sol.observed, observations)
-        raw = self._indicator_raw(xi, sol)
-        dist_sum = float(np.sum(np.linalg.norm(
-            sol.observed[None, :] - observations.data, axis=1)))
-        return lbar, raw, dist_sum
+        points = np.asarray(points, dtype=float)
+        n = len(points)
+        ath, fth = self.model.coefficients(points)
+        cells = self._nearest(points)
+        observed = np.full((n, self.model.n_obs), np.nan)
+        raws = np.full(n, np.inf)
+        # cells in order of first appearance, as a loop over the points
+        # would build them
+        uniq, first = np.unique(cells, return_index=True)
+        for k in uniq[np.argsort(first)]:
+            idx = np.flatnonzero(cells == k)
+            coeffs = self._solve_cell(k, ath[idx], fth[idx])
+            ok = ~np.isnan(coeffs[:, 0])
+            idx, coeffs = idx[ok], coeffs[ok]
+            cell = self.cells[k]
+            observed[idx] = (cell.obs_basis[None] @ coeffs[:, :, None])[:, :, 0]
+            factor = (cell.resid_factor if self.indicator == "sigma_min"
+                      else cell.precond_factor)
+            raws[idx] = self._residual_norms(factor, ath[idx], fth[idx], coeffs)
+        losses = self.model.loss_from_prediction(observed, observations)
+        dist_sums = np.sum(np.linalg.norm(observed[:, None, :] - observations.data,
+                                          axis=-1), axis=-1)
+        dist_sums[np.isnan(dist_sums)] = 0.0
+        return losses, raws, dist_sums
+
+    def _loss_eval_raw(self, xi: np.ndarray, observations):
+        """_evaluate at one point; raises BasisDegeneracyError where the
+        reduced system is singular."""
+        xi = np.asarray(xi, dtype=float)
+        losses, raws, dist_sums = self._evaluate(xi[None], observations)
+        if np.isnan(losses[0]):
+            raise BasisDegeneracyError(
+                f"singular reduced system in cell {self.nearest_atom(xi)}")
+        return float(losses[0]), float(raws[0]), float(dist_sums[0])
 
     def _loss_indicator_from_raw(self, raw: float, dist_sum: float, n_data: int) -> float:
         eps_u = raw / self.stability_constant
@@ -449,9 +497,10 @@ class Surrogate:
         return lbar, self._loss_indicator_from_raw(raw, dist_sum, observations.n)
 
     def loss_fn(self, observations):
-        """Closure evaluating just the surrogate loss (for samplers)."""
-        def fn(xi):
-            return self.surrogate_loss(xi, observations)[0]
+        """Surrogate losses at the rows of an (n, M) array (for samplers);
+        NaN where the reduced system is singular."""
+        def fn(points):
+            return self._evaluate(points, observations)[0]
         return fn
 
     # ----- refinement -----
@@ -467,20 +516,9 @@ class Surrogate:
         if not self.atoms:
             self.add_atom(points[0])
 
-        n_pts = points.shape[0]
         n_data = observations.n
         scaled_pts = self.model.domain.scale(points)
-        losses = np.empty(n_pts)
-        raws = np.empty(n_pts)
-        dist_sums = np.empty(n_pts)
-        assign = np.empty(n_pts, dtype=int)
-
-        def evaluate(i: int) -> None:
-            try:
-                losses[i], raws[i], dist_sums[i] = self._loss_eval_raw(
-                    points[i], observations)
-            except BasisDegeneracyError:
-                losses[i], raws[i], dist_sums[i] = np.nan, np.inf, 0.0
+        losses, raws, dist_sums = self._evaluate(points, observations)
 
         def indicators() -> np.ndarray:
             # raw quantities are exact while a particle's cell is untouched;
@@ -488,13 +526,7 @@ class Surrogate:
             return np.array([self._loss_indicator_from_raw(r, d, n_data)
                              for r, d in zip(raws, dist_sums)])
 
-        def nearest_all() -> np.ndarray:
-            d2 = ((scaled_pts[:, None, :] - self._scaled_locs[None, :, :]) ** 2).sum(axis=2)
-            return np.argmin(d2, axis=1)
-
-        assign[:] = nearest_all()
-        for i in range(n_pts):
-            evaluate(i)
+        assign = self._nearest(points)
         inds = indicators()
         e_initial = float(np.max(inds))
         added = 0
@@ -517,20 +549,17 @@ class Surrogate:
             added += 1
             # re-evaluate only particles captured by the new atom or whose
             # cell basis was invalidated by the neighbor refresh
-            new_assign = nearest_all()
+            new_assign = self._nearest(points)
             stale = new_assign != assign
-            dirty_hosting = []
             for k, cell in enumerate(self.cells):
-                if cell.dirty:
-                    stale |= (new_assign == k)
-                    if np.any(new_assign == k):
-                        dirty_hosting.append(k)
-            if len(dirty_hosting) > 1:
-                with ThreadPoolExecutor(max_workers=2) as pool:
-                    list(pool.map(self._build_cell, dirty_hosting))
-            assign[:] = new_assign
-            for i in np.flatnonzero(stale):
-                evaluate(i)
+                if cell.dirty and np.any(new_assign == k):
+                    stale |= new_assign == k
+                    self._build_cell(k)
+            assign = new_assign
+            idx = np.flatnonzero(stale)
+            if idx.size:
+                losses[idx], raws[idx], dist_sums[idx] = self._evaluate(
+                    points[idx], observations)
             inds = indicators()
         return RefinementReport(
             atoms_added=added, e_max_initial=e_initial,

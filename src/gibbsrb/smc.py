@@ -11,7 +11,7 @@ weight and stops exactly at the requested total.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor  # patched by bench/layers.py
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -47,7 +47,6 @@ class SmcConfig:
     neighbor_count: int = 5
     atom_budget: int = 2000
     resampling: str = "multinomial"
-    threads: int = 1
     indicator: str = "calibrated_cell"
 
     def __post_init__(self):
@@ -157,71 +156,72 @@ def resample(particles: ParticleSet, rng: np.random.Generator,
 
 
 def _log_q(a: np.ndarray, b: np.ndarray, mean: np.ndarray, var: np.ndarray,
-           gamma: float) -> float:
-    """Unnormalized log transition density of the AR(1) proposal b -> a."""
+           gamma: float):
+    """Unnormalized log transition density of the AR(1) proposal b -> a,
+    per row when a and b are (n, M) arrays."""
     dev = a - mean - gamma * (b - mean)
-    return float(-0.5 / (1.0 - gamma**2) * np.sum(dev**2 / var))
+    return -0.5 / (1.0 - gamma**2) * np.sum(dev**2 / var, axis=-1)
 
 
 def mutate(particles: ParticleSet, loss_fn: Optional[Callable], domain: ParameterDomain,
            w_target: float, moments, config: SmcConfig, master_seed: int,
-           iteration: int, current_losses: Optional[np.ndarray] = None,
-           threads: int = 1):
+           iteration: int, current_losses: Optional[np.ndarray] = None):
     """Independent MH chains per particle, invariant for the tempered target.
 
     Proposal: per-dimension AR(1) pull toward the weighted pre-resampling
     mean with matched variance.  Proposals outside the prior support are
-    rejected through the zero prior density.  Returns the mutated set, the
-    aggregate acceptance rate and the loss values at the final points.
+    rejected through the zero prior density, and so are proposals whose
+    loss is NaN (a singular reduced system).  The chains advance in
+    lockstep, one batched loss_fn call per step, each drawing from its own
+    stream.  loss_fn maps an (n, M) array to n losses.  Returns the
+    mutated set, the aggregate acceptance rate and the loss values at the
+    final points.
     """
     mean, var = moments
     gamma = config.proposal_mixing
-    steps = config.mutation_steps
     m = particles.m
-    new_points = np.empty_like(particles.points)
-    new_losses = np.empty(m)
-    accepts = np.zeros(m, dtype=int)
-
     if loss_fn is None:
-        loss_fn = lambda xi: 0.0
+        loss_fn = lambda pts: np.zeros(len(pts))
 
-    def one_particle(i: int) -> None:
-        rng = stream(master_seed, PHASE_MUTATE, iteration, i)
-        x = particles.points[i].copy()
-        lx = current_losses[i] if current_losses is not None else loss_fn(x)
-        lp_x = domain.log_pdf(x)
-        for _ in range(steps):
-            prop = mean + gamma * (x - mean) + np.sqrt(1.0 - gamma**2) * (
-                np.sqrt(var) * rng.standard_normal(domain.dim))
-            lp_p = domain.log_pdf(prop)
-            u = rng.random()  # drawn unconditionally to keep streams aligned
-            if not np.isfinite(lp_p):
-                continue
-            try:
-                lp_loss = loss_fn(prop)
-            except (BasisDegeneracyError, SolverError):
-                continue
-            log_alpha = (-w_target * (lp_loss - lx) + lp_p - lp_x
-                         + _log_q(x, prop, mean, var, gamma)
-                         - _log_q(prop, x, mean, var, gamma))
-            with np.errstate(divide="ignore"):
-                log_u = np.log(u)
-            if log_u < log_alpha:
-                x, lx, lp_x = prop, lp_loss, lp_p
-                accepts[i] += 1
-        new_points[i] = x
-        new_losses[i] = lx
+    rngs = [stream(master_seed, PHASE_MUTATE, iteration, i) for i in range(m)]
+    x = particles.points.copy()
+    lx = (np.array(current_losses, dtype=float) if current_losses is not None
+          else loss_fn(x))
+    lp_x = domain.log_pdf(x)
+    accepts = np.zeros(m, dtype=int)
+    for _ in range(config.mutation_steps):
+        z = np.empty_like(x)
+        u = np.empty(m)
+        for i, rng in enumerate(rngs):
+            z[i] = rng.standard_normal(domain.dim)
+            u[i] = rng.random()  # drawn unconditionally to keep streams aligned
+        prop = mean + gamma * (x - mean) + np.sqrt(1.0 - gamma**2) * (np.sqrt(var) * z)
+        lp_p = domain.log_pdf(prop)
+        inside = np.isfinite(lp_p)
+        l_p = np.full(m, np.nan)
+        if inside.any():
+            l_p[inside] = loss_fn(prop[inside])
+        log_alpha = (-w_target * (l_p - lx) + lp_p - lp_x
+                     + _log_q(x, prop, mean, var, gamma)
+                     - _log_q(prop, x, mean, var, gamma))
+        with np.errstate(divide="ignore"):
+            log_u = np.log(u)
+        # out-of-support proposals keep a NaN loss; a NaN log_alpha never accepts
+        acc = log_u < log_alpha
+        x[acc], lx[acc], lp_x[acc] = prop[acc], l_p[acc], lp_p[acc]
+        accepts += acc
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(one_particle, range(m)))
-    else:
-        for i in range(m):
-            one_particle(i)
+    rate = float(accepts.sum()) / max(m * config.mutation_steps, 1)
+    return ParticleSet(x, particles.weights.copy(), particles.generation), rate, lx
 
-    rate = float(accepts.sum()) / max(m * steps, 1)
-    out = ParticleSet(new_points, particles.weights.copy(), particles.generation)
-    return out, rate, new_losses
+
+def surrogate_losses(surrogate: Surrogate, points: np.ndarray, observations) -> np.ndarray:
+    """Surrogate losses at the points; raises where a reduced system is singular."""
+    losses = surrogate.loss_fn(observations)(points)
+    if np.isnan(losses).any():
+        raise BasisDegeneracyError("singular reduced system at "
+                                   f"{int(np.isnan(losses).sum())} point(s)")
+    return losses
 
 
 def replay_consistency(surrogate: Surrogate, observations, domain: ParameterDomain,
@@ -232,9 +232,7 @@ def replay_consistency(surrogate: Surrogate, observations, domain: ParameterDoma
     init = init_particles(domain, m, stream(seed, PHASE_INIT))
     if w_t == 0.0:
         return init
-    losses = np.array([surrogate.surrogate_loss(p, observations)[0]
-                       for p in init.points])
-    return reweight(init, losses, w_t)
+    return reweight(init, surrogate_losses(surrogate, init.points, observations), w_t)
 
 
 def _resolve_e_thre(config: SmcConfig, surrogate: Surrogate, points: np.ndarray,
@@ -243,13 +241,9 @@ def _resolve_e_thre(config: SmcConfig, surrogate: Surrogate, points: np.ndarray,
         return max(config.e_thre_value, config.e_thre_floor)
     if not surrogate.atoms:
         surrogate.add_atom(points[0])
-    vals = []
-    for p in points:
-        try:
-            vals.append(surrogate.surrogate_loss(p, observations)[0])
-        except BasisDegeneracyError:
-            pass
-    spread = float(np.std(vals)) if vals else 0.0
+    losses = surrogate.loss_fn(observations)(points)
+    vals = losses[~np.isnan(losses)]  # singular points are left out
+    spread = float(np.std(vals)) if vals.size else 0.0
     return max(config.e_thre_fraction * spread, config.e_thre_floor)
 
 
@@ -273,7 +267,14 @@ def run_smc(model, observations, config: SmcConfig, *,
                               stability_seed=config.seed)
 
     if exact_loss:
-        loss_fn = lambda xi: model.loss(xi, observations)
+        def loss_fn(points):
+            out = np.full(len(points), np.nan)  # NaN: the solve broke down
+            for i, xi in enumerate(points):
+                try:
+                    out[i] = model.loss(xi, observations)
+                except SolverError:
+                    pass
+            return out
     else:
         loss_fn = surrogate.loss_fn(observations)
 
@@ -317,8 +318,7 @@ def run_smc(model, observations, config: SmcConfig, *,
                                            config.resampling)
         mutated, acc_rate, _ = mutate(
             resampled, loss_fn, domain, w_next, moments, config,
-            config.seed, t, current_losses=losses[ancestor_idx],
-            threads=config.threads)
+            config.seed, t, current_losses=losses[ancestor_idx])
 
         counts = model.counters.snapshot()
         history.append(IterationRecord(

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .particles import ParticleSet, reweight
-from .smc import SmcConfig, SmcResult, run_smc
+from .smc import SmcConfig, SmcResult, run_smc, surrogate_losses
 
 
 class WeightSelectionError(RuntimeError):
@@ -144,9 +144,8 @@ def evaluate_grid_via_smc(model, observations, config: WeightSelectionConfig,
 
     def losses_at(k: int) -> np.ndarray:
         if k not in loss_cache:
-            pts = result.snapshots[k].points
-            loss_cache[k] = np.array(
-                [surrogate.surrogate_loss(p, observations)[0] for p in pts])
+            loss_cache[k] = surrogate_losses(surrogate, result.snapshots[k].points,
+                                              observations)
         return loss_cache[k]
 
     objectives = np.empty(grid.size)

@@ -278,16 +278,6 @@ def test_observations_csv_roundtrip(tmp_path, adv1d_model):
     assert back.channel_names == data.channel_names
 
 
-def test_counters_thread_safety(adv1d_model):
-    import concurrent.futures as cf
-
-    before = adv1d_model.counters.snapshot()["full"]
-    xis = [np.array([0.1 + 0.01 * k, 0.5]) for k in range(32)]
-    with cf.ThreadPoolExecutor(max_workers=8) as pool:
-        list(pool.map(adv1d_model.solve_full, xis))
-    assert adv1d_model.counters.snapshot()["full"] - before == 32
-
-
 def test_upwind_variant_runs():
     m = assemble("adv1d", {"cells": 64, "upwind": True})
     m.check_affine_consistency(n_samples=20, seed=1)

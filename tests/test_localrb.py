@@ -273,22 +273,6 @@ def test_sigma_min_indicator_variant(adv1d_model, adv1d_obs):
     assert eps_u >= err * 0.5
 
 
-def test_concurrent_reduced_solves(adv1d_model, adv1d_obs):
-    import concurrent.futures as cf
-
-    s = Surrogate(adv1d_model)
-    rng = np.random.default_rng(11)
-    s.refine_over_particles(rng.random((20, 2)), adv1d_obs, e_thre=1e-2)
-    before = s.reduced_solves
-    queries = list(rng.random((64, 2)))
-    with cf.ThreadPoolExecutor(max_workers=8) as pool:
-        serial = [s.reduced_solve(q).observed for q in queries]
-        parallel = list(pool.map(lambda q: s.reduced_solve(q).observed, queries))
-    for a, b in zip(serial, parallel):
-        assert np.array_equal(a, b)
-    assert s.reduced_solves - before == 128
-
-
 def _fresh_stability(s):
     recent = s._ratios[-CALIBRATION_WINDOW:]
     return s.calibration_safety * float(np.percentile(recent, CALIBRATION_QUANTILE))
@@ -320,3 +304,62 @@ def test_cached_stability_constant_during_refinement(adv1d_model, adv1d_obs):
     s.refine_over_particles(np.random.default_rng(13).random((40, 2)), adv1d_obs,
                             e_thre=1e-3)
     assert len(set(checked)) >= 3  # seen across several calibration states
+
+
+def _scalar_eval(s, xi, observations):
+    """(loss, raw indicator, distance sum) at one point by the one-point
+    formulas: the reference for the batched evaluation."""
+    model = s.model
+    d2 = np.sum((s._scaled_locs - model.domain.scale(xi)) ** 2, axis=1)
+    cell = s._ensure_cell(int(np.argmin(d2)))
+    ath, fth = model.coefficients(xi)
+    G = sum(a * Gp for a, Gp in zip(ath, cell.reduced_ops))
+    b = sum(a * bq for a, bq in zip(fth, cell.reduced_rhs))
+    try:
+        coeffs = np.linalg.solve(G, b)
+    except np.linalg.LinAlgError:
+        return np.nan, np.inf, 0.0
+    w = np.concatenate([fth, np.outer(-ath, coeffs).ravel()])
+    factor = cell.resid_factor if s.indicator == "sigma_min" else cell.precond_factor
+    raw = float(np.linalg.norm(factor @ w))
+    resid = (cell.obs_basis @ coeffs)[None, :] - observations.data
+    if model.loss_kind == "squared_l2":
+        loss = float(np.sum(resid**2))
+    elif model.loss_kind == "l1":
+        loss = float(np.sum(np.abs(resid)))
+    else:
+        loss = float(np.sum(np.linalg.norm(resid, axis=1)))
+    return loss, raw, float(np.sum(np.linalg.norm(resid, axis=1)))
+
+
+@pytest.mark.parametrize("preset", ["adv1d", "adv2d"])
+@pytest.mark.parametrize("indicator", ["calibrated_cell", "sigma_min"])
+def test_batched_evaluation_bit_equal_to_one_point_forms(preset, indicator, request):
+    model = request.getfixturevalue({"adv1d": "adv1d_model", "adv2d": "adv2d_small"}[preset])
+    obs = gen_data(model, noise_pct=0.10, n=2, seed=3)
+    rng = np.random.default_rng(21)
+    s = Surrogate(model, indicator=indicator, stability_seed=2)
+    for a in model.domain.sample(8, rng):
+        s.add_atom(a)
+    pts = model.domain.sample(300, rng)
+    cells = [s.nearest_atom(p) for p in pts]
+    # force one hosting cell's reduced system to be singular everywhere
+    singular = cells[0]
+    s._ensure_cell(singular).reduced_ops = [np.zeros_like(G)
+                                            for G in s.cells[singular].reduced_ops]
+    ref = np.array([_scalar_eval(s, p, obs) for p in pts])
+    before = s.reduced_solves
+    losses, raws, dist_sums = s._evaluate(pts, obs)
+    assert s.reduced_solves - before == np.count_nonzero(~np.isnan(ref[:, 0]))
+    assert np.array_equal(losses, ref[:, 0], equal_nan=True)
+    assert np.array_equal(raws, ref[:, 1])
+    assert np.array_equal(dist_sums, ref[:, 2])
+    assert np.isnan(losses[np.array(cells) == singular]).all()
+    assert np.isfinite(losses[np.array(cells) != singular]).all()
+    for p, row in zip(pts[:40], ref[:40]):
+        if np.isnan(row[0]):
+            with pytest.raises(BasisDegeneracyError):
+                s._loss_eval_raw(p, obs)
+        else:
+            assert s._loss_eval_raw(p, obs) == tuple(row)
+    assert np.array_equal(s.loss_fn(obs)(pts), losses, equal_nan=True)
