@@ -221,10 +221,9 @@ class ForwardModel:
         """
         resid = predicted[..., None, :] - observations.data
         if self.loss_kind == "l2":
-            return np.sum(np.linalg.norm(resid, axis=-1), axis=-1)
+            return np.linalg.norm(resid, axis=-1).sum(axis=-1)
         terms = resid**2 if self.loss_kind == "squared_l2" else np.abs(resid)
-        n_data, n_obs = resid.shape[-2:]
-        return np.sum(terms.reshape(resid.shape[:-2] + (n_data * n_obs,)), axis=-1)
+        return terms.reshape(resid.shape[:-2] + (observations.data.size,)).sum(axis=-1)
 
     def loss(self, xi: np.ndarray, observations) -> float:
         return float(self.loss_from_prediction(self.observe(self.solve_full(xi)),

@@ -137,6 +137,22 @@ def _norm_factor(Z: np.ndarray, gram_tol: float = 1e-9,
     return np.linalg.qr(Z, mode="r")
 
 
+def _residual_norms(factor: np.ndarray, ath: np.ndarray, fth: np.ndarray,
+                    coeffs: np.ndarray) -> np.ndarray:
+    """||factor w|| per point, for w with Z w = f(xi) - A(xi) Phi coeffs and
+    Z = [f_q | A_p Phi]; ath, fth and coeffs hold one row per point.
+
+    Stacked matvecs and dot products: each row takes the same BLAS calls as
+    the one-point forms factor @ w and np.linalg.norm, so the values are
+    bit-identical to them.
+    """
+    (n, P), r = ath.shape, coeffs.shape[1]
+    w = np.concatenate([fth, (-ath[:, :, None] * coeffs[:, None, :]).reshape(n, P * r)],
+                       axis=1)
+    v = (factor[None] @ w[:, :, None])[:, :, 0]
+    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+
+
 def fd_gradient_check(model, xi, gradient, h: float = 1e-4) -> float:
     """Max relative error of the sensitivity columns vs central differences."""
     worst = 0.0
@@ -389,20 +405,6 @@ class Surrogate:
         self.reduced_solves += int(np.count_nonzero(~np.isnan(coeffs[:, 0])))
         return coeffs
 
-    def _residual_norms(self, factor: np.ndarray, ath, fth, coeffs) -> np.ndarray:
-        """||factor w|| per point, for w with Z w = f(xi) - A(xi) Phi coeffs
-        and Z = [f_q | A_p Phi].
-
-        Stacked matvecs and dot products: each row takes the same BLAS calls
-        as the one-point forms factor @ w and np.linalg.norm, so the values
-        are bit-identical to them.
-        """
-        (n, P), r = ath.shape, coeffs.shape[1]
-        w = np.concatenate([fth, (-ath[:, :, None] * coeffs[:, None, :]).reshape(n, P * r)],
-                           axis=1)
-        v = (factor[None] @ w[:, :, None])[:, :, 0]
-        return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
-
     def reduced_solve(self, xi: np.ndarray) -> ReducedSolution:
         """Galerkin solve in the nearest cell's basis.
 
@@ -416,7 +418,7 @@ class Surrogate:
         if np.isnan(coeffs[0, 0]):
             raise BasisDegeneracyError(f"singular reduced system in cell {k}")
         cell = self.cells[k]
-        resid = float(self._residual_norms(cell.resid_factor, ath, fth, coeffs)[0])
+        resid = float(_residual_norms(cell.resid_factor, ath, fth, coeffs)[0])
         coeffs = coeffs[0]
         return ReducedSolution(coeffs=coeffs, observed=cell.obs_basis @ coeffs,
                                residual=resid, atom_index=k)
@@ -430,8 +432,7 @@ class Surrogate:
             return sol.residual
         cell = self._ensure_cell(sol.atom_index)
         ath, fth = self.model.coefficients(np.asarray(xi, dtype=float)[None])
-        return float(self._residual_norms(cell.precond_factor, ath, fth,
-                                          sol.coeffs[None])[0])
+        return float(_residual_norms(cell.precond_factor, ath, fth, sol.coeffs[None])[0])
 
     def error_indicator_u(self, xi: np.ndarray, sol: ReducedSolution | None = None) -> float:
         """Computable proxy bounding the state error of the surrogate."""
@@ -467,7 +468,7 @@ class Surrogate:
             observed[idx] = (cell.obs_basis[None] @ coeffs[:, :, None])[:, :, 0]
             factor = (cell.resid_factor if self.indicator == "sigma_min"
                       else cell.precond_factor)
-            raws[idx] = self._residual_norms(factor, ath[idx], fth[idx], coeffs)
+            raws[idx] = _residual_norms(factor, ath[idx], fth[idx], coeffs)
         losses = self.model.loss_from_prediction(observed, observations)
         dist_sums = np.sum(np.linalg.norm(observed[:, None, :] - observations.data,
                                           axis=-1), axis=-1)

@@ -286,10 +286,14 @@ def _mutate_per_chain(particles, loss, domain, w_target, moments, config, seed,
                       iteration, current_losses):
     """One chain at a time with scalar losses: the reference for mutate."""
     from gibbsrb.seeding import PHASE_MUTATE
-    from gibbsrb.smc import _log_q
 
     mean, var = moments
     gamma = config.proposal_mixing
+
+    def log_q(a, b):
+        dev = a - mean - gamma * (b - mean)
+        return float(-0.5 / (1.0 - gamma**2) * np.sum(dev**2 / var))
+
     points = np.empty_like(particles.points)
     losses = np.empty(particles.m)
     accepts = 0
@@ -309,8 +313,7 @@ def _mutate_per_chain(particles, loss, domain, w_target, moments, config, seed,
             except BasisDegeneracyError:
                 continue
             log_alpha = (-w_target * (lp_loss - lx) + lp_p - lp_x
-                         + _log_q(x, prop, mean, var, gamma)
-                         - _log_q(prop, x, mean, var, gamma))
+                         + log_q(x, prop) - log_q(prop, x))
             if np.log(u) < log_alpha:
                 x, lx, lp_x = prop, lp_loss, lp_p
                 accepts += 1
