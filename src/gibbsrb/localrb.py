@@ -25,8 +25,10 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor  # patched by bench/layers.py
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 
 from .seeding import PHASE_STABILITY, stream
 
@@ -63,8 +65,14 @@ class Atom:
 class ReducedSolution:
     coeffs: np.ndarray
     observed: np.ndarray
-    residual: float
     atom_index: int
+    _residual: Callable[[], float] = field(repr=False)
+
+    @property
+    def residual(self) -> float:
+        """Full-space residual norm; the cell's factor for it is built on
+        first read."""
+        return self._residual()
 
 
 @dataclass
@@ -81,12 +89,14 @@ class RefinementReport:
 class _Cell:
     neighbors: tuple = ()
     dirty: bool = True                        # caches stale; rebuilt on demand
+    # (source, unit vector or None where dropped) per Gram-Schmidt input
+    columns: list = field(default_factory=list)
     basis: np.ndarray | None = None           # (n_dof, r), orthonormal
-    reduced_ops: list = field(default_factory=list)    # Phi^T A_p Phi
-    reduced_rhs: list = field(default_factory=list)    # Phi^T f_q
+    reduced_ops: np.ndarray | None = None     # (P, r, r) Phi^T A_p Phi
+    reduced_rhs: np.ndarray | None = None     # (Q, r) Phi^T f_q
     obs_basis: np.ndarray | None = None       # D_obs Phi
     resid_factor: np.ndarray | None = None    # R of qr([f_q | A_p Phi])
-    precond_factor: np.ndarray | None = None  # factor of A_k^{-1} [f_q | A_p Phi]
+    precond_factor: np.ndarray | None = None  # R of qr(A_k^{-1} [f_q | A_p Phi])
 
 
 def estimate_sigma_min(model, n_samples: int = 20, seed: int = 0,
@@ -112,35 +122,11 @@ def estimate_sigma_min(model, n_samples: int = 20, seed: int = 0,
     return float(worst)
 
 
-def _norm_factor(Z: np.ndarray, gram_tol: float = 1e-9,
-                 max_gram_cols: int = 40) -> np.ndarray:
-    """Triangular T with ||T w|| = ||Z w||.
-
-    Equilibrated Gram + Cholesky when the columns are independent enough
-    for the squared condition number (fast path), otherwise a QR of the
-    tall matrix.  gram_tol guards the accuracy loss of the Gram route:
-    the smallest acceptable pivot ratio before falling back.  Wide column
-    sets (elasticity-sized) have near-dependent blocks that always defeat
-    the Cholesky, so they skip straight to the QR.
-    """
-    if Z.shape[1] <= max_gram_cols:
-        scale = np.linalg.norm(Z, axis=0)
-        scale[scale == 0.0] = 1.0
-        zn = Z / scale
-        G = zn.T @ zn
-        try:
-            L = np.linalg.cholesky(G)
-            if np.min(np.diag(L)) > gram_tol:
-                return L.T * scale[None, :]
-        except np.linalg.LinAlgError:
-            pass
-    return np.linalg.qr(Z, mode="r")
-
-
-def _residual_norms(factor: np.ndarray, ath: np.ndarray, fth: np.ndarray,
+def _residual_norms(factors: np.ndarray, ath: np.ndarray, fth: np.ndarray,
                     coeffs: np.ndarray) -> np.ndarray:
     """||factor w|| per point, for w with Z w = f(xi) - A(xi) Phi coeffs and
-    Z = [f_q | A_p Phi]; ath, fth and coeffs hold one row per point.
+    Z = [f_q | A_p Phi]; factors (n, K, K), ath, fth and coeffs hold one
+    row per point.
 
     Stacked matvecs and dot products: each row takes the same BLAS calls as
     the one-point forms factor @ w and np.linalg.norm, so the values are
@@ -149,7 +135,7 @@ def _residual_norms(factor: np.ndarray, ath: np.ndarray, fth: np.ndarray,
     (n, P), r = ath.shape, coeffs.shape[1]
     w = np.concatenate([fth, (-ath[:, :, None] * coeffs[:, None, :]).reshape(n, P * r)],
                        axis=1)
-    v = (factor[None] @ w[:, :, None])[:, :, 0]
+    v = (factors @ w[:, :, None])[:, :, 0]
     return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
 
 
@@ -168,10 +154,11 @@ def fd_gradient_check(model, xi, gradient, h: float = 1e-4) -> float:
 class Surrogate:
     """Atom set, local bases, cached reduced operators and error indicators.
 
-    Evaluation takes whole arrays of points: each cell solves the reduced
-    systems of all the points it hosts in one stacked call.  A cell whose
-    neighbor set changed is rebuilt lazily on first use, so evaluation
-    changes cached state too; no method may run concurrently with another.
+    Evaluation takes whole arrays of points: the reduced systems of all the
+    points whose cells share a basis rank are solved in one stacked call.
+    A cell whose neighbor set changed is rebuilt lazily on first use, from
+    its first changed basis input, so evaluation changes cached state too;
+    no method may run concurrently with another.
     """
 
     def __init__(self, model, neighbor_count: int = DEFAULT_NEIGHBORS,
@@ -189,6 +176,12 @@ class Surrogate:
         self.atoms: list[Atom] = []
         self.cells: list[_Cell] = []
         self._scaled_locs = np.zeros((0, model.dim))
+        # squared distances of each atom's neighbors, in tuple order, inf-padded
+        self._neighbor_d2 = np.zeros((0, self.neighbor_count))
+        # [A_1; ...; A_P; D_obs]: one sparse product per cell build
+        self._stacked_terms = sp.vstack(list(model.operator_terms) + [model.obs_matrix],
+                                        format="csr")
+        self._rhs_cols = np.column_stack(model.rhs_terms)
         self._ratios: list[float] = []
         self._ratio_quantile: float | None = None  # of _ratios; reset on append
         self._beta_lb: float | None = None
@@ -243,15 +236,34 @@ class Surrogate:
         d2 = ((s[:, None, :] - self._scaled_locs[None, :, :]) ** 2).sum(axis=2)
         return np.argmin(d2, axis=1)
 
-    def _neighbor_sets(self) -> list[tuple]:
-        n = self.n_atoms
-        out = []
-        for k in range(n):
-            d2 = np.sum((self._scaled_locs - self._scaled_locs[k]) ** 2, axis=1)
-            order = np.lexsort((np.arange(n), d2))
-            picked = [int(i) for i in order if i != k][: self.neighbor_count]
-            out.append(tuple(picked))
-        return out
+    def _insert_location(self, s: np.ndarray) -> None:
+        """Append a new atom's scaled location and cell, and bring every
+        neighbor tuple up to date; a changed tuple marks its cell dirty.
+
+        A tuple lists the neighbor_count nearest other atoms by squared
+        distance, ties by index.  The new atom has the highest index, so it
+        goes after equal distances, and only atoms whose tuple is short or
+        whose last neighbor lies strictly farther away take it in.
+        """
+        idx = len(self.cells)
+        N = self.neighbor_count
+        self._scaled_locs = np.vstack([self._scaled_locs, s[None, :]])
+        self.cells.append(_Cell())
+        d2 = np.sum((self._scaled_locs - self._scaled_locs[idx]) ** 2, axis=1)[:idx]
+        if N:
+            for i in np.flatnonzero(d2 < self._neighbor_d2[:, -1]):
+                row = self._neighbor_d2[i]
+                pos = int(np.searchsorted(row, d2[i], side="right"))
+                row[pos + 1:] = row[pos:-1]
+                row[pos] = d2[i]
+                nb = self.cells[i].neighbors
+                self.cells[i].neighbors = (nb[:pos] + (idx,) + nb[pos:])[:N]
+                self.cells[i].dirty = True
+        order = np.argsort(d2, kind="stable")[:N]
+        self.cells[idx].neighbors = tuple(order.tolist())
+        row = np.full(N, np.inf)
+        row[:order.size] = d2[order]
+        self._neighbor_d2 = np.vstack([self._neighbor_d2, row])
 
     # ----- construction -----
     def add_atom(self, xi: np.ndarray) -> int:
@@ -266,7 +278,8 @@ class Surrogate:
             if d.min() <= DUPLICATE_TOL:
                 raise DuplicateAtomError(f"atom at {xi} duplicates atom "
                                          f"{int(np.argmin(d))}")
-        # calibration byproduct: prediction error at the insertion point
+        # calibration byproduct: prediction error at the insertion point;
+        # the residual is not read, so its factor is not built
         pre = None
         if self.atoms:
             try:
@@ -281,17 +294,10 @@ class Surrogate:
 
         idx = self.n_atoms
         self.atoms.append(Atom(location=xi, snapshot=u, gradient=grad))
-        self.cells.append(_Cell())
-        self._scaled_locs = np.vstack([self._scaled_locs, s[None, :]])
         self._lu_stash(idx, lu)
-
         # changed neighbor sets only invalidate; rebuilding happens on the
         # first query that actually lands in the cell
-        sets = self._neighbor_sets()
-        for k in range(self.n_atoms):
-            if self.cells[k].basis is None or self.cells[k].neighbors != sets[k]:
-                self.cells[k].neighbors = sets[k]
-                self.cells[k].dirty = True
+        self._insert_location(s)
         self._build_cell(idx)  # the new cell's factorization is in hand
 
         if pre is not None:
@@ -325,74 +331,106 @@ class Surrogate:
         return cell
 
     def _build_cell(self, k: int) -> None:
-        atom = self.atoms[k]
-        cell = self.cells[k]
-        cols = [atom.snapshot] + [atom.gradient[:, j] for j in range(self.model.dim)]
-        cols += [self.atoms[j].snapshot for j in cell.neighbors]
+        """Build cell k's basis, reduced operators and indicator factor.
 
-        basis: list[np.ndarray] = []
-        for c in cols:
-            v = np.array(c, dtype=float)
+        Modified Gram-Schmidt is sequential: each basis vector depends only
+        on the input columns before it, and an atom's snapshot and gradient
+        never change.  So the vectors of the longest prefix of inputs that
+        come from the same sources as in the last build are reused, and only
+        the inputs after it are orthogonalized again.
+        """
+        model = self.model
+        atom, cell = self.atoms[k], self.cells[k]
+        sources = ([("snapshot", k)] + [("gradient", j) for j in range(model.dim)]
+                   + [("snapshot", j) for j in cell.neighbors])
+        keep = 0
+        for (old, _), new in zip(cell.columns, sources):
+            if old != new:
+                break
+            keep += 1
+        columns = cell.columns[:keep]
+        basis = [q for _, q in columns if q is not None]
+        for kind, j in sources[keep:]:
+            v = np.array(self.atoms[j].snapshot if kind == "snapshot"
+                         else atom.gradient[:, j], dtype=float)
+            q = None
             n0 = np.linalg.norm(v)
-            if n0 == 0.0:
-                continue
-            for _ in range(2):  # two Gram-Schmidt passes for orthogonality
-                for q in basis:
-                    v -= (q @ v) * q
-            nv = np.linalg.norm(v)
-            if nv > ORTHO_DROP_TOL * n0:
-                basis.append(v / nv)
+            if n0 != 0.0:
+                for _ in range(2):  # two Gram-Schmidt passes for orthogonality
+                    for b in basis:
+                        v -= (b @ v) * b
+                nv = np.linalg.norm(v)
+                if nv > ORTHO_DROP_TOL * n0:
+                    q = v / nv
+                    basis.append(q)
+            columns.append(((kind, j), q))
+        cell.columns = columns
         Phi = np.column_stack(basis)
 
-        model = self.model
         cell.basis = Phi
-        op_cols = [np.asarray(M @ Phi) for M in model.operator_terms]  # A_p Phi
-        cell.reduced_ops = [Phi.T @ AP for AP in op_cols]
-        cell.reduced_rhs = [Phi.T @ f for f in model.rhs_terms]
-        cell.obs_basis = np.asarray(model.obs_matrix @ Phi)
-        Z = np.column_stack([np.column_stack([f for f in model.rhs_terms])] + op_cols)
-        # the returned residual must match the directly assembled one down
-        # to machine-zero at atoms, which only the QR route guarantees
-        cell.resid_factor = np.linalg.qr(Z, mode="r")
-        if self.indicator == "calibrated_cell":
+        op_cols, cell.obs_basis = self._products(Phi)  # A_p Phi, D_obs Phi
+        cell.reduced_ops = np.stack([Phi.T @ AP for AP in op_cols])
+        cell.reduced_rhs = np.stack([Phi.T @ f for f in model.rhs_terms])
+        cell.resid_factor = cell.precond_factor = None
+        if self.indicator == "sigma_min":
+            cell.resid_factor = self._qr_resid(op_cols)
+        else:
             # preconditioned residual pieces A_k^{-1} [f_q | A_p Phi]; the
             # block for the dominant coefficient follows from the affine
             # identity sum_p theta_p(xi_k) A_k^{-1} A_p Phi = Phi, saving
-            # r solve columns
-            xi_k = self.atoms[k].location
-            theta_k, _ = model.coefficients(xi_k)
+            # r solve columns.  That identity and u_k in span Phi make the
+            # columns dependent, so the factor comes from a QR.
+            theta_k, _ = model.coefficients(atom.location)
             p0 = int(np.argmax(np.abs(theta_k)))
-            nq = len(model.rhs_terms)
-            r = Phi.shape[1]
+            others = [p for p in range(len(theta_k)) if p != p0]
+            nq, r = self._rhs_cols.shape[1], Phi.shape[1]
             lu = self._lu_for(k)
-            cols = [Z[:, :nq]] + [Z[:, nq + p * r: nq + (p + 1) * r]
-                                  for p in range(len(theta_k)) if p != p0]
-            Wp = lu.solve(np.column_stack(cols))
-            Zp = np.empty_like(Z)
+            Wp = lu.solve(np.column_stack([self._rhs_cols] + [op_cols[p] for p in others]))
+            Zp = np.empty((model.n_dof, nq + len(theta_k) * r))
             Zp[:, :nq] = Wp[:, :nq]
             rest = Phi.copy()
-            j = nq
-            for p in range(len(theta_k)):
-                if p == p0:
-                    continue
-                blk = Wp[:, j: j + r]
+            for i, p in enumerate(others):
+                blk = Wp[:, nq + i * r: nq + (i + 1) * r]
                 Zp[:, nq + p * r: nq + (p + 1) * r] = blk
                 rest -= theta_k[p] * blk
-                j += r
             Zp[:, nq + p0 * r: nq + (p0 + 1) * r] = rest / theta_k[p0]
-            # equilibrated Gram + Cholesky when the columns allow it; the
-            # blocks are often numerically dependent, then a QR it is
-            cell.precond_factor = _norm_factor(Zp, gram_tol=1e-7)
+            cell.precond_factor = np.linalg.qr(Zp, mode="r")
         cell.dirty = False
 
-    # ----- evaluation -----
-    def _solve_cell(self, k: int, ath: np.ndarray, fth: np.ndarray) -> np.ndarray:
-        """Reduced coefficients in cell k for points with operator and rhs
-        coefficients ath (n, P) and fth (n, Q); NaN rows where the reduced
-        system is singular."""
+    def _products(self, Phi: np.ndarray) -> tuple[list, np.ndarray]:
+        """([A_p Phi for each term p], D_obs Phi) from one sparse product;
+        each row is summed as in the term's own product M @ Phi."""
+        prods = self._stacked_terms @ Phi
+        n, P = self.model.n_dof, len(self.model.operator_terms)
+        return [prods[p * n:(p + 1) * n] for p in range(P)], prods[P * n:].copy()
+
+    def _qr_resid(self, op_cols: list) -> np.ndarray:
+        # the returned residual must match the directly assembled one down
+        # to machine-zero at atoms, which only the QR route guarantees
+        return np.linalg.qr(np.column_stack([self._rhs_cols] + op_cols), mode="r")
+
+    def _resid_factor(self, k: int) -> np.ndarray:
+        """Cell k's residual factor; built on first read unless the sigma_min
+        indicator built it with the cell."""
         cell = self._ensure_cell(k)
-        G = sum(a[:, None, None] * Gp for a, Gp in zip(ath.T, cell.reduced_ops))
-        b = sum(a[:, None] * bq for a, bq in zip(fth.T, cell.reduced_rhs))
+        if cell.resid_factor is None:
+            cell.resid_factor = self._qr_resid(self._products(cell.basis)[0])
+        return cell.resid_factor
+
+    def _indicator_factor(self, k: int) -> np.ndarray:
+        if self.indicator == "sigma_min":
+            return self._resid_factor(k)
+        return self._ensure_cell(k).precond_factor
+
+    # ----- evaluation -----
+    def _solve_stack(self, ops: np.ndarray, rhs: np.ndarray, ath: np.ndarray,
+                     fth: np.ndarray) -> np.ndarray:
+        """Reduced coefficients for points with gathered reduced operators
+        ops (n, P, r, r) and right-hand sides rhs (n, Q, r), and operator and
+        rhs coefficients ath (n, P) and fth (n, Q); NaN rows where the
+        reduced system is singular."""
+        G = sum(ath[:, p, None, None] * ops[:, p] for p in range(ath.shape[1]))
+        b = sum(fth[:, q, None] * rhs[:, q] for q in range(fth.shape[1]))
         try:
             coeffs = np.linalg.solve(G, b[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
@@ -413,26 +451,25 @@ class Surrogate:
         """
         xi = np.asarray(xi, dtype=float)
         k = self.nearest_atom(xi)
+        cell = self._ensure_cell(k)
         ath, fth = self.model.coefficients(xi[None])
-        coeffs = self._solve_cell(k, ath, fth)
+        coeffs = self._solve_stack(cell.reduced_ops[None], cell.reduced_rhs[None], ath, fth)
         if np.isnan(coeffs[0, 0]):
             raise BasisDegeneracyError(f"singular reduced system in cell {k}")
-        cell = self.cells[k]
-        resid = float(_residual_norms(cell.resid_factor, ath, fth, coeffs)[0])
-        coeffs = coeffs[0]
-        return ReducedSolution(coeffs=coeffs, observed=cell.obs_basis @ coeffs,
-                               residual=resid, atom_index=k)
+
+        def residual() -> float:
+            return float(_residual_norms(self._resid_factor(k)[None], ath, fth, coeffs)[0])
+        return ReducedSolution(coeffs=coeffs[0], observed=cell.obs_basis @ coeffs[0],
+                               atom_index=k, _residual=residual)
 
     def reconstruct(self, sol: ReducedSolution) -> np.ndarray:
         """Full-space surrogate state (costs O(n_dof * r); for checks)."""
         return self._ensure_cell(sol.atom_index).basis @ sol.coeffs
 
     def _indicator_raw(self, xi, sol: ReducedSolution) -> float:
-        if self.indicator == "sigma_min":
-            return sol.residual
-        cell = self._ensure_cell(sol.atom_index)
+        factor = self._indicator_factor(sol.atom_index)
         ath, fth = self.model.coefficients(np.asarray(xi, dtype=float)[None])
-        return float(_residual_norms(cell.precond_factor, ath, fth, sol.coeffs[None])[0])
+        return float(_residual_norms(factor[None], ath, fth, sol.coeffs[None])[0])
 
     def error_indicator_u(self, xi: np.ndarray, sol: ReducedSolution | None = None) -> float:
         """Computable proxy bounding the state error of the surrogate."""
@@ -445,30 +482,40 @@ class Surrogate:
         """(surrogate losses, raw indicators, data-distance sums) at the rows
         of an (n, M) array of points.
 
-        Where a cell's reduced system is singular the three are NaN, inf
-        and 0.  The raw quantities do not depend on the calibration state,
-        so they can be cached across refinement steps while the stability
-        constant keeps adapting.
+        The points of all hosting cells of one basis rank are solved in one
+        stacked call, on the cells' arrays gathered per point.  Where a
+        cell's reduced system is singular the three are NaN, inf and 0.
+        The raw quantities do not depend on the calibration state, so they
+        can be cached across refinement steps while the stability constant
+        keeps adapting.
         """
         points = np.asarray(points, dtype=float)
         n = len(points)
         ath, fth = self.model.coefficients(points)
-        cells = self._nearest(points)
+        uniq, first, inv = np.unique(self._nearest(points), return_index=True,
+                                     return_inverse=True)
+        # dirty cells are built in order of first appearance, as a loop over
+        # the points would build them (this fixes the LU cache order)
+        for k in uniq[np.argsort(first)]:
+            self._ensure_cell(k)
+        cells = [self.cells[k] for k in uniq]
+        factors = [self._indicator_factor(k) for k in uniq]
+        ranks = np.array([c.basis.shape[1] for c in cells])
         observed = np.full((n, self.model.n_obs), np.nan)
         raws = np.full(n, np.inf)
-        # cells in order of first appearance, as a loop over the points
-        # would build them
-        uniq, first = np.unique(cells, return_index=True)
-        for k in uniq[np.argsort(first)]:
-            idx = np.flatnonzero(cells == k)
-            coeffs = self._solve_cell(k, ath[idx], fth[idx])
+        for r in np.unique(ranks):
+            group = np.flatnonzero(ranks == r)
+            idx = np.flatnonzero(ranks[inv] == r)
+            local = np.searchsorted(group, inv[idx])  # position in the group
+            coeffs = self._solve_stack(np.stack([cells[g].reduced_ops for g in group])[local],
+                                       np.stack([cells[g].reduced_rhs for g in group])[local],
+                                       ath[idx], fth[idx])
             ok = ~np.isnan(coeffs[:, 0])
-            idx, coeffs = idx[ok], coeffs[ok]
-            cell = self.cells[k]
-            observed[idx] = (cell.obs_basis[None] @ coeffs[:, :, None])[:, :, 0]
-            factor = (cell.resid_factor if self.indicator == "sigma_min"
-                      else cell.precond_factor)
-            raws[idx] = _residual_norms(factor, ath[idx], fth[idx], coeffs)
+            idx, local, coeffs = idx[ok], local[ok], coeffs[ok]
+            obs = np.stack([cells[g].obs_basis for g in group])[local]
+            observed[idx] = (obs @ coeffs[:, :, None])[:, :, 0]
+            raws[idx] = _residual_norms(np.stack([factors[g] for g in group])[local],
+                                        ath[idx], fth[idx], coeffs)
         losses = self.model.loss_from_prediction(observed, observations)
         dist_sums = np.sum(np.linalg.norm(observed[:, None, :] - observations.data,
                                           axis=-1), axis=-1)
@@ -485,17 +532,21 @@ class Surrogate:
                 f"singular reduced system in cell {self.nearest_atom(xi)}")
         return float(losses[0]), float(raws[0]), float(dist_sums[0])
 
-    def _loss_indicator_from_raw(self, raw: float, dist_sum: float, n_data: int) -> float:
-        eps_u = raw / self.stability_constant
-        if self.model.loss_kind == "squared_l2":
-            step = self._obs_norm * eps_u
-            return float(2.0 * dist_sum * step + n_data * step**2)
-        return self.holder_k(n_data) * eps_u
+    def _loss_indicator_from_raw(self, raw, dist_sum, n_data: int) -> np.ndarray:
+        """Loss-error indicators from raw indicators and data-distance sums
+        (arrays or scalars); +inf where the reduced system is singular."""
+        eps_u = np.asarray(raw, dtype=float) / self.stability_constant
+        if self.model.loss_kind != "squared_l2":
+            return self.holder_k(n_data) * eps_u
+        step = self._obs_norm * eps_u
+        with np.errstate(invalid="ignore"):  # 0 * inf at singular points
+            ind = 2.0 * dist_sum * step + n_data * step**2
+        return np.where(np.isinf(eps_u), np.inf, ind)
 
     def surrogate_loss(self, xi: np.ndarray, observations):
         """(surrogate loss, loss-error indicator) at xi."""
         lbar, raw, dist_sum = self._loss_eval_raw(xi, observations)
-        return lbar, self._loss_indicator_from_raw(raw, dist_sum, observations.n)
+        return lbar, float(self._loss_indicator_from_raw(raw, dist_sum, observations.n))
 
     def loss_fn(self, observations):
         """Surrogate losses at the rows of an (n, M) array (for samplers);
@@ -524,8 +575,7 @@ class Surrogate:
         def indicators() -> np.ndarray:
             # raw quantities are exact while a particle's cell is untouched;
             # the current calibration is applied fresh on every pass
-            return np.array([self._loss_indicator_from_raw(r, d, n_data)
-                             for r, d in zip(raws, dist_sums)])
+            return self._loss_indicator_from_raw(raws, dist_sums, n_data)
 
         assign = self._nearest(points)
         inds = indicators()
@@ -552,8 +602,8 @@ class Surrogate:
             # cell basis was invalidated by the neighbor refresh
             new_assign = self._nearest(points)
             stale = new_assign != assign
-            for k, cell in enumerate(self.cells):
-                if cell.dirty and np.any(new_assign == k):
+            for k in np.unique(new_assign):
+                if self.cells[k].dirty:
                     stale |= new_assign == k
                     self._build_cell(k)
             assign = new_assign

@@ -363,3 +363,158 @@ def test_batched_evaluation_bit_equal_to_one_point_forms(preset, indicator, requ
         else:
             assert s._loss_eval_raw(p, obs) == tuple(row)
     assert np.array_equal(s.loss_fn(obs)(pts), losses, equal_nan=True)
+
+
+def test_batched_evaluation_mixes_basis_ranks(adv2d_small):
+    # atoms on the xi_1 = 0.4 plane span few directions, so their cells drop
+    # columns and the cloud's hosting cells come in several basis ranks
+    model = adv2d_small
+    obs = gen_data(model, noise_pct=0.10, n=2, seed=3)
+    s = Surrogate(model, neighbor_count=5)
+    for x2, x3 in [(0.2, 0.2), (0.8, 0.2), (0.2, 0.8), (0.8, 0.8), (0.5, 0.5)]:
+        s.add_atom(np.array([0.4, x2, x3]))
+    rng = np.random.default_rng(22)
+    for a in model.domain.sample(3, rng):
+        s.add_atom(a)
+    pts = model.domain.sample(200, rng)
+    pts[:100, 0] = 0.4 + 0.05 * rng.standard_normal(100).clip(-1, 1)
+    cells = s._nearest(pts)
+    singular = cells[0]
+    cell = s._ensure_cell(singular)
+    cell.reduced_ops = np.zeros_like(cell.reduced_ops)
+    ranks = {s._ensure_cell(k).basis.shape[1] for k in set(cells) - {singular}}
+    assert len(ranks) >= 2
+    ref = np.array([_scalar_eval(s, p, obs) for p in pts])
+    losses, raws, dist_sums = s._evaluate(pts, obs)
+    assert np.array_equal(losses, ref[:, 0], equal_nan=True)
+    assert np.array_equal(raws, ref[:, 1])
+    assert np.array_equal(dist_sums, ref[:, 2])
+    assert np.isnan(losses[cells == singular]).all()
+    assert np.isfinite(losses[cells != singular]).all()
+
+
+def _cell_arrays(s, k):
+    cell = s._ensure_cell(k)
+    return [cell.basis, cell.reduced_ops, cell.reduced_rhs, cell.obs_basis,
+            s._resid_factor(k), cell.precond_factor]
+
+
+@pytest.mark.parametrize("preset", ["adv1d", "adv2d"])
+@pytest.mark.parametrize("indicator", ["calibrated_cell", "sigma_min"])
+def test_incremental_rebuild_equals_fresh_build(preset, indicator, request):
+    model = request.getfixturevalue({"adv1d": "adv1d_model", "adv2d": "adv2d_small"}[preset])
+    obs = gen_data(model, noise_pct=0.10, n=2, seed=3)
+    s = Surrogate(model, indicator=indicator, stability_seed=2)
+    reused = []
+    build = s._build_cell
+
+    def spying(k):
+        before = [src for src, _ in s.cells[k].columns]
+        build(k)
+        after = [src for src, _ in s.cells[k].columns]
+        if before:
+            shared = next((i for i, (a, b) in enumerate(zip(before, after)) if a != b),
+                          min(len(before), len(after)))
+            reused.append(shared - 1 - model.dim)  # neighbor columns kept
+    s._build_cell = spying
+    rng = np.random.default_rng(23)
+    s.refine_over_particles(model.domain.sample(60, rng), obs, e_thre=1e-3)
+    s.refine_over_particles(model.domain.sample(60, rng), obs, e_thre=1e-4)
+    assert min(reused) >= 0 and max(reused) >= 2  # own columns always kept
+    assert s.n_atoms >= 8
+    for k in range(s.n_atoms):
+        got = _cell_arrays(s, k)
+        s.cells[k].columns = []
+        s.cells[k].resid_factor = None
+        build(k)
+        fresh = _cell_arrays(s, k)
+        for a, b in zip(got, fresh):
+            assert (a is None and b is None) or np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("preset,mesh", [
+    ("adv1d", {"cells": 64}),
+    ("adv1d", {"cells": 33, "upwind": True}),
+    ("adv2d", {"nx": 10}),
+    ("elast2d_layered", {"nx": 8}),
+    ("elast2d_inclusion", {"nx": 6}),
+])
+def test_stacked_products_bit_equal_to_per_term(preset, mesh):
+    model = assemble(preset, mesh)
+    s = Surrogate(model)
+    Phi = np.random.default_rng(24).standard_normal((model.n_dof, 9))
+    op_cols, obs_basis = s._products(Phi)
+    assert len(op_cols) == len(model.operator_terms)
+    for AP, M in zip(op_cols, model.operator_terms):
+        assert np.array_equal(AP, np.asarray(M @ Phi))
+    assert np.array_equal(obs_basis, np.asarray(model.obs_matrix @ Phi))
+
+
+def _all_pairs_neighbors(locs, count):
+    """Each atom's neighbor tuple by the all-pairs sort: the reference for
+    the incremental update."""
+    n = len(locs)
+    out = []
+    for k in range(n):
+        d2 = np.sum((locs - locs[k]) ** 2, axis=1)
+        order = np.lexsort((np.arange(n), d2))
+        out.append(tuple(int(i) for i in order if i != k)[:count])
+    return out
+
+
+@pytest.mark.parametrize("dim", [2, 9])
+@pytest.mark.parametrize("count", [0, 1, 5])
+def test_incremental_neighbor_sets_equal_all_pairs(adv1d_model, dim, count):
+    # lattice points give exact distance ties; random ones fill in between
+    rng = np.random.default_rng(25)
+    lattice = rng.integers(0, 5, size=(50, dim)) / 4.0
+    pts = np.unique(np.vstack([lattice, rng.random((20, dim))]), axis=0)
+    pts = pts[rng.permutation(len(pts))]
+    s = Surrogate(adv1d_model, neighbor_count=count)
+    s._scaled_locs = np.zeros((0, dim))
+    for p in pts:
+        before = [c.neighbors for c in s.cells]
+        for c in s.cells:
+            c.dirty = False
+        s._insert_location(p)
+        ref = _all_pairs_neighbors(s._scaled_locs, count)
+        assert [c.neighbors for c in s.cells] == ref
+        assert [c.dirty for c in s.cells[:-1]] == [a != b for a, b in zip(before, ref)]
+    assert any(len(set(np.sum((pts - p) ** 2, axis=1))) < len(pts) for p in pts)
+
+
+@pytest.mark.filterwarnings("error")
+def test_refinement_puts_atom_at_singular_point():
+    model = assemble("adv1d", {"cells": 64})
+    obs = gen_data(model, noise_pct=0.10, n=1, seed=0)
+    s = Surrogate(model)
+    rng = np.random.default_rng(26)
+    for a in rng.random((4, 2)):
+        s.add_atom(a)
+    pts = rng.random((40, 2))
+    cells = s._nearest(pts)
+    singular = cells[0]
+    cell = s._ensure_cell(singular)
+    cell.reduced_ops = np.zeros_like(cell.reduced_ops)
+    losses, raws, dist_sums = s._evaluate(pts, obs)
+    assert np.isnan(losses[cells == singular]).all()
+    inds = s._loss_indicator_from_raw(raws, dist_sums, obs.n)
+    assert np.array_equal(np.isinf(inds), cells == singular)
+    report = s.refine_over_particles(pts, obs, e_thre=1e-3)
+    assert report.atoms_added > 0
+    assert np.isfinite(report.loss_values).all()
+    assert report.e_max_final <= 1e-3
+
+
+def test_residual_factor_built_on_first_read(adv1d_model, adv1d_obs):
+    s = Surrogate(adv1d_model)
+    s.refine_over_particles(np.random.default_rng(27).random((30, 2)), adv1d_obs,
+                            e_thre=1e-3)
+    assert all(c.resid_factor is None for c in s.cells)  # calibration never reads it
+    xi = np.array([0.37, 0.61])
+    sol = s.reduced_solve(xi)
+    assert s.cells[sol.atom_index].resid_factor is None
+    direct = np.linalg.norm(adv1d_model.rhs_at(xi)
+                            - adv1d_model.operator_at(xi) @ s.reconstruct(sol))
+    assert abs(sol.residual - direct) <= 1e-9 * direct
+    assert s.cells[sol.atom_index].resid_factor is not None
