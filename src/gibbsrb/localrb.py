@@ -89,7 +89,7 @@ class RefinementReport:
 class _Cell:
     neighbors: tuple = ()
     dirty: bool = True                        # caches stale; rebuilt on demand
-    # (source, unit vector or None where dropped) per Gram-Schmidt input
+    # (source, kept in the basis) per Gram-Schmidt input of the last build
     columns: list = field(default_factory=list)
     basis: np.ndarray | None = None           # (n_dof, r), orthonormal
     reduced_ops: np.ndarray | None = None     # (P, r, r) Phi^T A_p Phi
@@ -335,9 +335,9 @@ class Surrogate:
 
         Modified Gram-Schmidt is sequential: each basis vector depends only
         on the input columns before it, and an atom's snapshot and gradient
-        never change.  So the vectors of the longest prefix of inputs that
-        come from the same sources as in the last build are reused, and only
-        the inputs after it are orthogonalized again.
+        never change.  So the basis vectors of the longest prefix of inputs
+        that come from the same sources as in the last build are reused, and
+        only the inputs after it are orthogonalized again.
         """
         model = self.model
         atom, cell = self.atoms[k], self.cells[k]
@@ -349,21 +349,22 @@ class Surrogate:
                 break
             keep += 1
         columns = cell.columns[:keep]
-        basis = [q for _, q in columns if q is not None]
+        # contiguous copies: the same floats as the vectors Phi was stacked from
+        basis = [cell.basis[:, i].copy() for i in range(sum(kept for _, kept in columns))]
         for kind, j in sources[keep:]:
             v = np.array(self.atoms[j].snapshot if kind == "snapshot"
                          else atom.gradient[:, j], dtype=float)
-            q = None
             n0 = np.linalg.norm(v)
+            kept = False
             if n0 != 0.0:
                 for _ in range(2):  # two Gram-Schmidt passes for orthogonality
                     for b in basis:
                         v -= (b @ v) * b
                 nv = np.linalg.norm(v)
-                if nv > ORTHO_DROP_TOL * n0:
-                    q = v / nv
-                    basis.append(q)
-            columns.append(((kind, j), q))
+                kept = bool(nv > ORTHO_DROP_TOL * n0)
+                if kept:
+                    basis.append(v / nv)
+            columns.append(((kind, j), kept))
         cell.columns = columns
         Phi = np.column_stack(basis)
 

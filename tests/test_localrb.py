@@ -471,7 +471,7 @@ def test_incremental_neighbor_sets_equal_all_pairs(adv1d_model, dim, count):
     pts = np.unique(np.vstack([lattice, rng.random((20, dim))]), axis=0)
     pts = pts[rng.permutation(len(pts))]
     s = Surrogate(adv1d_model, neighbor_count=count)
-    s._scaled_locs = np.zeros((0, dim))
+    s._scaled_locs = np.zeros((0, dim))  # the tuples read only the scaled locations
     for p in pts:
         before = [c.neighbors for c in s.cells]
         for c in s.cells:
@@ -480,6 +480,7 @@ def test_incremental_neighbor_sets_equal_all_pairs(adv1d_model, dim, count):
         ref = _all_pairs_neighbors(s._scaled_locs, count)
         assert [c.neighbors for c in s.cells] == ref
         assert [c.dirty for c in s.cells[:-1]] == [a != b for a, b in zip(before, ref)]
+    # exact ties occurred
     assert any(len(set(np.sum((pts - p) ** 2, axis=1))) < len(pts) for p in pts)
 
 
