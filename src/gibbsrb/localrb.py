@@ -40,6 +40,10 @@ CALIBRATION_SAFETY = 1.0
 CALIBRATION_QUANTILE = 20  # percentile of recent insertion ratios
 CALIBRATION_WINDOW = 50
 _LU_CACHE_SIZE = 64
+# largest stack of indicator factors gathered at once: larger transients
+# raise glibc's dynamic mmap threshold and fragment the heap (one elast
+# run's peak RSS rose by a third with the whole cloud gathered)
+_GATHER_BYTES = 1 << 17
 
 
 class DuplicateAtomError(ValueError):
@@ -484,7 +488,8 @@ class Surrogate:
         of an (n, M) array of points.
 
         The points of all hosting cells of one basis rank are solved in one
-        stacked call, on the cells' arrays gathered per point.  Where a
+        stacked call, on the cells' arrays gathered per point (the indicator
+        factors in blocks of at most _GATHER_BYTES).  Where a
         cell's reduced system is singular the three are NaN, inf and 0.
         The raw quantities do not depend on the calibration state, so they
         can be cached across refinement steps while the stability constant
@@ -515,8 +520,12 @@ class Surrogate:
             idx, local, coeffs = idx[ok], local[ok], coeffs[ok]
             obs = np.stack([cells[g].obs_basis for g in group])[local]
             observed[idx] = (obs @ coeffs[:, :, None])[:, :, 0]
-            raws[idx] = _residual_norms(np.stack([factors[g] for g in group])[local],
-                                        ath[idx], fth[idx], coeffs)
+            group_factors = [factors[g] for g in group]
+            step = max(1, _GATHER_BYTES // group_factors[0].nbytes)
+            for start in range(0, len(idx), step):
+                b = slice(start, start + step)
+                raws[idx[b]] = _residual_norms(np.stack([group_factors[i] for i in local[b]]),
+                                               ath[idx[b]], fth[idx[b]], coeffs[b])
         losses = self.model.loss_from_prediction(observed, observations)
         dist_sums = np.sum(np.linalg.norm(observed[:, None, :] - observations.data,
                                           axis=-1), axis=-1)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gibbsrb import ObservationSet, Surrogate, assemble, gen_data
+from gibbsrb import ObservationSet, Surrogate, assemble, gen_data, localrb
 from gibbsrb.localrb import (CALIBRATION_QUANTILE, CALIBRATION_WINDOW,
                              AtomBudgetError, BasisDegeneracyError,
                              DuplicateAtomError, estimate_sigma_min,
@@ -365,7 +365,7 @@ def test_batched_evaluation_bit_equal_to_one_point_forms(preset, indicator, requ
     assert np.array_equal(s.loss_fn(obs)(pts), losses, equal_nan=True)
 
 
-def test_batched_evaluation_mixes_basis_ranks(adv2d_small):
+def test_batched_evaluation_mixes_basis_ranks(adv2d_small, monkeypatch):
     # atoms on the xi_1 = 0.4 plane span few directions, so their cells drop
     # columns and the cloud's hosting cells come in several basis ranks
     model = adv2d_small
@@ -385,12 +385,21 @@ def test_batched_evaluation_mixes_basis_ranks(adv2d_small):
     ranks = {s._ensure_cell(k).basis.shape[1] for k in set(cells) - {singular}}
     assert len(ranks) >= 2
     ref = np.array([_scalar_eval(s, p, obs) for p in pts])
+    gathered = []
+    norms = localrb._residual_norms
+
+    def recording(factors, *args):
+        gathered.append(factors.nbytes)
+        return norms(factors, *args)
+    monkeypatch.setattr(localrb, "_residual_norms", recording)
+    monkeypatch.setattr(localrb, "_GATHER_BYTES", 20 * 18 * 18 * 8)
     losses, raws, dist_sums = s._evaluate(pts, obs)
     assert np.array_equal(losses, ref[:, 0], equal_nan=True)
     assert np.array_equal(raws, ref[:, 1])
     assert np.array_equal(dist_sums, ref[:, 2])
     assert np.isnan(losses[cells == singular]).all()
     assert np.isfinite(losses[cells != singular]).all()
+    assert len(gathered) > len(ranks) and max(gathered) <= localrb._GATHER_BYTES
 
 
 def _cell_arrays(s, k):
