@@ -489,11 +489,10 @@ class Surrogate:
 
         The points of all hosting cells of one basis rank are solved in one
         stacked call, on the cells' arrays gathered per point (the indicator
-        factors in blocks of at most _GATHER_BYTES).  Where a
-        cell's reduced system is singular the three are NaN, inf and 0.
-        The raw quantities do not depend on the calibration state, so they
-        can be cached across refinement steps while the stability constant
-        keeps adapting.
+        factors in blocks of at most _GATHER_BYTES).  Where a cell's reduced
+        system is singular the three are NaN, inf and 0.  The raw quantities
+        do not depend on the calibration state, so they can be cached across
+        refinement steps while the stability constant keeps adapting.
         """
         points = np.asarray(points, dtype=float)
         n = len(points)
