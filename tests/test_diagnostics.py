@@ -1,7 +1,11 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from gibbsrb import assemble, gen_data
+from gibbsrb.config import RunConfig, build_model, build_observations, resolve_total_weight
 from gibbsrb.diagnostics import bound_suite, h_proxy, ks_distance
 from gibbsrb.domain import ParameterDomain, PriorSpec
 from gibbsrb.oracle import grid_posterior
@@ -112,6 +116,19 @@ def test_bound_suite_passes_on_real_run(small_run):
     for row in report.iterations:
         assert row["kl"] <= row["kl_bound"] + 1e-12
         assert row["audit_gap"] <= 1.1 * row["e_thre"]
+
+
+@pytest.mark.parametrize("preset,nx", [("adv2d", 16), ("elast2d_layered", 8)])
+def test_bound_suite_passes_on_shipped_config(preset, nx):
+    # the shipped smc section at desk scale: coarser mesh, 40 particles
+    config = RunConfig.from_yaml(Path(__file__).parents[1] / "configs" / f"{preset}.yaml")
+    config.mesh = {**config.mesh, "nx": nx}
+    model = build_model(config)
+    obs = build_observations(config, model, 0)
+    cfg = replace(config.smc, particles=40, seed=0,
+                  total_weight=resolve_total_weight(config, obs))
+    result = run_smc(model, obs, cfg)
+    assert bound_suite(result, model, obs, seed=0).passed
 
 
 def test_bound_suite_exact_mode_all_zero(adv1d_model, adv1d_obs):
