@@ -29,6 +29,8 @@ class SolveCounters:
     def __init__(self):
         self.full = 0
         self.sensitivity = 0
+        # LU refactorizations of cell atoms (surrogate LU-cache misses); the
+        # name is kept for the readers of the counter snapshot
         self.stability = 0
 
     def add(self, kind: str, n: int = 1) -> None:

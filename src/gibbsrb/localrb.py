@@ -4,19 +4,13 @@ Parameter space is partitioned into Voronoi cells seeded at atoms.  Each
 atom carries a high-fidelity snapshot and its parameter gradient; the
 cell's basis stacks those with the snapshots of the N nearest atoms.  A
 Galerkin solve in the cell basis yields the surrogate state; a cached
-triangular factor turns the full-space residual norm into an O(K^2)
-evaluation independent of the mesh size.
+triangular factor turns the norm of the residual preconditioned by the
+cell atom's factorized operator into an O(K^2) evaluation independent of
+the mesh size.
 
-Two error-indicator flavours are available:
-
-* ``calibrated_cell`` (default): the residual preconditioned by the cell
-  atom's factorized operator, scaled by a stability constant calibrated
-  on the fly from (residual, true error) pairs that every atom insertion
-  produces for free.
-* ``sigma_min``: plain residual norm divided by the smallest operator
-  singular value sampled over the prior.
-
-The loss indicator converts the state indicator through the loss kind:
+The state-error indicator divides that preconditioned residual norm by a
+stability constant calibrated on the fly from the (residual, true error)
+pairs that every atom insertion produces for free.  The loss indicator converts the state indicator through the loss kind:
 an exact quadratic bound for squared losses, Lipschitz constants for the
 l1/l2 kinds.
 """
@@ -25,12 +19,9 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor  # patched by bench/layers.py
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-
-from .seeding import PHASE_STABILITY, stream
 
 DUPLICATE_TOL = 1e-12       # scaled-coordinate distance
 ORTHO_DROP_TOL = 1e-10      # relative column drop threshold in Gram-Schmidt
@@ -70,13 +61,6 @@ class ReducedSolution:
     coeffs: np.ndarray
     observed: np.ndarray
     atom_index: int
-    _residual: Callable[[], float] = field(repr=False)
-
-    @property
-    def residual(self) -> float:
-        """Full-space residual norm; the cell's factor for it is built on
-        first read."""
-        return self._residual()
 
 
 @dataclass
@@ -99,31 +83,7 @@ class _Cell:
     reduced_ops: np.ndarray | None = None     # (P, r, r) Phi^T A_p Phi
     reduced_rhs: np.ndarray | None = None     # (Q, r) Phi^T f_q
     obs_basis: np.ndarray | None = None       # D_obs Phi
-    resid_factor: np.ndarray | None = None    # R of qr([f_q | A_p Phi])
     precond_factor: np.ndarray | None = None  # R of qr(A_k^{-1} [f_q | A_p Phi])
-
-
-def estimate_sigma_min(model, n_samples: int = 20, seed: int = 0,
-                       iters: int = 60) -> float:
-    """Smallest operator singular value, minimized over prior samples.
-
-    Inverse power iteration on A^T A through the sparse factorization, so
-    the estimate is for the actual system matrices, not a proxy mesh.
-    """
-    rng = stream(seed, PHASE_STABILITY)
-    worst = np.inf
-    for xi in model.domain.sample(n_samples, rng):
-        _, lu = model.factorize(xi)
-        model.counters.add("stability")
-        v = rng.standard_normal(model.n_dof)
-        v /= np.linalg.norm(v)
-        lam = 1.0
-        for _ in range(iters):
-            w = lu.solve(lu.solve(v), trans="T")
-            lam = np.linalg.norm(w)
-            v = w / lam
-        worst = min(worst, 1.0 / np.sqrt(lam))
-    return float(worst)
 
 
 def _residual_norms(factors: np.ndarray, ath: np.ndarray, fth: np.ndarray,
@@ -166,15 +126,10 @@ class Surrogate:
     """
 
     def __init__(self, model, neighbor_count: int = DEFAULT_NEIGHBORS,
-                 indicator: str = "calibrated_cell",
                  calibration_safety: float = CALIBRATION_SAFETY,
-                 atom_budget: int = DEFAULT_ATOM_BUDGET,
-                 stability_seed: int = 0):
-        if indicator not in ("calibrated_cell", "sigma_min"):
-            raise ValueError(f"unknown indicator {indicator!r}")
+                 atom_budget: int = DEFAULT_ATOM_BUDGET):
         self.model = model
         self.neighbor_count = int(neighbor_count)
-        self.indicator = indicator
         self.calibration_safety = float(calibration_safety)
         self.atom_budget = int(atom_budget)
         self.atoms: list[Atom] = []
@@ -188,8 +143,6 @@ class Surrogate:
         self._rhs_cols = np.column_stack(model.rhs_terms)
         self._ratios: list[float] = []
         self._ratio_quantile: float | None = None  # of _ratios; reset on append
-        self._beta_lb: float | None = None
-        self._stability_seed = stability_seed
         self._obs_norm = model.observation_operator_norm()
         self._lu_cache: dict[int, object] = {}
         self.reduced_solves = 0
@@ -213,11 +166,7 @@ class Surrogate:
 
     @property
     def stability_constant(self) -> float:
-        """Divisor turning the (preconditioned) residual into a state-error bound."""
-        if self.indicator == "sigma_min":
-            if self._beta_lb is None:
-                self._beta_lb = estimate_sigma_min(self.model, seed=self._stability_seed)
-            return self._beta_lb
+        """Divisor turning the preconditioned residual into a state-error bound."""
         if not self._ratios:
             return self.calibration_safety
         q = self._ratio_quantile
@@ -282,8 +231,7 @@ class Surrogate:
             if d.min() <= DUPLICATE_TOL:
                 raise DuplicateAtomError(f"atom at {xi} duplicates atom "
                                          f"{int(np.argmin(d))}")
-        # calibration byproduct: prediction error at the insertion point;
-        # the residual is not read, so its factor is not built
+        # calibration byproduct: (raw indicator, prediction) at the insertion point
         pre = None
         if self.atoms:
             try:
@@ -376,30 +324,26 @@ class Surrogate:
         op_cols, cell.obs_basis = self._products(Phi)  # A_p Phi, D_obs Phi
         cell.reduced_ops = np.stack([Phi.T @ AP for AP in op_cols])
         cell.reduced_rhs = np.stack([Phi.T @ f for f in model.rhs_terms])
-        cell.resid_factor = cell.precond_factor = None
-        if self.indicator == "sigma_min":
-            cell.resid_factor = self._qr_resid(op_cols)
-        else:
-            # preconditioned residual pieces A_k^{-1} [f_q | A_p Phi]; the
-            # block for the dominant coefficient follows from the affine
-            # identity sum_p theta_p(xi_k) A_k^{-1} A_p Phi = Phi, saving
-            # r solve columns.  That identity and u_k in span Phi make the
-            # columns dependent, so the factor comes from a QR.
-            theta_k, _ = model.coefficients(atom.location)
-            p0 = int(np.argmax(np.abs(theta_k)))
-            others = [p for p in range(len(theta_k)) if p != p0]
-            nq, r = self._rhs_cols.shape[1], Phi.shape[1]
-            lu = self._lu_for(k)
-            Wp = lu.solve(np.column_stack([self._rhs_cols] + [op_cols[p] for p in others]))
-            Zp = np.empty((model.n_dof, nq + len(theta_k) * r))
-            Zp[:, :nq] = Wp[:, :nq]
-            rest = Phi.copy()
-            for i, p in enumerate(others):
-                blk = Wp[:, nq + i * r: nq + (i + 1) * r]
-                Zp[:, nq + p * r: nq + (p + 1) * r] = blk
-                rest -= theta_k[p] * blk
-            Zp[:, nq + p0 * r: nq + (p0 + 1) * r] = rest / theta_k[p0]
-            cell.precond_factor = np.linalg.qr(Zp, mode="r")
+        # preconditioned residual pieces A_k^{-1} [f_q | A_p Phi]; the block
+        # for the dominant coefficient follows from the affine identity
+        # sum_p theta_p(xi_k) A_k^{-1} A_p Phi = Phi, saving r solve columns.
+        # That identity and u_k in span Phi make the columns dependent, so
+        # the factor comes from a QR.
+        theta_k, _ = model.coefficients(atom.location)
+        p0 = int(np.argmax(np.abs(theta_k)))
+        others = [p for p in range(len(theta_k)) if p != p0]
+        nq, r = self._rhs_cols.shape[1], Phi.shape[1]
+        lu = self._lu_for(k)
+        Wp = lu.solve(np.column_stack([self._rhs_cols] + [op_cols[p] for p in others]))
+        Zp = np.empty((model.n_dof, nq + len(theta_k) * r))
+        Zp[:, :nq] = Wp[:, :nq]
+        rest = Phi.copy()
+        for i, p in enumerate(others):
+            blk = Wp[:, nq + i * r: nq + (i + 1) * r]
+            Zp[:, nq + p * r: nq + (p + 1) * r] = blk
+            rest -= theta_k[p] * blk
+        Zp[:, nq + p0 * r: nq + (p0 + 1) * r] = rest / theta_k[p0]
+        cell.precond_factor = np.linalg.qr(Zp, mode="r")
         cell.dirty = False
 
     def _products(self, Phi: np.ndarray) -> tuple[list, np.ndarray]:
@@ -408,24 +352,6 @@ class Surrogate:
         prods = self._stacked_terms @ Phi
         n, P = self.model.n_dof, len(self.model.operator_terms)
         return [prods[p * n:(p + 1) * n] for p in range(P)], prods[P * n:].copy()
-
-    def _qr_resid(self, op_cols: list) -> np.ndarray:
-        # the returned residual must match the directly assembled one down
-        # to machine-zero at atoms, which only the QR route guarantees
-        return np.linalg.qr(np.column_stack([self._rhs_cols] + op_cols), mode="r")
-
-    def _resid_factor(self, k: int) -> np.ndarray:
-        """Cell k's residual factor; built on first read unless the sigma_min
-        indicator built it with the cell."""
-        cell = self._ensure_cell(k)
-        if cell.resid_factor is None:
-            cell.resid_factor = self._qr_resid(self._products(cell.basis)[0])
-        return cell.resid_factor
-
-    def _indicator_factor(self, k: int) -> np.ndarray:
-        if self.indicator == "sigma_min":
-            return self._resid_factor(k)
-        return self._ensure_cell(k).precond_factor
 
     # ----- evaluation -----
     def _solve_stack(self, ops: np.ndarray, rhs: np.ndarray, ath: np.ndarray,
@@ -451,8 +377,8 @@ class Surrogate:
     def reduced_solve(self, xi: np.ndarray) -> ReducedSolution:
         """Galerkin solve in the nearest cell's basis.
 
-        Returns the reduced coefficients, the observed surrogate output and
-        the full-space residual norm, all at cost independent of the mesh.
+        Returns the reduced coefficients and the observed surrogate output,
+        both at cost independent of the mesh.
         """
         xi = np.asarray(xi, dtype=float)
         k = self.nearest_atom(xi)
@@ -461,27 +387,17 @@ class Surrogate:
         coeffs = self._solve_stack(cell.reduced_ops[None], cell.reduced_rhs[None], ath, fth)
         if np.isnan(coeffs[0, 0]):
             raise BasisDegeneracyError(f"singular reduced system in cell {k}")
-
-        def residual() -> float:
-            return float(_residual_norms(self._resid_factor(k)[None], ath, fth, coeffs)[0])
         return ReducedSolution(coeffs=coeffs[0], observed=cell.obs_basis @ coeffs[0],
-                               atom_index=k, _residual=residual)
+                               atom_index=k)
 
     def reconstruct(self, sol: ReducedSolution) -> np.ndarray:
         """Full-space surrogate state (costs O(n_dof * r); for checks)."""
         return self._ensure_cell(sol.atom_index).basis @ sol.coeffs
 
     def _indicator_raw(self, xi, sol: ReducedSolution) -> float:
-        factor = self._indicator_factor(sol.atom_index)
+        factor = self._ensure_cell(sol.atom_index).precond_factor
         ath, fth = self.model.coefficients(np.asarray(xi, dtype=float)[None])
         return float(_residual_norms(factor[None], ath, fth, sol.coeffs[None])[0])
-
-    def error_indicator_u(self, xi: np.ndarray, sol: ReducedSolution | None = None) -> float:
-        """Computable proxy bounding the state error of the surrogate."""
-        xi = np.asarray(xi, dtype=float)
-        if sol is None:
-            sol = self.reduced_solve(xi)
-        return self._indicator_raw(xi, sol) / self.stability_constant
 
     def _evaluate(self, points: np.ndarray, observations):
         """(surrogate losses, raw indicators, data-distance sums) at the rows
@@ -504,7 +420,6 @@ class Surrogate:
         for k in uniq[np.argsort(first)]:
             self._ensure_cell(k)
         cells = [self.cells[k] for k in uniq]
-        factors = [self._indicator_factor(k) for k in uniq]
         ranks = np.array([c.basis.shape[1] for c in cells])
         observed = np.full((n, self.model.n_obs), np.nan)
         raws = np.full(n, np.inf)
@@ -519,7 +434,7 @@ class Surrogate:
             idx, local, coeffs = idx[ok], local[ok], coeffs[ok]
             obs = np.stack([cells[g].obs_basis for g in group])[local]
             observed[idx] = (obs @ coeffs[:, :, None])[:, :, 0]
-            group_factors = [factors[g] for g in group]
+            group_factors = [cells[g].precond_factor for g in group]
             step = max(1, _GATHER_BYTES // group_factors[0].nbytes)
             for start in range(0, len(idx), step):
                 b = slice(start, start + step)

@@ -17,6 +17,15 @@ import numpy as np
 MAX_GRID_NODES = 1_000_000
 
 
+def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
+    """Trapezoid-rule weights for the nodes x of one axis."""
+    w = np.empty_like(x)
+    w[1:-1] = (x[2:] - x[:-2]) / 2.0
+    w[0] = (x[1] - x[0]) / 2.0
+    w[-1] = (x[-1] - x[-2]) / 2.0
+    return w
+
+
 @dataclass
 class GridPosterior:
     axes: list          # per-dimension node arrays
@@ -28,13 +37,7 @@ class GridPosterior:
         return len(self.axes)
 
     def _axis_weights(self, j: int) -> np.ndarray:
-        # trapezoid weights for axis j
-        x = self.axes[j]
-        w = np.empty_like(x)
-        w[1:-1] = (x[2:] - x[:-2]) / 2.0
-        w[0] = (x[1] - x[0]) / 2.0
-        w[-1] = (x[-1] - x[-2]) / 2.0
-        return w
+        return _trapezoid_weights(self.axes[j])
 
     def marginal_density(self, j: int) -> np.ndarray:
         # integrate out every other axis, highest first so indices stay valid
@@ -114,11 +117,6 @@ def grid_posterior(model, domain, weight: float, grid_shape, observations,
     dens = np.exp(log_un - shift)
     norm = dens
     for j in reversed(range(len(axes))):
-        w = np.empty(grid_shape[j])
-        x = axes[j]
-        w[1:-1] = (x[2:] - x[:-2]) / 2.0
-        w[0] = (x[1] - x[0]) / 2.0
-        w[-1] = (x[-1] - x[-2]) / 2.0
-        norm = np.tensordot(norm, w, axes=([j], [0]))
+        norm = np.tensordot(norm, _trapezoid_weights(axes[j]), axes=([j], [0]))
     dens = dens / float(norm)
     return GridPosterior(axes=axes, density=dens, log_unnorm=log_un)

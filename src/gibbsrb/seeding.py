@@ -15,8 +15,7 @@ PHASE_DATA = 0
 PHASE_INIT = 1
 PHASE_RESAMPLE = 2
 PHASE_MUTATE = 3
-PHASE_STABILITY = 4
-PHASE_MCMC = 5
+PHASE_MCMC = 5  # 4 is unused: renumbering would move the MCMC streams
 
 
 def stream(master_seed: int, *path: int) -> np.random.Generator:

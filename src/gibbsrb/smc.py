@@ -47,7 +47,6 @@ class SmcConfig:
     neighbor_count: int = 5
     atom_budget: int = 2000
     resampling: str = "multinomial"
-    indicator: str = "calibrated_cell"
 
     def __post_init__(self):
         if self.particles < 2:
@@ -262,9 +261,7 @@ def run_smc(model, observations, config: SmcConfig, *,
     particles = init_particles(domain, config.particles, stream(config.seed, PHASE_INIT))
     if not exact_loss and surrogate is None:
         surrogate = Surrogate(model, neighbor_count=config.neighbor_count,
-                              indicator=config.indicator,
-                              atom_budget=config.atom_budget,
-                              stability_seed=config.seed)
+                              atom_budget=config.atom_budget)
 
     if exact_loss:
         def loss_fn(points):

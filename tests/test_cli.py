@@ -149,3 +149,12 @@ def test_shipped_configs_parse():
         cfg = RunConfig.from_yaml(Path(__file__).parent.parent / "configs" / f"{name}.yaml")
         assert cfg.smc.particles == 100
         assert cfg.digest()
+
+
+def test_stale_indicator_key_rejected():
+    # smc.indicator is no longer an option; a config that still sets it must
+    # fail rather than silently run the one remaining indicator
+    from gibbsrb.config import RunConfig
+
+    with pytest.raises(TypeError, match="indicator"):
+        RunConfig.from_dict({"smc": {"indicator": "sigma_min"}})

@@ -25,7 +25,6 @@ CLI_DIGESTS = {
     "atoms.csv":
         "bfae205f6e37e2d4d6b34f5365ab63281e3ab328e87d3f7903696cd756ab698b",
 }
-SIGMA_MIN_DIGEST = "b28d9b6f723fcb46ea7d14a9ae04bb4a5c28b364915161b0e227b295d2dab7ad"
 LOSS_STD_FRACTION_DIGEST = "9c8812fa53546d86e5405a04803ab92aff9eb483a9939dc8d747ee40efff010a"
 ADV2D_DIGEST = "4427d1422d73e599193ca12d5ee0f37ef2f0f2323f3f7b616c184fc441585999"
 
@@ -54,12 +53,6 @@ def _result_digest(res) -> str:
     return h.hexdigest()
 
 
-def test_run_smc_sigma_min_loss_std_fraction_golden(adv1d_model, adv1d_obs):
-    cfg = SmcConfig(particles=24, total_weight=6.0, seed=13, mutation_steps=3,
-                    indicator="sigma_min", e_thre_mode="loss_std_fraction")
-    assert _result_digest(run_smc(adv1d_model, adv1d_obs, cfg)) == SIGMA_MIN_DIGEST
-
-
 def test_run_smc_loss_std_fraction_golden(adv1d_model, adv1d_obs):
     # the default e_thre_mode, which adv2d and both elast configs use
     cfg = SmcConfig(particles=24, total_weight=6.0, seed=13, mutation_steps=3,
@@ -72,5 +65,5 @@ def test_run_smc_adv2d_calibrated_fixed_golden():
     model = assemble("adv2d", {"nx": 12})
     obs = gen_data(model, noise_pct=0.10, n=2, seed=3)
     cfg = SmcConfig(particles=24, total_weight=6.0, seed=17, mutation_steps=3,
-                    indicator="calibrated_cell", e_thre_mode="fixed", e_thre_value=1e-3)
+                    e_thre_mode="fixed", e_thre_value=1e-3)
     assert _result_digest(run_smc(model, obs, cfg)) == ADV2D_DIGEST

@@ -4,8 +4,7 @@ import pytest
 from gibbsrb import ObservationSet, Surrogate, assemble, gen_data, localrb
 from gibbsrb.localrb import (CALIBRATION_QUANTILE, CALIBRATION_WINDOW,
                              AtomBudgetError, BasisDegeneracyError,
-                             DuplicateAtomError, estimate_sigma_min,
-                             fd_gradient_check)
+                             DuplicateAtomError, fd_gradient_check)
 
 
 @pytest.fixture()
@@ -92,8 +91,6 @@ def test_snapshot_reproduction(adv1d_surr, adv1d_model):
         ubar = adv1d_surr.reconstruct(sol)
         u = adv1d_model.solve_full(a)
         assert np.linalg.norm(ubar - u) <= 1e-8 * np.linalg.norm(u)
-        f = adv1d_model.rhs_at(a)
-        assert sol.residual <= 1e-8 * np.linalg.norm(f)
 
 
 def test_single_atom_taylor_order(adv1d_model):
@@ -112,24 +109,32 @@ def test_single_atom_taylor_order(adv1d_model):
     assert slope > 1.8
 
 
-def test_cached_residual_equals_direct(adv1d_surr, adv1d_model):
+def _raw_indicator(s, xi, observations):
+    return s._evaluate(np.asarray(xi, dtype=float)[None], observations)[1][0]
+
+
+def test_cached_residual_equals_direct(adv1d_surr, adv1d_model, adv1d_obs):
+    # the cached factor gives ||A_k^{-1} (f(xi) - A(xi) Phi c)|| for the
+    # hosting cell's atom k
     rng = np.random.default_rng(3)
     for a in rng.random((6, 2)):
         adv1d_surr.add_atom(a)
     for xi in rng.random((10, 2)):
         sol = adv1d_surr.reduced_solve(xi)
         ubar = adv1d_surr.reconstruct(sol)
-        direct = np.linalg.norm(adv1d_model.rhs_at(xi)
-                                - adv1d_model.operator_at(xi) @ ubar)
-        assert abs(sol.residual - direct) <= 1e-9 * max(direct, 1e-12)
+        _, lu = adv1d_model.factorize(adv1d_surr.atoms[sol.atom_index].location)
+        direct = np.linalg.norm(lu.solve(adv1d_model.rhs_at(xi)
+                                         - adv1d_model.operator_at(xi) @ ubar))
+        raw = _raw_indicator(adv1d_surr, xi, adv1d_obs)
+        assert abs(raw - direct) <= 1e-9 * max(direct, 1e-12)
 
 
-def test_residual_scales_with_rhs(adv1d_model):
-    # doubling f doubles the residual at a fixed basis
+def test_residual_scales_with_rhs(adv1d_model, adv1d_obs):
+    # doubling f doubles the raw indicator at a fixed basis
     s = Surrogate(adv1d_model)
     s.add_atom(np.array([0.3, 0.3]))
     xi = np.array([0.6, 0.6])
-    r1 = s.reduced_solve(xi).residual
+    r1 = _raw_indicator(s, xi, adv1d_obs)
 
     import copy
 
@@ -137,7 +142,7 @@ def test_residual_scales_with_rhs(adv1d_model):
     m2.rhs_terms = [2.0 * f for f in adv1d_model.rhs_terms]
     s2 = Surrogate(m2)
     s2.add_atom(np.array([0.3, 0.3]))
-    r2 = s2.reduced_solve(xi).residual
+    r2 = _raw_indicator(s2, xi, adv1d_obs)
     assert abs(r2 - 2.0 * r1) <= 1e-9 * r1
 
 
@@ -156,20 +161,20 @@ def test_state_indicator_bounds_error(adv1d_model, adv1d_obs):
     s.refine_over_particles(rng.random((60, 2)), adv1d_obs, e_thre=1e-2)
     hits = 0
     pts = rng.random((20, 2))
-    for xi in pts:
+    eps = s._evaluate(pts, adv1d_obs)[1] / s.stability_constant
+    for xi, eps_u in zip(pts, eps):
         sol = s.reduced_solve(xi)
-        eps_u = s.error_indicator_u(xi, sol)
         err = np.linalg.norm(s.reconstruct(sol) - adv1d_model.solve_full(xi))
         if eps_u >= err * (1 - 0.5):
             hits += 1
     assert hits >= 19  # >= 95% of 20
 
 
-def test_indicator_zero_at_atoms(adv1d_model):
+def test_indicator_zero_at_atoms(adv1d_model, adv1d_obs):
     s = Surrogate(adv1d_model)
     s.add_atom(np.array([0.4, 0.6]))
     s.add_atom(np.array([0.7, 0.2]))
-    eps_u = s.error_indicator_u(np.array([0.4, 0.6]))
+    eps_u = _raw_indicator(s, [0.4, 0.6], adv1d_obs) / s.stability_constant
     f = adv1d_model.rhs_at(np.array([0.4, 0.6]))
     assert eps_u <= 1e-7 * np.linalg.norm(f)
 
@@ -185,7 +190,6 @@ def test_loss_indicator_quadratic_bound_arithmetic():
     stub = S.__new__(S)
     stub.model = _Stub()
     stub._obs_norm = 1.0
-    stub.indicator = "calibrated_cell"
     stub.calibration_safety = 1.0
     stub._ratios = []
     stub._ratio_quantile = None
@@ -257,22 +261,6 @@ def test_atom_budget(adv1d_model, adv1d_obs):
         s.refine_over_particles(rng.random((50, 2)), adv1d_obs, e_thre=1e-12)
 
 
-def test_sigma_min_estimate_positive(adv1d_model):
-    beta = estimate_sigma_min(adv1d_model, n_samples=5, seed=0)
-    assert 0.0 < beta < 10.0
-
-
-def test_sigma_min_indicator_variant(adv1d_model, adv1d_obs):
-    s = Surrogate(adv1d_model, indicator="sigma_min", stability_seed=1)
-    rng = np.random.default_rng(10)
-    s.refine_over_particles(rng.random((30, 2)), adv1d_obs, e_thre=1e-2)
-    xi = np.array([0.42, 0.58])
-    sol = s.reduced_solve(xi)
-    eps_u = s.error_indicator_u(xi, sol)
-    err = np.linalg.norm(s.reconstruct(sol) - adv1d_model.solve_full(xi))
-    assert eps_u >= err * 0.5
-
-
 def _fresh_stability(s):
     recent = s._ratios[-CALIBRATION_WINDOW:]
     return s.calibration_safety * float(np.percentile(recent, CALIBRATION_QUANTILE))
@@ -320,8 +308,7 @@ def _scalar_eval(s, xi, observations):
     except np.linalg.LinAlgError:
         return np.nan, np.inf, 0.0
     w = np.concatenate([fth, np.outer(-ath, coeffs).ravel()])
-    factor = cell.resid_factor if s.indicator == "sigma_min" else cell.precond_factor
-    raw = float(np.linalg.norm(factor @ w))
+    raw = float(np.linalg.norm(cell.precond_factor @ w))
     resid = (cell.obs_basis @ coeffs)[None, :] - observations.data
     if model.loss_kind == "squared_l2":
         loss = float(np.sum(resid**2))
@@ -332,13 +319,16 @@ def _scalar_eval(s, xi, observations):
     return loss, raw, float(np.sum(np.linalg.norm(resid, axis=1)))
 
 
-@pytest.mark.parametrize("preset", ["adv1d", "adv2d"])
-@pytest.mark.parametrize("indicator", ["calibrated_cell", "sigma_min"])
-def test_batched_evaluation_bit_equal_to_one_point_forms(preset, indicator, request):
+# the ids keep the names these cases had when the indicator was a parameter
+PRESET_IDS = ["calibrated_cell-adv1d", "calibrated_cell-adv2d"]
+
+
+@pytest.mark.parametrize("preset", ["adv1d", "adv2d"], ids=PRESET_IDS)
+def test_batched_evaluation_bit_equal_to_one_point_forms(preset, request):
     model = request.getfixturevalue({"adv1d": "adv1d_model", "adv2d": "adv2d_small"}[preset])
     obs = gen_data(model, noise_pct=0.10, n=2, seed=3)
     rng = np.random.default_rng(21)
-    s = Surrogate(model, indicator=indicator, stability_seed=2)
+    s = Surrogate(model)
     for a in model.domain.sample(8, rng):
         s.add_atom(a)
     pts = model.domain.sample(300, rng)
@@ -405,15 +395,14 @@ def test_batched_evaluation_mixes_basis_ranks(adv2d_small, monkeypatch):
 def _cell_arrays(s, k):
     cell = s._ensure_cell(k)
     return [cell.basis, cell.reduced_ops, cell.reduced_rhs, cell.obs_basis,
-            s._resid_factor(k), cell.precond_factor]
+            cell.precond_factor]
 
 
-@pytest.mark.parametrize("preset", ["adv1d", "adv2d"])
-@pytest.mark.parametrize("indicator", ["calibrated_cell", "sigma_min"])
-def test_incremental_rebuild_equals_fresh_build(preset, indicator, request):
+@pytest.mark.parametrize("preset", ["adv1d", "adv2d"], ids=PRESET_IDS)
+def test_incremental_rebuild_equals_fresh_build(preset, request):
     model = request.getfixturevalue({"adv1d": "adv1d_model", "adv2d": "adv2d_small"}[preset])
     obs = gen_data(model, noise_pct=0.10, n=2, seed=3)
-    s = Surrogate(model, indicator=indicator, stability_seed=2)
+    s = Surrogate(model)
     reused = []
     build = s._build_cell
 
@@ -434,11 +423,10 @@ def test_incremental_rebuild_equals_fresh_build(preset, indicator, request):
     for k in range(s.n_atoms):
         got = _cell_arrays(s, k)
         s.cells[k].columns = []
-        s.cells[k].resid_factor = None
         build(k)
         fresh = _cell_arrays(s, k)
         for a, b in zip(got, fresh):
-            assert (a is None and b is None) or np.array_equal(a, b)
+            assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("preset,mesh", [
@@ -514,17 +502,3 @@ def test_refinement_puts_atom_at_singular_point():
     assert report.atoms_added > 0
     assert np.isfinite(report.loss_values).all()
     assert report.e_max_final <= 1e-3
-
-
-def test_residual_factor_built_on_first_read(adv1d_model, adv1d_obs):
-    s = Surrogate(adv1d_model)
-    s.refine_over_particles(np.random.default_rng(27).random((30, 2)), adv1d_obs,
-                            e_thre=1e-3)
-    assert all(c.resid_factor is None for c in s.cells)  # calibration never reads it
-    xi = np.array([0.37, 0.61])
-    sol = s.reduced_solve(xi)
-    assert s.cells[sol.atom_index].resid_factor is None
-    direct = np.linalg.norm(adv1d_model.rhs_at(xi)
-                            - adv1d_model.operator_at(xi) @ s.reconstruct(sol))
-    assert abs(sol.residual - direct) <= 1e-9 * direct
-    assert s.cells[sol.atom_index].resid_factor is not None
