@@ -10,9 +10,9 @@ the mesh size.
 
 The state-error indicator divides that preconditioned residual norm by a
 stability constant calibrated on the fly from the (residual, true error)
-pairs that every atom insertion produces for free.  The loss indicator converts the state indicator through the loss kind:
-an exact quadratic bound for squared losses, Lipschitz constants for the
-l1/l2 kinds.
+pairs that every atom insertion produces for free.  The loss indicator
+converts the state indicator through the loss kind: an exact quadratic
+bound for squared losses, Lipschitz constants for the l1/l2 kinds.
 """
 
 from __future__ import annotations
