@@ -16,13 +16,12 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, build_model, build_observations, resolve_total_weight
-from .diagnostics import bound_suite, h_proxy, ks_distance
+from .diagnostics import bound_suite, h_proxy, ks_distance, weighted_cdf
 from .mcmc import run_rwmh
 from .oracle import grid_posterior
 from .particles import ParticleSet
-from .runio import (pin_blas_threads, weighted_cdf_curve, write_atoms_csv,
-                    write_cdfs_csv, write_history_csv, write_losses_csv,
-                    write_manifest)
+from .runio import (pin_blas_threads, write_atoms_csv, write_cdfs_csv,
+                    write_history_csv, write_losses_csv, write_manifest)
 from .smc import SmcConfig, run_smc
 from .weights import evaluate_grid_via_smc
 
@@ -53,8 +52,7 @@ def cmd_run_smc(args) -> int:
     write_losses_csv(out / "iteration_losses.csv", result.history)
     write_atoms_csv(out / "atoms.csv", result.surrogate)
     observations.to_csv(out / "observations.csv")
-    curves = [(j, *weighted_cdf_curve(result.particles.points[:, j],
-                                      result.particles.weights))
+    curves = [(j, *weighted_cdf(result.particles.points[:, j], result.particles.weights))
               for j in range(model.dim)]
     write_cdfs_csv(out / "marginal_cdfs.csv", curves)
 
@@ -70,8 +68,8 @@ def cmd_run_smc(args) -> int:
         "iterations": result.iterations,
         "wall_time_s": wall,
         "solve_counts": result.solve_counts,
-        "reduced_solves": result.surrogate.reduced_solves if result.surrogate else 0,
-        "atoms": result.surrogate.n_atoms if result.surrogate else 0,
+        "reduced_solves": result.surrogate.reduced_solves,
+        "atoms": result.surrogate.n_atoms,
         "bound_suite_passed": verified,
         "iteration_table": [
             {"t": r.t, "w": r.w_after, "delta_w": r.delta_w, "ess": r.ess,
@@ -96,7 +94,7 @@ def cmd_run_mcmc(args) -> int:
     wall = time.perf_counter() - t0
     chain.to_csv(out / "chain.csv")
     m = chain.samples.shape[0]
-    curves = [(j, *weighted_cdf_curve(chain.samples[:, j], np.full(m, 1.0 / m)))
+    curves = [(j, *weighted_cdf(chain.samples[:, j], np.full(m, 1.0 / m)))
               for j in range(model.dim)]
     write_cdfs_csv(out / "marginal_cdfs.csv", curves)
     observations.to_csv(out / "observations.csv")
@@ -140,7 +138,8 @@ def cmd_oracle(args) -> int:
     t0 = time.perf_counter()
     post = grid_posterior(model, model.domain, w_total, shape, observations)
     wall = time.perf_counter() - t0
-    post.export_marginal_cdfs(out / "marginal_cdfs.csv")
+    write_cdfs_csv(out / "marginal_cdfs.csv",
+                   [(j, *post.marginal_cdf(j)) for j in range(post.dim)])
     np.save(out / "density.npy", post.density)
     with (out / "density.csv").open("w") as fh:
         fh.write(",".join(f"xi_{j + 1}" for j in range(post.dim)) + ",density\n")

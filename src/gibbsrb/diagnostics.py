@@ -98,7 +98,9 @@ def h_proxy(runs: list[ParticleSet], reference, domain: ParameterDomain) -> floa
 # Kolmogorov-Smirnov distances
 # --------------------------------------------------------------------------
 
-def _weighted_cdf(points: np.ndarray, weights: np.ndarray):
+def weighted_cdf(points: np.ndarray, weights: np.ndarray):
+    """(sorted points, normalized cumulative weights): the knots and values
+    of the weighted empirical CDF."""
     order = np.argsort(points, kind="stable")
     x = points[order]
     cw = np.cumsum(weights[order])
@@ -120,7 +122,7 @@ def ks_distance(particles: ParticleSet, reference, dim: int,
     ``reference``: GridPosterior, ParticleSet, array of samples, or a
     callable CDF.
     """
-    xw, cw = _weighted_cdf(particles.points[:, dim], particles.weights)
+    xw, cw = weighted_cdf(particles.points[:, dim], particles.weights)
 
     if isinstance(reference, GridPosterior):
         gx, gc = reference.marginal_cdf(dim)
@@ -128,7 +130,7 @@ def ks_distance(particles: ParticleSet, reference, dim: int,
         support = np.concatenate([xw, gx])
         jump_ref = False
     elif isinstance(reference, ParticleSet):
-        rx, rc = _weighted_cdf(reference.points[:, dim], reference.weights)
+        rx, rc = weighted_cdf(reference.points[:, dim], reference.weights)
         ref_cdf = lambda x: _eval_step_cdf(rx, rc, x)
         support = np.concatenate([xw, rx])
         jump_ref = True
@@ -139,7 +141,7 @@ def ks_distance(particles: ParticleSet, reference, dim: int,
     else:
         samples = np.asarray(reference, dtype=float)
         col = samples[:, dim] if samples.ndim > 1 else samples
-        rx, rc = _weighted_cdf(col, np.full(col.size, 1.0 / col.size))
+        rx, rc = weighted_cdf(col, np.full(col.size, 1.0 / col.size))
         ref_cdf = lambda x: _eval_step_cdf(rx, rc, x)
         support = np.concatenate([xw, rx])
         jump_ref = True

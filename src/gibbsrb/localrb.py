@@ -66,6 +66,7 @@ class ReducedSolution:
 @dataclass
 class RefinementReport:
     atoms_added: int
+    e_thre: float
     e_max_initial: float
     e_max_final: float
     loss_values: np.ndarray
@@ -126,11 +127,9 @@ class Surrogate:
     """
 
     def __init__(self, model, neighbor_count: int = DEFAULT_NEIGHBORS,
-                 calibration_safety: float = CALIBRATION_SAFETY,
                  atom_budget: int = DEFAULT_ATOM_BUDGET):
         self.model = model
         self.neighbor_count = int(neighbor_count)
-        self.calibration_safety = float(calibration_safety)
         self.atom_budget = int(atom_budget)
         self.atoms: list[Atom] = []
         self.cells: list[_Cell] = []
@@ -168,12 +167,12 @@ class Surrogate:
     def stability_constant(self) -> float:
         """Divisor turning the preconditioned residual into a state-error bound."""
         if not self._ratios:
-            return self.calibration_safety
+            return CALIBRATION_SAFETY
         q = self._ratio_quantile
         if q is None:
             recent = self._ratios[-CALIBRATION_WINDOW:]
             q = self._ratio_quantile = float(np.percentile(recent, CALIBRATION_QUANTILE))
-        return self.calibration_safety * q
+        return CALIBRATION_SAFETY * q
 
     # ----- geometry -----
     def nearest_atom(self, xi: np.ndarray) -> int:
@@ -446,16 +445,6 @@ class Surrogate:
         dist_sums[np.isnan(dist_sums)] = 0.0
         return losses, raws, dist_sums
 
-    def _loss_eval_raw(self, xi: np.ndarray, observations):
-        """_evaluate at one point; raises BasisDegeneracyError where the
-        reduced system is singular."""
-        xi = np.asarray(xi, dtype=float)
-        losses, raws, dist_sums = self._evaluate(xi[None], observations)
-        if np.isnan(losses[0]):
-            raise BasisDegeneracyError(
-                f"singular reduced system in cell {self.nearest_atom(xi)}")
-        return float(losses[0]), float(raws[0]), float(dist_sums[0])
-
     def _loss_indicator_from_raw(self, raw, dist_sum, n_data: int) -> np.ndarray:
         """Loss-error indicators from raw indicators and data-distance sums
         (arrays or scalars); +inf where the reduced system is singular."""
@@ -468,9 +457,15 @@ class Surrogate:
         return np.where(np.isinf(eps_u), np.inf, ind)
 
     def surrogate_loss(self, xi: np.ndarray, observations):
-        """(surrogate loss, loss-error indicator) at xi."""
-        lbar, raw, dist_sum = self._loss_eval_raw(xi, observations)
-        return lbar, float(self._loss_indicator_from_raw(raw, dist_sum, observations.n))
+        """(surrogate loss, loss-error indicator) at xi; raises
+        BasisDegeneracyError where the reduced system is singular."""
+        xi = np.asarray(xi, dtype=float)
+        losses, raws, dist_sums = self._evaluate(xi[None], observations)
+        if np.isnan(losses[0]):
+            raise BasisDegeneracyError(
+                f"singular reduced system in cell {self.nearest_atom(xi)}")
+        return float(losses[0]), float(self._loss_indicator_from_raw(
+            raws[0], dist_sums[0], observations.n))
 
     def loss_fn(self, observations):
         """Surrogate losses at the rows of an (n, M) array (for samplers);
@@ -481,11 +476,14 @@ class Surrogate:
 
     # ----- refinement -----
     def refine_over_particles(self, points: np.ndarray, observations,
-                              e_thre: float) -> RefinementReport:
-        """Greedy refinement until the loss indicator is below e_thre at
-        every particle: repeatedly add an atom at the worst particle."""
-        if e_thre <= 0:
-            raise ValueError("e_thre must be positive")
+                              e_thre) -> RefinementReport:
+        """Greedy refinement until the loss indicator is below the threshold
+        at every particle: repeatedly add an atom at the worst particle.
+
+        ``e_thre`` is the threshold, or a function that returns it from the
+        particles' surrogate losses before refinement; either way the report
+        records the threshold used.
+        """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if points.shape[0] == 0:
             raise ValueError("empty particle set")
@@ -495,6 +493,10 @@ class Surrogate:
         n_data = observations.n
         scaled_pts = self.model.domain.scale(points)
         losses, raws, dist_sums = self._evaluate(points, observations)
+        if callable(e_thre):
+            e_thre = e_thre(losses)
+        if e_thre <= 0:
+            raise ValueError("e_thre must be positive")
 
         def indicators() -> np.ndarray:
             # raw quantities are exact while a particle's cell is untouched;
@@ -537,7 +539,7 @@ class Surrogate:
                     points[idx], observations)
             inds = indicators()
         return RefinementReport(
-            atoms_added=added, e_max_initial=e_initial,
+            atoms_added=added, e_thre=float(e_thre), e_max_initial=e_initial,
             e_max_final=float(np.max(inds)), loss_values=losses,
             indicator_values=inds, saturated=saturated,
         )

@@ -8,9 +8,7 @@ methods.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -76,15 +74,6 @@ class GridPosterior:
             w = self._axis_weights(j)
             out[j] = np.sqrt(max(np.sum(w * dens * (x - mu[j]) ** 2), 0.0))
         return out
-
-    def export_marginal_cdfs(self, path) -> None:
-        with Path(path).open("w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["dimension", "x", "cdf"])
-            for j in range(self.dim):
-                x, cdf = self.marginal_cdf(j)
-                for xv, cv in zip(x, cdf):
-                    w.writerow([j + 1, repr(float(xv)), repr(float(cv))])
 
 
 def grid_posterior(model, domain, weight: float, grid_shape, observations,

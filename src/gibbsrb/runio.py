@@ -13,8 +13,6 @@ import json
 import time
 from pathlib import Path
 
-import numpy as np
-
 PACKAGE_VERSION = "0.1.0"
 
 
@@ -38,8 +36,6 @@ def write_history_csv(path, history) -> None:
 
 
 def write_atoms_csv(path, surrogate) -> None:
-    if surrogate is None:
-        return
     dim = surrogate.model.dim
     with Path(path).open("w", newline="") as fh:
         w = csv.writer(fh)
@@ -66,13 +62,6 @@ def write_cdfs_csv(path, curves) -> None:
         for j, x, c in curves:
             for xv, cv in zip(x, c):
                 w.writerow([j + 1, _fmt(xv), _fmt(cv)])
-
-
-def weighted_cdf_curve(points: np.ndarray, weights: np.ndarray):
-    order = np.argsort(points, kind="stable")
-    x = points[order]
-    c = np.cumsum(weights[order])
-    return x, c / c[-1]
 
 
 def _openblas_functions(action: str, restype, argtypes) -> list:

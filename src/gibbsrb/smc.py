@@ -18,12 +18,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from .domain import ParameterDomain
-from .forward import SolverError
 from .localrb import BasisDegeneracyError, Surrogate
 from .particles import ParticleSet, empirical_moments, ess, log_reweight, reweight
 from .seeding import PHASE_INIT, PHASE_MUTATE, PHASE_RESAMPLE, stream
 
 MIN_DELTA_FRACTION = 1e-10  # accept-anyway floor for the backtracking loop
+E_THRE_FLOOR = 1e-8         # least refinement threshold, in loss units
 
 
 class SmcIterationError(RuntimeError):
@@ -41,12 +41,10 @@ class SmcConfig:
     e_thre_mode: str = "loss_std_fraction"  # or "fixed"
     e_thre_value: float = 1e-3
     e_thre_fraction: float = 0.02
-    e_thre_floor: float = 1e-8
     max_iterations: int = 50
     seed: int = 0
     neighbor_count: int = 5
     atom_budget: int = 2000
-    resampling: str = "multinomial"
 
     def __post_init__(self):
         if self.particles < 2:
@@ -63,8 +61,6 @@ class SmcConfig:
             raise ValueError("proposal mixing must be in [0, 1)")
         if self.e_thre_mode not in ("fixed", "loss_std_fraction"):
             raise ValueError("e_thre mode must be 'fixed' or 'loss_std_fraction'")
-        if self.resampling not in ("multinomial", "systematic"):
-            raise ValueError("resampling must be 'multinomial' or 'systematic'")
         if self.mutation_steps < 0:
             raise ValueError("mutation steps must be >= 0")
 
@@ -92,7 +88,7 @@ class SmcResult:
     particles: ParticleSet
     history: list
     snapshots: list             # particle sets at t = 0..N (start, then per iteration)
-    surrogate: Optional[Surrogate]
+    surrogate: Surrogate
     config: SmcConfig
     wall_time: float = 0.0
     solve_counts: dict = field(default_factory=dict)
@@ -138,18 +134,11 @@ def adapt_step(weights: np.ndarray, losses: np.ndarray, residual_weight: float,
         delta *= backtrack_factor
 
 
-def resample(particles: ParticleSet, rng: np.random.Generator,
-             method: str = "multinomial"):
-    """Draw m ancestors with replacement; returns (uniform-weight set, indices)."""
+def resample(particles: ParticleSet, rng: np.random.Generator):
+    """Draw m ancestors with replacement (multinomial); returns
+    (uniform-weight set, indices)."""
     m = particles.m
-    if method == "multinomial":
-        idx = rng.choice(m, size=m, replace=True, p=particles.weights)
-    elif method == "systematic":
-        positions = (rng.random() + np.arange(m)) / m
-        idx = np.searchsorted(np.cumsum(particles.weights), positions)
-        idx = np.minimum(idx, m - 1)
-    else:
-        raise ValueError(f"unknown resampling method {method!r}")
+    idx = rng.choice(m, size=m, replace=True, p=particles.weights)
     return ParticleSet(particles.points[idx], np.full(m, 1.0 / m),
                        generation=particles.generation + 1), idx
 
@@ -162,7 +151,7 @@ def _log_q(a: np.ndarray, b: np.ndarray, mean: np.ndarray, var: np.ndarray,
     return -0.5 / (1.0 - gamma**2) * np.sum(dev**2 / var, axis=-1)
 
 
-def mutate(particles: ParticleSet, loss_fn: Optional[Callable], domain: ParameterDomain,
+def mutate(particles: ParticleSet, loss_fn: Callable, domain: ParameterDomain,
            w_target: float, moments, config: SmcConfig, master_seed: int,
            iteration: int, current_losses: Optional[np.ndarray] = None):
     """Independent MH chains per particle, invariant for the tempered target.
@@ -179,8 +168,6 @@ def mutate(particles: ParticleSet, loss_fn: Optional[Callable], domain: Paramete
     mean, var = moments
     gamma = config.proposal_mixing
     m = particles.m
-    if loss_fn is None:
-        loss_fn = lambda pts: np.zeros(len(pts))
 
     rngs = [stream(master_seed, PHASE_MUTATE, iteration, i) for i in range(m)]
     x = particles.points.copy()
@@ -234,46 +221,33 @@ def replay_consistency(surrogate: Surrogate, observations, domain: ParameterDoma
     return reweight(init, surrogate_losses(surrogate, init.points, observations), w_t)
 
 
-def _resolve_e_thre(config: SmcConfig, surrogate: Surrogate, points: np.ndarray,
-                    observations) -> float:
+def _resolve_e_thre(config: SmcConfig, losses: np.ndarray) -> float:
+    """Refinement threshold for an iteration whose particles have the
+    surrogate losses ``losses`` before refinement."""
     if config.e_thre_mode == "fixed":
-        return max(config.e_thre_value, config.e_thre_floor)
-    if not surrogate.atoms:
-        surrogate.add_atom(points[0])
-    losses = surrogate.loss_fn(observations)(points)
+        return max(config.e_thre_value, E_THRE_FLOOR)
     vals = losses[~np.isnan(losses)]  # singular points are left out
     spread = float(np.std(vals)) if vals.size else 0.0
-    return max(config.e_thre_fraction * spread, config.e_thre_floor)
+    return max(config.e_thre_fraction * spread, E_THRE_FLOOR)
 
 
 def run_smc(model, observations, config: SmcConfig, *,
-            surrogate: Optional[Surrogate] = None,
-            exact_loss: bool = False) -> SmcResult:
+            surrogate: Optional[Surrogate] = None) -> SmcResult:
     """Full adaptive run from the prior to the requested total weight.
 
     All loss evaluations inside the loop go through the surrogate; the
     high-fidelity model is touched only when the refinement inserts atoms.
-    ``exact_loss=True`` replaces the surrogate with full solves (test mode).
+    ``surrogate`` defaults to a fresh Surrogate; any object with its
+    ``loss_fn``, ``refine_over_particles`` and ``reduced_solves`` serves.
     """
     t0 = time.perf_counter()
     domain = model.domain
     counters0 = model.counters.snapshot()
     particles = init_particles(domain, config.particles, stream(config.seed, PHASE_INIT))
-    if not exact_loss and surrogate is None:
+    if surrogate is None:
         surrogate = Surrogate(model, neighbor_count=config.neighbor_count,
                               atom_budget=config.atom_budget)
-
-    if exact_loss:
-        def loss_fn(points):
-            out = np.full(len(points), np.nan)  # NaN: the solve broke down
-            for i, xi in enumerate(points):
-                try:
-                    out[i] = model.loss(xi, observations)
-                except SolverError:
-                    pass
-            return out
-    else:
-        loss_fn = surrogate.loss_fn(observations)
+    loss_fn = surrogate.loss_fn(observations)
 
     w_total = float(config.total_weight)
     w_cur = 0.0
@@ -287,21 +261,11 @@ def run_smc(model, observations, config: SmcConfig, *,
             raise SmcIterationError(
                 f"max iterations ({config.max_iterations}) reached at W={w_cur:g}")
 
-        if exact_loss:
-            e_thre = float("nan")
-            atoms_added = 0
-            e_max = float("nan")
-            losses = np.array([model.loss(p, observations) for p in particles.points])
-            replay_ess = float("nan")
-        else:
-            e_thre = _resolve_e_thre(config, surrogate, particles.points, observations)
-            report = surrogate.refine_over_particles(particles.points, observations, e_thre)
-            atoms_added = report.atoms_added
-            e_max = report.e_max_final
-            losses = report.loss_values
-            replayed = replay_consistency(surrogate, observations, domain,
-                                          config.particles, config.seed, w_cur)
-            replay_ess = ess(replayed.weights)
+        report = surrogate.refine_over_particles(
+            particles.points, observations, lambda losses: _resolve_e_thre(config, losses))
+        losses = report.loss_values
+        replayed = replay_consistency(surrogate, observations, domain,
+                                      config.particles, config.seed, w_cur)
 
         delta_w, new_weights, ess_val, degenerate = adapt_step(
             particles.weights, losses, w_total - w_cur,
@@ -311,8 +275,7 @@ def run_smc(model, observations, config: SmcConfig, *,
         w_next = w_cur + delta_w
 
         moments = empirical_moments(reweighted, domain)
-        resampled, ancestor_idx = resample(reweighted, stream(config.seed, PHASE_RESAMPLE, t),
-                                           config.resampling)
+        resampled, ancestor_idx = resample(reweighted, stream(config.seed, PHASE_RESAMPLE, t))
         mutated, acc_rate, _ = mutate(
             resampled, loss_fn, domain, w_next, moments, config,
             config.seed, t, current_losses=losses[ancestor_idx])
@@ -320,11 +283,11 @@ def run_smc(model, observations, config: SmcConfig, *,
         counts = model.counters.snapshot()
         history.append(IterationRecord(
             t=t, w_before=w_cur, w_after=w_next, delta_w=delta_w, ess=ess_val,
-            atoms_added=atoms_added, acceptance_rate=acc_rate, e_thre=e_thre,
-            e_max=e_max, losses=losses,
+            atoms_added=report.atoms_added, acceptance_rate=acc_rate,
+            e_thre=report.e_thre, e_max=report.e_max_final, losses=losses,
             full_solves=counts["full"] - counters0["full"],
-            reduced_solves=surrogate.reduced_solves if surrogate else 0,
-            replay_ess=replay_ess, degenerate=degenerate))
+            reduced_solves=surrogate.reduced_solves,
+            replay_ess=ess(replayed.weights), degenerate=degenerate))
         particles = mutated
         w_cur = w_next
         snapshots.append(particles.copy())

@@ -152,9 +152,12 @@ def test_shipped_configs_parse():
 
 
 def test_stale_indicator_key_rejected():
-    # smc.indicator is no longer an option; a config that still sets it must
-    # fail rather than silently run the one remaining indicator
+    # smc.indicator, smc.resampling and smc.e_thre_floor are no longer
+    # options; a config that still sets one must fail rather than silently
+    # run without it
     from gibbsrb.config import RunConfig
 
-    with pytest.raises(TypeError, match="indicator"):
-        RunConfig.from_dict({"smc": {"indicator": "sigma_min"}})
+    for key, value in [("indicator", "sigma_min"), ("resampling", "systematic"),
+                       ("e_thre_floor", 1e-6)]:
+        with pytest.raises(TypeError, match=key):
+            RunConfig.from_dict({"smc": {key: value}})

@@ -12,6 +12,8 @@ from gibbsrb.oracle import grid_posterior
 from gibbsrb.particles import ParticleSet
 from gibbsrb.smc import SmcConfig, init_particles, run_smc
 
+from exact_loss import ExactLoss
+
 
 def uniform_domain(dim=2):
     return ParameterDomain(np.zeros(dim), np.ones(dim))
@@ -133,7 +135,7 @@ def test_bound_suite_passes_on_shipped_config(preset, nx):
 
 def test_bound_suite_exact_mode_all_zero(adv1d_model, adv1d_obs):
     cfg = SmcConfig(particles=30, total_weight=4.0, seed=2)
-    result = run_smc(adv1d_model, adv1d_obs, cfg, exact_loss=True)
+    result = run_smc(adv1d_model, adv1d_obs, cfg, surrogate=ExactLoss(adv1d_model))
     report = bound_suite(result, adv1d_model, adv1d_obs, seed=2)
     assert report.passed
     for row in report.iterations:

@@ -25,7 +25,7 @@ CLI_DIGESTS = {
     "atoms.csv":
         "bfae205f6e37e2d4d6b34f5365ab63281e3ab328e87d3f7903696cd756ab698b",
 }
-LOSS_STD_FRACTION_DIGEST = "9c8812fa53546d86e5405a04803ab92aff9eb483a9939dc8d747ee40efff010a"
+LOSS_STD_FRACTION_DIGEST = "40ea7bf0bb143f6917aa22bb7f63b4b64f42391622d74d12117f9bf3866d4356"
 ADV2D_DIGEST = "4427d1422d73e599193ca12d5ee0f37ef2f0f2323f3f7b616c184fc441585999"
 
 

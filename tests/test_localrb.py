@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from gibbsrb import ObservationSet, Surrogate, assemble, gen_data, localrb
-from gibbsrb.localrb import (CALIBRATION_QUANTILE, CALIBRATION_WINDOW,
-                             AtomBudgetError, BasisDegeneracyError,
+from gibbsrb.localrb import (CALIBRATION_QUANTILE, CALIBRATION_SAFETY,
+                             CALIBRATION_WINDOW, AtomBudgetError, BasisDegeneracyError,
                              DuplicateAtomError, fd_gradient_check)
 
 
@@ -190,7 +190,6 @@ def test_loss_indicator_quadratic_bound_arithmetic():
     stub = S.__new__(S)
     stub.model = _Stub()
     stub._obs_norm = 1.0
-    stub.calibration_safety = 1.0
     stub._ratios = []
     stub._ratio_quantile = None
     observed = np.array([2.0, 0.0])
@@ -263,12 +262,12 @@ def test_atom_budget(adv1d_model, adv1d_obs):
 
 def _fresh_stability(s):
     recent = s._ratios[-CALIBRATION_WINDOW:]
-    return s.calibration_safety * float(np.percentile(recent, CALIBRATION_QUANTILE))
+    return CALIBRATION_SAFETY * float(np.percentile(recent, CALIBRATION_QUANTILE))
 
 
 def test_cached_stability_constant_tracks_insertions(adv1d_model):
     s = Surrogate(adv1d_model)
-    assert s.stability_constant == s.calibration_safety
+    assert s.stability_constant == CALIBRATION_SAFETY
     rng = np.random.default_rng(12)
     for xi in rng.random((12, 2)):
         s.add_atom(xi)
@@ -349,9 +348,11 @@ def test_batched_evaluation_bit_equal_to_one_point_forms(preset, request):
     for p, row in zip(pts[:40], ref[:40]):
         if np.isnan(row[0]):
             with pytest.raises(BasisDegeneracyError):
-                s._loss_eval_raw(p, obs)
+                s.surrogate_loss(p, obs)
         else:
-            assert s._loss_eval_raw(p, obs) == tuple(row)
+            lbar, eps_l = s.surrogate_loss(p, obs)
+            assert lbar == row[0]
+            assert eps_l == s._loss_indicator_from_raw(row[1], row[2], obs.n)
     assert np.array_equal(s.loss_fn(obs)(pts), losses, equal_nan=True)
 
 

@@ -10,9 +10,15 @@ from gibbsrb.seeding import PHASE_INIT, stream
 from gibbsrb.smc import (SmcConfig, SmcIterationError, adapt_step, init_particles,
                          mutate, replay_consistency, resample, run_smc)
 
+from exact_loss import ExactLoss
+
 
 def uniform_domain(dim=2):
     return ParameterDomain(np.zeros(dim), np.ones(dim))
+
+
+def zero_loss(points):
+    return np.zeros(len(points))
 
 
 # ----- configuration validation -----
@@ -160,16 +166,6 @@ def test_resample_seed_determinism():
     assert np.array_equal(ia, ib)
 
 
-def test_systematic_resampling_counts():
-    m = 8
-    w = np.array([0.5, 0.3, 0.1, 0.02, 0.02, 0.02, 0.02, 0.02])
-    ps = ParticleSet(np.arange(m, dtype=float)[:, None], w)
-    _, idx = resample(ps, np.random.default_rng(3), method="systematic")
-    counts = np.bincount(idx, minlength=m)
-    # systematic resampling keeps counts within 1 of m * w
-    assert np.all(np.abs(counts - m * w) <= 1.0)
-
-
 # ----- mutation -----
 
 def test_mutate_gamma_near_one_is_immobile():
@@ -178,7 +174,7 @@ def test_mutate_gamma_near_one_is_immobile():
     ps = ParticleSet(0.2 + 0.6 * rng.random((30, 2)), np.full(30, 1 / 30))
     cfg = SmcConfig(particles=30, proposal_mixing=0.9999, mutation_steps=4)
     moments = (np.full(2, 0.5), np.full(2, 0.05))
-    out, rate, _ = mutate(ps, None, dom, 0.0, moments, cfg, 0, 1)
+    out, rate, _ = mutate(ps, zero_loss, dom, 0.0, moments, cfg, 0, 1)
     assert rate > 0.95  # near-identity proposals are almost surely accepted
     assert np.max(np.abs(out.points - ps.points)) < 0.02
 
@@ -192,7 +188,7 @@ def test_mutate_zero_weight_uniform_prior_moments():
     ps = init_particles(dom, m, np.random.default_rng(2))
     moments = empirical_moments(ps, dom)
     cfg = SmcConfig(particles=m, proposal_mixing=0.5, mutation_steps=60)
-    out, rate, _ = mutate(ps, None, dom, 0.0, moments, cfg, 3, 1)
+    out, rate, _ = mutate(ps, zero_loss, dom, 0.0, moments, cfg, 3, 1)
     se_mean = np.sqrt(1.0 / 12.0 / m)
     for j in range(2):
         assert abs(out.points[:, j].mean() - moments[0][j]) < 3 * se_mean
@@ -231,7 +227,7 @@ def test_mutate_rejects_outside_support():
     ps = ParticleSet(pts, np.full(20, 0.05))
     cfg = SmcConfig(particles=20, proposal_mixing=0.0, mutation_steps=30)
     moments = (np.array([0.0]), np.array([0.5]))  # proposals often negative
-    out, _, _ = mutate(ps, None, dom, 0.0, moments, cfg, 5, 1)
+    out, _, _ = mutate(ps, zero_loss, dom, 0.0, moments, cfg, 5, 1)
     assert np.all(out.points >= 0.0)
     assert np.all(out.points <= 1.0)
 
@@ -414,6 +410,28 @@ def test_lu_factorization_count_repeats(adv1d_obs, monkeypatch):
     assert counts[0]["stability"] > 0
 
 
+def test_loss_std_fraction_scores_each_cloud_once(adv1d_model, adv1d_obs, monkeypatch):
+    # the threshold comes from refinement's first pass over the cloud, so the
+    # surrogate of an iteration's start scores that iteration's cloud once
+    seen = []
+    evaluate = Surrogate._evaluate
+
+    def spy(self, points, observations):
+        seen.append((np.array(points), self.n_atoms))
+        return evaluate(self, points, observations)
+
+    monkeypatch.setattr(Surrogate, "_evaluate", spy)
+    cfg = SmcConfig(particles=24, total_weight=6.0, seed=13, mutation_steps=3,
+                    e_thre_mode="loss_std_fraction")
+    res = run_smc(adv1d_model, adv1d_obs, cfg)
+    assert res.iterations >= 2
+    atoms = 1  # the first refinement seeds one atom before it scores
+    for rec, start in zip(res.history, res.snapshots):
+        scored = [n for pts, n in seen if np.array_equal(pts, start.points)]
+        assert scored.count(atoms) == 1, rec.t
+        atoms += rec.atoms_added
+
+
 def test_run_smc_iteration_cap(adv1d_model, adv1d_obs):
     cfg = SmcConfig(particles=16, total_weight=1e9, max_iterations=2, seed=5,
                     e_thre_mode="fixed", e_thre_value=1e-2)
@@ -471,7 +489,7 @@ def test_replay_costs_no_full_solves(adv1d_model, adv1d_obs):
     assert adv1d_model.counters.snapshot()["full"] == before
 
 
-# ----- Monte Carlo rate of the full pipeline (exact-loss test mode) -----
+# ----- Monte Carlo rate of the full pipeline (exact losses) -----
 
 @pytest.mark.slow
 def test_exact_mode_mc_rate_improves_with_particles(adv1d_model, adv1d_obs):
@@ -485,8 +503,10 @@ def test_exact_mode_mc_rate_improves_with_particles(adv1d_model, adv1d_obs):
                           mutation_steps=3)
         cfg_b = SmcConfig(particles=160, total_weight=4.0, seed=200 + seed,
                           mutation_steps=3)
-        runs_small.append(run_smc(adv1d_model, adv1d_obs, cfg_s, exact_loss=True).particles)
-        runs_big.append(run_smc(adv1d_model, adv1d_obs, cfg_b, exact_loss=True).particles)
+        runs_small.append(run_smc(adv1d_model, adv1d_obs, cfg_s,
+                                  surrogate=ExactLoss(adv1d_model)).particles)
+        runs_big.append(run_smc(adv1d_model, adv1d_obs, cfg_b,
+                                surrogate=ExactLoss(adv1d_model)).particles)
     h_small = h_proxy(runs_small, post, adv1d_model.domain)
     h_big = h_proxy(runs_big, post, adv1d_model.domain)
     assert h_small / h_big >= 1.5
