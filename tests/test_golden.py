@@ -5,13 +5,18 @@ a deliberate change of the numbers updates these digests and says why in
 CHANGES.md.
 """
 
+import csv
 import hashlib
+import json
 
 import numpy as np
+import pytest
 
 from gibbsrb import assemble, gen_data
 from gibbsrb.cli import main
+from gibbsrb.mcmc import run_rwmh
 from gibbsrb.smc import SmcConfig, run_smc
+from gibbsrb.weights import gaussian_reference
 
 from test_cli import TINY_SMC
 
@@ -28,18 +33,47 @@ CLI_DIGESTS = {
 LOSS_STD_FRACTION_DIGEST = "40ea7bf0bb143f6917aa22bb7f63b4b64f42391622d74d12117f9bf3866d4356"
 ADV2D_DIGEST = "4427d1422d73e599193ca12d5ee0f37ef2f0f2323f3f7b616c184fc441585999"
 
+# The work each golden run does: per iteration the atoms added, the cumulative
+# full solves and the cumulative reduced solves; then the iteration count and
+# the run's solve counts.  A change of linear solver moves the last bits of
+# the floats but must leave these unchanged.
+CLI_WORK = ([16, 4, 0], [17, 21, 21], [435, 651, 801], 3,
+            {"full": 21, "sensitivity": 42, "stability": 0})
+LOSS_STD_FRACTION_WORK = ([5, 2, 2, 0], [6, 8, 10, 10], [208, 363, 526, 645], 4,
+                          {"full": 10, "sensitivity": 20, "stability": 0})
+ADV2D_WORK = ([18, 15, 12, 8, 2], [19, 34, 46, 54, 56], [353, 590, 786, 955, 1097], 5,
+              {"full": 56, "sensitivity": 168, "stability": 0})
+# fixed-seed adv1d RWMH chain: sha256 of its samples, acceptance, full solves
+RWMH_CHAIN = ("a6e4256c14d0461f9b8e4ebc61b394ef6662d59da08ee538fc18340244e373f7",
+              0.085, 286)
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def test_run_smc_cli_artifacts_golden(tmp_path):
-    config = tmp_path / "tiny.yaml"
+@pytest.fixture(scope="module")
+def cli_run(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("golden")
+    config = tmp / "tiny.yaml"
     config.write_text(TINY_SMC)
-    out = tmp_path / "run"
+    out = tmp / "run"
     assert main(["run-smc", "--config", str(config), "--seed", "7", "--out", str(out)]) == 0
-    got = {name: _sha((out / name).read_bytes()) for name in CLI_DIGESTS}
+    return out
+
+
+def test_run_smc_cli_artifacts_golden(cli_run):
+    got = {name: _sha((cli_run / name).read_bytes()) for name in CLI_DIGESTS}
     assert got == CLI_DIGESTS
+
+
+def test_run_smc_cli_work_golden(cli_run):
+    with (cli_run / "history.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
+    manifest = json.loads((cli_run / "manifest.json").read_text())
+    got = tuple([int(r[k]) for r in rows] for k in ("atoms_added", "full_solves",
+                                                     "reduced_solves"))
+    assert got + (len(rows), manifest["solve_counts"]) == CLI_WORK
 
 
 def _result_digest(res) -> str:
@@ -53,17 +87,50 @@ def _result_digest(res) -> str:
     return h.hexdigest()
 
 
-def test_run_smc_loss_std_fraction_golden(adv1d_model, adv1d_obs):
+def _work(res) -> tuple:
+    return ([rec.atoms_added for rec in res.history], [rec.full_solves for rec in res.history],
+            [rec.reduced_solves for rec in res.history], len(res.history), res.solve_counts)
+
+
+@pytest.fixture(scope="module")
+def loss_std_fraction_run(adv1d_model, adv1d_obs):
     # the default e_thre_mode, which adv2d and both elast configs use
     cfg = SmcConfig(particles=24, total_weight=6.0, seed=13, mutation_steps=3,
                     e_thre_mode="loss_std_fraction")
-    assert _result_digest(run_smc(adv1d_model, adv1d_obs, cfg)) == LOSS_STD_FRACTION_DIGEST
+    return run_smc(adv1d_model, adv1d_obs, cfg)
 
 
-def test_run_smc_adv2d_calibrated_fixed_golden():
+@pytest.fixture(scope="module")
+def adv2d_run():
     # two operator and two rhs terms, 18-column residual factors
     model = assemble("adv2d", {"nx": 12})
     obs = gen_data(model, noise_pct=0.10, n=2, seed=3)
     cfg = SmcConfig(particles=24, total_weight=6.0, seed=17, mutation_steps=3,
                     e_thre_mode="fixed", e_thre_value=1e-3)
-    assert _result_digest(run_smc(model, obs, cfg)) == ADV2D_DIGEST
+    return run_smc(model, obs, cfg)
+
+
+def test_run_smc_loss_std_fraction_golden(loss_std_fraction_run):
+    assert _result_digest(loss_std_fraction_run) == LOSS_STD_FRACTION_DIGEST
+
+
+def test_run_smc_loss_std_fraction_work_golden(loss_std_fraction_run):
+    assert _work(loss_std_fraction_run) == LOSS_STD_FRACTION_WORK
+
+
+def test_run_smc_adv2d_calibrated_fixed_golden(adv2d_run):
+    assert _result_digest(adv2d_run) == ADV2D_DIGEST
+
+
+def test_run_smc_adv2d_work_golden(adv2d_run):
+    assert _work(adv2d_run) == ADV2D_WORK
+
+
+def test_run_rwmh_chain_golden(adv1d_obs):
+    # the proposals do not depend on the solver; a solver change moves the
+    # chain only if it flips an accept decision
+    model = assemble("adv1d", {"cells": 128})
+    chain = run_rwmh(model, adv1d_obs, gaussian_reference(adv1d_obs.eps_std),
+                     n_samples=300, burn_in=100, step_scale=0.2, seed=5)
+    got = (_sha(chain.samples.tobytes()), chain.acceptance_rate, chain.full_solves)
+    assert got == RWMH_CHAIN
