@@ -119,7 +119,9 @@ def select_weight(grid: np.ndarray, objectives: np.ndarray, n_effective: int,
     S = config.stabilizer
     n = n_effective
     w_final = S / (S + n - 1) * w_ref + (n - 1) / (S + n - 1) * w_opt
-    return float(w_final), w_opt
+    # the rounded blend can land an ulp outside its endpoints
+    lo, hi = min(w_ref, w_opt), max(w_ref, w_opt)
+    return min(max(float(w_final), lo), hi), w_opt
 
 
 def evaluate_grid_via_smc(model, observations, config: WeightSelectionConfig,

@@ -121,6 +121,23 @@ def test_final_weight_between_ref_and_opt():
         assert min(w_ref, w_opt) - 1e-12 <= w <= max(w_ref, w_opt) + 1e-12
 
 
+def test_final_weight_within_bounds_exactly():
+    cfg = WeightSelectionConfig()
+    # the unclamped blend gives 1.4292804535287638 here
+    eps, n = 0.5914612202490918, 34
+    w_ref = gaussian_reference(eps)
+    assert select_weight(np.array([w_ref]), np.zeros(1), n, eps, cfg)[0] == w_ref
+    rng = np.random.default_rng(5)
+    for _ in range(2000):
+        eps = 0.05 + rng.random()
+        n = int(rng.integers(1, 100))
+        w_ref = gaussian_reference(eps)
+        assert select_weight(np.array([w_ref]), np.zeros(1), n, eps, cfg)[0] == w_ref
+        grid = np.array([w_ref * rng.uniform(0.02, 50.0)])
+        w, w_opt = select_weight(grid, np.zeros(1), n, eps, cfg)
+        assert min(w_ref, w_opt) <= w <= max(w_ref, w_opt)
+
+
 def test_grid_of_one_equals_single_smc_run(adv1d_model):
     data = gen_data(adv1d_model, noise_pct=0.1, n=4, seed=3)
     wcfg = WeightSelectionConfig(range_factor=1.0001, grid_size=1)
