@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betainc, betaln, xlog1py, xlogy
 
 
 @dataclass(frozen=True)
@@ -82,6 +81,8 @@ class ParameterDomain:
                 if spec.kind == "uniform":
                     lp[inside] += -np.log(w)
                     continue
+                from scipy.special import betaln, xlog1py, xlogy  # beta priors only
+
                 z = (pts[inside, j] - lo) / w
                 term = xlog1py(spec.q - 1.0, -z) + xlogy(spec.p - 1.0, z)
                 term -= betaln(spec.p, spec.q)
@@ -95,7 +96,11 @@ class ParameterDomain:
     def marginal_cdf(self, j: int, x: np.ndarray) -> np.ndarray:
         spec = self.priors[j]
         z = np.clip((np.asarray(x, dtype=float) - self.lower[j]) / self.widths[j], 0.0, 1.0)
-        return z if spec.kind == "uniform" else betainc(spec.p, spec.q, z)
+        if spec.kind == "uniform":
+            return z
+        from scipy.special import betainc  # beta priors only
+
+        return betainc(spec.p, spec.q, z)
 
     def marginal_mean_var(self, j: int) -> tuple[float, float]:
         spec = self.priors[j]

@@ -145,10 +145,20 @@ def test_marginal_cdf_and_moments_match_scipy(spec):
         assert var == pytest.approx(ref.var(), rel=1e-12, abs=1e-12)
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    code = "import sys, gibbsrb; print('scipy.stats' in sys.modules)"
+def _fresh_python(code: str) -> str:
     src = str(Path(gibbsrb.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    assert _fresh_python("import sys, gibbsrb; print('scipy.stats' in sys.modules)") == "False"
+
+
+def test_uniform_prior_leaves_scipy_special_unloaded():
+    code = ("import sys, numpy as np, gibbsrb; m = gibbsrb.assemble('adv1d', {}); "
+            "m.domain.log_pdf(m.domain.sample(5, np.random.default_rng(0))); "
+            "print('scipy.special' in sys.modules)")
+    assert _fresh_python(code) == "False"
