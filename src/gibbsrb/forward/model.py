@@ -4,17 +4,20 @@ A model is A(xi) u = f(xi) with A(xi) = sum_p theta_p(xi) A_p and
 f(xi) = sum_q phi_q(xi) f_q, plus an observation matrix mapping the state
 to measurement channels and a loss kind tying predictions to data.  The
 coefficients are affine in xi, theta(xi) = theta_0 + xi @ d theta / d xi,
-and A(xi) is assembled into one sparsity pattern fixed at construction.
+and A(xi) is assembled into a band fixed at construction, then factorized by
+LAPACK's band LU with partial pivoting (dgbtrf/dgbtrs).
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 LOSS_KINDS = ("squared_l2", "l1", "l2")
 
@@ -41,17 +44,20 @@ class SolveCounters:
                 "stability": self.stability}
 
 
-def _stack_terms(terms: list, n: int):
-    """Union CSC pattern (indices, indptr) of the square terms, and each
-    term's values on it as a (P, nnz) array with zeros where it has no entry.
+def _band_terms(terms: list, n: int):
+    """Band half-widths (kl, ku) of the terms' union pattern, each union
+    entry's position in the column-major (kl + ku + 1, n) band, and each
+    term's values on the union as a (P, nnz) array with zeros where it has
+    no entry.
 
-    Explicit zeros are dropped first, as scipy's sparse sum drops them.
+    Band row ku + i - j holds A[i, j] in column j.  That is the data of a
+    DIA array with offsets ku, ..., -kl, and rows kl .. 2 kl + ku of
+    LAPACK's dgbtrf storage.
     """
     keys, values = [], []
     for T in terms:
         T = sp.csc_matrix(T, copy=True)
         T.sum_duplicates()
-        T.eliminate_zeros()
         cols = np.repeat(np.arange(n, dtype=np.int64), np.diff(T.indptr))
         keys.append(cols * n + T.indices)  # column-major, the CSC order
         values.append(T.data)
@@ -59,10 +65,23 @@ def _stack_terms(terms: list, n: int):
     stacked = np.zeros((len(terms), union.size))
     for p, (k, v) in enumerate(zip(keys, values)):
         stacked[p, np.searchsorted(union, k)] = v
-    idx = np.int32 if max(n, union.size) < 2**31 else np.int64
-    indices = (union % n).astype(idx)
-    indptr = np.searchsorted(union // n, np.arange(n + 1)).astype(idx)
-    return indices, indptr, stacked
+    cols, rows = union // n, union % n
+    kl, ku = int(max(0, np.max(rows - cols))), int(max(0, np.max(cols - rows)))
+    return kl, ku, cols * (kl + ku + 1) + ku + rows - cols, stacked
+
+
+class BandLU:
+    """LU factors of a band matrix from dgbtrf, in LAPACK band storage."""
+
+    def __init__(self, lu: np.ndarray, piv: np.ndarray, kl: int, ku: int):
+        self.lu, self.piv, self.kl, self.ku = lu, piv, kl, ku
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """A^{-1} b for a vector or an (n, k) array of columns (dgbtrs);
+        each column's result does not depend on the other columns."""
+        b = np.asarray(b, dtype=float)
+        x, _ = dgbtrs(self.lu, self.kl, self.ku, b.reshape(b.shape[0], -1), self.piv)
+        return x.reshape(b.shape)
 
 
 @dataclass
@@ -106,8 +125,11 @@ class ForwardModel:
         if shapes != ((P,), (M, P), (Q,), (M, Q)):
             raise ValueError(f"coefficient arrays need shapes {((P,), (M, P), (Q,), (M, Q))}, "
                              f"got {shapes}")
-        self._indices, self._indptr, self._term_values = _stack_terms(
+        self._kl, self._ku, self._band_positions, self._term_values = _band_terms(
             self.operator_terms, self.n_dof)
+        n, width = self.n_dof, self._kl + self._ku + 1
+        self._band_template = sp.dia_array(
+            (np.zeros((width, n)), np.arange(self._ku, -self._kl - 1, -1)), shape=(n, n))
 
     @property
     def n_dof(self) -> int:
@@ -132,24 +154,25 @@ class ForwardModel:
         return (self.operator_coeff_offsets + xi @ self.operator_coeff_grads,
                 self.rhs_coeff_offsets + xi @ self.rhs_coeff_grads)
 
-    def operator_at(self, xi: np.ndarray) -> sp.csc_matrix:
-        """A(xi) on the fixed pattern.
+    def operator_at(self, xi: np.ndarray) -> sp.dia_array:
+        """A(xi) as a DIA array whose data is the column-major band.
 
         Term by term in order, so every entry is the same float as in the
-        chained sparse sum theta_0 A_0 + theta_1 A_1 + ...; entries that sum
-        to exactly zero are dropped, as that sum drops them.  Every returned
-        matrix shares the model's index arrays: do not change them in place.
+        chained sparse sum theta_0 A_0 + theta_1 A_1 + ...; entries outside
+        the terms' union pattern are zero.  Every returned array shares the
+        model's offsets array: do not change it in place.
         """
         theta, _ = self.coefficients(xi)
-        data = theta[0] * self._term_values[0]
-        for t, values in zip(theta[1:], self._term_values[1:]):
-            data += t * values
-        indices, indptr = self._indices, self._indptr
-        keep = data != 0.0
-        if not keep.all():
-            kept = np.concatenate([[0], np.cumsum(keep)])
-            data, indices, indptr = data[keep], indices[keep], kept[indptr]
-        return sp.csc_matrix((data, indices, indptr), shape=(self.n_dof, self.n_dof))
+        values = theta[0] * self._term_values[0]
+        for t, v in zip(theta[1:], self._term_values[1:]):
+            values += t * v
+        band_t = np.zeros((self.n_dof, self._kl + self._ku + 1))  # the band, transposed
+        band_t.flat[self._band_positions] = values
+        # a shallow copy skips the constructor's format checks, which cost
+        # more than the assembly itself on small models
+        A = copy.copy(self._band_template)
+        A.data = band_t.T
+        return A
 
     def rhs_at(self, xi: np.ndarray) -> np.ndarray:
         _, phi = self.coefficients(xi)
@@ -158,17 +181,18 @@ class ForwardModel:
             f += c * term
         return f
 
-    def factorize(self, xi: np.ndarray) -> tuple[sp.csc_matrix, spla.SuperLU]:
-        """(A(xi), its sparse LU factorization); uncached."""
+    def factorize(self, xi: np.ndarray) -> tuple[sp.dia_array, BandLU]:
+        """(A(xi), its band LU factorization with partial pivoting); uncached."""
         A = self.operator_at(xi)
-        try:
-            # structurally symmetric FEM/FD matrices: symmetric ordering
-            lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A")
-        except RuntimeError as exc:  # SuperLU signals singularity this way
-            raise SolverError(f"operator factorization failed at xi={xi}") from exc
-        return A, lu
+        kl, ku = self._kl, self._ku
+        ab = np.zeros((2 * kl + ku + 1, self.n_dof), order="F")  # kl rows for fill-in
+        ab[kl:] = A.data
+        lu, piv, info = dgbtrf(ab, kl, ku, overwrite_ab=True)
+        if info != 0:
+            raise SolverError(f"operator factorization failed at xi={xi}: dgbtrf info {info}")
+        return A, BandLU(lu, piv, kl, ku)
 
-    def _factorize(self, xi: np.ndarray) -> tuple[sp.csc_matrix, spla.SuperLU]:
+    def _factorize(self, xi: np.ndarray) -> tuple[sp.dia_array, BandLU]:
         """factorize(xi), reusing the result of the last call at the same xi."""
         key = np.asarray(xi, dtype=float).tobytes()
         hit = self._lu_cache.get("last")

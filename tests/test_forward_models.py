@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse as sp
 
 from gibbsrb import ObservationSet, assemble, gen_data
+from gibbsrb.domain import ParameterDomain
 from gibbsrb.forward.model import ForwardModel, SolverError
 
 from conftest import analytic_adv1d
@@ -122,12 +123,12 @@ def test_operator_at_bit_equal_to_chained_sparse_sum(preset, mesh):
         ref = theta[0] * model.operator_terms[0]
         for t, term in zip(theta[1:], model.operator_terms[1:]):
             ref = ref + t * term
-        ref = sp.csc_matrix(ref)
-        A = model.operator_at(xi)
-        assert np.array_equal(A.indptr, ref.indptr)
-        assert np.array_equal(A.indices, ref.indices)
-        assert A.data.tobytes() == ref.data.tobytes()
-        nnz.append(A.nnz)
+        ref = sp.coo_matrix(ref)
+        dense = model.operator_at(xi).toarray()
+        assert dense[ref.row, ref.col].tobytes() == ref.data.tobytes()
+        dense[ref.row, ref.col] = 0.0
+        assert not dense.any()
+        nnz.append(ref.nnz)
     if preset.startswith("elast"):
         # equal moduli cancel interface entries, which the sum drops
         assert min(nnz) < max(nnz)
@@ -175,6 +176,40 @@ def test_solve_residual_and_determinism(adv1d_model):
     A = adv1d_model.operator_at(xi)
     f = adv1d_model.rhs_at(xi)
     assert np.linalg.norm(f - A @ u1) <= 1e-10 * np.linalg.norm(f)
+
+
+def _two_by_two_model():
+    """A(xi) = [[1, 1], [1, xi]], singular at xi = 1; f = (0, 1e308)."""
+    return ForwardModel(
+        name="two_by_two",
+        operator_terms=[sp.csc_matrix([[1.0, 1.0], [1.0, 0.0]]),
+                        sp.csc_matrix([[0.0, 0.0], [0.0, 1.0]])],
+        operator_coeff_offsets=np.array([1.0, 0.0]),
+        operator_coeff_grads=np.array([[0.0, 1.0]]),
+        rhs_terms=[np.array([0.0, 1e308])],
+        rhs_coeff_offsets=np.array([1.0]),
+        rhs_coeff_grads=np.zeros((1, 1)),
+        obs_matrix=sp.csr_matrix(np.eye(2)),
+        loss_kind="squared_l2",
+        domain=ParameterDomain(lower=np.array([0.0]), upper=np.array([1.0])),
+        mesh={},
+        truth_default=np.array([0.5]),
+    )
+
+
+def test_singular_operator_raises_from_factorize():
+    model = _two_by_two_model()
+    model.factorize(np.array([0.5]))
+    with pytest.raises(SolverError, match="factorization failed"):
+        model.factorize(np.array([1.0]))
+
+
+def test_non_finite_solve_raises_from_residual_check():
+    # pivot xi - 1 = -2**-52: the solve overflows to inf and the residual is NaN
+    model = _two_by_two_model()
+    with pytest.raises(SolverError, match="residual nan"):
+        model.solve_full(np.array([1.0 - 2.0**-52]))
+    assert model.counters.full == 0
 
 
 def test_solve_outside_box(adv1d_model):

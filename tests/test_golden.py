@@ -22,16 +22,16 @@ from test_cli import TINY_SMC
 
 CLI_DIGESTS = {
     "particles.csv":
-        "f876c124d4682c47a370d7da2189a4984deae499533c0239883df1bcc6181404",
+        "d03538eaf834c0c1a1eb600a2a4408e4ed616062105b0b1018a431b41b6b25c3",
     "history.csv":
-        "973da7829cc3e1881b044646c9ab43175a765e1b56ec21c27822ecf618f09372",
+        "d73b8083c71682cc24e1c59f46aba558872333a56d416f0fceb7bed7b0c14bcf",
     "iteration_losses.csv":
-        "89f638f5ad29cc0558a5175dd32b804d3e06f8a79b2257f32386b115a648ee89",
+        "1d66c619389446eb658bee804fdf6f105f9e8d659c8da2fdfc382e5979755481",
     "atoms.csv":
-        "bfae205f6e37e2d4d6b34f5365ab63281e3ab328e87d3f7903696cd756ab698b",
+        "db719334d079920493d791f0fe2d54be4f5bd696ad5955b28d86b9b8cca06a2f",
 }
-LOSS_STD_FRACTION_DIGEST = "40ea7bf0bb143f6917aa22bb7f63b4b64f42391622d74d12117f9bf3866d4356"
-ADV2D_DIGEST = "4427d1422d73e599193ca12d5ee0f37ef2f0f2323f3f7b616c184fc441585999"
+LOSS_STD_FRACTION_DIGEST = "3a84682c80abaca8b5f169b57e43bb448c644e2945ede96aea6155e34bb017d8"
+ADV2D_DIGEST = "178d7d0b90abd821d6b2e125cf3b32e9f3d9f23b9be9a675359209080091e2b1"
 
 # The work each golden run does: per iteration the atoms added, the cumulative
 # full solves and the cumulative reduced solves; then the iteration count and
