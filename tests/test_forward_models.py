@@ -232,6 +232,19 @@ def test_adv2d_sensitivity_is_scaled_source_response(adv2d_small):
     assert np.linalg.norm(sens[:, 1] - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
+@pytest.mark.parametrize("fixture", ["adv1d_model", "adv2d_small", "elast_small"])
+def test_band_solve_columns_independent(fixture, request):
+    # a cell rebuild may solve only some of its columns and reuse the rest
+    model = request.getfixturevalue(fixture)
+    _, lu = model.factorize(model.domain.sample(1, np.random.default_rng(1))[0])
+    B = np.random.default_rng(2).standard_normal((model.n_dof, 30))
+    full = lu.solve(B)
+    for k in (1, 5, 11):
+        assert lu.solve(B[:, :k]).tobytes() == full[:, :k].tobytes()
+    for j in range(B.shape[1]):
+        assert lu.solve(B[:, j]).tobytes() == full[:, j].tobytes()
+
+
 @pytest.mark.parametrize("preset,mesh,n_pts", [
     ("adv1d", {"cells": 64}, 8),
     ("adv2d", {"nx": 12}, 6),

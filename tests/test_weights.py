@@ -118,10 +118,10 @@ def test_final_weight_between_ref_and_opt():
         n = int(rng.integers(1, 40))
         w, w_opt = select_weight(grid, objs, n, eps, cfg)
         w_ref = gaussian_reference(eps)
-        assert min(w_ref, w_opt) - 1e-12 <= w <= max(w_ref, w_opt) + 1e-12
+        assert min(w_ref, w_opt) <= w <= max(w_ref, w_opt)
 
 
-def test_final_weight_within_bounds_exactly():
+def test_grid_of_one_returns_reference_exactly():
     cfg = WeightSelectionConfig()
     # the unclamped blend gives 1.4292804535287638 here
     eps, n = 0.5914612202490918, 34
@@ -133,9 +133,6 @@ def test_final_weight_within_bounds_exactly():
         n = int(rng.integers(1, 100))
         w_ref = gaussian_reference(eps)
         assert select_weight(np.array([w_ref]), np.zeros(1), n, eps, cfg)[0] == w_ref
-        grid = np.array([w_ref * rng.uniform(0.02, 50.0)])
-        w, w_opt = select_weight(grid, np.zeros(1), n, eps, cfg)
-        assert min(w_ref, w_opt) <= w <= max(w_ref, w_opt)
 
 
 def test_grid_of_one_equals_single_smc_run(adv1d_model):
