@@ -105,10 +105,9 @@ class ForwardModel:
     domain: "ParameterDomain"
     mesh: dict
     truth_default: np.ndarray
-    direct_assemble: Optional[Callable] = None
+    direct_assemble: Optional[Callable] = None  # xi -> A(xi); the tests' reference
     obs_names: list = field(default_factory=list)
     counters: SolveCounters = field(default_factory=SolveCounters)
-    _lu_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.loss_kind not in LOSS_KINDS:
@@ -182,7 +181,10 @@ class ForwardModel:
         return f
 
     def factorize(self, xi: np.ndarray) -> tuple[sp.dia_array, BandLU]:
-        """(A(xi), its band LU factorization with partial pivoting); uncached."""
+        """(A(xi), its band LU factorization with partial pivoting); raises
+        ValueError outside the parameter box, before assembling anything."""
+        if not bool(self.domain.contains(np.atleast_2d(xi))[0]):
+            raise ValueError(f"xi={xi} outside the parameter box")
         A = self.operator_at(xi)
         kl, ku = self._kl, self._ku
         ab = np.zeros((2 * kl + ku + 1, self.n_dof), order="F")  # kl rows for fill-in
@@ -192,22 +194,14 @@ class ForwardModel:
             raise SolverError(f"operator factorization failed at xi={xi}: dgbtrf info {info}")
         return A, BandLU(lu, piv, kl, ku)
 
-    def _factorize(self, xi: np.ndarray) -> tuple[sp.dia_array, BandLU]:
-        """factorize(xi), reusing the result of the last call at the same xi."""
-        key = np.asarray(xi, dtype=float).tobytes()
-        hit = self._lu_cache.get("last")
-        if hit is not None and hit[0] == key:
-            return hit[1]
-        factors = self.factorize(xi)
-        self._lu_cache["last"] = (key, factors)
-        return factors
-
     # ----- solves -----
-    def solve_full(self, xi: np.ndarray) -> np.ndarray:
-        """High-fidelity solve of A(xi) u = f(xi); increments the full counter."""
-        if not bool(self.domain.contains(np.atleast_2d(xi))[0]):
-            raise ValueError(f"xi={xi} outside the parameter box")
-        A, lu = self._factorize(xi)
+    def solve_full(self, xi: np.ndarray, factors: tuple | None = None) -> np.ndarray:
+        """High-fidelity solve of A(xi) u = f(xi); increments the full counter.
+
+        ``factors`` is the result of factorize(xi); by default it is computed
+        here.
+        """
+        A, lu = self.factorize(xi) if factors is None else factors
         f = self.rhs_at(xi)
         u = lu.solve(f)
         resid = np.linalg.norm(f - A @ u)
@@ -216,13 +210,13 @@ class ForwardModel:
         self.counters.add("full")
         return u
 
-    def solve_sensitivity(self, xi: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Columns du/dxi_j solving A (du/dxi_j) = df/dxi_j - (dA/dxi_j) u.
+    def solve_sensitivity(self, u: np.ndarray, lu: BandLU) -> np.ndarray:
+        """Columns du/dxi_j solving A(xi) du/dxi_j = df/dxi_j - (dA/dxi_j) u,
+        where u is the state at xi and lu factorizes A(xi).
 
-        Reuses the factorization from the preceding solve_full at xi.
+        The coefficients are affine, so the right-hand sides depend on xi
+        only through u.
         """
-        xi = np.asarray(xi, dtype=float)
-        _, lu = self._factorize(xi)
         rhs = np.zeros((self.n_dof, self.dim))
         for j in range(self.dim):
             for q, g in enumerate(self.rhs_coeff_grads[j]):
@@ -256,29 +250,11 @@ class ForwardModel:
                                                observations))
 
     # ----- checks -----
-    def check_affine_consistency(self, n_samples: int = 100, seed: int = 0,
-                                 tol: float = 1e-12) -> float:
-        """Max relative Frobenius gap between direct and affine assembly."""
-        if self.direct_assemble is None:
-            raise ValueError("model has no direct assembly path")
-        rng = np.random.default_rng(seed)
-        worst = 0.0
-        pts = self.domain.sample(n_samples, rng)
-        for xi in pts:
-            A_aff = self.operator_at(xi)
-            A_dir = self.direct_assemble(xi)
-            num = spla.norm(A_aff - A_dir)
-            den = spla.norm(A_dir)
-            worst = max(worst, num / den)
-        if worst > tol:
-            raise AssertionError(f"affine reconstruction off by {worst:.3e} > {tol:g}")
-        return worst
-
     def check_invertibility(self, n_samples: int = 5, seed: int = 0) -> None:
         rng = np.random.default_rng(seed)
         center = 0.5 * (self.domain.lower + self.domain.upper)
         for xi in [center, *self.domain.sample(n_samples, rng)]:
-            self._factorize(xi)
+            self.factorize(xi)
 
     def observation_operator_norm(self) -> float:
         """Largest singular value of the observation matrix."""

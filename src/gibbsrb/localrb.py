@@ -54,13 +54,7 @@ class Atom:
     location: np.ndarray
     snapshot: np.ndarray
     gradient: np.ndarray  # (n_dof, M)
-
-
-@dataclass
-class ReducedSolution:
-    coeffs: np.ndarray
-    observed: np.ndarray
-    atom_index: int
+    full_solves: int      # the model's full-solve count once it was inserted
 
 
 @dataclass
@@ -104,18 +98,6 @@ def _residual_norms(factors: np.ndarray, ath: np.ndarray, fth: np.ndarray,
     return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
 
 
-def fd_gradient_check(model, xi, gradient, h: float = 1e-4) -> float:
-    """Max relative error of the sensitivity columns vs central differences."""
-    worst = 0.0
-    for j in range(model.dim):
-        e = np.zeros(model.dim)
-        e[j] = h
-        fd = (model.solve_full(xi + e) - model.solve_full(xi - e)) / (2 * h)
-        denom = max(np.linalg.norm(fd), 1e-300)
-        worst = max(worst, np.linalg.norm(fd - gradient[:, j]) / denom)
-    return worst
-
-
 class Surrogate:
     """Atom set, local bases, cached reduced operators and error indicators.
 
@@ -145,7 +127,6 @@ class Surrogate:
         self._obs_norm = model.observation_operator_norm()
         self._lu_cache: dict[int, object] = {}
         self.reduced_solves = 0
-        self.insertion_log: list[dict] = []
 
     # ----- bookkeeping -----
     @property
@@ -219,47 +200,45 @@ class Surrogate:
 
     # ----- construction -----
     def add_atom(self, xi: np.ndarray) -> int:
-        """Insert an atom: one full solve plus one sensitivity solve, then
-        rebuild the bases of every atom whose neighbor set changed."""
+        """Insert an atom: one factorization of A(xi), shared by a full and a
+        sensitivity solve, then build the new atom's cell; cells whose
+        neighbor set changed are rebuilt when a query next lands in them.
+
+        A point outside the parameter box raises ValueError from the
+        factorization, before any surrogate state changes.
+        """
         if self.n_atoms >= self.atom_budget:
             raise AtomBudgetError(f"atom budget {self.atom_budget} exhausted")
-        xi = np.asarray(xi, dtype=float)
+        xi = np.array(xi, dtype=float)
         s = self.model.domain.scale(xi)
         if self.n_atoms:
             d = np.sqrt(np.sum((self._scaled_locs - s) ** 2, axis=1))
             if d.min() <= DUPLICATE_TOL:
                 raise DuplicateAtomError(f"atom at {xi} duplicates atom "
                                          f"{int(np.argmin(d))}")
-        # calibration byproduct: (raw indicator, prediction) at the insertion point
-        pre = None
+        factors = self.model.factorize(xi)
+        # calibration byproduct: (raw indicator, prediction) at the insertion
+        # point; the raw indicator is inf where the reduced system is singular
+        raw = np.inf
         if self.atoms:
-            try:
-                sol = self.reduced_solve(xi)
-                pre = (self._indicator_raw(xi, sol), self.reconstruct(sol))
-            except BasisDegeneracyError:
-                pre = None
+            (k,), coeffs, _, (raw,) = self.reduced_solve(xi[None])
+            basis = self.cells[k].basis
+            prediction = basis @ coeffs[0, :basis.shape[1]]
 
-        u = self.model.solve_full(xi)
-        grad = self.model.solve_sensitivity(xi, u)
-        _, lu = self.model._factorize(xi)
-
+        u = self.model.solve_full(xi, factors)
+        grad = self.model.solve_sensitivity(u, factors[1])
         idx = self.n_atoms
-        self.atoms.append(Atom(location=xi, snapshot=u, gradient=grad))
-        self._lu_stash(idx, lu)
-        # changed neighbor sets only invalidate; rebuilding happens on the
-        # first query that actually lands in the cell
+        self.atoms.append(Atom(location=xi, snapshot=u, gradient=grad,
+                               full_solves=self.model.counters.full))
+        self._lu_stash(idx, factors[1])
         self._insert_location(s)
         self._build_cell(idx)  # the new cell's factorization is in hand
 
-        if pre is not None:
-            err = np.linalg.norm(u - pre[1])
+        if np.isfinite(raw):
+            err = np.linalg.norm(u - prediction)
             if err > 1e-13 * max(np.linalg.norm(u), 1.0):
-                self._ratios.append(pre[0] / err)
+                self._ratios.append(raw / err)
                 self._ratio_quantile = None
-        self.insertion_log.append({
-            "index": idx, "location": xi.copy(),
-            "full_solves": self.model.counters.snapshot()["full"],
-        })
         return idx
 
     def _lu_stash(self, idx, lu):
@@ -373,72 +352,57 @@ class Surrogate:
         self.reduced_solves += int(np.count_nonzero(~np.isnan(coeffs[:, 0])))
         return coeffs
 
-    def reduced_solve(self, xi: np.ndarray) -> ReducedSolution:
-        """Galerkin solve in the nearest cell's basis.
+    def reduced_solve(self, points: np.ndarray):
+        """Galerkin solves at the rows of an (n, M) array of points, each in
+        its nearest atom's cell: (hosting cells, coefficients, observed
+        outputs, raw indicators).
 
-        Returns the reduced coefficients and the observed surrogate output,
-        both at cost independent of the mesh.
-        """
-        xi = np.asarray(xi, dtype=float)
-        k = self.nearest_atom(xi)
-        cell = self._ensure_cell(k)
-        ath, fth = self.model.coefficients(xi[None])
-        coeffs = self._solve_stack(cell.reduced_ops[None], cell.reduced_rhs[None], ath, fth)
-        if np.isnan(coeffs[0, 0]):
-            raise BasisDegeneracyError(f"singular reduced system in cell {k}")
-        return ReducedSolution(coeffs=coeffs[0], observed=cell.obs_basis @ coeffs[0],
-                               atom_index=k)
-
-    def reconstruct(self, sol: ReducedSolution) -> np.ndarray:
-        """Full-space surrogate state (costs O(n_dof * r); for checks)."""
-        return self._ensure_cell(sol.atom_index).basis @ sol.coeffs
-
-    def _indicator_raw(self, xi, sol: ReducedSolution) -> float:
-        factor = self._ensure_cell(sol.atom_index).precond_factor
-        ath, fth = self.model.coefficients(np.asarray(xi, dtype=float)[None])
-        return float(_residual_norms(factor[None], ath, fth, sol.coeffs[None])[0])
-
-    def _evaluate(self, points: np.ndarray, observations):
-        """(surrogate losses, raw indicators, data-distance sums) at the rows
-        of an (n, M) array of points.
-
-        The points of all hosting cells of one basis rank are solved in one
-        stacked call, on the cells' arrays gathered per point (the indicator
-        factors in blocks of at most _GATHER_BYTES).  Where a cell's reduced
-        system is singular the three are NaN, inf and 0.  The raw quantities
-        do not depend on the calibration state, so they can be cached across
+        The coefficients are an (n, r_max) array, NaN past each hosting
+        cell's basis rank r.  The points of all hosting cells of one rank
+        are solved in one stacked call, on the cells' arrays gathered per
+        point (the indicator factors in blocks of at most _GATHER_BYTES).
+        Where a cell's reduced system is singular the coefficients and
+        outputs are NaN and the raw indicator is inf.  Raw indicators do
+        not depend on the calibration state, so they can be cached across
         refinement steps while the stability constant keeps adapting.
         """
         points = np.asarray(points, dtype=float)
         n = len(points)
         ath, fth = self.model.coefficients(points)
-        uniq, first, inv = np.unique(self._nearest(points), return_index=True,
-                                     return_inverse=True)
+        hosts = self._nearest(points)
         # dirty cells are built in order of first appearance, as a loop over
         # the points would build them (this fixes the LU cache order)
-        for k in uniq[np.argsort(first)]:
+        for k in dict.fromkeys(hosts.tolist()):
             self._ensure_cell(k)
-        cells = [self.cells[k] for k in uniq]
-        ranks = np.array([c.basis.shape[1] for c in cells])
+        cells = [self.cells[k] for k in hosts.tolist()]  # per point
+        ranks = np.array([c.basis.shape[1] for c in cells], dtype=int)
+        coeffs = np.full((n, ranks.max(initial=0)), np.nan)
         observed = np.full((n, self.model.n_obs), np.nan)
         raws = np.full(n, np.inf)
         for r in np.unique(ranks):
-            group = np.flatnonzero(ranks == r)
-            idx = np.flatnonzero(ranks[inv] == r)
-            local = np.searchsorted(group, inv[idx])  # position in the group
-            coeffs = self._solve_stack(np.stack([cells[g].reduced_ops for g in group])[local],
-                                       np.stack([cells[g].reduced_rhs for g in group])[local],
-                                       ath[idx], fth[idx])
-            ok = ~np.isnan(coeffs[:, 0])
-            idx, local, coeffs = idx[ok], local[ok], coeffs[ok]
-            obs = np.stack([cells[g].obs_basis for g in group])[local]
-            observed[idx] = (obs @ coeffs[:, :, None])[:, :, 0]
-            group_factors = [cells[g].precond_factor for g in group]
-            step = max(1, _GATHER_BYTES // group_factors[0].nbytes)
+            idx = np.flatnonzero(ranks == r)
+            group = [cells[i] for i in idx.tolist()]
+            c = self._solve_stack(np.stack([g.reduced_ops for g in group]),
+                                  np.stack([g.reduced_rhs for g in group]), ath[idx], fth[idx])
+            coeffs[idx, :r] = c
+            ok = ~np.isnan(c[:, 0])
+            idx, c = idx[ok], c[ok]
+            group = [g for g, keep in zip(group, ok) if keep]
+            if not group:
+                continue
+            observed[idx] = (np.stack([g.obs_basis for g in group]) @ c[:, :, None])[:, :, 0]
+            step = max(1, _GATHER_BYTES // group[0].precond_factor.nbytes)
             for start in range(0, len(idx), step):
                 b = slice(start, start + step)
-                raws[idx[b]] = _residual_norms(np.stack([group_factors[i] for i in local[b]]),
-                                               ath[idx[b]], fth[idx[b]], coeffs[b])
+                raws[idx[b]] = _residual_norms(np.stack([g.precond_factor for g in group[b]]),
+                                               ath[idx[b]], fth[idx[b]], c[b])
+        return hosts, coeffs, observed, raws
+
+    def _evaluate(self, points: np.ndarray, observations):
+        """(surrogate losses, raw indicators, data-distance sums) at the rows
+        of an (n, M) array of points, from reduced_solve; NaN, inf and 0
+        where a cell's reduced system is singular."""
+        _, _, observed, raws = self.reduced_solve(points)
         losses = self.model.loss_from_prediction(observed, observations)
         dist_sums = np.sum(np.linalg.norm(observed[:, None, :] - observations.data,
                                           axis=-1), axis=-1)
@@ -543,7 +507,3 @@ class Surrogate:
             e_max_final=float(np.max(inds)), loss_values=losses,
             indicator_values=inds, saturated=saturated,
         )
-
-    def atom_records(self) -> list[dict]:
-        """Insertion-ordered atom metadata for CSV export."""
-        return [dict(rec) for rec in self.insertion_log]

@@ -40,9 +40,8 @@ def write_atoms_csv(path, surrogate) -> None:
     with Path(path).open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["atom", *[f"xi_{j + 1}" for j in range(dim)], "full_solves"])
-        for rec in surrogate.atom_records():
-            w.writerow([rec["index"], *[_fmt(v) for v in rec["location"]],
-                        rec["full_solves"]])
+        for k, atom in enumerate(surrogate.atoms):
+            w.writerow([k, *[_fmt(v) for v in atom.location], atom.full_solves])
 
 
 def write_losses_csv(path, history) -> None:

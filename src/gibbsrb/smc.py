@@ -210,15 +210,14 @@ def surrogate_losses(surrogate: Surrogate, points: np.ndarray, observations) -> 
     return losses
 
 
-def replay_consistency(surrogate: Surrogate, observations, domain: ParameterDomain,
-                       m: int, seed: int, w_t: float) -> ParticleSet:
-    """Reweight the (regenerated) initial particle cloud to the accumulated
-    weight using the latest surrogate; no full solves are involved, and by
-    coherence the single-shot update equals the incremental schedule."""
-    init = init_particles(domain, m, stream(seed, PHASE_INIT))
+def replay_consistency(surrogate: Surrogate, observations, initial: ParticleSet,
+                       w_t: float) -> ParticleSet:
+    """Reweight the initial particle cloud to the accumulated weight using
+    the latest surrogate; no full solves are involved, and by coherence the
+    single-shot update equals the incremental schedule."""
     if w_t == 0.0:
-        return init
-    return reweight(init, surrogate_losses(surrogate, init.points, observations), w_t)
+        return initial
+    return reweight(initial, surrogate_losses(surrogate, initial.points, observations), w_t)
 
 
 def _resolve_e_thre(config: SmcConfig, losses: np.ndarray) -> float:
@@ -264,8 +263,7 @@ def run_smc(model, observations, config: SmcConfig, *,
         report = surrogate.refine_over_particles(
             particles.points, observations, lambda losses: _resolve_e_thre(config, losses))
         losses = report.loss_values
-        replayed = replay_consistency(surrogate, observations, domain,
-                                      config.particles, config.seed, w_cur)
+        replayed = replay_consistency(surrogate, observations, snapshots[0], w_cur)
 
         delta_w, new_weights, ess_val, degenerate = adapt_step(
             particles.weights, losses, w_total - w_cur,

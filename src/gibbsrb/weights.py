@@ -86,8 +86,7 @@ def effective_n(observations) -> int:
     raise WeightSelectionError("need n >= 2 observations or >= 2 channels")
 
 
-def residual_objective(weight: float, posterior_mean: np.ndarray, model,
-                       observations) -> float:
+def residual_objective(posterior_mean: np.ndarray, model, observations) -> float:
     """Discrepancy between posterior-mean prediction residuals and the
     known noise statistics; one full solve per call."""
     if observations.eps_std <= 0:
@@ -158,7 +157,7 @@ def evaluate_grid_via_smc(model, observations, config: WeightSelectionConfig,
         delta = w_c - boundaries[k]
         replayed = reweight(start, losses_at(k), delta) if delta > 0 else start
         mean = replayed.weights @ replayed.points
-        objectives[i] = residual_objective(w_c, mean, model, observations)
+        objectives[i] = residual_objective(mean, model, observations)
 
     w_final, w_opt = select_weight(grid, objectives, n_eff, observations.eps_std, config)
     return SelectionResult(w_final=w_final, w_opt=w_opt,

@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from gibbsrb import ObservationSet, assemble, gen_data
 from gibbsrb.domain import ParameterDomain
@@ -70,6 +71,16 @@ def test_frozen_converged_observations():
     assert np.max(np.abs(got - ADV1D_TRUE_OBS)) < 1e-4
 
 
+def _affine_gap(model, n_samples, seed):
+    """Largest relative Frobenius gap between the affine operator_at and the
+    preset's direct assembly, over prior samples."""
+    worst = 0.0
+    for xi in model.domain.sample(n_samples, np.random.default_rng(seed)):
+        A_dir = model.direct_assemble(xi)
+        worst = max(worst, spla.norm(model.operator_at(xi) - A_dir) / spla.norm(A_dir))
+    return worst
+
+
 @pytest.mark.parametrize("preset,mesh", [
     ("adv1d", {"cells": 64}),
     ("adv2d", {"nx": 12}),
@@ -77,9 +88,7 @@ def test_frozen_converged_observations():
     ("elast2d_inclusion", {"nx": 9}),
 ])
 def test_affine_consistency(preset, mesh):
-    model = assemble(preset, mesh)
-    worst = model.check_affine_consistency(n_samples=100, seed=3, tol=1e-12)
-    assert worst <= 1e-12
+    assert _affine_gap(assemble(preset, mesh), n_samples=100, seed=3) <= 1e-12
 
 
 _SMALL_PRESETS = [
@@ -162,10 +171,12 @@ def test_full_solve_assembles_operator_once(monkeypatch):
 
     monkeypatch.setattr(ForwardModel, "operator_at", counted)
     xi = np.array([0.31, 0.47])
-    u = model.solve_full(xi)
+    model.solve_full(xi)
     assert len(calls) == 1
-    model.solve_sensitivity(xi, u)
-    assert len(calls) == 1
+    factors = model.factorize(xi)
+    u = model.solve_full(xi, factors)
+    model.solve_sensitivity(u, factors[1])
+    assert len(calls) == 2
 
 
 def test_solve_residual_and_determinism(adv1d_model):
@@ -173,6 +184,7 @@ def test_solve_residual_and_determinism(adv1d_model):
     u1 = adv1d_model.solve_full(xi)
     u2 = adv1d_model.solve_full(xi)
     assert np.array_equal(u1, u2)
+    assert np.array_equal(adv1d_model.solve_full(xi, adv1d_model.factorize(xi)), u1)
     A = adv1d_model.operator_at(xi)
     f = adv1d_model.rhs_at(xi)
     assert np.linalg.norm(f - A @ u1) <= 1e-10 * np.linalg.norm(f)
@@ -215,6 +227,8 @@ def test_non_finite_solve_raises_from_residual_check():
 def test_solve_outside_box(adv1d_model):
     with pytest.raises(ValueError, match="outside"):
         adv1d_model.solve_full(np.array([1.5, 0.5]))
+    with pytest.raises(ValueError, match="outside"):
+        adv1d_model.factorize(np.array([0.5, -0.1]))
 
 
 def test_adv2d_zero_sources(adv2d_small):
@@ -225,9 +239,9 @@ def test_adv2d_zero_sources(adv2d_small):
 def test_adv2d_sensitivity_is_scaled_source_response(adv2d_small):
     # the operator does not depend on xi_2, and the rhs is affine in it
     xi = np.array([0.4, 0.3, 0.6])
-    u = adv2d_small.solve_full(xi)
-    sens = adv2d_small.solve_sensitivity(xi, u)
-    _, lu = adv2d_small._factorize(xi)
+    A, lu = adv2d_small.factorize(xi)
+    u = adv2d_small.solve_full(xi, (A, lu))
+    sens = adv2d_small.solve_sensitivity(u, lu)
     expected = lu.solve(adv2d_small.rhs_terms[0])
     assert np.linalg.norm(sens[:, 1] - expected) <= 1e-12 * np.linalg.norm(expected)
 
@@ -257,8 +271,9 @@ def test_sensitivity_matches_central_differences(preset, mesh, n_pts):
     pts = lo + (hi - lo) * (0.1 + 0.8 * rng.random((n_pts, model.dim)))
     h = 1e-4
     for xi in pts:
-        u = model.solve_full(xi)
-        sens = model.solve_sensitivity(xi, u)
+        factors = model.factorize(xi)
+        u = model.solve_full(xi, factors)
+        sens = model.solve_sensitivity(u, factors[1])
         for j in range(model.dim):
             e = np.zeros(model.dim)
             e[j] = h * (hi[j] - lo[j])
@@ -328,6 +343,6 @@ def test_observations_csv_roundtrip(tmp_path, adv1d_model):
 
 def test_upwind_variant_runs():
     m = assemble("adv1d", {"cells": 64, "upwind": True})
-    m.check_affine_consistency(n_samples=20, seed=1)
+    assert _affine_gap(m, n_samples=20, seed=1) <= 1e-12
     u = m.solve_full(np.array([0.2, 0.7]))
     assert np.all(np.isfinite(u))

@@ -2,14 +2,25 @@ import numpy as np
 import pytest
 
 from gibbsrb import ObservationSet, Surrogate, assemble, gen_data, localrb
+from gibbsrb.forward import model as model_module
+from gibbsrb.forward.model import ForwardModel
 from gibbsrb.localrb import (CALIBRATION_QUANTILE, CALIBRATION_SAFETY,
                              CALIBRATION_WINDOW, AtomBudgetError, BasisDegeneracyError,
-                             DuplicateAtomError, fd_gradient_check)
+                             DuplicateAtomError)
 
 
 @pytest.fixture()
 def adv1d_surr(adv1d_model):
     return Surrogate(adv1d_model, neighbor_count=5)
+
+
+def _states(s, points):
+    """(surrogate states Phi c, hosting cells, raw indicators) at the rows
+    of points, from one reduced_solve call."""
+    cells, coeffs, _, raws = s.reduced_solve(np.atleast_2d(points))
+    states = [s.cells[k].basis @ c[:s.cells[k].basis.shape[1]]
+              for k, c in zip(cells, coeffs)]
+    return states, cells, raws
 
 
 def test_first_atom_basis_dimension(adv1d_model):
@@ -85,10 +96,9 @@ def test_snapshot_reproduction(adv1d_surr, adv1d_model):
     atoms = rng.random((7, 2))
     for a in atoms:
         adv1d_surr.add_atom(a)
-    for k, a in enumerate(atoms):
-        sol = adv1d_surr.reduced_solve(a)
-        assert sol.atom_index == k
-        ubar = adv1d_surr.reconstruct(sol)
+    states, cells, _ = _states(adv1d_surr, atoms)
+    assert cells.tolist() == list(range(len(atoms)))
+    for ubar, a in zip(states, atoms):
         u = adv1d_model.solve_full(a)
         assert np.linalg.norm(ubar - u) <= 1e-8 * np.linalg.norm(u)
 
@@ -102,39 +112,38 @@ def test_single_atom_taylor_order(adv1d_model):
     errs = []
     for d in deltas:
         xi = base + np.array([d, d / 2])
-        ubar = s.reconstruct(s.reduced_solve(xi))
+        (ubar,), _, _ = _states(s, xi)
         u = adv1d_model.solve_full(xi)
         errs.append(np.linalg.norm(ubar - u))
     slope = np.polyfit(np.log(deltas), np.log(errs), 1)[0]
     assert slope > 1.8
 
 
-def _raw_indicator(s, xi, observations):
-    return s._evaluate(np.asarray(xi, dtype=float)[None], observations)[1][0]
+def _raw_indicator(s, xi):
+    return _states(s, xi)[2][0]
 
 
-def test_cached_residual_equals_direct(adv1d_surr, adv1d_model, adv1d_obs):
+def test_cached_residual_equals_direct(adv1d_surr, adv1d_model):
     # the cached factor gives ||A_k^{-1} (f(xi) - A(xi) Phi c)|| for the
     # hosting cell's atom k
     rng = np.random.default_rng(3)
     for a in rng.random((6, 2)):
         adv1d_surr.add_atom(a)
-    for xi in rng.random((10, 2)):
-        sol = adv1d_surr.reduced_solve(xi)
-        ubar = adv1d_surr.reconstruct(sol)
-        _, lu = adv1d_model.factorize(adv1d_surr.atoms[sol.atom_index].location)
+    pts = rng.random((10, 2))
+    states, cells, raws = _states(adv1d_surr, pts)
+    for xi, ubar, k, raw in zip(pts, states, cells, raws):
+        _, lu = adv1d_model.factorize(adv1d_surr.atoms[k].location)
         direct = np.linalg.norm(lu.solve(adv1d_model.rhs_at(xi)
                                          - adv1d_model.operator_at(xi) @ ubar))
-        raw = _raw_indicator(adv1d_surr, xi, adv1d_obs)
         assert abs(raw - direct) <= 1e-9 * max(direct, 1e-12)
 
 
-def test_residual_scales_with_rhs(adv1d_model, adv1d_obs):
+def test_residual_scales_with_rhs(adv1d_model):
     # doubling f doubles the raw indicator at a fixed basis
     s = Surrogate(adv1d_model)
     s.add_atom(np.array([0.3, 0.3]))
     xi = np.array([0.6, 0.6])
-    r1 = _raw_indicator(s, xi, adv1d_obs)
+    r1 = _raw_indicator(s, xi)
 
     import copy
 
@@ -142,8 +151,21 @@ def test_residual_scales_with_rhs(adv1d_model, adv1d_obs):
     m2.rhs_terms = [2.0 * f for f in adv1d_model.rhs_terms]
     s2 = Surrogate(m2)
     s2.add_atom(np.array([0.3, 0.3]))
-    r2 = _raw_indicator(s2, xi, adv1d_obs)
+    r2 = _raw_indicator(s2, xi)
     assert abs(r2 - 2.0 * r1) <= 1e-9 * r1
+
+
+def _fd_gradient_error(model, xi, gradient, h=1e-4):
+    """Largest relative error of the sensitivity columns against central
+    differences."""
+    worst = 0.0
+    for j in range(model.dim):
+        e = np.zeros(model.dim)
+        e[j] = h
+        fd = (model.solve_full(xi + e) - model.solve_full(xi - e)) / (2 * h)
+        worst = max(worst, np.linalg.norm(fd - gradient[:, j])
+                    / max(np.linalg.norm(fd), 1e-300))
+    return worst
 
 
 def test_gradient_fd_check_at_insertion(adv1d_model):
@@ -151,8 +173,55 @@ def test_gradient_fd_check_at_insertion(adv1d_model):
     rng = np.random.default_rng(4)
     for a in 0.1 + 0.8 * rng.random((3, 2)):
         idx = s.add_atom(a)
-        rel = fd_gradient_check(adv1d_model, a, s.atoms[idx].gradient)
-        assert rel < 1e-5
+        assert _fd_gradient_error(adv1d_model, a, s.atoms[idx].gradient) < 1e-5
+
+
+def test_add_atom_factorizes_once(adv1d_model, monkeypatch):
+    # the full solve, the sensitivity solve and the new cell's indicator
+    # factor all use the one factorization of A(xi)
+    s = Surrogate(adv1d_model)
+    made, solved_with = [], []
+    factorize, sensitivity = ForwardModel.factorize, ForwardModel.solve_sensitivity
+
+    def counting(self, xi):
+        made.append(factorize(self, xi))
+        return made[-1]
+
+    def recording(self, u, lu):
+        solved_with.append(lu)
+        return sensitivity(self, u, lu)
+    monkeypatch.setattr(ForwardModel, "factorize", counting)
+    monkeypatch.setattr(ForwardModel, "solve_sensitivity", recording)
+    stability = adv1d_model.counters.stability
+    for n, a in enumerate(np.random.default_rng(27).random((6, 2)), start=1):
+        idx = s.add_atom(a)
+        assert len(made) == len(solved_with) == n
+        assert solved_with[-1] is made[-1][1] and s._lu_cache[idx] is made[-1][1]
+        u = made[-1][1].solve(adv1d_model.rhs_at(a))
+        assert np.array_equal(s.atoms[idx].snapshot, u)
+    assert adv1d_model.counters.stability == stability  # no LU cache miss
+
+
+def test_add_atom_outside_box_raises_before_factorizing(adv1d_model, monkeypatch):
+    s = Surrogate(adv1d_model)
+    for a in np.random.default_rng(28).random((4, 2)):
+        s.add_atom(a)
+    assert any(c.dirty for c in s.cells)  # a query would rebuild these
+    dirty = [c.dirty for c in s.cells]
+    counts, solves = adv1d_model.counters.snapshot(), s.reduced_solves
+    calls = []
+    dgbtrf = model_module.dgbtrf
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return dgbtrf(*args, **kwargs)
+    monkeypatch.setattr(model_module, "dgbtrf", counting)
+    with pytest.raises(ValueError, match="outside"):
+        s.add_atom(np.array([0.5, 1.2]))
+    assert calls == []
+    assert s.n_atoms == len(s.cells) == 4
+    assert [c.dirty for c in s.cells] == dirty
+    assert adv1d_model.counters.snapshot() == counts and s.reduced_solves == solves
 
 
 def test_state_indicator_bounds_error(adv1d_model, adv1d_obs):
@@ -161,20 +230,19 @@ def test_state_indicator_bounds_error(adv1d_model, adv1d_obs):
     s.refine_over_particles(rng.random((60, 2)), adv1d_obs, e_thre=1e-2)
     hits = 0
     pts = rng.random((20, 2))
-    eps = s._evaluate(pts, adv1d_obs)[1] / s.stability_constant
-    for xi, eps_u in zip(pts, eps):
-        sol = s.reduced_solve(xi)
-        err = np.linalg.norm(s.reconstruct(sol) - adv1d_model.solve_full(xi))
+    states, _, raws = _states(s, pts)
+    for xi, ubar, eps_u in zip(pts, states, raws / s.stability_constant):
+        err = np.linalg.norm(ubar - adv1d_model.solve_full(xi))
         if eps_u >= err * (1 - 0.5):
             hits += 1
     assert hits >= 19  # >= 95% of 20
 
 
-def test_indicator_zero_at_atoms(adv1d_model, adv1d_obs):
+def test_indicator_zero_at_atoms(adv1d_model):
     s = Surrogate(adv1d_model)
     s.add_atom(np.array([0.4, 0.6]))
     s.add_atom(np.array([0.7, 0.2]))
-    eps_u = _raw_indicator(s, [0.4, 0.6], adv1d_obs) / s.stability_constant
+    eps_u = _raw_indicator(s, [0.4, 0.6]) / s.stability_constant
     f = adv1d_model.rhs_at(np.array([0.4, 0.6]))
     assert eps_u <= 1e-7 * np.linalg.norm(f)
 
@@ -391,6 +459,15 @@ def test_batched_evaluation_mixes_basis_ranks(adv2d_small, monkeypatch):
     assert np.isnan(losses[cells == singular]).all()
     assert np.isfinite(losses[cells != singular]).all()
     assert len(gathered) > len(ranks) and max(gathered) <= localrb._GATHER_BYTES
+    # coefficients are NaN-padded past each hosting cell's rank
+    hosts, coeffs, observed, _ = s.reduced_solve(pts)
+    assert np.array_equal(hosts, cells)
+    assert coeffs.shape == (len(pts), max(s.cells[k].basis.shape[1] for k in set(cells)))
+    for k, c, o in zip(hosts, coeffs, observed):
+        r = s.cells[k].basis.shape[1]
+        assert np.isnan(c[r:]).all()
+        solved = np.concatenate([c[:r], o])
+        assert np.isnan(solved).all() if k == singular else np.isfinite(solved).all()
 
 
 def _cell_arrays(s, k):

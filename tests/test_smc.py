@@ -458,12 +458,14 @@ def test_replay_reproducible_and_uniform_at_zero(adv1d_model, adv1d_obs):
     surr = Surrogate(adv1d_model)
     rng = np.random.default_rng(15)
     surr.refine_over_particles(rng.random((20, 2)), adv1d_obs, e_thre=1e-2)
-    dom = adv1d_model.domain
-    z = replay_consistency(surr, adv1d_obs, dom, 25, 7, 0.0)
+    init = init_particles(adv1d_model.domain, 25, stream(7, PHASE_INIT))
+    z = replay_consistency(surr, adv1d_obs, init, 0.0)
     assert np.allclose(z.weights, 1.0 / 25)
-    a = replay_consistency(surr, adv1d_obs, dom, 25, 7, 3.3)
-    b = replay_consistency(surr, adv1d_obs, dom, 25, 7, 3.3)
+    a = replay_consistency(surr, adv1d_obs, init, 3.3)
+    b = replay_consistency(surr, adv1d_obs, init, 3.3)
     assert np.array_equal(a.weights, b.weights)
+    assert np.array_equal(a.points, init.points)
+    assert np.array_equal(init.weights, np.full(25, 1.0 / 25))  # left as it was
 
 
 def test_replay_equals_incremental_by_coherence(adv1d_model, adv1d_obs):
@@ -472,9 +474,8 @@ def test_replay_equals_incremental_by_coherence(adv1d_model, adv1d_obs):
     surr = Surrogate(adv1d_model)
     rng = np.random.default_rng(16)
     surr.refine_over_particles(rng.random((20, 2)), adv1d_obs, e_thre=1e-2)
-    dom = adv1d_model.domain
-    single = replay_consistency(surr, adv1d_obs, dom, 25, 8, 5.0)
-    init = init_particles(dom, 25, stream(8, PHASE_INIT))
+    init = init_particles(adv1d_model.domain, 25, stream(8, PHASE_INIT))
+    single = replay_consistency(surr, adv1d_obs, init, 5.0)
     losses = np.array([surr.surrogate_loss(p, adv1d_obs)[0] for p in init.points])
     stepped = reweight(reweight(init, losses, 2.0), losses, 3.0)
     assert np.max(np.abs(single.weights - stepped.weights)) < 1e-12
@@ -484,8 +485,9 @@ def test_replay_costs_no_full_solves(adv1d_model, adv1d_obs):
     surr = Surrogate(adv1d_model)
     rng = np.random.default_rng(17)
     surr.refine_over_particles(rng.random((20, 2)), adv1d_obs, e_thre=1e-2)
+    init = init_particles(adv1d_model.domain, 30, stream(9, PHASE_INIT))
     before = adv1d_model.counters.snapshot()["full"]
-    replay_consistency(surr, adv1d_obs, adv1d_model.domain, 30, 9, 4.0)
+    replay_consistency(surr, adv1d_obs, init, 4.0)
     assert adv1d_model.counters.snapshot()["full"] == before
 
 

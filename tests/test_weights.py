@@ -45,7 +45,7 @@ def test_objective_zero_when_stats_match(adv1d_model):
     sigma = 0.2
     raw *= sigma / np.sqrt(np.sum(raw**2, axis=0) / (n - 1))
     obs = ObservationSet(data=pred[None, :] - raw, eps_mean=0.0, eps_std=sigma)
-    val = residual_objective(1.0, xi, adv1d_model, obs)
+    val = residual_objective(xi, adv1d_model, obs)
     # mean residual is zero by construction; std matches sigma exactly
     assert val == pytest.approx(0.0, abs=1e-10)
 
@@ -56,7 +56,7 @@ def test_objective_unit_value_for_perfect_fit(adv1d_model):
     xi = np.array([0.2, 0.7])
     pred = adv1d_model.observe(adv1d_model.solve_full(xi))
     obs = ObservationSet(data=np.tile(pred, (5, 1)), eps_mean=0.0, eps_std=0.3)
-    assert residual_objective(1.0, xi, adv1d_model, obs) == pytest.approx(1.0)
+    assert residual_objective(xi, adv1d_model, obs) == pytest.approx(1.0)
 
 
 def test_objective_permutation_invariant(adv1d_model):
@@ -64,15 +64,15 @@ def test_objective_permutation_invariant(adv1d_model):
     perm = ObservationSet(data=data.data[::-1], eps_mean=data.eps_mean,
                           eps_std=data.eps_std)
     xi = np.array([0.4, 0.5])
-    a = residual_objective(2.0, xi, adv1d_model, data)
-    b = residual_objective(2.0, xi, adv1d_model, perm)
+    a = residual_objective(xi, adv1d_model, data)
+    b = residual_objective(xi, adv1d_model, perm)
     assert a == pytest.approx(b, rel=1e-12)
 
 
 def test_objective_single_scalar_datum_errors(adv1d_model):
     obs = ObservationSet(data=np.array([[1.0]]), eps_std=0.1)
     with pytest.raises(WeightSelectionError):
-        residual_objective(1.0, np.array([0.2, 0.7]), adv1d_model, obs)
+        residual_objective(np.array([0.2, 0.7]), adv1d_model, obs)
 
 
 def test_effective_n():
