@@ -166,11 +166,13 @@ def ks_distance(particles: ParticleSet, reference, dim: int,
 @dataclass
 class BoundReport:
     iterations: list = field(default_factory=list)
+    concentration_ok: bool = True
     passed: bool = True
 
     def to_json(self, path) -> None:
         Path(path).write_text(json.dumps(
-            {"passed": self.passed, "iterations": self.iterations}, indent=2))
+            {"passed": self.passed, "concentration_ok": self.concentration_ok,
+             "iterations": self.iterations}, indent=2))
 
 
 def bound_suite(result, model, observations, seed: int = 0,
@@ -181,8 +183,11 @@ def bound_suite(result, model, observations, seed: int = 0,
     stays within the refinement threshold (with slack), (b) the KL
     divergence between the surrogate- and exact-reweighted particle sets
     is within 2 * dW * e_observed where e_observed is the audited max gap
-    over all particles, (c) the particle cloud concentrates (covariance
-    trace non-increasing up to slack).
+    over all particles.  Over the whole run: (c) the particle cloud
+    concentrates, the last cloud's covariance trace being at most
+    CONCENTRATION_SLACK times the starting cloud's.  A tempered cloud's
+    spread need not shrink in every iteration, so (c) compares only the
+    ends of the run.
 
     Exact losses are recomputed with full solves; every other input comes
     from the stored run history, including the surrogate losses as they
@@ -190,7 +195,7 @@ def bound_suite(result, model, observations, seed: int = 0,
     """
     rng = np.random.default_rng(seed)
     report = BoundReport()
-    prev_trace = None
+    traces = [float(np.sum(np.var(s.points, axis=0))) for s in result.snapshots]
     for rec, start in zip(result.history, result.snapshots[:-1]):
         m = start.m
         losses_surr = rec.losses
@@ -207,15 +212,12 @@ def bound_suite(result, model, observations, seed: int = 0,
         kl_bound = 2.0 * rec.delta_w * e_observed
         ok_b = kl <= kl_bound + 1e-12
 
-        trace = float(np.sum(np.var(result.snapshots[rec.t].points, axis=0)))
-        ok_c = prev_trace is None or trace <= CONCENTRATION_SLACK * prev_trace
-        prev_trace = trace
-
         row = {"t": rec.t, "delta_w": rec.delta_w, "e_thre": rec.e_thre,
                "audit_gap": audit_gap, "e_observed": e_observed,
-               "kl": kl, "kl_bound": kl_bound, "cov_trace": trace,
-               "assumption_ok": bool(ok_a), "kl_ok": bool(ok_b),
-               "concentration_ok": bool(ok_c)}
+               "kl": kl, "kl_bound": kl_bound, "cov_trace": traces[rec.t],
+               "assumption_ok": bool(ok_a), "kl_ok": bool(ok_b)}
         report.iterations.append(row)
-        report.passed = report.passed and ok_a and ok_b and ok_c
+        report.passed = report.passed and ok_a and ok_b
+    report.concentration_ok = bool(traces[-1] <= CONCENTRATION_SLACK * traces[0])
+    report.passed = report.passed and report.concentration_ok
     return report

@@ -18,23 +18,19 @@ bound for squared losses, Lipschitz constants for the l1/l2 kinds.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor  # patched by bench/layers.py
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 DUPLICATE_TOL = 1e-12       # scaled-coordinate distance
-ORTHO_DROP_TOL = 1e-10      # relative column drop threshold in Gram-Schmidt
+ORTHO_DROP_TOL = 1e-10      # relative column drop threshold in the basis QR
 DEFAULT_NEIGHBORS = 5
 DEFAULT_ATOM_BUDGET = 2000
 CALIBRATION_SAFETY = 1.0
 CALIBRATION_QUANTILE = 20  # percentile of recent insertion ratios
 CALIBRATION_WINDOW = 50
 _LU_CACHE_SIZE = 64
-# largest stack of indicator factors gathered at once: larger transients
-# raise glibc's dynamic mmap threshold and fragment the heap (one elast
-# run's peak RSS rose by a third with the whole cloud gathered)
-_GATHER_BYTES = 1 << 17
 
 
 class DuplicateAtomError(ValueError):
@@ -72,8 +68,6 @@ class RefinementReport:
 class _Cell:
     neighbors: tuple = ()
     dirty: bool = True                        # caches stale; rebuilt on demand
-    # (source, kept in the basis) per Gram-Schmidt input of the last build
-    columns: list = field(default_factory=list)
     basis: np.ndarray | None = None           # (n_dof, r), orthonormal
     reduced_ops: np.ndarray | None = None     # (P, r, r) Phi^T A_p Phi
     reduced_rhs: np.ndarray | None = None     # (Q, r) Phi^T f_q
@@ -103,9 +97,9 @@ class Surrogate:
 
     Evaluation takes whole arrays of points: the reduced systems of all the
     points whose cells share a basis rank are solved in one stacked call.
-    A cell whose neighbor set changed is rebuilt lazily on first use, from
-    its first changed basis input, so evaluation changes cached state too;
-    no method may run concurrently with another.
+    A cell whose neighbor set changed is rebuilt lazily on first use, so
+    evaluation changes cached state too; no method may run concurrently
+    with another.
     """
 
     def __init__(self, model, neighbor_count: int = DEFAULT_NEIGHBORS,
@@ -263,40 +257,23 @@ class Surrogate:
     def _build_cell(self, k: int) -> None:
         """Build cell k's basis, reduced operators and indicator factor.
 
-        Modified Gram-Schmidt is sequential: each basis vector depends only
-        on the input columns before it, and an atom's snapshot and gradient
-        never change.  So the basis vectors of the longest prefix of inputs
-        that come from the same sources as in the last build are reused, and
-        only the inputs after it are orthogonalized again.
+        The basis is Q of a Householder QR of the sources [u_k | grad u_k |
+        u_j for each neighbor j], without the sources that are numerically
+        in the span of those before them.  The build reads only the atoms
+        and the neighbor tuple, never the cell's previous arrays.
         """
         model = self.model
         atom, cell = self.atoms[k], self.cells[k]
-        sources = ([("snapshot", k)] + [("gradient", j) for j in range(model.dim)]
-                   + [("snapshot", j) for j in cell.neighbors])
-        keep = 0
-        for (old, _), new in zip(cell.columns, sources):
-            if old != new:
-                break
-            keep += 1
-        columns = cell.columns[:keep]
-        # contiguous copies: the same floats as the vectors Phi was stacked from
-        basis = [cell.basis[:, i].copy() for i in range(sum(kept for _, kept in columns))]
-        for kind, j in sources[keep:]:
-            v = np.array(self.atoms[j].snapshot if kind == "snapshot"
-                         else atom.gradient[:, j], dtype=float)
-            n0 = np.linalg.norm(v)
-            kept = False
-            if n0 != 0.0:
-                for _ in range(2):  # two Gram-Schmidt passes for orthogonality
-                    for b in basis:
-                        v -= (b @ v) * b
-                nv = np.linalg.norm(v)
-                kept = bool(nv > ORTHO_DROP_TOL * n0)
-                if kept:
-                    basis.append(v / nv)
-            columns.append(((kind, j), kept))
-        cell.columns = columns
-        Phi = np.column_stack(basis)
+        sources = np.column_stack([atom.snapshot, atom.gradient]
+                                  + [self.atoms[j].snapshot for j in cell.neighbors])
+        Phi, R = np.linalg.qr(sources)
+        # |R_jj| is the norm of source j's part orthogonal to the sources
+        # before it; R has only min(n_dof, r) diagonal entries
+        d = np.abs(np.diagonal(R))
+        kept = np.zeros(sources.shape[1], dtype=bool)
+        kept[:d.size] = d > ORTHO_DROP_TOL * np.linalg.norm(sources[:, :d.size], axis=0)
+        if not kept.all():
+            Phi = np.linalg.qr(sources[:, kept])[0]
 
         cell.basis = Phi
         op_cols, cell.obs_basis = self._products(Phi)  # A_p Phi, D_obs Phi
@@ -360,11 +337,11 @@ class Surrogate:
         The coefficients are an (n, r_max) array, NaN past each hosting
         cell's basis rank r.  The points of all hosting cells of one rank
         are solved in one stacked call, on the cells' arrays gathered per
-        point (the indicator factors in blocks of at most _GATHER_BYTES).
-        Where a cell's reduced system is singular the coefficients and
-        outputs are NaN and the raw indicator is inf.  Raw indicators do
-        not depend on the calibration state, so they can be cached across
-        refinement steps while the stability constant keeps adapting.
+        point.  Where a cell's reduced system is singular the coefficients
+        and outputs are NaN and the raw indicator is inf.  Raw indicators
+        do not depend on the calibration state, so they can be cached
+        across refinement steps while the stability constant keeps
+        adapting.
         """
         points = np.asarray(points, dtype=float)
         n = len(points)
@@ -391,11 +368,8 @@ class Surrogate:
             if not group:
                 continue
             observed[idx] = (np.stack([g.obs_basis for g in group]) @ c[:, :, None])[:, :, 0]
-            step = max(1, _GATHER_BYTES // group[0].precond_factor.nbytes)
-            for start in range(0, len(idx), step):
-                b = slice(start, start + step)
-                raws[idx[b]] = _residual_norms(np.stack([g.precond_factor for g in group[b]]),
-                                               ath[idx[b]], fth[idx[b]], c[b])
+            raws[idx] = _residual_norms(np.stack([g.precond_factor for g in group]),
+                                        ath[idx], fth[idx], c)
         return hosts, coeffs, observed, raws
 
     def _evaluate(self, points: np.ndarray, observations):

@@ -263,7 +263,11 @@ def run_smc(model, observations, config: SmcConfig, *,
         report = surrogate.refine_over_particles(
             particles.points, observations, lambda losses: _resolve_e_thre(config, losses))
         losses = report.loss_values
-        replayed = replay_consistency(surrogate, observations, snapshots[0], w_cur)
+        try:
+            replay_ess = ess(replay_consistency(surrogate, observations, snapshots[0],
+                                                w_cur).weights)
+        except BasisDegeneracyError:  # a diagnostic must not abort the run
+            replay_ess = float("nan")
 
         delta_w, new_weights, ess_val, degenerate = adapt_step(
             particles.weights, losses, w_total - w_cur,
@@ -285,7 +289,7 @@ def run_smc(model, observations, config: SmcConfig, *,
             e_thre=report.e_thre, e_max=report.e_max_final, losses=losses,
             full_solves=counts["full"] - counters0["full"],
             reduced_solves=surrogate.reduced_solves,
-            replay_ess=ess(replayed.weights), degenerate=degenerate))
+            replay_ess=replay_ess, degenerate=degenerate))
         particles = mutated
         w_cur = w_next
         snapshots.append(particles.copy())

@@ -120,17 +120,36 @@ def test_bound_suite_passes_on_real_run(small_run):
         assert row["audit_gap"] <= 1.1 * row["e_thre"]
 
 
-@pytest.mark.parametrize("preset,nx", [("adv2d", 16), ("elast2d_layered", 8)])
-def test_bound_suite_passes_on_shipped_config(preset, nx):
-    # the shipped smc section at desk scale: coarser mesh, 40 particles
+@pytest.mark.parametrize("preset,nx,seed", [("adv2d", 16, 0), ("elast2d_layered", 8, 0),
+                                             ("elast2d_layered", 8, 1)],
+                         ids=["adv2d-16", "elast2d_layered-8", "elast2d_layered-8-seed1"])
+def test_bound_suite_passes_on_shipped_config(preset, nx, seed):
+    # the shipped smc section at desk scale: coarser mesh, 40 particles; at
+    # seed 1 the elast cloud's spread grows in one iteration (t = 6) while
+    # falling several-fold over the run
     config = RunConfig.from_yaml(Path(__file__).parents[1] / "configs" / f"{preset}.yaml")
     config.mesh = {**config.mesh, "nx": nx}
     model = build_model(config)
     obs = build_observations(config, model, 0)
-    cfg = replace(config.smc, particles=40, seed=0,
+    cfg = replace(config.smc, particles=40, seed=seed,
                   total_weight=resolve_total_weight(config, obs))
     result = run_smc(model, obs, cfg)
     assert bound_suite(result, model, obs, seed=0).passed
+
+
+def test_bound_suite_fails_a_cloud_that_does_not_concentrate(small_run):
+    model, obs, result = small_run
+    report = bound_suite(result, model, obs, seed=1)
+    assert report.concentration_ok
+    # the same history ending in a cloud on the corners of the box, wider
+    # than the prior draws it started from
+    last = result.snapshots[-1]
+    corners = np.random.default_rng(4).integers(0, 2, last.points.shape).astype(float)
+    wide = replace(result, snapshots=result.snapshots[:-1]
+                   + [ParticleSet(corners, last.weights)])
+    report = bound_suite(wide, model, obs, seed=1)
+    assert all(row["assumption_ok"] and row["kl_ok"] for row in report.iterations)
+    assert not report.concentration_ok and not report.passed
 
 
 def test_bound_suite_exact_mode_all_zero(adv1d_model, adv1d_obs):
@@ -167,4 +186,5 @@ def test_bound_report_json(tmp_path, small_run):
 
     data = json.loads(path.read_text())
     assert data["passed"] == report.passed
+    assert data["concentration_ok"] == report.concentration_ok
     assert len(data["iterations"]) == len(report.iterations)

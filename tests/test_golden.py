@@ -22,16 +22,16 @@ from test_cli import TINY_SMC
 
 CLI_DIGESTS = {
     "particles.csv":
-        "d03538eaf834c0c1a1eb600a2a4408e4ed616062105b0b1018a431b41b6b25c3",
+        "0ef6c125cd9f95ff58883b0690cb337199f7653388968c46df06dfc3080d18cd",
     "history.csv":
-        "d73b8083c71682cc24e1c59f46aba558872333a56d416f0fceb7bed7b0c14bcf",
+        "a80bcc399a4e71422738cb942641ba62733f53e1d429e45c23883899eec7d6ad",
     "iteration_losses.csv":
-        "1d66c619389446eb658bee804fdf6f105f9e8d659c8da2fdfc382e5979755481",
+        "420f67c5904f64d2cdab439a306dc9c7ce2dacf9cccaf0dbebbc825be53e0efd",
     "atoms.csv":
-        "db719334d079920493d791f0fe2d54be4f5bd696ad5955b28d86b9b8cca06a2f",
+        "ead711fe9804d1ce00c26bd58eb33cf876593b0313a2cc48d2638922e1b4aebd",
 }
-LOSS_STD_FRACTION_DIGEST = "3a84682c80abaca8b5f169b57e43bb448c644e2945ede96aea6155e34bb017d8"
-ADV2D_DIGEST = "178d7d0b90abd821d6b2e125cf3b32e9f3d9f23b9be9a675359209080091e2b1"
+LOSS_STD_FRACTION_DIGEST = "5c3f3f2abb40fba0f812c4f5511cc7967bfdd1fe31f41999eaf167594c76be3a"
+ADV2D_DIGEST = "9c0aa1d4d4485a418dd7614dea8180d8cf65f4673d92da6ed592aaced231cd86"
 
 # The work each golden run does: per iteration the atoms added, the cumulative
 # full solves and the cumulative reduced solves; then the iteration count and
