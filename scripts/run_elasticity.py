@@ -4,7 +4,6 @@ layouts.  Each noise level runs SMC at the Gaussian-reference weight for
 the generated data and reports the per-parameter posterior spread."""
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -14,6 +13,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from gibbsrb import assemble, gen_data  # noqa: E402
+from gibbsrb.runio import write_json  # noqa: E402
 from gibbsrb.smc import SmcConfig, run_smc  # noqa: E402
 from gibbsrb.weights import gaussian_reference  # noqa: E402
 
@@ -42,7 +42,7 @@ def run(layout: str, seed: int, out: Path, nx: int) -> None:
         print(f"{layout} noise={pct:.0%}: {res.iterations} iterations, "
               f"{res.solve_counts['full']} full solves, "
               f"mean posterior std {stds.mean():.4f}")
-    (out / "summary.json").write_text(json.dumps(rows, indent=2))
+    write_json(out / "summary.json", rows)
 
 
 if __name__ == "__main__":

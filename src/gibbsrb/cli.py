@@ -20,8 +20,9 @@ from .diagnostics import bound_suite, h_proxy, ks_distance, weighted_cdf
 from .mcmc import run_rwmh
 from .oracle import grid_posterior
 from .particles import ParticleSet
-from .runio import (pin_blas_threads, write_atoms_csv, write_cdfs_csv,
-                    write_history_csv, write_losses_csv, write_manifest)
+from .runio import (pin_blas_threads, read_csv, read_json, write_atoms_csv,
+                    write_cdfs_csv, write_csv, write_history_csv, write_json,
+                    write_losses_csv, write_manifest)
 from .smc import SmcConfig, run_smc
 from .weights import evaluate_grid_via_smc
 
@@ -115,10 +116,8 @@ def cmd_select_weight(args) -> int:
     t0 = time.perf_counter()
     sel = evaluate_grid_via_smc(model, observations, config.weight_selection, config.smc)
     wall = time.perf_counter() - t0
-    with (out / "weight_table.csv").open("w") as fh:
-        fh.write("weight,objective\n")
-        for wv, ov in zip(sel.grid, sel.objectives):
-            fh.write(f"{wv!r},{ov!r}\n")
+    write_csv(out / "weight_table.csv", ["weight", "objective"],
+              zip(sel.grid, sel.objectives))
     write_manifest(out / "manifest.json", config=config, seed=config.smc.seed, extra={
         "command": "select-weight",
         "w_final": sel.w_final, "w_opt": sel.w_opt, "w_ref": sel.w_ref,
@@ -141,12 +140,9 @@ def cmd_oracle(args) -> int:
     write_cdfs_csv(out / "marginal_cdfs.csv",
                    [(j, *post.marginal_cdf(j)) for j in range(post.dim)])
     np.save(out / "density.npy", post.density)
-    with (out / "density.csv").open("w") as fh:
-        fh.write(",".join(f"xi_{j + 1}" for j in range(post.dim)) + ",density\n")
-        mesh = np.meshgrid(*post.axes, indexing="ij")
-        pts = np.column_stack([m.ravel() for m in mesh])
-        for row, d in zip(pts, post.density.ravel()):
-            fh.write(",".join(repr(float(v)) for v in row) + f",{float(d)!r}\n")
+    mesh = np.meshgrid(*post.axes, indexing="ij")
+    write_csv(out / "density.csv", [f"xi_{j + 1}" for j in range(post.dim)] + ["density"],
+              np.column_stack([m.ravel() for m in mesh] + [post.density.ravel()]))
     write_manifest(out / "manifest.json", config=config, seed=config.smc.seed, extra={
         "command": "oracle", "weight": w_total, "grid": list(shape),
         "posterior_mean": [float(v) for v in post.mean()],
@@ -157,31 +153,22 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def _load_run_particles(run_dir: Path) -> ParticleSet:
-    return ParticleSet.from_csv(run_dir / "particles.csv")
-
-
 def _load_ref(ref_dir: Path):
-    manifest = json.loads((ref_dir / "manifest.json").read_text())
-    if manifest.get("command") == "oracle":
-        rows = (ref_dir / "marginal_cdfs.csv").read_text().strip().splitlines()[1:]
-        curves: dict[int, list] = {}
-        for line in rows:
-            j, x, c = line.split(",")
-            curves.setdefault(int(j) - 1, []).append((float(x), float(c)))
+    command = read_json(ref_dir / "manifest.json").get("command")
+    if command == "oracle":
+        _, table = read_csv(ref_dir / "marginal_cdfs.csv")
         return {"kind": "cdf_curves",
-                "curves": {j: np.array(v).T for j, v in curves.items()}}
-    if manifest.get("command") == "run-mcmc":
-        rows = (ref_dir / "chain.csv").read_text().strip().splitlines()[1:]
-        return {"kind": "samples",
-                "samples": np.array([[float(v) for v in r.split(",")] for r in rows])}
-    return {"kind": "particles", "particles": _load_run_particles(ref_dir)}
+                "curves": {j: table[table[:, 0] == j + 1, 1:].T
+                           for j in range(int(table[:, 0].max()))}}
+    if command == "run-mcmc":
+        return {"kind": "samples", "samples": read_csv(ref_dir / "chain.csv")[1]}
+    return {"kind": "particles", "particles": ParticleSet.from_csv(ref_dir / "particles.csv")}
 
 
 def cmd_compare(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    runs = [_load_run_particles(Path(r)) for r in args.run]
+    runs = [ParticleSet.from_csv(Path(r) / "particles.csv") for r in args.run]
     ref = _load_ref(Path(args.ref))
     dim = runs[0].dim
 
@@ -206,7 +193,7 @@ def cmd_compare(args) -> int:
               "ks_median": {k: float(np.median(v)) for k, v in ks.items()}}
     if len(runs) >= 2 and ref["kind"] == "particles":
         report["h_proxy"] = h_proxy(runs, ref["particles"], domain)
-    (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True))
+    write_json(out / "report.json", report)
     print(json.dumps(report["ks_median"], indent=2, sort_keys=True))
     return 0
 

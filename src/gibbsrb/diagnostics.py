@@ -9,15 +9,14 @@ lower-bounds the true supremum, so upper-bound claims remain valid tests.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .domain import ParameterDomain
 from .oracle import GridPosterior
 from .particles import ParticleSet, kl_reweighted
+from .runio import write_json
 
 THRESHOLDS_PER_DIM = 32
 AUDIT_FRACTION = 0.10
@@ -114,8 +113,7 @@ def _eval_step_cdf(x_knots, cdf_vals, x):
     return out
 
 
-def ks_distance(particles: ParticleSet, reference, dim: int,
-                domain: ParameterDomain | None = None) -> float:
+def ks_distance(particles: ParticleSet, reference, dim: int) -> float:
     """Sup distance between the weighted marginal empirical CDF and a
     reference CDF, evaluated over the merged support points.
 
@@ -170,9 +168,8 @@ class BoundReport:
     passed: bool = True
 
     def to_json(self, path) -> None:
-        Path(path).write_text(json.dumps(
-            {"passed": self.passed, "concentration_ok": self.concentration_ok,
-             "iterations": self.iterations}, indent=2))
+        write_json(path, {"passed": self.passed, "concentration_ok": self.concentration_ok,
+                          "iterations": self.iterations})
 
 
 def bound_suite(result, model, observations, seed: int = 0,

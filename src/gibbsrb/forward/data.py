@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
+from ..runio import read_csv, read_json, write_csv, write_json
 from ..seeding import PHASE_DATA, stream
 
 
@@ -40,29 +38,22 @@ class ObservationSet:
 
     # ----- CSV round trip: one row per observation vector -----
     def to_csv(self, path) -> None:
-        path = Path(path)
-        names = self.channel_names or [f"ch_{k}" for k in range(self.n_channels)]
-        with path.open("w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(names)
-            for row in self.data:
-                w.writerow([repr(float(v)) for v in row])
+        write_csv(path, self.channel_names or [f"ch_{k}" for k in range(self.n_channels)],
+                  self.data)
         meta = {"eps_mean": self.eps_mean, "eps_std": self.eps_std}
         if self.truth is not None:
             meta["truth"] = [float(v) for v in self.truth]
         if self.true_obs is not None:
             meta["true_obs"] = [float(v) for v in self.true_obs]
-        path.with_suffix(path.suffix + ".meta.json").write_text(json.dumps(meta, indent=2))
+        write_json(f"{path}.meta.json", meta)
 
     @classmethod
     def from_csv(cls, path) -> "ObservationSet":
-        path = Path(path)
-        with path.open() as fh:
-            r = csv.reader(fh)
-            names = next(r)
-            data = np.array([[float(v) for v in row] for row in r])
-        meta_path = path.with_suffix(path.suffix + ".meta.json")
-        meta = json.loads(meta_path.read_text()) if meta_path.exists() else {}
+        names, data = read_csv(path)
+        try:
+            meta = read_json(f"{path}.meta.json")
+        except FileNotFoundError:
+            meta = {}
         return cls(
             data=data,
             eps_mean=float(meta.get("eps_mean", 0.0)),

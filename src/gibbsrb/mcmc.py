@@ -7,12 +7,12 @@ isotropic Gaussian step in box-scaled coordinates.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from .runio import write_csv
 from .seeding import PHASE_MCMC, stream
 
 
@@ -24,12 +24,7 @@ class ChainResult:
     out_of_support_proposals: int
 
     def to_csv(self, path) -> None:
-        from pathlib import Path
-        with Path(path).open("w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow([f"xi_{j + 1}" for j in range(self.samples.shape[1])])
-            for row in self.samples:
-                w.writerow([repr(float(v)) for v in row])
+        write_csv(path, [f"xi_{j + 1}" for j in range(self.samples.shape[1])], self.samples)
 
 
 def run_rwmh(model, observations, weight: float, n_samples: int = 5000,

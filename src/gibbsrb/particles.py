@@ -8,13 +8,12 @@ loss offsets cancel in the normalization.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .domain import ParameterDomain
+from .runio import read_csv, write_csv
 
 VARIANCE_FLOOR_FRACTION = 1e-12  # of squared box width, per dimension
 
@@ -51,23 +50,14 @@ class ParticleSet:
         return ParticleSet(self.points.copy(), self.weights.copy(), self.generation)
 
     def to_csv(self, path) -> None:
-        with Path(path).open("w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow([f"xi_{j + 1}" for j in range(self.dim)] + ["weight", "generation"])
-            for row, wt in zip(self.points, self.weights):
-                w.writerow([repr(float(v)) for v in row] + [repr(float(wt)), self.generation])
+        write_csv(path, [f"xi_{j + 1}" for j in range(self.dim)] + ["weight", "generation"],
+                  ([*row, wt, self.generation] for row, wt in zip(self.points, self.weights)))
 
     @classmethod
     def from_csv(cls, path) -> "ParticleSet":
-        with Path(path).open() as fh:
-            r = csv.reader(fh)
-            header = next(r)
-            rows = list(r)
-        dim = len(header) - 2
-        pts = np.array([[float(v) for v in row[:dim]] for row in rows])
-        wts = np.array([float(row[dim]) for row in rows])
-        gen = int(rows[0][dim + 1]) if rows else 0
-        return cls(pts, wts / wts.sum(), gen)
+        _, table = read_csv(path)
+        wts = table[:, -2]
+        return cls(table[:, :-2], wts / wts.sum(), int(table[0, -1]))
 
 
 def log_reweight(log_weights: np.ndarray, losses: np.ndarray, delta_w: float) -> np.ndarray:

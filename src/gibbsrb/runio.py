@@ -1,8 +1,10 @@
-"""Run artifacts: CSV schemas and the JSON manifest.
+"""Run artifacts: the one CSV dialect and the JSON format.
 
-All floats are written with repr (shortest round-trip form, '.' decimal),
-so identical runs produce byte-identical files regardless of locale or
-thread count.
+Every CSV has a header row and ends lines with \r\n (the csv module's
+default); bools and integers are written as integers and every other value
+with repr (shortest round-trip form, '.' decimal), so identical runs produce
+byte-identical files regardless of locale or thread count.  JSON is written
+with two-space indents and sorted keys.
 """
 
 from __future__ import annotations
@@ -10,57 +12,68 @@ from __future__ import annotations
 import csv
 import ctypes
 import json
+import numbers
 import time
 from pathlib import Path
 
+import numpy as np
+
 PACKAGE_VERSION = "0.1.0"
 
+HISTORY_COLUMNS = ("t", "w_before", "w_after", "delta_w", "ess", "atoms_added",
+                   "acceptance_rate", "e_thre", "e_max", "replay_ess",
+                   "full_solves", "reduced_solves", "degenerate")
 
-def _fmt(x) -> str:
-    return repr(float(x))
+
+def _cell(v):
+    if isinstance(v, numbers.Integral):  # bool included
+        return int(v)
+    return repr(float(v))
+
+
+def write_csv(path, header, rows) -> None:
+    with Path(path).open("w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([_cell(v) for v in row] for row in rows)
+
+
+def read_csv(path):
+    """(header, float array with one row per data line)."""
+    with Path(path).open(newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return header, np.array(rows, dtype=float).reshape(-1, len(header))
+
+
+def write_json(path, obj) -> None:
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True))
+
+
+def read_json(path):
+    return json.loads(Path(path).read_text())
 
 
 def write_history_csv(path, history) -> None:
-    cols = ["t", "w_before", "w_after", "delta_w", "ess", "atoms_added",
-            "acceptance_rate", "e_thre", "e_max", "replay_ess",
-            "full_solves", "reduced_solves", "degenerate"]
-    with Path(path).open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(cols)
-        for rec in history:
-            w.writerow([rec.t, _fmt(rec.w_before), _fmt(rec.w_after),
-                        _fmt(rec.delta_w), _fmt(rec.ess), rec.atoms_added,
-                        _fmt(rec.acceptance_rate), _fmt(rec.e_thre),
-                        _fmt(rec.e_max), _fmt(rec.replay_ess),
-                        rec.full_solves, rec.reduced_solves, int(rec.degenerate)])
+    write_csv(path, HISTORY_COLUMNS,
+              ([getattr(rec, c) for c in HISTORY_COLUMNS] for rec in history))
 
 
 def write_atoms_csv(path, surrogate) -> None:
-    dim = surrogate.model.dim
-    with Path(path).open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["atom", *[f"xi_{j + 1}" for j in range(dim)], "full_solves"])
-        for k, atom in enumerate(surrogate.atoms):
-            w.writerow([k, *[_fmt(v) for v in atom.location], atom.full_solves])
+    write_csv(path, ["atom", *[f"xi_{j + 1}" for j in range(surrogate.model.dim)],
+                     "full_solves"],
+              ([k, *atom.location, atom.full_solves]
+               for k, atom in enumerate(surrogate.atoms)))
 
 
 def write_losses_csv(path, history) -> None:
-    with Path(path).open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "particle", "surrogate_loss"])
-        for rec in history:
-            for i, v in enumerate(rec.losses):
-                w.writerow([rec.t, i, _fmt(v)])
+    write_csv(path, ["t", "particle", "surrogate_loss"],
+              ([rec.t, i, v] for rec in history for i, v in enumerate(rec.losses)))
 
 
 def write_cdfs_csv(path, curves) -> None:
     """curves: iterable of (dimension_index, x array, cdf array)."""
-    with Path(path).open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["dimension", "x", "cdf"])
-        for j, x, c in curves:
-            for xv, cv in zip(x, c):
-                w.writerow([j + 1, _fmt(xv), _fmt(cv)])
+    write_csv(path, ["dimension", "x", "cdf"],
+              ([j + 1, xv, cv] for j, x, c in curves for xv, cv in zip(x, c)))
 
 
 def _openblas_functions(action: str, restype, argtypes) -> list:
@@ -114,5 +127,5 @@ def write_manifest(path, *, config, seed: int, extra: dict | None = None) -> Non
         "config": config.to_dict(),
     }
     manifest.update(extra or {})
-    Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    write_json(path, manifest)
 

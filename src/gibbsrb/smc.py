@@ -18,7 +18,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .domain import ParameterDomain
-from .localrb import BasisDegeneracyError, Surrogate
+from .localrb import (DEFAULT_ATOM_BUDGET, DEFAULT_NEIGHBORS, BasisDegeneracyError,
+                      Surrogate)
 from .particles import ParticleSet, empirical_moments, ess, log_reweight, reweight
 from .seeding import PHASE_INIT, PHASE_MUTATE, PHASE_RESAMPLE, stream
 
@@ -43,8 +44,8 @@ class SmcConfig:
     e_thre_fraction: float = 0.02
     max_iterations: int = 50
     seed: int = 0
-    neighbor_count: int = 5
-    atom_budget: int = 2000
+    neighbor_count: int = DEFAULT_NEIGHBORS
+    atom_budget: int = DEFAULT_ATOM_BUDGET
 
     def __post_init__(self):
         if self.particles < 2:

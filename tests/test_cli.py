@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -30,6 +31,23 @@ def tiny_config(tmp_path):
     path = tmp_path / "tiny.yaml"
     path.write_text(TINY_SMC)
     return path
+
+
+def read_csvs(out):
+    """Every CSV in out as {name: (header, rows of floats)}; each data cell
+    must parse with float() and all files must share one line terminator."""
+    tables, terminators = {}, set()
+    for path in sorted(out.glob("*.csv")):
+        raw = path.read_bytes()
+        crlf, lf = raw.count(b"\r\n"), raw.count(b"\n")
+        terminators.add("\r\n" if crlf == lf else "\n" if crlf == 0 else "mixed")
+        with path.open(newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert rows, path.name
+        assert all(len(row) == len(header) for row in rows), path.name
+        tables[path.name] = (header, [[float(v) for v in row] for row in rows])
+    assert len(terminators) == 1, terminators
+    return tables
 
 
 def test_run_smc_artifacts(tiny_config, tmp_path):
@@ -109,8 +127,10 @@ def test_oracle_and_compare(tiny_config, tmp_path):
     rc = main(["oracle", "--config", str(tiny_config), "--seed", "1",
                "--grid", "25x25", "--out", str(oracle_dir)])
     assert rc == 0
-    assert (oracle_dir / "marginal_cdfs.csv").exists()
-    assert (oracle_dir / "density.csv").exists()
+    tables = read_csvs(oracle_dir)
+    assert set(tables) == {"marginal_cdfs.csv", "density.csv"}
+    assert tables["density.csv"][0] == ["xi_1", "xi_2", "density"]
+    assert len(tables["density.csv"][1]) == 25 * 25
 
     rc = main(["compare", "--run", str(run_dir), "--ref", str(oracle_dir),
                "--out", str(cmp_dir)])
@@ -137,9 +157,11 @@ def test_select_weight_cli(tiny_config, tmp_path):
     assert rc == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["w_final"] > 0
-    table = (out / "weight_table.csv").read_text().splitlines()
-    assert table[0] == "weight,objective"
-    assert len(table) >= 5
+    header, rows = read_csvs(out)["weight_table.csv"]
+    assert header == ["weight", "objective"]
+    assert len(rows) >= 4
+    # ties go to the smaller weight, as in select_weight
+    assert min(rows, key=lambda r: r[1])[0] == manifest["w_opt"]
 
 
 def test_shipped_configs_parse():
