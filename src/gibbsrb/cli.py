@@ -20,7 +20,7 @@ from .diagnostics import bound_suite, h_proxy, ks_distance, weighted_cdf
 from .mcmc import run_rwmh
 from .oracle import grid_posterior
 from .particles import ParticleSet
-from .runio import (pin_blas_threads, read_csv, read_json, write_atoms_csv,
+from .runio import (HISTORY_COLUMNS, pin_blas_threads, read_csv, read_json, write_atoms_csv,
                     write_cdfs_csv, write_csv, write_history_csv, write_json,
                     write_losses_csv, write_manifest)
 from .smc import SmcConfig, run_smc
@@ -72,10 +72,8 @@ def cmd_run_smc(args) -> int:
         "reduced_solves": result.surrogate.reduced_solves,
         "atoms": result.surrogate.n_atoms,
         "bound_suite_passed": verified,
-        "iteration_table": [
-            {"t": r.t, "w": r.w_after, "delta_w": r.delta_w, "ess": r.ess,
-             "atoms_added": r.atoms_added, "acceptance_rate": r.acceptance_rate,
-             "full_solves": r.full_solves} for r in result.history],
+        "iteration_table": [{c: getattr(r, c) for c in HISTORY_COLUMNS}
+                            for r in result.history],
     })
     print(f"run-smc: W={result.final_weight:g} in {result.iterations} iterations, "
           f"{result.solve_counts['full']} full solves, wall {wall:.2f}s")

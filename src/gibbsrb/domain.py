@@ -47,6 +47,12 @@ class ParameterDomain:
             object.__setattr__(self, "priors", tuple(PriorSpec() for _ in lower))
         if len(self.priors) != lower.size:
             raise ValueError("one PriorSpec per dimension required")
+        uniform_log_pdf = None  # the log density inside an all-uniform box
+        if all(spec.kind == "uniform" for spec in self.priors):
+            uniform_log_pdf = 0.0
+            for w in self.widths:  # in log_pdf's order, so the same float
+                uniform_log_pdf += -np.log(w)
+        object.__setattr__(self, "_uniform_log_pdf", uniform_log_pdf)
 
     @property
     def dim(self) -> int:
@@ -70,8 +76,13 @@ class ParameterDomain:
         Per dimension, in dimension order, the same closed form and
         operation order as scipy's frozen uniform/beta ``logpdf``.  A
         boundary point where one marginal density is +inf and another is 0
-        gets -inf (the sum of the logs would be NaN).
+        gets -inf (the sum of the logs would be NaN).  With every prior
+        uniform that sum is one constant, formed at construction.
         """
+        if self._uniform_log_pdf is not None:
+            pts = np.asarray(points, dtype=float)
+            inside = ((pts >= self.lower) & (pts <= self.upper)).all(axis=-1)
+            return np.where(inside, self._uniform_log_pdf, -np.inf)[()]
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         lp = np.zeros(pts.shape[0])
         inside = self.contains(pts)

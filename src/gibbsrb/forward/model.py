@@ -10,7 +10,6 @@ LAPACK's band LU with partial pivoting (dgbtrf/dgbtrs).
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -126,9 +125,6 @@ class ForwardModel:
                              f"got {shapes}")
         self._kl, self._ku, self._band_positions, self._term_values = _band_terms(
             self.operator_terms, self.n_dof)
-        n, width = self.n_dof, self._kl + self._ku + 1
-        self._band_template = sp.dia_array(
-            (np.zeros((width, n)), np.arange(self._ku, -self._kl - 1, -1)), shape=(n, n))
 
     @property
     def n_dof(self) -> int:
@@ -153,58 +149,72 @@ class ForwardModel:
         return (self.operator_coeff_offsets + xi @ self.operator_coeff_grads,
                 self.rhs_coeff_offsets + xi @ self.rhs_coeff_grads)
 
-    def operator_at(self, xi: np.ndarray) -> sp.dia_array:
-        """A(xi) as a DIA array whose data is the column-major band.
+    def _band(self, theta: np.ndarray) -> np.ndarray:
+        """The column-major (kl + ku + 1, n) band of A at coefficients theta.
 
         Term by term in order, so every entry is the same float as in the
         chained sparse sum theta_0 A_0 + theta_1 A_1 + ...; entries outside
-        the terms' union pattern are zero.  Every returned array shares the
-        model's offsets array: do not change it in place.
+        the terms' union pattern are zero.
         """
-        theta, _ = self.coefficients(xi)
         values = theta[0] * self._term_values[0]
         for t, v in zip(theta[1:], self._term_values[1:]):
             values += t * v
         band_t = np.zeros((self.n_dof, self._kl + self._ku + 1))  # the band, transposed
-        band_t.flat[self._band_positions] = values
-        # a shallow copy skips the constructor's format checks, which cost
-        # more than the assembly itself on small models
-        A = copy.copy(self._band_template)
-        A.data = band_t.T
-        return A
+        band_t.reshape(-1)[self._band_positions] = values  # a view: band_t is C-ordered
+        return band_t.T
 
-    def rhs_at(self, xi: np.ndarray) -> np.ndarray:
-        _, phi = self.coefficients(xi)
+    def operator_at(self, xi: np.ndarray) -> sp.dia_array:
+        """A(xi) as a DIA array whose data is the column-major band."""
+        return sp.dia_array((self._band(self.coefficients(xi)[0]),
+                             np.arange(self._ku, -self._kl - 1, -1)),
+                            shape=(self.n_dof, self.n_dof))
+
+    def _rhs(self, phi: np.ndarray) -> np.ndarray:
         f = np.zeros(self.n_dof)
         for c, term in zip(phi, self.rhs_terms):
             f += c * term
         return f
 
-    def factorize(self, xi: np.ndarray) -> tuple[sp.dia_array, BandLU]:
-        """(A(xi), its band LU factorization with partial pivoting); raises
-        ValueError outside the parameter box, before assembling anything."""
-        if not bool(self.domain.contains(np.atleast_2d(xi))[0]):
+    def rhs_at(self, xi: np.ndarray) -> np.ndarray:
+        return self._rhs(self.coefficients(xi)[1])
+
+    def factorize(self, xi: np.ndarray) -> tuple[np.ndarray, BandLU]:
+        """(the band of A(xi), its band LU factorization with partial
+        pivoting); raises ValueError outside the parameter box, before
+        assembling anything."""
+        return self._factorize(xi, self.coefficients(xi)[0])
+
+    def _factorize(self, xi: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, BandLU]:
+        xi = np.asarray(xi, dtype=float)
+        if not ((xi >= self.domain.lower) & (xi <= self.domain.upper)).all():
             raise ValueError(f"xi={xi} outside the parameter box")
-        A = self.operator_at(xi)
+        band = self._band(theta)
         kl, ku = self._kl, self._ku
         ab = np.zeros((2 * kl + ku + 1, self.n_dof), order="F")  # kl rows for fill-in
-        ab[kl:] = A.data
+        ab[kl:] = band
         lu, piv, info = dgbtrf(ab, kl, ku, overwrite_ab=True)
         if info != 0:
             raise SolverError(f"operator factorization failed at xi={xi}: dgbtrf info {info}")
-        return A, BandLU(lu, piv, kl, ku)
+        return band, BandLU(lu, piv, kl, ku)
 
     # ----- solves -----
     def solve_full(self, xi: np.ndarray, factors: tuple | None = None) -> np.ndarray:
         """High-fidelity solve of A(xi) u = f(xi); increments the full counter.
 
         ``factors`` is the result of factorize(xi); by default it is computed
-        here.
+        here.  The residual f - A u is formed from the band, one diagonal at
+        a time (scipy's dgbmv wrapper rejects n < kl + ku + 1).
         """
-        A, lu = self.factorize(xi) if factors is None else factors
-        f = self.rhs_at(xi)
+        theta, phi = self.coefficients(xi)
+        band, lu = self._factorize(xi, theta) if factors is None else factors
+        f = self._rhs(phi)
         u = lu.solve(f)
-        resid = np.linalg.norm(f - A @ u)
+        r, n = f.copy(), self.n_dof
+        with np.errstate(invalid="ignore"):  # an overflowed u leaves NaN in r
+            for d in range(-self._kl, self._ku + 1):  # A[i, i + d] is band[ku - d, i + d]
+                i, j, m = max(0, -d), max(0, d), n - abs(d)
+                r[i:i + m] -= band[self._ku - d, j:j + m] * u[j:j + m]
+        resid = np.linalg.norm(r)
         if not np.isfinite(resid) or resid > 1e-10 * max(np.linalg.norm(f), 1e-300):
             raise SolverError(f"solver breakdown at xi={xi}: residual {resid:.3e}")
         self.counters.add("full")

@@ -63,7 +63,11 @@ def test_run_smc_artifacts(tiny_config, tmp_path):
     assert manifest["seed"] == 7
     assert manifest["final_weight"] == pytest.approx(8.0)
     assert manifest["solve_counts"]["full"] == manifest["atoms"]
-    assert manifest["iteration_table"]
+    history_header, *history_rows = (out / "history.csv").read_text().splitlines()
+    table = manifest["iteration_table"]
+    assert len(table) == len(history_rows) > 0
+    # the manifest's JSON sorts the keys
+    assert all(sorted(row) == sorted(history_header.split(",")) for row in table)
     header = (out / "particles.csv").read_text().splitlines()[0]
     assert header == "xi_1,xi_2,weight,generation"
 

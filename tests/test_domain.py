@@ -99,7 +99,9 @@ def _probe_points(dom, rng, n=200):
     mixed[:, 0] = lo[0]
     mixed[4:, -1] = hi[-1]
     outside = lo + (hi - lo) * (rng.random((20, dom.dim)) * 3.0 - 1.0)
-    return np.vstack([inner, faces, mixed, outside])
+    nan = inner[8:12].copy()  # one NaN coordinate per row, outside the box
+    nan[np.arange(4), np.arange(4) % dom.dim] = np.nan
+    return np.vstack([inner, faces, mixed, outside, nan])
 
 
 @pytest.mark.parametrize("spec", _SPECS)
@@ -119,8 +121,11 @@ def test_log_pdf_bit_equal_to_scipy_2d():
     # other) the prior is -inf, without a warning
     rng = np.random.default_rng(1)
     n_nan = 0
-    for a, b in zip(_SPECS, _SPECS[::-1]):
-        dom = ParameterDomain(np.array([-2.0, 0.3]), np.array([1.5, 0.9]), (a, b))
+    # the all-uniform box has widths whose log product differs from the
+    # sum of their logs
+    for a, b, hi in [*((a, b, 1.5) for a, b in zip(_SPECS, _SPECS[::-1])),
+                     (PriorSpec(), PriorSpec(), 0.5)]:
+        dom = ParameterDomain(np.array([-2.0, 0.3]), np.array([hi, 0.9]), (a, b))
         pts = _probe_points(dom, rng)
         ref = _reference_log_pdf(dom, pts)
         n_nan += int(np.isnan(ref).sum())

@@ -162,31 +162,37 @@ def test_coefficient_shapes_are_checked(adv1d_model):
 
 def test_full_solve_assembles_operator_once(monkeypatch):
     model = assemble("adv1d", {"cells": 32})
-    calls = []
-    original = ForwardModel.operator_at
+    calls = {"_band": 0, "coefficients": 0}
 
-    def counted(self, xi):
-        calls.append(np.array(xi))
-        return original(self, xi)
+    def spy(name):
+        original = getattr(ForwardModel, name)
 
-    monkeypatch.setattr(ForwardModel, "operator_at", counted)
+        def counted(self, *args):
+            calls[name] += 1
+            return original(self, *args)
+        monkeypatch.setattr(ForwardModel, name, counted)
+
+    for name in calls:
+        spy(name)
     xi = np.array([0.31, 0.47])
     model.solve_full(xi)
-    assert len(calls) == 1
+    assert calls == {"_band": 1, "coefficients": 1}
     factors = model.factorize(xi)
     u = model.solve_full(xi, factors)
     model.solve_sensitivity(u, factors[1])
-    assert len(calls) == 2
+    assert calls == {"_band": 2, "coefficients": 3}
 
 
-def test_solve_residual_and_determinism(adv1d_model):
-    xi = np.array([0.37, 0.82])
-    u1 = adv1d_model.solve_full(xi)
-    u2 = adv1d_model.solve_full(xi)
+@pytest.mark.parametrize("fixture", ["adv1d_model", "adv2d_small", "elast_small"])
+def test_solve_residual_and_determinism(fixture, request):
+    model = request.getfixturevalue(fixture)
+    xi = model.domain.sample(1, np.random.default_rng(5))[0]
+    u1 = model.solve_full(xi)
+    u2 = model.solve_full(xi)
     assert np.array_equal(u1, u2)
-    assert np.array_equal(adv1d_model.solve_full(xi, adv1d_model.factorize(xi)), u1)
-    A = adv1d_model.operator_at(xi)
-    f = adv1d_model.rhs_at(xi)
+    assert np.array_equal(model.solve_full(xi, model.factorize(xi)), u1)
+    A = model.operator_at(xi)
+    f = model.rhs_at(xi)
     assert np.linalg.norm(f - A @ u1) <= 1e-10 * np.linalg.norm(f)
 
 
