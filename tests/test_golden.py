@@ -46,6 +46,18 @@ ADV2D_WORK = ([18, 15, 12, 8, 2], [19, 34, 46, 54, 56], [353, 590, 786, 955, 109
 # fixed-seed adv1d RWMH chain: sha256 of its samples, acceptance, full solves
 RWMH_CHAIN = ("a6e4256c14d0461f9b8e4ebc61b394ef6662d59da08ee538fc18340244e373f7",
               0.085, 286)
+# marginal_cdfs.csv of the tiny run-smc (seed 7), run-mcmc and oracle runs
+CDF_DIGESTS = {
+    "run-smc": "952fae7d3b2611dbe654c7bea11ef9ac368178e68b441450b16dfcd37faedf29",
+    "run-mcmc": "1d1ea1d79e49eb58fb116c3d96127702fec79b1f86752c46a7bdeae7057a6e56",
+    "oracle": "fc8e314ff787f527854c346bd1c28d9e8b978e95294fea9be48362e69cd2a67e",
+}
+# report.json of compare, the seed-7 and seed-8 runs against each kind of reference
+REPORT_DIGESTS = {
+    "oracle": "bd560cfcaef7e2d189a30dfbdcd0bf9aacd2c93bd76c1efefd11a2c49d6b4208",
+    "run-mcmc": "f127a0683b9338534d9876231b58f00eb0fdda9751e2a97d0d919d2ae0cad243",
+    "run-smc": "b6e0db53b198c499ba8dbb28a36127c7e1125ac5b3e7272c3289491156cfc123",
+}
 
 
 def _sha(data: bytes) -> str:
@@ -60,6 +72,38 @@ def cli_run(tmp_path_factory):
     out = tmp / "run"
     assert main(["run-smc", "--config", str(config), "--seed", "7", "--out", str(out)]) == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def reference_runs(cli_run):
+    """{command: output directory}: one tiny run of each kind beside cli_run."""
+    config = cli_run.parent / "tiny.yaml"
+    dirs = {"run-smc": cli_run}
+    for command, seed in [("run-mcmc", 5), ("oracle", 7)]:
+        dirs[command] = cli_run.parent / command
+        assert main([command, "--config", str(config), "--seed", str(seed),
+                     "--out", str(dirs[command])]) == 0
+    for seed in (8, 9):
+        assert main(["run-smc", "--config", str(config), "--seed", str(seed),
+                     "--out", str(cli_run.parent / f"run{seed}")]) == 0
+    return dirs
+
+
+@pytest.mark.parametrize("command", list(CDF_DIGESTS))
+def test_marginal_cdfs_golden(reference_runs, command):
+    assert _sha((reference_runs[command] / "marginal_cdfs.csv").read_bytes()) \
+        == CDF_DIGESTS[command]
+
+
+@pytest.mark.parametrize("ref", list(REPORT_DIGESTS))
+def test_compare_report_golden(reference_runs, ref):
+    # the seed-9 run is the particle reference; the two compared runs give h_proxy
+    root = reference_runs["run-smc"].parent
+    ref_dir = root / "run9" if ref == "run-smc" else reference_runs[ref]
+    out = root / f"compare-{ref}"
+    assert main(["compare", "--run", str(root / "run"), "--run", str(root / "run8"),
+                 "--ref", str(ref_dir), "--out", str(out)]) == 0
+    assert _sha((out / "report.json").read_bytes()) == REPORT_DIGESTS[ref]
 
 
 def test_run_smc_cli_artifacts_golden(cli_run):
