@@ -1,32 +1,33 @@
 #!/usr/bin/env python3
 """Elastography experiments: posterior vs noise level for both modulus
-layouts.  Each noise level runs SMC at the Gaussian-reference weight for
-the generated data and reports the per-parameter posterior spread."""
+layouts.  Each noise level runs the shipped configs/elast2d_{layout}.yaml
+SMC settings at the Gaussian-reference weight for the generated data and
+reports the per-parameter posterior spread."""
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from gibbsrb import assemble, gen_data  # noqa: E402
+from gibbsrb.config import (RunConfig, build_model, build_observations,  # noqa: E402
+                            resolve_total_weight)
 from gibbsrb.runio import write_json  # noqa: E402
-from gibbsrb.smc import SmcConfig, run_smc  # noqa: E402
-from gibbsrb.weights import gaussian_reference  # noqa: E402
+from gibbsrb.smc import run_smc  # noqa: E402
 
 
 def run(layout: str, seed: int, out: Path, nx: int) -> None:
     out.mkdir(parents=True, exist_ok=True)
-    model = assemble(f"elast2d_{layout}", {"nx": nx})
+    config = RunConfig.from_yaml(ROOT / "configs" / f"elast2d_{layout}.yaml")
+    config.mesh = {**config.mesh, "nx": nx}
+    model = build_model(config)
     rows = []
     for pct in (0.05, 0.10, 0.20):
-        obs = gen_data(model, noise_pct=pct, n=1, seed=seed)
-        cfg = SmcConfig(particles=100, total_weight=gaussian_reference(obs.eps_std),
-                        e_thre_mode="loss_std_fraction", e_thre_fraction=0.05,
-                        max_iterations=80, seed=seed)
+        config.data.noise_pct = pct
+        obs = build_observations(config, model, seed)
+        cfg = replace(config.smc, total_weight=resolve_total_weight(config, obs), seed=seed)
         res = run_smc(model, obs, cfg)
         res.particles.to_csv(out / f"particles_noise{int(pct * 100):02d}.csv")
         stds = res.particles.points.std(axis=0)

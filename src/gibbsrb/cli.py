@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, build_model, build_observations, resolve_total_weight
-from .diagnostics import bound_suite, h_proxy, ks_distance, weighted_cdf
+from .diagnostics import bound_suite, h_proxy, ks_distance, marginal_cdf
 from .mcmc import run_rwmh
 from .oracle import grid_posterior
 from .particles import ParticleSet
@@ -25,6 +25,10 @@ from .runio import (HISTORY_COLUMNS, pin_blas_threads, read_csv, read_json, writ
                     write_losses_csv, write_manifest)
 from .smc import SmcConfig, run_smc
 from .weights import evaluate_grid_via_smc
+
+
+def _write_marginal_cdfs(out: Path, dist, dim: int) -> None:
+    write_cdfs_csv(out / "marginal_cdfs.csv", [(j, *marginal_cdf(dist, j)) for j in range(dim)])
 
 
 def _prepare(args):
@@ -53,9 +57,7 @@ def cmd_run_smc(args) -> int:
     write_losses_csv(out / "iteration_losses.csv", result.history)
     write_atoms_csv(out / "atoms.csv", result.surrogate)
     observations.to_csv(out / "observations.csv")
-    curves = [(j, *weighted_cdf(result.particles.points[:, j], result.particles.weights))
-              for j in range(model.dim)]
-    write_cdfs_csv(out / "marginal_cdfs.csv", curves)
+    _write_marginal_cdfs(out, result.particles, model.dim)
 
     verified = None
     if args.verify:
@@ -92,10 +94,7 @@ def cmd_run_mcmc(args) -> int:
                      step_scale=config.mcmc.step_scale, seed=config.smc.seed)
     wall = time.perf_counter() - t0
     chain.to_csv(out / "chain.csv")
-    m = chain.samples.shape[0]
-    curves = [(j, *weighted_cdf(chain.samples[:, j], np.full(m, 1.0 / m)))
-              for j in range(model.dim)]
-    write_cdfs_csv(out / "marginal_cdfs.csv", curves)
+    _write_marginal_cdfs(out, chain.samples, model.dim)
     observations.to_csv(out / "observations.csv")
     write_manifest(out / "manifest.json", config=config, seed=config.smc.seed, extra={
         "command": "run-mcmc",
@@ -104,7 +103,7 @@ def cmd_run_mcmc(args) -> int:
         "full_solves": chain.full_solves,
         "wall_time_s": wall,
     })
-    print(f"run-mcmc: {m} samples, acceptance {chain.acceptance_rate:.3f}, "
+    print(f"run-mcmc: {chain.samples.shape[0]} samples, acceptance {chain.acceptance_rate:.3f}, "
           f"{chain.full_solves} full solves, wall {wall:.2f}s")
     return 0
 
@@ -135,8 +134,7 @@ def cmd_oracle(args) -> int:
     t0 = time.perf_counter()
     post = grid_posterior(model, model.domain, w_total, shape, observations)
     wall = time.perf_counter() - t0
-    write_cdfs_csv(out / "marginal_cdfs.csv",
-                   [(j, *post.marginal_cdf(j)) for j in range(post.dim)])
+    _write_marginal_cdfs(out, post, post.dim)
     np.save(out / "density.npy", post.density)
     mesh = np.meshgrid(*post.axes, indexing="ij")
     write_csv(out / "density.csv", [f"xi_{j + 1}" for j in range(post.dim)] + ["density"],
@@ -152,23 +150,27 @@ def cmd_oracle(args) -> int:
 
 
 def _load_ref(ref_dir: Path):
+    """(one reference per dimension for ks_distance, the particle set for
+    h_proxy or None): an oracle's CDF curves, interpolated; a chain's
+    samples; an SMC run's particles."""
     command = read_json(ref_dir / "manifest.json").get("command")
     if command == "oracle":
         _, table = read_csv(ref_dir / "marginal_cdfs.csv")
-        return {"kind": "cdf_curves",
-                "curves": {j: table[table[:, 0] == j + 1, 1:].T
-                           for j in range(int(table[:, 0].max()))}}
+        curves = [table[table[:, 0] == j + 1, 1:].T for j in range(int(table[:, 0].max()))]
+        return [lambda x, gx=gx, gc=gc: np.interp(x, gx, gc, left=0.0, right=1.0)
+                for gx, gc in curves], None
     if command == "run-mcmc":
-        return {"kind": "samples", "samples": read_csv(ref_dir / "chain.csv")[1]}
-    return {"kind": "particles", "particles": ParticleSet.from_csv(ref_dir / "particles.csv")}
+        samples = read_csv(ref_dir / "chain.csv")[1]
+        return [samples] * samples.shape[1], None
+    particles = ParticleSet.from_csv(ref_dir / "particles.csv")
+    return [particles] * particles.dim, particles
 
 
 def cmd_compare(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     runs = [ParticleSet.from_csv(Path(r) / "particles.csv") for r in args.run]
-    ref = _load_ref(Path(args.ref))
-    dim = runs[0].dim
+    refs, ref_particles = _load_ref(Path(args.ref))
 
     from .domain import ParameterDomain
     lo = np.min([r.points.min(axis=0) for r in runs], axis=0)
@@ -176,21 +178,12 @@ def cmd_compare(args) -> int:
     pad = 1e-9 + 1e-9 * (hi - lo)
     domain = ParameterDomain(lo - pad - 1e-6, hi + pad + 1e-6)
 
-    ks = {}
-    for j in range(dim):
-        if ref["kind"] == "cdf_curves":
-            gx, gc = ref["curves"][j]
-            reference = lambda x, gx=gx, gc=gc: np.interp(x, gx, gc, left=0.0, right=1.0)
-        elif ref["kind"] == "samples":
-            reference = ref["samples"]
-        else:
-            reference = ref["particles"]
-        ks[f"xi_{j + 1}"] = [ks_distance(r, reference, j) for r in runs]
-
+    ks = {f"xi_{j + 1}": [ks_distance(r, refs[j], j) for r in runs]
+          for j in range(runs[0].dim)}
     report = {"ks_per_run": ks,
               "ks_median": {k: float(np.median(v)) for k, v in ks.items()}}
-    if len(runs) >= 2 and ref["kind"] == "particles":
-        report["h_proxy"] = h_proxy(runs, ref["particles"], domain)
+    if len(runs) >= 2 and ref_particles is not None:
+        report["h_proxy"] = h_proxy(runs, ref_particles, domain)
     write_json(out / "report.json", report)
     print(json.dumps(report["ks_median"], indent=2, sort_keys=True))
     return 0

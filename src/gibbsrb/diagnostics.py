@@ -41,29 +41,25 @@ def _dictionary(domain: ParameterDomain):
     return fns
 
 
-def _apply(fn, points: np.ndarray, domain: ParameterDomain) -> np.ndarray:
+def _apply(fn, x: np.ndarray, domain: ParameterDomain) -> np.ndarray:
+    """The test function fn at the values x of its coordinate."""
     kind, j, c = fn
     if kind == "ind":
-        return (points[:, j] <= c).astype(float)
-    s = 2.0 * (points[:, j] - domain.lower[j]) / domain.widths[j] - 1.0
+        return (x <= c).astype(float)
+    s = 2.0 * (x - domain.lower[j]) / domain.widths[j] - 1.0
     return np.clip(s if kind == "lin" else s**2, -1.0, 1.0)
 
 
-def _reference_expectation(fn, reference, domain: ParameterDomain) -> float:
+def _expectation(fn, dist, domain: ParameterDomain) -> float:
+    """E[fn] under a ParticleSet, a GridPosterior or 'prior' (analytic)."""
     kind, j, c = fn
-    if isinstance(reference, ParticleSet):
-        return float(reference.weights @ _apply(fn, reference.points, domain))
-    if isinstance(reference, GridPosterior):
-        x = reference.axes[j]
-        dens = reference.marginal_density(j)
-        w = reference._axis_weights(j)
-        if kind == "ind":
-            vals = (x <= c).astype(float)
-        else:
-            s = 2.0 * (x - domain.lower[j]) / domain.widths[j] - 1.0
-            vals = np.clip(s if kind == "lin" else s**2, -1.0, 1.0)
-        return float(np.sum(w * dens * vals))
-    if reference == "prior":
+    if isinstance(dist, ParticleSet):
+        return float(dist.weights @ _apply(fn, dist.points[:, j], domain))
+    if isinstance(dist, GridPosterior):
+        # summed like GridPosterior.mean, not by a BLAS dot
+        x, mass = dist.marginal_masses(j)
+        return float(np.sum(mass * _apply(fn, x, domain)))
+    if dist == "prior":
         if kind == "ind":
             return float(domain.marginal_cdf(j, c))
         mean, var = domain.marginal_mean_var(j)
@@ -73,7 +69,7 @@ def _reference_expectation(fn, reference, domain: ParameterDomain) -> float:
         # E[s^2] for s = 2 (x - lo)/w - 1
         m2 = var + mean**2
         return 4.0 * (m2 - 2 * lo * mean + lo**2) / w**2 - 4.0 * (mean - lo) / w + 1.0
-    raise TypeError(f"unsupported reference {type(reference)!r}")
+    raise TypeError(f"unsupported reference {type(dist)!r}")
 
 
 def h_proxy(runs: list[ParticleSet], reference, domain: ParameterDomain) -> float:
@@ -86,9 +82,8 @@ def h_proxy(runs: list[ParticleSet], reference, domain: ParameterDomain) -> floa
         raise ValueError("need at least one run")
     worst = 0.0
     for fn in _dictionary(domain):
-        ref_val = _reference_expectation(fn, reference, domain)
-        sq = [(float(r.weights @ _apply(fn, r.points, domain)) - ref_val) ** 2
-              for r in runs]
+        ref_val = _expectation(fn, reference, domain)
+        sq = [(_expectation(fn, r, domain) - ref_val) ** 2 for r in runs]
         worst = max(worst, np.sqrt(np.mean(sq)))
     return float(worst)
 
@@ -109,40 +104,42 @@ def weighted_cdf(points: np.ndarray, weights: np.ndarray):
 
 def _eval_step_cdf(x_knots, cdf_vals, x):
     idx = np.searchsorted(x_knots, x, side="right") - 1
-    out = np.where(idx >= 0, cdf_vals[np.clip(idx, 0, len(cdf_vals) - 1)], 0.0)
-    return out
+    return np.where(idx >= 0, cdf_vals[np.clip(idx, 0, len(cdf_vals) - 1)], 0.0)
+
+
+def marginal_cdf(reference, j: int):
+    """(knots, cdf values) of the j-th marginal of a reference distribution.
+
+    A GridPosterior gives its trapezoid CDF at the grid nodes, read by
+    linear interpolation; a ParticleSet its weighted empirical CDF; an
+    (n, M) sample array the empirical CDF of column j, an (n,) array its own.
+    """
+    if isinstance(reference, GridPosterior):
+        return reference.marginal_cdf(j)
+    if isinstance(reference, ParticleSet):
+        return weighted_cdf(reference.points[:, j], reference.weights)
+    samples = np.asarray(reference, dtype=float)
+    col = samples[:, j] if samples.ndim > 1 else samples
+    return weighted_cdf(col, np.full(col.size, 1.0 / col.size))
 
 
 def ks_distance(particles: ParticleSet, reference, dim: int) -> float:
     """Sup distance between the weighted marginal empirical CDF and a
     reference CDF, evaluated over the merged support points.
 
-    ``reference``: GridPosterior, ParticleSet, array of samples, or a
-    callable CDF.
+    ``reference``: a callable CDF, or anything ``marginal_cdf`` reads.
     """
     xw, cw = weighted_cdf(particles.points[:, dim], particles.weights)
-
-    if isinstance(reference, GridPosterior):
-        gx, gc = reference.marginal_cdf(dim)
-        ref_cdf = lambda x: np.interp(x, gx, gc, left=0.0, right=1.0)
-        support = np.concatenate([xw, gx])
-        jump_ref = False
-    elif isinstance(reference, ParticleSet):
-        rx, rc = weighted_cdf(reference.points[:, dim], reference.weights)
-        ref_cdf = lambda x: _eval_step_cdf(rx, rc, x)
-        support = np.concatenate([xw, rx])
-        jump_ref = True
-    elif callable(reference):
-        ref_cdf = reference
-        support = xw
-        jump_ref = False
+    if callable(reference):
+        ref_cdf, support, jump_ref = reference, xw, False
     else:
-        samples = np.asarray(reference, dtype=float)
-        col = samples[:, dim] if samples.ndim > 1 else samples
-        rx, rc = weighted_cdf(col, np.full(col.size, 1.0 / col.size))
-        ref_cdf = lambda x: _eval_step_cdf(rx, rc, x)
+        rx, rc = marginal_cdf(reference, dim)
+        jump_ref = not isinstance(reference, GridPosterior)
+        if jump_ref:
+            ref_cdf = lambda x: _eval_step_cdf(rx, rc, x)
+        else:
+            ref_cdf = lambda x: np.interp(x, rx, rc, left=0.0, right=1.0)
         support = np.concatenate([xw, rx])
-        jump_ref = True
 
     support = np.unique(support)
     left_pts = np.nextafter(support, -np.inf)

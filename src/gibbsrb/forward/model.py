@@ -15,7 +15,6 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 LOSS_KINDS = ("squared_l2", "l1", "l2")
@@ -268,7 +267,4 @@ class ForwardModel:
 
     def observation_operator_norm(self) -> float:
         """Largest singular value of the observation matrix."""
-        D = self.obs_matrix
-        if min(D.shape) <= 200:
-            return float(np.linalg.svd(D.toarray(), compute_uv=False)[0])
-        return float(spla.svds(D, k=1, return_singular_vectors=False)[0])
+        return float(np.linalg.svd(self.obs_matrix.toarray(), compute_uv=False)[0])

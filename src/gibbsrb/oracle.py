@@ -34,17 +34,20 @@ class GridPosterior:
     def dim(self) -> int:
         return len(self.axes)
 
-    def _axis_weights(self, j: int) -> np.ndarray:
-        return _trapezoid_weights(self.axes[j])
-
     def marginal_density(self, j: int) -> np.ndarray:
         # integrate out every other axis, highest first so indices stay valid
         dens = self.density
         for k in sorted(set(range(self.dim)) - {j}, reverse=True):
-            dens = np.tensordot(dens, self._axis_weights(k), axes=([k], [0]))
+            dens = np.tensordot(dens, _trapezoid_weights(self.axes[k]), axes=([k], [0]))
             if k < j:
                 j -= 1
         return dens
+
+    def marginal_masses(self, j: int):
+        """(nodes, trapezoid masses) of the j-th marginal: the expectation of
+        f(xi_j) is the sum of masses * f(nodes)."""
+        x = self.axes[j]
+        return x, _trapezoid_weights(x) * self.marginal_density(j)
 
     def marginal_cdf(self, j: int):
         """(nodes, cdf) of the j-th marginal, trapezoid-integrated."""
@@ -57,23 +60,13 @@ class GridPosterior:
         return x, cdf
 
     def mean(self) -> np.ndarray:
-        out = np.empty(self.dim)
-        for j in range(self.dim):
-            x = self.axes[j]
-            dens = self.marginal_density(j)
-            w = self._axis_weights(j)
-            out[j] = np.sum(w * dens * x)
-        return out
+        masses = map(self.marginal_masses, range(self.dim))
+        return np.array([np.sum(mass * x) for x, mass in masses])
 
     def marginal_std(self) -> np.ndarray:
-        mu = self.mean()
-        out = np.empty(self.dim)
-        for j in range(self.dim):
-            x = self.axes[j]
-            dens = self.marginal_density(j)
-            w = self._axis_weights(j)
-            out[j] = np.sqrt(max(np.sum(w * dens * (x - mu[j]) ** 2), 0.0))
-        return out
+        masses = map(self.marginal_masses, range(self.dim))
+        var = [np.sum(mass * (x - mu) ** 2) for (x, mass), mu in zip(masses, self.mean())]
+        return np.sqrt(np.maximum(var, 0.0))
 
 
 def grid_posterior(model, domain, weight: float, grid_shape, observations,

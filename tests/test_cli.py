@@ -144,6 +144,34 @@ def test_oracle_and_compare(tiny_config, tmp_path):
     assert all(0.0 <= v <= 1.0 for v in report["ks_median"].values())
 
 
+def test_compare_oracle_ks_matches_grid_posterior(tiny_config, tmp_path):
+    # compare reads the oracle back from its CSV curves; the KS it reports
+    # must be the one ks_distance gives against the GridPosterior in memory
+    from gibbsrb.config import RunConfig, build_model, build_observations, resolve_total_weight
+    from gibbsrb.diagnostics import ks_distance
+    from gibbsrb.oracle import grid_posterior
+    from gibbsrb.particles import ParticleSet
+
+    run_dirs = [tmp_path / f"run{seed}" for seed in (1, 2)]
+    for seed, run_dir in zip((1, 2), run_dirs):
+        main(["run-smc", "--config", str(tiny_config), "--seed", str(seed),
+              "--out", str(run_dir)])
+    main(["oracle", "--config", str(tiny_config), "--seed", "1", "--grid", "25x25",
+          "--out", str(tmp_path / "oracle")])
+    main(["compare", *[a for d in run_dirs for a in ("--run", str(d))],
+          "--ref", str(tmp_path / "oracle"), "--out", str(tmp_path / "cmp")])
+    report = json.loads((tmp_path / "cmp" / "report.json").read_text())
+
+    config = RunConfig.from_yaml(tiny_config)
+    model = build_model(config)
+    obs = build_observations(config, model, 1)
+    grid = grid_posterior(model, model.domain, resolve_total_weight(config, obs), (25, 25), obs)
+    runs = [ParticleSet.from_csv(d / "particles.csv") for d in run_dirs]
+    for j in range(model.dim):
+        expected = [ks_distance(run, grid, j) for run in runs]
+        assert report["ks_per_run"][f"xi_{j + 1}"] == pytest.approx(expected, rel=0, abs=1e-12)
+
+
 def test_compare_two_runs(tiny_config, tmp_path):
     a, b, cmp_dir = tmp_path / "a", tmp_path / "b", tmp_path / "c"
     main(["run-smc", "--config", str(tiny_config), "--seed", "21",

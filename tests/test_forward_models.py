@@ -1,11 +1,16 @@
 import dataclasses
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import gibbsrb
 from gibbsrb import ObservationSet, assemble, gen_data
 from gibbsrb.domain import ParameterDomain
 from gibbsrb.forward.model import ForwardModel, SolverError
@@ -352,3 +357,14 @@ def test_upwind_variant_runs():
     assert _affine_gap(m, n_samples=20, seed=1) <= 1e-12
     u = m.solve_full(np.array([0.2, 0.7]))
     assert np.all(np.isfinite(u))
+
+
+def test_import_leaves_sparse_linalg_unloaded():
+    # the observation norm is a dense SVD, and no solve goes through
+    # scipy.sparse.linalg, so importing the package must not load it
+    src = str(Path(gibbsrb.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, gibbsrb; print('scipy.sparse.linalg' in sys.modules)"
+    loaded = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                            capture_output=True, text=True).stdout.strip()
+    assert loaded == "False"
