@@ -14,6 +14,7 @@ import pytest
 
 from gibbsrb import assemble, gen_data
 from gibbsrb.cli import main
+from gibbsrb.localrb import Surrogate
 from gibbsrb.mcmc import run_rwmh
 from gibbsrb.smc import SmcConfig, run_smc
 from gibbsrb.weights import gaussian_reference
@@ -43,6 +44,8 @@ LOSS_STD_FRACTION_WORK = ([5, 2, 2, 0], [6, 8, 10, 10], [208, 363, 526, 645], 4,
                           {"full": 10, "sensitivity": 20, "stability": 0})
 ADV2D_WORK = ([18, 15, 12, 8, 2], [19, 34, 46, 54, 56], [353, 590, 786, 955, 1097], 5,
               {"full": 56, "sensitivity": 168, "stability": 0})
+# cell basis builds of the adv2d golden run, as the bench counts them
+ADV2D_CELL_BUILDS = 283
 # fixed-seed adv1d RWMH chain: sha256 of its samples, acceptance, full solves
 RWMH_CHAIN = ("a6e4256c14d0461f9b8e4ebc61b394ef6662d59da08ee538fc18340244e373f7",
               0.085, 286)
@@ -146,12 +149,24 @@ def loss_std_fraction_run(adv1d_model, adv1d_obs):
 
 @pytest.fixture(scope="module")
 def adv2d_run():
+    """(result, cell builds): the builds are counted by a bare wrapper of
+    Surrogate._build_cell, as bench/worker.py's count_cell_builds does."""
     # two operator and two rhs terms, 18-column residual factors
     model = assemble("adv2d", {"nx": 12})
     obs = gen_data(model, noise_pct=0.10, n=2, seed=3)
     cfg = SmcConfig(particles=24, total_weight=6.0, seed=17, mutation_steps=3,
                     e_thre_mode="fixed", e_thre_value=1e-3)
-    return run_smc(model, obs, cfg)
+    original = Surrogate.__dict__["_build_cell"]
+    tally = []
+
+    def counted(self, k):
+        tally.append(k)
+        return original(self, k)
+    Surrogate._build_cell = counted
+    try:
+        return run_smc(model, obs, cfg), len(tally)
+    finally:
+        Surrogate._build_cell = original
 
 
 def test_run_smc_loss_std_fraction_golden(loss_std_fraction_run):
@@ -163,11 +178,16 @@ def test_run_smc_loss_std_fraction_work_golden(loss_std_fraction_run):
 
 
 def test_run_smc_adv2d_calibrated_fixed_golden(adv2d_run):
-    assert _result_digest(adv2d_run) == ADV2D_DIGEST
+    assert _result_digest(adv2d_run[0]) == ADV2D_DIGEST
 
 
 def test_run_smc_adv2d_work_golden(adv2d_run):
-    assert _work(adv2d_run) == ADV2D_WORK
+    assert _work(adv2d_run[0]) == ADV2D_WORK
+
+
+def test_run_smc_adv2d_cell_builds_golden(adv2d_run):
+    result, builds = adv2d_run
+    assert (builds, result.surrogate.n_atoms) == (ADV2D_CELL_BUILDS, 56)
 
 
 def test_run_rwmh_chain_golden(adv1d_obs):
