@@ -14,7 +14,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from gibbsrb.config import (RunConfig, build_model, build_observations,  # noqa: E402
                             resolve_total_weight)
-from gibbsrb.runio import write_json  # noqa: E402
+from gibbsrb.runio import pin_blas_threads, write_json  # noqa: E402
 from gibbsrb.smc import run_smc  # noqa: E402
 
 
@@ -53,5 +53,8 @@ if __name__ == "__main__":
     ap.add_argument("--nx", type=int, default=32)
     ap.add_argument("--out", default=None)
     args = ap.parse_args()
+    # small dense kernels dominate; BLAS threading only adds overhead, as
+    # the gibbsrb commands pin it
+    pin_blas_threads(1)
     out = Path(args.out or f"results/elast_{args.layout}")
     run(args.layout, args.seed, out, args.nx)

@@ -17,18 +17,23 @@ import numpy as np
 
 from .config import RunConfig, build_model, build_observations, resolve_total_weight
 from .diagnostics import bound_suite, h_proxy, ks_distance, marginal_cdf
+from .localrb import AtomBudgetError
 from .mcmc import run_rwmh
 from .oracle import grid_posterior
 from .particles import ParticleSet
 from .runio import (HISTORY_COLUMNS, pin_blas_threads, read_csv, read_json, write_atoms_csv,
                     write_cdfs_csv, write_csv, write_history_csv, write_json,
                     write_losses_csv, write_manifest)
-from .smc import SmcConfig, run_smc
+from .smc import SmcConfig, SmcIterationError, run_smc
 from .weights import evaluate_grid_via_smc
 
 
 def _write_marginal_cdfs(out: Path, dist, dim: int) -> None:
     write_cdfs_csv(out / "marginal_cdfs.csv", [(j, *marginal_cdf(dist, j)) for j in range(dim)])
+
+
+def _iteration_table(history) -> list:
+    return [{c: getattr(r, c) for c in HISTORY_COLUMNS} for r in history]
 
 
 def _prepare(args):
@@ -46,8 +51,26 @@ def cmd_run_smc(args) -> int:
     config, model, observations, out = _prepare(args)
     w_total = resolve_total_weight(config, observations)
     smc_cfg = SmcConfig(**{**config.smc.__dict__, "total_weight": w_total})
+    counts0 = model.counters.snapshot()
     t0 = time.perf_counter()
-    result = run_smc(model, observations, smc_cfg)
+    try:
+        result = run_smc(model, observations, smc_cfg)
+    except (AtomBudgetError, SmcIterationError) as exc:
+        # a failed run still leaves the iterations it finished and the reason
+        counts = model.counters.snapshot()
+        error = f"{type(exc).__name__}: {exc}"
+        write_history_csv(out / "history.csv", exc.history)
+        write_manifest(out / "manifest.json", config=config, seed=smc_cfg.seed, extra={
+            "command": "run-smc",
+            "status": "failed",
+            "error": error,
+            "iterations": len(exc.history),
+            "wall_time_s": time.perf_counter() - t0,
+            "solve_counts": {k: counts[k] - counts0[k] for k in counts},
+            "iteration_table": _iteration_table(exc.history),
+        })
+        print(f"run-smc FAILED: {error}", file=sys.stderr)
+        return 1
     wall = time.perf_counter() - t0
 
     result.particles.to_csv(out / "particles.csv")
@@ -67,6 +90,7 @@ def cmd_run_smc(args) -> int:
 
     write_manifest(out / "manifest.json", config=config, seed=smc_cfg.seed, extra={
         "command": "run-smc",
+        "status": "ok",
         "final_weight": result.final_weight,
         "iterations": result.iterations,
         "wall_time_s": wall,
@@ -74,8 +98,7 @@ def cmd_run_smc(args) -> int:
         "reduced_solves": result.surrogate.reduced_solves,
         "atoms": result.surrogate.n_atoms,
         "bound_suite_passed": verified,
-        "iteration_table": [{c: getattr(r, c) for c in HISTORY_COLUMNS}
-                            for r in result.history],
+        "iteration_table": _iteration_table(result.history),
     })
     print(f"run-smc: W={result.final_weight:g} in {result.iterations} iterations, "
           f"{result.solve_counts['full']} full solves, wall {wall:.2f}s")

@@ -8,6 +8,10 @@ triangular factor turns the norm of the residual preconditioned by the
 cell atom's factorized operator into an O(K^2) evaluation independent of
 the mesh size.
 
+Cells are built in stacked passes when a query first lands in them, and a
+cell's indicator factor when an indicator is first read there; loss-only
+queries never touch the LU cache, so its misses happen only in factor builds.
+
 The state-error indicator divides that preconditioned residual norm by a
 stability constant calibrated on the fly from the (residual, true error)
 pairs that every atom insertion produces for free.  The loss indicator
@@ -28,7 +32,7 @@ ORTHO_DROP_TOL = 1e-10      # relative column drop threshold in the basis QR
 DEFAULT_NEIGHBORS = 5
 DEFAULT_ATOM_BUDGET = 2000
 CALIBRATION_SAFETY = 1.0
-CALIBRATION_QUANTILE = 20  # percentile of recent insertion ratios
+CALIBRATION_QUANTILE = 20  # percentile of recent insertion ratios, numpy's "linear" rule
 CALIBRATION_WINDOW = 50
 _LU_CACHE_SIZE = 64
 
@@ -67,12 +71,31 @@ class RefinementReport:
 @dataclass
 class _Cell:
     neighbors: tuple = ()
-    dirty: bool = True                        # caches stale; rebuilt on demand
+    dirty: bool = True                        # arrays stale; rebuilt on demand
     basis: np.ndarray | None = None           # (n_dof, r), orthonormal
     reduced_ops: np.ndarray | None = None     # (P, r, r) Phi^T A_p Phi
     reduced_rhs: np.ndarray | None = None     # (Q, r) Phi^T f_q
     obs_basis: np.ndarray | None = None       # D_obs Phi
-    precond_factor: np.ndarray | None = None  # R of qr(A_k^{-1} [f_q | A_p Phi])
+    precond_factor: np.ndarray | None = None  # R of qr(A_k^{-1} [f_q | A_p Phi]),
+                                              # None until an indicator is read
+
+
+def _percentile(values, pct: float) -> float:
+    """np.percentile(values, pct), bit for bit: numpy's "linear" index and
+    interpolation, without its partition."""
+    s = np.sort(values)
+    v = (len(s) - 1) * (pct / 100)
+    i = int(v)
+    a, b, g = float(s[i]), float(s[min(i + 1, len(s) - 1)]), v - i
+    return a + (b - a) * g if g < 0.5 else b - (b - a) * (1 - g)
+
+
+def _groups(ks: list, key) -> dict:
+    """{key(k): [k, ...]}, keys and lists in the order of ks."""
+    out: dict = {}
+    for k in ks:
+        out.setdefault(key(k), []).append(k)
+    return out
 
 
 def _residual_norms(factors: np.ndarray, ath: np.ndarray, fth: np.ndarray,
@@ -120,6 +143,7 @@ class Surrogate:
         self._ratio_quantile: float | None = None  # of _ratios; reset on append
         self._obs_norm = model.observation_operator_norm()
         self._lu_cache: dict[int, object] = {}
+        self._staged: dict[int, tuple] = {}  # a stacked pass's arrays per cell
         self.reduced_solves = 0
 
     # ----- bookkeeping -----
@@ -146,7 +170,7 @@ class Surrogate:
         q = self._ratio_quantile
         if q is None:
             recent = self._ratios[-CALIBRATION_WINDOW:]
-            q = self._ratio_quantile = float(np.percentile(recent, CALIBRATION_QUANTILE))
+            q = self._ratio_quantile = _percentile(recent, CALIBRATION_QUANTILE)
         return CALIBRATION_SAFETY * q
 
     # ----- geometry -----
@@ -195,8 +219,9 @@ class Surrogate:
     # ----- construction -----
     def add_atom(self, xi: np.ndarray) -> int:
         """Insert an atom: one factorization of A(xi), shared by a full and a
-        sensitivity solve, then build the new atom's cell; cells whose
-        neighbor set changed are rebuilt when a query next lands in them.
+        sensitivity solve, and kept in the LU cache for the new cell's
+        indicator factor.  The new cell, and every cell whose neighbor set
+        changed, is built when a query next lands in it.
 
         A point outside the parameter box raises ValueError from the
         factorization, before any surrogate state changes.
@@ -226,7 +251,6 @@ class Surrogate:
                                full_solves=self.model.counters.full))
         self._lu_stash(idx, factors[1])
         self._insert_location(s)
-        self._build_cell(idx)  # the new cell's factorization is in hand
 
         if np.isfinite(raw):
             err = np.linalg.norm(u - prediction)
@@ -249,64 +273,125 @@ class Surrogate:
         return lu
 
     def _ensure_cell(self, k: int) -> _Cell:
-        cell = self.cells[k]
-        if cell.dirty:
-            self._build_cell(k)
-        return cell
+        """Cell k with its basis, reduced arrays and indicator factor built."""
+        self._ensure_cells([k], indicators=True)
+        return self.cells[k]
 
-    def _build_cell(self, k: int) -> None:
-        """Build cell k's basis, reduced operators and indicator factor.
+    def _ensure_cells(self, ks: list, indicators: bool) -> None:
+        """Build the dirty cells among ks and, with ``indicators``, the
+        missing indicator factors of ks, each in one stacked pass; the LU
+        cache is read in the order of ks."""
+        dirty = [k for k in ks if self.cells[k].dirty]
+        products = self._build_cells(dirty) if dirty else {}
+        if indicators:
+            self._build_factors([k for k in ks if self.cells[k].precond_factor is None],
+                                products)
 
-        The basis is Q of a Householder QR of the sources [u_k | grad u_k |
-        u_j for each neighbor j], without the sources that are numerically
-        in the span of those before them.  The build reads only the atoms
-        and the neighbor tuple, never the cell's previous arrays.
+    def _build_cells(self, ks: list) -> dict:
+        """Build the bases and reduced arrays of cells ks in one stacked
+        pass; returns {k: A_p Phi as a (P, n_dof, r) array}.
+
+        A basis is Q of a Householder QR of the sources [u_k | grad u_k |
+        u_j for each neighbor j], without the sources numerically in the
+        span of those before them.  Every neighbor tuple holds
+        min(N, atoms - 1) atoms, so one stacked QR serves all the cells;
+        one sparse product and stacked matmuls serve each basis rank.
+        Stacked LAPACK, BLAS and CSR calls run the same kernel per matrix
+        and per column, so the arrays are bit-identical to one-cell builds.
         """
-        model = self.model
-        atom, cell = self.atoms[k], self.cells[k]
-        sources = np.column_stack([atom.snapshot, atom.gradient]
-                                  + [self.atoms[j].snapshot for j in cell.neighbors])
-        Phi, R = np.linalg.qr(sources)
+        S = np.stack([self._sources(k) for k in ks])
+        Q, R = np.linalg.qr(S)
         # |R_jj| is the norm of source j's part orthogonal to the sources
         # before it; R has only min(n_dof, r) diagonal entries
-        d = np.abs(np.diagonal(R))
-        kept = np.zeros(sources.shape[1], dtype=bool)
-        kept[:d.size] = d > ORTHO_DROP_TOL * np.linalg.norm(sources[:, :d.size], axis=0)
-        if not kept.all():
-            Phi = np.linalg.qr(sources[:, kept])[0]
+        d = np.abs(np.diagonal(R, axis1=1, axis2=2))
+        bases = {}
+        for k, Sk, Qk, dk in zip(ks, S, Q, d):
+            kept = np.zeros(Sk.shape[1], dtype=bool)
+            kept[:dk.size] = dk > ORTHO_DROP_TOL * np.linalg.norm(Sk[:, :dk.size], axis=0)
+            bases[k] = Qk if kept.all() else np.linalg.qr(Sk[:, kept])[0]
+        products = {}
+        for group in _groups(ks, lambda k: bases[k].shape[1]).values():
+            Phis = np.stack([bases[k] for k in group])
+            op_cols, obs = self._products(Phis)
+            PhiT = Phis.transpose(0, 2, 1)
+            ops = np.stack([PhiT @ op_cols[:, p] for p in range(op_cols.shape[1])], axis=1)
+            rhs = np.stack([PhiT @ f for f in self.model.rhs_terms], axis=1)
+            for i, k in enumerate(group):
+                self._staged[k] = (Phis[i], ops[i], rhs[i], obs[i])
+                products[k] = op_cols[i]
+        for k in ks:
+            self._build_cell(k)
+        return products
 
-        cell.basis = Phi
-        op_cols, cell.obs_basis = self._products(Phi)  # A_p Phi, D_obs Phi
-        cell.reduced_ops = np.stack([Phi.T @ AP for AP in op_cols])
-        cell.reduced_rhs = np.stack([Phi.T @ f for f in model.rhs_terms])
-        # preconditioned residual pieces A_k^{-1} [f_q | A_p Phi]; the block
-        # for the dominant coefficient follows from the affine identity
-        # sum_p theta_p(xi_k) A_k^{-1} A_p Phi = Phi, saving r solve columns.
-        # That identity and u_k in span Phi make the columns dependent, so
-        # the factor comes from a QR.
-        theta_k, _ = model.coefficients(atom.location)
+    def _sources(self, k: int) -> np.ndarray:
+        """(n_dof, 1 + M + N) sources of cell k's basis."""
+        atom = self.atoms[k]
+        return np.column_stack([atom.snapshot, atom.gradient]
+                               + [self.atoms[j].snapshot for j in self.cells[k].neighbors])
+
+    def _build_cell(self, k: int) -> None:
+        """Install cell k's basis and reduced arrays from the stacked pass
+        in progress (_build_cells), as copies that hold no view into the
+        pass's arrays.  Its indicator factor waits for the first read."""
+        cell = self.cells[k]
+        cell.basis, cell.reduced_ops, cell.reduced_rhs, cell.obs_basis = (
+            a.copy() for a in self._staged.pop(k))
+        cell.precond_factor = None
+        cell.dirty = False
+
+    def _build_factors(self, ks: list, products: dict) -> None:
+        """Indicator factors of the built cells ks: per cell the LU lookup
+        and band solve, in the order of ks, then one stacked QR per basis
+        rank.  ``products`` holds A_p Phi of cells built in the same pass;
+        the others' come from one sparse product per rank."""
+        nq, P = self._rhs_cols.shape[1], len(self.model.operator_terms)
+        groups = _groups(ks, lambda k: self.cells[k].basis.shape[1])
+        Z, slot = {}, {}
+        for r, group in groups.items():
+            missing = [k for k in group if k not in products]
+            if missing:
+                op_cols, _ = self._products(np.stack([self.cells[k].basis for k in missing]))
+                products.update(zip(missing, op_cols))
+            Z[r] = np.empty((len(group), self.model.n_dof, nq + P * r))
+            slot.update((k, Z[r][i]) for i, k in enumerate(group))
+        for k in ks:
+            self._precond_columns(k, products[k], slot[k])
+        for r, group in groups.items():
+            for k, R in zip(group, np.linalg.qr(Z[r], mode="r")):
+                self.cells[k].precond_factor = R.copy()
+
+    def _precond_columns(self, k: int, op_cols: np.ndarray, out: np.ndarray) -> None:
+        """Write A_k^{-1} [f_q | A_p Phi] for cell k into out (n_dof, Q + P r).
+
+        The block for the dominant coefficient follows from the affine
+        identity sum_p theta_p(xi_k) A_k^{-1} A_p Phi = Phi, saving r solve
+        columns.  That identity and u_k in span Phi make the columns
+        dependent, so the factor comes from a QR.
+        """
+        Phi = self.cells[k].basis
+        theta_k, _ = self.model.coefficients(self.atoms[k].location)
         p0 = int(np.argmax(np.abs(theta_k)))
         others = [p for p in range(len(theta_k)) if p != p0]
         nq, r = self._rhs_cols.shape[1], Phi.shape[1]
-        lu = self._lu_for(k)
-        Wp = lu.solve(np.column_stack([self._rhs_cols] + [op_cols[p] for p in others]))
-        Zp = np.empty((model.n_dof, nq + len(theta_k) * r))
-        Zp[:, :nq] = Wp[:, :nq]
+        Wp = self._lu_for(k).solve(np.column_stack([self._rhs_cols]
+                                                   + [op_cols[p] for p in others]))
+        out[:, :nq] = Wp[:, :nq]
         rest = Phi.copy()
         for i, p in enumerate(others):
             blk = Wp[:, nq + i * r: nq + (i + 1) * r]
-            Zp[:, nq + p * r: nq + (p + 1) * r] = blk
+            out[:, nq + p * r: nq + (p + 1) * r] = blk
             rest -= theta_k[p] * blk
-        Zp[:, nq + p0 * r: nq + (p0 + 1) * r] = rest / theta_k[p0]
-        cell.precond_factor = np.linalg.qr(Zp, mode="r")
-        cell.dirty = False
+        out[:, nq + p0 * r: nq + (p0 + 1) * r] = rest / theta_k[p0]
 
-    def _products(self, Phi: np.ndarray) -> tuple[list, np.ndarray]:
-        """([A_p Phi for each term p], D_obs Phi) from one sparse product;
-        each row is summed as in the term's own product M @ Phi."""
-        prods = self._stacked_terms @ Phi
-        n, P = self.model.n_dof, len(self.model.operator_terms)
-        return [prods[p * n:(p + 1) * n] for p in range(P)], prods[P * n:].copy()
+    def _products(self, Phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(A_p Phi as a (c, P, n_dof, r) array, D_obs Phi as a (c, D, r)
+        array) for a (c, n_dof, r) stack of bases, from one sparse product;
+        each column is summed as in the term's own product M @ Phi."""
+        c, n, r = Phis.shape
+        P = len(self.model.operator_terms)
+        prods = self._stacked_terms @ Phis.transpose(1, 0, 2).reshape(n, c * r)
+        prods = prods.reshape(-1, c, r).transpose(1, 0, 2)
+        return prods[:, :P * n].reshape(c, P, n, r), prods[:, P * n:]
 
     # ----- evaluation -----
     def _solve_stack(self, ops: np.ndarray, rhs: np.ndarray, ath: np.ndarray,
@@ -329,7 +414,7 @@ class Surrogate:
         self.reduced_solves += int(np.count_nonzero(~np.isnan(coeffs[:, 0])))
         return coeffs
 
-    def reduced_solve(self, points: np.ndarray):
+    def reduced_solve(self, points: np.ndarray, indicators: bool = True):
         """Galerkin solves at the rows of an (n, M) array of points, each in
         its nearest atom's cell: (hosting cells, coefficients, observed
         outputs, raw indicators).
@@ -341,21 +426,21 @@ class Surrogate:
         and outputs are NaN and the raw indicator is inf.  Raw indicators
         do not depend on the calibration state, so they can be cached
         across refinement steps while the stability constant keeps
-        adapting.
+        adapting.  With ``indicators=False`` the raw indicators are None,
+        and no indicator factor is built or read.
         """
         points = np.asarray(points, dtype=float)
         n = len(points)
         ath, fth = self.model.coefficients(points)
         hosts = self._nearest(points)
-        # dirty cells are built in order of first appearance, as a loop over
-        # the points would build them (this fixes the LU cache order)
-        for k in dict.fromkeys(hosts.tolist()):
-            self._ensure_cell(k)
+        # cells are built in order of first appearance, as a loop over the
+        # points would build them (this fixes the LU cache order)
+        self._ensure_cells(list(dict.fromkeys(hosts.tolist())), indicators)
         cells = [self.cells[k] for k in hosts.tolist()]  # per point
         ranks = np.array([c.basis.shape[1] for c in cells], dtype=int)
         coeffs = np.full((n, ranks.max(initial=0)), np.nan)
         observed = np.full((n, self.model.n_obs), np.nan)
-        raws = np.full(n, np.inf)
+        raws = np.full(n, np.inf) if indicators else None
         for r in np.unique(ranks):
             idx = np.flatnonzero(ranks == r)
             group = [cells[i] for i in idx.tolist()]
@@ -368,8 +453,9 @@ class Surrogate:
             if not group:
                 continue
             observed[idx] = (np.stack([g.obs_basis for g in group]) @ c[:, :, None])[:, :, 0]
-            raws[idx] = _residual_norms(np.stack([g.precond_factor for g in group]),
-                                        ath[idx], fth[idx], c)
+            if indicators:
+                raws[idx] = _residual_norms(np.stack([g.precond_factor for g in group]),
+                                            ath[idx], fth[idx], c)
         return hosts, coeffs, observed, raws
 
     def _evaluate(self, points: np.ndarray, observations):
@@ -407,9 +493,11 @@ class Surrogate:
 
     def loss_fn(self, observations):
         """Surrogate losses at the rows of an (n, M) array (for samplers);
-        NaN where the reduced system is singular."""
+        NaN where the reduced system is singular.  Reads no indicator, so
+        it builds no indicator factor."""
         def fn(points):
-            return self._evaluate(points, observations)[0]
+            observed = self.reduced_solve(points, indicators=False)[2]
+            return self.model.loss_from_prediction(observed, observations)
         return fn
 
     # ----- refinement -----
@@ -460,16 +548,18 @@ class Surrogate:
             if target is None:
                 saturated = True
                 break
-            self.add_atom(target)
+            new = self.add_atom(target)
             added += 1
             # re-evaluate only particles captured by the new atom or whose
             # cell basis was invalidated by the neighbor refresh
             new_assign = self._nearest(points)
             stale = new_assign != assign
-            for k in np.unique(new_assign):
-                if self.cells[k].dirty:
-                    stale |= new_assign == k
-                    self._build_cell(k)
+            dirty = [k for k in np.unique(new_assign).tolist() if self.cells[k].dirty]
+            for k in dirty:
+                stale |= new_assign == k
+            # one pass over the dirtied hosting cells, the new atom's first,
+            # right after add_atom stashed its LU
+            self._ensure_cells(sorted(dirty, key=lambda k: k != new), indicators=True)
             assign = new_assign
             idx = np.flatnonzero(stale)
             if idx.size:

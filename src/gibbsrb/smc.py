@@ -18,8 +18,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .domain import ParameterDomain
-from .localrb import (DEFAULT_ATOM_BUDGET, DEFAULT_NEIGHBORS, BasisDegeneracyError,
-                      Surrogate)
+from .localrb import (DEFAULT_ATOM_BUDGET, DEFAULT_NEIGHBORS, AtomBudgetError,
+                      BasisDegeneracyError, Surrogate)
 from .particles import ParticleSet, empirical_moments, ess, log_reweight, reweight
 from .seeding import PHASE_INIT, PHASE_MUTATE, PHASE_RESAMPLE, stream
 
@@ -239,6 +239,8 @@ def run_smc(model, observations, config: SmcConfig, *,
     high-fidelity model is touched only when the refinement inserts atoms.
     ``surrogate`` defaults to a fresh Surrogate; any object with its
     ``loss_fn``, ``refine_over_particles`` and ``reduced_solves`` serves.
+    An AtomBudgetError or SmcIterationError leaves with the records of the
+    finished iterations as its ``history`` attribute.
     """
     t0 = time.perf_counter()
     domain = model.domain
@@ -258,11 +260,18 @@ def run_smc(model, observations, config: SmcConfig, *,
     while w_cur < w_total:
         t += 1
         if t > config.max_iterations:
-            raise SmcIterationError(
+            exc = SmcIterationError(
                 f"max iterations ({config.max_iterations}) reached at W={w_cur:g}")
+            exc.history = history
+            raise exc
 
-        report = surrogate.refine_over_particles(
-            particles.points, observations, lambda losses: _resolve_e_thre(config, losses))
+        try:
+            report = surrogate.refine_over_particles(
+                particles.points, observations,
+                lambda losses: _resolve_e_thre(config, losses))
+        except AtomBudgetError as exc:
+            exc.history = history
+            raise
         losses = report.loss_values
         try:
             replay_ess = ess(replay_consistency(surrogate, observations, snapshots[0],

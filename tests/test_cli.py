@@ -10,6 +10,7 @@ import pytest
 
 import gibbsrb
 from gibbsrb.cli import main
+from gibbsrb.runio import HISTORY_COLUMNS, read_csv
 
 TINY_SMC = """
 model: {preset: adv1d, mesh: {cells: 64}}
@@ -61,6 +62,7 @@ def test_run_smc_artifacts(tiny_config, tmp_path):
         assert (out / name).exists(), name
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 7
+    assert manifest["status"] == "ok"
     assert manifest["final_weight"] == pytest.approx(8.0)
     assert manifest["solve_counts"]["full"] == manifest["atoms"]
     history_header, *history_rows = (out / "history.csv").read_text().splitlines()
@@ -70,6 +72,27 @@ def test_run_smc_artifacts(tiny_config, tmp_path):
     assert all(sorted(row) == sorted(history_header.split(",")) for row in table)
     header = (out / "particles.csv").read_text().splitlines()[0]
     assert header == "xi_1,xi_2,weight,generation"
+
+
+@pytest.mark.parametrize("limit,error,iterations", [
+    ("atom_budget: 2", "AtomBudgetError", 0),
+    ("max_iterations: 1", "SmcIterationError", 1),
+])
+def test_failed_run_smc_leaves_history_and_manifest(tmp_path, limit, error, iterations):
+    config = tmp_path / "tiny.yaml"
+    config.write_text(TINY_SMC.replace("smc:\n", f"smc:\n  {limit}\n"))
+    out = tmp_path / "run"
+    rc = main(["run-smc", "--config", str(config), "--seed", "7", "--out", str(out)])
+    assert rc != 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["error"].startswith(error + ": ")
+    assert manifest["iterations"] == len(manifest["iteration_table"]) == iterations
+    header, rows = read_csv(out / "history.csv")
+    assert tuple(header) == HISTORY_COLUMNS and len(rows) == iterations
+    assert [r["t"] for r in manifest["iteration_table"]] == list(range(1, iterations + 1))
+    assert manifest["solve_counts"]["full"] >= 2
+    assert not (out / "particles.csv").exists()
 
 
 def test_run_smc_deterministic_across_threads(tiny_config, tmp_path):

@@ -28,7 +28,7 @@ def test_first_atom_basis_dimension(adv1d_model):
     s.add_atom(np.array([0.5, 0.5]))
     assert s.n_atoms == 1
     # snapshot plus M gradient columns at most
-    assert s.cells[0].basis.shape[1] <= 1 + adv1d_model.dim
+    assert s._ensure_cell(0).basis.shape[1] <= 1 + adv1d_model.dim
     assert s.cells[0].neighbors == ()
 
 
@@ -74,7 +74,7 @@ def test_rank_deficient_snapshots_are_dropped(adv2d_small):
     s = Surrogate(adv2d_small, neighbor_count=5)
     for x2, x3 in [(0.2, 0.2), (0.8, 0.2), (0.2, 0.8), (0.8, 0.8), (0.5, 0.5)]:
         s.add_atom(np.array([0.4, x2, x3]))
-    cell = s.cells[s.n_atoms - 1]
+    cell = s._ensure_cell(s.n_atoms - 1)
     n_cols_offered = 1 + adv2d_small.dim + len(cell.neighbors)
     assert cell.basis.shape[1] < n_cols_offered
     # basis stays orthonormal after drops
@@ -86,7 +86,8 @@ def test_orthonormal_bases(adv1d_surr):
     rng = np.random.default_rng(1)
     for a in rng.random((8, 2)):
         adv1d_surr.add_atom(a)
-    for cell in adv1d_surr.cells:
+    for k in range(adv1d_surr.n_atoms):
+        cell = adv1d_surr._ensure_cell(k)
         G = cell.basis.T @ cell.basis
         assert np.max(np.abs(G - np.eye(G.shape[0]))) < 1e-10
 
@@ -191,8 +192,8 @@ def test_gradient_fd_check_at_insertion(adv1d_model):
 
 
 def test_add_atom_factorizes_once(adv1d_model, monkeypatch):
-    # the full solve, the sensitivity solve and the new cell's indicator
-    # factor all use the one factorization of A(xi)
+    # the full solve and the sensitivity solve use the one factorization of
+    # A(xi), which stays in the LU cache for the new cell's indicator factor
     s = Surrogate(adv1d_model)
     made, solved_with = [], []
     factorize, sensitivity = ForwardModel.factorize, ForwardModel.solve_sensitivity
@@ -347,6 +348,20 @@ def _fresh_stability(s):
     return CALIBRATION_SAFETY * float(np.percentile(recent, CALIBRATION_QUANTILE))
 
 
+def test_percentile_equals_numpy_linear_rule():
+    # every window length the calibration sees, at scales far apart, with
+    # repeated values mixed in
+    rng = np.random.default_rng(29)
+    for _ in range(3000):
+        n = int(rng.integers(1, CALIBRATION_WINDOW + 10))
+        values = 10.0 ** rng.uniform(-3, 5) * rng.random(n)
+        if n > 2 and rng.random() < 0.2:
+            values[rng.integers(0, n, n // 2)] = values[0]
+        for pct in (CALIBRATION_QUANTILE, 0, 50, 100 * rng.random()):
+            want = float(np.percentile(values, pct))
+            assert localrb._percentile(list(values), pct) == want, (values, pct)
+
+
 def test_cached_stability_constant_tracks_insertions(adv1d_model):
     s = Surrogate(adv1d_model)
     assert s.stability_constant == CALIBRATION_SAFETY
@@ -416,8 +431,8 @@ def test_batched_evaluation_bit_equal_to_one_point_forms(preset, request):
     cells = [s.nearest_atom(p) for p in pts]
     # force one hosting cell's reduced system to be singular everywhere
     singular = cells[0]
-    s._ensure_cell(singular).reduced_ops = [np.zeros_like(G)
-                                            for G in s.cells[singular].reduced_ops]
+    cell = s._ensure_cell(singular)
+    cell.reduced_ops = [np.zeros_like(G) for G in cell.reduced_ops]
     ref = np.array([_scalar_eval(s, p, obs) for p in pts])
     before = s.reduced_solves
     losses, raws, dist_sums = s._evaluate(pts, obs)
@@ -485,6 +500,94 @@ def test_batched_evaluation_mixes_basis_ranks(adv2d_small, monkeypatch):
         assert np.isnan(solved).all() if k == singular else np.isfinite(solved).all()
 
 
+def _one_cell_build(s, k):
+    """Cell k's basis, reduced arrays and indicator factor by the one-cell
+    formulas (2-D QRs, one sparse product per term): the reference for the
+    stacked passes."""
+    model, atom, cell = s.model, s.atoms[k], s.cells[k]
+    sources = np.column_stack([atom.snapshot, atom.gradient]
+                              + [s.atoms[j].snapshot for j in cell.neighbors])
+    Phi, R = np.linalg.qr(sources)
+    d = np.abs(np.diagonal(R))
+    kept = np.zeros(sources.shape[1], dtype=bool)
+    kept[:d.size] = d > localrb.ORTHO_DROP_TOL * np.linalg.norm(sources[:, :d.size], axis=0)
+    if not kept.all():
+        Phi = np.linalg.qr(sources[:, kept])[0]
+    op_cols = [np.asarray(M @ Phi) for M in model.operator_terms]
+    theta, _ = model.coefficients(atom.location)
+    p0 = int(np.argmax(np.abs(theta)))
+    others = [p for p in range(len(theta)) if p != p0]
+    nq, r = len(model.rhs_terms), Phi.shape[1]
+    _, lu = model.factorize(atom.location)
+    Wp = lu.solve(np.column_stack(list(model.rhs_terms) + [op_cols[p] for p in others]))
+    Zp = np.empty((model.n_dof, nq + len(theta) * r))
+    Zp[:, :nq] = Wp[:, :nq]
+    rest = Phi.copy()
+    for i, p in enumerate(others):
+        blk = Wp[:, nq + i * r: nq + (i + 1) * r]
+        Zp[:, nq + p * r: nq + (p + 1) * r] = blk
+        rest -= theta[p] * blk
+    Zp[:, nq + p0 * r: nq + (p0 + 1) * r] = rest / theta[p0]
+    return [Phi, np.stack([Phi.T @ AP for AP in op_cols]),
+            np.stack([Phi.T @ f for f in model.rhs_terms]),
+            np.asarray(model.obs_matrix @ Phi), np.linalg.qr(Zp, mode="r")]
+
+
+def test_stacked_pass_bit_equal_to_one_cell_builds(adv2d_small, monkeypatch):
+    # atoms on the xi_1 = 0.4 plane drop columns, so one pass meets cells of
+    # several basis ranks
+    s = Surrogate(adv2d_small, neighbor_count=5)
+    for x2, x3 in [(0.2, 0.2), (0.8, 0.2), (0.2, 0.8), (0.8, 0.8), (0.5, 0.5)]:
+        s.add_atom(np.array([0.4, x2, x3]))
+    for a in adv2d_small.domain.sample(4, np.random.default_rng(30)):
+        s.add_atom(a)
+    ks = list(range(s.n_atoms))[::-1]
+    assert all(s.cells[k].dirty for k in ks)
+    qrs, installed = [], []
+    qr, build = np.linalg.qr, s._build_cell
+    monkeypatch.setattr(np.linalg, "qr", lambda a, *args, **kw: qrs.append(a.ndim) or
+                        qr(a, *args, **kw))
+    s._build_cell = lambda k: installed.append(k) or build(k)
+    s._ensure_cells(ks, indicators=True)
+    assert installed == ks  # one install per cell, in the order asked
+    ranks = {s.cells[k].basis.shape[1] for k in ks}
+    assert len(ks) >= 5 and len(ranks) >= 2
+    # one stacked QR for the bases and one per rank for the factors; 2-D
+    # ones only where a cell drops columns
+    assert qrs.count(3) == 1 + len(ranks)
+    monkeypatch.setattr(np.linalg, "qr", qr)
+    for k in ks:
+        cell = s.cells[k]
+        got = [cell.basis, cell.reduced_ops, cell.reduced_rhs, cell.obs_basis,
+               cell.precond_factor]
+        assert all(a.base is None for a in got)  # copies, not views into a pass
+        for a, b in zip(got, _one_cell_build(s, k)):
+            assert a.shape == b.shape and np.array_equal(a, b)
+
+
+def test_loss_fn_builds_no_factor_and_indicator_read_builds_it(adv1d_model, adv1d_obs,
+                                                                monkeypatch):
+    s = Surrogate(adv1d_model)
+    for a in np.random.default_rng(31).random((8, 2)):
+        s.add_atom(a)
+    pts = np.random.default_rng(32).random((40, 2))
+    hosts = sorted(set(s._nearest(pts).tolist()))
+    looked_up = []
+    lu_for = s._lu_for
+    s._lu_for = lambda k: looked_up.append(k) or lu_for(k)
+    s.loss_fn(adv1d_obs)(pts)
+    assert looked_up == []
+    assert all(not s.cells[k].dirty and s.cells[k].precond_factor is None for k in hosts)
+    _, _, _, raws = s.reduced_solve(pts)
+    assert sorted(looked_up) == hosts and np.isfinite(raws).all()
+    for k in hosts:
+        lazy = s.cells[k].precond_factor
+        s.cells[k] = localrb._Cell(neighbors=s.cells[k].neighbors)
+        # an eager build: basis and factor in one pass, sharing A_p Phi
+        assert np.array_equal(s._ensure_cell(k).precond_factor, lazy)
+        assert np.array_equal(lazy, _one_cell_build(s, k)[4])
+
+
 def _cell_arrays(s, k):
     cell = s._ensure_cell(k)
     return [cell.basis, cell.reduced_ops, cell.reduced_rhs, cell.obs_basis,
@@ -526,12 +629,13 @@ def test_incremental_rebuild_equals_fresh_build(preset, request):
 def test_stacked_products_bit_equal_to_per_term(preset, mesh):
     model = assemble(preset, mesh)
     s = Surrogate(model)
-    Phi = np.random.default_rng(24).standard_normal((model.n_dof, 9))
-    op_cols, obs_basis = s._products(Phi)
-    assert len(op_cols) == len(model.operator_terms)
-    for AP, M in zip(op_cols, model.operator_terms):
-        assert np.array_equal(AP, np.asarray(M @ Phi))
-    assert np.array_equal(obs_basis, np.asarray(model.obs_matrix @ Phi))
+    Phis = np.random.default_rng(24).standard_normal((3, model.n_dof, 9))
+    op_cols, obs_basis = s._products(Phis)
+    assert op_cols.shape[:2] == (3, len(model.operator_terms))
+    for Phi, cols, obs in zip(Phis, op_cols, obs_basis):
+        for AP, M in zip(cols, model.operator_terms):
+            assert np.array_equal(AP, np.asarray(M @ Phi))
+        assert np.array_equal(obs, np.asarray(model.obs_matrix @ Phi))
 
 
 def _all_pairs_neighbors(locs, count):

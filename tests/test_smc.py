@@ -438,8 +438,10 @@ def test_loss_std_fraction_scores_each_cloud_once(adv1d_model, adv1d_obs, monkey
 def test_run_smc_iteration_cap(adv1d_model, adv1d_obs):
     cfg = SmcConfig(particles=16, total_weight=1e9, max_iterations=2, seed=5,
                     e_thre_mode="fixed", e_thre_value=1e-2)
-    with pytest.raises(SmcIterationError):
+    with pytest.raises(SmcIterationError) as info:
         run_smc(adv1d_model, adv1d_obs, cfg)
+    # the finished iterations leave with the error
+    assert [rec.t for rec in info.value.history] == [1, 2]
 
 
 def test_mutation_never_touches_full_counter(adv1d_model, adv1d_obs):
