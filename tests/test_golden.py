@@ -8,12 +8,14 @@ CHANGES.md.
 import csv
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gibbsrb import assemble, gen_data
 from gibbsrb.cli import main
+from gibbsrb.config import RunConfig, build_observations, resolve_total_weight
 from gibbsrb.localrb import Surrogate
 from gibbsrb.mcmc import run_rwmh
 from gibbsrb.smc import SmcConfig, run_smc
@@ -44,6 +46,13 @@ LOSS_STD_FRACTION_WORK = ([5, 2, 2, 0], [6, 8, 10, 10], [208, 363, 526, 645], 4,
                           {"full": 10, "sensitivity": 20, "stability": 0})
 ADV2D_WORK = ([18, 15, 12, 8, 2], [19, 34, 46, 54, 56], [353, 590, 786, 955, 1097], 5,
               {"full": 56, "sensitivity": 168, "stability": 0})
+# the shipped elast2d_layered smc section at nx 8, data and sampler seed 0:
+# five terms, beta priors, the l2 loss and LU-cache misses
+ELAST_DIGEST = "f351771393178b66b6048db680a495e1e0c22d8e21be8b0d316e7b6ff29f5ce2"
+ELAST_WORK = ([29, 17, 21, 10, 30, 18, 28, 9, 27, 20],
+              [30, 47, 68, 78, 108, 126, 154, 163, 190, 210],
+              [2094, 3024, 3866, 4620, 5779, 6806, 7916, 8717, 9784, 10704], 10,
+              {"full": 210, "sensitivity": 1050, "stability": 16})
 # cell basis builds of the adv2d golden run, as the bench counts them
 ADV2D_CELL_BUILDS = 283
 # fixed-seed adv1d RWMH chain: sha256 of its samples, acceptance, full solves
@@ -169,6 +178,16 @@ def adv2d_run():
         Surrogate._build_cell = original
 
 
+@pytest.fixture(scope="module")
+def elast_run():
+    config = RunConfig.from_yaml(Path(__file__).parents[1] / "configs" / "elast2d_layered.yaml")
+    model = assemble(config.preset, {**config.mesh, "nx": 8})
+    obs = build_observations(config, model, seed=0)
+    cfg = SmcConfig(**{**config.smc.__dict__, "seed": 0,
+                       "total_weight": resolve_total_weight(config, obs)})
+    return run_smc(model, obs, cfg)
+
+
 def test_run_smc_loss_std_fraction_golden(loss_std_fraction_run):
     assert _result_digest(loss_std_fraction_run) == LOSS_STD_FRACTION_DIGEST
 
@@ -188,6 +207,14 @@ def test_run_smc_adv2d_work_golden(adv2d_run):
 def test_run_smc_adv2d_cell_builds_golden(adv2d_run):
     result, builds = adv2d_run
     assert (builds, result.surrogate.n_atoms) == (ADV2D_CELL_BUILDS, 56)
+
+
+def test_run_smc_elast_golden(elast_run):
+    assert _result_digest(elast_run) == ELAST_DIGEST
+
+
+def test_run_smc_elast_work_golden(elast_run):
+    assert _work(elast_run) == ELAST_WORK
 
 
 def test_run_rwmh_chain_golden(adv1d_obs):
