@@ -8,11 +8,10 @@ from .localrb import Surrogate
 from .mcmc import run_rwmh
 from .oracle import grid_posterior
 from .particles import ParticleSet, empirical_moments, ess, kl_reweighted, reweight
+from .runio import PACKAGE_VERSION as __version__
 from .smc import SmcConfig, init_particles, replay_consistency, run_smc
 from .weights import (WeightSelectionConfig, candidate_grid, evaluate_grid_via_smc,
                       residual_objective, select_weight)
-
-__version__ = "0.1.0"
 
 __all__ = [
     "ParameterDomain", "PriorSpec", "ForwardModel", "ObservationSet",

@@ -52,31 +52,29 @@ def cmd_run_smc(args) -> int:
     w_total = resolve_total_weight(config, observations)
     smc_cfg = SmcConfig(**{**config.smc.__dict__, "total_weight": w_total})
     counts0 = model.counters.snapshot()
+    manifest = {"command": "run-smc", "status": "ok"}
     t0 = time.perf_counter()
     try:
         result = run_smc(model, observations, smc_cfg)
+        history = result.history
     except (AtomBudgetError, SmcIterationError) as exc:
         # a failed run still leaves the iterations it finished and the reason
-        counts = model.counters.snapshot()
-        error = f"{type(exc).__name__}: {exc}"
-        write_history_csv(out / "history.csv", exc.history)
-        write_manifest(out / "manifest.json", config=config, seed=smc_cfg.seed, extra={
-            "command": "run-smc",
-            "status": "failed",
-            "error": error,
-            "iterations": len(exc.history),
-            "wall_time_s": time.perf_counter() - t0,
-            "solve_counts": {k: counts[k] - counts0[k] for k in counts},
-            "iteration_table": _iteration_table(exc.history),
-        })
-        print(f"run-smc FAILED: {error}", file=sys.stderr)
-        return 1
+        result, history = None, exc.history
+        manifest.update(status="failed", error=f"{type(exc).__name__}: {exc}")
     wall = time.perf_counter() - t0
+    counts = model.counters.snapshot()
+    manifest.update(iterations=len(history), wall_time_s=wall,
+                    solve_counts={k: counts[k] - counts0[k] for k in counts},
+                    iteration_table=_iteration_table(history))
+    write_history_csv(out / "history.csv", history)
+    if result is None:
+        write_manifest(out / "manifest.json", config=config, seed=smc_cfg.seed, extra=manifest)
+        print(f"run-smc FAILED: {manifest['error']}", file=sys.stderr)
+        return 1
 
     result.particles.to_csv(out / "particles.csv")
     for k, snap in enumerate(result.snapshots):
         snap.to_csv(out / f"particles_iter_{k:03d}.csv")
-    write_history_csv(out / "history.csv", result.history)
     write_losses_csv(out / "iteration_losses.csv", result.history)
     write_atoms_csv(out / "atoms.csv", result.surrogate)
     observations.to_csv(out / "observations.csv")
@@ -88,18 +86,10 @@ def cmd_run_smc(args) -> int:
         report.to_json(out / "bound_report.json")
         verified = report.passed
 
-    write_manifest(out / "manifest.json", config=config, seed=smc_cfg.seed, extra={
-        "command": "run-smc",
-        "status": "ok",
-        "final_weight": result.final_weight,
-        "iterations": result.iterations,
-        "wall_time_s": wall,
-        "solve_counts": result.solve_counts,
-        "reduced_solves": result.surrogate.reduced_solves,
-        "atoms": result.surrogate.n_atoms,
-        "bound_suite_passed": verified,
-        "iteration_table": _iteration_table(result.history),
-    })
+    manifest.update(final_weight=result.final_weight,
+                    reduced_solves=result.surrogate.reduced_solves,
+                    atoms=result.surrogate.n_atoms, bound_suite_passed=verified)
+    write_manifest(out / "manifest.json", config=config, seed=smc_cfg.seed, extra=manifest)
     print(f"run-smc: W={result.final_weight:g} in {result.iterations} iterations, "
           f"{result.solve_counts['full']} full solves, wall {wall:.2f}s")
     if verified is False:

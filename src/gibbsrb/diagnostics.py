@@ -169,8 +169,7 @@ class BoundReport:
                           "iterations": self.iterations})
 
 
-def bound_suite(result, model, observations, seed: int = 0,
-                audit_fraction: float = AUDIT_FRACTION) -> BoundReport:
+def bound_suite(result, model, observations, seed: int = 0) -> BoundReport:
     """Audit an SMC run against the computable bounds.
 
     Per iteration: (a) exact-vs-surrogate loss gap on an audit subsample
@@ -197,7 +196,7 @@ def bound_suite(result, model, observations, seed: int = 0,
         gaps = np.abs(exact - losses_surr)
         e_observed = float(np.max(gaps))
 
-        n_audit = max(1, int(round(audit_fraction * m)))
+        n_audit = max(1, int(round(AUDIT_FRACTION * m)))
         audit_idx = rng.choice(m, size=n_audit, replace=False)
         audit_gap = float(np.max(gaps[audit_idx]))
         ok_a = (not np.isfinite(rec.e_thre)) or audit_gap <= ASSUMPTION_SLACK * rec.e_thre

@@ -31,7 +31,7 @@ def assemble(preset: str, mesh_cfg: dict | None = None) -> ForwardModel:
         model = adv1d(**mesh_cfg)
     elif preset == "adv2d":
         model = adv2d(**mesh_cfg)
-    elif preset in ("elast2d_layered", "elast2d"):
+    elif preset == "elast2d_layered":
         model = elast2d(layout="layered", **mesh_cfg)
     elif preset == "elast2d_inclusion":
         model = elast2d(layout="inclusion", **mesh_cfg)
@@ -46,7 +46,7 @@ def assemble(preset: str, mesh_cfg: dict | None = None) -> ForwardModel:
 # --------------------------------------------------------------------------
 
 def adv1d(cells: int = 128, nu: float = 0.1, b1: float = -0.5, b2: float = -0.2,
-          obs_points=(0.1, 0.5, 0.9), upwind: bool = False) -> ForwardModel:
+          obs_points=(0.1, 0.5, 0.9)) -> ForwardModel:
     """-nu u'' + b(x) u' = 1 on (0,1), u(0)=u(1)=0.
 
     b(x) = (b1 + 2 xi_1) on [0, 0.5) and (b2 + 2 xi_2) on [0.5, 1]; a node
@@ -68,11 +68,6 @@ def adv1d(cells: int = 128, nu: float = 0.1, b1: float = -0.5, b2: float = -0.2,
                     [-1, 0, 1]) * (nu / h**2)
 
     def advection(weights: np.ndarray) -> sp.csr_matrix:
-        if upwind:
-            # one-sided differences; direction frozen at the box center
-            # coefficient sign so the decomposition stays affine in xi
-            return sp.diags([-weights[1:] / h, weights / h, np.zeros(m - 1)],
-                            [-1, 0, 1]).tocsr()
         return sp.diags([-weights[1:] / (2 * h), np.zeros(m), weights[:-1] / (2 * h)],
                         [-1, 0, 1]).tocsr()
 
@@ -103,12 +98,8 @@ def adv1d(cells: int = 128, nu: float = 0.1, b1: float = -0.5, b2: float = -0.2,
         br = b2 + 2.0 * xi[1]
         c = np.where(x < 0.5, bl, br)
         c[np.isclose(x, 0.5)] = 0.5 * (bl + br)
-        if upwind:
-            A = sp.diags([-nu / h**2 - c[1:] / h, 2 * nu / h**2 + c / h,
-                          -nu / h**2 * np.ones(m - 1)], [-1, 0, 1])
-        else:
-            A = sp.diags([-nu / h**2 - c[1:] / (2 * h), 2 * nu / h**2 * np.ones(m),
-                          -nu / h**2 + c[:-1] / (2 * h)], [-1, 0, 1])
+        A = sp.diags([-nu / h**2 - c[1:] / (2 * h), 2 * nu / h**2 * np.ones(m),
+                      -nu / h**2 + c[:-1] / (2 * h)], [-1, 0, 1])
         return sp.csc_matrix(A)
 
     return ForwardModel(
@@ -119,7 +110,7 @@ def adv1d(cells: int = 128, nu: float = 0.1, b1: float = -0.5, b2: float = -0.2,
         obs_matrix=sp.csr_matrix(obs), loss_kind="squared_l2",
         domain=domain,
         mesh={"kind": "fd1d", "cells": n, "nu": nu, "b1": b1, "b2": b2,
-              "obs_points": list(obs_points), "upwind": upwind},
+              "obs_points": list(obs_points)},
         truth_default=np.array([0.2, 0.7]),
         direct_assemble=direct, obs_names=names,
     )

@@ -61,18 +61,14 @@ class Atom:
 class RefinementReport:
     atoms_added: int
     e_thre: float
-    e_max_initial: float
     e_max_final: float
     loss_values: np.ndarray
-    indicator_values: np.ndarray
-    saturated: bool = False
 
 
 @dataclass
 class _Cell:
     neighbors: tuple = ()
-    dirty: bool = True                        # arrays stale; rebuilt on demand
-    basis: np.ndarray | None = None           # (n_dof, r), orthonormal
+    basis: np.ndarray | None = None           # (n_dof, r), orthonormal; None until built
     reduced_ops: np.ndarray | None = None     # (P, r, r) Phi^T A_p Phi
     reduced_rhs: np.ndarray | None = None     # (Q, r) Phi^T f_q
     obs_basis: np.ndarray | None = None       # D_obs Phi
@@ -120,7 +116,8 @@ class Surrogate:
 
     Evaluation takes whole arrays of points: the reduced systems of all the
     points whose cells share a basis rank are solved in one stacked call.
-    A cell whose neighbor set changed is rebuilt lazily on first use, so
+    A cell whose neighbor set changes is replaced by a fresh, unbuilt one,
+    and an unbuilt cell is built when a query first lands in it, so
     evaluation changes cached state too; no method may run concurrently
     with another.
     """
@@ -140,7 +137,6 @@ class Surrogate:
                                         format="csr")
         self._rhs_cols = np.column_stack(model.rhs_terms)
         self._ratios: list[float] = []
-        self._ratio_quantile: float | None = None  # of _ratios; reset on append
         self._obs_norm = model.observation_operator_norm()
         self._lu_cache: dict[int, object] = {}
         self._staged: dict[int, tuple] = {}  # a stacked pass's arrays per cell
@@ -150,10 +146,6 @@ class Surrogate:
     @property
     def n_atoms(self) -> int:
         return len(self.atoms)
-
-    @property
-    def locations(self) -> np.ndarray:
-        return np.array([a.location for a in self.atoms])
 
     def holder_k(self, n_data: int) -> float:
         """Lipschitz constant of the cumulative loss w.r.t. the state error."""
@@ -167,20 +159,14 @@ class Surrogate:
         """Divisor turning the preconditioned residual into a state-error bound."""
         if not self._ratios:
             return CALIBRATION_SAFETY
-        q = self._ratio_quantile
-        if q is None:
-            recent = self._ratios[-CALIBRATION_WINDOW:]
-            q = self._ratio_quantile = _percentile(recent, CALIBRATION_QUANTILE)
-        return CALIBRATION_SAFETY * q
+        return CALIBRATION_SAFETY * _percentile(self._ratios[-CALIBRATION_WINDOW:],
+                                                CALIBRATION_QUANTILE)
 
     # ----- geometry -----
-    def nearest_atom(self, xi: np.ndarray) -> int:
-        """Closest atom in box-scaled Euclidean distance; ties take the
-        lowest index (argmin returns the first minimum)."""
-        return int(self._nearest(np.atleast_2d(xi))[0])
-
     def _nearest(self, points: np.ndarray) -> np.ndarray:
-        """nearest_atom for each row of an (n, M) array."""
+        """Closest atom to each row of an (n, M) array, in box-scaled
+        Euclidean distance; ties take the lowest index (argmin returns the
+        first minimum)."""
         if not self.atoms:
             raise ValueError("surrogate has no atoms yet")
         s = self.model.domain.scale(points)
@@ -188,8 +174,10 @@ class Surrogate:
         return np.argmin(d2, axis=1)
 
     def _insert_location(self, s: np.ndarray) -> None:
-        """Append a new atom's scaled location and cell, and bring every
-        neighbor tuple up to date; a changed tuple marks its cell dirty.
+        """Append a new atom's scaled location and unbuilt cell, and bring
+        every neighbor tuple up to date; a cell whose tuple changed is
+        replaced by a fresh, unbuilt cell with the new tuple, which frees
+        its stale arrays at once.
 
         A tuple lists the neighbor_count nearest other atoms by squared
         distance, ties by index.  The new atom has the highest index, so it
@@ -208,8 +196,7 @@ class Surrogate:
                 row[pos + 1:] = row[pos:-1]
                 row[pos] = d2[i]
                 nb = self.cells[i].neighbors
-                self.cells[i].neighbors = (nb[:pos] + (idx,) + nb[pos:])[:N]
-                self.cells[i].dirty = True
+                self.cells[i] = _Cell(neighbors=(nb[:pos] + (idx,) + nb[pos:])[:N])
         order = np.argsort(d2, kind="stable")[:N]
         self.cells[idx].neighbors = tuple(order.tolist())
         row = np.full(N, np.inf)
@@ -220,8 +207,9 @@ class Surrogate:
     def add_atom(self, xi: np.ndarray) -> int:
         """Insert an atom: one factorization of A(xi), shared by a full and a
         sensitivity solve, and kept in the LU cache for the new cell's
-        indicator factor.  The new cell, and every cell whose neighbor set
-        changed, is built when a query next lands in it.
+        indicator factor.  The new cell, and the fresh cell that replaces
+        every cell whose neighbor set changed, is unbuilt until a query lands
+        in it.
 
         A point outside the parameter box raises ValueError from the
         factorization, before any surrogate state changes.
@@ -256,7 +244,6 @@ class Surrogate:
             err = np.linalg.norm(u - prediction)
             if err > 1e-13 * max(np.linalg.norm(u), 1.0):
                 self._ratios.append(raw / err)
-                self._ratio_quantile = None
         return idx
 
     def _lu_stash(self, idx, lu):
@@ -278,11 +265,11 @@ class Surrogate:
         return self.cells[k]
 
     def _ensure_cells(self, ks: list, indicators: bool) -> None:
-        """Build the dirty cells among ks and, with ``indicators``, the
+        """Build the unbuilt cells among ks and, with ``indicators``, the
         missing indicator factors of ks, each in one stacked pass; the LU
         cache is read in the order of ks."""
-        dirty = [k for k in ks if self.cells[k].dirty]
-        products = self._build_cells(dirty) if dirty else {}
+        unbuilt = [k for k in ks if self.cells[k].basis is None]
+        products = self._build_cells(unbuilt) if unbuilt else {}
         if indicators:
             self._build_factors([k for k in ks if self.cells[k].precond_factor is None],
                                 products)
@@ -330,14 +317,12 @@ class Surrogate:
                                + [self.atoms[j].snapshot for j in self.cells[k].neighbors])
 
     def _build_cell(self, k: int) -> None:
-        """Install cell k's basis and reduced arrays from the stacked pass
-        in progress (_build_cells), as copies that hold no view into the
+        """Install unbuilt cell k's basis and reduced arrays from the stacked
+        pass in progress (_build_cells), as copies that hold no view into the
         pass's arrays.  Its indicator factor waits for the first read."""
         cell = self.cells[k]
         cell.basis, cell.reduced_ops, cell.reduced_rhs, cell.obs_basis = (
             a.copy() for a in self._staged.pop(k))
-        cell.precond_factor = None
-        cell.dirty = False
 
     def _build_factors(self, ks: list, products: dict) -> None:
         """Indicator factors of the built cells ks: per cell the LU lookup
@@ -487,7 +472,7 @@ class Surrogate:
         losses, raws, dist_sums = self._evaluate(xi[None], observations)
         if np.isnan(losses[0]):
             raise BasisDegeneracyError(
-                f"singular reduced system in cell {self.nearest_atom(xi)}")
+                f"singular reduced system in cell {int(self._nearest(xi[None])[0])}")
         return float(losses[0]), float(self._loss_indicator_from_raw(
             raws[0], dist_sums[0], observations.n))
 
@@ -508,7 +493,13 @@ class Surrogate:
 
         ``e_thre`` is the threshold, or a function that returns it from the
         particles' surrogate losses before refinement; either way the report
-        records the threshold used.
+        records the threshold used.  Refinement also stops when every
+        particle above the threshold already holds an atom; then
+        ``e_max_final`` exceeds ``e_thre``.
+
+        An insertion leaves the new atom's cell and every cell whose
+        neighbor set changed unbuilt; the unbuilt cells that host particles
+        are built in one pass and their particles re-evaluated.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if points.shape[0] == 0:
@@ -531,9 +522,7 @@ class Surrogate:
 
         assign = self._nearest(points)
         inds = indicators()
-        e_initial = float(np.max(inds))
         added = 0
-        saturated = False
         while np.max(inds) > e_thre:
             order = np.argsort(-inds, kind="stable")
             target = None
@@ -546,28 +535,24 @@ class Surrogate:
                     target = points[i]
                     break
             if target is None:
-                saturated = True
                 break
             new = self.add_atom(target)
             added += 1
             # re-evaluate only particles captured by the new atom or whose
-            # cell basis was invalidated by the neighbor refresh
+            # cell was replaced by the neighbor refresh
             new_assign = self._nearest(points)
             stale = new_assign != assign
-            dirty = [k for k in np.unique(new_assign).tolist() if self.cells[k].dirty]
-            for k in dirty:
+            unbuilt = [k for k in np.unique(new_assign).tolist() if self.cells[k].basis is None]
+            for k in unbuilt:
                 stale |= new_assign == k
-            # one pass over the dirtied hosting cells, the new atom's first,
+            # one pass over the unbuilt hosting cells, the new atom's first,
             # right after add_atom stashed its LU
-            self._ensure_cells(sorted(dirty, key=lambda k: k != new), indicators=True)
+            self._ensure_cells(sorted(unbuilt, key=lambda k: k != new), indicators=True)
             assign = new_assign
             idx = np.flatnonzero(stale)
             if idx.size:
                 losses[idx], raws[idx], dist_sums[idx] = self._evaluate(
                     points[idx], observations)
             inds = indicators()
-        return RefinementReport(
-            atoms_added=added, e_thre=float(e_thre), e_max_initial=e_initial,
-            e_max_final=float(np.max(inds)), loss_values=losses,
-            indicator_values=inds, saturated=saturated,
-        )
+        return RefinementReport(atoms_added=added, e_thre=float(e_thre),
+                                e_max_final=float(np.max(inds)), loss_values=losses)

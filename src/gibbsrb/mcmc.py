@@ -28,8 +28,7 @@ class ChainResult:
 
 
 def run_rwmh(model, observations, weight: float, n_samples: int = 5000,
-             burn_in: int = 1000, step_scale: float = 0.1, seed: int = 0,
-             start: np.ndarray | None = None) -> ChainResult:
+             burn_in: int = 1000, step_scale: float = 0.1, seed: int = 0) -> ChainResult:
     """Gaussian random-walk MH chain for the tempered target.
 
     Every in-support proposal costs exactly one full solve; proposals that
@@ -42,7 +41,7 @@ def run_rwmh(model, observations, weight: float, n_samples: int = 5000,
     rng = stream(seed, PHASE_MCMC)
     counters0 = model.counters.snapshot()["full"]
 
-    x = domain.sample(1, rng)[0] if start is None else np.asarray(start, dtype=float)
+    x = domain.sample(1, rng)[0]
     loss_x = model.loss(x, observations)
     lp_x = domain.log_pdf(x)
     step = step_scale * domain.widths

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-PACKAGE_VERSION = "0.1.0"
+PACKAGE_VERSION = "0.1.0"  # pyproject.toml's [project] version; gibbsrb.__version__
 
 HISTORY_COLUMNS = ("t", "w_before", "w_after", "delta_w", "ess", "atoms_added",
                    "acceptance_rate", "e_thre", "e_max", "replay_ess",

@@ -10,7 +10,6 @@ weight and stops exactly at the requested total.
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ThreadPoolExecutor  # patched by bench/layers.py
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -91,7 +90,6 @@ class SmcResult:
     snapshots: list             # particle sets at t = 0..N (start, then per iteration)
     surrogate: Surrogate
     config: SmcConfig
-    wall_time: float = 0.0
     solve_counts: dict = field(default_factory=dict)
 
     @property
@@ -242,7 +240,6 @@ def run_smc(model, observations, config: SmcConfig, *,
     An AtomBudgetError or SmcIterationError leaves with the records of the
     finished iterations as its ``history`` attribute.
     """
-    t0 = time.perf_counter()
     domain = model.domain
     counters0 = model.counters.snapshot()
     particles = init_particles(domain, config.particles, stream(config.seed, PHASE_INIT))
@@ -308,6 +305,5 @@ def run_smc(model, observations, config: SmcConfig, *,
     return SmcResult(
         particles=particles, history=history, snapshots=snapshots,
         surrogate=surrogate, config=config,
-        wall_time=time.perf_counter() - t0,
         solve_counts={k: counts[k] - counters0[k] for k in counts},
     )

@@ -30,7 +30,5 @@ class ExactLoss:
 
     def refine_over_particles(self, points, observations, e_thre) -> RefinementReport:
         nan = float("nan")
-        return RefinementReport(atoms_added=0, e_thre=nan, e_max_initial=nan,
-                                e_max_final=nan,
-                                loss_values=self.loss_fn(observations)(points),
-                                indicator_values=np.full(len(points), nan))
+        return RefinementReport(atoms_added=0, e_thre=nan, e_max_final=nan,
+                                loss_values=self.loss_fn(observations)(points))

@@ -219,6 +219,12 @@ def test_select_weight_cli(tiny_config, tmp_path):
     assert min(rows, key=lambda r: r[1])[0] == manifest["w_opt"]
 
 
+def test_package_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
+    assert gibbsrb.__version__ == pyproject["project"]["version"]
+
+
 def test_shipped_configs_parse():
     from gibbsrb.config import RunConfig
 

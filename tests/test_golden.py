@@ -138,7 +138,7 @@ def _result_digest(res) -> str:
                 *(rec.losses for rec in res.history),
                 np.array([rec.reduced_solves for rec in res.history]),
                 np.array([rec.e_thre for rec in res.history]),
-                res.surrogate.locations):
+                np.array([a.location for a in res.surrogate.atoms])):
         h.update(np.ascontiguousarray(arr).tobytes())
     return h.hexdigest()
 
