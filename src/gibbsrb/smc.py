@@ -63,6 +63,10 @@ class SmcConfig:
             raise ValueError("e_thre mode must be 'fixed' or 'loss_std_fraction'")
         if self.mutation_steps < 0:
             raise ValueError("mutation steps must be >= 0")
+        if self.neighbor_count < 0:
+            raise ValueError("neighbor_count must be >= 0")
+        if self.atom_budget < 1:
+            raise ValueError("atom_budget must be >= 1")
 
 
 @dataclass

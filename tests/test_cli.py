@@ -244,3 +244,27 @@ def test_stale_indicator_key_rejected():
                        ("e_thre_floor", 1e-6)]:
         with pytest.raises(TypeError, match=key):
             RunConfig.from_dict({"smc": {key: value}})
+
+
+def test_sweep_neighbors_script_table(capsys):
+    import importlib.util
+
+    root = Path(__file__).parents[1]
+    spec = importlib.util.spec_from_file_location(
+        "sweep_neighbors", root / "scripts" / "sweep_neighbors.py")
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    assert sweep.main(["--config", str(root / "configs" / "adv1d.yaml"), "--mesh", "cells=32",
+                       "--neighbors", "2", "5", "--seeds", "0", "--particles", "10"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "10 particles" in lines[0] and "oracle grid 60" in lines[0]
+    header = [c.strip() for c in lines[1].strip("|").split("|")]
+    assert header == ["N", "atoms", "full solves", "cell builds", "wall s (median)",
+                      "xi_1 mean ± std", "xi_2 mean ± std", "KS xi_1", "KS xi_2"]
+    rows = [[c.strip() for c in line.strip("|").split("|")] for line in lines[3:]]
+    assert [row[0] for row in rows] == ["2", "5"]
+    for row in rows:
+        assert len(row) == len(header)
+        atoms, full = float(row[1].split()[0]), float(row[2].split()[0])
+        assert atoms >= 1 and full == atoms  # one full solve per atom insertion
+        assert all(0.0 <= float(ks) <= 1.0 for ks in row[-2:])

@@ -37,6 +37,19 @@ def test_config_rejects_bad_values():
         SmcConfig(particles=2, ess_fraction=0.5)  # threshold below 2
 
 
+def test_config_rejects_bad_surrogate_sizes():
+    # a bad YAML value fails when the config is parsed, not deep in
+    # Surrogate.__init__ (numpy's "negative dimensions") or at the first
+    # atom insertion (AtomBudgetError)
+    from gibbsrb.config import RunConfig
+
+    for key, value in [("neighbor_count", -1), ("atom_budget", 0)]:
+        with pytest.raises(ValueError, match=key):
+            RunConfig.from_dict({"smc": {key: value}})
+    cfg = SmcConfig(neighbor_count=0, atom_budget=1)
+    assert (cfg.neighbor_count, cfg.atom_budget) == (0, 1)
+
+
 # ----- initialization -----
 
 def test_init_uniform_prior_moments():
