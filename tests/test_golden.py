@@ -70,6 +70,27 @@ REPORT_DIGESTS = {
     "run-mcmc": "f127a0683b9338534d9876231b58f00eb0fdda9751e2a97d0d919d2ae0cad243",
     "run-smc": "b6e0db53b198c499ba8dbb28a36127c7e1125ac5b3e7272c3289491156cfc123",
 }
+# the exact (full-solve) loss path, per preset: sha256 of model.loss at 32
+# prior draws (generator seed 11, data seed 3, two data rows), then of
+# solve_full and of observe at the first draw
+EXACT_LOSS_DIGESTS = {
+    ("adv1d", ("cells", 128)): (
+        "23241ce11bb7b094ea71b17bf7503f0ecb08410cd4699156001717e8fdba5333",
+        "2ef7776725a746eaa5a22e8f33d0a83a2b9c8f3eeedbb050667bdebe6e128538",
+        "d1d1deffa99fd4d1c49f4747c45d898705b3b4f70d4e7a93c9f87cf5c178766c"),
+    ("adv2d", ("nx", 12)): (
+        "eb1d88d30fd625f31ec3bd1abff4702bdfb9a020c801d34edc1755f37fc65d77",
+        "7ee605ccea6ddb8fc4435994da7af1df0f57ec8519754e2f7ca79080edab80b4",
+        "15297f8a4f6aa6ea512d324753f6c59936dd8a1d5136f52a928a98b4a48b8368"),
+    ("elast2d_layered", ("nx", 8)): (
+        "084fe37e1ebeec86c52f2464ded07725536c860ef25ee848d096c73482750f7b",
+        "8b74c38900811761caae081c3cf9bdde43daf7da003e376161793758821a5ce8",
+        "fb0fe662d0a64baba14f4c16b8c94c5d39d84ae83cdaf914c58fe5c698b648f3"),
+    ("elast2d_inclusion", ("nx", 8)): (
+        "1fafd8bb70f00ea71a5fd2c7d8a122ef04b7d17e80b9e585a0dc442a451a8cf3",
+        "b06c990352bab0a93ac70bbc6c0a558f8676d6b4d140245ce01d59d10decbae3",
+        "86c4b2d996a440b48e950f0eff4d3f8c06b1e98cabcde153bf6974bd6fa16148"),
+}
 
 
 def _sha(data: bytes) -> str:
@@ -225,3 +246,14 @@ def test_run_rwmh_chain_golden(adv1d_obs):
                      n_samples=300, burn_in=100, step_scale=0.2, seed=5)
     got = (_sha(chain.samples.tobytes()), chain.acceptance_rate, chain.full_solves)
     assert got == RWMH_CHAIN
+
+
+@pytest.mark.parametrize("preset,mesh", list(EXACT_LOSS_DIGESTS))
+def test_exact_loss_golden(preset, mesh):
+    model = assemble(preset, dict([mesh]))
+    obs = gen_data(model, noise_pct=0.10, n=2, seed=3)
+    points = model.domain.sample(32, np.random.default_rng(11))
+    losses = np.array([model.loss(xi, obs) for xi in points])
+    u = model.solve_full(points[0])
+    got = (_sha(losses.tobytes()), _sha(u.tobytes()), _sha(model.observe(u).tobytes()))
+    assert got == EXACT_LOSS_DIGESTS[preset, mesh]
