@@ -33,6 +33,14 @@ class McmcConfig:
     burn_in: int = 1000
     step_scale: float = 0.1
 
+    def __post_init__(self):
+        if self.samples < 1:
+            raise ValueError("mcmc samples must be >= 1")
+        if self.burn_in < 0:
+            raise ValueError("mcmc burn_in must be >= 0")
+        if not self.step_scale > 0:
+            raise ValueError("mcmc step_scale must be > 0")
+
 
 @dataclass
 class RunConfig:
@@ -44,6 +52,10 @@ class RunConfig:
     mcmc: McmcConfig = field(default_factory=McmcConfig)
     weight_selection: WeightSelectionConfig = field(default_factory=WeightSelectionConfig)
     oracle_grid: int = 60
+
+    def __post_init__(self):
+        if self.oracle_grid < 2:
+            raise ValueError("oracle grid must be >= 2 nodes per axis")
 
     @classmethod
     def from_yaml(cls, path) -> "RunConfig":

@@ -81,7 +81,7 @@ class ParameterDomain:
         """
         if self._uniform_log_pdf is not None:
             pts = np.asarray(points, dtype=float)
-            inside = ((pts >= self.lower) & (pts <= self.upper)).all(axis=-1)
+            inside = np.logical_and.reduce((pts >= self.lower) & (pts <= self.upper), axis=-1)
             return np.where(inside, self._uniform_log_pdf, -np.inf)[()]
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         lp = np.zeros(pts.shape[0])

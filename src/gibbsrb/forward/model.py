@@ -3,19 +3,22 @@
 A model is A(xi) u = f(xi) with A(xi) = sum_p theta_p(xi) A_p and
 f(xi) = sum_q phi_q(xi) f_q, plus an observation matrix mapping the state
 to measurement channels and a loss kind tying predictions to data.  The
-coefficients are affine in xi, theta(xi) = theta_0 + xi @ d theta / d xi,
-and A(xi) is assembled into a band fixed at construction, then factorized by
-LAPACK's band LU with partial pivoting (dgbtrf/dgbtrs).
+coefficients are affine in xi, theta(xi) = theta_0 + xi @ d theta / d xi.
+A(xi) is scattered into LAPACK's band storage at places fixed at
+construction and factorized by band LU with partial pivoting (dgbtrf/dgbtrs);
+a solve's residual and the observation are gathers over per-row slot arrays,
+so a solve makes a fixed number of numpy calls whatever the band width.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.linalg.lapack import dgbsv, dgbtrf, dgbtrs
 
 LOSS_KINDS = ("squared_l2", "l1", "l2")
 
@@ -42,30 +45,58 @@ class SolveCounters:
                 "stability": self.stability}
 
 
-def _band_terms(terms: list, n: int):
-    """Band half-widths (kl, ku) of the terms' union pattern, each union
-    entry's position in the column-major (kl + ku + 1, n) band, and each
-    term's values on the union as a (P, nnz) array with zeros where it has
-    no entry.
+def _ellpack(rows: np.ndarray, cols: np.ndarray, values: np.ndarray, n_rows: int):
+    """Slot-major (ELLPACK) layout of entries listed row by row.
 
-    Band row ku + i - j holds A[i, j] in column j.  That is the data of a
-    DIA array with offsets ku, ..., -kl, and rows kl .. 2 kl + ku of
-    LAPACK's dgbtrf storage.
+    Entry e goes to slot s of its row, s counting the row's earlier entries:
+    flat place s * n_rows + rows[e] of a (w, n_rows) array, w the widest
+    row.  Returns those places, the (w, n_rows) columns and the
+    (..., w, n_rows) values; a padding slot holds column 0 and value 0.
+    """
+    counts = np.bincount(rows, minlength=n_rows)
+    w = int(counts.max(initial=0))
+    flat = (np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]) * n_rows + rows
+    columns = np.zeros(w * n_rows, dtype=np.int64)
+    columns[flat] = cols
+    slotted = np.zeros(values.shape[:-1] + (w * n_rows,))
+    slotted[..., flat] = values
+    return flat, columns.reshape(w, n_rows), slotted.reshape(values.shape[:-1] + (w, n_rows))
+
+
+def _operator_layout(terms: list, n: int):
+    """Fixed index arrays of the operator's exact path.
+
+    Returns the band half-widths (kl, ku); each term's values on the union
+    pattern as a (P, w, n) slot-major array, row i's entries in ascending
+    column order in slots 0, 1, ...; the (w, n) column of each slot; and
+    each slot's flat place in LAPACK's Fortran-ordered (2 kl + ku + 1, n)
+    dgbtrf storage, where A[i, j] sits in row kl + ku + i - j of column j,
+    or one past the end for a padding slot.
     """
     keys, values = [], []
     for T in terms:
-        T = sp.csc_matrix(T, copy=True)
+        T = sp.csr_matrix(T, copy=True)
         T.sum_duplicates()
-        cols = np.repeat(np.arange(n, dtype=np.int64), np.diff(T.indptr))
-        keys.append(cols * n + T.indices)  # column-major, the CSC order
+        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(T.indptr))
+        keys.append(rows * n + T.indices)  # row-major, the CSR order
         values.append(T.data)
     union = np.unique(np.concatenate(keys))
     stacked = np.zeros((len(terms), union.size))
     for p, (k, v) in enumerate(zip(keys, values)):
         stacked[p, np.searchsorted(union, k)] = v
-    cols, rows = union // n, union % n
+    rows, cols = union // n, union % n
     kl, ku = int(max(0, np.max(rows - cols))), int(max(0, np.max(cols - rows)))
-    return kl, ku, cols * (kl + ku + 1) + ku + rows - cols, stacked
+    flat, columns, term_values = _ellpack(rows, cols, stacked, n)
+    height = 2 * kl + ku + 1
+    positions = np.full(columns.size, height * n)
+    positions[flat] = cols * height + kl + ku + rows - cols
+    return kl, ku, term_values, columns, positions
+
+
+def _check_factorization(xi, routine: str, info: int) -> None:
+    if info != 0:
+        raise SolverError(f"operator factorization failed at xi={np.asarray(xi)}: "
+                          f"{routine} info {info}")
 
 
 class BandLU:
@@ -77,9 +108,8 @@ class BandLU:
     def solve(self, b: np.ndarray) -> np.ndarray:
         """A^{-1} b for a vector or an (n, k) array of columns (dgbtrs);
         each column's result does not depend on the other columns."""
-        b = np.asarray(b, dtype=float)
-        x, _ = dgbtrs(self.lu, self.kl, self.ku, b.reshape(b.shape[0], -1), self.piv)
-        return x.reshape(b.shape)
+        x, _ = dgbtrs(self.lu, self.kl, self.ku, b, self.piv)
+        return x
 
 
 @dataclass
@@ -89,6 +119,8 @@ class ForwardModel:
     operator_terms[p] is A_p with theta_p(xi) = operator_coeff_offsets[p]
     + xi @ operator_coeff_grads[:, p]; likewise for the rhs.  The grads
     d theta_p / d xi_j are constants, also used for sensitivity solves.
+    The operator terms and the observation matrix are laid out for the
+    exact path at construction, so they must not change afterwards.
     """
 
     name: str
@@ -122,8 +154,13 @@ class ForwardModel:
         if shapes != ((P,), (M, P), (Q,), (M, Q)):
             raise ValueError(f"coefficient arrays need shapes {((P,), (M, P), (Q,), (M, Q))}, "
                              f"got {shapes}")
-        self._kl, self._ku, self._band_positions, self._term_values = _band_terms(
-            self.operator_terms, self.n_dof)
+        (self._kl, self._ku, self._term_values, self._columns,
+         self._ab_positions) = _operator_layout(self.operator_terms, self.n_dof)
+        self._ab_shape = (2 * self._kl + self._ku + 1, self.n_dof)
+        obs = sp.csr_matrix(self.obs_matrix)
+        _, self._obs_columns, self._obs_values = _ellpack(
+            np.repeat(np.arange(self.n_obs), np.diff(obs.indptr)), obs.indices, obs.data,
+            self.n_obs)
 
     @property
     def n_dof(self) -> int:
@@ -148,24 +185,25 @@ class ForwardModel:
         return (self.operator_coeff_offsets + xi @ self.operator_coeff_grads,
                 self.rhs_coeff_offsets + xi @ self.rhs_coeff_grads)
 
-    def _band(self, theta: np.ndarray) -> np.ndarray:
-        """The column-major (kl + ku + 1, n) band of A at coefficients theta.
+    def _assemble(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A at coefficients theta: (its slot-major union values, its
+        Fortran-ordered dgbtrf storage with kl zero rows for the fill-in).
 
-        Term by term in order, so every entry is the same float as in the
-        chained sparse sum theta_0 A_0 + theta_1 A_1 + ...; entries outside
-        the terms' union pattern are zero.
+        Term by term in order (a reduction over the outer axis adds
+        elementwise), so every entry is the same float as in the chained
+        sparse sum theta_0 A_0 + theta_1 A_1 + ...; entries outside the
+        terms' union pattern are zero.
         """
-        values = theta[0] * self._term_values[0]
-        for t, v in zip(theta[1:], self._term_values[1:]):
-            values += t * v
-        band_t = np.zeros((self.n_dof, self._kl + self._ku + 1))  # the band, transposed
-        band_t.reshape(-1)[self._band_positions] = values  # a view: band_t is C-ordered
-        return band_t.T
+        values = np.add.reduce(theta[:, None, None] * self._term_values, axis=0)
+        ab = np.zeros(math.prod(self._ab_shape) + 1)  # + the padding slots' place
+        ab[self._ab_positions] = values.reshape(-1)
+        return values, ab[:-1].reshape(self._ab_shape, order="F")
 
     def operator_at(self, xi: np.ndarray) -> sp.dia_array:
-        """A(xi) as a DIA array whose data is the column-major band."""
-        return sp.dia_array((self._band(self.coefficients(xi)[0]),
-                             np.arange(self._ku, -self._kl - 1, -1)),
+        """A(xi) as a DIA array whose data is the band part of the dgbtrf
+        storage (offsets ku, ..., -kl)."""
+        ab = self._assemble(self.coefficients(xi)[0])[1]
+        return sp.dia_array((ab[self._kl:], np.arange(self._ku, -self._kl - 1, -1)),
                             shape=(self.n_dof, self.n_dof))
 
     def _rhs(self, phi: np.ndarray) -> np.ndarray:
@@ -178,46 +216,52 @@ class ForwardModel:
         return self._rhs(self.coefficients(xi)[1])
 
     def factorize(self, xi: np.ndarray) -> tuple[np.ndarray, BandLU]:
-        """(the band of A(xi), its band LU factorization with partial
-        pivoting); raises ValueError outside the parameter box, before
-        assembling anything."""
-        return self._factorize(xi, self.coefficients(xi)[0])
+        """(the slot-major union values of A(xi), its band LU factorization
+        with partial pivoting); raises ValueError outside the parameter box,
+        before assembling anything."""
+        values, ab = self._assemble_in_box(xi, self.coefficients(xi)[0])
+        lu, piv, info = dgbtrf(ab, self._kl, self._ku, overwrite_ab=True)
+        _check_factorization(xi, "dgbtrf", info)
+        return values, BandLU(lu, piv, self._kl, self._ku)
 
-    def _factorize(self, xi: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, BandLU]:
+    def _assemble_in_box(self, xi, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         xi = np.asarray(xi, dtype=float)
         if not ((xi >= self.domain.lower) & (xi <= self.domain.upper)).all():
             raise ValueError(f"xi={xi} outside the parameter box")
-        band = self._band(theta)
-        kl, ku = self._kl, self._ku
-        ab = np.zeros((2 * kl + ku + 1, self.n_dof), order="F")  # kl rows for fill-in
-        ab[kl:] = band
-        lu, piv, info = dgbtrf(ab, kl, ku, overwrite_ab=True)
-        if info != 0:
-            raise SolverError(f"operator factorization failed at xi={xi}: dgbtrf info {info}")
-        return band, BandLU(lu, piv, kl, ku)
+        return self._assemble(theta)
 
     # ----- solves -----
     def solve_full(self, xi: np.ndarray, factors: tuple | None = None) -> np.ndarray:
         """High-fidelity solve of A(xi) u = f(xi); increments the full counter.
 
-        ``factors`` is the result of factorize(xi); by default it is computed
-        here.  The residual f - A u is formed from the band, one diagonal at
-        a time (scipy's dgbmv wrapper rejects n < kl + ku + 1).
+        ``factors`` is the result of factorize(xi); by default one dgbsv
+        call factorizes and solves, which is dgbtrf then dgbtrs.
         """
         theta, phi = self.coefficients(xi)
-        band, lu = self._factorize(xi, theta) if factors is None else factors
         f = self._rhs(phi)
-        u = lu.solve(f)
-        r, n = f.copy(), self.n_dof
-        with np.errstate(invalid="ignore"):  # an overflowed u leaves NaN in r
-            for d in range(-self._kl, self._ku + 1):  # A[i, i + d] is band[ku - d, i + d]
-                i, j, m = max(0, -d), max(0, d), n - abs(d)
-                r[i:i + m] -= band[self._ku - d, j:j + m] * u[j:j + m]
-        resid = np.linalg.norm(r)
-        if not np.isfinite(resid) or resid > 1e-10 * max(np.linalg.norm(f), 1e-300):
+        if factors is None:
+            values, ab = self._assemble_in_box(xi, theta)
+            _, _, u, info = dgbsv(self._kl, self._ku, ab, f, overwrite_ab=True)
+            _check_factorization(xi, "dgbsv", info)
+        else:
+            values, lu = factors
+            u = lu.solve(f)
+        r = self._residual(values, f, u)
+        resid = math.sqrt(r @ r)
+        if not math.isfinite(resid) or resid > 1e-10 * max(math.sqrt(f @ f), 1e-300):
             raise SolverError(f"solver breakdown at xi={xi}: residual {resid:.3e}")
-        self.counters.add("full")
+        self.counters.full += 1
         return u
+
+    def _residual(self, values: np.ndarray, f: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """f - A u for A's slot-major union values: row i subtracts its
+        entries a_ij u_j from f_i in ascending column order, one slot per
+        step.  The band's zeros off the union pattern are skipped, which
+        can change only the sign of an entry that is exactly zero."""
+        with np.errstate(invalid="ignore"):  # an overflowed u leaves NaN in r
+            terms = values * u[self._columns]
+            np.subtract(f, terms[0], out=terms[0])
+            return np.subtract.reduce(terms, axis=0)
 
     def solve_sensitivity(self, u: np.ndarray, lu: BandLU) -> np.ndarray:
         """Columns du/dxi_j solving A(xi) du/dxi_j = df/dxi_j - (dA/dxi_j) u,
@@ -239,7 +283,10 @@ class ForwardModel:
 
     # ----- observation and loss -----
     def observe(self, u: np.ndarray) -> np.ndarray:
-        return self.obs_matrix @ u
+        """D u for one state u.  Each channel sums its entries d_ij u_j in
+        CSR storage order, in sequence from zero, as scipy's csr_matvec
+        does, so a finite u observes the same floats as obs_matrix @ u."""
+        return np.add.reduce(self._obs_values * u[self._obs_columns], axis=0, initial=0.0)
 
     def loss_from_prediction(self, predicted: np.ndarray, observations):
         """Cumulative loss sum_i loss(predicted, d_i) for the model's loss kind.

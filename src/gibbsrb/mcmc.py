@@ -7,6 +7,7 @@ isotropic Gaussian step in box-scaled coordinates.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -54,15 +55,13 @@ def run_rwmh(model, observations, weight: float, n_samples: int = 5000,
         prop = x + step * rng.standard_normal(domain.dim)
         u = rng.random()
         lp_p = domain.log_pdf(prop)
-        if not np.isfinite(lp_p):
+        if not math.isfinite(lp_p):
             out_of_support += 1
             chain[i] = x
             continue
         loss_p = model.loss(prop, observations)
         log_alpha = -weight * (loss_p - loss_x) + lp_p - lp_x
-        with np.errstate(divide="ignore"):
-            accept = np.log(u) < log_alpha
-        if accept:
+        if (np.log(u) if u > 0 else -np.inf) < log_alpha:
             x, loss_x, lp_x = prop, loss_p, lp_p
             accepted += 1
         chain[i] = x

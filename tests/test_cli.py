@@ -246,6 +246,20 @@ def test_stale_indicator_key_rejected():
             RunConfig.from_dict({"smc": {key: value}})
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("mcmc", "samples", 0), ("mcmc", "burn_in", -1), ("mcmc", "step_scale", 0.0),
+    ("mcmc", "step_scale", -1.0), ("oracle", "grid", 1)])
+def test_bad_mcmc_and_oracle_values_rejected_at_parse(section, key, value):
+    # before the check, samples 0 ran the whole chain and then divided by
+    # zero in marginal_cdf, and grid 1 failed in the trapezoid weights
+    from gibbsrb.config import RunConfig
+
+    with pytest.raises(ValueError, match=key):
+        RunConfig.from_dict({section: {key: value}})
+    RunConfig.from_dict({"mcmc": {"samples": 1, "burn_in": 0, "step_scale": 1e-3},
+                         "oracle": {"grid": 2}})
+
+
 def test_sweep_neighbors_script_table(capsys):
     import importlib.util
 

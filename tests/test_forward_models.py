@@ -170,7 +170,7 @@ def test_coefficient_shapes_are_checked(adv1d_model):
 
 def test_full_solve_assembles_operator_once(monkeypatch):
     model = assemble("adv1d", {"cells": 32})
-    calls = {"_band": 0, "coefficients": 0}
+    calls = {"_assemble": 0, "coefficients": 0}
 
     def spy(name):
         original = getattr(ForwardModel, name)
@@ -184,11 +184,11 @@ def test_full_solve_assembles_operator_once(monkeypatch):
         spy(name)
     xi = np.array([0.31, 0.47])
     model.solve_full(xi)
-    assert calls == {"_band": 1, "coefficients": 1}
+    assert calls == {"_assemble": 1, "coefficients": 1}
     factors = model.factorize(xi)
     u = model.solve_full(xi, factors)
     model.solve_sensitivity(u, factors[1])
-    assert calls == {"_band": 2, "coefficients": 3}
+    assert calls == {"_assemble": 2, "coefficients": 3}
 
 
 @pytest.mark.parametrize("fixture", ["adv1d_model", "adv2d_small", "elast_small"])
@@ -204,7 +204,7 @@ def test_solve_residual_and_determinism(fixture, request):
     assert np.linalg.norm(f - A @ u1) <= 1e-10 * np.linalg.norm(f)
 
 
-def _two_by_two_model():
+def _two_by_two_model(obs=np.eye(2)):
     """A(xi) = [[1, 1], [1, xi]], singular at xi = 1; f = (0, 1e308)."""
     return ForwardModel(
         name="two_by_two",
@@ -215,7 +215,7 @@ def _two_by_two_model():
         rhs_terms=[np.array([0.0, 1e308])],
         rhs_coeff_offsets=np.array([1.0]),
         rhs_coeff_grads=np.zeros((1, 1)),
-        obs_matrix=sp.csr_matrix(np.eye(2)),
+        obs_matrix=sp.csr_matrix(obs),
         loss_kind="squared_l2",
         domain=ParameterDomain(lower=np.array([0.0]), upper=np.array([1.0])),
         mesh={},
@@ -223,11 +223,39 @@ def _two_by_two_model():
     )
 
 
+@pytest.mark.parametrize("fixture", ["adv1d_model", "adv2d_small", "elast_small"])
+def test_gather_kernels_match_sparse_products(fixture, request):
+    model = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        u = rng.standard_normal(model.n_dof) * 10.0 ** rng.integers(-3, 4)
+        assert np.array_equal(model.observe(u), model.obs_matrix @ u)
+    xi = model.domain.sample(1, rng)[0]
+    values, _ = model.factorize(xi)
+    f = model.rhs_at(xi)
+    # at a random state the residual is O(|f|), at the solution rounding noise
+    for u in (rng.standard_normal(model.n_dof), model.solve_full(xi)):
+        ref = f - model.operator_at(xi) @ u
+        gap = np.linalg.norm(model._residual(values, f, u) - ref)
+        assert gap <= 1e-12 * max(np.linalg.norm(ref), np.linalg.norm(f))
+
+
+def test_all_zero_observation_row_observes_zero():
+    model = _two_by_two_model(obs=[[0.0, 0.0], [0.5, 2.0], [0.0, 0.0]])
+    u = np.array([-3.0, 0.25])
+    got = model.observe(u)
+    assert np.array_equal(got, model.obs_matrix @ u)
+    assert got[0] == 0.0 and got[2] == 0.0 and not np.signbit(got[[0, 2]]).any()
+    assert model.observe(-u)[0] == 0.0
+
+
 def test_singular_operator_raises_from_factorize():
     model = _two_by_two_model()
     model.factorize(np.array([0.5]))
     with pytest.raises(SolverError, match="factorization failed"):
         model.factorize(np.array([1.0]))
+    with pytest.raises(SolverError, match="dgbsv info"):
+        model.solve_full(np.array([1.0]))
 
 
 def test_non_finite_solve_raises_from_residual_check():
