@@ -6,6 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+_NEG_INF = np.float64(-np.inf)
+
 
 @dataclass(frozen=True)
 class PriorSpec:
@@ -53,6 +55,7 @@ class ParameterDomain:
             for w in self.widths:  # in log_pdf's order, so the same float
                 uniform_log_pdf += -np.log(w)
         object.__setattr__(self, "_uniform_log_pdf", uniform_log_pdf)
+        object.__setattr__(self, "_box", tuple(zip(lower.tolist(), upper.tolist())))
 
     @property
     def dim(self) -> int:
@@ -65,6 +68,11 @@ class ParameterDomain:
     def contains(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(points)
         return np.all((pts >= self.lower) & (pts <= self.upper), axis=1)
+
+    def contains_point(self, point: np.ndarray) -> bool:
+        """Whether one (M,) point lies in the closed box; a NaN coordinate
+        does not.  Python floats compare a short point faster than numpy."""
+        return all(lo <= x <= hi for (lo, hi), x in zip(self._box, point.tolist()))
 
     def scale(self, points: np.ndarray) -> np.ndarray:
         """Map points into box coordinates in [0, 1]^M."""
@@ -81,7 +89,9 @@ class ParameterDomain:
         """
         if self._uniform_log_pdf is not None:
             pts = np.asarray(points, dtype=float)
-            inside = np.logical_and.reduce((pts >= self.lower) & (pts <= self.upper), axis=-1)
+            if pts.ndim == 1:
+                return self._uniform_log_pdf if self.contains_point(pts) else _NEG_INF
+            inside = ((pts >= self.lower) & (pts <= self.upper)).all(axis=-1)
             return np.where(inside, self._uniform_log_pdf, -np.inf)[()]
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         lp = np.zeros(pts.shape[0])

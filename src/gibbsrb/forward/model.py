@@ -226,7 +226,7 @@ class ForwardModel:
 
     def _assemble_in_box(self, xi, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         xi = np.asarray(xi, dtype=float)
-        if not ((xi >= self.domain.lower) & (xi <= self.domain.upper)).all():
+        if not self.domain.contains_point(xi):
             raise ValueError(f"xi={xi} outside the parameter box")
         return self._assemble(theta)
 

@@ -41,6 +41,20 @@ def test_prior_zero_outside_box():
     assert np.isneginf(dom.log_pdf(np.array([2.0, 2.0])))
 
 
+def test_one_point_box_check_matches_the_batched_one():
+    # the one-point path of a uniform log_pdf and of the model's box check
+    d = ParameterDomain(lower=np.array([-1.0, 0.0, 2.0]), upper=np.array([1.0, 0.5, 3.0]))
+    rng = np.random.default_rng(4)
+    pts = rng.uniform(-1.5, 3.5, size=(400, 3))
+    pts[::7, 1] = 0.5  # on the boundary
+    pts[::11, 2] = np.nan
+    pts[::13] = d.lower
+    batched = d.log_pdf(pts)
+    for x, lp in zip(pts, batched):
+        assert d.contains_point(x) == bool(d.contains(x)[0])
+        assert np.float64(d.log_pdf(x)).tobytes() == lp.tobytes()
+
+
 def test_scaling_and_widths():
     dom = ParameterDomain(np.array([0.1, -2.0]), np.array([10.0, 2.0]))
     assert np.allclose(dom.widths, [9.9, 4.0])
