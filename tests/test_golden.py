@@ -257,3 +257,39 @@ def test_exact_loss_golden(preset, mesh):
     u = model.solve_full(points[0])
     got = (_sha(losses.tobytes()), _sha(u.tobytes()), _sha(model.observe(u).tobytes()))
     assert got == EXACT_LOSS_DIGESTS[preset, mesh]
+
+
+# the bench's smc-adv1d call shape: the shipped adv1d config (N = 12, so
+# every cell spans all snapshots once there are 13 atoms), 20 particles,
+# data seed 0, sampler seeds 0-2; sha256 of the three clouds' points and
+# weights, then per call (full solves, reduced solves, cell builds)
+BENCH_SMC_ADV1D = ("36ed931031b09ecd53b29da61a8e490362116ef90597a53bdf2c61a393fe0ee1",
+                   ((9, 821, 45), (11, 852, 63), (10, 715, 55)))
+
+
+def test_bench_smc_adv1d_shape_golden():
+    config = RunConfig.from_yaml(Path(__file__).parents[1] / "configs" / "adv1d.yaml")
+    model = assemble(config.preset, config.mesh)
+    obs = build_observations(config, model, seed=0)
+    weight = resolve_total_weight(config, obs)
+    original = Surrogate.__dict__["_build_cell"]
+    tally = []
+
+    def counted(self, k):
+        tally.append(k)
+        return original(self, k)
+    h, work = hashlib.sha256(), []
+    Surrogate._build_cell = counted
+    try:
+        for seed in range(3):
+            builds = len(tally)
+            cfg = SmcConfig(**{**config.smc.__dict__, "particles": 20, "seed": seed,
+                               "total_weight": weight})
+            res = run_smc(model, obs, cfg)
+            h.update(res.particles.points.tobytes())
+            h.update(res.particles.weights.tobytes())
+            work.append((res.solve_counts["full"], res.surrogate.reduced_solves,
+                         len(tally) - builds))
+    finally:
+        Surrogate._build_cell = original
+    assert (h.hexdigest(), tuple(work)) == BENCH_SMC_ADV1D
