@@ -68,7 +68,8 @@ def cmd_run_smc(args) -> int:
                     iteration_table=_iteration_table(history))
     write_history_csv(out / "history.csv", history)
     if result is None:
-        write_manifest(out / "manifest.json", config=config, seed=smc_cfg.seed, extra=manifest)
+        write_manifest(out / "manifest.json", config=config, seed=smc_cfg.seed,
+                       model=model, extra=manifest)
         print(f"run-smc FAILED: {manifest['error']}", file=sys.stderr)
         return 1
 
@@ -89,7 +90,8 @@ def cmd_run_smc(args) -> int:
     manifest.update(final_weight=result.final_weight,
                     reduced_solves=result.surrogate.reduced_solves,
                     atoms=result.surrogate.n_atoms, bound_suite_passed=verified)
-    write_manifest(out / "manifest.json", config=config, seed=smc_cfg.seed, extra=manifest)
+    write_manifest(out / "manifest.json", config=config, seed=smc_cfg.seed,
+                   model=model, extra=manifest)
     print(f"run-smc: W={result.final_weight:g} in {result.iterations} iterations, "
           f"{result.solve_counts['full']} full solves, wall {wall:.2f}s")
     if verified is False:
@@ -109,7 +111,8 @@ def cmd_run_mcmc(args) -> int:
     chain.to_csv(out / "chain.csv")
     _write_marginal_cdfs(out, chain.samples, model.dim)
     observations.to_csv(out / "observations.csv")
-    write_manifest(out / "manifest.json", config=config, seed=config.smc.seed, extra={
+    write_manifest(out / "manifest.json", config=config, seed=config.smc.seed,
+                   model=model, extra={
         "command": "run-mcmc",
         "weight": w_total,
         "acceptance_rate": chain.acceptance_rate,
@@ -128,7 +131,8 @@ def cmd_select_weight(args) -> int:
     wall = time.perf_counter() - t0
     write_csv(out / "weight_table.csv", ["weight", "objective"],
               zip(sel.grid, sel.objectives))
-    write_manifest(out / "manifest.json", config=config, seed=config.smc.seed, extra={
+    write_manifest(out / "manifest.json", config=config, seed=config.smc.seed,
+                   model=model, extra={
         "command": "select-weight",
         "w_final": sel.w_final, "w_opt": sel.w_opt, "w_ref": sel.w_ref,
         "n_effective": sel.n_effective, "eps_std": observations.eps_std,
@@ -152,7 +156,8 @@ def cmd_oracle(args) -> int:
     mesh = np.meshgrid(*post.axes, indexing="ij")
     write_csv(out / "density.csv", [f"xi_{j + 1}" for j in range(post.dim)] + ["density"],
               np.column_stack([m.ravel() for m in mesh] + [post.density.ravel()]))
-    write_manifest(out / "manifest.json", config=config, seed=config.smc.seed, extra={
+    write_manifest(out / "manifest.json", config=config, seed=config.smc.seed,
+                   model=model, extra={
         "command": "oracle", "weight": w_total, "grid": list(shape),
         "posterior_mean": [float(v) for v in post.mean()],
         "posterior_std": [float(v) for v in post.marginal_std()],

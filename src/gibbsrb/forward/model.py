@@ -5,9 +5,13 @@ f(xi) = sum_q phi_q(xi) f_q, plus an observation matrix mapping the state
 to measurement channels and a loss kind tying predictions to data.  The
 coefficients are affine in xi, theta(xi) = theta_0 + xi @ d theta / d xi.
 A(xi) is scattered into LAPACK's band storage at places fixed at
-construction and factorized by band LU with partial pivoting (dgbtrf/dgbtrs);
+construction and factorized by band LU with partial pivoting (``bandlu``);
 a solve's residual and the observation are gathers over per-row slot arrays,
 so a solve makes a fixed number of numpy calls whatever the band width.
+
+The operator terms and the observation matrix are CSR matrices, read only
+through their arrays (data, indices, indptr), ``@``, ``shape`` and
+``toarray()``: scipy.sparse's or the numpy ``CSRMatrix`` below.
 """
 
 from __future__ import annotations
@@ -17,8 +21,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg.lapack import dgbsv, dgbtrf, dgbtrs
+
+from .bandlu import BandLU, band_routines, band_view
 
 LOSS_KINDS = ("squared_l2", "l1", "l2")
 
@@ -63,6 +67,54 @@ def _ellpack(rows: np.ndarray, cols: np.ndarray, values: np.ndarray, n_rows: int
     return flat, columns.reshape(w, n_rows), slotted.reshape(values.shape[:-1] + (w, n_rows))
 
 
+def _csr_entries(T):
+    """(row, column, value) of each entry of the CSR matrix T, in storage order."""
+    if getattr(T, "format", "csr") != "csr":
+        raise ValueError(f"sparse matrices must be CSR, got {T.format}")
+    return np.repeat(np.arange(T.shape[0]), np.diff(T.indptr)), T.indices, T.data
+
+
+class CSRMatrix:
+    """A CSR matrix in numpy, built like scipy's: ``CSRMatrix((data,
+    indices, indptr), shape)``.
+
+    ``A @ x`` adds row i's entries a_ij x_j one at a time, in storage order,
+    from zero: the order of scipy's csr_matvec and csr_matvecs, so a finite
+    x, vector or (n, k) array, gives the same floats as scipy.  It gathers
+    x over the rows' slots (``_ellpack``) and sums over the slot axis, a
+    reduction over an outer axis, which numpy adds in sequence; so it suits
+    matrices with few entries per row.
+    """
+
+    format = "csr"
+
+    def __init__(self, arrays, shape):
+        self.data, self.indices, self.indptr = (np.asarray(a) for a in arrays)
+        self.shape = (int(shape[0]), int(shape[1]))
+        _, self._columns, self._values = _ellpack(*_csr_entries(self), self.shape[0])
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x)
+        terms = x[self._columns]
+        terms *= self._values.reshape(self._values.shape + (1,) * (x.ndim - 1))
+        return np.add.reduce(terms, axis=0, initial=0.0)
+
+    def toarray(self) -> np.ndarray:
+        dense = np.zeros(self.shape)
+        rows, cols, values = _csr_entries(self)
+        dense[rows, cols] = values
+        return dense
+
+
+def vstack_csr(mats: list):
+    """The CSR matrices mats stacked by rows, as one of the first's class."""
+    offsets = np.cumsum([0] + [M.indptr[-1] for M in mats])
+    indptr = np.concatenate([[0]] + [M.indptr[1:] + o for M, o in zip(mats, offsets)])
+    arrays = (np.concatenate([M.data for M in mats]),
+              np.concatenate([M.indices for M in mats]), indptr)
+    return type(mats[0])(arrays, shape=(sum(M.shape[0] for M in mats), mats[0].shape[1]))
+
+
 def _operator_layout(terms: list, n: int):
     """Fixed index arrays of the operator's exact path.
 
@@ -75,11 +127,11 @@ def _operator_layout(terms: list, n: int):
     """
     keys, values = [], []
     for T in terms:
-        T = sp.csr_matrix(T, copy=True)
-        T.sum_duplicates()
-        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(T.indptr))
-        keys.append(rows * n + T.indices)  # row-major, the CSR order
-        values.append(T.data)
+        rows, cols, data = _csr_entries(T)
+        keys.append(rows * n + cols)
+        values.append(data)
+        if np.unique(keys[-1]).size != keys[-1].size:
+            raise ValueError("an operator term has duplicate entries")
     union = np.unique(np.concatenate(keys))
     stacked = np.zeros((len(terms), union.size))
     for p, (k, v) in enumerate(zip(keys, values)):
@@ -97,19 +149,6 @@ def _check_factorization(xi, routine: str, info: int) -> None:
     if info != 0:
         raise SolverError(f"operator factorization failed at xi={np.asarray(xi)}: "
                           f"{routine} info {info}")
-
-
-class BandLU:
-    """LU factors of a band matrix from dgbtrf, in LAPACK band storage."""
-
-    def __init__(self, lu: np.ndarray, piv: np.ndarray, kl: int, ku: int):
-        self.lu, self.piv, self.kl, self.ku = lu, piv, kl, ku
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """A^{-1} b for a vector or an (n, k) array of columns (dgbtrs);
-        each column's result does not depend on the other columns."""
-        x, _ = dgbtrs(self.lu, self.kl, self.ku, b, self.piv)
-        return x
 
 
 @dataclass
@@ -130,7 +169,7 @@ class ForwardModel:
     rhs_terms: list
     rhs_coeff_offsets: np.ndarray       # (Q,) phi(0)
     rhs_coeff_grads: np.ndarray         # (M, Q)
-    obs_matrix: sp.csr_matrix
+    obs_matrix: object                  # CSR, (n_obs, n_dof)
     loss_kind: str
     domain: "ParameterDomain"
     mesh: dict
@@ -156,11 +195,9 @@ class ForwardModel:
                              f"got {shapes}")
         (self._kl, self._ku, self._term_values, self._columns,
          self._ab_positions) = _operator_layout(self.operator_terms, self.n_dof)
-        self._ab_shape = (2 * self._kl + self._ku + 1, self.n_dof)
-        obs = sp.csr_matrix(self.obs_matrix)
-        _, self._obs_columns, self._obs_values = _ellpack(
-            np.repeat(np.arange(self.n_obs), np.diff(obs.indptr)), obs.indices, obs.data,
-            self.n_obs)
+        self._band = band_routines(self.n_dof, self._kl, self._ku)
+        _, self._obs_columns, self._obs_values = _ellpack(*_csr_entries(self.obs_matrix),
+                                                          self.n_obs)
 
     @property
     def n_dof(self) -> int:
@@ -185,9 +222,11 @@ class ForwardModel:
         return (self.operator_coeff_offsets + xi @ self.operator_coeff_grads,
                 self.rhs_coeff_offsets + xi @ self.rhs_coeff_grads)
 
-    def _assemble(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _assemble(self, theta: np.ndarray, ab: np.ndarray | None = None):
         """A at coefficients theta: (its slot-major union values, its
-        Fortran-ordered dgbtrf storage with kl zero rows for the fill-in).
+        Fortran-ordered dgbtrf storage with kl zero rows for the fill-in,
+        flat, with one spare place for the padding slots).  The storage is
+        written into ab, the band binding's buffer, or a fresh array.
 
         Term by term in order (a reduction over the outer axis adds
         elementwise), so every entry is the same float as in the chained
@@ -195,14 +234,18 @@ class ForwardModel:
         terms' union pattern are zero.
         """
         values = np.add.reduce(theta[:, None, None] * self._term_values, axis=0)
-        ab = np.zeros(math.prod(self._ab_shape) + 1)  # + the padding slots' place
+        if ab is None:
+            ab = np.zeros(self._band.ab.size)
+        else:
+            ab.fill(0.0)
         ab[self._ab_positions] = values.reshape(-1)
-        return values, ab[:-1].reshape(self._ab_shape, order="F")
+        return values, ab
 
-    def operator_at(self, xi: np.ndarray) -> sp.dia_array:
-        """A(xi) as a DIA array whose data is the band part of the dgbtrf
-        storage (offsets ku, ..., -kl)."""
-        ab = self._assemble(self.coefficients(xi)[0])[1]
+    def operator_at(self, xi: np.ndarray):
+        """A(xi) as a scipy DIA array whose data is the band part of the
+        dgbtrf storage (offsets ku, ..., -kl)."""
+        import scipy.sparse as sp
+        ab = band_view(self._assemble(self.coefficients(xi)[0])[1], self._band.shape)
         return sp.dia_array((ab[self._kl:], np.arange(self._ku, -self._kl - 1, -1)),
                             shape=(self.n_dof, self.n_dof))
 
@@ -220,15 +263,20 @@ class ForwardModel:
         with partial pivoting); raises ValueError outside the parameter box,
         before assembling anything."""
         values, ab = self._assemble_in_box(xi, self.coefficients(xi)[0])
-        lu, piv, info = dgbtrf(ab, self._kl, self._ku, overwrite_ab=True)
+        lu, info = self._band.factorize(ab)
         _check_factorization(xi, "dgbtrf", info)
-        return values, BandLU(lu, piv, self._kl, self._ku)
+        return values, lu
 
-    def _assemble_in_box(self, xi, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _assemble_in_box(self, xi, theta: np.ndarray, ab: np.ndarray | None = None):
         xi = np.asarray(xi, dtype=float)
         if not self.domain.contains_point(xi):
             raise ValueError(f"xi={xi} outside the parameter box")
-        return self._assemble(theta)
+        return self._assemble(theta, ab)
+
+    @property
+    def band_lu_binding(self) -> str:
+        """Which LAPACK serves the band LU: numpy's OpenBLAS or scipy's."""
+        return self._band.name
 
     # ----- solves -----
     def solve_full(self, xi: np.ndarray, factors: tuple | None = None) -> np.ndarray:
@@ -240,8 +288,8 @@ class ForwardModel:
         theta, phi = self.coefficients(xi)
         f = self._rhs(phi)
         if factors is None:
-            values, ab = self._assemble_in_box(xi, theta)
-            _, _, u, info = dgbsv(self._kl, self._ku, ab, f, overwrite_ab=True)
+            values, _ = self._assemble_in_box(xi, theta, self._band.ab)
+            u, info = self._band.factor_solve(f)
             _check_factorization(xi, "dgbsv", info)
         else:
             values, lu = factors

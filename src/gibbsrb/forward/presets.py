@@ -11,15 +11,18 @@ All presets produce an affine decomposition A(xi) = sum_p theta_p(xi) A_p,
 f(xi) = sum_q phi_q(xi) f_q, with each coefficient given by its value at
 xi = 0 and its constant gradient, together with a from-scratch direct
 assembly closure used by the consistency checks.
+
+adv1d's terms are numpy CSR matrices, so building and running it imports
+no scipy; the FEM presets assemble with scipy.sparse, imported in their
+builders, whose sums of duplicate element entries fix their floats.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..domain import ParameterDomain, PriorSpec
-from .model import ForwardModel
+from .model import CSRMatrix, ForwardModel
 
 _GP = np.array([-1.0, 1.0]) / np.sqrt(3.0)
 
@@ -64,15 +67,23 @@ def adv1d(cells: int = 128, nu: float = 0.1, b1: float = -0.5, b2: float = -0.2,
     w_left[np.isclose(x, 0.5)] = 0.5
     w_right = 1.0 - w_left
 
-    diff = sp.diags([-np.ones(m - 1), 2.0 * np.ones(m), -np.ones(m - 1)],
-                    [-1, 0, 1]) * (nu / h**2)
+    def tridiagonal(lower, diag, upper) -> CSRMatrix:
+        # row i holds lower[i - 1], diag[i] and upper[i] in columns i - 1, i
+        # and i + 1; zeros are not stored (nor by scipy's diags().tocsr())
+        vals = np.column_stack([np.r_[0.0, lower], diag, np.r_[upper, 0.0]])
+        cols = np.arange(m)[:, None] + np.arange(-1, 2)
+        keep = vals != 0
+        return CSRMatrix((vals[keep], cols[keep], np.r_[0, np.cumsum(keep.sum(axis=1))]),
+                         (m, m))
 
-    def advection(weights: np.ndarray) -> sp.csr_matrix:
-        return sp.diags([-weights[1:] / (2 * h), np.zeros(m), weights[:-1] / (2 * h)],
-                        [-1, 0, 1]).tocsr()
+    k = nu / h**2
+    diff = tridiagonal(-np.ones(m - 1) * k, 2.0 * np.ones(m) * k, -np.ones(m - 1) * k)
+
+    def advection(weights: np.ndarray) -> CSRMatrix:
+        return tridiagonal(-weights[1:] / (2 * h), np.zeros(m), weights[:-1] / (2 * h))
 
     # theta = (1, b1 + 2 xi_1, b2 + 2 xi_2), phi = (1,)
-    a_terms = [sp.csr_matrix(diff), advection(w_left), advection(w_right)]
+    a_terms = [diff, advection(w_left), advection(w_right)]
     a_offsets = np.array([1.0, b1, b2])
     a_grads = np.array([[0.0, 2.0, 0.0],
                         [0.0, 0.0, 2.0]])
@@ -81,19 +92,23 @@ def adv1d(cells: int = 128, nu: float = 0.1, b1: float = -0.5, b2: float = -0.2,
     f_grads = np.zeros((2, 1))
 
     nodes = np.linspace(0.0, 1.0, n + 1)
-    obs = sp.lil_matrix((len(obs_points), m))
+    data, cols, indptr = [], [], [0]  # the observation matrix's CSR arrays
     names = []
     for r, xo in enumerate(obs_points):
         j = min(int(np.floor(xo * n)), n - 1)
         t = (xo - nodes[j]) / h
         for node, wgt in ((j, 1.0 - t), (j + 1, t)):
             if 1 <= node <= n - 1 and wgt != 0.0:
-                obs[r, node - 1] += wgt
+                data.append(wgt)
+                cols.append(node - 1)
+        indptr.append(len(data))
         names.append(f"u(x={xo:g})")
+    obs = CSRMatrix((data, cols, indptr), (len(obs_points), m))
 
     domain = ParameterDomain(np.zeros(2), np.ones(2))
 
     def direct(xi):
+        import scipy.sparse as sp
         bl = b1 + 2.0 * xi[0]
         br = b2 + 2.0 * xi[1]
         c = np.where(x < 0.5, bl, br)
@@ -107,7 +122,7 @@ def adv1d(cells: int = 128, nu: float = 0.1, b1: float = -0.5, b2: float = -0.2,
         operator_terms=a_terms, operator_coeff_offsets=a_offsets,
         operator_coeff_grads=a_grads,
         rhs_terms=f_terms, rhs_coeff_offsets=f_offsets, rhs_coeff_grads=f_grads,
-        obs_matrix=sp.csr_matrix(obs), loss_kind="squared_l2",
+        obs_matrix=obs, loss_kind="squared_l2",
         domain=domain,
         mesh={"kind": "fd1d", "cells": n, "nu": nu, "b1": b1, "b2": b2,
               "obs_points": list(obs_points)},
@@ -158,6 +173,7 @@ def _interp_rows(points, nodes, nx, ny, free, component=None):
     component None -> scalar field; 0/1 -> that displacement component of a
     2-dof-per-node vector field.
     """
+    import scipy.sparse as sp
     hx, hy = 1.0 / nx, 1.0 / ny
     per = 1 if component is None else 2
     D = sp.lil_matrix((len(points), len(nodes) * per))
@@ -192,6 +208,7 @@ def adv2d(nx: int = 32, ny: int | None = None, obs_grid: int = 7) -> ForwardMode
     kappa = 0.02 + 0.98 xi_1; v = 13 e_x + 9 (-x, y); two Gaussian sources
     with magnitudes 10 xi_2 and 5 xi_3.
     """
+    import scipy.sparse as sp
     ny = nx if ny is None else ny
     nodes, elems = _grid(nx, ny)
     gauss = _gauss_data(nx, ny)
@@ -275,6 +292,7 @@ def elast2d(nx: int = 32, ny: int | None = None, obs_grid: int = 9,
             traction: float = 1.0) -> ForwardModel:
     """Plane-stress elasticity, clamped bottom edge, uniform downward
     traction on the top edge; unknown Young's modulus per region."""
+    import scipy.sparse as sp
     if layout not in ("layered", "inclusion"):
         raise ValueError("layout must be 'layered' or 'inclusion'")
     ny = nx if ny is None else ny

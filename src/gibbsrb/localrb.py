@@ -25,7 +25,8 @@ from concurrent.futures import ThreadPoolExecutor  # patched by bench/layers.py
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
+
+from .forward.model import vstack_csr
 
 DUPLICATE_TOL = 1e-12       # scaled-coordinate distance
 ORTHO_DROP_TOL = 1e-10      # relative column drop threshold in the basis QR
@@ -133,8 +134,7 @@ class Surrogate:
         # squared distances of each atom's neighbors, in tuple order, inf-padded
         self._neighbor_d2 = np.zeros((0, self.neighbor_count))
         # [A_1; ...; A_P; D_obs]: one sparse product per cell build
-        self._stacked_terms = sp.vstack(list(model.operator_terms) + [model.obs_matrix],
-                                        format="csr")
+        self._stacked_terms = vstack_csr(list(model.operator_terms) + [model.obs_matrix])
         self._rhs_cols = np.column_stack(model.rhs_terms)
         self._ratios: list[float] = []
         self._obs_norm = model.observation_operator_norm()

@@ -79,6 +79,9 @@ def grid_posterior(model, domain, weight: float, grid_shape, observations,
         raise ValueError("grid shape rank != parameter dimension")
     if domain.dim > 3:
         raise ValueError("grid oracle is limited to M <= 3")
+    for j, g in enumerate(grid_shape):
+        if g < 2:  # the trapezoid rule needs both ends of an axis
+            raise ValueError(f"grid axis xi_{j + 1} needs at least 2 nodes, got {g}")
     n_nodes = int(np.prod(grid_shape))
     if n_nodes > MAX_GRID_NODES:
         raise ValueError(f"grid too large: {n_nodes} > {MAX_GRID_NODES} nodes")

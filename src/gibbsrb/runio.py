@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import csv
 import ctypes
+import importlib.metadata
 import json
 import numbers
+import os
 import time
 from pathlib import Path
 
@@ -76,6 +78,18 @@ def write_cdfs_csv(path, curves) -> None:
               ([j + 1, xv, cv] for j, x, c in curves for xv, cv in zip(x, c)))
 
 
+def openblas_libraries() -> list:
+    """Each OpenBLAS mapped into the process, as a ctypes library, found
+    by its path in /proc/self/maps; empty where none can be found."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split(None, 5)[5].strip() for line in fh
+                            if "openblas" in line.lower()})
+        return [ctypes.CDLL(path) for path in paths]
+    except OSError:
+        return []
+
+
 def _openblas_functions(action: str, restype, argtypes) -> list:
     """The ``{action}_num_threads`` function of each OpenBLAS in the process.
 
@@ -83,17 +97,10 @@ def _openblas_functions(action: str, restype, argtypes) -> list:
     ``64_`` suffix for the 64-bit-integer build numpy links), system builds
     as ``openblas_{action}_num_threads``.  Empty where none can be found.
     """
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({line.split(None, 5)[5].strip() for line in fh
-                            if "openblas" in line.lower()})
-        libs = [ctypes.CDLL(path) for path in paths]
-    except OSError:
-        return []
     names = [f"{prefix}{action}_num_threads{suffix}"
              for prefix in ("scipy_openblas_", "openblas_") for suffix in ("64_", "")]
     found = []
-    for lib in libs:
+    for lib in openblas_libraries():
         for name in names:
             try:
                 fn = getattr(lib, name)
@@ -106,7 +113,10 @@ def _openblas_functions(action: str, restype, argtypes) -> list:
 
 
 def pin_blas_threads(n: int = 1) -> None:
-    """Set every loaded OpenBLAS to n threads; nothing if none is found."""
+    """Set every loaded OpenBLAS to n threads, and the environment so that
+    one loaded later starts with n (scipy's, which the FEM presets load
+    on first use)."""
+    os.environ["OPENBLAS_NUM_THREADS"] = str(n)
     for fn in _openblas_functions("set", None, [ctypes.c_int]):
         fn(n)
 
@@ -117,11 +127,16 @@ def blas_threads() -> int | None:
     return max(counts) if counts else None
 
 
-def write_manifest(path, *, config, seed: int, extra: dict | None = None) -> None:
+def write_manifest(path, *, config, seed: int, model, extra: dict | None = None) -> None:
+    """The run's manifest: the config, the seed and the environment that
+    affects speed; scipy's version is read without importing scipy."""
     manifest = {
         "package_version": PACKAGE_VERSION,
         "created_unix": int(time.time()),
         "blas_threads": blas_threads(),
+        "numpy_version": np.__version__,
+        "scipy_version": importlib.metadata.version("scipy"),
+        "band_lu": model.band_lu_binding,
         "seed": int(seed),
         "config_digest": config.digest(),
         "config": config.to_dict(),

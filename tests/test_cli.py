@@ -145,6 +145,42 @@ def test_cli_pins_blas_threads(tiny_config, tmp_path):
     assert manifest["blas_threads"] == 1
 
 
+TINY_ELAST_MCMC = """
+model: {preset: elast2d_layered, mesh: {nx: 4, obs_grid: 3}}
+data: {noise_pct: 0.10, n_obs: 1}
+gibbs: {total_weight: gaussian_reference}
+mcmc: {samples: 20, burn_in: 5, step_scale: 0.05}
+"""
+
+
+def test_cli_pins_blas_threads_of_scipy_loaded_later(tmp_path):
+    # elast's beta priors load scipy, and with it scipy's own OpenBLAS,
+    # after main has pinned the threads of the one numpy loaded
+    src = str(Path(gibbsrb.__file__).parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    config, out = tmp_path / "elast.yaml", tmp_path / "chain"
+    config.write_text(TINY_ELAST_MCMC)
+    subprocess.run([sys.executable, "-m", "gibbsrb.cli", "run-mcmc", "--config",
+                    str(config), "--seed", "5", "--out", str(out)],
+                   env=env, check=True, capture_output=True)
+    manifest = json.loads((out / "manifest.json").read_text())
+    if manifest["blas_threads"] is None:
+        pytest.skip("no OpenBLAS library found in the process")
+    assert manifest["blas_threads"] == 1
+
+
+def test_manifest_records_versions_and_band_lu_binding(tiny_config, tmp_path):
+    out = tmp_path / "chain"
+    assert main(["run-mcmc", "--config", str(tiny_config), "--seed", "5",
+                 "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    import scipy
+    assert manifest["numpy_version"] == np.__version__
+    assert manifest["scipy_version"] == scipy.__version__
+    assert manifest["band_lu"] in ("openblas-ilp64", "scipy.linalg.lapack")
+
+
 def test_oracle_and_compare(tiny_config, tmp_path):
     run_dir = tmp_path / "run"
     oracle_dir = tmp_path / "oracle"
@@ -165,6 +201,14 @@ def test_oracle_and_compare(tiny_config, tmp_path):
     report = json.loads((cmp_dir / "report.json").read_text())
     assert set(report["ks_median"]) == {"xi_1", "xi_2"}
     assert all(0.0 <= v <= 1.0 for v in report["ks_median"].values())
+
+
+@pytest.mark.parametrize("grid,axis", [("1", "xi_1"), ("25x1", "xi_2")])
+def test_oracle_grid_flag_of_one_node_rejected(tiny_config, tmp_path, grid, axis):
+    with pytest.raises(ValueError, match=f"grid axis {axis} needs at least 2 nodes"):
+        main(["oracle", "--config", str(tiny_config), "--grid", grid,
+              "--out", str(tmp_path / "oracle")])
+    assert not (tmp_path / "oracle" / "manifest.json").exists()
 
 
 def test_compare_oracle_ks_matches_grid_posterior(tiny_config, tmp_path):

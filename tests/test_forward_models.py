@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -13,8 +15,10 @@ import scipy.sparse.linalg as spla
 import gibbsrb
 from gibbsrb import ObservationSet, assemble, gen_data
 from gibbsrb.domain import ParameterDomain
-from gibbsrb.forward.model import ForwardModel, SolverError
+from gibbsrb.forward import bandlu
+from gibbsrb.forward.model import CSRMatrix, ForwardModel, SolverError, vstack_csr
 
+import test_golden
 from conftest import analytic_adv1d
 
 # frozen from Richardson extrapolation over meshes 512/1024/2048 (order ~2.0,
@@ -135,10 +139,13 @@ def _probe_points(model):
 def test_operator_at_bit_equal_to_chained_sparse_sum(preset, mesh):
     model = assemble(preset, mesh)
     nnz = []
+    # scipy's arithmetic on the terms' CSR arrays (adv1d's terms are numpy CSR)
+    terms = [sp.csr_matrix((T.data, T.indices, T.indptr), shape=T.shape)
+             for T in model.operator_terms]
     for xi in _probe_points(model):
         theta, _ = _preset_coefficients(model, xi)
-        ref = theta[0] * model.operator_terms[0]
-        for t, term in zip(theta[1:], model.operator_terms[1:]):
+        ref = theta[0] * terms[0]
+        for t, term in zip(theta[1:], terms[1:]):
             ref = ref + t * term
         ref = sp.coo_matrix(ref)
         dense = model.operator_at(xi).toarray()
@@ -208,8 +215,8 @@ def _two_by_two_model(obs=np.eye(2)):
     """A(xi) = [[1, 1], [1, xi]], singular at xi = 1; f = (0, 1e308)."""
     return ForwardModel(
         name="two_by_two",
-        operator_terms=[sp.csc_matrix([[1.0, 1.0], [1.0, 0.0]]),
-                        sp.csc_matrix([[0.0, 0.0], [0.0, 1.0]])],
+        operator_terms=[sp.csr_matrix([[1.0, 1.0], [1.0, 0.0]]),
+                        sp.csr_matrix([[0.0, 0.0], [0.0, 1.0]])],
         operator_coeff_offsets=np.array([1.0, 0.0]),
         operator_coeff_grads=np.array([[0.0, 1.0]]),
         rhs_terms=[np.array([0.0, 1e308])],
@@ -392,3 +399,97 @@ def test_import_leaves_sparse_linalg_unloaded():
     loaded = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                             capture_output=True, text=True).stdout.strip()
     assert loaded == "False"
+
+
+def _scipy_csr(T):
+    return sp.csr_matrix((T.data, T.indices, T.indptr), shape=T.shape)
+
+
+def test_adv1d_terms_equal_the_scipy_construction():
+    # the terms as scipy.sparse built them: diags(...).tocsr() stores no zeros
+    model = assemble("adv1d", {"cells": 64})
+    n, nu = 64, 0.1
+    h, m = 1.0 / n, n - 1
+    x = np.linspace(0.0, 1.0, n + 1)[1:-1]
+    w_left = np.where(x < 0.5, 1.0, 0.0)
+    w_left[np.isclose(x, 0.5)] = 0.5
+    diff = sp.diags([-np.ones(m - 1), 2.0 * np.ones(m), -np.ones(m - 1)],
+                    [-1, 0, 1]) * (nu / h**2)
+    refs = [sp.csr_matrix(diff)] + [
+        sp.diags([-w[1:] / (2 * h), np.zeros(m), w[:-1] / (2 * h)], [-1, 0, 1]).tocsr()
+        for w in (w_left, 1.0 - w_left)]
+    obs = sp.lil_matrix((3, m))
+    for r, xo in enumerate((0.1, 0.5, 0.9)):
+        j = int(np.floor(xo * n))
+        t = (xo - j * h) / h
+        for node, wgt in ((j, 1.0 - t), (j + 1, t)):
+            if wgt != 0.0:
+                obs[r, node - 1] += wgt
+    refs.append(sp.csr_matrix(obs))
+    for T, ref in zip(model.operator_terms + [model.obs_matrix], refs):
+        assert T.shape == ref.shape
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(T, name), getattr(ref, name)), name
+        assert T.data.tobytes() == ref.data.tobytes()
+
+
+def test_numpy_csr_products_bit_equal_to_scipy(adv1d_model):
+    rng = np.random.default_rng(13)
+    mats = adv1d_model.operator_terms + [adv1d_model.obs_matrix]
+    n = adv1d_model.n_dof
+    stacked = vstack_csr(mats)
+    assert isinstance(stacked, CSRMatrix)
+    for T, ref in [(T, _scipy_csr(T)) for T in mats] + [(stacked, sp.vstack(
+            [_scipy_csr(T) for T in mats], format="csr"))]:
+        assert isinstance(T, CSRMatrix)
+        assert np.array_equal(T.toarray(), ref.toarray())
+        for shape in [(n,), (n, 1), (n, 45)]:
+            for _ in range(5):
+                x = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+                assert (T @ x).tobytes() == (ref @ x).tobytes()
+
+
+def test_terms_must_be_csr_without_duplicates():
+    model = _two_by_two_model()
+    with pytest.raises(ValueError, match="must be CSR, got csc"):
+        dataclasses.replace(model, operator_terms=[T.tocsc() for T in model.operator_terms])
+    twice = sp.csr_matrix((np.ones(2), np.array([0, 0]), np.array([0, 2, 2])), shape=(2, 2))
+    with pytest.raises(ValueError, match="duplicate entries"):
+        dataclasses.replace(model, operator_terms=[model.operator_terms[0], twice])
+
+
+ADV1D_PATH = """
+import sys
+from pathlib import Path
+import gibbsrb
+from gibbsrb import cli, gen_data, run_rwmh, run_smc
+from gibbsrb.config import RunConfig, build_model
+config_path, tiny_path, out = sys.argv[1], sys.argv[2], Path(sys.argv[3])
+model = build_model(RunConfig.from_yaml(config_path))
+obs = gen_data(model, noise_pct=0.10, n=1, seed=0)
+run_smc(model, obs, gibbsrb.SmcConfig(particles=20, total_weight=16.7, neighbor_count=12))
+run_rwmh(model, obs, 16.7, n_samples=15, burn_in=5, step_scale=0.1, seed=0)
+for command in ("run-smc", "run-mcmc"):
+    assert cli.main([command, "--config", config_path, "--out", str(out / command)]) == 0
+assert cli.main(["run-smc", "--config", tiny_path, "--seed", "7", "--out", str(out / "tiny")]) == 0
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_adv1d_path_imports_no_scipy(tmp_path):
+    if bandlu._ilp64_routines() is None:
+        pytest.skip("no 64-bit-integer OpenBLAS loaded: band LU falls back to scipy")
+    src = str(Path(gibbsrb.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    config = Path(__file__).parents[1] / "configs" / "adv1d.yaml"
+    tiny = tmp_path / "tiny.yaml"
+    tiny.write_text(test_golden.TINY_SMC)
+    loaded = subprocess.run([sys.executable, "-c", ADV1D_PATH, str(config), str(tiny),
+                             str(tmp_path)], env=env, check=True, capture_output=True, text=True)
+    assert loaded.stdout.strip().splitlines()[-1] == "[]"
+    assert (tmp_path / "run-mcmc" / "chain.csv").exists()
+    manifest = json.loads((tmp_path / "run-smc" / "manifest.json").read_text())
+    assert manifest["band_lu"] == "openblas-ilp64"
+    # the golden CLI run, here through numpy's OpenBLAS and the numpy CSR
+    particles = (tmp_path / "tiny" / "particles.csv").read_bytes()
+    assert hashlib.sha256(particles).hexdigest() == test_golden.CLI_DIGESTS["particles.csv"]

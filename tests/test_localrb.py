@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from gibbsrb import ObservationSet, Surrogate, assemble, gen_data, localrb
-from gibbsrb.forward import model as model_module
 from gibbsrb.forward.model import ForwardModel
 from gibbsrb.localrb import (CALIBRATION_QUANTILE, CALIBRATION_SAFETY,
                              CALIBRATION_WINDOW, AtomBudgetError, BasisDegeneracyError,
@@ -226,12 +225,12 @@ def test_add_atom_outside_box_raises_before_factorizing(adv1d_model, monkeypatch
     cells = list(s.cells)
     counts, solves = adv1d_model.counters.snapshot(), s.reduced_solves
     calls = []
-    dgbtrf = model_module.dgbtrf
+    factorize = type(adv1d_model._band).factorize
 
-    def counting(*args, **kwargs):
+    def counting(*args):
         calls.append(1)
-        return dgbtrf(*args, **kwargs)
-    monkeypatch.setattr(model_module, "dgbtrf", counting)
+        return factorize(*args)
+    monkeypatch.setattr(type(adv1d_model._band), "factorize", counting)
     with pytest.raises(ValueError, match="outside"):
         s.add_atom(np.array([0.5, 1.2]))
     assert calls == []

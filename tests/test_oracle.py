@@ -38,6 +38,13 @@ def test_dimension_cap():
         grid_posterior(None, dom, 1.0, (5, 5, 5, 5), None, loss_fn=lambda xi: 0.0)
 
 
+@pytest.mark.parametrize("shape,axis", [(1, "xi_1"), ((5, 1), "xi_2"), ((0, 5), "xi_1")])
+def test_axis_of_fewer_than_two_nodes_rejected(shape, axis):
+    dom = ParameterDomain(np.zeros(2), np.ones(2))
+    with pytest.raises(ValueError, match=f"grid axis {axis} needs at least 2 nodes"):
+        grid_posterior(None, dom, 1.0, shape, None, loss_fn=lambda xi: 0.0)
+
+
 def test_moments_of_known_gaussian_target():
     # synthetic loss with a Gaussian posterior: mean/std recovered by the grid
     dom = ParameterDomain(np.zeros(2), np.ones(2))
