@@ -4,8 +4,8 @@ Where scipy is not imported, the routines come from the 64-bit-integer
 OpenBLAS that numpy loads (``scipy_dgbtrf_64_`` and so on), called through
 ctypes, so a solve needs no scipy.  Where scipy is imported, or numpy's
 OpenBLAS lacks them, they come from ``scipy.linalg.lapack``: scipy's own
-OpenBLAS ran dgbtrs 6-28% faster than numpy's (0.3.30 against 0.3.31, on
-a 2-vCPU x86 VM), and both give the same floats.  The band storage is
+OpenBLAS ran dgbtrs 6-28% faster per call than numpy's on elast2d nx 16
+(0.3.30 against 0.3.31, on a 2-vCPU x86 VM), and both give the same floats.  The band storage is
 LAPACK's Fortran-ordered (2 kl + ku + 1, n) array, held in a flat buffer
 with one spare place at the end.  LAPACK's pivots are 1-based and scipy's 0-based, so factors
 solve through the binding that made them.
@@ -122,6 +122,8 @@ class _OpenBLAS:
 
     def solve(self, lu: BandLU, b: np.ndarray) -> np.ndarray:
         x = np.array(b, dtype=float, order="F")
+        if x.ndim not in (1, 2) or x.shape[0] != self.shape[1]:
+            raise ValueError(f"right-hand sides of shape {x.shape} for {self.shape[1]} unknowns")
         self._ints[5] = 1 if x.ndim == 1 else x.shape[1]
         self._trs(b"N", self._n, self._kl, self._ku, self._nrhs, lu.pointers[0], self._ld,
                   lu.pointers[1], x.ctypes.data, self._n, self._info, 1)

@@ -159,7 +159,9 @@ class ForwardModel:
     + xi @ operator_coeff_grads[:, p]; likewise for the rhs.  The grads
     d theta_p / d xi_j are constants, also used for sensitivity solves.
     The operator terms and the observation matrix are laid out for the
-    exact path at construction, so they must not change afterwards.
+    exact path at construction, so they must not change afterwards.  The
+    solves share the band binding's buffers, so they must not run
+    concurrently.
     """
 
     name: str

@@ -58,6 +58,17 @@ def test_band_lu_bit_equal_to_scipy(binding, preset, mesh):
         assert model.solve_full(xi).tobytes() == u_ref.tobytes()
 
 
+def test_openblas_solve_checks_the_shape_before_the_call(monkeypatch):
+    # LAPACK would read and write n rows of whatever it is given
+    if bandlu._ilp64_routines() is None:
+        pytest.skip("no 64-bit-integer OpenBLAS loaded")
+    monkeypatch.setattr(bandlu, "_scipy_imported", lambda: False)
+    _, lu = assemble("adv1d", {"cells": 16}).factorize(np.array([0.3, 0.6]))
+    for b in (np.ones(14), np.ones((16, 2)), np.ones((15, 2, 2))):
+        with pytest.raises(ValueError, match="for 15 unknowns"):
+            lu.solve(b)
+
+
 def test_singular_operator_raises_through_each_binding(binding):
     model = _two_by_two_model()
     assert model.band_lu_binding == binding
