@@ -8,6 +8,7 @@ CHANGES.md.
 import csv
 import hashlib
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +56,16 @@ ELAST_WORK = ([29, 17, 21, 10, 30, 18, 28, 9, 27, 20],
               {"full": 210, "sensitivity": 1050, "stability": 16})
 # cell basis builds of the adv2d golden run, as the bench counts them
 ADV2D_CELL_BUILDS = 283
+# the shipped elast2d_inclusion smc section at nx 8 with 40 particles, data
+# and sampler seed 0: nine terms, a 286-atom cloud that overflows the LU
+# cache, and the cell builds
+INCLUSION_DIGEST = "be9391cc78a0c2f1c1816fb2747ba8c29b6ab02b4902bbfafd23cc4e9fc9516a"
+INCLUSION_WORK = ([39, 17, 11, 11, 14, 19, 18, 24, 26, 35, 28, 19, 24],
+                  [40, 57, 68, 79, 93, 112, 130, 154, 180, 215, 243, 262, 286],
+                  [813, 1120, 1356, 1660, 2131, 2564, 3008, 3493, 3946, 4407, 4855, 5260,
+                   5771], 13,
+                  {"full": 286, "sensitivity": 2574, "stability": 5})
+INCLUSION_CELL_BUILDS = 1526
 # fixed-seed adv1d RWMH chain: sha256 of its samples, acceptance, full solves
 RWMH_CHAIN = ("a6e4256c14d0461f9b8e4ebc61b394ef6662d59da08ee538fc18340244e373f7",
               0.085, 286)
@@ -95,6 +106,36 @@ EXACT_LOSS_DIGESTS = {
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+@contextmanager
+def counting_cell_builds():
+    """Yield a list of the cells built inside the block, one entry per
+    Surrogate._build_cell call, counted by a bare wrapper as
+    bench/worker.py's count_cell_builds does."""
+    original = Surrogate.__dict__["_build_cell"]
+    tally = []
+
+    def counted(self, k):
+        tally.append(k)
+        return original(self, k)
+    Surrogate._build_cell = counted
+    try:
+        yield tally
+    finally:
+        Surrogate._build_cell = original
+
+
+def _shipped_run(name: str, nx: int, **smc):
+    """(result, cell builds) of run_smc on configs/<name>.yaml at mesh nx,
+    data and sampler seed 0, with the smc keys ``smc`` overridden."""
+    config = RunConfig.from_yaml(Path(__file__).parents[1] / "configs" / f"{name}.yaml")
+    model = assemble(config.preset, {**config.mesh, "nx": nx})
+    obs = build_observations(config, model, seed=0)
+    cfg = SmcConfig(**{**config.smc.__dict__, **smc, "seed": 0,
+                       "total_weight": resolve_total_weight(config, obs)})
+    with counting_cell_builds() as tally:
+        return run_smc(model, obs, cfg), len(tally)
 
 
 @pytest.fixture(scope="module")
@@ -179,34 +220,24 @@ def loss_std_fraction_run(adv1d_model, adv1d_obs):
 
 @pytest.fixture(scope="module")
 def adv2d_run():
-    """(result, cell builds): the builds are counted by a bare wrapper of
-    Surrogate._build_cell, as bench/worker.py's count_cell_builds does."""
+    """(result, cell builds)."""
     # two operator and two rhs terms, 18-column residual factors
     model = assemble("adv2d", {"nx": 12})
     obs = gen_data(model, noise_pct=0.10, n=2, seed=3)
     cfg = SmcConfig(particles=24, total_weight=6.0, seed=17, mutation_steps=3,
                     e_thre_mode="fixed", e_thre_value=1e-3)
-    original = Surrogate.__dict__["_build_cell"]
-    tally = []
-
-    def counted(self, k):
-        tally.append(k)
-        return original(self, k)
-    Surrogate._build_cell = counted
-    try:
+    with counting_cell_builds() as tally:
         return run_smc(model, obs, cfg), len(tally)
-    finally:
-        Surrogate._build_cell = original
 
 
 @pytest.fixture(scope="module")
 def elast_run():
-    config = RunConfig.from_yaml(Path(__file__).parents[1] / "configs" / "elast2d_layered.yaml")
-    model = assemble(config.preset, {**config.mesh, "nx": 8})
-    obs = build_observations(config, model, seed=0)
-    cfg = SmcConfig(**{**config.smc.__dict__, "seed": 0,
-                       "total_weight": resolve_total_weight(config, obs)})
-    return run_smc(model, obs, cfg)
+    return _shipped_run("elast2d_layered", 8)[0]
+
+
+@pytest.fixture(scope="module")
+def inclusion_run():
+    return _shipped_run("elast2d_inclusion", 8, particles=40)
 
 
 def test_run_smc_loss_std_fraction_golden(loss_std_fraction_run):
@@ -236,6 +267,16 @@ def test_run_smc_elast_golden(elast_run):
 
 def test_run_smc_elast_work_golden(elast_run):
     assert _work(elast_run) == ELAST_WORK
+
+
+def test_run_smc_inclusion_golden(inclusion_run):
+    assert _result_digest(inclusion_run[0]) == INCLUSION_DIGEST
+
+
+def test_run_smc_inclusion_work_golden(inclusion_run):
+    result, builds = inclusion_run
+    assert _work(result) == INCLUSION_WORK
+    assert (builds, result.surrogate.n_atoms) == (INCLUSION_CELL_BUILDS, 286)
 
 
 def test_run_rwmh_chain_golden(adv1d_obs):
@@ -272,15 +313,8 @@ def test_bench_smc_adv1d_shape_golden():
     model = assemble(config.preset, config.mesh)
     obs = build_observations(config, model, seed=0)
     weight = resolve_total_weight(config, obs)
-    original = Surrogate.__dict__["_build_cell"]
-    tally = []
-
-    def counted(self, k):
-        tally.append(k)
-        return original(self, k)
     h, work = hashlib.sha256(), []
-    Surrogate._build_cell = counted
-    try:
+    with counting_cell_builds() as tally:
         for seed in range(3):
             builds = len(tally)
             cfg = SmcConfig(**{**config.smc.__dict__, "particles": 20, "seed": seed,
@@ -290,6 +324,4 @@ def test_bench_smc_adv1d_shape_golden():
             h.update(res.particles.weights.tobytes())
             work.append((res.solve_counts["full"], res.surrogate.reduced_solves,
                          len(tally) - builds))
-    finally:
-        Surrogate._build_cell = original
     assert (h.hexdigest(), tuple(work)) == BENCH_SMC_ADV1D
