@@ -219,10 +219,10 @@ class Surrogate:
         xi = np.array(xi, dtype=float)
         s = self.model.domain.scale(xi)
         if self.n_atoms:
-            d = np.sqrt(np.sum((self._scaled_locs - s) ** 2, axis=1))
-            if d.min() <= DUPLICATE_TOL:
+            d2 = np.sum((self._scaled_locs - s) ** 2, axis=1)
+            if np.sqrt(d2.min()) <= DUPLICATE_TOL:
                 raise DuplicateAtomError(f"atom at {xi} duplicates atom "
-                                         f"{int(np.argmin(d))}")
+                                         f"{int(np.argmin(d2))}")
         factors = self.model.factorize(xi)
         # calibration byproduct: (raw indicator, prediction) at the insertion
         # point; the raw indicator is inf where the reduced system is singular
@@ -399,10 +399,11 @@ class Surrogate:
         self.reduced_solves += int(np.count_nonzero(~np.isnan(coeffs[:, 0])))
         return coeffs
 
-    def reduced_solve(self, points: np.ndarray, indicators: bool = True):
+    def reduced_solve(self, points: np.ndarray, indicators: bool = True, hosts=None):
         """Galerkin solves at the rows of an (n, M) array of points, each in
         its nearest atom's cell: (hosting cells, coefficients, observed
-        outputs, raw indicators).
+        outputs, raw indicators).  ``hosts``, when given, must be
+        _nearest(points); it saves the search.
 
         The coefficients are an (n, r_max) array, NaN past each hosting
         cell's basis rank r.  The points of all hosting cells of one rank
@@ -417,7 +418,8 @@ class Surrogate:
         points = np.asarray(points, dtype=float)
         n = len(points)
         ath, fth = self.model.coefficients(points)
-        hosts = self._nearest(points)
+        if hosts is None:
+            hosts = self._nearest(points)
         # cells are built in order of first appearance, as a loop over the
         # points would build them (this fixes the LU cache order)
         self._ensure_cells(list(dict.fromkeys(hosts.tolist())), indicators)
@@ -443,11 +445,11 @@ class Surrogate:
                                             ath[idx], fth[idx], c)
         return hosts, coeffs, observed, raws
 
-    def _evaluate(self, points: np.ndarray, observations):
+    def _evaluate(self, points: np.ndarray, observations, hosts=None):
         """(surrogate losses, raw indicators, data-distance sums) at the rows
         of an (n, M) array of points, from reduced_solve; NaN, inf and 0
         where a cell's reduced system is singular."""
-        _, _, observed, raws = self.reduced_solve(points)
+        _, _, observed, raws = self.reduced_solve(points, hosts=hosts)
         losses = self.model.loss_from_prediction(observed, observations)
         dist_sums = np.sum(np.linalg.norm(observed[:, None, :] - observations.data,
                                           axis=-1), axis=-1)
@@ -497,9 +499,11 @@ class Surrogate:
         particle above the threshold already holds an atom; then
         ``e_max_final`` exceeds ``e_thre``.
 
-        An insertion leaves the new atom's cell and every cell whose
-        neighbor set changed unbuilt; the unbuilt cells that host particles
-        are built in one pass and their particles re-evaluated.
+        One search gives each particle's host and squared scaled distance;
+        an insertion moves only the particles strictly nearer the new atom
+        (the highest index, so ties keep the lowest), leaves the new atom's
+        cell and every cell whose neighbor set changed unbuilt, and builds
+        the unbuilt hosting cells in one pass to re-evaluate their particles.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if points.shape[0] == 0:
@@ -507,52 +511,36 @@ class Surrogate:
         if not self.atoms:
             self.add_atom(points[0])
 
-        n_data = observations.n
         scaled_pts = self.model.domain.scale(points)
-        losses, raws, dist_sums = self._evaluate(points, observations)
+        hosts = self._nearest(points)
+        d2 = np.sum((scaled_pts - self._scaled_locs[hosts]) ** 2, axis=1)
+        losses, raws, dist_sums = self._evaluate(points, observations, hosts)
         if callable(e_thre):
             e_thre = e_thre(losses)
         if e_thre <= 0:
             raise ValueError("e_thre must be positive")
 
-        def indicators() -> np.ndarray:
-            # raw quantities are exact while a particle's cell is untouched;
-            # the current calibration is applied fresh on every pass
-            return self._loss_indicator_from_raw(raws, dist_sums, n_data)
-
-        assign = self._nearest(points)
-        inds = indicators()
-        added = 0
-        while np.max(inds) > e_thre:
-            order = np.argsort(-inds, kind="stable")
-            target = None
-            for i in order:
-                if inds[i] <= e_thre:
-                    break
-                s = scaled_pts[i]
-                d = np.sqrt(np.sum((self._scaled_locs - s) ** 2, axis=1))
-                if d.min() > DUPLICATE_TOL:
-                    target = points[i]
-                    break
-            if target is None:
+        # raw quantities are exact while a particle's cell is untouched; the
+        # current calibration is applied fresh on every pass
+        inds = self._loss_indicator_from_raw(raws, dist_sums, observations.n)
+        start = self.n_atoms
+        while np.max(inds) > e_thre:  # a NaN indicator ends refinement
+            # the worst particle that holds no atom; ties take the lowest index
+            free = np.flatnonzero((inds > e_thre) & (np.sqrt(d2) > DUPLICATE_TOL))
+            if not free.size:
                 break
-            new = self.add_atom(target)
-            added += 1
-            # re-evaluate only particles captured by the new atom or whose
-            # cell was replaced by the neighbor refresh
-            new_assign = self._nearest(points)
-            stale = new_assign != assign
-            unbuilt = [k for k in np.unique(new_assign).tolist() if self.cells[k].basis is None]
-            for k in unbuilt:
-                stale |= new_assign == k
-            # one pass over the unbuilt hosting cells, the new atom's first,
-            # right after add_atom stashed its LU
+            new = self.add_atom(points[free[np.argmax(inds[free])]])
+            d2_new = np.sum((scaled_pts - self._scaled_locs[new]) ** 2, axis=1)
+            moved = d2_new < d2
+            hosts[moved], d2[moved] = new, d2_new[moved]
+            # re-evaluate the particles in unbuilt cells, the new atom's and
+            # those the neighbor refresh replaced, after one pass builds them,
+            # the new atom's first, right after add_atom stashed its LU
+            unbuilt = [k for k in np.unique(hosts).tolist() if self.cells[k].basis is None]
+            idx = np.flatnonzero(np.isin(hosts, unbuilt))
             self._ensure_cells(sorted(unbuilt, key=lambda k: k != new), indicators=True)
-            assign = new_assign
-            idx = np.flatnonzero(stale)
-            if idx.size:
-                losses[idx], raws[idx], dist_sums[idx] = self._evaluate(
-                    points[idx], observations)
-            inds = indicators()
-        return RefinementReport(atoms_added=added, e_thre=float(e_thre),
+            losses[idx], raws[idx], dist_sums[idx] = self._evaluate(
+                points[idx], observations, hosts[idx])
+            inds = self._loss_indicator_from_raw(raws, dist_sums, observations.n)
+        return RefinementReport(atoms_added=self.n_atoms - start, e_thre=float(e_thre),
                                 e_max_final=float(np.max(inds)), loss_values=losses)

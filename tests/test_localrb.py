@@ -347,6 +347,53 @@ def test_refine_reaches_threshold_and_audits(adv1d_model, adv1d_obs):
     assert worst <= 1.1e-3
 
 
+def _lattice_cloud():
+    # a 5 x 5 lattice in the unit box, exact in binary: many particles lie
+    # at equal distances from two or more atoms; one particle is repeated
+    g = np.linspace(0.0, 1.0, 5)
+    pts = np.array([(a, b) for a in g for b in g])
+    return np.vstack([pts, pts[[12]]])
+
+
+def test_refine_tracked_hosts_equal_nearest(adv1d_model, adv1d_obs, monkeypatch):
+    # every host array refinement hands to _evaluate is a fresh search's,
+    # exact ties included (a new atom takes only strictly nearer particles)
+    s = Surrogate(adv1d_model)
+    checked = []
+    evaluate = Surrogate._evaluate
+
+    def spy(self, points, observations, hosts=None):
+        assert hosts is not None
+        assert hosts.tolist() == self._nearest(points).tolist()
+        checked.append(len(points))
+        return evaluate(self, points, observations, hosts)
+
+    monkeypatch.setattr(Surrogate, "_evaluate", spy)
+    report = s.refine_over_particles(_lattice_cloud(), adv1d_obs, e_thre=1e-9)
+    assert report.atoms_added >= 10
+    assert len(checked) == report.atoms_added + 1
+
+
+def test_refine_searches_the_cloud_once(adv1d_model, adv1d_obs, monkeypatch):
+    # one search of the whole cloud per call; each insertion searches only
+    # its own point, for add_atom's calibration solve
+    s = Surrogate(adv1d_model)
+    sizes = []
+    nearest = Surrogate._nearest
+
+    def spy(self, points):
+        sizes.append(len(points))
+        return nearest(self, points)
+
+    monkeypatch.setattr(Surrogate, "_nearest", spy)
+    for seed in (0, 1):
+        pts = np.random.default_rng(seed).random((30, 2))
+        sizes.clear()
+        report = s.refine_over_particles(pts, adv1d_obs, e_thre=1e-4)
+        assert report.atoms_added > 0
+        assert sizes == [30] + [1] * report.atoms_added
+
+
 def test_atom_budget(adv1d_model, adv1d_obs):
     s = Surrogate(adv1d_model, atom_budget=3)
     rng = np.random.default_rng(9)

@@ -432,9 +432,9 @@ def test_loss_std_fraction_scores_each_cloud_once(adv1d_model, adv1d_obs, monkey
     seen = []
     evaluate = Surrogate._evaluate
 
-    def spy(self, points, observations):
+    def spy(self, points, observations, hosts=None):
         seen.append((np.array(points), self.n_atoms))
-        return evaluate(self, points, observations)
+        return evaluate(self, points, observations, hosts)
 
     monkeypatch.setattr(Surrogate, "_evaluate", spy)
     cfg = SmcConfig(particles=24, total_weight=6.0, seed=13, mutation_steps=3,
