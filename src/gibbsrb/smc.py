@@ -49,8 +49,8 @@ class SmcConfig:
     def __post_init__(self):
         if self.particles < 2:
             raise ValueError("need at least 2 particles")
-        if self.total_weight < 0:
-            raise ValueError("total weight must be >= 0")
+        if not 0 <= self.total_weight < np.inf:
+            raise ValueError("total_weight must be finite and >= 0")
         if not 0.0 < self.ess_fraction <= 1.0:
             raise ValueError("ess_fraction must be in (0, 1]")
         if self.ess_fraction * self.particles < 2:
@@ -61,6 +61,11 @@ class SmcConfig:
             raise ValueError("proposal mixing must be in [0, 1)")
         if self.e_thre_mode not in ("fixed", "loss_std_fraction"):
             raise ValueError("e_thre mode must be 'fixed' or 'loss_std_fraction'")
+        for key in ("e_thre_value", "e_thre_fraction"):
+            if not getattr(self, key) > 0:
+                raise ValueError(f"{key} must be > 0")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
         if self.mutation_steps < 0:
             raise ValueError("mutation steps must be >= 0")
         if self.neighbor_count < 0:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import optimize, stats
 
-from gibbsrb import Surrogate, assemble, gen_data
+from gibbsrb import ObservationSet, Surrogate, assemble, gen_data
 from gibbsrb.domain import ParameterDomain, PriorSpec
 from gibbsrb.localrb import BasisDegeneracyError
 from gibbsrb.particles import ParticleSet, empirical_moments, ess
@@ -48,6 +48,37 @@ def test_config_rejects_bad_surrogate_sizes():
             RunConfig.from_dict({"smc": {key: value}})
     cfg = SmcConfig(neighbor_count=0, atom_budget=1)
     assert (cfg.neighbor_count, cfg.atom_budget) == (0, 1)
+
+
+@pytest.mark.parametrize("raw,key", [
+    ({"gibbs": {"total_weight": float("nan")}}, "total_weight"),
+    ({"gibbs": {"total_weight": "inf"}}, "total_weight"),
+    ({"gibbs": {"total_weight": -1.0}}, "total_weight"),
+    ({"smc": {"total_weight": float("nan")}}, "total_weight"),
+    ({"smc": {"max_iterations": 0}}, "max_iterations"),
+    ({"smc": {"e_thre_value": 0.0}}, "e_thre_value"),
+    ({"smc": {"e_thre_value": -1e-3}}, "e_thre_value"),
+    ({"smc": {"e_thre_fraction": 0.0}}, "e_thre_fraction"),
+    ({"smc": {"e_thre_fraction": float("nan")}}, "e_thre_fraction")])
+def test_bad_smc_values_rejected_at_parse(raw, key):
+    # before the check, a NaN total weight returned the prior after zero
+    # iterations, an infinite one overflowed, max_iterations 0 failed at
+    # iteration 1, and thresholds <= 0 were floored without a word
+    from gibbsrb.config import RunConfig
+
+    with pytest.raises(ValueError, match=key):
+        RunConfig.from_dict(raw)
+    RunConfig.from_dict({"gibbs": {"total_weight": 0.0},
+                         "smc": {"max_iterations": 1, "e_thre_value": 1e-300,
+                                 "e_thre_fraction": 1e-300}})
+
+
+def test_resolve_total_weight_rejects_an_infinite_reference():
+    from gibbsrb.config import RunConfig, resolve_total_weight
+
+    obs = ObservationSet(data=np.zeros((1, 2)), eps_std=1e-160)  # 1 / (2 eps^2) = inf
+    with pytest.raises(ValueError, match="total_weight"):
+        resolve_total_weight(RunConfig.from_dict({}), obs)
 
 
 # ----- initialization -----
