@@ -55,7 +55,7 @@ class RunConfig:
 
     def __post_init__(self):
         if self.total_weight != "gaussian_reference":
-            _checked_weight(self.total_weight)
+            resolve_total_weight(self, None)  # a number is checked at parse time
         if self.oracle_grid < 2:
             raise ValueError("oracle grid must be >= 2 nodes per axis")
 
@@ -107,14 +107,10 @@ def build_observations(config: RunConfig, model, seed: int) -> ObservationSet:
                     n=config.data.n_obs, seed=seed)
 
 
-def _checked_weight(w) -> float:
-    w = float(w)
-    if not 0 <= w < np.inf:  # NaN would end run_smc at the prior, inf overflow it
-        raise ValueError(f"gibbs total_weight must be finite and >= 0, not {w}")
-    return w
-
-
 def resolve_total_weight(config: RunConfig, observations) -> float:
-    if config.total_weight == "gaussian_reference":
-        return _checked_weight(gaussian_reference(observations.eps_std))
-    return _checked_weight(config.total_weight)
+    w = config.total_weight
+    if w == "gaussian_reference":
+        w = gaussian_reference(observations.eps_std)
+    if not 0 <= float(w) < np.inf:  # NaN would end run_smc at the prior, inf overflow it
+        raise ValueError(f"gibbs total_weight must be finite and >= 0, not {w}")
+    return float(w)
