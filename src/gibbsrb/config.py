@@ -2,21 +2,92 @@
 
 Every algorithmic constant has a config key; the shipped files under
 configs/ reproduce the three built-in experiments end to end.
+
+This module owns the whole config schema, the sampler sections included
+(``SmcConfig``, ``WeightSelectionConfig``, the surrogate defaults and the
+Gaussian-reference weight); ``smc``, ``weights`` and ``localrb`` import
+those names from here.  It imports no sampler module, so parsing a config
+and building its model load only the forward problem.  An unknown section
+or key is an error, not a silent default.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .forward import ObservationSet, assemble, gen_data
-from .smc import SmcConfig
-from .weights import WeightSelectionConfig, gaussian_reference
+
+DEFAULT_NEIGHBORS = 5
+DEFAULT_ATOM_BUDGET = 2000
+
+
+def gaussian_reference(eps_std: float) -> float:
+    if eps_std <= 0:
+        raise ValueError("eps_std must be positive")
+    return 1.0 / (2.0 * eps_std**2)
+
+
+@dataclass
+class SmcConfig:
+    particles: int = 100
+    total_weight: float = 1.0
+    ess_fraction: float = 0.5
+    backtrack_factor: float = 0.5
+    mutation_steps: int = 5
+    proposal_mixing: float = 0.5
+    e_thre_mode: str = "loss_std_fraction"  # or "fixed"
+    e_thre_value: float = 1e-3
+    e_thre_fraction: float = 0.02
+    max_iterations: int = 50
+    seed: int = 0
+    neighbor_count: int = DEFAULT_NEIGHBORS
+    atom_budget: int = DEFAULT_ATOM_BUDGET
+
+    def __post_init__(self):
+        if self.particles < 2:
+            raise ValueError("need at least 2 particles")
+        if not 0 <= self.total_weight < np.inf:
+            raise ValueError("total_weight must be finite and >= 0")
+        if not 0.0 < self.ess_fraction <= 1.0:
+            raise ValueError("ess_fraction must be in (0, 1]")
+        if self.ess_fraction * self.particles < 2:
+            raise ValueError("ess threshold below 2 effective particles")
+        if not 0.0 < self.backtrack_factor < 1.0:
+            raise ValueError("backtrack factor must be in (0, 1)")
+        if not 0.0 <= self.proposal_mixing < 1.0:
+            raise ValueError("proposal mixing must be in [0, 1)")
+        if self.e_thre_mode not in ("fixed", "loss_std_fraction"):
+            raise ValueError("e_thre mode must be 'fixed' or 'loss_std_fraction'")
+        for key in ("e_thre_value", "e_thre_fraction"):
+            if not getattr(self, key) > 0:
+                raise ValueError(f"{key} must be > 0")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
+        if self.mutation_steps < 0:
+            raise ValueError("mutation steps must be >= 0")
+        if self.neighbor_count < 0:
+            raise ValueError("neighbor_count must be >= 0")
+        if self.atom_budget < 1:
+            raise ValueError("atom_budget must be >= 1")
+
+
+@dataclass
+class WeightSelectionConfig:
+    range_factor: float = 50.0   # T > 1
+    stabilizer: float = 10.0     # S >= 1
+    grid_size: int = 20
+
+    def __post_init__(self):
+        if self.range_factor <= 1.0:
+            raise ValueError("range factor T must be > 1")
+        if self.stabilizer < 1.0:
+            raise ValueError("stabilizer S must be >= 1")
+        if self.grid_size < 1:
+            raise ValueError("grid size must be >= 1")
 
 
 @dataclass
@@ -61,11 +132,18 @@ class RunConfig:
 
     @classmethod
     def from_yaml(cls, path) -> "RunConfig":
+        import yaml  # here, so that the samplers' import of this module skips it
+
         raw = yaml.safe_load(Path(path).read_text()) or {}
         return cls.from_dict(raw)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
+        # the dataclass sections reject an unknown key themselves (TypeError)
+        _check_keys("", raw, _SECTIONS)
+        for section, keys in _SECTIONS.items():
+            if keys is not None:
+                _check_keys(f"{section}.", raw.get(section, {}), keys)
         model = raw.get("model", {})
         cfg = cls(
             preset=model.get("preset", "adv1d"),
@@ -91,8 +169,22 @@ class RunConfig:
         }
 
     def digest(self) -> str:
+        import hashlib  # here: 5 ms that the set-up does not run
+
         return hashlib.sha256(
             json.dumps(self.to_dict(), sort_keys=True).encode()).hexdigest()[:16]
+
+
+# top-level section -> its keys, None for a dataclass section
+_SECTIONS = {"model": ("preset", "mesh"), "gibbs": ("total_weight",), "data": None,
+             "smc": None, "mcmc": None, "weight_selection": None, "oracle": ("grid",)}
+
+
+def _check_keys(prefix: str, given: dict, known) -> None:
+    for key in given:
+        if key not in known:
+            raise ValueError(f"unknown config key {prefix}{key}; "
+                             f"expected one of {', '.join(known)}")
 
 
 def build_model(config: RunConfig):

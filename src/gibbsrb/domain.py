@@ -93,7 +93,8 @@ class ParameterDomain:
                 return self._uniform_log_pdf if self.contains_point(pts) else _NEG_INF
             inside = ((pts >= self.lower) & (pts <= self.upper)).all(axis=-1)
             return np.where(inside, self._uniform_log_pdf, -np.inf)[()]
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        arr = np.asarray(points, dtype=float)
+        pts = np.atleast_2d(arr)
         lp = np.zeros(pts.shape[0])
         inside = self.contains(pts)
         lp[~inside] = -np.inf
@@ -109,7 +110,7 @@ class ParameterDomain:
                 term -= betaln(spec.p, spec.q)
                 lp[inside] += term - np.log(w)
         lp[np.isnan(lp)] = -np.inf
-        return lp if points.ndim > 1 else lp[0]
+        return lp if arr.ndim > 1 else lp[0]
 
     def pdf(self, points: np.ndarray) -> np.ndarray:
         return np.exp(self.log_pdf(points))

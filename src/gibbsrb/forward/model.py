@@ -125,14 +125,18 @@ def _operator_layout(terms: list, n: int):
     dgbtrf storage, where A[i, j] sits in row kl + ku + i - j of column j,
     or one past the end for a padding slot.
     """
+    # sorted keys compared with their successors, not np.unique, whose
+    # masked-array check imports numpy.ma (17 ms) into every set-up
     keys, values = [], []
     for T in terms:
         rows, cols, data = _csr_entries(T)
         keys.append(rows * n + cols)
         values.append(data)
-        if np.unique(keys[-1]).size != keys[-1].size:
+        ordered = np.sort(keys[-1])
+        if np.any(ordered[1:] == ordered[:-1]):
             raise ValueError("an operator term has duplicate entries")
-    union = np.unique(np.concatenate(keys))
+    union = np.sort(np.concatenate(keys))
+    union = union[np.r_[True, union[1:] != union[:-1]]]
     stacked = np.zeros((len(terms), union.size))
     for p, (k, v) in enumerate(zip(keys, values)):
         stacked[p, np.searchsorted(union, k)] = v

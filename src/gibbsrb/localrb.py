@@ -26,12 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DEFAULT_ATOM_BUDGET, DEFAULT_NEIGHBORS
 from .forward.model import vstack_csr
 
 DUPLICATE_TOL = 1e-12       # scaled-coordinate distance
 ORTHO_DROP_TOL = 1e-10      # relative column drop threshold in the basis QR
-DEFAULT_NEIGHBORS = 5
-DEFAULT_ATOM_BUDGET = 2000
 CALIBRATION_SAFETY = 1.0
 CALIBRATION_QUANTILE = 20  # percentile of recent insertion ratios, numpy's "linear" rule
 CALIBRATION_WINDOW = 50
@@ -428,7 +427,7 @@ class Surrogate:
         coeffs = np.full((n, ranks.max(initial=0)), np.nan)
         observed = np.full((n, self.model.n_obs), np.nan)
         raws = np.full(n, np.inf) if indicators else None
-        for r in np.unique(ranks):
+        for r in sorted(set(ranks.tolist())):  # np.unique would import numpy.ma
             idx = np.flatnonzero(ranks == r)
             group = [cells[i] for i in idx.tolist()]
             c = self._solve_stack(np.stack([g.reduced_ops for g in group]),
@@ -536,7 +535,7 @@ class Surrogate:
             # re-evaluate the particles in unbuilt cells, the new atom's and
             # those the neighbor refresh replaced, after one pass builds them,
             # the new atom's first, right after add_atom stashed its LU
-            unbuilt = [k for k in np.unique(hosts).tolist() if self.cells[k].basis is None]
+            unbuilt = [k for k in sorted(set(hosts.tolist())) if self.cells[k].basis is None]
             idx = np.flatnonzero(np.isin(hosts, unbuilt))
             self._ensure_cells(sorted(unbuilt, key=lambda k: k != new), indicators=True)
             losses[idx], raws[idx], dist_sums[idx] = self._evaluate(

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import ctypes
-import importlib.metadata
 import json
 import numbers
 import os
@@ -130,6 +129,8 @@ def blas_threads() -> int | None:
 def write_manifest(path, *, config, seed: int, model, extra: dict | None = None) -> None:
     """The run's manifest: the config, the seed and the environment that
     affects speed; scipy's version is read without importing scipy."""
+    import importlib.metadata  # here: 16-21 ms that only a manifest needs
+
     manifest = {
         "package_version": PACKAGE_VERSION,
         "created_unix": int(time.time()),

@@ -16,9 +16,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .config import SmcConfig  # re-exported: the schema lives in config
 from .domain import ParameterDomain
-from .localrb import (DEFAULT_ATOM_BUDGET, DEFAULT_NEIGHBORS, AtomBudgetError,
-                      BasisDegeneracyError, Surrogate)
+from .localrb import AtomBudgetError, BasisDegeneracyError, Surrogate
 from .particles import ParticleSet, empirical_moments, ess, log_reweight, reweight
 from .seeding import PHASE_INIT, PHASE_MUTATE, PHASE_RESAMPLE, stream
 
@@ -28,50 +28,6 @@ E_THRE_FLOOR = 1e-8         # least refinement threshold, in loss units
 
 class SmcIterationError(RuntimeError):
     """Iteration cap reached before the weight schedule finished."""
-
-
-@dataclass
-class SmcConfig:
-    particles: int = 100
-    total_weight: float = 1.0
-    ess_fraction: float = 0.5
-    backtrack_factor: float = 0.5
-    mutation_steps: int = 5
-    proposal_mixing: float = 0.5
-    e_thre_mode: str = "loss_std_fraction"  # or "fixed"
-    e_thre_value: float = 1e-3
-    e_thre_fraction: float = 0.02
-    max_iterations: int = 50
-    seed: int = 0
-    neighbor_count: int = DEFAULT_NEIGHBORS
-    atom_budget: int = DEFAULT_ATOM_BUDGET
-
-    def __post_init__(self):
-        if self.particles < 2:
-            raise ValueError("need at least 2 particles")
-        if not 0 <= self.total_weight < np.inf:
-            raise ValueError("total_weight must be finite and >= 0")
-        if not 0.0 < self.ess_fraction <= 1.0:
-            raise ValueError("ess_fraction must be in (0, 1]")
-        if self.ess_fraction * self.particles < 2:
-            raise ValueError("ess threshold below 2 effective particles")
-        if not 0.0 < self.backtrack_factor < 1.0:
-            raise ValueError("backtrack factor must be in (0, 1)")
-        if not 0.0 <= self.proposal_mixing < 1.0:
-            raise ValueError("proposal mixing must be in [0, 1)")
-        if self.e_thre_mode not in ("fixed", "loss_std_fraction"):
-            raise ValueError("e_thre mode must be 'fixed' or 'loss_std_fraction'")
-        for key in ("e_thre_value", "e_thre_fraction"):
-            if not getattr(self, key) > 0:
-                raise ValueError(f"{key} must be > 0")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.mutation_steps < 0:
-            raise ValueError("mutation steps must be >= 0")
-        if self.neighbor_count < 0:
-            raise ValueError("neighbor_count must be >= 0")
-        if self.atom_budget < 1:
-            raise ValueError("atom_budget must be >= 1")
 
 
 @dataclass

@@ -13,27 +13,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# re-exported: the schema lives in config
+from .config import WeightSelectionConfig, gaussian_reference
 from .particles import ParticleSet, reweight
 from .smc import SmcConfig, SmcResult, run_smc, surrogate_losses
 
 
 class WeightSelectionError(RuntimeError):
     """Noise statistics cannot be estimated; fall back to the Gaussian reference."""
-
-
-@dataclass
-class WeightSelectionConfig:
-    range_factor: float = 50.0   # T > 1
-    stabilizer: float = 10.0     # S >= 1
-    grid_size: int = 20
-
-    def __post_init__(self):
-        if self.range_factor <= 1.0:
-            raise ValueError("range factor T must be > 1")
-        if self.stabilizer < 1.0:
-            raise ValueError("stabilizer S must be >= 1")
-        if self.grid_size < 1:
-            raise ValueError("grid size must be >= 1")
 
 
 @dataclass
@@ -45,12 +32,6 @@ class SelectionResult:
     objectives: np.ndarray
     n_effective: int
     smc_result: SmcResult | None = field(default=None, repr=False)
-
-
-def gaussian_reference(eps_std: float) -> float:
-    if eps_std <= 0:
-        raise ValueError("eps_std must be positive")
-    return 1.0 / (2.0 * eps_std**2)
 
 
 def candidate_grid(eps_std: float, config: WeightSelectionConfig) -> np.ndarray:

@@ -290,6 +290,35 @@ def test_stale_indicator_key_rejected():
             RunConfig.from_dict({"smc": {key: value}})
 
 
+@pytest.mark.parametrize("raw,key", [
+    ({"gibbs": {"total_weigth": 3.0}}, "gibbs.total_weigth"),
+    ({"smcc": {"particles": 5}}, "smcc"),
+    ({"oracle": {"grids": 2}}, "oracle.grids"),
+    ({"model": {"preset": "adv1d", "meshes": {"cells": 8}}}, "model.meshes"),
+    ({"gibbs": {"total_weigth": 3.0}, "smcc": {"particles": 5},
+      "oracle": {"grids": 2}}, "smcc")])
+def test_unknown_config_key_rejected(raw, key):
+    # before the check each of these parsed without a word to the default
+    # it meant to change: gaussian_reference, 100 particles, grid 60
+    from gibbsrb.config import RunConfig
+
+    with pytest.raises(ValueError, match=f"unknown config key {key};"):
+        RunConfig.from_dict(raw)
+
+
+def test_every_config_parses_and_round_trips():
+    # the shipped configs, the test configs and each one's to_dict
+    import yaml
+
+    from gibbsrb.config import RunConfig
+
+    texts = [path.read_text() for path in
+             sorted((Path(__file__).parent.parent / "configs").glob("*.yaml"))]
+    for text in texts + [TINY_SMC, TINY_ELAST_MCMC]:
+        cfg = RunConfig.from_dict(yaml.safe_load(text))
+        assert RunConfig.from_dict(cfg.to_dict()).digest() == cfg.digest()
+
+
 @pytest.mark.parametrize("section,key,value", [
     ("mcmc", "samples", 0), ("mcmc", "burn_in", -1), ("mcmc", "step_scale", 0.0),
     ("mcmc", "step_scale", -1.0), ("oracle", "grid", 1)])

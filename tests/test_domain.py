@@ -55,6 +55,18 @@ def test_one_point_box_check_matches_the_batched_one():
         assert np.float64(d.log_pdf(x)).tobytes() == lp.tobytes()
 
 
+@pytest.mark.parametrize("priors", [(), (PriorSpec("beta", 1, 2), PriorSpec())])
+def test_log_pdf_takes_lists_as_arrays(priors):
+    # a beta prior used to read .ndim off the raw argument, so a list raised
+    dom = ParameterDomain(np.zeros(2), np.ones(2), priors)
+    one = [0.3, 0.6]
+    many = [[0.3, 0.6], [0.9, 0.05], [1.5, 0.5], [0.0, 1.0]]
+    for points in (one, many):
+        from_list, from_array = dom.log_pdf(points), dom.log_pdf(np.array(points))
+        assert np.shape(from_list) == np.shape(from_array)
+        assert np.asarray(from_list).tobytes() == np.asarray(from_array).tobytes()
+
+
 def test_scaling_and_widths():
     dom = ParameterDomain(np.array([0.1, -2.0]), np.array([10.0, 2.0]))
     assert np.allclose(dom.widths, [9.9, 4.0])

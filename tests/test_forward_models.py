@@ -401,6 +401,51 @@ def test_import_leaves_sparse_linalg_unloaded():
     assert loaded == "False"
 
 
+ADV1D_SETUP = """
+import sys
+import gibbsrb
+from gibbsrb import config
+cfg = config.RunConfig.from_yaml(sys.argv[1])
+model = config.build_model(cfg)
+observations = config.build_observations(cfg, model, 0)
+config.resolve_total_weight(cfg, observations)
+print(" ".join(sorted(name for name in sys.argv[2:] if name in sys.modules)))
+"""
+
+SETUP_UNUSED = [f"gibbsrb.{name}" for name in (
+    "smc", "localrb", "particles", "weights", "mcmc", "oracle", "diagnostics", "cli",
+    "forward.fem")] + ["numpy.ma", "importlib.metadata", "concurrent.futures", "scipy"]
+
+
+def test_adv1d_setup_imports_only_what_it_runs():
+    # the set-up every CLI command and bench worker pays before its first
+    # solve: the package, the config schema and the adv1d build, without
+    # the samplers, the FEM builders or numpy.ma (17 ms, via np.unique)
+    src = str(Path(gibbsrb.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    config = Path(__file__).parents[1] / "configs" / "adv1d.yaml"
+    loaded = subprocess.run([sys.executable, "-c", ADV1D_SETUP, str(config), *SETUP_UNUSED],
+                            env=env, check=True, capture_output=True, text=True)
+    assert loaded.stdout.strip() == ""
+
+
+def test_lazy_exports_resolve():
+    # each name in a fresh process, where none has been looked up before
+    src = str(Path(gibbsrb.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = ("import gibbsrb\nfor name in gibbsrb.__all__:\n"
+             "    exec(f'from gibbsrb import {name}')\nprint(len(gibbsrb.__all__))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout.strip()
+    assert out == str(len(gibbsrb.__all__))
+    assert set(gibbsrb.__all__) <= set(dir(gibbsrb))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        gibbsrb.no_such_name
+    from gibbsrb.forward import adv2d, elast2d
+    from gibbsrb.forward.fem import adv2d as fem_adv2d
+    assert adv2d is fem_adv2d and elast2d.__module__ == "gibbsrb.forward.fem"
+
+
 def _scipy_csr(T):
     return sp.csr_matrix((T.data, T.indices, T.indptr), shape=T.shape)
 
@@ -472,7 +517,8 @@ run_rwmh(model, obs, 16.7, n_samples=15, burn_in=5, step_scale=0.1, seed=0)
 for command in ("run-smc", "run-mcmc"):
     assert cli.main([command, "--config", config_path, "--out", str(out / command)]) == 0
 assert cli.main(["run-smc", "--config", tiny_path, "--seed", "7", "--out", str(out / "tiny")]) == 0
-print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+print(sorted(name for name in sys.modules
+             if name.split(".")[0] == "scipy" or name == "numpy.ma"))
 """
 
 
