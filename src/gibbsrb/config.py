@@ -13,6 +13,7 @@ or key is an error, not a silent default.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -142,8 +143,11 @@ class RunConfig:
         # the dataclass sections reject an unknown key themselves (TypeError)
         _check_keys("", raw, _SECTIONS)
         for section, keys in _SECTIONS.items():
+            given = raw.get(section, {})
+            if not isinstance(given, dict):
+                raise ValueError(f"config section {section} must be a mapping, not {given!r}")
             if keys is not None:
-                _check_keys(f"{section}.", raw.get(section, {}), keys)
+                _check_keys(f"{section}.", given, keys)
         model = raw.get("model", {})
         cfg = cls(
             preset=model.get("preset", "adv1d"),
@@ -169,8 +173,6 @@ class RunConfig:
         }
 
     def digest(self) -> str:
-        import hashlib  # here: 5 ms that the set-up does not run
-
         return hashlib.sha256(
             json.dumps(self.to_dict(), sort_keys=True).encode()).hexdigest()[:16]
 

@@ -306,6 +306,16 @@ def test_unknown_config_key_rejected(raw, key):
         RunConfig.from_dict(raw)
 
 
+@pytest.mark.parametrize("raw", [{"oracle": None}, {"smc": None}, {"model": [1]}])
+def test_config_section_must_be_a_mapping(raw):
+    # an empty YAML section is null; it failed with an AttributeError or a
+    # TypeError that named no section
+    from gibbsrb.config import RunConfig
+
+    with pytest.raises(ValueError, match=f"config section {next(iter(raw))} must be a mapping"):
+        RunConfig.from_dict(raw)
+
+
 def test_every_config_parses_and_round_trips():
     # the shipped configs, the test configs and each one's to_dict
     import yaml
