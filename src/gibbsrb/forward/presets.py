@@ -30,13 +30,12 @@ def assemble(preset: str, mesh_cfg: dict | None = None) -> ForwardModel:
     mesh_cfg = dict(mesh_cfg or {})
     if preset == "adv1d":
         model = adv1d(**mesh_cfg)
-    elif preset in ("adv2d", "elast2d_layered", "elast2d_inclusion"):
-        from . import fem
-
-        if preset == "adv2d":
-            model = fem.adv2d(**mesh_cfg)
-        else:
-            model = fem.elast2d(layout=preset.removeprefix("elast2d_"), **mesh_cfg)
+    elif preset == "adv2d":
+        from .fem import adv2d
+        model = adv2d(**mesh_cfg)
+    elif preset in ("elast2d_layered", "elast2d_inclusion"):
+        from .fem import elast2d
+        model = elast2d(layout=preset.removeprefix("elast2d_"), **mesh_cfg)
     else:
         raise ValueError(f"unknown preset {preset!r}")
     model.check_invertibility()
