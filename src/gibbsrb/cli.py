@@ -2,7 +2,8 @@
 
 Subcommands: run-smc, run-mcmc, select-weight, oracle, compare.  Every run
 is reproducible from (config file, master seed); artifacts land in the
---out directory with a JSON manifest.
+--out directory with a JSON manifest.  Each command imports its sampler
+modules itself, so run-mcmc, oracle and compare never load the surrogate.
 """
 
 from __future__ import annotations
@@ -11,21 +12,18 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .config import RunConfig, build_model, build_observations, resolve_total_weight
 from .diagnostics import bound_suite, h_proxy, ks_distance, marginal_cdf
-from .localrb import AtomBudgetError
-from .mcmc import run_rwmh
-from .oracle import grid_posterior
+from .domain import ParameterDomain
 from .particles import ParticleSet
 from .runio import (HISTORY_COLUMNS, pin_blas_threads, read_csv, read_json, write_atoms_csv,
                     write_cdfs_csv, write_csv, write_history_csv, write_json,
                     write_losses_csv, write_manifest)
-from .smc import SmcConfig, SmcIterationError, run_smc
-from .weights import evaluate_grid_via_smc
 
 
 def _write_marginal_cdfs(out: Path, dist, dim: int) -> None:
@@ -39,7 +37,7 @@ def _iteration_table(history) -> list:
 def _prepare(args):
     config = RunConfig.from_yaml(args.config)
     if args.seed is not None:
-        config.smc = SmcConfig(**{**config.smc.__dict__, "seed": int(args.seed)})
+        config.smc = replace(config.smc, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     model = build_model(config)
@@ -48,9 +46,11 @@ def _prepare(args):
 
 
 def cmd_run_smc(args) -> int:
+    from .localrb import AtomBudgetError
+    from .smc import SmcIterationError, run_smc
     config, model, observations, out = _prepare(args)
     w_total = resolve_total_weight(config, observations)
-    smc_cfg = SmcConfig(**{**config.smc.__dict__, "total_weight": w_total})
+    smc_cfg = replace(config.smc, total_weight=w_total)
     counts0 = model.counters.snapshot()
     manifest = {"command": "run-smc", "status": "ok"}
     t0 = time.perf_counter()
@@ -101,6 +101,7 @@ def cmd_run_smc(args) -> int:
 
 
 def cmd_run_mcmc(args) -> int:
+    from .mcmc import run_rwmh
     config, model, observations, out = _prepare(args)
     w_total = resolve_total_weight(config, observations)
     t0 = time.perf_counter()
@@ -125,6 +126,7 @@ def cmd_run_mcmc(args) -> int:
 
 
 def cmd_select_weight(args) -> int:
+    from .weights import evaluate_grid_via_smc
     config, model, observations, out = _prepare(args)
     t0 = time.perf_counter()
     sel = evaluate_grid_via_smc(model, observations, config.weight_selection, config.smc)
@@ -144,6 +146,7 @@ def cmd_select_weight(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .oracle import grid_posterior
     config, model, observations, out = _prepare(args)
     w_total = resolve_total_weight(config, observations)
     grid = args.grid or str(config.oracle_grid)
@@ -189,8 +192,6 @@ def cmd_compare(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     runs = [ParticleSet.from_csv(Path(r) / "particles.csv") for r in args.run]
     refs, ref_particles = _load_ref(Path(args.ref))
-
-    from .domain import ParameterDomain
     lo = np.min([r.points.min(axis=0) for r in runs], axis=0)
     hi = np.max([r.points.max(axis=0) for r in runs], axis=0)
     pad = 1e-9 + 1e-9 * (hi - lo)

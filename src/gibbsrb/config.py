@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -24,6 +25,19 @@ from .forward import ObservationSet, assemble, gen_data
 
 DEFAULT_NEIGHBORS = 5
 DEFAULT_ATOM_BUDGET = 2000
+
+
+def _check_counts(section: str, values: dict, **least: int) -> dict:
+    """values, each count values[key] checked to be an integer >= least[key]
+    and stored as an int; a float, string or bool would run truncated."""
+    for key, low in least.items():
+        value = values[key]
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{section}.{key} must be an integer, not {value!r}")
+        if value < low:
+            raise ValueError(f"{section}.{key} must be >= {low}, not {value}")
+        values[key] = int(value)
+    return values
 
 
 def gaussian_reference(eps_std: float) -> float:
@@ -49,8 +63,8 @@ class SmcConfig:
     atom_budget: int = DEFAULT_ATOM_BUDGET
 
     def __post_init__(self):
-        if self.particles < 2:
-            raise ValueError("need at least 2 particles")
+        _check_counts("smc", vars(self), particles=2, mutation_steps=0, max_iterations=1,
+                      seed=0, neighbor_count=0, atom_budget=1)
         if not 0 <= self.total_weight < np.inf:
             raise ValueError("total_weight must be finite and >= 0")
         if not 0.0 < self.ess_fraction <= 1.0:
@@ -66,14 +80,6 @@ class SmcConfig:
         for key in ("e_thre_value", "e_thre_fraction"):
             if not getattr(self, key) > 0:
                 raise ValueError(f"{key} must be > 0")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.mutation_steps < 0:
-            raise ValueError("mutation steps must be >= 0")
-        if self.neighbor_count < 0:
-            raise ValueError("neighbor_count must be >= 0")
-        if self.atom_budget < 1:
-            raise ValueError("atom_budget must be >= 1")
 
 
 @dataclass
@@ -87,8 +93,7 @@ class WeightSelectionConfig:
             raise ValueError("range factor T must be > 1")
         if self.stabilizer < 1.0:
             raise ValueError("stabilizer S must be >= 1")
-        if self.grid_size < 1:
-            raise ValueError("grid size must be >= 1")
+        _check_counts("weight_selection", vars(self), grid_size=1)
 
 
 @dataclass
@@ -106,10 +111,7 @@ class McmcConfig:
     step_scale: float = 0.1
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError("mcmc samples must be >= 1")
-        if self.burn_in < 0:
-            raise ValueError("mcmc burn_in must be >= 0")
+        _check_counts("mcmc", vars(self), samples=1, burn_in=0)
         if not self.step_scale > 0:
             raise ValueError("mcmc step_scale must be > 0")
 
@@ -126,10 +128,12 @@ class RunConfig:
     oracle_grid: int = 60
 
     def __post_init__(self):
+        if not isinstance(self.mesh, dict):
+            raise ValueError(f"model.mesh must be a mapping, not {self.mesh!r}")
+        _check_counts("data", vars(self.data), n_obs=1)
         if self.total_weight != "gaussian_reference":
             resolve_total_weight(self, None)  # a number is checked at parse time
-        if self.oracle_grid < 2:
-            raise ValueError("oracle grid must be >= 2 nodes per axis")
+        self.oracle_grid = _check_counts("oracle", {"grid": self.oracle_grid}, grid=2)["grid"]
 
     @classmethod
     def from_yaml(cls, path) -> "RunConfig":
@@ -149,7 +153,7 @@ class RunConfig:
             if keys is not None:
                 _check_keys(f"{section}.", given, keys)
         model = raw.get("model", {})
-        cfg = cls(
+        return cls(
             preset=model.get("preset", "adv1d"),
             mesh=model.get("mesh", {}),
             total_weight=raw.get("gibbs", {}).get("total_weight", "gaussian_reference"),
@@ -157,9 +161,8 @@ class RunConfig:
             smc=SmcConfig(**raw.get("smc", {})),
             mcmc=McmcConfig(**raw.get("mcmc", {})),
             weight_selection=WeightSelectionConfig(**raw.get("weight_selection", {})),
-            oracle_grid=int(raw.get("oracle", {}).get("grid", 60)),
+            oracle_grid=raw.get("oracle", {}).get("grid", 60),
         )
-        return cfg
 
     def to_dict(self) -> dict:
         return {

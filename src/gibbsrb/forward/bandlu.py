@@ -1,13 +1,12 @@
 """Band LU with partial pivoting: LAPACK's dgbtrf, dgbtrs and dgbsv.
 
-Where scipy is not imported, the routines come from the 64-bit-integer
-OpenBLAS that numpy loads (``scipy_dgbtrf_64_`` and so on), called through
-ctypes, so a solve needs no scipy.  Where scipy is imported, or numpy's
-OpenBLAS lacks them, they come from ``scipy.linalg.lapack``: scipy's own
-OpenBLAS ran dgbtrs 6-28% faster per call than numpy's on elast2d nx 16
-(0.3.30 against 0.3.31, on a 2-vCPU x86 VM), and both give the same floats.  The band storage is
-LAPACK's Fortran-ordered (2 kl + ku + 1, n) array, held in a flat buffer
-with one spare place at the end.  LAPACK's pivots are 1-based and scipy's 0-based, so factors
+Where numpy loads a 64-bit-integer OpenBLAS that exports them
+(``scipy_dgbtrf_64_`` and so on), the routines come from it, called
+through ctypes, whether or not scipy is imported; elsewhere (numpy linked
+to Accelerate or MKL, say) they come from ``scipy.linalg.lapack``.  Both
+give the same floats.  The band storage is LAPACK's Fortran-ordered
+(2 kl + ku + 1, n) array, held in a flat buffer with one spare place at
+the end.  LAPACK's pivots are 1-based and scipy's 0-based, so factors
 solve through the binding that made them.
 """
 
@@ -15,7 +14,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import sys
 
 import numpy as np
 
@@ -38,14 +36,9 @@ def _ilp64_routines():
     return None
 
 
-def _scipy_imported() -> bool:
-    return "scipy" in sys.modules
-
-
 def band_routines(n: int, kl: int, ku: int):
     """The band LU binding for n x n matrices of half-widths kl and ku."""
-    routines = None if _scipy_imported() else _ilp64_routines()
-    return _OpenBLAS(routines, n, kl, ku) if routines else _ScipyLapack(n, kl, ku)
+    return (_OpenBLAS if _ilp64_routines() else _ScipyLapack)(n, kl, ku)
 
 
 def band_view(ab: np.ndarray, shape: tuple) -> np.ndarray:
@@ -101,8 +94,8 @@ class _OpenBLAS:
 
     name = "openblas-ilp64"
 
-    def __init__(self, routines, n: int, kl: int, ku: int):
-        self._trf, self._trs, self._sv = routines
+    def __init__(self, n: int, kl: int, ku: int):
+        self._trf, self._trs, self._sv = _ilp64_routines()
         self.shape = (2 * kl + ku + 1, n)
         self.ab, self._b = np.zeros(self.shape[0] * n + 1), np.empty(n)
         self._piv = np.empty(n, dtype=np.int64)

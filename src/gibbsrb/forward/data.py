@@ -74,6 +74,8 @@ def gen_data(model, truth: np.ndarray | None = None, noise_pct: float = 0.10,
     if noise_pct < 0:
         raise ValueError("noise_pct must be >= 0")
     truth = model.truth_default if truth is None else np.asarray(truth, dtype=float)
+    if truth.shape != (model.dim,):
+        raise ValueError(f"truth of length {truth.size} for a model of dimension {model.dim}")
     d_star = model.observe(model.solve_full(truth))
     sigma = noise_pct * float(np.sqrt(np.mean(d_star**2)))
     rng = stream(seed, PHASE_DATA)

@@ -17,20 +17,25 @@ BINDINGS = ["openblas-ilp64", "scipy.linalg.lapack"]
 
 @pytest.fixture(params=BINDINGS)
 def binding(request, monkeypatch):
-    """The binding of the models the test builds: numpy's OpenBLAS as in a
-    process without scipy, or the fallback where it has no routines."""
+    """The binding of the models the test builds: numpy's OpenBLAS, or the
+    fallback where it has no routines."""
     if request.param == "scipy.linalg.lapack":
         monkeypatch.setattr(bandlu, "_ilp64_routines", lambda: None)
     elif bandlu._ilp64_routines() is None:
         pytest.skip("no 64-bit-integer OpenBLAS loaded")
-    else:
-        monkeypatch.setattr(bandlu, "_scipy_imported", lambda: False)
     return request.param
 
 
-def test_scipy_serves_once_imported():
-    # the tests import scipy, so models built here default to its routines
-    assert assemble("adv1d", {"cells": 16}).band_lu_binding == "scipy.linalg.lapack"
+@pytest.mark.parametrize("preset,mesh", [
+    ("adv1d", {"cells": 16}), ("adv2d", {"nx": 4, "obs_grid": 3}),
+    ("elast2d_layered", {"nx": 4, "obs_grid": 3})])
+def test_numpy_openblas_serves_after_scipy_is_imported(preset, mesh):
+    # the binding follows what numpy's OpenBLAS exports, not import order:
+    # scipy is imported here, and the FEM presets import it to assemble
+    if bandlu._ilp64_routines() is None:
+        pytest.skip("no 64-bit-integer OpenBLAS loaded")
+    import scipy.linalg  # noqa: F401
+    assert assemble(preset, mesh).band_lu_binding == "openblas-ilp64"
 
 
 @pytest.mark.parametrize("preset,mesh", _SMALL_PRESETS, ids=SMALL_PRESET_IDS)
@@ -58,11 +63,10 @@ def test_band_lu_bit_equal_to_scipy(binding, preset, mesh):
         assert model.solve_full(xi).tobytes() == u_ref.tobytes()
 
 
-def test_openblas_solve_checks_the_shape_before_the_call(monkeypatch):
+def test_openblas_solve_checks_the_shape_before_the_call():
     # LAPACK would read and write n rows of whatever it is given
     if bandlu._ilp64_routines() is None:
         pytest.skip("no 64-bit-integer OpenBLAS loaded")
-    monkeypatch.setattr(bandlu, "_scipy_imported", lambda: False)
     _, lu = assemble("adv1d", {"cells": 16}).factorize(np.array([0.3, 0.6]))
     for b in (np.ones(14), np.ones((16, 2)), np.ones((15, 2, 2))):
         with pytest.raises(ValueError, match="for 15 unknowns"):
@@ -84,9 +88,9 @@ def test_factors_solve_through_the_binding_that_made_them(monkeypatch):
     if bandlu._ilp64_routines() is None:
         pytest.skip("no 64-bit-integer OpenBLAS loaded")
     xi = np.array([0.3, 0.6])
-    _, lu_scipy = assemble("adv1d", {"cells": 64}).factorize(xi)
-    monkeypatch.setattr(bandlu, "_scipy_imported", lambda: False)
     _, lu = assemble("adv1d", {"cells": 64}).factorize(xi)
+    monkeypatch.setattr(bandlu, "_ilp64_routines", lambda: None)
+    _, lu_scipy = assemble("adv1d", {"cells": 64}).factorize(xi)
     assert (lu.binding.name, lu_scipy.binding.name) == tuple(BINDINGS)
     b = np.random.default_rng(4).standard_normal((lu.lu.shape[1], 3))
     assert lu.solve(b).tobytes() == lu_scipy.solve(b).tobytes()

@@ -145,6 +145,26 @@ def test_cli_pins_blas_threads(tiny_config, tmp_path):
     assert manifest["blas_threads"] == 1
 
 
+RUN_MCMC_MODULES = """
+import sys
+from gibbsrb import cli
+assert cli.main(["run-mcmc", "--config", sys.argv[1], "--seed", "5", "--out", sys.argv[2]]) == 0
+print("loaded:", *sorted(name for name in sys.argv[3:] if name in sys.modules))
+"""
+
+
+def test_run_mcmc_leaves_the_surrogate_stack_unloaded(tiny_config, tmp_path):
+    # run-mcmc runs no SMC, so the CLI must not import it for every command
+    src = str(Path(gibbsrb.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    unused = ["gibbsrb.smc", "gibbsrb.localrb", "gibbsrb.weights", "concurrent.futures"]
+    loaded = subprocess.run([sys.executable, "-c", RUN_MCMC_MODULES, str(tiny_config),
+                             str(tmp_path / "chain"), *unused],
+                            env=env, check=True, capture_output=True, text=True).stdout
+    assert (tmp_path / "chain" / "chain.csv").exists()
+    assert loaded.splitlines()[-1] == "loaded:"
+
+
 TINY_ELAST_MCMC = """
 model: {preset: elast2d_layered, mesh: {nx: 4, obs_grid: 3}}
 data: {noise_pct: 0.10, n_obs: 1}
@@ -178,7 +198,10 @@ def test_manifest_records_versions_and_band_lu_binding(tiny_config, tmp_path):
     import scipy
     assert manifest["numpy_version"] == np.__version__
     assert manifest["scipy_version"] == scipy.__version__
-    assert manifest["band_lu"] in ("openblas-ilp64", "scipy.linalg.lapack")
+    # one binding per process, whatever was imported first
+    from gibbsrb.forward.bandlu import _ilp64_routines
+    expected = "scipy.linalg.lapack" if _ilp64_routines() is None else "openblas-ilp64"
+    assert manifest["band_lu"] == expected
 
 
 def test_oracle_and_compare(tiny_config, tmp_path):

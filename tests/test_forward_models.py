@@ -377,6 +377,9 @@ def test_gen_data_limits_and_determinism(adv1d_model):
     assert np.array_equal(a.data, b.data)
     c = gen_data(adv1d_model, noise_pct=0.1, n=3, seed=7)
     assert not np.array_equal(a.data, c.data)
+    # a short truth failed in numpy's matmul with a "core dimension" message
+    with pytest.raises(ValueError, match="truth of length 1 for a model of dimension 2"):
+        gen_data(adv1d_model, truth=[0.2])
 
 
 def test_observations_csv_roundtrip(tmp_path, adv1d_model):

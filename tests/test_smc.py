@@ -50,6 +50,13 @@ def test_config_rejects_bad_surrogate_sizes():
     assert (cfg.neighbor_count, cfg.atom_budget) == (0, 1)
 
 
+# every integer config key, by section
+COUNT_KEYS = [("smc", key) for key in ("particles", "mutation_steps", "max_iterations", "seed",
+                                       "neighbor_count", "atom_budget")] + [
+    ("mcmc", "samples"), ("mcmc", "burn_in"), ("weight_selection", "grid_size"),
+    ("data", "n_obs"), ("oracle", "grid")]
+
+
 @pytest.mark.parametrize("raw,key", [
     ({"gibbs": {"total_weight": float("nan")}}, "total_weight"),
     ({"gibbs": {"total_weight": "inf"}}, "total_weight"),
@@ -59,11 +66,16 @@ def test_config_rejects_bad_surrogate_sizes():
     ({"smc": {"e_thre_value": 0.0}}, "e_thre_value"),
     ({"smc": {"e_thre_value": -1e-3}}, "e_thre_value"),
     ({"smc": {"e_thre_fraction": 0.0}}, "e_thre_fraction"),
-    ({"smc": {"e_thre_fraction": float("nan")}}, "e_thre_fraction")])
+    ({"smc": {"e_thre_fraction": float("nan")}}, "e_thre_fraction"),
+    ({"model": {"preset": "adv1d", "mesh": 5}}, "model.mesh must be a mapping, not 5")] + [
+    ({section: {key: value}}, f"{section}.{key} must be an integer")
+    for section, key in COUNT_KEYS for value in (2.5, "3", True)])
 def test_bad_smc_values_rejected_at_parse(raw, key):
     # before the check, a NaN total weight returned the prior after zero
     # iterations, an infinite one overflowed, max_iterations 0 failed at
-    # iteration 1, and thresholds <= 0 were floored without a word
+    # iteration 1, and thresholds <= 0 were floored without a word; a
+    # float count ran truncated (seed 1.5 as seed 1) or failed deep in a
+    # run with a TypeError that named no key, as a mesh of 5 did in assemble
     from gibbsrb.config import RunConfig
 
     with pytest.raises(ValueError, match=key):
@@ -71,6 +83,14 @@ def test_bad_smc_values_rejected_at_parse(raw, key):
     RunConfig.from_dict({"gibbs": {"total_weight": 0.0},
                          "smc": {"max_iterations": 1, "e_thre_value": 1e-300,
                                  "e_thre_fraction": 1e-300}})
+    # numpy integers are counts too, stored as ints so that the digest
+    # and the manifest serialize them
+    counts: dict = {}
+    for section, count in COUNT_KEYS:
+        counts.setdefault(section, {})[count] = np.int64(4)
+    cfg = RunConfig.from_dict(counts)
+    assert (cfg.smc.seed, cfg.mcmc.samples, cfg.oracle_grid) == (4, 4, 4)
+    assert RunConfig.from_dict(cfg.to_dict()).digest() == cfg.digest()
 
 
 def test_resolve_total_weight_rejects_an_infinite_reference():
