@@ -55,6 +55,6 @@ if __name__ == "__main__":
     args = ap.parse_args()
     # small dense kernels dominate; BLAS threading only adds overhead, as
     # the gibbsrb commands pin it
-    pin_blas_threads(1)
+    pin_blas_threads()
     out = Path(args.out or f"results/elast_{args.layout}")
     run(args.layout, args.seed, out, args.nx)

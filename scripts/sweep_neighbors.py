@@ -117,7 +117,7 @@ def main(argv=None) -> int:
     ap.add_argument("--grid", type=int, default=None,
                     help="grid oracle nodes per axis (config's oracle.grid; 0: no KS)")
     args = ap.parse_args(argv)
-    pin_blas_threads(1)
+    pin_blas_threads()
     config = RunConfig.from_yaml(args.config)
     config.mesh = {**config.mesh, **dict(args.mesh)}
     if args.particles is not None:

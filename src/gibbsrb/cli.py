@@ -250,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     # small dense kernels dominate; BLAS threading only adds overhead
-    pin_blas_threads(1)
+    pin_blas_threads()
     args = build_parser().parse_args(argv)
     return args.fn(args)
 

@@ -1,27 +1,31 @@
 """YAML run configuration.
 
-Every algorithmic constant has a config key; the shipped files under
-configs/ reproduce the three built-in experiments end to end.
+Every sampler setting has a config key; a preset's physics are constants
+of its builder, and ``model.mesh`` sets only its sizes.  The shipped files
+under configs/ reproduce the three built-in experiments end to end.
 
 This module owns the whole config schema, the sampler sections included
 (``SmcConfig``, ``WeightSelectionConfig``, the surrogate defaults and the
 Gaussian-reference weight); ``smc``, ``weights`` and ``localrb`` import
 those names from here.  It imports no sampler module, so parsing a config
 and building its model load only the forward problem.  An unknown section
-or key is an error, not a silent default.
+or key is an error, not a silent default, and so is a count that is not an
+integer or a float field that is not a finite number.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import numbers
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .forward import ObservationSet, assemble, gen_data
+from .forward.presets import MESH_SIZES
 
 DEFAULT_NEIGHBORS = 5
 DEFAULT_ATOM_BUDGET = 2000
@@ -38,6 +42,17 @@ def _check_counts(section: str, values: dict, **least: int) -> dict:
             raise ValueError(f"{section}.{key} must be >= {low}, not {value}")
         values[key] = int(value)
     return values
+
+
+def _check_reals(section: str, values: dict, *keys: str) -> None:
+    """Check each values[key] to be a finite real number; a NaN passes the
+    range checks, an inf runs without a word, and a string or a bool fails
+    late or not at all."""
+    for key in keys:
+        value = values[key]
+        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                or not math.isfinite(value)):
+            raise ValueError(f"{section}.{key} must be a finite number, not {value!r}")
 
 
 def gaussian_reference(eps_std: float) -> float:
@@ -65,8 +80,10 @@ class SmcConfig:
     def __post_init__(self):
         _check_counts("smc", vars(self), particles=2, mutation_steps=0, max_iterations=1,
                       seed=0, neighbor_count=0, atom_budget=1)
-        if not 0 <= self.total_weight < np.inf:
-            raise ValueError("total_weight must be finite and >= 0")
+        _check_reals("smc", vars(self), "total_weight", "ess_fraction", "backtrack_factor",
+                     "proposal_mixing", "e_thre_value", "e_thre_fraction")
+        if self.total_weight < 0:
+            raise ValueError("total_weight must be >= 0")
         if not 0.0 < self.ess_fraction <= 1.0:
             raise ValueError("ess_fraction must be in (0, 1]")
         if self.ess_fraction * self.particles < 2:
@@ -89,6 +106,7 @@ class WeightSelectionConfig:
     grid_size: int = 20
 
     def __post_init__(self):
+        _check_reals("weight_selection", vars(self), "range_factor", "stabilizer")
         if self.range_factor <= 1.0:
             raise ValueError("range factor T must be > 1")
         if self.stabilizer < 1.0:
@@ -103,6 +121,12 @@ class DataConfig:
     n_obs: int = 1
     csv: str | None = None      # load observations instead of generating
 
+    def __post_init__(self):
+        _check_counts("data", vars(self), n_obs=1)
+        _check_reals("data", vars(self), "noise_pct")
+        if self.noise_pct < 0:
+            raise ValueError("data.noise_pct must be >= 0")
+
 
 @dataclass
 class McmcConfig:
@@ -112,6 +136,7 @@ class McmcConfig:
 
     def __post_init__(self):
         _check_counts("mcmc", vars(self), samples=1, burn_in=0)
+        _check_reals("mcmc", vars(self), "step_scale")
         if not self.step_scale > 0:
             raise ValueError("mcmc step_scale must be > 0")
 
@@ -130,8 +155,14 @@ class RunConfig:
     def __post_init__(self):
         if not isinstance(self.mesh, dict):
             raise ValueError(f"model.mesh must be a mapping, not {self.mesh!r}")
-        _check_counts("data", vars(self.data), n_obs=1)
+        if self.preset not in MESH_SIZES:
+            raise ValueError(f"model.preset must be one of {', '.join(MESH_SIZES)}, "
+                             f"not {self.preset!r}")
+        sizes = MESH_SIZES[self.preset]
+        _check_keys("model.mesh.", self.mesh, sizes)
+        _check_counts("model.mesh", self.mesh, **{key: sizes[key] for key in self.mesh})
         if self.total_weight != "gaussian_reference":
+            _check_reals("gibbs", vars(self), "total_weight")
             resolve_total_weight(self, None)  # a number is checked at parse time
         self.oracle_grid = _check_counts("oracle", {"grid": self.oracle_grid}, grid=2)["grid"]
 
@@ -144,14 +175,12 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        # the dataclass sections reject an unknown key themselves (TypeError)
         _check_keys("", raw, _SECTIONS)
         for section, keys in _SECTIONS.items():
             given = raw.get(section, {})
             if not isinstance(given, dict):
                 raise ValueError(f"config section {section} must be a mapping, not {given!r}")
-            if keys is not None:
-                _check_keys(f"{section}.", given, keys)
+            _check_keys(f"{section}.", given, keys)
         model = raw.get("model", {})
         return cls(
             preset=model.get("preset", "adv1d"),
@@ -169,20 +198,28 @@ class RunConfig:
             "model": {"preset": self.preset, "mesh": dict(self.mesh)},
             "gibbs": {"total_weight": self.total_weight},
             "data": asdict(self.data),
-            "smc": asdict(self.smc),
+            "smc": {key: getattr(self.smc, key) for key in _SECTIONS["smc"]},
             "mcmc": asdict(self.mcmc),
             "weight_selection": asdict(self.weight_selection),
             "oracle": {"grid": self.oracle_grid},
         }
 
     def digest(self) -> str:
-        return hashlib.sha256(
-            json.dumps(self.to_dict(), sort_keys=True).encode()).hexdigest()[:16]
+        # over smc.total_weight too, SmcConfig's default in a parsed config,
+        # so that digests recorded before it left the keys still match
+        hashed = {**self.to_dict(), "smc": asdict(self.smc)}
+        return hashlib.sha256(json.dumps(hashed, sort_keys=True).encode()).hexdigest()[:16]
 
 
-# top-level section -> its keys, None for a dataclass section
-_SECTIONS = {"model": ("preset", "mesh"), "gibbs": ("total_weight",), "data": None,
-             "smc": None, "mcmc": None, "weight_selection": None, "oracle": ("grid",)}
+def _field_names(cls, *skip: str) -> tuple:
+    return tuple(f.name for f in fields(cls) if f.name not in skip)
+
+
+# top-level section -> its keys; smc.total_weight is set from gibbs.total_weight
+_SECTIONS = {"model": ("preset", "mesh"), "gibbs": ("total_weight",),
+             "data": _field_names(DataConfig), "smc": _field_names(SmcConfig, "total_weight"),
+             "mcmc": _field_names(McmcConfig),
+             "weight_selection": _field_names(WeightSelectionConfig), "oracle": ("grid",)}
 
 
 def _check_keys(prefix: str, given: dict, known) -> None:

@@ -14,20 +14,22 @@ from .model import ForwardModel
 
 _GP = np.array([-1.0, 1.0]) / np.sqrt(3.0)
 
+# elast2d's Poisson ratio and the downward traction on its top edge
+POISSON, TRACTION = 0.3, 1.0
+
 
 # --------------------------------------------------------------------------
-# Q1 structured-grid machinery shared by the 2D presets
+# Q1 square-grid machinery shared by the 2D presets: n x n elements
 # --------------------------------------------------------------------------
 
-def _grid(nx, ny):
-    xn = np.linspace(0.0, 1.0, nx + 1)
-    yn = np.linspace(0.0, 1.0, ny + 1)
-    X, Y = np.meshgrid(xn, yn, indexing="ij")
-    nodes = np.column_stack([X.ravel(), Y.ravel()])  # node id = ix*(ny+1)+iy
-    ix, iy = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
-    n00 = ix * (ny + 1) + iy
-    elems = np.column_stack([n00.ravel(), (n00 + ny + 1).ravel(),
-                             (n00 + ny + 2).ravel(), (n00 + 1).ravel()])
+def _grid(n):
+    xn = np.linspace(0.0, 1.0, n + 1)
+    X, Y = np.meshgrid(xn, xn, indexing="ij")
+    nodes = np.column_stack([X.ravel(), Y.ravel()])  # node id = ix*(n+1)+iy
+    ix, iy = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    n00 = ix * (n + 1) + iy
+    elems = np.column_stack([n00.ravel(), (n00 + n + 1).ravel(),
+                             (n00 + n + 2).ravel(), (n00 + 1).ravel()])
     return nodes, elems
 
 
@@ -39,10 +41,10 @@ def _shape(gx, gy):
     return N, dN
 
 
-def _gauss_data(nx, ny):
-    hx, hy = 1.0 / nx, 1.0 / ny
-    jinv = np.diag([2.0 / hx, 2.0 / hy])
-    det = hx * hy / 4.0
+def _gauss_data(n):
+    h = 1.0 / n
+    jinv = np.diag([2.0 / h, 2.0 / h])
+    det = h * h / 4.0
     out = []
     for gx in _GP:
         for gy in _GP:
@@ -51,24 +53,24 @@ def _gauss_data(nx, ny):
     return out
 
 
-def _interp_rows(points, nodes, nx, ny, free, component=None):
+def _interp_rows(points, nodes, n, free, component=None):
     """Bilinear interpolation rows at arbitrary points, restricted to free dofs.
 
     component None -> scalar field; 0/1 -> that displacement component of a
     2-dof-per-node vector field.
     """
     import scipy.sparse as sp
-    hx, hy = 1.0 / nx, 1.0 / ny
+    h = 1.0 / n
     per = 1 if component is None else 2
     D = sp.lil_matrix((len(points), len(nodes) * per))
     for r, (px, py) in enumerate(points):
-        ex = min(int(px / hx), nx - 1)
-        ey = min(int(py / hy), ny - 1)
-        tx = (px - ex * hx) / hx
-        ty = (py - ey * hy) / hy
+        ex = min(int(px / h), n - 1)
+        ey = min(int(py / h), n - 1)
+        tx = (px - ex * h) / h
+        ty = (py - ey * h) / h
         for dx, dy, w in ((0, 0, (1 - tx) * (1 - ty)), (1, 0, tx * (1 - ty)),
                           (1, 1, tx * ty), (0, 1, (1 - tx) * ty)):
-            nid = (ex + dx) * (ny + 1) + (ey + dy)
+            nid = (ex + dx) * (n + 1) + (ey + dy)
             col = nid if component is None else 2 * nid + component
             D[r, col] += w
     return sp.csr_matrix(D)[:, free]
@@ -86,16 +88,16 @@ _G1 = lambda x, y: np.exp((-(x - 0.25) ** 2 - (y - 0.5) ** 2) / 0.25**2)
 _G2 = lambda x, y: np.exp((-(x - 0.75) ** 2 - (y - 0.75) ** 2) / 0.33**2)
 
 
-def adv2d(nx: int = 32, ny: int | None = None, obs_grid: int = 7) -> ForwardModel:
-    """-div(kappa grad u) + v . grad u = f, Dirichlet on the bottom edge.
+def adv2d(nx: int = 32, obs_grid: int = 7) -> ForwardModel:
+    """-div(kappa grad u) + v . grad u = f on an nx x nx grid, Dirichlet on
+    the bottom edge, observed on an obs_grid x obs_grid grid of points.
 
     kappa = 0.02 + 0.98 xi_1; v = 13 e_x + 9 (-x, y); two Gaussian sources
     with magnitudes 10 xi_2 and 5 xi_3.
     """
     import scipy.sparse as sp
-    ny = nx if ny is None else ny
-    nodes, elems = _grid(nx, ny)
-    gauss = _gauss_data(nx, ny)
+    nodes, elems = _grid(nx)
+    gauss = _gauss_data(nx)
     xy = nodes[elems]  # (E, 4, 2)
     nE = len(elems)
 
@@ -124,7 +126,7 @@ def adv2d(nx: int = 32, ny: int | None = None, obs_grid: int = 7) -> ForwardMode
     C = C_full[np.ix_(free, free)]
 
     pts = _obs_grid_points(obs_grid)
-    obs = _interp_rows(pts, nodes, nx, ny, free)
+    obs = _interp_rows(pts, nodes, nx, free)
 
     # theta = (0.02 + 0.98 xi_1, 1), phi = (xi_2, xi_3)
     a_terms = [sp.csr_matrix(K), sp.csr_matrix(C)]
@@ -151,7 +153,7 @@ def adv2d(nx: int = 32, ny: int | None = None, obs_grid: int = 7) -> ForwardMode
         rhs_terms=f_terms, rhs_coeff_offsets=f_offsets, rhs_coeff_grads=f_grads,
         obs_matrix=obs, loss_kind="l1",
         domain=domain,
-        mesh={"kind": "q1", "nx": nx, "ny": ny, "obs_grid": obs_grid},
+        mesh={"kind": "q1", "nx": nx, "obs_grid": obs_grid},
         truth_default=np.array([0.1, 0.7, 0.5]),
         direct_assemble=direct,
         obs_names=[f"u({px:g},{py:g})" for px, py in pts],
@@ -171,22 +173,20 @@ def _region_ids(nodes, elems, layout):
     return 3 * by + bx, 9
 
 
-def elast2d(nx: int = 32, ny: int | None = None, obs_grid: int = 9,
-            layout: str = "layered", poisson: float = 0.3,
-            traction: float = 1.0) -> ForwardModel:
-    """Plane-stress elasticity, clamped bottom edge, uniform downward
-    traction on the top edge; unknown Young's modulus per region."""
+def elast2d(nx: int = 32, obs_grid: int = 9, layout: str = "layered") -> ForwardModel:
+    """Plane-stress elasticity on an nx x nx grid, Poisson ratio POISSON,
+    clamped bottom edge, uniform downward traction TRACTION on the top
+    edge; unknown Young's modulus per region."""
     import scipy.sparse as sp
     if layout not in ("layered", "inclusion"):
         raise ValueError("layout must be 'layered' or 'inclusion'")
-    ny = nx if ny is None else ny
-    nodes, elems = _grid(nx, ny)
-    gauss = _gauss_data(nx, ny)
+    nodes, elems = _grid(nx)
+    gauss = _gauss_data(nx)
     region, n_regions = _region_ids(nodes, elems, layout)
 
     # unit-modulus plane-stress element stiffness (same for every element)
-    D1 = (1.0 / (1.0 - poisson**2)) * np.array(
-        [[1.0, poisson, 0.0], [poisson, 1.0, 0.0], [0.0, 0.0, (1.0 - poisson) / 2.0]])
+    D1 = (1.0 / (1.0 - POISSON**2)) * np.array(
+        [[1.0, POISSON, 0.0], [POISSON, 1.0, 0.0], [0.0, 0.0, (1.0 - POISSON) / 2.0]])
     K_loc = np.zeros((8, 8))
     for N, G, det in gauss:
         B = np.zeros((3, 8))
@@ -211,13 +211,13 @@ def elast2d(nx: int = 32, ny: int | None = None, obs_grid: int = 9,
 
     # downward traction on the top edge, consistent nodal loads
     load = np.zeros(nn2)
-    hx = 1.0 / nx
-    top = [ix * (ny + 1) + ny for ix in range(nx + 1)]
+    h = 1.0 / nx
+    top = [ix * (nx + 1) + nx for ix in range(nx + 1)]
     for a, b in zip(top[:-1], top[1:]):
         for nid in (a, b):
-            load[2 * nid + 1] += -traction * hx / 2.0
+            load[2 * nid + 1] += -TRACTION * h / 2.0
 
-    bottom = np.array([ix * (ny + 1) for ix in range(nx + 1)])
+    bottom = np.array([ix * (nx + 1) for ix in range(nx + 1)])
     fixed = np.concatenate([2 * bottom, 2 * bottom + 1])
     free = np.setdiff1d(np.arange(nn2), fixed)
 
@@ -230,7 +230,7 @@ def elast2d(nx: int = 32, ny: int | None = None, obs_grid: int = 9,
     f_grads = np.zeros((n_regions, 1))
 
     pts = _obs_grid_points(obs_grid)
-    obs = _interp_rows(pts, nodes, nx, ny, free, component=1)
+    obs = _interp_rows(pts, nodes, nx, free, component=1)
 
     domain = ParameterDomain(np.full(n_regions, 0.1), np.full(n_regions, 10.0),
                              tuple(PriorSpec("beta", 1, 3) for _ in range(n_regions)))
@@ -257,8 +257,7 @@ def elast2d(nx: int = 32, ny: int | None = None, obs_grid: int = 9,
         rhs_terms=f_terms, rhs_coeff_offsets=f_offsets, rhs_coeff_grads=f_grads,
         obs_matrix=obs, loss_kind="l2",
         domain=domain,
-        mesh={"kind": "q1_elast", "nx": nx, "ny": ny, "obs_grid": obs_grid,
-              "layout": layout, "poisson": poisson, "traction": traction},
+        mesh={"kind": "q1_elast", "nx": nx, "obs_grid": obs_grid, "layout": layout},
         truth_default=truth,
         direct_assemble=direct,
         obs_names=[f"uy({px:g},{py:g})" for px, py in pts],

@@ -360,10 +360,11 @@ class ForwardModel:
                                                observations))
 
     # ----- checks -----
-    def check_invertibility(self, n_samples: int = 5, seed: int = 0) -> None:
-        rng = np.random.default_rng(seed)
+    def check_invertibility(self) -> None:
+        """Factorize A at the box centre and at 5 prior draws from seed 0;
+        raises SolverError where one is singular."""
         center = 0.5 * (self.domain.lower + self.domain.upper)
-        for xi in [center, *self.domain.sample(n_samples, rng)]:
+        for xi in [center, *self.domain.sample(5, np.random.default_rng(0))]:
             self.factorize(xi)
 
     def observation_operator_norm(self) -> float:

@@ -24,9 +24,22 @@ import numpy as np
 from ..domain import ParameterDomain
 from .model import CSRMatrix, ForwardModel
 
+# adv1d's physics: diffusivity, the advection offsets of the two halves, and
+# the observation points
+NU, B1, B2 = 0.1, -0.5, -0.2
+OBS_POINTS = (0.1, 0.5, 0.9)
+
+# each preset's model.mesh keys, its builder's integer sizes, with their
+# least values
+MESH_SIZES = {"adv1d": {"cells": 4},
+              "adv2d": {"nx": 1, "obs_grid": 1},
+              "elast2d_layered": {"nx": 1, "obs_grid": 1},
+              "elast2d_inclusion": {"nx": 1, "obs_grid": 1}}
+
 
 def assemble(preset: str, mesh_cfg: dict | None = None) -> ForwardModel:
-    """Build a preset model; mesh_cfg overrides the desk-scale defaults."""
+    """Build a preset model; mesh_cfg sets any of its MESH_SIZES[preset]
+    sizes, and the rest keep the builder's desk-scale defaults."""
     mesh_cfg = dict(mesh_cfg or {})
     if preset == "adv1d":
         model = adv1d(**mesh_cfg)
@@ -46,11 +59,10 @@ def assemble(preset: str, mesh_cfg: dict | None = None) -> ForwardModel:
 # 1D advection-diffusion
 # --------------------------------------------------------------------------
 
-def adv1d(cells: int = 128, nu: float = 0.1, b1: float = -0.5, b2: float = -0.2,
-          obs_points=(0.1, 0.5, 0.9)) -> ForwardModel:
-    """-nu u'' + b(x) u' = 1 on (0,1), u(0)=u(1)=0.
+def adv1d(cells: int = 128) -> ForwardModel:
+    """-NU u'' + b(x) u' = 1 on (0,1), u(0)=u(1)=0, observed at OBS_POINTS.
 
-    b(x) = (b1 + 2 xi_1) on [0, 0.5) and (b2 + 2 xi_2) on [0.5, 1]; a node
+    b(x) = (B1 + 2 xi_1) on [0, 0.5) and (B2 + 2 xi_2) on [0.5, 1]; a node
     sitting exactly on the jump takes the average of the two pieces, which
     keeps the scheme second order through the kink.
     """
@@ -74,15 +86,15 @@ def adv1d(cells: int = 128, nu: float = 0.1, b1: float = -0.5, b2: float = -0.2,
         return CSRMatrix((vals[keep], cols[keep], np.r_[0, np.cumsum(keep.sum(axis=1))]),
                          (m, m))
 
-    k = nu / h**2
+    k = NU / h**2
     diff = tridiagonal(-np.ones(m - 1) * k, 2.0 * np.ones(m) * k, -np.ones(m - 1) * k)
 
     def advection(weights: np.ndarray) -> CSRMatrix:
         return tridiagonal(-weights[1:] / (2 * h), np.zeros(m), weights[:-1] / (2 * h))
 
-    # theta = (1, b1 + 2 xi_1, b2 + 2 xi_2), phi = (1,)
+    # theta = (1, B1 + 2 xi_1, B2 + 2 xi_2), phi = (1,)
     a_terms = [diff, advection(w_left), advection(w_right)]
-    a_offsets = np.array([1.0, b1, b2])
+    a_offsets = np.array([1.0, B1, B2])
     a_grads = np.array([[0.0, 2.0, 0.0],
                         [0.0, 0.0, 2.0]])
     f_terms = [np.ones(m)]
@@ -92,7 +104,7 @@ def adv1d(cells: int = 128, nu: float = 0.1, b1: float = -0.5, b2: float = -0.2,
     nodes = np.linspace(0.0, 1.0, n + 1)
     data, cols, indptr = [], [], [0]  # the observation matrix's CSR arrays
     names = []
-    for r, xo in enumerate(obs_points):
+    for r, xo in enumerate(OBS_POINTS):
         j = min(int(np.floor(xo * n)), n - 1)
         t = (xo - nodes[j]) / h
         for node, wgt in ((j, 1.0 - t), (j + 1, t)):
@@ -101,18 +113,18 @@ def adv1d(cells: int = 128, nu: float = 0.1, b1: float = -0.5, b2: float = -0.2,
                 cols.append(node - 1)
         indptr.append(len(data))
         names.append(f"u(x={xo:g})")
-    obs = CSRMatrix((data, cols, indptr), (len(obs_points), m))
+    obs = CSRMatrix((data, cols, indptr), (len(OBS_POINTS), m))
 
     domain = ParameterDomain(np.zeros(2), np.ones(2))
 
     def direct(xi):
         import scipy.sparse as sp
-        bl = b1 + 2.0 * xi[0]
-        br = b2 + 2.0 * xi[1]
+        bl = B1 + 2.0 * xi[0]
+        br = B2 + 2.0 * xi[1]
         c = np.where(x < 0.5, bl, br)
         c[np.isclose(x, 0.5)] = 0.5 * (bl + br)
-        A = sp.diags([-nu / h**2 - c[1:] / (2 * h), 2 * nu / h**2 * np.ones(m),
-                      -nu / h**2 + c[:-1] / (2 * h)], [-1, 0, 1])
+        A = sp.diags([-NU / h**2 - c[1:] / (2 * h), 2 * NU / h**2 * np.ones(m),
+                      -NU / h**2 + c[:-1] / (2 * h)], [-1, 0, 1])
         return sp.csc_matrix(A)
 
     return ForwardModel(
@@ -122,8 +134,7 @@ def adv1d(cells: int = 128, nu: float = 0.1, b1: float = -0.5, b2: float = -0.2,
         rhs_terms=f_terms, rhs_coeff_offsets=f_offsets, rhs_coeff_grads=f_grads,
         obs_matrix=obs, loss_kind="squared_l2",
         domain=domain,
-        mesh={"kind": "fd1d", "cells": n, "nu": nu, "b1": b1, "b2": b2,
-              "obs_points": list(obs_points)},
+        mesh={"kind": "fd1d", "cells": n},
         truth_default=np.array([0.2, 0.7]),
         direct_assemble=direct, obs_names=names,
     )

@@ -111,13 +111,13 @@ def _openblas_functions(action: str, restype, argtypes) -> list:
     return found
 
 
-def pin_blas_threads(n: int = 1) -> None:
-    """Set every loaded OpenBLAS to n threads, and the environment so that
-    one loaded later starts with n (scipy's, which the FEM presets load
+def pin_blas_threads() -> None:
+    """Set every loaded OpenBLAS to one thread, and the environment so that
+    one loaded later starts with one (scipy's, which the FEM presets load
     on first use)."""
-    os.environ["OPENBLAS_NUM_THREADS"] = str(n)
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
     for fn in _openblas_functions("set", None, [ctypes.c_int]):
-        fn(n)
+        fn(1)
 
 
 def blas_threads() -> int | None:

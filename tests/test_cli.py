@@ -106,6 +106,24 @@ def test_run_smc_deterministic_across_threads(tiny_config, tmp_path):
     assert (out2 / "particles.csv").read_bytes() == (out1 / "particles.csv").read_bytes()
 
 
+def test_run_smc_on_observations_from_csv(tiny_config, tmp_path):
+    # data.csv, the path for measured data, reruns a run on the
+    # observations.csv it wrote: the same data, posterior and history
+    first, second = tmp_path / "generated", tmp_path / "loaded"
+    assert main(["run-smc", "--config", str(tiny_config), "--seed", "7",
+                 "--out", str(first)]) == 0
+    generated = "data: {truth: [0.2, 0.7], noise_pct: 0.10, n_obs: 1}"
+    assert generated in TINY_SMC
+    config = tmp_path / "from_csv.yaml"
+    config.write_text(TINY_SMC.replace(
+        generated, f"data: {{csv: {json.dumps(str(first / 'observations.csv'))}}}"))
+    assert main(["run-smc", "--config", str(config), "--seed", "7",
+                 "--out", str(second)]) == 0
+    for name in ("particles.csv", "history.csv", "observations.csv",
+                 "observations.csv.meta.json"):
+        assert (second / name).read_bytes() == (first / name).read_bytes(), name
+
+
 def test_run_smc_verify_writes_bound_report(tiny_config, tmp_path):
     out = tmp_path / "run"
     rc = main(["run-smc", "--config", str(tiny_config), "--seed", "3",
@@ -304,12 +322,12 @@ def test_shipped_configs_parse():
 def test_stale_indicator_key_rejected():
     # smc.indicator, smc.resampling and smc.e_thre_floor are no longer
     # options; a config that still sets one must fail rather than silently
-    # run without it
+    # run without it, with the ValueError of any other unknown key
     from gibbsrb.config import RunConfig
 
     for key, value in [("indicator", "sigma_min"), ("resampling", "systematic"),
                        ("e_thre_floor", 1e-6)]:
-        with pytest.raises(TypeError, match=key):
+        with pytest.raises(ValueError, match=f"unknown config key smc.{key};"):
             RunConfig.from_dict({"smc": {key: value}})
 
 
@@ -319,10 +337,20 @@ def test_stale_indicator_key_rejected():
     ({"oracle": {"grids": 2}}, "oracle.grids"),
     ({"model": {"preset": "adv1d", "meshes": {"cells": 8}}}, "model.meshes"),
     ({"gibbs": {"total_weigth": 3.0}, "smcc": {"particles": 5},
-      "oracle": {"grids": 2}}, "smcc")])
+      "oracle": {"grids": 2}}, "smcc"),
+    ({"model": {"preset": "adv1d", "mesh": {"nu": 0.1}}}, "model.mesh.nu"),
+    ({"model": {"preset": "adv2d", "mesh": {"nxx": 8}}}, "model.mesh.nxx"),
+    ({"model": {"preset": "adv1d", "mesh": {"nx": 8}}}, "model.mesh.nx"),
+    ({"smc": {"total_weight": 5.0}}, "smc.total_weight"),
+    ({"data": {"noise": 0.1}}, "data.noise"),
+    ({"smc": {"particle": 5}}, "smc.particle"),
+    ({"mcmc": {"sample": 5}}, "mcmc.sample"),
+    ({"weight_selection": {"grid": 5}}, "weight_selection.grid")])
 def test_unknown_config_key_rejected(raw, key):
     # before the check each of these parsed without a word to the default
-    # it meant to change: gaussian_reference, 100 particles, grid 60
+    # it meant to change: gaussian_reference, 100 particles, grid 60; a
+    # mesh key failed in assemble, and smc.total_weight was overridden by
+    # every command; a dataclass section raised a TypeError
     from gibbsrb.config import RunConfig
 
     with pytest.raises(ValueError, match=f"unknown config key {key};"):

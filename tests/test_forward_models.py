@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import inspect
 import itertools
 import json
 import os
@@ -15,7 +16,7 @@ import scipy.sparse.linalg as spla
 import gibbsrb
 from gibbsrb import ObservationSet, assemble, gen_data
 from gibbsrb.domain import ParameterDomain
-from gibbsrb.forward import bandlu
+from gibbsrb.forward import bandlu, fem, presets
 from gibbsrb.forward.model import CSRMatrix, ForwardModel, SolverError, vstack_csr
 
 import test_golden
@@ -31,6 +32,21 @@ def test_unknown_preset():
     for name in ("advXX", "elast2d"):  # the layered preset has one name
         with pytest.raises(ValueError, match="unknown preset"):
             assemble(name, {})
+
+
+def test_builders_take_exactly_the_mesh_sizes():
+    # config parsing checks model.mesh against MESH_SIZES, so each builder's
+    # parameters must be those sizes (and the layout that elast2d's preset
+    # names); each preset builds at its least sizes
+    def params(builder):
+        return list(inspect.signature(builder).parameters)
+
+    assert params(presets.adv1d) == list(presets.MESH_SIZES["adv1d"])
+    assert params(fem.adv2d) == list(presets.MESH_SIZES["adv2d"])
+    for preset in ("elast2d_layered", "elast2d_inclusion"):
+        assert params(fem.elast2d) == [*presets.MESH_SIZES[preset], "layout"]
+    for preset, least in presets.MESH_SIZES.items():
+        assert assemble(preset, least).mesh.items() >= least.items()
 
 
 def test_adv1d_shape(adv1d_model):
@@ -115,8 +131,7 @@ SMALL_PRESET_IDS = ["adv1d-mesh0", "adv2d-mesh2", "elast2d_layered-mesh3",
 def _preset_coefficients(model, xi):
     """(theta, phi) from the formulas in the preset docstrings."""
     if model.name == "adv1d":
-        b1, b2 = model.mesh["b1"], model.mesh["b2"]
-        return [1.0, b1 + 2.0 * xi[0], b2 + 2.0 * xi[1]], [1.0]
+        return [1.0, presets.B1 + 2.0 * xi[0], presets.B2 + 2.0 * xi[1]], [1.0]
     if model.name == "adv2d":
         return [0.02 + 0.98 * xi[0], 1.0], [xi[1], xi[2]]
     return list(xi), [1.0]  # elasticity: theta_r = xi_r

@@ -55,6 +55,11 @@ COUNT_KEYS = [("smc", key) for key in ("particles", "mutation_steps", "max_itera
                                        "neighbor_count", "atom_budget")] + [
     ("mcmc", "samples"), ("mcmc", "burn_in"), ("weight_selection", "grid_size"),
     ("data", "n_obs"), ("oracle", "grid")]
+# every float config key, by section
+FLOAT_KEYS = [("smc", key) for key in ("ess_fraction", "backtrack_factor", "proposal_mixing",
+                                       "e_thre_value", "e_thre_fraction")] + [
+    ("mcmc", "step_scale"), ("weight_selection", "range_factor"),
+    ("weight_selection", "stabilizer"), ("data", "noise_pct"), ("gibbs", "total_weight")]
 
 
 @pytest.mark.parametrize("raw,key", [
@@ -69,27 +74,42 @@ COUNT_KEYS = [("smc", key) for key in ("particles", "mutation_steps", "max_itera
     ({"smc": {"e_thre_fraction": float("nan")}}, "e_thre_fraction"),
     ({"model": {"preset": "adv1d", "mesh": 5}}, "model.mesh must be a mapping, not 5")] + [
     ({section: {key: value}}, f"{section}.{key} must be an integer")
-    for section, key in COUNT_KEYS for value in (2.5, "3", True)])
+    for section, key in COUNT_KEYS for value in (2.5, "3", True)] + [
+    ({"model": {"preset": "adv3d"}}, "model.preset must be one of adv1d, adv2d,"),
+    ({"model": {"preset": "adv1d", "mesh": {"cells": 64.5}}}, "model.mesh.cells must be an int"),
+    ({"model": {"preset": "adv2d", "mesh": {"nx": 8.0}}}, "model.mesh.nx must be an integer"),
+    ({"model": {"preset": "adv1d", "mesh": {"cells": True}}}, "model.mesh.cells must be an int"),
+    ({"model": {"preset": "adv1d", "mesh": {"cells": 3}}}, "model.mesh.cells must be >= 4"),
+    ({"data": {"noise_pct": -0.1}}, "data.noise_pct must be >= 0")] + [
+    ({section: {key: value}}, f"{section}.{key} must be a finite number")
+    for section, key in FLOAT_KEYS for value in (float("nan"), float("inf"), "0.5", True)])
 def test_bad_smc_values_rejected_at_parse(raw, key):
     # before the check, a NaN total weight returned the prior after zero
     # iterations, an infinite one overflowed, max_iterations 0 failed at
     # iteration 1, and thresholds <= 0 were floored without a word; a
-    # float count ran truncated (seed 1.5 as seed 1) or failed deep in a
-    # run with a TypeError that named no key, as a mesh of 5 did in assemble
+    # float count ran truncated (seed 1.5 as seed 1, cells 64.5 as 64) or
+    # failed deep in a run with a TypeError that named no key, as a mesh of
+    # 5 did in assemble; an infinite e_thre stopped refinement after one
+    # atom, a NaN stabilizer made W_final NaN, an infinite step_scale left
+    # the chain where it started and a NaN noise_pct gave NaN data
     from gibbsrb.config import RunConfig
 
     with pytest.raises(ValueError, match=key):
         RunConfig.from_dict(raw)
     RunConfig.from_dict({"gibbs": {"total_weight": 0.0},
                          "smc": {"max_iterations": 1, "e_thre_value": 1e-300,
-                                 "e_thre_fraction": 1e-300}})
+                                 "e_thre_fraction": 1e-300},
+                         "data": {"noise_pct": 0},
+                         "weight_selection": {"range_factor": np.float64(1.5), "stabilizer": 1},
+                         "model": {"preset": "adv1d", "mesh": {"cells": 4}}})
     # numpy integers are counts too, stored as ints so that the digest
     # and the manifest serialize them
     counts: dict = {}
     for section, count in COUNT_KEYS:
         counts.setdefault(section, {})[count] = np.int64(4)
+    counts["model"] = {"preset": "adv1d", "mesh": {"cells": np.int64(4)}}
     cfg = RunConfig.from_dict(counts)
-    assert (cfg.smc.seed, cfg.mcmc.samples, cfg.oracle_grid) == (4, 4, 4)
+    assert (cfg.smc.seed, cfg.mcmc.samples, cfg.oracle_grid, cfg.mesh) == (4, 4, 4, {"cells": 4})
     assert RunConfig.from_dict(cfg.to_dict()).digest() == cfg.digest()
 
 
