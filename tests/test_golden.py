@@ -54,6 +54,7 @@ ELAST_WORK = ([29, 17, 21, 10, 30, 18, 28, 9, 27, 20],
               [30, 47, 68, 78, 108, 126, 154, 163, 190, 210],
               [2094, 3024, 3866, 4620, 5779, 6806, 7916, 8717, 9784, 10704], 10,
               {"full": 210, "sensitivity": 1050, "stability": 16})
+ELAST_CELL_BUILDS = 1355
 # cell basis builds of the adv2d golden run, as the bench counts them
 ADV2D_CELL_BUILDS = 283
 # the shipped elast2d_inclusion smc section at nx 8 with 40 particles, data
@@ -232,7 +233,8 @@ def adv2d_run():
 
 @pytest.fixture(scope="module")
 def elast_run():
-    return _shipped_run("elast2d_layered", 8)[0]
+    """(result, cell builds)."""
+    return _shipped_run("elast2d_layered", 8)
 
 
 @pytest.fixture(scope="module")
@@ -262,11 +264,13 @@ def test_run_smc_adv2d_cell_builds_golden(adv2d_run):
 
 
 def test_run_smc_elast_golden(elast_run):
-    assert _result_digest(elast_run) == ELAST_DIGEST
+    assert _result_digest(elast_run[0]) == ELAST_DIGEST
 
 
 def test_run_smc_elast_work_golden(elast_run):
-    assert _work(elast_run) == ELAST_WORK
+    result, builds = elast_run
+    assert _work(result) == ELAST_WORK
+    assert (builds, result.surrogate.n_atoms) == (ELAST_CELL_BUILDS, 210)
 
 
 def test_run_smc_inclusion_golden(inclusion_run):
