@@ -30,11 +30,12 @@ NU, B1, B2 = 0.1, -0.5, -0.2
 OBS_POINTS = (0.1, 0.5, 0.9)
 
 # each preset's model.mesh keys, its builder's integer sizes, with their
-# least values
+# least values; a coarser elast mesh leaves a region with no element, so
+# its term is zero and its modulus has no effect on the data
 MESH_SIZES = {"adv1d": {"cells": 4},
               "adv2d": {"nx": 1, "obs_grid": 1},
-              "elast2d_layered": {"nx": 1, "obs_grid": 1},
-              "elast2d_inclusion": {"nx": 1, "obs_grid": 1}}
+              "elast2d_layered": {"nx": 5, "obs_grid": 1},
+              "elast2d_inclusion": {"nx": 3, "obs_grid": 1}}
 
 
 def assemble(preset: str, mesh_cfg: dict | None = None) -> ForwardModel:

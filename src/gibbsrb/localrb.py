@@ -8,8 +8,8 @@ triangular factor turns the norm of the residual preconditioned by the
 cell atom's factorized operator into an O(K^2) evaluation independent of
 the mesh size.
 
-Cells are built in stacked passes when a query first lands in them, and a
-cell's indicator factor when an indicator is first read there; loss-only
+A query builds, in one stacked pass, the cells it first lands in and, when
+it reads indicators, the indicator factors its cells lack; loss-only
 queries never touch the LU cache, so its misses happen only in factor builds.
 
 The state-error indicator divides that preconditioned residual norm by a
@@ -54,7 +54,6 @@ class Atom:
     location: np.ndarray
     snapshot: np.ndarray
     gradient: np.ndarray  # (n_dof, M)
-    full_solves: int      # the model's full-solve count once it was inserted
 
 
 @dataclass
@@ -234,8 +233,7 @@ class Surrogate:
         u = self.model.solve_full(xi, factors)
         grad = self.model.solve_sensitivity(u, factors[1])
         idx = self.n_atoms
-        self.atoms.append(Atom(location=xi, snapshot=u, gradient=grad,
-                               full_solves=self.model.counters.full))
+        self.atoms.append(Atom(location=xi, snapshot=u, gradient=grad))
         self._lu_stash(idx, factors[1])
         self._insert_location(s)
 
@@ -265,84 +263,67 @@ class Surrogate:
 
     def _ensure_cells(self, ks: list, indicators: bool) -> None:
         """Build the unbuilt cells among ks and, with ``indicators``, the
-        missing indicator factors of ks, each in one stacked pass; the LU
-        cache is read in the order of ks."""
-        unbuilt = [k for k in ks if self.cells[k].basis is None]
-        products = self._build_cells(unbuilt) if unbuilt else {}
-        if indicators:
-            self._build_factors([k for k in ks if self.cells[k].precond_factor is None],
-                                products)
-
-    def _build_cells(self, ks: list) -> dict:
-        """Build the bases and reduced arrays of cells ks in one stacked
-        pass; returns {k: A_p Phi as a (P, n_dof, r) array}.
+        missing indicator factors of ks, in one stacked pass.
 
         A basis is Q of a Householder QR of the sources [u_k | grad u_k |
         u_j for each neighbor j], without the sources numerically in the
         span of those before them.  Every neighbor tuple holds
-        min(N, atoms - 1) atoms, so one stacked QR serves all the cells;
-        one sparse product and stacked matmuls serve each basis rank.
-        Stacked LAPACK, BLAS and CSR calls run the same kernel per matrix
-        and per column, so the arrays are bit-identical to one-cell builds.
+        min(N, atoms - 1) atoms, so one stacked QR serves all the new cells.
+        Per basis rank, one sparse product gives A_p Phi of the new cells,
+        first, and of the built cells that lack a factor; the new cells'
+        reduced arrays come from its leading slices.  The factors follow
+        from the LU lookups and band solves, in the order of ks, then one
+        stacked QR per rank.  Stacked LAPACK, BLAS and CSR calls run the
+        same kernel per matrix and per column, so the arrays are
+        bit-identical to one-cell builds.
         """
-        S = np.stack([self._sources(k) for k in ks])
-        Q, R = np.linalg.qr(S)
-        # |R_jj| is the norm of source j's part orthogonal to the sources
-        # before it; R has only min(n_dof, r) diagonal entries
-        d = np.abs(np.diagonal(R, axis1=1, axis2=2))
-        bases = {}
-        for k, Sk, Qk, dk in zip(ks, S, Q, d):
-            kept = np.zeros(Sk.shape[1], dtype=bool)
-            kept[:dk.size] = dk > ORTHO_DROP_TOL * np.linalg.norm(Sk[:, :dk.size], axis=0)
-            bases[k] = Qk if kept.all() else np.linalg.qr(Sk[:, kept])[0]
-        products = {}
-        for group in _groups(ks, lambda k: bases[k].shape[1]).values():
+        new = [k for k in ks if self.cells[k].basis is None]
+        unfactored = [k for k in ks if indicators and self.cells[k].precond_factor is None]
+        bases = {k: self.cells[k].basis for k in unfactored}
+        if new:
+            S = np.stack([np.column_stack(
+                [self.atoms[k].snapshot, self.atoms[k].gradient]
+                + [self.atoms[j].snapshot for j in self.cells[k].neighbors]) for k in new])
+            Q, R = np.linalg.qr(S)
+            # |R_jj| is the norm of source j's part orthogonal to the sources
+            # before it; R has only min(n_dof, r) diagonal entries
+            d = np.abs(np.diagonal(R, axis1=1, axis2=2))
+            for k, Sk, Qk, dk in zip(new, S, Q, d):
+                kept = np.zeros(Sk.shape[1], dtype=bool)
+                kept[:dk.size] = dk > ORTHO_DROP_TOL * np.linalg.norm(Sk[:, :dk.size], axis=0)
+                bases[k] = Qk if kept.all() else np.linalg.qr(Sk[:, kept])[0]
+        nq, P = self._rhs_cols.shape[1], len(self.model.operator_terms)
+        # per rank the new cells first, so their arrays are slices, not copies
+        groups = _groups(new + [k for k in unfactored if self.cells[k].basis is not None],
+                         lambda k: bases[k].shape[1])
+        Z, slot = {}, {}  # per rank the factor columns; per cell (A_p Phi, its Z row)
+        for r, group in groups.items():
             Phis = np.stack([bases[k] for k in group])
             op_cols, obs = self._products(Phis)
-            PhiT = Phis.transpose(0, 2, 1)
-            ops = np.stack([PhiT @ op_cols[:, p] for p in range(op_cols.shape[1])], axis=1)
+            c = sum(self.cells[k].basis is None for k in group)
+            PhiT = Phis[:c].transpose(0, 2, 1)
+            ops = np.stack([PhiT @ op_cols[:c, p] for p in range(P)], axis=1)
             rhs = np.stack([PhiT @ f for f in self.model.rhs_terms], axis=1)
-            for i, k in enumerate(group):
+            for i, k in enumerate(group[:c]):
                 self._staged[k] = (Phis[i], ops[i], rhs[i], obs[i])
-                products[k] = op_cols[i]
-        for k in ks:
+            if indicators:
+                Z[r] = np.empty((len(group), self.model.n_dof, nq + P * r))
+                slot.update((k, (op_cols[i], Z[r][i])) for i, k in enumerate(group))
+        for k in new:
             self._build_cell(k)
-        return products
-
-    def _sources(self, k: int) -> np.ndarray:
-        """(n_dof, 1 + M + N) sources of cell k's basis."""
-        atom = self.atoms[k]
-        return np.column_stack([atom.snapshot, atom.gradient]
-                               + [self.atoms[j].snapshot for j in self.cells[k].neighbors])
+        for k in unfactored:
+            self._precond_columns(k, *slot[k])
+        for r, z in Z.items():
+            for k, R in zip(groups[r], np.linalg.qr(z, mode="r")):
+                self.cells[k].precond_factor = R.copy()
 
     def _build_cell(self, k: int) -> None:
         """Install unbuilt cell k's basis and reduced arrays from the stacked
-        pass in progress (_build_cells), as copies that hold no view into the
-        pass's arrays.  Its indicator factor waits for the first read."""
+        pass in progress (_ensure_cells), as copies that hold no view into
+        the pass's arrays."""
         cell = self.cells[k]
         cell.basis, cell.reduced_ops, cell.reduced_rhs, cell.obs_basis = (
             a.copy() for a in self._staged.pop(k))
-
-    def _build_factors(self, ks: list, products: dict) -> None:
-        """Indicator factors of the built cells ks: per cell the LU lookup
-        and band solve, in the order of ks, then one stacked QR per basis
-        rank.  ``products`` holds A_p Phi of cells built in the same pass;
-        the others' come from one sparse product per rank."""
-        nq, P = self._rhs_cols.shape[1], len(self.model.operator_terms)
-        groups = _groups(ks, lambda k: self.cells[k].basis.shape[1])
-        Z, slot = {}, {}
-        for r, group in groups.items():
-            missing = [k for k in group if k not in products]
-            if missing:
-                op_cols, _ = self._products(np.stack([self.cells[k].basis for k in missing]))
-                products.update(zip(missing, op_cols))
-            Z[r] = np.empty((len(group), self.model.n_dof, nq + P * r))
-            slot.update((k, Z[r][i]) for i, k in enumerate(group))
-        for k in ks:
-            self._precond_columns(k, products[k], slot[k])
-        for r, group in groups.items():
-            for k, R in zip(group, np.linalg.qr(Z[r], mode="r")):
-                self.cells[k].precond_factor = R.copy()
 
     def _precond_columns(self, k: int, op_cols: np.ndarray, out: np.ndarray) -> None:
         """Write A_k^{-1} [f_q | A_p Phi] for cell k into out (n_dof, Q + P r).

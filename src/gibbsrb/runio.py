@@ -60,10 +60,8 @@ def write_history_csv(path, history) -> None:
 
 
 def write_atoms_csv(path, surrogate) -> None:
-    write_csv(path, ["atom", *[f"xi_{j + 1}" for j in range(surrogate.model.dim)],
-                     "full_solves"],
-              ([k, *atom.location, atom.full_solves]
-               for k, atom in enumerate(surrogate.atoms)))
+    write_csv(path, ["atom", *[f"xi_{j + 1}" for j in range(surrogate.model.dim)]],
+              ([k, *atom.location] for k, atom in enumerate(surrogate.atoms)))
 
 
 def write_losses_csv(path, history) -> None:

@@ -42,8 +42,8 @@ class IterationRecord:
     e_thre: float
     e_max: float
     losses: np.ndarray          # surrogate losses at the iteration-start points
-    full_solves: int            # cumulative, model counter at iteration end
-    reduced_solves: int
+    full_solves: int            # cumulative from the run's start, at iteration end
+    reduced_solves: int         # likewise
     replay_ess: float = float("nan")
     degenerate: bool = False
 
@@ -211,6 +211,7 @@ def run_smc(model, observations, config: SmcConfig, *,
     if surrogate is None:
         surrogate = Surrogate(model, neighbor_count=config.neighbor_count,
                               atom_budget=config.atom_budget)
+    reduced0 = surrogate.reduced_solves
     loss_fn = surrogate.loss_fn(observations)
 
     w_total = float(config.total_weight)
@@ -260,7 +261,7 @@ def run_smc(model, observations, config: SmcConfig, *,
             atoms_added=report.atoms_added, acceptance_rate=acc_rate,
             e_thre=report.e_thre, e_max=report.e_max_final, losses=losses,
             full_solves=counts["full"] - counters0["full"],
-            reduced_solves=surrogate.reduced_solves,
+            reduced_solves=surrogate.reduced_solves - reduced0,
             replay_ess=replay_ess, degenerate=degenerate))
         particles = mutated
         w_cur = w_next

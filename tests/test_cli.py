@@ -119,7 +119,7 @@ def test_run_smc_on_observations_from_csv(tiny_config, tmp_path):
         generated, f"data: {{csv: {json.dumps(str(first / 'observations.csv'))}}}"))
     assert main(["run-smc", "--config", str(config), "--seed", "7",
                  "--out", str(second)]) == 0
-    for name in ("particles.csv", "history.csv", "observations.csv",
+    for name in ("particles.csv", "history.csv", "atoms.csv", "observations.csv",
                  "observations.csv.meta.json"):
         assert (second / name).read_bytes() == (first / name).read_bytes(), name
 
@@ -184,7 +184,7 @@ def test_run_mcmc_leaves_the_surrogate_stack_unloaded(tiny_config, tmp_path):
 
 
 TINY_ELAST_MCMC = """
-model: {preset: elast2d_layered, mesh: {nx: 4, obs_grid: 3}}
+model: {preset: elast2d_layered, mesh: {nx: 5, obs_grid: 3}}
 data: {noise_pct: 0.10, n_obs: 1}
 gibbs: {total_weight: gaussian_reference}
 mcmc: {samples: 20, burn_in: 5, step_scale: 0.05}

@@ -37,7 +37,9 @@ def test_unknown_preset():
 def test_builders_take_exactly_the_mesh_sizes():
     # config parsing checks model.mesh against MESH_SIZES, so each builder's
     # parameters must be those sizes (and the layout that elast2d's preset
-    # names); each preset builds at its least sizes
+    # names); each preset builds at its least sizes, where every operator
+    # term has an entry (layered nx 4 and inclusion nx 2 leave a region
+    # with no element)
     def params(builder):
         return list(inspect.signature(builder).parameters)
 
@@ -46,7 +48,9 @@ def test_builders_take_exactly_the_mesh_sizes():
     for preset in ("elast2d_layered", "elast2d_inclusion"):
         assert params(fem.elast2d) == [*presets.MESH_SIZES[preset], "layout"]
     for preset, least in presets.MESH_SIZES.items():
-        assert assemble(preset, least).mesh.items() >= least.items()
+        model = assemble(preset, least)
+        assert model.mesh.items() >= least.items()
+        assert all(np.any(T.data) for T in model.operator_terms), preset
 
 
 def test_adv1d_shape(adv1d_model):

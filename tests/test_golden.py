@@ -32,7 +32,7 @@ CLI_DIGESTS = {
     "iteration_losses.csv":
         "420f67c5904f64d2cdab439a306dc9c7ce2dacf9cccaf0dbebbc825be53e0efd",
     "atoms.csv":
-        "ead711fe9804d1ce00c26bd58eb33cf876593b0313a2cc48d2638922e1b4aebd",
+        "cb6c7bfa62f0b012b2e0fb479f2dcc414e477e70a5a06bc7e38efd5908f0bbde",
 }
 LOSS_STD_FRACTION_DIGEST = "5c3f3f2abb40fba0f812c4f5511cc7967bfdd1fe31f41999eaf167594c76be3a"
 ADV2D_DIGEST = "9c0aa1d4d4485a418dd7614dea8180d8cf65f4673d92da6ed592aaced231cd86"

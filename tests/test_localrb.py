@@ -600,16 +600,26 @@ def test_stacked_pass_bit_equal_to_one_cell_builds(adv2d_small, monkeypatch):
     for a in adv2d_small.domain.sample(4, np.random.default_rng(30)):
         s.add_atom(a)
     ks = list(range(s.n_atoms))[::-1]
-    assert all(s.cells[k].basis is None for k in ks)
-    qrs, installed = [], []
-    qr, build = np.linalg.qr, s._build_cell
+    # a loss-only read builds every other cell without its factor, so the
+    # pass meets built and unbuilt cells of one rank
+    obs = gen_data(adv2d_small, noise_pct=0.10, n=2, seed=3)
+    s.loss_fn(obs)(np.array([s.atoms[k].location for k in ks[::2]]))
+    assert [s.cells[k].basis is None for k in ks] == [i % 2 == 1 for i in range(len(ks))]
+    assert all(s.cells[k].precond_factor is None for k in ks)
+    prebuilt = {k: s.cells[k].basis.shape[1] for k in ks[::2]}
+    qrs, installed, products = [], [], []
+    qr, build, prod = np.linalg.qr, s._build_cell, s._products
     monkeypatch.setattr(np.linalg, "qr", lambda a, *args, **kw: qrs.append(a.ndim) or
                         qr(a, *args, **kw))
     s._build_cell = lambda k: installed.append(k) or build(k)
+    s._products = lambda Phis: products.append(Phis.shape[2]) or prod(Phis)
     s._ensure_cells(ks, indicators=True)
-    assert installed == ks  # one install per cell, in the order asked
+    assert installed == ks[1::2]  # one install per unbuilt cell, in the order asked
     ranks = {s.cells[k].basis.shape[1] for k in ks}
     assert len(ks) >= 5 and len(ranks) >= 2
+    assert set(prebuilt.values()) & {s.cells[k].basis.shape[1] for k in installed}
+    # one sparse product per rank, for the new cells and the prebuilt ones
+    assert sorted(products) == sorted(ranks)
     # one stacked QR for the bases and one per rank for the factors; 2-D
     # ones only where a cell drops columns
     assert qrs.count(3) == 1 + len(ranks)

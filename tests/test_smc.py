@@ -82,7 +82,10 @@ FLOAT_KEYS = [("smc", key) for key in ("ess_fraction", "backtrack_factor", "prop
     ({"model": {"preset": "adv1d", "mesh": {"cells": 3}}}, "model.mesh.cells must be >= 4"),
     ({"data": {"noise_pct": -0.1}}, "data.noise_pct must be >= 0")] + [
     ({section: {key: value}}, f"{section}.{key} must be a finite number")
-    for section, key in FLOAT_KEYS for value in (float("nan"), float("inf"), "0.5", True)])
+    for section, key in FLOAT_KEYS for value in (float("nan"), float("inf"), "0.5", True)] + [
+    ({"model": {"preset": "elast2d_layered", "mesh": {"nx": 4}}}, "model.mesh.nx must be >= 5"),
+    ({"model": {"preset": "elast2d_inclusion", "mesh": {"nx": 2}}},
+     "model.mesh.nx must be >= 3")])
 def test_bad_smc_values_rejected_at_parse(raw, key):
     # before the check, a NaN total weight returned the prior after zero
     # iterations, an infinite one overflowed, max_iterations 0 failed at
@@ -91,7 +94,9 @@ def test_bad_smc_values_rejected_at_parse(raw, key):
     # failed deep in a run with a TypeError that named no key, as a mesh of
     # 5 did in assemble; an infinite e_thre stopped refinement after one
     # atom, a NaN stabilizer made W_final NaN, an infinite step_scale left
-    # the chain where it started and a NaN noise_pct gave NaN data
+    # the chain where it started and a NaN noise_pct gave NaN data; an elast
+    # mesh too coarse to give every region an element ran with moduli that
+    # had no effect on the data
     from gibbsrb.config import RunConfig
 
     with pytest.raises(ValueError, match=key):
@@ -464,6 +469,21 @@ def test_run_smc_schedule_and_counters(adv1d_model, adv1d_obs):
         assert r.ess > 0.5 * 50 or r.degenerate
     # full solves only through atom insertion
     assert res.solve_counts["full"] == res.surrogate.n_atoms
+
+
+def test_run_smc_counts_solves_from_its_start(adv1d_model, adv1d_obs):
+    # a surrogate passed in keeps its counts across runs; each run's history
+    # counts only that run's full and reduced solves
+    surr = Surrogate(adv1d_model)
+    cfg = SmcConfig(particles=20, total_weight=4.0, seed=3, mutation_steps=2)
+    first = run_smc(adv1d_model, adv1d_obs, cfg, surrogate=surr).history[-1]
+    assert (first.full_solves, first.reduced_solves) == (surr.n_atoms, surr.reduced_solves)
+    atoms, solves = surr.n_atoms, surr.reduced_solves
+    second = run_smc(adv1d_model, adv1d_obs, SmcConfig(**{**cfg.__dict__, "seed": 4}),
+                     surrogate=surr).history[-1]
+    assert (second.full_solves, second.reduced_solves) == (surr.n_atoms - atoms,
+                                                           surr.reduced_solves - solves)
+    assert second.reduced_solves > 0
 
 
 def test_run_smc_seed_determinism(adv1d_model, adv1d_obs):
