@@ -4,10 +4,12 @@ A model is A(xi) u = f(xi) with A(xi) = sum_p theta_p(xi) A_p and
 f(xi) = sum_q phi_q(xi) f_q, plus an observation matrix mapping the state
 to measurement channels and a loss kind tying predictions to data.  The
 coefficients are affine in xi, theta(xi) = theta_0 + xi @ d theta / d xi.
-A(xi) is scattered into LAPACK's band storage at places fixed at
-construction and factorized by band LU with partial pivoting (``bandlu``);
-a solve's residual and the observation are gathers over per-row slot arrays,
-so a solve makes a fixed number of numpy calls whatever the band width.
+A(xi) is scattered into the storage of its LAPACK binding at places the
+binding gives at construction, and factorized by LU with partial pivoting
+(``bandlu``: the tridiagonal dgt* routines where kl = ku = 1, band dgb*
+routines otherwise); a solve's residual and the observation are gathers
+over per-row slot arrays, so a solve makes a fixed number of numpy calls
+whatever the band width.
 
 The operator terms and the observation matrix are CSR matrices, read only
 through their arrays (data, indices, indptr), ``@``, ``shape`` and
@@ -22,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bandlu import BandLU, band_routines, band_view
+from .bandlu import BandLU, band_routines
 
 LOSS_KINDS = ("squared_l2", "l1", "l2")
 
@@ -118,12 +120,12 @@ def vstack_csr(mats: list):
 def _operator_layout(terms: list, n: int):
     """Fixed index arrays of the operator's exact path.
 
-    Returns the band half-widths (kl, ku); each term's values on the union
-    pattern as a (P, w, n) slot-major array, row i's entries in ascending
-    column order in slots 0, 1, ...; the (w, n) column of each slot; and
-    each slot's flat place in LAPACK's Fortran-ordered (2 kl + ku + 1, n)
-    dgbtrf storage, where A[i, j] sits in row kl + ku + i - j of column j,
-    or one past the end for a padding slot.
+    Returns the LAPACK binding for the band half-widths (kl, ku) of the
+    union pattern (``band_routines``); each term's values on that pattern
+    as a (P, w, n) slot-major array, row i's entries in ascending column
+    order in slots 0, 1, ...; the (w, n) column of each slot; and each
+    slot's flat place in the binding's buffer, or its spare last place for
+    a padding slot.
     """
     # sorted keys compared with their successors, not np.unique, whose
     # masked-array check imports numpy.ma (17 ms) into every set-up
@@ -142,11 +144,11 @@ def _operator_layout(terms: list, n: int):
         stacked[p, np.searchsorted(union, k)] = v
     rows, cols = union // n, union % n
     kl, ku = int(max(0, np.max(rows - cols))), int(max(0, np.max(cols - rows)))
+    band = band_routines(n, kl, ku)
     flat, columns, term_values = _ellpack(rows, cols, stacked, n)
-    height = 2 * kl + ku + 1
-    positions = np.full(columns.size, height * n)
-    positions[flat] = cols * height + kl + ku + rows - cols
-    return kl, ku, term_values, columns, positions
+    positions = np.full(columns.size, band.ab.size - 1)
+    positions[flat] = band.places(rows, cols)
+    return band, term_values, columns, positions
 
 
 def _check_factorization(xi, routine: str, info: int) -> None:
@@ -164,7 +166,9 @@ class ForwardModel:
     d theta_p / d xi_j are constants, also used for sensitivity solves.
     The operator terms and the observation matrix are laid out for the
     exact path at construction, so they must not change afterwards.  The
-    solves share the band binding's buffers, so they must not run
+    LAPACK binding (``bandlu.band_routines``) is chosen then from the band
+    half-widths and owns the storage layout: A(xi) is scattered into the
+    places it gives.  The solves share its buffers, so they must not run
     concurrently.
     """
 
@@ -199,9 +203,8 @@ class ForwardModel:
         if shapes != ((P,), (M, P), (Q,), (M, Q)):
             raise ValueError(f"coefficient arrays need shapes {((P,), (M, P), (Q,), (M, Q))}, "
                              f"got {shapes}")
-        (self._kl, self._ku, self._term_values, self._columns,
+        (self._band, self._term_values, self._columns,
          self._ab_positions) = _operator_layout(self.operator_terms, self.n_dof)
-        self._band = band_routines(self.n_dof, self._kl, self._ku)
         _, self._obs_columns, self._obs_values = _ellpack(*_csr_entries(self.obs_matrix),
                                                           self.n_obs)
 
@@ -229,10 +232,11 @@ class ForwardModel:
                 self.rhs_coeff_offsets + xi @ self.rhs_coeff_grads)
 
     def _assemble(self, theta: np.ndarray, ab: np.ndarray | None = None):
-        """A at coefficients theta: (its slot-major union values, its
-        Fortran-ordered dgbtrf storage with kl zero rows for the fill-in,
-        flat, with one spare place for the padding slots).  The storage is
-        written into ab, the band binding's buffer, or a fresh array.
+        """A at coefficients theta: (its slot-major union values, the flat
+        buffer of its binding's storage, zero off the union pattern: the
+        fill-in rows of dgb* storage and du2 of dgt* storage too).  The
+        storage is written into ab, the binding's buffer, or a fresh array;
+        ab is zeroed first, since a factorization overwrote it.
 
         Term by term in order (a reduction over the outer axis adds
         elementwise), so every entry is the same float as in the chained
@@ -248,12 +252,11 @@ class ForwardModel:
         return values, ab
 
     def operator_at(self, xi: np.ndarray):
-        """A(xi) as a scipy DIA array whose data is the band part of the
-        dgbtrf storage (offsets ku, ..., -kl)."""
+        """A(xi) as a scipy DIA array whose data is the diagonals' rows of
+        the binding's storage (offsets ku, ..., -kl)."""
         import scipy.sparse as sp
-        ab = band_view(self._assemble(self.coefficients(xi)[0])[1], self._band.shape)
-        return sp.dia_array((ab[self._kl:], np.arange(self._ku, -self._kl - 1, -1)),
-                            shape=(self.n_dof, self.n_dof))
+        ab = self._assemble(self.coefficients(xi)[0])[1]
+        return sp.dia_array(self._band.diagonals(ab), shape=(self.n_dof, self.n_dof))
 
     def _rhs(self, phi: np.ndarray) -> np.ndarray:
         f = np.zeros(self.n_dof)
@@ -265,12 +268,12 @@ class ForwardModel:
         return self._rhs(self.coefficients(xi)[1])
 
     def factorize(self, xi: np.ndarray) -> tuple[np.ndarray, BandLU]:
-        """(the slot-major union values of A(xi), its band LU factorization
-        with partial pivoting); raises ValueError outside the parameter box,
-        before assembling anything."""
+        """(the slot-major union values of A(xi), its LU factorization with
+        partial pivoting, by dgbtrf or dgttrf); raises ValueError outside the
+        parameter box, before assembling anything."""
         values, ab = self._assemble_in_box(xi, self.coefficients(xi)[0])
         lu, info = self._band.factorize(ab)
-        _check_factorization(xi, "dgbtrf", info)
+        _check_factorization(xi, self._band.routines + "trf", info)
         return values, lu
 
     def _assemble_in_box(self, xi, theta: np.ndarray, ab: np.ndarray | None = None):
@@ -284,19 +287,25 @@ class ForwardModel:
         """Which LAPACK serves the band LU: numpy's OpenBLAS or scipy's."""
         return self._band.name
 
+    @property
+    def band_lu_routines(self) -> str:
+        """Which routine family factorizes A: "dgt" (tridiagonal) or "dgb"."""
+        return self._band.routines
+
     # ----- solves -----
     def solve_full(self, xi: np.ndarray, factors: tuple | None = None) -> np.ndarray:
         """High-fidelity solve of A(xi) u = f(xi); increments the full counter.
 
-        ``factors`` is the result of factorize(xi); by default one dgbsv
-        call factorizes and solves, which is dgbtrf then dgbtrs.
+        ``factors`` is the result of factorize(xi); by default one dgbsv or
+        dgtsv call factorizes and solves, which gives the floats of dgbtrf
+        then dgbtrs, or of dgttrf then dgttrs.
         """
         theta, phi = self.coefficients(xi)
         f = self._rhs(phi)
         if factors is None:
             values, _ = self._assemble_in_box(xi, theta, self._band.ab)
             u, info = self._band.factor_solve(f)
-            _check_factorization(xi, "dgbsv", info)
+            _check_factorization(xi, self._band.routines + "sv", info)
         else:
             values, lu = factors
             u = lu.solve(f)

@@ -517,7 +517,9 @@ class Surrogate:
             # those the neighbor refresh replaced, after one pass builds them,
             # the new atom's first, right after add_atom stashed its LU
             unbuilt = [k for k in sorted(set(hosts.tolist())) if self.cells[k].basis is None]
-            idx = np.flatnonzero(np.isin(hosts, unbuilt))
+            in_unbuilt = np.zeros(self.n_atoms, dtype=bool)
+            in_unbuilt[unbuilt] = True
+            idx = np.flatnonzero(in_unbuilt[hosts])
             self._ensure_cells(sorted(unbuilt, key=lambda k: k != new), indicators=True)
             losses[idx], raws[idx], dist_sums[idx] = self._evaluate(
                 points[idx], observations, hosts[idx])

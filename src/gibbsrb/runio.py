@@ -136,6 +136,7 @@ def write_manifest(path, *, config, seed: int, model, extra: dict | None = None)
         "numpy_version": np.__version__,
         "scipy_version": importlib.metadata.version("scipy"),
         "band_lu": model.band_lu_binding,
+        "band_lu_routines": model.band_lu_routines,
         "seed": int(seed),
         "config_digest": config.digest(),
         "config": config.to_dict(),

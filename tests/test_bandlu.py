@@ -1,13 +1,15 @@
-"""Band LU through numpy's OpenBLAS and through scipy.linalg.lapack, with
-scipy.linalg.lapack as the reference."""
+"""Band and tridiagonal LU through numpy's OpenBLAS and through scipy's
+LAPACK, with scipy.linalg.lapack as the reference."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import lapack
 
 from gibbsrb import assemble
+from gibbsrb.domain import ParameterDomain
 from gibbsrb.forward import bandlu
-from gibbsrb.forward.model import SolverError
+from gibbsrb.forward.model import ForwardModel, SolverError
 
 import test_golden
 from test_forward_models import SMALL_PRESET_IDS, _SMALL_PRESETS, _two_by_two_model
@@ -38,29 +40,83 @@ def test_numpy_openblas_serves_after_scipy_is_imported(preset, mesh):
     assert assemble(preset, mesh).band_lu_binding == "openblas-ilp64"
 
 
+def _scipy_reference(band, storage):
+    """scipy.linalg.lapack on the storage of A: (the factor arrays, the
+    pivots 1-based, a solve with those factors, the one-call solve)."""
+    if band.routines == "dgb":
+        kl, ku = band.kl, band.ku
+        lu, piv, info = lapack.dgbtrf(storage.copy(order="F"), kl, ku)
+        assert info == 0
+        return ([lu], piv + 1,  # scipy's dgbtrf pivots are 0-based
+                lambda b: lapack.dgbtrs(lu, kl, ku, b, piv)[0],
+                lambda b: lapack.dgbsv(kl, ku, storage.copy(order="F"), b)[2])
+    du, d, dl = storage[0, 1:], storage[1], storage[2, :-1]
+    dl_f, d_f, du_f, du2, piv, info = lapack.dgttrf(dl, d, du)
+    assert info == 0
+    return ([du_f, d_f, dl_f, du2], piv,
+            lambda b: lapack.dgttrs(dl_f, d_f, du_f, du2, piv, b)[0],
+            lambda b: lapack.dgtsv(dl, d, du, b)[3])
+
+
 @pytest.mark.parametrize("preset,mesh", _SMALL_PRESETS, ids=SMALL_PRESET_IDS)
 def test_band_lu_bit_equal_to_scipy(binding, preset, mesh):
+    # adv1d is tridiagonal (dgt*), the FEM presets are wider bands (dgb*)
     model = assemble(preset, mesh)
     assert model.band_lu_binding == binding
-    kl, ku = model._kl, model._ku
+    assert model.band_lu_routines == ("dgt" if preset == "adv1d" else "dgb")
+    band = model._band
     rng = np.random.default_rng(21)
     for xi in model.domain.sample(3, rng):
-        band = bandlu.band_view(model._assemble(model.coefficients(xi)[0])[1],
-                                model._band.shape)
-        lu_ref, piv_ref, info = lapack.dgbtrf(band.copy(order="F"), kl, ku)
-        assert info == 0
+        storage = band.view(model._assemble(model.coefficients(xi)[0])[1])
+        factors_ref, piv_ref, solve_ref, factor_solve_ref = _scipy_reference(band, storage)
         _, lu = model.factorize(xi)
-        assert lu.lu.tobytes() == lu_ref.tobytes()
-        # LAPACK's pivots are 1-based, scipy's 0-based
-        base = 1 if binding == "openblas-ilp64" else 0
-        assert np.array_equal(lu.piv - base, piv_ref)
+        factors = ([lu.lu] if band.routines == "dgb" else
+                   [lu.lu[0, 1:], lu.lu[1], lu.lu[2, :-1], lu.lu[3, :-2]])  # du, d, dl, du2
+        assert [a.tobytes() for a in factors] == [a.tobytes() for a in factors_ref]
+        assert np.array_equal(lu.piv, piv_ref)
         for shape in [(model.n_dof,), (model.n_dof, 1), (model.n_dof, 45)]:
             b = rng.standard_normal(shape)
-            ref = lapack.dgbtrs(lu_ref, kl, ku, b, piv_ref)[0]
-            assert lu.solve(b).tobytes() == ref.tobytes()
+            assert lu.solve(b).tobytes() == solve_ref(b).tobytes()
         f = model.rhs_at(xi)
-        u_ref = lapack.dgbsv(kl, ku, band.copy(order="F"), f)[2]
-        assert model.solve_full(xi).tobytes() == u_ref.tobytes()
+        assert model.solve_full(xi).tobytes() == factor_solve_ref(f).tobytes()
+
+
+def _tridiagonal_model_missing_an_entry():
+    """A(xi) = tridiag(1, 4, 1) with A[0, 0] = xi and no A[0, 1]: |A[0, 0]|
+    < |A[1, 0]|, so the elimination swaps rows 0 and 1 and writes the place
+    of A[0, 1], which no scatter writes."""
+    n = 6
+    fixed = np.diag(np.r_[0.0, np.full(n - 1, 4.0)]) + np.eye(n, k=-1) + np.eye(n, k=1)
+    fixed[0, 1] = 0.0
+    corner = np.zeros((n, n))
+    corner[0, 0] = 1.0
+    return ForwardModel(
+        name="tridiagonal_missing_an_entry",
+        operator_terms=[sp.csr_matrix(fixed), sp.csr_matrix(corner)],
+        operator_coeff_offsets=np.array([1.0, 0.0]),
+        operator_coeff_grads=np.array([[0.0, 1.0]]),
+        rhs_terms=[np.arange(1.0, n + 1)],
+        rhs_coeff_offsets=np.ones(1),
+        rhs_coeff_grads=np.zeros((1, 1)),
+        obs_matrix=sp.csr_matrix(np.eye(n)),
+        loss_kind="squared_l2",
+        domain=ParameterDomain(lower=np.array([0.1]), upper=np.array([0.9])),
+        mesh={},
+        truth_default=np.array([0.5]),
+    )
+
+
+def test_tridiagonal_storage_rewritten_before_each_factorization(binding):
+    # a one-call solve overwrites its binding's buffer; a stale place of
+    # A[0, 1] would enter the next solve
+    model = _tridiagonal_model_missing_an_entry()
+    assert (model.band_lu_binding, model.band_lu_routines) == (binding, "dgt")
+    points = [np.array([0.3]), np.array([0.7])]
+    solves = [model.solve_full(xi) for xi in points]
+    for xi, u in zip(points, solves):
+        fresh = _tridiagonal_model_missing_an_entry()
+        assert u.tobytes() == fresh.solve_full(xi).tobytes()
+        assert u.tobytes() == fresh.solve_full(xi, fresh.factorize(xi)).tobytes()
 
 
 def test_openblas_solve_checks_the_shape_before_the_call():
@@ -78,9 +134,9 @@ def test_singular_operator_raises_through_each_binding(binding):
     assert model.band_lu_binding == binding
     _, lu = model.factorize(np.array([0.5]))
     assert np.allclose(lu.solve(np.array([1.0, 2.0])), [3.0, -2.0])
-    with pytest.raises(SolverError, match="dgbtrf info 2"):
+    with pytest.raises(SolverError, match="dgttrf info 2"):
         model.factorize(np.array([1.0]))
-    with pytest.raises(SolverError, match="dgbsv info 2"):
+    with pytest.raises(SolverError, match="dgtsv info 2"):
         model.solve_full(np.array([1.0]))
 
 

@@ -203,6 +203,7 @@ def test_cli_pins_blas_threads_of_scipy_loaded_later(tmp_path):
                     str(config), "--seed", "5", "--out", str(out)],
                    env=env, check=True, capture_output=True)
     manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["band_lu_routines"] == "dgb"  # elast's band is wider than 1
     if manifest["blas_threads"] is None:
         pytest.skip("no OpenBLAS library found in the process")
     assert manifest["blas_threads"] == 1
@@ -220,6 +221,8 @@ def test_manifest_records_versions_and_band_lu_binding(tiny_config, tmp_path):
     from gibbsrb.forward.bandlu import _ilp64_routines
     expected = "scipy.linalg.lapack" if _ilp64_routines() is None else "openblas-ilp64"
     assert manifest["band_lu"] == expected
+    # the tiny adv1d config's operator is tridiagonal
+    assert manifest["band_lu_routines"] == "dgt"
 
 
 def test_oracle_and_compare(tiny_config, tmp_path):
@@ -416,3 +419,14 @@ def test_sweep_neighbors_script_table(capsys):
         atoms, full = float(row[1].split()[0]), float(row[2].split()[0])
         assert atoms >= 1 and full == atoms  # one full solve per atom insertion
         assert all(0.0 <= float(ks) <= 1.0 for ks in row[-2:])
+
+
+def test_pair_calls_script_same_checkout_twice():
+    root = Path(__file__).parents[1]
+    done = subprocess.run([sys.executable, str(root / "scripts" / "pair_calls.py"), str(root),
+                           str(root), "--workload", "rwmh-adv1d", "--calls", "4"],
+                          capture_output=True, text=True, check=True, timeout=300)
+    lines = done.stdout.splitlines()
+    assert lines[0] == "rwmh-adv1d: 4 calls per side, seeds 0-3"
+    assert lines[3].startswith("B / A per call: median ")
+    assert lines[-1] == "digests equal: 4 of 4"

@@ -280,7 +280,7 @@ def test_singular_operator_raises_from_factorize():
     model.factorize(np.array([0.5]))
     with pytest.raises(SolverError, match="factorization failed"):
         model.factorize(np.array([1.0]))
-    with pytest.raises(SolverError, match="dgbsv info"):
+    with pytest.raises(SolverError, match="dgtsv info"):
         model.solve_full(np.array([1.0]))
 
 
