@@ -26,15 +26,15 @@ from test_cli import TINY_SMC
 
 CLI_DIGESTS = {
     "particles.csv":
-        "0ef6c125cd9f95ff58883b0690cb337199f7653388968c46df06dfc3080d18cd",
+        "688678a79bacc9f015c1654118635fd87d5bb73dc23cebbbb21703e19eac3342",
     "history.csv":
-        "a80bcc399a4e71422738cb942641ba62733f53e1d429e45c23883899eec7d6ad",
+        "6bd1b27bdaf37c758388d49bf5bda23b33e89f84c5301b70d723246646b921b2",
     "iteration_losses.csv":
-        "420f67c5904f64d2cdab439a306dc9c7ce2dacf9cccaf0dbebbc825be53e0efd",
+        "7dc0994d3a32f01656840799e330d976cbfbe9b4dcdab1e098e026ea1c261269",
     "atoms.csv":
-        "cb6c7bfa62f0b012b2e0fb479f2dcc414e477e70a5a06bc7e38efd5908f0bbde",
+        "08ce792498590905614f4ac6c361bbbeda8b6762f9cd2966450024fcb5ce8291",
 }
-LOSS_STD_FRACTION_DIGEST = "5c3f3f2abb40fba0f812c4f5511cc7967bfdd1fe31f41999eaf167594c76be3a"
+LOSS_STD_FRACTION_DIGEST = "5b3f14f126149553e5edd73d3f9309ee78243e96e3bc64a28d274cfa77dc9ff3"
 ADV2D_DIGEST = "9c0aa1d4d4485a418dd7614dea8180d8cf65f4673d92da6ed592aaced231cd86"
 
 # The work each golden run does: per iteration the atoms added, the cumulative
@@ -72,24 +72,24 @@ RWMH_CHAIN = ("a6e4256c14d0461f9b8e4ebc61b394ef6662d59da08ee538fc18340244e373f7"
               0.085, 286)
 # marginal_cdfs.csv of the tiny run-smc (seed 7), run-mcmc and oracle runs
 CDF_DIGESTS = {
-    "run-smc": "952fae7d3b2611dbe654c7bea11ef9ac368178e68b441450b16dfcd37faedf29",
+    "run-smc": "242b659a22b8d7bc9b778feaf4287a01f4eb511ad1ac3393ffc5f0f3ef751316",
     "run-mcmc": "1d1ea1d79e49eb58fb116c3d96127702fec79b1f86752c46a7bdeae7057a6e56",
-    "oracle": "fc8e314ff787f527854c346bd1c28d9e8b978e95294fea9be48362e69cd2a67e",
+    "oracle": "20e47df9062dc112ed6eca065e8a98e82575785214eeedce7f758bc0d79e15c1",
 }
 # report.json of compare, the seed-7 and seed-8 runs against each kind of reference
 REPORT_DIGESTS = {
-    "oracle": "bd560cfcaef7e2d189a30dfbdcd0bf9aacd2c93bd76c1efefd11a2c49d6b4208",
+    "oracle": "fbdb5d2093d84d8a0a2da7b50a81967476e4350901723b764b76a86f13b8573e",
     "run-mcmc": "f127a0683b9338534d9876231b58f00eb0fdda9751e2a97d0d919d2ae0cad243",
-    "run-smc": "b6e0db53b198c499ba8dbb28a36127c7e1125ac5b3e7272c3289491156cfc123",
+    "run-smc": "775e4914fbb54e081a67fd29e5cd031a1685f7d22ade1eb63662ed247f1114ef",
 }
 # the exact (full-solve) loss path, per preset: sha256 of model.loss at 32
 # prior draws (generator seed 11, data seed 3, two data rows), then of
 # solve_full and of observe at the first draw
 EXACT_LOSS_DIGESTS = {
     ("adv1d", ("cells", 128)): (
-        "23241ce11bb7b094ea71b17bf7503f0ecb08410cd4699156001717e8fdba5333",
-        "2ef7776725a746eaa5a22e8f33d0a83a2b9c8f3eeedbb050667bdebe6e128538",
-        "d1d1deffa99fd4d1c49f4747c45d898705b3b4f70d4e7a93c9f87cf5c178766c"),
+        "43db7917e32a4dc7ccaf74252682a90891104a817261bceb09637788872a6cf1",
+        "9b3d79fd3b1079e1b44e8fd594be2076e5e285d13484dc7de36ebcf10d880729",
+        "477f2e6d7f5b6b86b67fa27cc0aff3e57e1423a374bd09a98053c14e4eb6d3eb"),
     ("adv2d", ("nx", 12)): (
         "eb1d88d30fd625f31ec3bd1abff4702bdfb9a020c801d34edc1755f37fc65d77",
         "7ee605ccea6ddb8fc4435994da7af1df0f57ec8519754e2f7ca79080edab80b4",
@@ -308,7 +308,7 @@ def test_exact_loss_golden(preset, mesh):
 # every cell spans all snapshots once there are 13 atoms), 20 particles,
 # data seed 0, sampler seeds 0-2; sha256 of the three clouds' points and
 # weights, then per call (full solves, reduced solves, cell builds)
-BENCH_SMC_ADV1D = ("36ed931031b09ecd53b29da61a8e490362116ef90597a53bdf2c61a393fe0ee1",
+BENCH_SMC_ADV1D = ("b5ed7f9368c87225f020b2aab02081a3f23547d6d8a561dd92f4c273a7c0eecb",
                    ((9, 821, 45), (11, 852, 63), (10, 715, 55)))
 
 
