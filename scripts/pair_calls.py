@@ -77,6 +77,7 @@ def paired_calls(checkouts: list, workload: str, n_calls: int) -> list:
             except subprocess.TimeoutExpired:
                 proc.kill()
                 proc.wait()
+            proc.stdout.close()
 
 
 def summary(pairs: list) -> dict:

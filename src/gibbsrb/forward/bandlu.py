@@ -115,7 +115,6 @@ class _Binding:
         self._trans = lapack.trans
         self.shape, self._order, self._top = (height, n), order, top
         self.ab, self._b = np.zeros(height * n + 1), np.empty(n)
-        self._piv = np.empty(n, dtype=lapack.ints)
         # n, kl, ku, the leading dimension, one, a solve's nrhs, info
         self._ints = np.array([n, kl, ku, height, 1, 1, 0], dtype=lapack.ints)
         self._n, self._kl, self._ku, self._ld, self._one, self._nrhs, self._info = (
@@ -139,7 +138,7 @@ class _Binding:
     def factorize(self, ab: np.ndarray) -> tuple[BandLU, int]:
         """(the factors, the factorization's info) of the flat buffer ab,
         overwritten."""
-        piv = np.empty(self.shape[1], dtype=self._piv.dtype)
+        piv = np.empty(self.shape[1], dtype=self._ints.dtype)
         lu = BandLU(self, self.view(ab), piv, self._factor_args(ab.ctypes.data, piv.ctypes.data))
         self._trf(*self._trf_head, *lu.pointers, self._info)
         return lu, int(self._ints[6])
@@ -166,6 +165,7 @@ class _Band(_Binding):
 
     def __init__(self, n: int, kl: int, ku: int, lapack: _Lapack):
         super().__init__(n, kl, ku, lapack, 2 * kl + ku + 1, "F", kl)
+        self._piv = np.empty(n, dtype=lapack.ints)  # dgbsv's pivots
         self._head = (self._n, self._kl, self._ku)
         self._trf_head = (self._n, *self._head)
         self._sv_args = (*self._head, self._one,
