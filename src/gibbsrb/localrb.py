@@ -31,7 +31,6 @@ from .forward.model import vstack_csr
 
 DUPLICATE_TOL = 1e-12       # scaled-coordinate distance
 ORTHO_DROP_TOL = 1e-10      # relative column drop threshold in the basis QR
-CALIBRATION_SAFETY = 1.0
 CALIBRATION_QUANTILE = 20  # percentile of recent insertion ratios, numpy's "linear" rule
 CALIBRATION_WINDOW = 50
 _LU_CACHE_SIZE = 64
@@ -156,9 +155,8 @@ class Surrogate:
     def stability_constant(self) -> float:
         """Divisor turning the preconditioned residual into a state-error bound."""
         if not self._ratios:
-            return CALIBRATION_SAFETY
-        return CALIBRATION_SAFETY * _percentile(self._ratios[-CALIBRATION_WINDOW:],
-                                                CALIBRATION_QUANTILE)
+            return 1.0
+        return _percentile(self._ratios[-CALIBRATION_WINDOW:], CALIBRATION_QUANTILE)
 
     # ----- geometry -----
     def _nearest(self, points: np.ndarray) -> np.ndarray:
@@ -255,11 +253,6 @@ class Surrogate:
             self.model.counters.add("stability")
         self._lu_stash(idx, lu)
         return lu
-
-    def _ensure_cell(self, k: int) -> _Cell:
-        """Cell k with its basis, reduced arrays and indicator factor built."""
-        self._ensure_cells([k], indicators=True)
-        return self.cells[k]
 
     def _ensure_cells(self, ks: list, indicators: bool) -> None:
         """Build the unbuilt cells among ks and, with ``indicators``, the

@@ -3,9 +3,8 @@ import pytest
 
 from gibbsrb import ObservationSet, Surrogate, assemble, gen_data, localrb
 from gibbsrb.forward.model import ForwardModel
-from gibbsrb.localrb import (CALIBRATION_QUANTILE, CALIBRATION_SAFETY,
-                             CALIBRATION_WINDOW, AtomBudgetError, BasisDegeneracyError,
-                             DuplicateAtomError)
+from gibbsrb.localrb import (CALIBRATION_QUANTILE, CALIBRATION_WINDOW, AtomBudgetError,
+                             BasisDegeneracyError, DuplicateAtomError)
 
 from test_forward_models import SMALL_PRESET_IDS
 
@@ -13,6 +12,12 @@ from test_forward_models import SMALL_PRESET_IDS
 @pytest.fixture()
 def adv1d_surr(adv1d_model):
     return Surrogate(adv1d_model, neighbor_count=5)
+
+
+def built_cell(s, k):
+    """Cell k of s with its basis, reduced arrays and indicator factor built."""
+    s._ensure_cells([k], indicators=True)
+    return s.cells[k]
 
 
 def _states(s, points):
@@ -29,7 +34,7 @@ def test_first_atom_basis_dimension(adv1d_model):
     s.add_atom(np.array([0.5, 0.5]))
     assert s.n_atoms == 1
     # snapshot plus M gradient columns at most
-    assert s._ensure_cell(0).basis.shape[1] <= 1 + adv1d_model.dim
+    assert built_cell(s, 0).basis.shape[1] <= 1 + adv1d_model.dim
     assert s.cells[0].neighbors == ()
 
 
@@ -74,7 +79,7 @@ def test_rank_deficient_snapshots_are_dropped(adv2d_small):
     s = Surrogate(adv2d_small, neighbor_count=5)
     for x2, x3 in [(0.2, 0.2), (0.8, 0.2), (0.2, 0.8), (0.8, 0.8), (0.5, 0.5)]:
         s.add_atom(np.array([0.4, x2, x3]))
-    cell = s._ensure_cell(s.n_atoms - 1)
+    cell = built_cell(s, s.n_atoms - 1)
     n_cols_offered = 1 + adv2d_small.dim + len(cell.neighbors)
     assert cell.basis.shape[1] < n_cols_offered
     # basis stays orthonormal after drops
@@ -87,7 +92,7 @@ def test_orthonormal_bases(adv1d_surr):
     for a in rng.random((8, 2)):
         adv1d_surr.add_atom(a)
     for k in range(adv1d_surr.n_atoms):
-        cell = adv1d_surr._ensure_cell(k)
+        cell = built_cell(adv1d_surr, k)
         G = cell.basis.T @ cell.basis
         assert np.max(np.abs(G - np.eye(G.shape[0]))) < 1e-10
 
@@ -101,7 +106,7 @@ def test_more_sources_than_dofs_give_full_rank_bases():
     for a in np.random.default_rng(27).random((8, 2)):
         s.add_atom(a)
     for k in range(s.n_atoms):
-        basis = s._ensure_cell(k).basis
+        basis = built_cell(s, k).basis
         assert basis.shape == (3, 3)
         assert np.max(np.abs(basis.T @ basis - np.eye(3))) < 1e-12
 
@@ -403,7 +408,7 @@ def test_atom_budget(adv1d_model, adv1d_obs):
 
 def _fresh_stability(s):
     recent = s._ratios[-CALIBRATION_WINDOW:]
-    return CALIBRATION_SAFETY * float(np.percentile(recent, CALIBRATION_QUANTILE))
+    return float(np.percentile(recent, CALIBRATION_QUANTILE))
 
 
 def test_percentile_equals_numpy_linear_rule():
@@ -422,7 +427,7 @@ def test_percentile_equals_numpy_linear_rule():
 
 def test_cached_stability_constant_tracks_insertions(adv1d_model):
     s = Surrogate(adv1d_model)
-    assert s.stability_constant == CALIBRATION_SAFETY
+    assert s.stability_constant == 1.0
     rng = np.random.default_rng(12)
     for xi in rng.random((12, 2)):
         s.add_atom(xi)
@@ -453,7 +458,7 @@ def _scalar_eval(s, xi, observations):
     formulas: the reference for the batched evaluation."""
     model = s.model
     d2 = np.sum((s._scaled_locs - model.domain.scale(xi)) ** 2, axis=1)
-    cell = s._ensure_cell(int(np.argmin(d2)))
+    cell = built_cell(s, int(np.argmin(d2)))
     ath, fth = model.coefficients(xi)
     G = sum(a * Gp for a, Gp in zip(ath, cell.reduced_ops))
     b = sum(a * bq for a, bq in zip(fth, cell.reduced_rhs))
@@ -489,7 +494,7 @@ def test_batched_evaluation_bit_equal_to_one_point_forms(preset, request):
     cells = s._nearest(pts).tolist()
     # force one hosting cell's reduced system to be singular everywhere
     singular = cells[0]
-    cell = s._ensure_cell(singular)
+    cell = built_cell(s, singular)
     cell.reduced_ops = [np.zeros_like(G) for G in cell.reduced_ops]
     ref = np.array([_scalar_eval(s, p, obs) for p in pts])
     before = s.reduced_solves
@@ -526,9 +531,9 @@ def test_batched_evaluation_mixes_basis_ranks(adv2d_small, monkeypatch):
     pts[:100, 0] = 0.4 + 0.05 * rng.standard_normal(100).clip(-1, 1)
     cells = s._nearest(pts)
     singular = cells[0]
-    cell = s._ensure_cell(singular)
+    cell = built_cell(s, singular)
     cell.reduced_ops = np.zeros_like(cell.reduced_ops)
-    ranks = {s._ensure_cell(k).basis.shape[1] for k in set(cells) - {singular}}
+    ranks = {built_cell(s, k).basis.shape[1] for k in set(cells) - {singular}}
     assert len(ranks) >= 2
     ref = np.array([_scalar_eval(s, p, obs) for p in pts])
     gathered = []
@@ -653,12 +658,12 @@ def test_loss_fn_builds_no_factor_and_indicator_read_builds_it(adv1d_model, adv1
         lazy = s.cells[k].precond_factor
         s.cells[k] = localrb._Cell(neighbors=s.cells[k].neighbors)
         # an eager build: basis and factor in one pass, sharing A_p Phi
-        assert np.array_equal(s._ensure_cell(k).precond_factor, lazy)
+        assert np.array_equal(built_cell(s, k).precond_factor, lazy)
         assert np.array_equal(lazy, _one_cell_build(s, k)[4])
 
 
 def _cell_arrays(s, k):
-    cell = s._ensure_cell(k)
+    cell = built_cell(s, k)
     return [cell.basis, cell.reduced_ops, cell.reduced_rhs, cell.obs_basis,
             cell.precond_factor]
 
@@ -751,7 +756,7 @@ def test_refinement_puts_atom_at_singular_point():
     pts = rng.random((40, 2))
     cells = s._nearest(pts)
     singular = cells[0]
-    cell = s._ensure_cell(singular)
+    cell = built_cell(s, singular)
     cell.reduced_ops = np.zeros_like(cell.reduced_ops)
     losses, raws, dist_sums = s._evaluate(pts, obs)
     assert np.isnan(losses[cells == singular]).all()
