@@ -65,8 +65,6 @@ def gaussian_reference(eps_std: float) -> float:
 class SmcConfig:
     particles: int = 100
     total_weight: float = 1.0
-    ess_fraction: float = 0.5
-    backtrack_factor: float = 0.5
     mutation_steps: int = 5
     proposal_mixing: float = 0.5
     e_thre_mode: str = "loss_std_fraction"  # or "fixed"
@@ -78,18 +76,13 @@ class SmcConfig:
     atom_budget: int = DEFAULT_ATOM_BUDGET
 
     def __post_init__(self):
-        _check_counts("smc", vars(self), particles=2, mutation_steps=0, max_iterations=1,
+        # 4 particles: the ESS target, half of them, is then at least 2
+        _check_counts("smc", vars(self), particles=4, mutation_steps=0, max_iterations=1,
                       seed=0, neighbor_count=0, atom_budget=1)
-        _check_reals("smc", vars(self), "total_weight", "ess_fraction", "backtrack_factor",
-                     "proposal_mixing", "e_thre_value", "e_thre_fraction")
+        _check_reals("smc", vars(self), "total_weight", "proposal_mixing", "e_thre_value",
+                     "e_thre_fraction")
         if self.total_weight < 0:
             raise ValueError("total_weight must be >= 0")
-        if not 0.0 < self.ess_fraction <= 1.0:
-            raise ValueError("ess_fraction must be in (0, 1]")
-        if self.ess_fraction * self.particles < 2:
-            raise ValueError("ess threshold below 2 effective particles")
-        if not 0.0 < self.backtrack_factor < 1.0:
-            raise ValueError("backtrack factor must be in (0, 1)")
         if not 0.0 <= self.proposal_mixing < 1.0:
             raise ValueError("proposal mixing must be in [0, 1)")
         if self.e_thre_mode not in ("fixed", "loss_std_fraction"):
@@ -205,10 +198,7 @@ class RunConfig:
         }
 
     def digest(self) -> str:
-        # over smc.total_weight too, SmcConfig's default in a parsed config,
-        # so that digests recorded before it left the keys still match
-        hashed = {**self.to_dict(), "smc": asdict(self.smc)}
-        return hashlib.sha256(json.dumps(hashed, sort_keys=True).encode()).hexdigest()[:16]
+        return hashlib.sha256(json.dumps(self.to_dict(), sort_keys=True).encode()).hexdigest()[:16]
 
 
 def _field_names(cls, *skip: str) -> tuple:

@@ -1,11 +1,12 @@
 """Adaptive tempered SMC driver.
 
 Each iteration: refine the surrogate over the current particles, pick the
-largest weight increment keeping the effective sample size above the
-threshold (greedy with geometric backtracking), reweight, resample,
-then rediversify with an MCMC mutation kernel that leaves the current
-tempered target invariant.  The schedule starts at zero accumulated
-weight and stops exactly at the requested total.
+weight increment that keeps the effective sample size above half the
+particle count (the whole residual weight if it does, else by bisection on
+the increment), reweight, resample, then rediversify with an MCMC
+mutation kernel that leaves the current tempered target invariant.  The
+schedule starts at zero accumulated weight and stops exactly at the
+requested total.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ from .localrb import AtomBudgetError, BasisDegeneracyError, Surrogate
 from .particles import ParticleSet, empirical_moments, ess, log_reweight, reweight
 from .seeding import PHASE_INIT, PHASE_MUTATE, PHASE_RESAMPLE, stream
 
-MIN_DELTA_FRACTION = 1e-10  # accept-anyway floor for the backtracking loop
-E_THRE_FLOOR = 1e-8         # least refinement threshold, in loss units
+ESS_FRACTION = 0.5   # ESS target, as a fraction of the particle count
+BISECTIONS = 20      # halvings of the increment's bracket per iteration
+E_THRE_FLOOR = 1e-8  # least refinement threshold, in loss units
 
 
 class SmcIterationError(RuntimeError):
@@ -72,13 +74,16 @@ def init_particles(domain: ParameterDomain, m: int, rng: np.random.Generator) ->
 
 
 def adapt_step(weights: np.ndarray, losses: np.ndarray, residual_weight: float,
-               ess_threshold: float, backtrack_factor: float,
-               total_weight: float):
-    """Largest geometric-backtracked increment with ESS above the threshold.
+               ess_threshold: float):
+    """Largest tried increment whose ESS is above the threshold.
 
-    Returns (delta_w, new_weights, ess_value, degenerate_flag); the flag is
-    set when even a vanishing increment cannot satisfy the threshold, in
-    which case that increment is accepted anyway.
+    The whole residual is tried first; if it fails, BISECTIONS halvings of
+    [0, residual] follow.  The ESS need not be monotone in the increment
+    (it can rise from a failing value at 0), so the answer is the last
+    midpoint that passed, not the bracket's lower end.  Returns (delta_w,
+    new_weights, ess_value, degenerate_flag); the flag is set when no tried
+    increment passes, and then the smallest, residual / 2**BISECTIONS, is
+    accepted anyway.
     """
     if residual_weight < 0:
         raise ValueError("residual weight must be >= 0")
@@ -86,16 +91,25 @@ def adapt_step(weights: np.ndarray, losses: np.ndarray, residual_weight: float,
         raise ValueError("losses must be finite")
     with np.errstate(divide="ignore"):
         lw0 = np.log(np.asarray(weights, dtype=float))
-    delta = float(residual_weight)
-    while True:
+
+    def reweighted(delta):
         w = np.exp(log_reweight(lw0, losses, delta))
         w /= w.sum()
-        e = ess(w)
+        return w, ess(w)
+
+    delta = float(residual_weight)
+    w, e = reweighted(delta)
+    if e > ess_threshold:
+        return delta, w, e, False
+    lo, hi, passed = 0.0, delta, None
+    for _ in range(BISECTIONS):
+        delta = 0.5 * (lo + hi)
+        w, e = reweighted(delta)
         if e > ess_threshold:
-            return delta, w, e, False
-        if delta < MIN_DELTA_FRACTION * max(total_weight, 1e-300):
-            return delta, w, e, True
-        delta *= backtrack_factor
+            lo, passed = delta, (delta, w, e, False)
+        else:
+            hi = delta
+    return passed or (delta, w, e, True)
 
 
 def resample(particles: ParticleSet, rng: np.random.Generator):
@@ -243,9 +257,7 @@ def run_smc(model, observations, config: SmcConfig, *,
             replay_ess = float("nan")
 
         delta_w, new_weights, ess_val, degenerate = adapt_step(
-            particles.weights, losses, w_total - w_cur,
-            config.ess_fraction * config.particles,
-            config.backtrack_factor, w_total)
+            particles.weights, losses, w_total - w_cur, ESS_FRACTION * config.particles)
         reweighted = ParticleSet(particles.points, new_weights, particles.generation)
         w_next = w_cur + delta_w
 
