@@ -26,61 +26,60 @@ from test_cli import TINY_SMC
 
 CLI_DIGESTS = {
     "particles.csv":
-        "688678a79bacc9f015c1654118635fd87d5bb73dc23cebbbb21703e19eac3342",
+        "f7c48eb102ff97745e0dc41d53d8709d21d244d23c73afd2ddc6d213bd2f52c2",
     "history.csv":
-        "6bd1b27bdaf37c758388d49bf5bda23b33e89f84c5301b70d723246646b921b2",
+        "d68caf453a09a0191608d68da7b07974f179ca5e694d4c6fd8f211f2e9264e29",
     "iteration_losses.csv":
-        "7dc0994d3a32f01656840799e330d976cbfbe9b4dcdab1e098e026ea1c261269",
+        "e3e9cece1020010b7e47446f7f9b24ebb9c83982b52e42a845e7dff3e05b426b",
     "atoms.csv":
-        "08ce792498590905614f4ac6c361bbbeda8b6762f9cd2966450024fcb5ce8291",
+        "4749844ea858f0cf4726c641453b611aa9339d79b22a27890a2a30156edc0ee6",
 }
-LOSS_STD_FRACTION_DIGEST = "5b3f14f126149553e5edd73d3f9309ee78243e96e3bc64a28d274cfa77dc9ff3"
-ADV2D_DIGEST = "9c0aa1d4d4485a418dd7614dea8180d8cf65f4673d92da6ed592aaced231cd86"
+LOSS_STD_FRACTION_DIGEST = "d25f1a80bec33a874fcf80b9ff17d9105087ef19237dd3a203738458ccffe061"
+ADV2D_DIGEST = "1fc0f1914588ce47d9600f7abd3d4700bb722cc87e735e8cc5648effd7cde9f0"
 
 # The work each golden run does: per iteration the atoms added, the cumulative
 # full solves and the cumulative reduced solves; then the iteration count and
 # the run's solve counts.  A change of linear solver moves the last bits of
 # the floats but must leave these unchanged.
-CLI_WORK = ([16, 4, 0], [17, 21, 21], [435, 651, 801], 3,
-            {"full": 21, "sensitivity": 42, "stability": 0})
-LOSS_STD_FRACTION_WORK = ([5, 2, 2, 0], [6, 8, 10, 10], [208, 363, 526, 645], 4,
-                          {"full": 10, "sensitivity": 20, "stability": 0})
-ADV2D_WORK = ([18, 15, 12, 8, 2], [19, 34, 46, 54, 56], [353, 590, 786, 955, 1097], 5,
-              {"full": 56, "sensitivity": 168, "stability": 0})
+CLI_WORK = ([16, 4, 2], [17, 21, 23], [442, 646, 842], 3,
+            {"full": 23, "sensitivity": 46, "stability": 0})
+LOSS_STD_FRACTION_WORK = ([5, 0, 3, 3], [6, 6, 9, 12], [211, 331, 526, 695], 4,
+                          {"full": 12, "sensitivity": 24, "stability": 0})
+ADV2D_WORK = ([18, 17, 11, 10, 0], [19, 36, 47, 57, 57], [353, 591, 802, 995, 1115], 5,
+              {"full": 57, "sensitivity": 171, "stability": 0})
 # the shipped elast2d_layered smc section at nx 8, data and sampler seed 0:
 # five terms, beta priors, the l2 loss and LU-cache misses
-ELAST_DIGEST = "f351771393178b66b6048db680a495e1e0c22d8e21be8b0d316e7b6ff29f5ce2"
-ELAST_WORK = ([29, 17, 21, 10, 30, 18, 28, 9, 27, 20],
-              [30, 47, 68, 78, 108, 126, 154, 163, 190, 210],
-              [2094, 3024, 3866, 4620, 5779, 6806, 7916, 8717, 9784, 10704], 10,
-              {"full": 210, "sensitivity": 1050, "stability": 16})
-ELAST_CELL_BUILDS = 1355
+ELAST_DIGEST = "f30aaabfb44e13d0b794a24eef45447a557b5fcd87cfce11c27301e79d5657b9"
+ELAST_WORK = ([29, 16, 19, 18, 31, 30, 11, 27],
+              [30, 46, 65, 83, 114, 144, 155, 182],
+              [2090, 3001, 3972, 4889, 5989, 7230, 8098, 9281], 8,
+              {"full": 182, "sensitivity": 910, "stability": 4})
+ELAST_CELL_BUILDS = 1168
 # cell basis builds of the adv2d golden run, as the bench counts them
-ADV2D_CELL_BUILDS = 283
+ADV2D_CELL_BUILDS = 291
 # the shipped elast2d_inclusion smc section at nx 8 with 40 particles, data
-# and sampler seed 0: nine terms, a 286-atom cloud that overflows the LU
-# cache, and the cell builds
-INCLUSION_DIGEST = "be9391cc78a0c2f1c1816fb2747ba8c29b6ab02b4902bbfafd23cc4e9fc9516a"
-INCLUSION_WORK = ([39, 17, 11, 11, 14, 19, 18, 24, 26, 35, 28, 19, 24],
-                  [40, 57, 68, 79, 93, 112, 130, 154, 180, 215, 243, 262, 286],
-                  [813, 1120, 1356, 1660, 2131, 2564, 3008, 3493, 3946, 4407, 4855, 5260,
-                   5771], 13,
-                  {"full": 286, "sensitivity": 2574, "stability": 5})
-INCLUSION_CELL_BUILDS = 1526
+# and sampler seed 0: nine terms, a 166-atom cloud, more than the LU cache
+# holds, and the cell builds
+INCLUSION_DIGEST = "da4c9a52a62fffeaf51bb53d3c8353dd5ca30a9153d05381641bdf90f5b893a6"
+INCLUSION_WORK = ([39, 15, 6, 9, 6, 9, 9, 9, 17, 21, 25],
+                  [40, 55, 61, 70, 76, 85, 94, 103, 120, 141, 166],
+                  [810, 1082, 1307, 1612, 1904, 2239, 2616, 2967, 3408, 3924, 4436], 11,
+                  {"full": 166, "sensitivity": 1494, "stability": 0})
+INCLUSION_CELL_BUILDS = 995
 # fixed-seed adv1d RWMH chain: sha256 of its samples, acceptance, full solves
 RWMH_CHAIN = ("a6e4256c14d0461f9b8e4ebc61b394ef6662d59da08ee538fc18340244e373f7",
               0.085, 286)
 # marginal_cdfs.csv of the tiny run-smc (seed 7), run-mcmc and oracle runs
 CDF_DIGESTS = {
-    "run-smc": "242b659a22b8d7bc9b778feaf4287a01f4eb511ad1ac3393ffc5f0f3ef751316",
+    "run-smc": "b5a5d472598797e947d9efb21f4b1f896c1a01309348ec86825ef8d34aae6817",
     "run-mcmc": "1d1ea1d79e49eb58fb116c3d96127702fec79b1f86752c46a7bdeae7057a6e56",
     "oracle": "20e47df9062dc112ed6eca065e8a98e82575785214eeedce7f758bc0d79e15c1",
 }
 # report.json of compare, the seed-7 and seed-8 runs against each kind of reference
 REPORT_DIGESTS = {
-    "oracle": "fbdb5d2093d84d8a0a2da7b50a81967476e4350901723b764b76a86f13b8573e",
-    "run-mcmc": "f127a0683b9338534d9876231b58f00eb0fdda9751e2a97d0d919d2ae0cad243",
-    "run-smc": "775e4914fbb54e081a67fd29e5cd031a1685f7d22ade1eb63662ed247f1114ef",
+    "oracle": "d7d18b4523517e25c40ea0a8b0049264100531a2ed92c5ecb7ce7b6f388fb152",
+    "run-mcmc": "5aac7f776d1c6b99c9d691f07cf7dba0047649a849b22e6b1d230606854e7013",
+    "run-smc": "22097262fa8be488a3efc05fa423178310d8537c47e2ccaddcbe808467af94b0",
 }
 # the exact (full-solve) loss path, per preset: sha256 of model.loss at 32
 # prior draws (generator seed 11, data seed 3, two data rows), then of
@@ -260,7 +259,7 @@ def test_run_smc_adv2d_work_golden(adv2d_run):
 
 def test_run_smc_adv2d_cell_builds_golden(adv2d_run):
     result, builds = adv2d_run
-    assert (builds, result.surrogate.n_atoms) == (ADV2D_CELL_BUILDS, 56)
+    assert (builds, result.surrogate.n_atoms) == (ADV2D_CELL_BUILDS, 57)
 
 
 def test_run_smc_elast_golden(elast_run):
@@ -270,7 +269,7 @@ def test_run_smc_elast_golden(elast_run):
 def test_run_smc_elast_work_golden(elast_run):
     result, builds = elast_run
     assert _work(result) == ELAST_WORK
-    assert (builds, result.surrogate.n_atoms) == (ELAST_CELL_BUILDS, 210)
+    assert (builds, result.surrogate.n_atoms) == (ELAST_CELL_BUILDS, 182)
 
 
 def test_run_smc_inclusion_golden(inclusion_run):
@@ -280,7 +279,7 @@ def test_run_smc_inclusion_golden(inclusion_run):
 def test_run_smc_inclusion_work_golden(inclusion_run):
     result, builds = inclusion_run
     assert _work(result) == INCLUSION_WORK
-    assert (builds, result.surrogate.n_atoms) == (INCLUSION_CELL_BUILDS, 286)
+    assert (builds, result.surrogate.n_atoms) == (INCLUSION_CELL_BUILDS, 166)
 
 
 def test_run_rwmh_chain_golden(adv1d_obs):
@@ -308,8 +307,8 @@ def test_exact_loss_golden(preset, mesh):
 # every cell spans all snapshots once there are 13 atoms), 20 particles,
 # data seed 0, sampler seeds 0-2; sha256 of the three clouds' points and
 # weights, then per call (full solves, reduced solves, cell builds)
-BENCH_SMC_ADV1D = ("b5ed7f9368c87225f020b2aab02081a3f23547d6d8a561dd92f4c273a7c0eecb",
-                   ((9, 821, 45), (11, 852, 63), (10, 715, 55)))
+BENCH_SMC_ADV1D = ("53ed5d35f3e7d2886e640ce2b543bc9bf02d0fa28606b704396d88e2ff8ea17a",
+                   ((9, 686, 45), (11, 727, 66), (10, 710, 55)))
 
 
 def test_bench_smc_adv1d_shape_golden():
