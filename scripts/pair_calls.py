@@ -10,7 +10,8 @@ seed measures a change where the medians of separate runs cannot.
 
 It prints each side's median call wall time, the median ratio B / A of
 the calls' wall times with its quartiles, how many calls B ran faster,
-and how many calls' digests (their samples or particles) are equal.
+each side's mean full solves and iterations per call, and how many calls'
+digests (their samples or particles) are equal.
 
     python scripts/pair_calls.py ../parent . --workload rwmh-adv1d --calls 300
 """
@@ -35,7 +36,8 @@ state = worker.setup(worker.WORKLOADS[workload])[1]
 print("ready", flush=True)
 for line in sys.stdin:
     rec = worker.run_once(workload, state, int(line))
-    print(json.dumps({"wall_s": rec["wall_s"], "digest": rec["digest"]}), flush=True)
+    print(json.dumps({key: rec[key] for key in ("wall_s", "digest", "full_solves",
+                                                "iterations")}), flush=True)
 """
 
 
@@ -87,6 +89,8 @@ def summary(pairs: list) -> dict:
     return {"median_a": statistics.median(walls[0]), "median_b": statistics.median(walls[1]),
             "ratio": statistics.median(ratios), "quartiles": (q1, q3),
             "wins": sum(b["wall_s"] < a["wall_s"] for a, b in pairs),
+            "work": [{key: statistics.mean(rec[key] for rec in side)
+                      for key in ("full_solves", "iterations")} for side in zip(*pairs)],
             "digests_equal": sum(a["digest"] == b["digest"] for a, b in pairs)}
 
 
@@ -108,6 +112,9 @@ def main(argv=None) -> int:
     print(f"B / A per call: median {s['ratio']:.3f} "
           f"[{s['quartiles'][0]:.3f}, {s['quartiles'][1]:.3f}]")
     print(f"B faster: {s['wins']} of {n}")
+    a, b = s["work"]
+    print(f"mean per call, A / B: full solves {a['full_solves']:.2f} / {b['full_solves']:.2f}, "
+          f"iterations {a['iterations']:.2f} / {b['iterations']:.2f}")
     print(f"digests equal: {s['digests_equal']} of {n}")
     return 0
 

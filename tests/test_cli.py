@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -429,4 +430,7 @@ def test_pair_calls_script_same_checkout_twice():
     lines = done.stdout.splitlines()
     assert lines[0] == "rwmh-adv1d: 4 calls per side, seeds 0-3"
     assert lines[3].startswith("B / A per call: median ")
+    # the same calls on both sides do the same work
+    assert re.fullmatch(r"mean per call, A / B: full solves (\d+\.\d\d) / \1, "
+                        r"iterations 200\.00 / 200\.00", lines[-2])
     assert lines[-1] == "digests equal: 4 of 4"
