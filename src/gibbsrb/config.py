@@ -69,7 +69,6 @@ class SmcConfig:
     proposal_mixing: float = 0.5
     e_thre_mode: str = "loss_std_fraction"  # or "fixed"
     e_thre_value: float = 1e-3
-    e_thre_fraction: float = 0.02
     max_iterations: int = 50
     seed: int = 0
     neighbor_count: int = DEFAULT_NEIGHBORS
@@ -79,17 +78,15 @@ class SmcConfig:
         # 4 particles: the ESS target, half of them, is then at least 2
         _check_counts("smc", vars(self), particles=4, mutation_steps=0, max_iterations=1,
                       seed=0, neighbor_count=0, atom_budget=1)
-        _check_reals("smc", vars(self), "total_weight", "proposal_mixing", "e_thre_value",
-                     "e_thre_fraction")
+        _check_reals("smc", vars(self), "total_weight", "proposal_mixing", "e_thre_value")
         if self.total_weight < 0:
             raise ValueError("total_weight must be >= 0")
         if not 0.0 <= self.proposal_mixing < 1.0:
             raise ValueError("proposal mixing must be in [0, 1)")
         if self.e_thre_mode not in ("fixed", "loss_std_fraction"):
             raise ValueError("e_thre mode must be 'fixed' or 'loss_std_fraction'")
-        for key in ("e_thre_value", "e_thre_fraction"):
-            if not getattr(self, key) > 0:
-                raise ValueError(f"{key} must be > 0")
+        if not self.e_thre_value > 0:
+            raise ValueError("e_thre_value must be > 0")
 
 
 @dataclass

@@ -15,13 +15,16 @@ import numpy as np
 
 from .domain import ParameterDomain
 from .oracle import GridPosterior
-from .particles import ParticleSet, kl_reweighted
+from .particles import ParticleSet, ess, kl_reweighted, log_reweight
 from .runio import write_json
 
 THRESHOLDS_PER_DIM = 32
 AUDIT_FRACTION = 0.10
 ASSUMPTION_SLACK = 1.1
 CONCENTRATION_SLACK = 1.1
+# least ESS/m of the final cloud's exact-loss importance correction; the
+# shipped configs read 0.9995 or more
+FINAL_ESS_FRACTION = 0.99
 
 
 # --------------------------------------------------------------------------
@@ -161,12 +164,13 @@ def ks_distance(particles: ParticleSet, reference, dim: int) -> float:
 @dataclass
 class BoundReport:
     iterations: list = field(default_factory=list)
+    final: dict | None = None
     concentration_ok: bool = True
     passed: bool = True
 
     def to_json(self, path) -> None:
         write_json(path, {"passed": self.passed, "concentration_ok": self.concentration_ok,
-                          "iterations": self.iterations})
+                          "iterations": self.iterations, "final": self.final})
 
 
 def bound_suite(result, model, observations, seed: int = 0) -> BoundReport:
@@ -180,11 +184,15 @@ def bound_suite(result, model, observations, seed: int = 0) -> BoundReport:
     concentrates, the last cloud's covariance trace being at most
     CONCENTRATION_SLACK times the starting cloud's.  A tempered cloud's
     spread need not shrink in every iteration, so (c) compares only the
-    ends of the run.
+    ends of the run.  (d) The cloud the run returns, whose losses come from
+    its last mutation, keeps an ESS of at least FINAL_ESS_FRACTION m under
+    the importance correction to the exact losses, weights proportional to
+    w exp(-W (L_exact - L_surrogate)) at the final weight W.
 
-    Exact losses are recomputed with full solves; every other input comes
-    from the stored run history, including the surrogate losses as they
-    were at that iteration.
+    Exact losses are recomputed with full solves, one per particle and
+    iteration plus one per final particle; every other input comes from
+    the stored run, including the surrogate losses as they were at that
+    iteration.
     """
     rng = np.random.default_rng(seed)
     report = BoundReport()
@@ -213,4 +221,14 @@ def bound_suite(result, model, observations, seed: int = 0) -> BoundReport:
         report.passed = report.passed and ok_a and ok_b
     report.concentration_ok = bool(traces[-1] <= CONCENTRATION_SLACK * traces[0])
     report.passed = report.passed and report.concentration_ok
+    if result.final_losses is not None:
+        final, w = result.particles, result.final_weight
+        exact = np.array([model.loss(p, observations) for p in final.points])
+        gaps = exact - result.final_losses
+        e_observed = float(np.max(np.abs(gaps)))
+        ess_fraction = ess(np.exp(log_reweight(np.log(final.weights), gaps, w))) / final.m
+        ok_d = ess_fraction >= FINAL_ESS_FRACTION
+        report.final = {"w": w, "e_observed": e_observed, "w_max_gap": w * e_observed,
+                        "ess_fraction": ess_fraction, "ess_ok": bool(ok_d)}
+        report.passed = report.passed and ok_d
     return report

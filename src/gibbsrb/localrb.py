@@ -12,11 +12,11 @@ A query builds, in one stacked pass, the cells it first lands in and, when
 it reads indicators, the indicator factors its cells lack; loss-only
 queries never touch the LU cache, so its misses happen only in factor builds.
 
-The state-error indicator divides that preconditioned residual norm by a
-stability constant calibrated on the fly from the (residual, true error)
-pairs that every atom insertion produces for free.  The loss indicator
-converts the state indicator through the loss kind: an exact quadratic
-bound for squared losses, Lipschitz constants for the l1/l2 kinds.
+The state-error indicator is that preconditioned residual norm.  It is an
+estimate, not a certified bound: the true error can exceed it where A_k is
+a poor preconditioner for A(xi).  The loss indicator converts it through
+the loss kind: an exact quadratic bound for squared losses, Lipschitz
+constants for the l1/l2 kinds.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ from .forward.model import vstack_csr
 
 DUPLICATE_TOL = 1e-12       # scaled-coordinate distance
 ORTHO_DROP_TOL = 1e-10      # relative column drop threshold in the basis QR
-CALIBRATION_QUANTILE = 20  # percentile of recent insertion ratios, numpy's "linear" rule
-CALIBRATION_WINDOW = 50
 _LU_CACHE_SIZE = 64
 
 
@@ -72,16 +70,6 @@ class _Cell:
     obs_basis: np.ndarray | None = None       # D_obs Phi
     precond_factor: np.ndarray | None = None  # R of qr(A_k^{-1} [f_q | A_p Phi]),
                                               # None until an indicator is read
-
-
-def _percentile(values, pct: float) -> float:
-    """np.percentile(values, pct), bit for bit: numpy's "linear" index and
-    interpolation, without its partition."""
-    s = np.sort(values)
-    v = (len(s) - 1) * (pct / 100)
-    i = int(v)
-    a, b, g = float(s[i]), float(s[min(i + 1, len(s) - 1)]), v - i
-    return a + (b - a) * g if g < 0.5 else b - (b - a) * (1 - g)
 
 
 def _groups(ks: list, key) -> dict:
@@ -133,7 +121,6 @@ class Surrogate:
         # [A_1; ...; A_P; D_obs]: one sparse product per cell build
         self._stacked_terms = vstack_csr(list(model.operator_terms) + [model.obs_matrix])
         self._rhs_cols = np.column_stack(model.rhs_terms)
-        self._ratios: list[float] = []
         self._obs_norm = model.observation_operator_norm()
         self._lu_cache: dict[int, object] = {}
         self._staged: dict[int, tuple] = {}  # a stacked pass's arrays per cell
@@ -150,13 +137,6 @@ class Surrogate:
         if self.model.loss_kind == "l1":
             return n_data * np.sqrt(D) * self._obs_norm
         return n_data * self._obs_norm
-
-    @property
-    def stability_constant(self) -> float:
-        """Divisor turning the preconditioned residual into a state-error bound."""
-        if not self._ratios:
-            return 1.0
-        return _percentile(self._ratios[-CALIBRATION_WINDOW:], CALIBRATION_QUANTILE)
 
     # ----- geometry -----
     def _nearest(self, points: np.ndarray) -> np.ndarray:
@@ -203,9 +183,9 @@ class Surrogate:
     def add_atom(self, xi: np.ndarray) -> int:
         """Insert an atom: one factorization of A(xi), shared by a full and a
         sensitivity solve, and kept in the LU cache for the new cell's
-        indicator factor.  The new cell, and the fresh cell that replaces
-        every cell whose neighbor set changed, is unbuilt until a query lands
-        in it.
+        indicator factor.  It makes no reduced solve and builds no cell: the
+        new cell, and the fresh cell that replaces every cell whose neighbor
+        set changed, is unbuilt until a query lands in it.
 
         A point outside the parameter box raises ValueError from the
         factorization, before any surrogate state changes.
@@ -220,25 +200,12 @@ class Surrogate:
                 raise DuplicateAtomError(f"atom at {xi} duplicates atom "
                                          f"{int(np.argmin(d2))}")
         factors = self.model.factorize(xi)
-        # calibration byproduct: (raw indicator, prediction) at the insertion
-        # point; the raw indicator is inf where the reduced system is singular
-        raw = np.inf
-        if self.atoms:
-            (k,), coeffs, _, (raw,) = self.reduced_solve(xi[None])
-            basis = self.cells[k].basis
-            prediction = basis @ coeffs[0, :basis.shape[1]]
-
         u = self.model.solve_full(xi, factors)
         grad = self.model.solve_sensitivity(u, factors[1])
         idx = self.n_atoms
         self.atoms.append(Atom(location=xi, snapshot=u, gradient=grad))
         self._lu_stash(idx, factors[1])
         self._insert_location(s)
-
-        if np.isfinite(raw):
-            err = np.linalg.norm(u - prediction)
-            if err > 1e-13 * max(np.linalg.norm(u), 1.0):
-                self._ratios.append(raw / err)
         return idx
 
     def _lu_stash(self, idx, lu):
@@ -382,11 +349,9 @@ class Surrogate:
         cell's basis rank r.  The points of all hosting cells of one rank
         are solved in one stacked call, on the cells' arrays gathered per
         point.  Where a cell's reduced system is singular the coefficients
-        and outputs are NaN and the raw indicator is inf.  Raw indicators
-        do not depend on the calibration state, so they can be cached
-        across refinement steps while the stability constant keeps
-        adapting.  With ``indicators=False`` the raw indicators are None,
-        and no indicator factor is built or read.
+        and outputs are NaN and the raw indicator is inf.  With
+        ``indicators=False`` the raw indicators are None, and no indicator
+        factor is built or read.
         """
         points = np.asarray(points, dtype=float)
         n = len(points)
@@ -430,9 +395,10 @@ class Surrogate:
         return losses, raws, dist_sums
 
     def _loss_indicator_from_raw(self, raw, dist_sum, n_data: int) -> np.ndarray:
-        """Loss-error indicators from raw indicators and data-distance sums
-        (arrays or scalars); +inf where the reduced system is singular."""
-        eps_u = np.asarray(raw, dtype=float) / self.stability_constant
+        """Loss-error indicators from raw indicators, taken as the state
+        errors eps_u, and data-distance sums (arrays or scalars); +inf where
+        the reduced system is singular."""
+        eps_u = np.asarray(raw, dtype=float)
         if self.model.loss_kind != "squared_l2":
             return self.holder_k(n_data) * eps_u
         step = self._obs_norm * eps_u
@@ -493,8 +459,7 @@ class Surrogate:
         if e_thre <= 0:
             raise ValueError("e_thre must be positive")
 
-        # raw quantities are exact while a particle's cell is untouched; the
-        # current calibration is applied fresh on every pass
+        # a particle's raw quantities hold while its cell is untouched
         inds = self._loss_indicator_from_raw(raws, dist_sums, observations.n)
         start = self.n_atoms
         while np.max(inds) > e_thre:  # a NaN indicator ends refinement

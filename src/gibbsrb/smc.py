@@ -26,6 +26,10 @@ from .seeding import PHASE_INIT, PHASE_MUTATE, PHASE_RESAMPLE, stream
 ESS_FRACTION = 0.5   # ESS target, as a fraction of the particle count
 BISECTIONS = 20      # halvings of the increment's bracket per iteration
 E_THRE_FLOOR = 1e-8  # least refinement threshold, in loss units
+# loss_std_fraction threshold, as a fraction of the particles' loss std: the
+# ESS rule holds delta_w * std(L) near 1-2, so the loss error it allows moves
+# a log-weight by about 0.25-0.5
+E_THRE_FRACTION = 0.25
 
 
 class SmcIterationError(RuntimeError):
@@ -57,6 +61,8 @@ class SmcResult:
     snapshots: list             # particle sets at t = 0..N (start, then per iteration)
     surrogate: Surrogate
     config: SmcConfig
+    final_losses: Optional[np.ndarray]  # surrogate losses at the final points, from
+                                        # the last mutation; None after no iteration
     solve_counts: dict = field(default_factory=dict)
 
     @property
@@ -205,7 +211,7 @@ def _resolve_e_thre(config: SmcConfig, losses: np.ndarray) -> float:
         return max(config.e_thre_value, E_THRE_FLOOR)
     vals = losses[~np.isnan(losses)]  # singular points are left out
     spread = float(np.std(vals)) if vals.size else 0.0
-    return max(config.e_thre_fraction * spread, E_THRE_FLOOR)
+    return max(E_THRE_FRACTION * spread, E_THRE_FLOOR)
 
 
 def run_smc(model, observations, config: SmcConfig, *,
@@ -233,6 +239,7 @@ def run_smc(model, observations, config: SmcConfig, *,
     t = 0
     history: list[IterationRecord] = []
     snapshots = [particles.copy()]
+    final_losses = None
 
     while w_cur < w_total:
         t += 1
@@ -263,7 +270,7 @@ def run_smc(model, observations, config: SmcConfig, *,
 
         moments = empirical_moments(reweighted, domain)
         resampled, ancestor_idx = resample(reweighted, stream(config.seed, PHASE_RESAMPLE, t))
-        mutated, acc_rate, _ = mutate(
+        mutated, acc_rate, final_losses = mutate(
             resampled, loss_fn, domain, w_next, moments, config,
             config.seed, t, current_losses=losses[ancestor_idx])
 
@@ -282,6 +289,6 @@ def run_smc(model, observations, config: SmcConfig, *,
     counts = model.counters.snapshot()
     return SmcResult(
         particles=particles, history=history, snapshots=snapshots,
-        surrogate=surrogate, config=config,
+        surrogate=surrogate, config=config, final_losses=final_losses,
         solve_counts={k: counts[k] - counters0[k] for k in counts},
     )

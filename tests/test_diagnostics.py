@@ -6,7 +6,7 @@ import pytest
 
 from gibbsrb import assemble, gen_data
 from gibbsrb.config import RunConfig, build_model, build_observations, resolve_total_weight
-from gibbsrb.diagnostics import bound_suite, h_proxy, ks_distance
+from gibbsrb.diagnostics import FINAL_ESS_FRACTION, bound_suite, h_proxy, ks_distance
 from gibbsrb.domain import ParameterDomain, PriorSpec
 from gibbsrb.oracle import grid_posterior
 from gibbsrb.particles import ParticleSet
@@ -152,14 +152,31 @@ def test_bound_suite_fails_a_cloud_that_does_not_concentrate(small_run):
     assert not report.concentration_ok and not report.passed
 
 
+def test_bound_suite_final_row_fails_a_known_loss_error(small_run):
+    model, obs, result = small_run
+    report = bound_suite(result, model, obs, seed=1)
+    assert report.final["ess_fraction"] >= FINAL_ESS_FRACTION and report.passed
+    # an error of +-0.05 on alternate final losses moves each log-weight by
+    # W * 0.05 = 0.835, which caps ESS/m at cosh(0.835)^2 / cosh(1.67) = 0.68
+    error = np.where(np.arange(result.particles.m) % 2, 0.05, -0.05)
+    offset = replace(result, final_losses=result.final_losses + error)
+    report = bound_suite(offset, model, obs, seed=1)
+    assert all(row["assumption_ok"] and row["kl_ok"] for row in report.iterations)
+    assert report.concentration_ok
+    assert report.final["w_max_gap"] >= result.final_weight * 0.05 - 1e-12
+    assert report.final["ess_fraction"] < 0.75
+    assert not report.final["ess_ok"] and not report.passed
+
+
 def test_bound_suite_exact_mode_all_zero(adv1d_model, adv1d_obs):
     cfg = SmcConfig(particles=30, total_weight=4.0, seed=2)
     result = run_smc(adv1d_model, adv1d_obs, cfg, surrogate=ExactLoss(adv1d_model))
     report = bound_suite(result, adv1d_model, adv1d_obs, seed=2)
     assert report.passed
-    for row in report.iterations:
+    for row in report.iterations + [report.final]:
         assert row["e_observed"] == pytest.approx(0.0, abs=1e-12)
-        assert row["kl"] == pytest.approx(0.0, abs=1e-12)
+    assert all(row["kl"] == pytest.approx(0.0, abs=1e-12) for row in report.iterations)
+    assert report.final["ess_fraction"] == pytest.approx(1.0)
 
 
 def test_constant_loss_offset_changes_nothing(small_run):
@@ -188,3 +205,4 @@ def test_bound_report_json(tmp_path, small_run):
     assert data["passed"] == report.passed
     assert data["concentration_ok"] == report.concentration_ok
     assert len(data["iterations"]) == len(report.iterations)
+    assert data["final"] == report.final

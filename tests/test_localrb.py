@@ -3,8 +3,7 @@ import pytest
 
 from gibbsrb import ObservationSet, Surrogate, assemble, gen_data, localrb
 from gibbsrb.forward.model import ForwardModel
-from gibbsrb.localrb import (CALIBRATION_QUANTILE, CALIBRATION_WINDOW, AtomBudgetError,
-                             BasisDegeneracyError, DuplicateAtomError)
+from gibbsrb.localrb import AtomBudgetError, BasisDegeneracyError, DuplicateAtomError
 
 from test_forward_models import SMALL_PRESET_IDS
 
@@ -251,7 +250,7 @@ def test_state_indicator_bounds_error(adv1d_model, adv1d_obs):
     hits = 0
     pts = rng.random((20, 2))
     states, _, raws = _states(s, pts)
-    for xi, ubar, eps_u in zip(pts, states, raws / s.stability_constant):
+    for xi, ubar, eps_u in zip(pts, states, raws):
         err = np.linalg.norm(ubar - adv1d_model.solve_full(xi))
         if eps_u >= err * (1 - 0.5):
             hits += 1
@@ -262,7 +261,7 @@ def test_indicator_zero_at_atoms(adv1d_model):
     s = Surrogate(adv1d_model)
     s.add_atom(np.array([0.4, 0.6]))
     s.add_atom(np.array([0.7, 0.2]))
-    eps_u = _raw_indicator(s, [0.4, 0.6]) / s.stability_constant
+    eps_u = _raw_indicator(s, [0.4, 0.6])
     f = adv1d_model.rhs_at(np.array([0.4, 0.6]))
     assert eps_u <= 1e-7 * np.linalg.norm(f)
 
@@ -278,7 +277,6 @@ def test_loss_indicator_quadratic_bound_arithmetic():
     stub = S.__new__(S)
     stub.model = _Stub()
     stub._obs_norm = 1.0
-    stub._ratios = []
     observed = np.array([2.0, 0.0])
     obs = ObservationSet(data=np.array([[1.0, 0.0]]))
     dist_sum = float(np.sum(np.linalg.norm(observed[None, :] - obs.data, axis=1)))
@@ -380,8 +378,7 @@ def test_refine_tracked_hosts_equal_nearest(adv1d_model, adv1d_obs, monkeypatch)
 
 
 def test_refine_searches_the_cloud_once(adv1d_model, adv1d_obs, monkeypatch):
-    # one search of the whole cloud per call; each insertion searches only
-    # its own point, for add_atom's calibration solve
+    # one search of the whole cloud per call; an insertion makes no search
     s = Surrogate(adv1d_model)
     sizes = []
     nearest = Surrogate._nearest
@@ -396,7 +393,7 @@ def test_refine_searches_the_cloud_once(adv1d_model, adv1d_obs, monkeypatch):
         sizes.clear()
         report = s.refine_over_particles(pts, adv1d_obs, e_thre=1e-4)
         assert report.atoms_added > 0
-        assert sizes == [30] + [1] * report.atoms_added
+        assert sizes == [30]
 
 
 def test_atom_budget(adv1d_model, adv1d_obs):
@@ -404,53 +401,6 @@ def test_atom_budget(adv1d_model, adv1d_obs):
     rng = np.random.default_rng(9)
     with pytest.raises(AtomBudgetError):
         s.refine_over_particles(rng.random((50, 2)), adv1d_obs, e_thre=1e-12)
-
-
-def _fresh_stability(s):
-    recent = s._ratios[-CALIBRATION_WINDOW:]
-    return float(np.percentile(recent, CALIBRATION_QUANTILE))
-
-
-def test_percentile_equals_numpy_linear_rule():
-    # every window length the calibration sees, at scales far apart, with
-    # repeated values mixed in
-    rng = np.random.default_rng(29)
-    for _ in range(3000):
-        n = int(rng.integers(1, CALIBRATION_WINDOW + 10))
-        values = 10.0 ** rng.uniform(-3, 5) * rng.random(n)
-        if n > 2 and rng.random() < 0.2:
-            values[rng.integers(0, n, n // 2)] = values[0]
-        for pct in (CALIBRATION_QUANTILE, 0, 50, 100 * rng.random()):
-            want = float(np.percentile(values, pct))
-            assert localrb._percentile(list(values), pct) == want, (values, pct)
-
-
-def test_cached_stability_constant_tracks_insertions(adv1d_model):
-    s = Surrogate(adv1d_model)
-    assert s.stability_constant == 1.0
-    rng = np.random.default_rng(12)
-    for xi in rng.random((12, 2)):
-        s.add_atom(xi)
-        if s._ratios:
-            assert s.stability_constant == _fresh_stability(s)
-    assert len(s._ratios) >= 5
-
-
-def test_cached_stability_constant_during_refinement(adv1d_model, adv1d_obs):
-    s = Surrogate(adv1d_model)
-    checked = []
-    from_raw = s._loss_indicator_from_raw
-
-    def checking(raw, dist_sum, n_data):
-        if s._ratios:
-            assert s.stability_constant == _fresh_stability(s)
-            checked.append(len(s._ratios))
-        return from_raw(raw, dist_sum, n_data)
-
-    s._loss_indicator_from_raw = checking
-    s.refine_over_particles(np.random.default_rng(13).random((40, 2)), adv1d_obs,
-                            e_thre=1e-3)
-    assert len(set(checked)) >= 3  # seen across several calibration states
 
 
 def _scalar_eval(s, xi, observations):

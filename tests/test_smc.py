@@ -53,7 +53,7 @@ COUNT_KEYS = [("smc", key) for key in ("particles", "mutation_steps", "max_itera
     ("mcmc", "samples"), ("mcmc", "burn_in"), ("weight_selection", "grid_size"),
     ("data", "n_obs"), ("oracle", "grid")]
 # every float config key, by section
-FLOAT_KEYS = [("smc", key) for key in ("proposal_mixing", "e_thre_value", "e_thre_fraction")] + [
+FLOAT_KEYS = [("smc", key) for key in ("proposal_mixing", "e_thre_value")] + [
     ("mcmc", "step_scale"), ("weight_selection", "range_factor"),
     ("weight_selection", "stabilizer"), ("data", "noise_pct"), ("gibbs", "total_weight")]
 
@@ -66,8 +66,10 @@ FLOAT_KEYS = [("smc", key) for key in ("proposal_mixing", "e_thre_value", "e_thr
     ({"smc": {"max_iterations": 0}}, "max_iterations"),
     ({"smc": {"e_thre_value": 0.0}}, "e_thre_value"),
     ({"smc": {"e_thre_value": -1e-3}}, "e_thre_value"),
-    ({"smc": {"e_thre_fraction": 0.0}}, "e_thre_fraction"),
-    ({"smc": {"e_thre_fraction": float("nan")}}, "e_thre_fraction"),
+    # the loss-std fraction is the constant smc.E_THRE_FRACTION: the retired
+    # key fails even at a value it once took, and the error names it
+    ({"smc": {"e_thre_fraction": 0.02}}, "e_thre_fraction"),
+    ({"smc": {"e_thre_fraction": 0.25}}, "e_thre_fraction"),
     ({"model": {"preset": "adv1d", "mesh": 5}}, "model.mesh must be a mapping, not 5")] + [
     ({section: {key: value}}, f"{section}.{key} must be an integer")
     for section, key in COUNT_KEYS for value in (2.5, "3", True)] + [
@@ -83,7 +85,14 @@ FLOAT_KEYS = [("smc", key) for key in ("proposal_mixing", "e_thre_value", "e_thr
     for key in ("ess_fraction", "backtrack_factor")
     for value in (float("nan"), float("inf"), 0.5, True)] + [
     ({section: {key: value}}, f"{section}.{key} must be a finite number")
-    for section, key in FLOAT_KEYS for value in (float("nan"), float("inf"), "0.5", True)] + [
+    for section, key in FLOAT_KEYS[:2] for value in (float("nan"), float("inf"), "0.5", True)] + [
+    # the retired smc.e_thre_fraction fails whatever its value; its cases sit
+    # where its float checks were, which keeps the positional ids of the
+    # cases after them
+    ({"smc": {"e_thre_fraction": value}}, "unknown config key smc.e_thre_fraction")
+    for value in (float("nan"), float("inf"), "0.5", True)] + [
+    ({section: {key: value}}, f"{section}.{key} must be a finite number")
+    for section, key in FLOAT_KEYS[2:] for value in (float("nan"), float("inf"), "0.5", True)] + [
     ({"model": {"preset": "elast2d_layered", "mesh": {"nx": 4}}}, "model.mesh.nx must be >= 5"),
     ({"model": {"preset": "elast2d_inclusion", "mesh": {"nx": 2}}},
      "model.mesh.nx must be >= 3"),
@@ -104,8 +113,7 @@ def test_bad_smc_values_rejected_at_parse(raw, key):
     with pytest.raises(ValueError, match=key):
         RunConfig.from_dict(raw)
     RunConfig.from_dict({"gibbs": {"total_weight": 0.0},
-                         "smc": {"max_iterations": 1, "e_thre_value": 1e-300,
-                                 "e_thre_fraction": 1e-300},
+                         "smc": {"max_iterations": 1, "e_thre_value": 1e-300},
                          "data": {"noise_pct": 0},
                          "weight_selection": {"range_factor": np.float64(1.5), "stabilizer": 1},
                          "model": {"preset": "adv1d", "mesh": {"cells": 4}}})
