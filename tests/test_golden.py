@@ -28,44 +28,44 @@ CLI_DIGESTS = {
     "particles.csv":
         "f7c48eb102ff97745e0dc41d53d8709d21d244d23c73afd2ddc6d213bd2f52c2",
     "history.csv":
-        "d68caf453a09a0191608d68da7b07974f179ca5e694d4c6fd8f211f2e9264e29",
+        "421c770acb14f01eb66df17c200575a305f7a031d593688b0e83e77b9425c4e2",
     "iteration_losses.csv":
         "e3e9cece1020010b7e47446f7f9b24ebb9c83982b52e42a845e7dff3e05b426b",
     "atoms.csv":
         "4749844ea858f0cf4726c641453b611aa9339d79b22a27890a2a30156edc0ee6",
 }
-LOSS_STD_FRACTION_DIGEST = "d25f1a80bec33a874fcf80b9ff17d9105087ef19237dd3a203738458ccffe061"
-ADV2D_DIGEST = "1fc0f1914588ce47d9600f7abd3d4700bb722cc87e735e8cc5648effd7cde9f0"
+LOSS_STD_FRACTION_DIGEST = "1cab550363fbfb550c05abb5852315f2f81e40baf0205e6f3ea6d6fc9191911f"
+ADV2D_DIGEST = "0b10f6daf8a53a24a706f7f802c4ede4039ff303f8e4aa6d754e3e2960a060d1"
 
 # The work each golden run does: per iteration the atoms added, the cumulative
 # full solves and the cumulative reduced solves; then the iteration count and
 # the run's solve counts.  A change of linear solver moves the last bits of
 # the floats but must leave these unchanged.
-CLI_WORK = ([16, 4, 2], [17, 21, 23], [442, 646, 842], 3,
+CLI_WORK = ([16, 4, 2], [17, 21, 23], [426, 626, 820], 3,
             {"full": 23, "sensitivity": 46, "stability": 0})
-LOSS_STD_FRACTION_WORK = ([5, 0, 3, 3], [6, 6, 9, 12], [211, 331, 526, 695], 4,
-                          {"full": 12, "sensitivity": 24, "stability": 0})
-ADV2D_WORK = ([18, 17, 11, 10, 0], [19, 36, 47, 57, 57], [353, 591, 802, 995, 1115], 5,
-              {"full": 57, "sensitivity": 171, "stability": 0})
+LOSS_STD_FRACTION_WORK = ([3, 0, 1, 1], [4, 4, 5, 6], [158, 278, 422, 564], 4,
+                          {"full": 6, "sensitivity": 12, "stability": 0})
+ADV2D_WORK = ([18, 17, 11, 9, 0], [19, 36, 47, 56, 56], [335, 556, 756, 933, 1053], 5,
+              {"full": 56, "sensitivity": 168, "stability": 0})
 # the shipped elast2d_layered smc section at nx 8, data and sampler seed 0:
-# five terms, beta priors, the l2 loss and LU-cache misses
-ELAST_DIGEST = "f30aaabfb44e13d0b794a24eef45447a557b5fcd87cfce11c27301e79d5657b9"
-ELAST_WORK = ([29, 16, 19, 18, 31, 30, 11, 27],
-              [30, 46, 65, 83, 114, 144, 155, 182],
-              [2090, 3001, 3972, 4889, 5989, 7230, 8098, 9281], 8,
-              {"full": 182, "sensitivity": 910, "stability": 4})
-ELAST_CELL_BUILDS = 1168
+# five terms, beta priors and the l2 loss
+ELAST_DIGEST = "619633f7a6a41309c070d7726747d37469b60ef7a601bef0f989ec0500d51155"
+ELAST_WORK = ([5, 7, 3, 13, 3, 9, 1, 13],
+              [6, 13, 16, 29, 32, 41, 42, 55],
+              [976, 2072, 2890, 4031, 4863, 5938, 6643, 7951], 8,
+              {"full": 55, "sensitivity": 275, "stability": 0})
+ELAST_CELL_BUILDS = 379
 # cell basis builds of the adv2d golden run, as the bench counts them
-ADV2D_CELL_BUILDS = 291
+ADV2D_CELL_BUILDS = 286
 # the shipped elast2d_inclusion smc section at nx 8 with 40 particles, data
-# and sampler seed 0: nine terms, a 166-atom cloud, more than the LU cache
+# and sampler seed 0: nine terms, a 94-atom cloud, more than the LU cache
 # holds, and the cell builds
-INCLUSION_DIGEST = "da4c9a52a62fffeaf51bb53d3c8353dd5ca30a9153d05381641bdf90f5b893a6"
-INCLUSION_WORK = ([39, 15, 6, 9, 6, 9, 9, 9, 17, 21, 25],
-                  [40, 55, 61, 70, 76, 85, 94, 103, 120, 141, 166],
-                  [810, 1082, 1307, 1612, 1904, 2239, 2616, 2967, 3408, 3924, 4436], 11,
-                  {"full": 166, "sensitivity": 1494, "stability": 0})
-INCLUSION_CELL_BUILDS = 995
+INCLUSION_DIGEST = "6261d0b7ff78d79da2546855688d5c24512cbf68b573cdf309bb3ce81fc7f699"
+INCLUSION_WORK = ([29, 10, 7, 14, 11, 6, 6, 4, 6],
+                  [30, 40, 47, 61, 72, 78, 84, 88, 94],
+                  [693, 942, 1178, 1576, 1909, 2215, 2594, 3034, 3493], 9,
+                  {"full": 94, "sensitivity": 846, "stability": 0})
+INCLUSION_CELL_BUILDS = 580
 # fixed-seed adv1d RWMH chain: sha256 of its samples, acceptance, full solves
 RWMH_CHAIN = ("a6e4256c14d0461f9b8e4ebc61b394ef6662d59da08ee538fc18340244e373f7",
               0.085, 286)
@@ -259,7 +259,7 @@ def test_run_smc_adv2d_work_golden(adv2d_run):
 
 def test_run_smc_adv2d_cell_builds_golden(adv2d_run):
     result, builds = adv2d_run
-    assert (builds, result.surrogate.n_atoms) == (ADV2D_CELL_BUILDS, 57)
+    assert (builds, result.surrogate.n_atoms) == (ADV2D_CELL_BUILDS, 56)
 
 
 def test_run_smc_elast_golden(elast_run):
@@ -269,7 +269,7 @@ def test_run_smc_elast_golden(elast_run):
 def test_run_smc_elast_work_golden(elast_run):
     result, builds = elast_run
     assert _work(result) == ELAST_WORK
-    assert (builds, result.surrogate.n_atoms) == (ELAST_CELL_BUILDS, 182)
+    assert (builds, result.surrogate.n_atoms) == (ELAST_CELL_BUILDS, 55)
 
 
 def test_run_smc_inclusion_golden(inclusion_run):
@@ -279,7 +279,7 @@ def test_run_smc_inclusion_golden(inclusion_run):
 def test_run_smc_inclusion_work_golden(inclusion_run):
     result, builds = inclusion_run
     assert _work(result) == INCLUSION_WORK
-    assert (builds, result.surrogate.n_atoms) == (INCLUSION_CELL_BUILDS, 166)
+    assert (builds, result.surrogate.n_atoms) == (INCLUSION_CELL_BUILDS, 94)
 
 
 def test_run_rwmh_chain_golden(adv1d_obs):
@@ -307,8 +307,8 @@ def test_exact_loss_golden(preset, mesh):
 # every cell spans all snapshots once there are 13 atoms), 20 particles,
 # data seed 0, sampler seeds 0-2; sha256 of the three clouds' points and
 # weights, then per call (full solves, reduced solves, cell builds)
-BENCH_SMC_ADV1D = ("53ed5d35f3e7d2886e640ce2b543bc9bf02d0fa28606b704396d88e2ff8ea17a",
-                   ((9, 686, 45), (11, 727, 66), (10, 710, 55)))
+BENCH_SMC_ADV1D = ("0b24438b2d29d9ba046b7a587b41c45744e1e13425ad73c8e9367aa08bfd6938",
+                   ((9, 678, 45), (10, 697, 55), (10, 701, 55)))
 
 
 def test_bench_smc_adv1d_shape_golden():
