@@ -23,7 +23,7 @@ AUDIT_FRACTION = 0.10
 ASSUMPTION_SLACK = 1.1
 CONCENTRATION_SLACK = 1.1
 # least ESS/m of the final cloud's exact-loss importance correction; the
-# shipped configs read 0.9995 or more
+# shipped smc sections read 0.998 or more at desk-scale meshes
 FINAL_ESS_FRACTION = 0.99
 
 
