@@ -3,16 +3,16 @@
 Parameter space is partitioned into Voronoi cells seeded at atoms.  Each
 atom carries a high-fidelity snapshot and its parameter gradient; the
 cell's basis stacks those with the snapshots of the N nearest atoms.  A
-Galerkin solve in the cell basis yields the surrogate state; a cached
-triangular factor turns the norm of the residual preconditioned by the
-cell atom's factorized operator into an O(K^2) evaluation independent of
-the mesh size.
+Galerkin solve in the cell basis yields the surrogate state.
 
-A query builds, in one stacked pass, the cells it first lands in and, when
-it reads indicators, the indicator factors its cells lack; loss-only
-queries never touch the LU cache, so its misses happen only in factor builds.
+A query builds, in one stacked pass, the cells it first lands in.  An
+indicator read forms the residuals f(xi) - A(xi) Phi c of each hosting
+cell's points and makes one band solve on them with the cell atom's LU,
+from an LU cache of the atoms' factorizations; loss-only queries never
+touch that cache.
 
-The state-error indicator is that preconditioned residual norm.  It is an
+The state-error indicator is that preconditioned residual norm,
+||A_k^{-1} (f(xi) - A(xi) Phi c)|| for the cell atom k.  It is an
 estimate, not a certified bound: the true error can exceed it where A_k is
 a poor preconditioner for A(xi).  The loss indicator converts it through
 the loss kind: an exact quadratic bound for squared losses, Lipschitz
@@ -31,7 +31,7 @@ from .forward.model import vstack_csr
 
 DUPLICATE_TOL = 1e-12       # scaled-coordinate distance
 ORTHO_DROP_TOL = 1e-10      # relative column drop threshold in the basis QR
-_LU_CACHE_SIZE = 64
+_LU_CACHE_SIZE = 64        # atom LUs kept for indicator reads; a miss refactorizes
 
 
 class DuplicateAtomError(ValueError):
@@ -68,8 +68,6 @@ class _Cell:
     reduced_ops: np.ndarray | None = None     # (P, r, r) Phi^T A_p Phi
     reduced_rhs: np.ndarray | None = None     # (Q, r) Phi^T f_q
     obs_basis: np.ndarray | None = None       # D_obs Phi
-    precond_factor: np.ndarray | None = None  # R of qr(A_k^{-1} [f_q | A_p Phi]),
-                                              # None until an indicator is read
 
 
 def _groups(ks: list, key) -> dict:
@@ -80,25 +78,8 @@ def _groups(ks: list, key) -> dict:
     return out
 
 
-def _residual_norms(factors: np.ndarray, ath: np.ndarray, fth: np.ndarray,
-                    coeffs: np.ndarray) -> np.ndarray:
-    """||factor w|| per point, for w with Z w = f(xi) - A(xi) Phi coeffs and
-    Z = [f_q | A_p Phi]; factors (n, K, K), ath, fth and coeffs hold one
-    row per point.
-
-    Stacked matvecs and dot products: each row takes the same BLAS calls as
-    the one-point forms factor @ w and np.linalg.norm, so the values are
-    bit-identical to them.
-    """
-    (n, P), r = ath.shape, coeffs.shape[1]
-    w = np.concatenate([fth, (-ath[:, :, None] * coeffs[:, None, :]).reshape(n, P * r)],
-                       axis=1)
-    v = (factors @ w[:, :, None])[:, :, 0]
-    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
-
-
 class Surrogate:
-    """Atom set, local bases, cached reduced operators and error indicators.
+    """Atom set, local bases, cached reduced operators and atom LUs.
 
     Evaluation takes whole arrays of points: the reduced systems of all the
     points whose cells share a basis rank are solved in one stacked call.
@@ -118,9 +99,8 @@ class Surrogate:
         self._scaled_locs = np.zeros((0, model.dim))
         # squared distances of each atom's neighbors, in tuple order, inf-padded
         self._neighbor_d2 = np.zeros((0, self.neighbor_count))
-        # [A_1; ...; A_P; D_obs]: one sparse product per cell build
+        # [A_1; ...; A_P; D_obs]: one sparse product per cell build or indicator read
         self._stacked_terms = vstack_csr(list(model.operator_terms) + [model.obs_matrix])
-        self._rhs_cols = np.column_stack(model.rhs_terms)
         self._obs_norm = model.observation_operator_norm()
         self._lu_cache: dict[int, object] = {}
         self._staged: dict[int, tuple] = {}  # a stacked pass's arrays per cell
@@ -182,8 +162,8 @@ class Surrogate:
     # ----- construction -----
     def add_atom(self, xi: np.ndarray) -> int:
         """Insert an atom: one factorization of A(xi), shared by a full and a
-        sensitivity solve, and kept in the LU cache for the new cell's
-        indicator factor.  It makes no reduced solve and builds no cell: the
+        sensitivity solve, and kept in the LU cache for the indicator reads
+        in the new cell.  It makes no reduced solve and builds no cell: the
         new cell, and the fresh cell that replaces every cell whose neighbor
         set changed, is unbuilt until a query lands in it.
 
@@ -221,61 +201,44 @@ class Surrogate:
         self._lu_stash(idx, lu)
         return lu
 
-    def _ensure_cells(self, ks: list, indicators: bool) -> None:
-        """Build the unbuilt cells among ks and, with ``indicators``, the
-        missing indicator factors of ks, in one stacked pass.
+    def _ensure_cells(self, ks: list) -> None:
+        """Build the unbuilt cells among ks in one stacked pass.
 
         A basis is Q of a Householder QR of the sources [u_k | grad u_k |
         u_j for each neighbor j], without the sources numerically in the
         span of those before them.  Every neighbor tuple holds
         min(N, atoms - 1) atoms, so one stacked QR serves all the new cells.
-        Per basis rank, one sparse product gives A_p Phi of the new cells,
-        first, and of the built cells that lack a factor; the new cells'
-        reduced arrays come from its leading slices.  The factors follow
-        from the LU lookups and band solves, in the order of ks, then one
-        stacked QR per rank.  Stacked LAPACK, BLAS and CSR calls run the
-        same kernel per matrix and per column, so the arrays are
-        bit-identical to one-cell builds.
+        Per basis rank, one sparse product gives A_p Phi and D_obs Phi of the
+        new cells, and their reduced arrays follow from it.  Stacked LAPACK,
+        BLAS and CSR calls run the same kernel per matrix and per column, so
+        the arrays are bit-identical to one-cell builds.
         """
         new = [k for k in ks if self.cells[k].basis is None]
-        unfactored = [k for k in ks if indicators and self.cells[k].precond_factor is None]
-        bases = {k: self.cells[k].basis for k in unfactored}
-        if new:
-            S = np.stack([np.column_stack(
-                [self.atoms[k].snapshot, self.atoms[k].gradient]
-                + [self.atoms[j].snapshot for j in self.cells[k].neighbors]) for k in new])
-            Q, R = np.linalg.qr(S)
-            # |R_jj| is the norm of source j's part orthogonal to the sources
-            # before it; R has only min(n_dof, r) diagonal entries
-            d = np.abs(np.diagonal(R, axis1=1, axis2=2))
-            for k, Sk, Qk, dk in zip(new, S, Q, d):
-                kept = np.zeros(Sk.shape[1], dtype=bool)
-                kept[:dk.size] = dk > ORTHO_DROP_TOL * np.linalg.norm(Sk[:, :dk.size], axis=0)
-                bases[k] = Qk if kept.all() else np.linalg.qr(Sk[:, kept])[0]
-        nq, P = self._rhs_cols.shape[1], len(self.model.operator_terms)
-        # per rank the new cells first, so their arrays are slices, not copies
-        groups = _groups(new + [k for k in unfactored if self.cells[k].basis is not None],
-                         lambda k: bases[k].shape[1])
-        Z, slot = {}, {}  # per rank the factor columns; per cell (A_p Phi, its Z row)
-        for r, group in groups.items():
+        if not new:
+            return
+        S = np.stack([np.column_stack(
+            [self.atoms[k].snapshot, self.atoms[k].gradient]
+            + [self.atoms[j].snapshot for j in self.cells[k].neighbors]) for k in new])
+        Q, R = np.linalg.qr(S)
+        # |R_jj| is the norm of source j's part orthogonal to the sources
+        # before it; R has only min(n_dof, r) diagonal entries
+        d = np.abs(np.diagonal(R, axis1=1, axis2=2))
+        bases = {}
+        for k, Sk, Qk, dk in zip(new, S, Q, d):
+            kept = np.zeros(Sk.shape[1], dtype=bool)
+            kept[:dk.size] = dk > ORTHO_DROP_TOL * np.linalg.norm(Sk[:, :dk.size], axis=0)
+            bases[k] = Qk if kept.all() else np.linalg.qr(Sk[:, kept])[0]
+        P = len(self.model.operator_terms)
+        for group in _groups(new, lambda k: bases[k].shape[1]).values():
             Phis = np.stack([bases[k] for k in group])
             op_cols, obs = self._products(Phis)
-            c = sum(self.cells[k].basis is None for k in group)
-            PhiT = Phis[:c].transpose(0, 2, 1)
-            ops = np.stack([PhiT @ op_cols[:c, p] for p in range(P)], axis=1)
+            PhiT = Phis.transpose(0, 2, 1)
+            ops = np.stack([PhiT @ op_cols[:, p] for p in range(P)], axis=1)
             rhs = np.stack([PhiT @ f for f in self.model.rhs_terms], axis=1)
-            for i, k in enumerate(group[:c]):
+            for i, k in enumerate(group):
                 self._staged[k] = (Phis[i], ops[i], rhs[i], obs[i])
-            if indicators:
-                Z[r] = np.empty((len(group), self.model.n_dof, nq + P * r))
-                slot.update((k, (op_cols[i], Z[r][i])) for i, k in enumerate(group))
         for k in new:
             self._build_cell(k)
-        for k in unfactored:
-            self._precond_columns(k, *slot[k])
-        for r, z in Z.items():
-            for k, R in zip(groups[r], np.linalg.qr(z, mode="r")):
-                self.cells[k].precond_factor = R.copy()
 
     def _build_cell(self, k: int) -> None:
         """Install unbuilt cell k's basis and reduced arrays from the stacked
@@ -284,29 +247,6 @@ class Surrogate:
         cell = self.cells[k]
         cell.basis, cell.reduced_ops, cell.reduced_rhs, cell.obs_basis = (
             a.copy() for a in self._staged.pop(k))
-
-    def _precond_columns(self, k: int, op_cols: np.ndarray, out: np.ndarray) -> None:
-        """Write A_k^{-1} [f_q | A_p Phi] for cell k into out (n_dof, Q + P r).
-
-        The block for the dominant coefficient follows from the affine
-        identity sum_p theta_p(xi_k) A_k^{-1} A_p Phi = Phi, saving r solve
-        columns.  That identity and u_k in span Phi make the columns
-        dependent, so the factor comes from a QR.
-        """
-        Phi = self.cells[k].basis
-        theta_k, _ = self.model.coefficients(self.atoms[k].location)
-        p0 = int(np.argmax(np.abs(theta_k)))
-        others = [p for p in range(len(theta_k)) if p != p0]
-        nq, r = self._rhs_cols.shape[1], Phi.shape[1]
-        Wp = self._lu_for(k).solve(np.column_stack([self._rhs_cols]
-                                                   + [op_cols[p] for p in others]))
-        out[:, :nq] = Wp[:, :nq]
-        rest = Phi.copy()
-        for i, p in enumerate(others):
-            blk = Wp[:, nq + i * r: nq + (i + 1) * r]
-            out[:, nq + p * r: nq + (p + 1) * r] = blk
-            rest -= theta_k[p] * blk
-        out[:, nq + p0 * r: nq + (p0 + 1) * r] = rest / theta_k[p0]
 
     def _products(self, Phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(A_p Phi as a (c, P, n_dof, r) array, D_obs Phi as a (c, D, r)
@@ -339,6 +279,29 @@ class Surrogate:
         self.reduced_solves += int(np.count_nonzero(~np.isnan(coeffs[:, 0])))
         return coeffs
 
+    def _raw_indicators(self, k: int, coeffs: np.ndarray, ath: np.ndarray,
+                        fth: np.ndarray) -> np.ndarray:
+        """||A_k^{-1} (f(xi) - A(xi) Phi c)|| at points hosted by cell k, for
+        their coefficients coeffs (n, r) and operator and rhs coefficients
+        ath (n, P) and fth (n, Q): one sparse product and one band solve
+        with atom k's LU.
+
+        Each point takes the same operations as the one-point forms
+        u = Phi @ c, f(xi) term by term as ForwardModel._rhs forms it,
+        f -= theta_p * (A_p @ u) per term, and np.linalg.norm(lu.solve(f)),
+        so the values are bit-identical to them.
+        """
+        n = self.model.n_dof
+        states = (self.cells[k].basis @ coeffs[:, :, None])[:, :, 0].T  # stacked matvecs
+        prods = self._stacked_terms @ states
+        resid = np.zeros(states.shape)
+        for q, f in enumerate(self.model.rhs_terms):
+            resid += fth[:, q] * f[:, None]
+        for p in range(ath.shape[1]):
+            resid -= ath[:, p] * prods[p * n:(p + 1) * n]
+        v = self._lu_for(k).solve(resid).T
+        return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+
     def reduced_solve(self, points: np.ndarray, indicators: bool = True, hosts=None):
         """Galerkin solves at the rows of an (n, M) array of points, each in
         its nearest atom's cell: (hosting cells, coefficients, observed
@@ -349,18 +312,17 @@ class Surrogate:
         cell's basis rank r.  The points of all hosting cells of one rank
         are solved in one stacked call, on the cells' arrays gathered per
         point.  Where a cell's reduced system is singular the coefficients
-        and outputs are NaN and the raw indicator is inf.  With
-        ``indicators=False`` the raw indicators are None, and no indicator
-        factor is built or read.
+        and outputs are NaN and the raw indicator is inf.  The raw
+        indicators of each hosting cell's solved points come from one
+        _raw_indicators call, in order of first appearance.  With
+        ``indicators=False`` they are None, and no LU is looked up.
         """
         points = np.asarray(points, dtype=float)
         n = len(points)
         ath, fth = self.model.coefficients(points)
         if hosts is None:
             hosts = self._nearest(points)
-        # cells are built in order of first appearance, as a loop over the
-        # points would build them (this fixes the LU cache order)
-        self._ensure_cells(list(dict.fromkeys(hosts.tolist())), indicators)
+        self._ensure_cells(list(dict.fromkeys(hosts.tolist())))
         cells = [self.cells[k] for k in hosts.tolist()]  # per point
         ranks = np.array([c.basis.shape[1] for c in cells], dtype=int)
         coeffs = np.full((n, ranks.max(initial=0)), np.nan)
@@ -378,9 +340,12 @@ class Surrogate:
             if not group:
                 continue
             observed[idx] = (np.stack([g.obs_basis for g in group]) @ c[:, :, None])[:, :, 0]
-            if indicators:
-                raws[idx] = _residual_norms(np.stack([g.precond_factor for g in group]),
-                                            ath[idx], fth[idx], c)
+        if indicators:
+            # in order of first appearance, which fixes the LU cache order
+            solved = np.flatnonzero(~np.isnan(coeffs[:, 0])).tolist()
+            for k, idx in _groups(solved, hosts.tolist().__getitem__).items():
+                r = self.cells[k].basis.shape[1]
+                raws[idx] = self._raw_indicators(k, coeffs[idx, :r], ath[idx], fth[idx])
         return hosts, coeffs, observed, raws
 
     def _evaluate(self, points: np.ndarray, observations, hosts=None):
@@ -420,7 +385,7 @@ class Surrogate:
     def loss_fn(self, observations):
         """Surrogate losses at the rows of an (n, M) array (for samplers);
         NaN where the reduced system is singular.  Reads no indicator, so
-        it builds no indicator factor."""
+        it looks up no LU."""
         def fn(points):
             observed = self.reduced_solve(points, indicators=False)[2]
             return self.model.loss_from_prediction(observed, observations)
@@ -472,13 +437,11 @@ class Surrogate:
             moved = d2_new < d2
             hosts[moved], d2[moved] = new, d2_new[moved]
             # re-evaluate the particles in unbuilt cells, the new atom's and
-            # those the neighbor refresh replaced, after one pass builds them,
-            # the new atom's first, right after add_atom stashed its LU
-            unbuilt = [k for k in sorted(set(hosts.tolist())) if self.cells[k].basis is None]
+            # those the neighbor refresh replaced
+            unbuilt = [k for k in set(hosts.tolist()) if self.cells[k].basis is None]
             in_unbuilt = np.zeros(self.n_atoms, dtype=bool)
             in_unbuilt[unbuilt] = True
             idx = np.flatnonzero(in_unbuilt[hosts])
-            self._ensure_cells(sorted(unbuilt, key=lambda k: k != new), indicators=True)
             losses[idx], raws[idx], dist_sums[idx] = self._evaluate(
                 points[idx], observations, hosts[idx])
             inds = self._loss_indicator_from_raw(raws, dist_sums, observations.n)

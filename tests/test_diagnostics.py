@@ -121,12 +121,15 @@ def test_bound_suite_passes_on_real_run(small_run):
 
 
 @pytest.mark.parametrize("preset,nx,seed", [("adv2d", 16, 0), ("elast2d_layered", 8, 0),
-                                             ("elast2d_layered", 8, 1)],
-                         ids=["adv2d-16", "elast2d_layered-8", "elast2d_layered-8-seed1"])
+                                             ("elast2d_layered", 8, 1),
+                                             ("elast2d_inclusion", 8, 0)],
+                         ids=["adv2d-16", "elast2d_layered-8", "elast2d_layered-8-seed1",
+                              "elast2d_inclusion-8"])
 def test_bound_suite_passes_on_shipped_config(preset, nx, seed):
     # the shipped smc section at desk scale: coarser mesh, 40 particles; at
     # seed 1 the elast cloud's spread grows in one iteration (t = 6) while
-    # falling several-fold over the run
+    # falling several-fold over the run; the inclusion run holds more atoms
+    # than the LU cache, so its indicator reads meet cache misses
     config = RunConfig.from_yaml(Path(__file__).parents[1] / "configs" / f"{preset}.yaml")
     config.mesh = {**config.mesh, "nx": nx}
     model = build_model(config)
