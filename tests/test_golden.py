@@ -28,7 +28,7 @@ CLI_DIGESTS = {
     "particles.csv":
         "f7c48eb102ff97745e0dc41d53d8709d21d244d23c73afd2ddc6d213bd2f52c2",
     "history.csv":
-        "421c770acb14f01eb66df17c200575a305f7a031d593688b0e83e77b9425c4e2",
+        "e6c1b82ba44578c511863029af56b4b240336a8f08154e062c39356bf48a2705",
     "iteration_losses.csv":
         "e3e9cece1020010b7e47446f7f9b24ebb9c83982b52e42a845e7dff3e05b426b",
     "atoms.csv":
