@@ -418,11 +418,11 @@ def _scalar_eval(s, xi, observations):
     except np.linalg.LinAlgError:
         return np.nan, np.inf, 0.0
     u = cell.basis @ coeffs
-    resid = model._rhs(fth)
+    r = model._rhs(fth)
     for a, M in zip(ath, model.operator_terms):
-        resid -= a * (M @ u)
+        r -= a * (M @ u)
     _, lu = model.factorize(s.atoms[k].location)
-    raw = float(np.linalg.norm(lu.solve(resid)))
+    raw = float(np.linalg.norm(lu.solve(r)))
     resid = (cell.obs_basis @ coeffs)[None, :] - observations.data
     if model.loss_kind == "squared_l2":
         loss = float(np.sum(resid**2))
