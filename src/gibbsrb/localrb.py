@@ -341,8 +341,9 @@ class Surrogate:
                 continue
             observed[idx] = (np.stack([g.obs_basis for g in group]) @ c[:, :, None])[:, :, 0]
         if indicators:
-            # in order of first appearance, which fixes the LU cache order
-            solved = np.flatnonzero(~np.isnan(coeffs[:, 0])).tolist()
+            # in order of first appearance, which fixes the LU cache order;
+            # an unsolved point's row is all NaN
+            solved = np.flatnonzero(~np.isnan(coeffs).all(axis=1)).tolist()
             for k, idx in _groups(solved, hosts.tolist().__getitem__).items():
                 r = self.cells[k].basis.shape[1]
                 raws[idx] = self._raw_indicators(k, coeffs[idx, :r], ath[idx], fth[idx])

@@ -66,6 +66,12 @@ def test_empty_surrogate_raises(adv1d_surr):
         adv1d_surr._nearest(np.array([[0.5, 0.5]]))
 
 
+def test_reduced_solve_of_no_points(adv1d_surr):
+    adv1d_surr.add_atom(np.array([0.5, 0.5]))
+    _, coeffs, observed, raws = adv1d_surr.reduced_solve(np.zeros((0, 2)))
+    assert coeffs.size == observed.size == raws.size == 0
+
+
 def test_duplicate_atom_rejected(adv1d_surr):
     adv1d_surr.add_atom(np.array([0.5, 0.5]))
     with pytest.raises(DuplicateAtomError):
