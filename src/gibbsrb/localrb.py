@@ -439,10 +439,7 @@ class Surrogate:
             hosts[moved], d2[moved] = new, d2_new[moved]
             # re-evaluate the particles in unbuilt cells, the new atom's and
             # those the neighbor refresh replaced
-            unbuilt = [k for k in set(hosts.tolist()) if self.cells[k].basis is None]
-            in_unbuilt = np.zeros(self.n_atoms, dtype=bool)
-            in_unbuilt[unbuilt] = True
-            idx = np.flatnonzero(in_unbuilt[hosts])
+            idx = np.flatnonzero([self.cells[k].basis is None for k in hosts.tolist()])
             losses[idx], raws[idx], dist_sums[idx] = self._evaluate(
                 points[idx], observations, hosts[idx])
             inds = self._loss_indicator_from_raw(raws, dist_sums, observations.n)
