@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
-"""Time two checkouts' benchmark calls in pairs, in two long-lived processes.
+"""Time two checkouts' benchmark calls in pairs, one worker process per side.
 
-Each checkout's ``bench/worker.py`` is set up once in its own process, with
-BLAS pinned to one thread, and both processes run ``run_once`` on the same
+Each checkout's ``bench/worker.py`` is set up in its own process, with BLAS
+pinned to one thread, and both processes run ``run_once`` on the same
 sampler seeds 0, 1, ..., one call at a time; which side runs first
 alternates from seed to seed.  On a shared VM the speed drifts up to 2x
 between processes and over minutes, so the ratio of the two calls of each
-seed measures a change where the medians of separate runs cannot.
+seed measures a change where the medians of separate runs cannot.  A
+process keeps a speed of its own, so both workers start afresh every
+RESTART_EVERY seeds, and the side whose worker starts first alternates from
+block to block.
 
 It prints each side's median call wall time, the median ratio B / A of
 the calls' wall times with its quartiles, how many calls B ran faster,
@@ -25,6 +28,7 @@ import sys
 from pathlib import Path
 
 PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+RESTART_EVERY = 20  # seeds per pair of worker processes
 
 # the worker process: set up, then one call per seed read from stdin
 SERVE = """
@@ -59,27 +63,33 @@ def call(proc: subprocess.Popen, seed: int) -> dict:
     return json.loads(line)
 
 
-def paired_calls(checkouts: list, workload: str, n_calls: int) -> list:
-    """Per seed, the records of (A, B)."""
-    procs = []
+def stop(proc: subprocess.Popen) -> None:
+    proc.stdin.close()
     try:
-        for checkout in checkouts:
-            procs.append(start(checkout, workload))
-        pairs = []
-        for seed in range(n_calls):
-            order = (0, 1) if seed % 2 == 0 else (1, 0)
-            recs = {side: call(procs[side], seed) for side in order}
-            pairs.append((recs[0], recs[1]))
-        return pairs
-    finally:
-        for proc in procs:
-            proc.stdin.close()
-            try:
-                proc.wait(timeout=30)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
-            proc.stdout.close()
+        proc.wait(timeout=30)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.wait()
+    proc.stdout.close()
+
+
+def paired_calls(checkouts: list, workload: str, n_calls: int) -> list:
+    """Per seed, the records of (A, B), from a fresh pair of workers per
+    block of RESTART_EVERY seeds; A's starts first in even blocks."""
+    pairs = []
+    for block, first in enumerate(range(0, n_calls, RESTART_EVERY)):
+        procs = {}
+        try:
+            for side in ((0, 1) if block % 2 == 0 else (1, 0)):
+                procs[side] = start(checkouts[side], workload)
+            for seed in range(first, min(first + RESTART_EVERY, n_calls)):
+                order = (0, 1) if seed % 2 == 0 else (1, 0)
+                recs = {side: call(procs[side], seed) for side in order}
+                pairs.append((recs[0], recs[1]))
+        finally:
+            for proc in procs.values():
+                stop(proc)
+    return pairs
 
 
 def summary(pairs: list) -> dict:

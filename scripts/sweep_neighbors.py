@@ -29,7 +29,7 @@ from gibbsrb.config import (RunConfig, build_model, build_observations,  # noqa:
                             resolve_total_weight)
 from gibbsrb.diagnostics import ks_distance  # noqa: E402
 from gibbsrb.localrb import Surrogate  # noqa: E402
-from gibbsrb.oracle import grid_posterior  # noqa: E402
+from gibbsrb.oracle import DEFAULT_GRID, grid_posterior  # noqa: E402
 from gibbsrb.particles import ParticleSet  # noqa: E402
 from gibbsrb.runio import pin_blas_threads  # noqa: E402
 from gibbsrb.smc import run_smc  # noqa: E402
@@ -58,7 +58,7 @@ def sweep_row(model, obs, smc_cfg, n: int, seeds, grid) -> dict:
     atoms, full, builds, walls, clouds = [], [], [], [], []
     for seed in seeds:
         cfg = replace(smc_cfg, neighbor_count=n, seed=seed)
-        surrogate = CountingSurrogate(model, neighbor_count=n, atom_budget=cfg.atom_budget)
+        surrogate = CountingSurrogate(model, neighbor_count=n)
         t0 = time.perf_counter()
         result = run_smc(model, obs, cfg, surrogate=surrogate)
         walls.append(time.perf_counter() - t0)
@@ -81,7 +81,7 @@ def sweep_row(model, obs, smc_cfg, n: int, seeds, grid) -> dict:
     return row
 
 
-def sweep(config: RunConfig, neighbors, seeds, grid_size: int | None) -> list:
+def sweep(config: RunConfig, neighbors, seeds, grid_size: int) -> list:
     """One row per neighbour count; the grid posterior (M <= 3, grid_size
     nodes per axis, 0 for none) is the KS reference."""
     model = build_model(config)
@@ -114,18 +114,18 @@ def main(argv=None) -> int:
     ap.add_argument("--particles", type=int, default=None, help="override smc.particles")
     ap.add_argument("--mesh", type=_mesh_item, action="append", default=[],
                     metavar="KEY=INT", help="override a model.mesh entry, e.g. nx=16")
-    ap.add_argument("--grid", type=int, default=None,
-                    help="grid oracle nodes per axis (config's oracle.grid; 0: no KS)")
+    ap.add_argument("--grid", type=int, default=DEFAULT_GRID,
+                    help="grid oracle nodes per axis (0: no KS)")
     args = ap.parse_args(argv)
     pin_blas_threads()
     config = RunConfig.from_yaml(args.config)
     config.mesh = {**config.mesh, **dict(args.mesh)}
     if args.particles is not None:
         config.smc = replace(config.smc, particles=args.particles)
-    grid = config.oracle_grid if args.grid is None else args.grid
     print(f"{args.config}: mesh {config.mesh}, {config.smc.particles} particles, "
-          f"sampler seeds {args.seeds}, data seed {DATA_SEED}, oracle grid {grid or 'none'}")
-    print(format_table(sweep(config, args.neighbors, args.seeds, grid)))
+          f"sampler seeds {args.seeds}, data seed {DATA_SEED}, "
+          f"oracle grid {args.grid or 'none'}")
+    print(format_table(sweep(config, args.neighbors, args.seeds, args.grid)))
     return 0
 
 

@@ -19,9 +19,9 @@ _EXPORTS = {
     "grid_posterior": "oracle", "ParticleSet": "particles", "reweight": "particles",
     "ess": "particles", "empirical_moments": "particles", "kl_reweighted": "particles",
     "SmcConfig": "config", "run_smc": "smc", "init_particles": "smc",
-    "replay_consistency": "smc", "WeightSelectionConfig": "config",
-    "candidate_grid": "weights", "residual_objective": "weights",
-    "select_weight": "weights", "evaluate_grid_via_smc": "weights",
+    "replay_consistency": "smc", "candidate_grid": "weights",
+    "residual_objective": "weights", "select_weight": "weights",
+    "evaluate_grid_via_smc": "weights",
 }
 
 __all__ = list(_EXPORTS)

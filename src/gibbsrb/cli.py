@@ -129,7 +129,7 @@ def cmd_select_weight(args) -> int:
     from .weights import evaluate_grid_via_smc
     config, model, observations, out = _prepare(args)
     t0 = time.perf_counter()
-    sel = evaluate_grid_via_smc(model, observations, config.weight_selection, config.smc)
+    sel = evaluate_grid_via_smc(model, observations, config.smc)
     wall = time.perf_counter() - t0
     write_csv(out / "weight_table.csv", ["weight", "objective"],
               zip(sel.grid, sel.objectives))
@@ -146,10 +146,10 @@ def cmd_select_weight(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    from .oracle import grid_posterior
+    from .oracle import DEFAULT_GRID, grid_posterior
     config, model, observations, out = _prepare(args)
     w_total = resolve_total_weight(config, observations)
-    grid = args.grid or str(config.oracle_grid)
+    grid = args.grid or str(DEFAULT_GRID)
     shape = tuple(int(g) for g in grid.lower().split("x"))
     t0 = time.perf_counter()
     post = grid_posterior(model, model.domain, w_total, shape, observations)
@@ -236,7 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("oracle", help="tensor-grid posterior (M <= 3)")
     common(sp)
-    sp.add_argument("--grid", default=None, help="e.g. 60x60")
+    sp.add_argument("--grid", default=None,
+                    help="nodes per axis, e.g. 60x60 (default: oracle.DEFAULT_GRID)")
     sp.set_defaults(fn=cmd_oracle)
 
     sp = sub.add_parser("compare", help="KS / h-proxy report between runs")

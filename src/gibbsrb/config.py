@@ -1,16 +1,20 @@
 """YAML run configuration.
 
-Every sampler setting has a config key; a preset's physics are constants
-of its builder, and ``model.mesh`` sets only its sizes.  The shipped files
-under configs/ reproduce the three built-in experiments end to end.
+A sampler setting has a config key when its callers need different values;
+a value every caller shares is a constant of the module that reads it
+(``smc.PROPOSAL_MIXING``, ``localrb.ATOM_BUDGET``, ``weights.RANGE_FACTOR``,
+``STABILIZER`` and ``GRID_SIZE``, ``oracle.DEFAULT_GRID``).  A preset's
+physics are constants of its builder, and ``model.mesh`` sets only its
+sizes.  The shipped files under configs/ reproduce the three built-in
+experiments end to end.
 
-This module owns the whole config schema, the sampler sections included
-(``SmcConfig``, ``WeightSelectionConfig``, the surrogate defaults and the
-Gaussian-reference weight); ``smc``, ``weights`` and ``localrb`` import
-those names from here.  It imports no sampler module, so parsing a config
-and building its model load only the forward problem.  An unknown section
-or key is an error, not a silent default, and so is a count that is not an
-integer or a float field that is not a finite number.
+This module owns the whole config schema, the sampler section included
+(``SmcConfig``, the surrogate default and the Gaussian-reference weight);
+``smc``, ``weights`` and ``localrb`` import those names from here.  It
+imports no sampler module, so parsing a config and building its model load
+only the forward problem.  An unknown section or key is an error, not a
+silent default, and so is a count that is not an integer or a float field
+that is not a finite number.
 """
 
 from __future__ import annotations
@@ -28,12 +32,11 @@ from .forward import ObservationSet, assemble, gen_data
 from .forward.presets import MESH_SIZES
 
 DEFAULT_NEIGHBORS = 5
-DEFAULT_ATOM_BUDGET = 2000
 
 
-def _check_counts(section: str, values: dict, **least: int) -> dict:
-    """values, each count values[key] checked to be an integer >= least[key]
-    and stored as an int; a float, string or bool would run truncated."""
+def _check_counts(section: str, values: dict, **least: int) -> None:
+    """Check each count values[key] to be an integer >= least[key] and store
+    it as an int; a float, string or bool would run truncated."""
     for key, low in least.items():
         value = values[key]
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -41,7 +44,6 @@ def _check_counts(section: str, values: dict, **least: int) -> dict:
         if value < low:
             raise ValueError(f"{section}.{key} must be >= {low}, not {value}")
         values[key] = int(value)
-    return values
 
 
 def _check_reals(section: str, values: dict, *keys: str) -> None:
@@ -66,42 +68,23 @@ class SmcConfig:
     particles: int = 100
     total_weight: float = 1.0
     mutation_steps: int = 5
-    proposal_mixing: float = 0.5
     e_thre_mode: str = "loss_std_fraction"  # or "fixed"
     e_thre_value: float = 1e-3
     max_iterations: int = 50
     seed: int = 0
     neighbor_count: int = DEFAULT_NEIGHBORS
-    atom_budget: int = DEFAULT_ATOM_BUDGET
 
     def __post_init__(self):
         # 4 particles: the ESS target, half of them, is then at least 2
         _check_counts("smc", vars(self), particles=4, mutation_steps=0, max_iterations=1,
-                      seed=0, neighbor_count=0, atom_budget=1)
-        _check_reals("smc", vars(self), "total_weight", "proposal_mixing", "e_thre_value")
+                      seed=0, neighbor_count=0)
+        _check_reals("smc", vars(self), "total_weight", "e_thre_value")
         if self.total_weight < 0:
             raise ValueError("total_weight must be >= 0")
-        if not 0.0 <= self.proposal_mixing < 1.0:
-            raise ValueError("proposal mixing must be in [0, 1)")
         if self.e_thre_mode not in ("fixed", "loss_std_fraction"):
             raise ValueError("e_thre mode must be 'fixed' or 'loss_std_fraction'")
         if not self.e_thre_value > 0:
             raise ValueError("e_thre_value must be > 0")
-
-
-@dataclass
-class WeightSelectionConfig:
-    range_factor: float = 50.0   # T > 1
-    stabilizer: float = 10.0     # S >= 1
-    grid_size: int = 20
-
-    def __post_init__(self):
-        _check_reals("weight_selection", vars(self), "range_factor", "stabilizer")
-        if self.range_factor <= 1.0:
-            raise ValueError("range factor T must be > 1")
-        if self.stabilizer < 1.0:
-            raise ValueError("stabilizer S must be >= 1")
-        _check_counts("weight_selection", vars(self), grid_size=1)
 
 
 @dataclass
@@ -139,8 +122,6 @@ class RunConfig:
     data: DataConfig = field(default_factory=DataConfig)
     smc: SmcConfig = field(default_factory=SmcConfig)
     mcmc: McmcConfig = field(default_factory=McmcConfig)
-    weight_selection: WeightSelectionConfig = field(default_factory=WeightSelectionConfig)
-    oracle_grid: int = 60
 
     def __post_init__(self):
         if not isinstance(self.mesh, dict):
@@ -154,7 +135,6 @@ class RunConfig:
         if self.total_weight != "gaussian_reference":
             _check_reals("gibbs", vars(self), "total_weight")
             resolve_total_weight(self, None)  # a number is checked at parse time
-        self.oracle_grid = _check_counts("oracle", {"grid": self.oracle_grid}, grid=2)["grid"]
 
     @classmethod
     def from_yaml(cls, path) -> "RunConfig":
@@ -179,8 +159,6 @@ class RunConfig:
             data=DataConfig(**raw.get("data", {})),
             smc=SmcConfig(**raw.get("smc", {})),
             mcmc=McmcConfig(**raw.get("mcmc", {})),
-            weight_selection=WeightSelectionConfig(**raw.get("weight_selection", {})),
-            oracle_grid=raw.get("oracle", {}).get("grid", 60),
         )
 
     def to_dict(self) -> dict:
@@ -190,8 +168,6 @@ class RunConfig:
             "data": asdict(self.data),
             "smc": {key: getattr(self.smc, key) for key in _SECTIONS["smc"]},
             "mcmc": asdict(self.mcmc),
-            "weight_selection": asdict(self.weight_selection),
-            "oracle": {"grid": self.oracle_grid},
         }
 
     def digest(self) -> str:
@@ -205,8 +181,7 @@ def _field_names(cls, *skip: str) -> tuple:
 # top-level section -> its keys; smc.total_weight is set from gibbs.total_weight
 _SECTIONS = {"model": ("preset", "mesh"), "gibbs": ("total_weight",),
              "data": _field_names(DataConfig), "smc": _field_names(SmcConfig, "total_weight"),
-             "mcmc": _field_names(McmcConfig),
-             "weight_selection": _field_names(WeightSelectionConfig), "oracle": ("grid",)}
+             "mcmc": _field_names(McmcConfig)}
 
 
 def _check_keys(prefix: str, given: dict, known) -> None:

@@ -112,9 +112,6 @@ class ParameterDomain:
         lp[np.isnan(lp)] = -np.inf
         return lp if arr.ndim > 1 else lp[0]
 
-    def pdf(self, points: np.ndarray) -> np.ndarray:
-        return np.exp(self.log_pdf(points))
-
     def marginal_cdf(self, j: int, x: np.ndarray) -> np.ndarray:
         spec = self.priors[j]
         z = np.clip((np.asarray(x, dtype=float) - self.lower[j]) / self.widths[j], 0.0, 1.0)

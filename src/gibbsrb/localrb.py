@@ -26,12 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_ATOM_BUDGET, DEFAULT_NEIGHBORS
+from .config import DEFAULT_NEIGHBORS
 from .forward.model import vstack_csr
 
 DUPLICATE_TOL = 1e-12       # scaled-coordinate distance
 ORTHO_DROP_TOL = 1e-10      # relative column drop threshold in the basis QR
 _LU_CACHE_SIZE = 64        # atom LUs kept for indicator reads; a miss refactorizes
+ATOM_BUDGET = 2000          # atoms a surrogate may hold; refinement past it fails
 
 
 class DuplicateAtomError(ValueError):
@@ -89,11 +90,9 @@ class Surrogate:
     with another.
     """
 
-    def __init__(self, model, neighbor_count: int = DEFAULT_NEIGHBORS,
-                 atom_budget: int = DEFAULT_ATOM_BUDGET):
+    def __init__(self, model, neighbor_count: int = DEFAULT_NEIGHBORS):
         self.model = model
         self.neighbor_count = int(neighbor_count)
-        self.atom_budget = int(atom_budget)
         self.atoms: list[Atom] = []
         self.cells: list[_Cell] = []
         self._scaled_locs = np.zeros((0, model.dim))
@@ -170,8 +169,8 @@ class Surrogate:
         A point outside the parameter box raises ValueError from the
         factorization, before any surrogate state changes.
         """
-        if self.n_atoms >= self.atom_budget:
-            raise AtomBudgetError(f"atom budget {self.atom_budget} exhausted")
+        if self.n_atoms >= ATOM_BUDGET:
+            raise AtomBudgetError(f"atom budget {ATOM_BUDGET} exhausted")
         xi = np.array(xi, dtype=float)
         s = self.model.domain.scale(xi)
         if self.n_atoms:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 MAX_GRID_NODES = 1_000_000
+DEFAULT_GRID = 60  # nodes per axis; the oracle command's --grid overrides it
 
 
 def _trapezoid_weights(x: np.ndarray) -> np.ndarray:

@@ -30,6 +30,7 @@ E_THRE_FLOOR = 1e-8  # least refinement threshold, in loss units
 # ESS rule holds delta_w * std(L) near 1-2, so the loss error it allows moves
 # a log-weight by about 0.25-0.5
 E_THRE_FRACTION = 0.25
+PROPOSAL_MIXING = 0.5  # the mutation's AR(1) pull gamma toward the weighted mean
 
 
 class SmcIterationError(RuntimeError):
@@ -137,7 +138,7 @@ def _log_q(a: np.ndarray, b: np.ndarray, mean: np.ndarray, var: np.ndarray,
 
 def mutate(particles: ParticleSet, loss_fn: Callable, domain: ParameterDomain,
            w_target: float, moments, config: SmcConfig, master_seed: int,
-           iteration: int, current_losses: Optional[np.ndarray] = None):
+           iteration: int, current_losses: np.ndarray):
     """Independent MH chains per particle, invariant for the tempered target.
 
     Proposal: per-dimension AR(1) pull toward the weighted pre-resampling
@@ -145,18 +146,18 @@ def mutate(particles: ParticleSet, loss_fn: Callable, domain: ParameterDomain,
     rejected through the zero prior density, and so are proposals whose
     loss is NaN (a singular reduced system).  The chains advance in
     lockstep, one batched loss_fn call per step, each drawing from its own
-    stream.  loss_fn maps an (n, M) array to n losses.  Returns the
+    stream.  loss_fn maps an (n, M) array to n losses, and current_losses
+    are its values at the particles' points.  Returns the
     mutated set, the aggregate acceptance rate and the loss values at the
     final points.
     """
     mean, var = moments
-    gamma = config.proposal_mixing
+    gamma = PROPOSAL_MIXING
     m = particles.m
 
     rngs = [stream(master_seed, PHASE_MUTATE, iteration, i) for i in range(m)]
     x = particles.points.copy()
-    lx = (np.array(current_losses, dtype=float) if current_losses is not None
-          else loss_fn(x))
+    lx = np.array(current_losses, dtype=float)
     lp_x = domain.log_pdf(x)
     accepts = np.zeros(m, dtype=int)
     for _ in range(config.mutation_steps):
@@ -229,8 +230,7 @@ def run_smc(model, observations, config: SmcConfig, *,
     counters0 = model.counters.snapshot()
     particles = init_particles(domain, config.particles, stream(config.seed, PHASE_INIT))
     if surrogate is None:
-        surrogate = Surrogate(model, neighbor_count=config.neighbor_count,
-                              atom_budget=config.atom_budget)
+        surrogate = Surrogate(model, neighbor_count=config.neighbor_count)
     reduced0 = surrogate.reduced_solves
     loss_fn = surrogate.loss_fn(observations)
 

@@ -13,10 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# re-exported: the schema lives in config
-from .config import WeightSelectionConfig, gaussian_reference
+from .config import gaussian_reference
 from .particles import ParticleSet, reweight
 from .smc import SmcConfig, SmcResult, run_smc, surrogate_losses
+
+RANGE_FACTOR = 50.0  # T: the grid spans w_ref times [1/T, T]
+STABILIZER = 10.0    # S: the final weight's shrinkage toward w_ref
+GRID_SIZE = 20       # log-spaced candidates, before w_ref joins them
 
 
 class WeightSelectionError(RuntimeError):
@@ -34,13 +37,11 @@ class SelectionResult:
     smc_result: SmcResult | None = field(default=None, repr=False)
 
 
-def candidate_grid(eps_std: float, config: WeightSelectionConfig) -> np.ndarray:
+def candidate_grid(eps_std: float) -> np.ndarray:
     """Log-spaced candidates on [w_ref / T, w_ref * T], always containing w_ref."""
     w_ref = gaussian_reference(eps_std)
-    T = config.range_factor
-    if config.grid_size == 1:
-        return np.array([w_ref])
-    grid = np.geomspace(w_ref / T, w_ref * T, config.grid_size)
+    T = RANGE_FACTOR
+    grid = np.geomspace(w_ref / T, w_ref * T, GRID_SIZE)
     if not np.any(np.isclose(grid, w_ref, rtol=1e-9)):
         grid = np.sort(np.append(grid, w_ref))
     return grid
@@ -88,7 +89,7 @@ def residual_objective(posterior_mean: np.ndarray, model, observations) -> float
 
 
 def select_weight(grid: np.ndarray, objectives: np.ndarray, n_effective: int,
-                  eps_std: float, config: WeightSelectionConfig) -> tuple[float, float]:
+                  eps_std: float) -> tuple[float, float]:
     """(final stabilized weight, grid optimizer); ties take the smaller W."""
     grid = np.asarray(grid, dtype=float)
     objectives = np.asarray(objectives, dtype=float)
@@ -96,7 +97,7 @@ def select_weight(grid: np.ndarray, objectives: np.ndarray, n_effective: int,
         raise ValueError("grid/objective shape mismatch")
     w_opt = float(grid[int(np.argmin(objectives))])
     w_ref = gaussian_reference(eps_std)
-    S = config.stabilizer
+    S = STABILIZER
     n = n_effective
     w_final = S / (S + n - 1) * w_ref + (n - 1) / (S + n - 1) * w_opt
     # the rounded blend can land an ulp outside its endpoints
@@ -104,8 +105,7 @@ def select_weight(grid: np.ndarray, objectives: np.ndarray, n_effective: int,
     return min(max(float(w_final), lo), hi), w_opt
 
 
-def evaluate_grid_via_smc(model, observations, config: WeightSelectionConfig,
-                          smc_config: SmcConfig) -> SelectionResult:
+def evaluate_grid_via_smc(model, observations, smc_config: SmcConfig) -> SelectionResult:
     """Score every candidate from a single SMC pass to the grid maximum.
 
     As the accumulated weight crosses a candidate, the posterior mean at
@@ -114,7 +114,7 @@ def evaluate_grid_via_smc(model, observations, config: WeightSelectionConfig,
     replayed update exact); each candidate then costs one full solve for
     the prediction residuals.
     """
-    grid = candidate_grid(observations.eps_std, config)
+    grid = candidate_grid(observations.eps_std)
     n_eff = effective_n(observations)
 
     cfg = SmcConfig(**{**smc_config.__dict__, "total_weight": float(grid.max())})
@@ -140,7 +140,7 @@ def evaluate_grid_via_smc(model, observations, config: WeightSelectionConfig,
         mean = replayed.weights @ replayed.points
         objectives[i] = residual_objective(mean, model, observations)
 
-    w_final, w_opt = select_weight(grid, objectives, n_eff, observations.eps_std, config)
+    w_final, w_opt = select_weight(grid, objectives, n_eff, observations.eps_std)
     return SelectionResult(w_final=w_final, w_opt=w_opt,
                            w_ref=gaussian_reference(observations.eps_std),
                            grid=grid, objectives=objectives,

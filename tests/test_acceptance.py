@@ -14,7 +14,7 @@ import pytest
 
 from gibbsrb.config import RunConfig, build_model, build_observations, resolve_total_weight
 from gibbsrb.diagnostics import ks_distance
-from gibbsrb.oracle import grid_posterior
+from gibbsrb.oracle import DEFAULT_GRID, grid_posterior
 from gibbsrb.particles import ParticleSet
 from gibbsrb.smc import run_smc
 
@@ -47,7 +47,7 @@ def test_adv1d_shipped_neighbor_count_matches_oracle_at_half_the_full_solves():
     model = build_model(config)
     obs = build_observations(config, model, 0)
     cfg = replace(config.smc, total_weight=resolve_total_weight(config, obs))
-    grid = grid_posterior(model, model.domain, cfg.total_weight, config.oracle_grid, obs)
+    grid = grid_posterior(model, model.domain, cfg.total_weight, DEFAULT_GRID, obs)
 
     def runs(n):
         return [run_smc(model, obs, replace(cfg, neighbor_count=n, seed=s)) for s in SEEDS]

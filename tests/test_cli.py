@@ -23,8 +23,6 @@ smc:
   e_thre_value: 1.0e-3
   mutation_steps: 3
 mcmc: {samples: 300, burn_in: 100, step_scale: 0.2}
-weight_selection: {range_factor: 5.0, grid_size: 4}
-oracle: {grid: 25}
 """
 
 
@@ -79,9 +77,17 @@ def test_run_smc_artifacts(tiny_config, tmp_path):
     ("atom_budget: 2", "AtomBudgetError", 0),
     ("max_iterations: 1", "SmcIterationError", 1),
 ])
-def test_failed_run_smc_leaves_history_and_manifest(tmp_path, limit, error, iterations):
+def test_failed_run_smc_leaves_history_and_manifest(tmp_path, monkeypatch, limit, error,
+                                                    iterations):
+    # the atom budget is the constant localrb.ATOM_BUDGET, the iteration cap
+    # an smc config key
+    key, value = limit.split(": ")
     config = tmp_path / "tiny.yaml"
-    config.write_text(TINY_SMC.replace("smc:\n", f"smc:\n  {limit}\n"))
+    if key == "atom_budget":
+        monkeypatch.setattr("gibbsrb.localrb.ATOM_BUDGET", int(value))
+        config.write_text(TINY_SMC)
+    else:
+        config.write_text(TINY_SMC.replace("smc:\n", f"smc:\n  {limit}\n"))
     out = tmp_path / "run"
     rc = main(["run-smc", "--config", str(config), "--seed", "7", "--out", str(out)])
     assert rc != 0
@@ -294,7 +300,10 @@ def test_compare_two_runs(tiny_config, tmp_path):
     assert rc == 0
 
 
-def test_select_weight_cli(tiny_config, tmp_path):
+def test_select_weight_cli(tiny_config, tmp_path, monkeypatch):
+    # a short grid keeps the run small
+    monkeypatch.setattr("gibbsrb.weights.RANGE_FACTOR", 5.0)
+    monkeypatch.setattr("gibbsrb.weights.GRID_SIZE", 4)
     out = tmp_path / "wsel"
     rc = main(["select-weight", "--config", str(tiny_config), "--seed", "2",
                "--out", str(out)])
@@ -323,22 +332,50 @@ def test_shipped_configs_parse():
         assert cfg.digest()
 
 
+def test_readme_config_table_matches_schema():
+    # README's key table names every key of the schema and no other, and its
+    # model.mesh row every mesh size of every preset
+    from gibbsrb.config import _SECTIONS
+    from gibbsrb.forward.presets import MESH_SIZES
+
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    table = text.split("| key | meaning |\n| --- | --- |\n", 1)[1].split("\n\n", 1)[0]
+    rows = {}
+    for line in table.splitlines():
+        names, meaning = line.strip("|").split("|", 1)
+        for name in re.findall(r"`([a-z_]+\.[a-z_]+)`", names):
+            rows[name] = meaning
+    assert set(rows) == {f"{section}.{key}" for section, keys in _SECTIONS.items()
+                         for key in keys}
+    sizes = {key for preset in MESH_SIZES.values() for key in preset}
+    assert sizes <= set(re.findall(r"`([a-z_]+)`", rows["model.mesh"]))
+
+
 def test_stale_indicator_key_rejected():
     # smc.indicator, smc.resampling and smc.e_thre_floor are no longer
-    # options; a config that still sets one must fail rather than silently
-    # run without it, with the ValueError of any other unknown key
+    # options, and smc.proposal_mixing, smc.atom_budget and the
+    # weight_selection and oracle sections became module constants; a config
+    # that still sets one must fail rather than silently run without it,
+    # with the ValueError of any other unknown key, at the value it once took
     from gibbsrb.config import RunConfig
 
     for key, value in [("indicator", "sigma_min"), ("resampling", "systematic"),
-                       ("e_thre_floor", 1e-6)]:
+                       ("e_thre_floor", 1e-6), ("proposal_mixing", 0.5),
+                       ("atom_budget", 2000)]:
         with pytest.raises(ValueError, match=f"unknown config key smc.{key};"):
             RunConfig.from_dict({"smc": {key: value}})
+    for section, keys in [("weight_selection", {"range_factor": 50.0}),
+                          ("weight_selection", {"stabilizer": 10.0}),
+                          ("weight_selection", {"grid_size": 20}),
+                          ("oracle", {"grid": 60}), ("oracle", {})]:
+        with pytest.raises(ValueError, match=f"unknown config key {section};"):
+            RunConfig.from_dict({section: keys})
 
 
 @pytest.mark.parametrize("raw,key", [
     ({"gibbs": {"total_weigth": 3.0}}, "gibbs.total_weigth"),
     ({"smcc": {"particles": 5}}, "smcc"),
-    ({"oracle": {"grids": 2}}, "oracle.grids"),
+    ({"oracle": {"grids": 2}}, "oracle"),
     ({"model": {"preset": "adv1d", "meshes": {"cells": 8}}}, "model.meshes"),
     ({"gibbs": {"total_weigth": 3.0}, "smcc": {"particles": 5},
       "oracle": {"grids": 2}}, "smcc"),
@@ -349,7 +386,7 @@ def test_stale_indicator_key_rejected():
     ({"data": {"noise": 0.1}}, "data.noise"),
     ({"smc": {"particle": 5}}, "smc.particle"),
     ({"mcmc": {"sample": 5}}, "mcmc.sample"),
-    ({"weight_selection": {"grid": 5}}, "weight_selection.grid")])
+    ({"weight_selection": {"grid": 5}}, "weight_selection")])
 def test_unknown_config_key_rejected(raw, key):
     # before the check each of these parsed without a word to the default
     # it meant to change: gaussian_reference, 100 particles, grid 60; a
@@ -361,7 +398,7 @@ def test_unknown_config_key_rejected(raw, key):
         RunConfig.from_dict(raw)
 
 
-@pytest.mark.parametrize("raw", [{"oracle": None}, {"smc": None}, {"model": [1]}])
+@pytest.mark.parametrize("raw", [{"data": None}, {"smc": None}, {"model": [1]}])
 def test_config_section_must_be_a_mapping(raw):
     # an empty YAML section is null; it failed with an AttributeError or a
     # TypeError that named no section
@@ -386,16 +423,16 @@ def test_every_config_parses_and_round_trips():
 
 @pytest.mark.parametrize("section,key,value", [
     ("mcmc", "samples", 0), ("mcmc", "burn_in", -1), ("mcmc", "step_scale", 0.0),
-    ("mcmc", "step_scale", -1.0), ("oracle", "grid", 1)])
+    ("mcmc", "step_scale", -1.0)])
 def test_bad_mcmc_and_oracle_values_rejected_at_parse(section, key, value):
     # before the check, samples 0 ran the whole chain and then divided by
-    # zero in marginal_cdf, and grid 1 failed in the trapezoid weights
+    # zero in marginal_cdf; the oracle's grid is a flag, checked in
+    # test_oracle_grid_flag_of_one_node_rejected
     from gibbsrb.config import RunConfig
 
     with pytest.raises(ValueError, match=key):
         RunConfig.from_dict({section: {key: value}})
-    RunConfig.from_dict({"mcmc": {"samples": 1, "burn_in": 0, "step_scale": 1e-3},
-                         "oracle": {"grid": 2}})
+    RunConfig.from_dict({"mcmc": {"samples": 1, "burn_in": 0, "step_scale": 1e-3}})
 
 
 def test_sweep_neighbors_script_table(capsys):

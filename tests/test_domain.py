@@ -28,7 +28,7 @@ def test_prior_spec_validation():
                                   PriorSpec("beta", 3, 1), PriorSpec("beta", 2.5, 2.5)])
 def test_prior_integrates_to_one(spec):
     dom = ParameterDomain(np.array([0.1]), np.array([10.0]), (spec,))
-    val, _ = integrate.quad(lambda x: dom.pdf(np.array([[x]]))[0], 0.1, 10.0,
+    val, _ = integrate.quad(lambda x: np.exp(dom.log_pdf(np.array([[x]])))[0], 0.1, 10.0,
                             limit=200)
     assert val == pytest.approx(1.0, abs=1e-8)
 
@@ -36,8 +36,8 @@ def test_prior_integrates_to_one(spec):
 def test_prior_zero_outside_box():
     dom = ParameterDomain(np.zeros(2), np.ones(2),
                           (PriorSpec("beta", 1, 2), PriorSpec()))
-    assert dom.pdf(np.array([1.5, 0.5])) == 0.0
-    assert dom.pdf(np.array([0.5, -0.1])) == 0.0
+    assert np.exp(dom.log_pdf(np.array([1.5, 0.5]))) == 0.0
+    assert np.exp(dom.log_pdf(np.array([0.5, -0.1]))) == 0.0
     assert np.isneginf(dom.log_pdf(np.array([2.0, 2.0])))
 
 

@@ -153,10 +153,10 @@ def reference_runs(cli_run):
     """{command: output directory}: one tiny run of each kind beside cli_run."""
     config = cli_run.parent / "tiny.yaml"
     dirs = {"run-smc": cli_run}
-    for command, seed in [("run-mcmc", 5), ("oracle", 7)]:
+    for command, seed, flags in [("run-mcmc", 5, []), ("oracle", 7, ["--grid", "25"])]:
         dirs[command] = cli_run.parent / command
         assert main([command, "--config", str(config), "--seed", str(seed),
-                     "--out", str(dirs[command])]) == 0
+                     "--out", str(dirs[command]), *flags]) == 0
     for seed in (8, 9):
         assert main(["run-smc", "--config", str(config), "--seed", str(seed),
                      "--out", str(cli_run.parent / f"run{seed}")]) == 0

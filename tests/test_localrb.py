@@ -402,8 +402,9 @@ def test_refine_searches_the_cloud_once(adv1d_model, adv1d_obs, monkeypatch):
         assert sizes == [30]
 
 
-def test_atom_budget(adv1d_model, adv1d_obs):
-    s = Surrogate(adv1d_model, atom_budget=3)
+def test_atom_budget(adv1d_model, adv1d_obs, monkeypatch):
+    monkeypatch.setattr("gibbsrb.localrb.ATOM_BUDGET", 3)
+    s = Surrogate(adv1d_model)
     rng = np.random.default_rng(9)
     with pytest.raises(AtomBudgetError):
         s.refine_over_particles(rng.random((50, 2)), adv1d_obs, e_thre=1e-12)

@@ -27,8 +27,6 @@ def zero_loss(points):
 # ----- configuration validation -----
 
 def test_config_rejects_bad_values():
-    with pytest.raises(ValueError):
-        SmcConfig(proposal_mixing=1.0)
     with pytest.raises(ValueError, match="particles"):
         SmcConfig(particles=3)  # an ESS target below 2
     assert SmcConfig(particles=4).particles == 4
@@ -40,22 +38,35 @@ def test_config_rejects_bad_surrogate_sizes():
     # atom insertion (AtomBudgetError)
     from gibbsrb.config import RunConfig
 
-    for key, value in [("neighbor_count", -1), ("atom_budget", 0)]:
-        with pytest.raises(ValueError, match=key):
-            RunConfig.from_dict({"smc": {key: value}})
-    cfg = SmcConfig(neighbor_count=0, atom_budget=1)
-    assert (cfg.neighbor_count, cfg.atom_budget) == (0, 1)
+    with pytest.raises(ValueError, match="neighbor_count"):
+        RunConfig.from_dict({"smc": {"neighbor_count": -1}})
+    assert SmcConfig(neighbor_count=0).neighbor_count == 0
 
 
-# every integer config key, by section
+# every integer config key, by section, and the retired ones in their places
 COUNT_KEYS = [("smc", key) for key in ("particles", "mutation_steps", "max_iterations", "seed",
                                        "neighbor_count", "atom_budget")] + [
     ("mcmc", "samples"), ("mcmc", "burn_in"), ("weight_selection", "grid_size"),
     ("data", "n_obs"), ("oracle", "grid")]
-# every float config key, by section
+# every float config key, by section, and the retired ones in their places
 FLOAT_KEYS = [("smc", key) for key in ("proposal_mixing", "e_thre_value")] + [
     ("mcmc", "step_scale"), ("weight_selection", "range_factor"),
     ("weight_selection", "stabilizer"), ("data", "noise_pct"), ("gibbs", "total_weight")]
+# keys that became module constants, each with the name its unknown-key error
+# gives: the whole section where the section went.  A config that sets one
+# fails whatever the value; its cases sit where its checks were, which keeps
+# the positional ids of the cases after them
+RETIRED = {("smc", "atom_budget"): "smc.atom_budget", ("smc", "proposal_mixing"):
+           "smc.proposal_mixing", ("weight_selection", "grid_size"): "weight_selection",
+           ("weight_selection", "range_factor"): "weight_selection",
+           ("weight_selection", "stabilizer"): "weight_selection", ("oracle", "grid"): "oracle"}
+
+
+def _case(section: str, key: str, value, error: str) -> tuple:
+    """(config, error) of a key set to a bad value; a retired key fails as unknown."""
+    if (section, key) in RETIRED:
+        error = f"unknown config key {RETIRED[section, key]};"
+    return {section: {key: value}}, error
 
 
 @pytest.mark.parametrize("raw,key", [
@@ -71,7 +82,7 @@ FLOAT_KEYS = [("smc", key) for key in ("proposal_mixing", "e_thre_value")] + [
     ({"smc": {"e_thre_fraction": 0.02}}, "e_thre_fraction"),
     ({"smc": {"e_thre_fraction": 0.25}}, "e_thre_fraction"),
     ({"model": {"preset": "adv1d", "mesh": 5}}, "model.mesh must be a mapping, not 5")] + [
-    ({section: {key: value}}, f"{section}.{key} must be an integer")
+    _case(section, key, value, f"{section}.{key} must be an integer")
     for section, key in COUNT_KEYS for value in (2.5, "3", True)] + [
     ({"model": {"preset": "adv3d"}}, "model.preset must be one of adv1d, adv2d,"),
     ({"model": {"preset": "adv1d", "mesh": {"cells": 64.5}}}, "model.mesh.cells must be an int"),
@@ -84,14 +95,14 @@ FLOAT_KEYS = [("smc", key) for key in ("proposal_mixing", "e_thre_value")] + [
     ({"smc": {key: value}}, f"unknown config key smc.{key}")
     for key in ("ess_fraction", "backtrack_factor")
     for value in (float("nan"), float("inf"), 0.5, True)] + [
-    ({section: {key: value}}, f"{section}.{key} must be a finite number")
+    _case(section, key, value, f"{section}.{key} must be a finite number")
     for section, key in FLOAT_KEYS[:2] for value in (float("nan"), float("inf"), "0.5", True)] + [
     # the retired smc.e_thre_fraction fails whatever its value; its cases sit
     # where its float checks were, which keeps the positional ids of the
     # cases after them
     ({"smc": {"e_thre_fraction": value}}, "unknown config key smc.e_thre_fraction")
     for value in (float("nan"), float("inf"), "0.5", True)] + [
-    ({section: {key: value}}, f"{section}.{key} must be a finite number")
+    _case(section, key, value, f"{section}.{key} must be a finite number")
     for section, key in FLOAT_KEYS[2:] for value in (float("nan"), float("inf"), "0.5", True)] + [
     ({"model": {"preset": "elast2d_layered", "mesh": {"nx": 4}}}, "model.mesh.nx must be >= 5"),
     ({"model": {"preset": "elast2d_inclusion", "mesh": {"nx": 2}}},
@@ -104,7 +115,7 @@ def test_bad_smc_values_rejected_at_parse(raw, key):
     # float count ran truncated (seed 1.5 as seed 1, cells 64.5 as 64) or
     # failed deep in a run with a TypeError that named no key, as a mesh of
     # 5 did in assemble; an infinite e_thre stopped refinement after one
-    # atom, a NaN stabilizer made W_final NaN, an infinite step_scale left
+    # atom, an infinite step_scale left
     # the chain where it started and a NaN noise_pct gave NaN data; an elast
     # mesh too coarse to give every region an element ran with moduli that
     # had no effect on the data
@@ -115,16 +126,16 @@ def test_bad_smc_values_rejected_at_parse(raw, key):
     RunConfig.from_dict({"gibbs": {"total_weight": 0.0},
                          "smc": {"max_iterations": 1, "e_thre_value": 1e-300},
                          "data": {"noise_pct": 0},
-                         "weight_selection": {"range_factor": np.float64(1.5), "stabilizer": 1},
                          "model": {"preset": "adv1d", "mesh": {"cells": 4}}})
     # numpy integers are counts too, stored as ints so that the digest
     # and the manifest serialize them
     counts: dict = {}
     for section, count in COUNT_KEYS:
-        counts.setdefault(section, {})[count] = np.int64(4)
+        if (section, count) not in RETIRED:
+            counts.setdefault(section, {})[count] = np.int64(4)
     counts["model"] = {"preset": "adv1d", "mesh": {"cells": np.int64(4)}}
     cfg = RunConfig.from_dict(counts)
-    assert (cfg.smc.seed, cfg.mcmc.samples, cfg.oracle_grid, cfg.mesh) == (4, 4, 4, {"cells": 4})
+    assert (cfg.smc.seed, cfg.mcmc.samples, cfg.data.n_obs, cfg.mesh) == (4, 4, 4, {"cells": 4})
     assert RunConfig.from_dict(cfg.to_dict()).digest() == cfg.digest()
 
 
@@ -267,13 +278,14 @@ def test_resample_seed_determinism():
 
 # ----- mutation -----
 
-def test_mutate_gamma_near_one_is_immobile():
+def test_mutate_gamma_near_one_is_immobile(monkeypatch):
+    monkeypatch.setattr("gibbsrb.smc.PROPOSAL_MIXING", 0.9999)
     dom = uniform_domain(2)
     rng = np.random.default_rng(0)
     ps = ParticleSet(0.2 + 0.6 * rng.random((30, 2)), np.full(30, 1 / 30))
-    cfg = SmcConfig(particles=30, proposal_mixing=0.9999, mutation_steps=4)
+    cfg = SmcConfig(particles=30, mutation_steps=4)
     moments = (np.full(2, 0.5), np.full(2, 0.05))
-    out, rate, _ = mutate(ps, zero_loss, dom, 0.0, moments, cfg, 0, 1)
+    out, rate, _ = mutate(ps, zero_loss, dom, 0.0, moments, cfg, 0, 1, zero_loss(ps.points))
     assert rate > 0.95  # near-identity proposals are almost surely accepted
     assert np.max(np.abs(out.points - ps.points)) < 0.02
 
@@ -286,8 +298,8 @@ def test_mutate_zero_weight_uniform_prior_moments():
     m = 400
     ps = init_particles(dom, m, np.random.default_rng(2))
     moments = empirical_moments(ps, dom)
-    cfg = SmcConfig(particles=m, proposal_mixing=0.5, mutation_steps=60)
-    out, rate, _ = mutate(ps, zero_loss, dom, 0.0, moments, cfg, 3, 1)
+    cfg = SmcConfig(particles=m, mutation_steps=60)
+    out, rate, _ = mutate(ps, zero_loss, dom, 0.0, moments, cfg, 3, 1, zero_loss(ps.points))
     se_mean = np.sqrt(1.0 / 12.0 / m)
     for j in range(2):
         assert abs(out.points[:, j].mean() - moments[0][j]) < 3 * se_mean
@@ -320,13 +332,14 @@ def test_mutation_detailed_balance_two_point():
         assert flow_ab == pytest.approx(flow_ba, abs=1e-12)
 
 
-def test_mutate_rejects_outside_support():
+def test_mutate_rejects_outside_support(monkeypatch):
+    monkeypatch.setattr("gibbsrb.smc.PROPOSAL_MIXING", 0.0)
     dom = uniform_domain(1)
     pts = np.full((20, 1), 0.01)  # hugging the boundary
     ps = ParticleSet(pts, np.full(20, 0.05))
-    cfg = SmcConfig(particles=20, proposal_mixing=0.0, mutation_steps=30)
+    cfg = SmcConfig(particles=20, mutation_steps=30)
     moments = (np.array([0.0]), np.array([0.5]))  # proposals often negative
-    out, _, _ = mutate(ps, zero_loss, dom, 0.0, moments, cfg, 5, 1)
+    out, _, _ = mutate(ps, zero_loss, dom, 0.0, moments, cfg, 5, 1, zero_loss(pts))
     assert np.all(out.points >= 0.0)
     assert np.all(out.points <= 1.0)
 
@@ -340,7 +353,7 @@ def test_mutate_surrogate_failure_is_a_rejection():
         return np.full(len(points), np.nan)  # singular reduced systems
 
     out, rate, losses = mutate(ps, degenerate, dom, 1.0, empirical_moments(ps, dom), cfg,
-                               0, 1, current_losses=np.zeros(10))
+                               0, 1, np.zeros(10))
     assert rate == 0.0
     assert np.array_equal(out.points, ps.points)
     assert np.array_equal(losses, np.zeros(10))
@@ -355,14 +368,14 @@ def test_mutate_propagates_other_loss_errors():
         raise ValueError("bad loss")
 
     with pytest.raises(ValueError, match="bad loss"):
-        mutate(ps, broken, dom, 1.0, empirical_moments(ps, dom), cfg, 0, 1,
-               current_losses=np.zeros(10))
+        mutate(ps, broken, dom, 1.0, empirical_moments(ps, dom), cfg, 0, 1, np.zeros(10))
 
 
-def test_mutate_never_evaluates_outside_support():
+def test_mutate_never_evaluates_outside_support(monkeypatch):
+    monkeypatch.setattr("gibbsrb.smc.PROPOSAL_MIXING", 0.0)
     dom = uniform_domain(1)
     ps = ParticleSet(np.full((20, 1), 0.01), np.full(20, 0.05))
-    cfg = SmcConfig(particles=20, proposal_mixing=0.0, mutation_steps=30)
+    cfg = SmcConfig(particles=20, mutation_steps=30)
     moments = (np.array([0.0]), np.array([0.5]))  # proposals often negative
     seen = []
 
@@ -370,7 +383,7 @@ def test_mutate_never_evaluates_outside_support():
         seen.append(points.copy())
         return np.sum(points**2, axis=1)
 
-    mutate(ps, loss, dom, 1.0, moments, cfg, 5, 1, current_losses=np.zeros(20))
+    mutate(ps, loss, dom, 1.0, moments, cfg, 5, 1, np.zeros(20))
     seen = np.concatenate(seen)
     assert len(seen) > 0
     assert np.all(dom.contains(seen))
@@ -380,10 +393,11 @@ def test_mutate_never_evaluates_outside_support():
 def _mutate_per_chain(particles, loss, domain, w_target, moments, config, seed,
                       iteration, current_losses):
     """One chain at a time with scalar losses: the reference for mutate."""
+    from gibbsrb import smc
     from gibbsrb.seeding import PHASE_MUTATE
 
     mean, var = moments
-    gamma = config.proposal_mixing
+    gamma = smc.PROPOSAL_MIXING
 
     def log_q(a, b):
         dev = a - mean - gamma * (b - mean)
@@ -416,20 +430,21 @@ def _mutate_per_chain(particles, loss, domain, w_target, moments, config, seed,
     return points, accepts / (particles.m * config.mutation_steps), losses
 
 
-def test_mutate_lockstep_equals_per_chain_reference(adv1d_model, adv1d_obs):
+def test_mutate_lockstep_equals_per_chain_reference(adv1d_model, adv1d_obs, monkeypatch):
+    monkeypatch.setattr("gibbsrb.smc.PROPOSAL_MIXING", 0.2)
     surr = Surrogate(adv1d_model)
     rng = np.random.default_rng(6)
     surr.refine_over_particles(rng.random((30, 2)), adv1d_obs, e_thre=1e-2)
     dom = adv1d_model.domain
     ps = init_particles(dom, 40, np.random.default_rng(7))
-    cfg = SmcConfig(particles=40, mutation_steps=5, proposal_mixing=0.2)
+    cfg = SmcConfig(particles=40, mutation_steps=5)
     moments = empirical_moments(ps, dom)
     current = surr.loss_fn(adv1d_obs)(ps.points)
     ref_points, ref_rate, ref_losses = _mutate_per_chain(
         ps, lambda xi: surr.surrogate_loss(xi, adv1d_obs)[0], dom, 4.0, moments,
         cfg, 11, 1, current)
     out, rate, losses = mutate(ps, surr.loss_fn(adv1d_obs), dom, 4.0, moments, cfg,
-                               11, 1, current_losses=current)
+                               11, 1, current)
     assert np.array_equal(out.points, ref_points)
     assert np.array_equal(losses, ref_losses)
     assert rate == ref_rate
@@ -446,8 +461,8 @@ def test_mutate_thread_count_invariance(adv1d_model, adv1d_obs):
     cfg = SmcConfig(particles=40, mutation_steps=5)
     moments = empirical_moments(ps, dom)
     fn = surr.loss_fn(adv1d_obs)
-    a, ra, _ = mutate(ps, fn, dom, 4.0, moments, cfg, 11, 1)
-    b, rb, _ = mutate(ps, fn, dom, 4.0, moments, cfg, 11, 1)
+    a, ra, _ = mutate(ps, fn, dom, 4.0, moments, cfg, 11, 1, fn(ps.points))
+    b, rb, _ = mutate(ps, fn, dom, 4.0, moments, cfg, 11, 1, fn(ps.points))
     assert np.array_equal(a.points, b.points)
     assert ra == rb
 
@@ -563,8 +578,8 @@ def test_mutation_never_touches_full_counter(adv1d_model, adv1d_obs):
     ps = init_particles(dom, 20, np.random.default_rng(13))
     before = adv1d_model.counters.snapshot()["full"]
     cfg = SmcConfig(particles=20, mutation_steps=10)
-    mutate(ps, surr.loss_fn(adv1d_obs), dom, 3.0,
-           empirical_moments(ps, dom), cfg, 14, 1)
+    fn = surr.loss_fn(adv1d_obs)
+    mutate(ps, fn, dom, 3.0, empirical_moments(ps, dom), cfg, 14, 1, fn(ps.points))
     assert adv1d_model.counters.snapshot()["full"] == before
 
 

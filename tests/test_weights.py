@@ -3,21 +3,19 @@ import pytest
 
 from gibbsrb import ObservationSet, assemble, gen_data
 from gibbsrb.smc import SmcConfig
-from gibbsrb.weights import (SelectionResult, WeightSelectionConfig, candidate_grid,
-                             effective_n, evaluate_grid_via_smc, gaussian_reference,
-                             residual_objective, select_weight, WeightSelectionError)
+from gibbsrb.weights import (SelectionResult, candidate_grid, effective_n,
+                             evaluate_grid_via_smc, gaussian_reference, residual_objective,
+                             select_weight, WeightSelectionError)
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        WeightSelectionConfig(range_factor=1.0)
-    with pytest.raises(ValueError):
-        WeightSelectionConfig(stabilizer=0.5)
+def _weight_grid(monkeypatch, **constants):
+    """Set weights' grid constants, e.g. GRID_SIZE=6, for one test."""
+    for name, value in constants.items():
+        monkeypatch.setattr(f"gibbsrb.weights.{name}", value)
 
 
 def test_candidate_grid_paper_interval():
-    cfg = WeightSelectionConfig(range_factor=50.0, grid_size=20)
-    grid = candidate_grid(0.173, cfg)
+    grid = candidate_grid(0.173)
     w_ref = gaussian_reference(0.173)
     assert w_ref == pytest.approx(16.70, abs=0.01)
     assert grid[0] == pytest.approx(w_ref / 50.0, rel=1e-12)   # ~0.334
@@ -26,9 +24,9 @@ def test_candidate_grid_paper_interval():
     assert np.all(np.diff(grid) > 0)
 
 
-def test_candidate_grid_single_point_limit():
-    cfg = WeightSelectionConfig(range_factor=1.0001, grid_size=1)
-    grid = candidate_grid(0.5, cfg)
+def test_candidate_grid_single_point_limit(monkeypatch):
+    _weight_grid(monkeypatch, RANGE_FACTOR=1.0, GRID_SIZE=1)
+    grid = candidate_grid(0.5)
     assert grid.size == 1
     assert grid[0] == pytest.approx(gaussian_reference(0.5))
 
@@ -83,63 +81,60 @@ def test_effective_n():
 
 
 def test_select_weight_arithmetic():
-    cfg = WeightSelectionConfig(stabilizer=10.0)
     w_ref = gaussian_reference(0.25)
     grid = np.array([0.5 * w_ref, w_ref, 2.0 * w_ref])
 
     # n = 1: all mass on the reference
-    w, _ = select_weight(grid, np.array([0.3, 0.2, 0.1]), 1, 0.25, cfg)
+    w, _ = select_weight(grid, np.array([0.3, 0.2, 0.1]), 1, 0.25)
     assert w == pytest.approx(w_ref)
 
     # n -> infinity: all mass on the optimizer
-    w, w_opt = select_weight(grid, np.array([0.3, 0.2, 0.1]), 10**9, 0.25, cfg)
+    w, w_opt = select_weight(grid, np.array([0.3, 0.2, 0.1]), 10**9, 0.25)
     assert w_opt == pytest.approx(2.0 * w_ref)
     assert w == pytest.approx(2.0 * w_ref, rel=1e-6)
 
     # S = 10, n = 11, w_opt = 2 w_ref -> 1.5 w_ref
-    w, _ = select_weight(grid, np.array([0.3, 0.2, 0.1]), 11, 0.25, cfg)
+    w, _ = select_weight(grid, np.array([0.3, 0.2, 0.1]), 11, 0.25)
     assert w == pytest.approx(1.5 * w_ref)
 
 
 def test_select_weight_tie_takes_smaller():
-    cfg = WeightSelectionConfig()
     grid = np.array([1.0, 2.0, 3.0])
-    _, w_opt = select_weight(grid, np.array([0.5, 0.2, 0.2]), 5, 0.5, cfg)
+    _, w_opt = select_weight(grid, np.array([0.5, 0.2, 0.2]), 5, 0.5)
     assert w_opt == 2.0
 
 
-def test_final_weight_between_ref_and_opt():
-    cfg = WeightSelectionConfig(stabilizer=3.0)
+def test_final_weight_between_ref_and_opt(monkeypatch):
+    _weight_grid(monkeypatch, STABILIZER=3.0, GRID_SIZE=7)
     rng = np.random.default_rng(2)
     for _ in range(20):
         eps = 0.05 + rng.random()
-        grid = candidate_grid(eps, WeightSelectionConfig(grid_size=7))
+        grid = candidate_grid(eps)
         objs = rng.random(grid.size)
         n = int(rng.integers(1, 40))
-        w, w_opt = select_weight(grid, objs, n, eps, cfg)
+        w, w_opt = select_weight(grid, objs, n, eps)
         w_ref = gaussian_reference(eps)
         assert min(w_ref, w_opt) <= w <= max(w_ref, w_opt)
 
 
 def test_grid_of_one_returns_reference_exactly():
-    cfg = WeightSelectionConfig()
     # the unclamped blend gives 1.4292804535287638 here
     eps, n = 0.5914612202490918, 34
     w_ref = gaussian_reference(eps)
-    assert select_weight(np.array([w_ref]), np.zeros(1), n, eps, cfg)[0] == w_ref
+    assert select_weight(np.array([w_ref]), np.zeros(1), n, eps)[0] == w_ref
     rng = np.random.default_rng(5)
     for _ in range(2000):
         eps = 0.05 + rng.random()
         n = int(rng.integers(1, 100))
         w_ref = gaussian_reference(eps)
-        assert select_weight(np.array([w_ref]), np.zeros(1), n, eps, cfg)[0] == w_ref
+        assert select_weight(np.array([w_ref]), np.zeros(1), n, eps)[0] == w_ref
 
 
-def test_grid_of_one_equals_single_smc_run(adv1d_model):
+def test_grid_of_one_equals_single_smc_run(adv1d_model, monkeypatch):
+    _weight_grid(monkeypatch, RANGE_FACTOR=1.0, GRID_SIZE=1)
     data = gen_data(adv1d_model, noise_pct=0.1, n=4, seed=3)
-    wcfg = WeightSelectionConfig(range_factor=1.0001, grid_size=1)
     scfg = SmcConfig(particles=40, seed=4, e_thre_mode="fixed", e_thre_value=1e-3)
-    sel = evaluate_grid_via_smc(adv1d_model, data, wcfg, scfg)
+    sel = evaluate_grid_via_smc(adv1d_model, data, scfg)
     assert sel.grid.size == 1
     assert sel.objectives.size == 1
     assert sel.smc_result.final_weight == pytest.approx(sel.grid[0])
@@ -149,11 +144,11 @@ def test_grid_of_one_equals_single_smc_run(adv1d_model):
 
 
 @pytest.mark.slow
-def test_pipeline_candidates_cover_grid(adv1d_model):
+def test_pipeline_candidates_cover_grid(adv1d_model, monkeypatch):
+    _weight_grid(monkeypatch, RANGE_FACTOR=10.0, GRID_SIZE=6)
     data = gen_data(adv1d_model, noise_pct=0.1, n=4, seed=5)
-    wcfg = WeightSelectionConfig(range_factor=10.0, grid_size=6)
     scfg = SmcConfig(particles=50, seed=6, e_thre_mode="fixed", e_thre_value=1e-3)
-    sel = evaluate_grid_via_smc(adv1d_model, data, wcfg, scfg)
+    sel = evaluate_grid_via_smc(adv1d_model, data, scfg)
     assert np.all(np.isfinite(sel.objectives))
     assert sel.smc_result.final_weight == pytest.approx(sel.grid.max())
     assert sel.grid.size >= 6
