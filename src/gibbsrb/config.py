@@ -1,11 +1,9 @@
 """YAML run configuration.
 
 A sampler setting has a config key when its callers need different values;
-a value every caller shares is a constant of the module that reads it
-(``smc.PROPOSAL_MIXING``, ``localrb.ATOM_BUDGET``, ``weights.RANGE_FACTOR``,
-``STABILIZER`` and ``GRID_SIZE``, ``oracle.DEFAULT_GRID``).  A preset's
-physics are constants of its builder, and ``model.mesh`` sets only its
-sizes.  The shipped files under configs/ reproduce the three built-in
+a value they all share is a constant of the module that reads it.  A
+preset's physics are constants of its builder, and ``model.mesh`` sets only
+its sizes.  The shipped files under configs/ reproduce the three built-in
 experiments end to end.
 
 This module owns the whole config schema, the sampler section included

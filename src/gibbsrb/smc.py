@@ -147,9 +147,8 @@ def mutate(particles: ParticleSet, loss_fn: Callable, domain: ParameterDomain,
     loss is NaN (a singular reduced system).  The chains advance in
     lockstep, one batched loss_fn call per step, each drawing from its own
     stream.  loss_fn maps an (n, M) array to n losses, and current_losses
-    are its values at the particles' points.  Returns the
-    mutated set, the aggregate acceptance rate and the loss values at the
-    final points.
+    are its values at the particles' points.  Returns the mutated set, the
+    aggregate acceptance rate and the loss values at the final points.
     """
     mean, var = moments
     gamma = PROPOSAL_MIXING

@@ -40,8 +40,7 @@ class SelectionResult:
 def candidate_grid(eps_std: float) -> np.ndarray:
     """Log-spaced candidates on [w_ref / T, w_ref * T], always containing w_ref."""
     w_ref = gaussian_reference(eps_std)
-    T = RANGE_FACTOR
-    grid = np.geomspace(w_ref / T, w_ref * T, GRID_SIZE)
+    grid = np.geomspace(w_ref / RANGE_FACTOR, w_ref * RANGE_FACTOR, GRID_SIZE)
     if not np.any(np.isclose(grid, w_ref, rtol=1e-9)):
         grid = np.sort(np.append(grid, w_ref))
     return grid

@@ -34,8 +34,7 @@ def test_config_rejects_bad_values():
 
 def test_config_rejects_bad_surrogate_sizes():
     # a bad YAML value fails when the config is parsed, not deep in
-    # Surrogate.__init__ (numpy's "negative dimensions") or at the first
-    # atom insertion (AtomBudgetError)
+    # Surrogate.__init__ (numpy's "negative dimensions")
     from gibbsrb.config import RunConfig
 
     with pytest.raises(ValueError, match="neighbor_count"):
@@ -115,8 +114,8 @@ def test_bad_smc_values_rejected_at_parse(raw, key):
     # float count ran truncated (seed 1.5 as seed 1, cells 64.5 as 64) or
     # failed deep in a run with a TypeError that named no key, as a mesh of
     # 5 did in assemble; an infinite e_thre stopped refinement after one
-    # atom, an infinite step_scale left
-    # the chain where it started and a NaN noise_pct gave NaN data; an elast
+    # atom, an infinite step_scale left the chain where it started and a
+    # NaN noise_pct gave NaN data; an elast
     # mesh too coarse to give every region an element ran with moduli that
     # had no effect on the data
     from gibbsrb.config import RunConfig
@@ -353,7 +352,7 @@ def test_mutate_surrogate_failure_is_a_rejection():
         return np.full(len(points), np.nan)  # singular reduced systems
 
     out, rate, losses = mutate(ps, degenerate, dom, 1.0, empirical_moments(ps, dom), cfg,
-                               0, 1, np.zeros(10))
+                               0, 1, current_losses=np.zeros(10))
     assert rate == 0.0
     assert np.array_equal(out.points, ps.points)
     assert np.array_equal(losses, np.zeros(10))
@@ -368,7 +367,8 @@ def test_mutate_propagates_other_loss_errors():
         raise ValueError("bad loss")
 
     with pytest.raises(ValueError, match="bad loss"):
-        mutate(ps, broken, dom, 1.0, empirical_moments(ps, dom), cfg, 0, 1, np.zeros(10))
+        mutate(ps, broken, dom, 1.0, empirical_moments(ps, dom), cfg, 0, 1,
+               current_losses=np.zeros(10))
 
 
 def test_mutate_never_evaluates_outside_support(monkeypatch):
@@ -383,7 +383,7 @@ def test_mutate_never_evaluates_outside_support(monkeypatch):
         seen.append(points.copy())
         return np.sum(points**2, axis=1)
 
-    mutate(ps, loss, dom, 1.0, moments, cfg, 5, 1, np.zeros(20))
+    mutate(ps, loss, dom, 1.0, moments, cfg, 5, 1, current_losses=np.zeros(20))
     seen = np.concatenate(seen)
     assert len(seen) > 0
     assert np.all(dom.contains(seen))
@@ -444,7 +444,7 @@ def test_mutate_lockstep_equals_per_chain_reference(adv1d_model, adv1d_obs, monk
         ps, lambda xi: surr.surrogate_loss(xi, adv1d_obs)[0], dom, 4.0, moments,
         cfg, 11, 1, current)
     out, rate, losses = mutate(ps, surr.loss_fn(adv1d_obs), dom, 4.0, moments, cfg,
-                               11, 1, current)
+                               11, 1, current_losses=current)
     assert np.array_equal(out.points, ref_points)
     assert np.array_equal(losses, ref_losses)
     assert rate == ref_rate
