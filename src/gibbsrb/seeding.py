@@ -2,8 +2,8 @@
 
 Every run consumes randomness through generators derived from a single
 64-bit master seed and a small integer path.  The path encodes what the
-stream is for (phase constant, iteration index, particle index, ...), so
-results never depend on scheduling or thread count.
+stream is for (phase constant, then iteration index where the phase
+repeats), so results never depend on scheduling or thread count.
 """
 
 from __future__ import annotations

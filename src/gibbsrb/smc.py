@@ -4,9 +4,9 @@ Each iteration: refine the surrogate over the current particles, pick the
 weight increment that keeps the effective sample size above half the
 particle count (the whole residual weight if it does, else by bisection on
 the increment), reweight, resample, then rediversify with an MCMC
-mutation kernel that leaves the current tempered target invariant.  The
-schedule starts at zero accumulated weight and stops exactly at the
-requested total.
+mutation kernel that leaves the current tempered target invariant; its
+chains draw from one random stream per iteration.  The schedule starts
+at zero accumulated weight and stops exactly at the requested total.
 """
 
 from __future__ import annotations
@@ -128,12 +128,14 @@ def resample(particles: ParticleSet, rng: np.random.Generator):
                        generation=particles.generation + 1), idx
 
 
-def _log_q(a: np.ndarray, b: np.ndarray, mean: np.ndarray, var: np.ndarray,
-           gamma: float):
-    """Unnormalized log transition density of the AR(1) proposal b -> a,
-    per row when a and b are (n, M) arrays."""
-    dev = a - mean - gamma * (b - mean)
-    return -0.5 / (1.0 - gamma**2) * np.sum(dev**2 / var, axis=-1)
+def _log_proposal_ratio(x: np.ndarray, prop: np.ndarray, mean: np.ndarray,
+                        var: np.ndarray):
+    """log q(x | prop) - log q(prop | x) of the AR(1) proposal, per row.
+
+    The proposal is reversible with respect to N(mean, var), so the ratio
+    is that density's ratio at x and prop, and the mixing gamma drops out.
+    """
+    return -0.5 * np.sum(((x - mean)**2 - (prop - mean)**2) / var, axis=-1)
 
 
 def mutate(particles: ParticleSet, loss_fn: Callable, domain: ParameterDomain,
@@ -145,26 +147,25 @@ def mutate(particles: ParticleSet, loss_fn: Callable, domain: ParameterDomain,
     mean with matched variance.  Proposals outside the prior support are
     rejected through the zero prior density, and so are proposals whose
     loss is NaN (a singular reduced system).  The chains advance in
-    lockstep, one batched loss_fn call per step, each drawing from its own
-    stream.  loss_fn maps an (n, M) array to n losses, and current_losses
-    are its values at the particles' points.  Returns the mutated set, the
-    aggregate acceptance rate and the loss values at the final points.
+    lockstep, one batched loss_fn call per step, and share one stream per
+    iteration: each step draws an (m, M) block of proposal noise, then m
+    acceptance uniforms, and chain i reads row i.  loss_fn maps an (n, M)
+    array to n losses, and current_losses are its values at the particles'
+    points.  Returns the mutated set, the aggregate acceptance rate and the
+    loss values at the final points.
     """
     mean, var = moments
     gamma = PROPOSAL_MIXING
     m = particles.m
 
-    rngs = [stream(master_seed, PHASE_MUTATE, iteration, i) for i in range(m)]
+    rng = stream(master_seed, PHASE_MUTATE, iteration)
     x = particles.points.copy()
     lx = np.array(current_losses, dtype=float)
     lp_x = domain.log_pdf(x)
     accepts = np.zeros(m, dtype=int)
     for _ in range(config.mutation_steps):
-        z = np.empty_like(x)
-        u = np.empty(m)
-        for i, rng in enumerate(rngs):
-            z[i] = rng.standard_normal(domain.dim)
-            u[i] = rng.random()  # drawn unconditionally to keep streams aligned
+        z = rng.standard_normal(x.shape)
+        u = rng.random(m)  # for every chain, its proposal in support or not
         prop = mean + gamma * (x - mean) + np.sqrt(1.0 - gamma**2) * (np.sqrt(var) * z)
         lp_p = domain.log_pdf(prop)
         inside = np.isfinite(lp_p)
@@ -172,8 +173,7 @@ def mutate(particles: ParticleSet, loss_fn: Callable, domain: ParameterDomain,
         if inside.any():
             l_p[inside] = loss_fn(prop[inside])
         log_alpha = (-w_target * (l_p - lx) + lp_p - lp_x
-                     + _log_q(x, prop, mean, var, gamma)
-                     - _log_q(prop, x, mean, var, gamma))
+                     + _log_proposal_ratio(x, prop, mean, var))
         with np.errstate(divide="ignore"):
             log_u = np.log(u)
         # out-of-support proposals keep a NaN loss; a NaN log_alpha never accepts

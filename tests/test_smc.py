@@ -307,28 +307,34 @@ def test_mutate_zero_weight_uniform_prior_moments():
     assert 0.1 < rate < 1.0
 
 
-def test_mutation_detailed_balance_two_point():
-    # pi(a) Q(b|a) min(1, R(a->b)) == pi(b) Q(a|b) min(1, R(b->a))
-    from gibbsrb.smc import _log_q
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 0.9999])
+def test_mutation_detailed_balance_two_point(gamma):
+    # pi(a) Q(b|a) min(1, R(a->b)) == pi(b) Q(a|b) min(1, R(b->a)), with Q the
+    # AR(1) transition density and R's proposal ratio taken from the code
+    from gibbsrb.smc import _log_proposal_ratio
 
     dom = uniform_domain(2)
     mean = np.array([0.4, 0.6])
     var = np.array([0.02, 0.05])
-    gamma = 0.5
     w = 2.5
     loss = lambda x: float(np.sum(x**2))
+
+    def log_q(a, b):  # unnormalized log density of the move b -> a
+        dev = a - mean - gamma * (b - mean)
+        return -0.5 / (1.0 - gamma**2) * np.sum(dev**2 / var)
+
+    def log_pi(x):
+        return -w * loss(x) + dom.log_pdf(x)
+
     rng = np.random.default_rng(4)
     for _ in range(25):
         a, b = rng.random((2, 2))
-        def log_pi(x):
-            return -w * loss(x) + dom.log_pdf(x)
-        lr_ab = log_pi(b) - log_pi(a) + _log_q(a, b, mean, var, gamma) \
-            - _log_q(b, a, mean, var, gamma)
-        flow_ab = log_pi(a) + _log_q(b, a, mean, var, gamma) + min(0.0, lr_ab)
-        lr_ba = log_pi(a) - log_pi(b) + _log_q(b, a, mean, var, gamma) \
-            - _log_q(a, b, mean, var, gamma)
-        flow_ba = log_pi(b) + _log_q(a, b, mean, var, gamma) + min(0.0, lr_ba)
-        assert flow_ab == pytest.approx(flow_ba, abs=1e-12)
+        lr_ab = log_pi(b) - log_pi(a) + _log_proposal_ratio(a, b, mean, var)
+        flow_ab = log_pi(a) + log_q(b, a) + min(0.0, lr_ab)
+        lr_ba = log_pi(a) - log_pi(b) + _log_proposal_ratio(b, a, mean, var)
+        flow_ba = log_pi(b) + log_q(a, b) + min(0.0, lr_ba)
+        # the flows grow as 1 / (1 - gamma**2); rel scales the 1e-12 with them
+        assert flow_ab == pytest.approx(flow_ba, rel=1e-14, abs=1e-12)
 
 
 def test_mutate_rejects_outside_support(monkeypatch):
@@ -392,29 +398,34 @@ def test_mutate_never_evaluates_outside_support(monkeypatch):
 
 def _mutate_per_chain(particles, loss, domain, w_target, moments, config, seed,
                       iteration, current_losses):
-    """One chain at a time with scalar losses: the reference for mutate."""
+    """One chain at a time with scalar losses: the reference for mutate.
+
+    Each step's noise block and uniforms come from the iteration's stream
+    in mutate's order, and chain i reads row i of each."""
     from gibbsrb import smc
     from gibbsrb.seeding import PHASE_MUTATE
 
     mean, var = moments
     gamma = smc.PROPOSAL_MIXING
+    m = particles.m
 
     def log_q(a, b):
         dev = a - mean - gamma * (b - mean)
         return float(-0.5 / (1.0 - gamma**2) * np.sum(dev**2 / var))
 
+    rng = stream(seed, PHASE_MUTATE, iteration)
+    draws = [(rng.standard_normal((m, domain.dim)), rng.random(m))
+             for _ in range(config.mutation_steps)]
     points = np.empty_like(particles.points)
-    losses = np.empty(particles.m)
+    losses = np.empty(m)
     accepts = 0
-    for i in range(particles.m):
-        rng = stream(seed, PHASE_MUTATE, iteration, i)
+    for i in range(m):
         x, lx = particles.points[i].copy(), current_losses[i]
         lp_x = domain.log_pdf(x)
-        for _ in range(config.mutation_steps):
+        for z, u in draws:
             prop = mean + gamma * (x - mean) + np.sqrt(1.0 - gamma**2) * (
-                np.sqrt(var) * rng.standard_normal(domain.dim))
+                np.sqrt(var) * z[i])
             lp_p = domain.log_pdf(prop)
-            u = rng.random()
             if not np.isfinite(lp_p):
                 continue
             try:
@@ -423,11 +434,11 @@ def _mutate_per_chain(particles, loss, domain, w_target, moments, config, seed,
                 continue
             log_alpha = (-w_target * (lp_loss - lx) + lp_p - lp_x
                          + log_q(x, prop) - log_q(prop, x))
-            if np.log(u) < log_alpha:
+            if np.log(u[i]) < log_alpha:
                 x, lx, lp_x = prop, lp_loss, lp_p
                 accepts += 1
         points[i], losses[i] = x, lx
-    return points, accepts / (particles.m * config.mutation_steps), losses
+    return points, accepts / (m * config.mutation_steps), losses
 
 
 def test_mutate_lockstep_equals_per_chain_reference(adv1d_model, adv1d_obs, monkeypatch):
@@ -452,7 +463,8 @@ def test_mutate_lockstep_equals_per_chain_reference(adv1d_model, adv1d_obs, monk
 
 
 def test_mutate_thread_count_invariance(adv1d_model, adv1d_obs):
-    # each chain draws from its own stream, so a rerun is identical
+    # the draws come from the iteration's stream in a fixed order and the
+    # surrogate reads its atoms in a fixed order, so a rerun is identical
     surr = Surrogate(adv1d_model)
     rng = np.random.default_rng(6)
     surr.refine_over_particles(rng.random((30, 2)), adv1d_obs, e_thre=1e-2)
