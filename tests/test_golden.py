@@ -26,60 +26,60 @@ from test_cli import TINY_SMC
 
 CLI_DIGESTS = {
     "particles.csv":
-        "f7c48eb102ff97745e0dc41d53d8709d21d244d23c73afd2ddc6d213bd2f52c2",
+        "f102b8b7a888f8c43cf0bb066b1a36866cceadbfc5536b945bfaf1257d752bf8",
     "history.csv":
-        "e6c1b82ba44578c511863029af56b4b240336a8f08154e062c39356bf48a2705",
+        "f419beb1fff29d56b49381db8ff888f7aac4b741abc204f8384f85fcdf766267",
     "iteration_losses.csv":
-        "e3e9cece1020010b7e47446f7f9b24ebb9c83982b52e42a845e7dff3e05b426b",
+        "248245e187036e82ed27ed8c59384054e38e7fe93ca48317227a9179f03a65c4",
     "atoms.csv":
-        "4749844ea858f0cf4726c641453b611aa9339d79b22a27890a2a30156edc0ee6",
+        "f20412e8a111ef788f9fb5069d9fda63d122be29086917d6e985f45a60ade1eb",
 }
-LOSS_STD_FRACTION_DIGEST = "1cab550363fbfb550c05abb5852315f2f81e40baf0205e6f3ea6d6fc9191911f"
-ADV2D_DIGEST = "0b10f6daf8a53a24a706f7f802c4ede4039ff303f8e4aa6d754e3e2960a060d1"
+LOSS_STD_FRACTION_DIGEST = "efafb07f49f422cfce701acfa95222579b87424a9c7ba5f66c2f10e4f857b4c3"
+ADV2D_DIGEST = "f616954506f980f8f50188dfcb0ce5b8973563651791cd1a3415ad3201e104b1"
 
 # The work each golden run does: per iteration the atoms added, the cumulative
 # full solves and the cumulative reduced solves; then the iteration count and
 # the run's solve counts.  A change of linear solver moves the last bits of
 # the floats but must leave these unchanged.
-CLI_WORK = ([16, 4, 2], [17, 21, 23], [426, 626, 820], 3,
-            {"full": 23, "sensitivity": 46, "stability": 0})
-LOSS_STD_FRACTION_WORK = ([3, 0, 1, 1], [4, 4, 5, 6], [158, 278, 422, 564], 4,
+CLI_WORK = ([16, 2, 0], [17, 19, 19], [425, 618, 768], 3,
+            {"full": 19, "sensitivity": 38, "stability": 0})
+LOSS_STD_FRACTION_WORK = ([3, 2, 0], [4, 6, 6], [158, 326, 445], 3,
                           {"full": 6, "sensitivity": 12, "stability": 0})
-ADV2D_WORK = ([18, 17, 11, 9, 0], [19, 36, 47, 56, 56], [335, 556, 756, 933, 1053], 5,
-              {"full": 56, "sensitivity": 168, "stability": 0})
+ADV2D_WORK = ([18, 15, 13, 5, 5], [19, 34, 47, 52, 57], [339, 527, 718, 871, 1022], 5,
+              {"full": 57, "sensitivity": 171, "stability": 0})
 # the shipped elast2d_layered smc section at nx 8, data and sampler seed 0:
 # five terms, beta priors and the l2 loss
-ELAST_DIGEST = "619633f7a6a41309c070d7726747d37469b60ef7a601bef0f989ec0500d51155"
-ELAST_WORK = ([5, 7, 3, 13, 3, 9, 1, 13],
-              [6, 13, 16, 29, 32, 41, 42, 55],
-              [976, 2072, 2890, 4031, 4863, 5938, 6643, 7951], 8,
-              {"full": 55, "sensitivity": 275, "stability": 0})
-ELAST_CELL_BUILDS = 379
+ELAST_DIGEST = "54fa820e4451ed95b9853dac2e545d04e4028b13802ef417e009ab474a160613"
+ELAST_WORK = ([5, 5, 1, 5, 6, 8, 8, 7],
+              [6, 11, 12, 17, 23, 31, 39, 46],
+              [946, 1852, 2544, 3349, 4295, 5389, 6505, 7397], 8,
+              {"full": 46, "sensitivity": 230, "stability": 0})
+ELAST_CELL_BUILDS = 309
 # cell basis builds of the adv2d golden run, as the bench counts them
-ADV2D_CELL_BUILDS = 286
+ADV2D_CELL_BUILDS = 273
 # the shipped elast2d_inclusion smc section at nx 8 with 40 particles, data
-# and sampler seed 0: nine terms, a 94-atom cloud, more than the LU cache
+# and sampler seed 0: nine terms, a 145-atom cloud, more than the LU cache
 # holds, and the cell builds
-INCLUSION_DIGEST = "6261d0b7ff78d79da2546855688d5c24512cbf68b573cdf309bb3ce81fc7f699"
-INCLUSION_WORK = ([29, 10, 7, 14, 11, 6, 6, 4, 6],
-                  [30, 40, 47, 61, 72, 78, 84, 88, 94],
-                  [693, 942, 1178, 1576, 1909, 2215, 2594, 3034, 3493], 9,
-                  {"full": 94, "sensitivity": 846, "stability": 0})
-INCLUSION_CELL_BUILDS = 580
+INCLUSION_DIGEST = "019eb71b4f47228f57a6411295f7db6c7eec084f6e4a3bb335aba98c087e6746"
+INCLUSION_WORK = ([29, 12, 10, 12, 8, 8, 22, 15, 16, 12],
+                  [30, 42, 52, 64, 72, 80, 102, 117, 133, 145],
+                  [684, 935, 1203, 1562, 1826, 2198, 2970, 3372, 3766, 4103], 10,
+                  {"full": 145, "sensitivity": 1305, "stability": 0})
+INCLUSION_CELL_BUILDS = 865
 # fixed-seed adv1d RWMH chain: sha256 of its samples, acceptance, full solves
 RWMH_CHAIN = ("a6e4256c14d0461f9b8e4ebc61b394ef6662d59da08ee538fc18340244e373f7",
               0.085, 286)
 # marginal_cdfs.csv of the tiny run-smc (seed 7), run-mcmc and oracle runs
 CDF_DIGESTS = {
-    "run-smc": "b5a5d472598797e947d9efb21f4b1f896c1a01309348ec86825ef8d34aae6817",
+    "run-smc": "54d178521669ef06dc20a83f96e5c819eb5da7ac5c490198ef83c0c58e9f731b",
     "run-mcmc": "1d1ea1d79e49eb58fb116c3d96127702fec79b1f86752c46a7bdeae7057a6e56",
     "oracle": "20e47df9062dc112ed6eca065e8a98e82575785214eeedce7f758bc0d79e15c1",
 }
 # report.json of compare, the seed-7 and seed-8 runs against each kind of reference
 REPORT_DIGESTS = {
-    "oracle": "d7d18b4523517e25c40ea0a8b0049264100531a2ed92c5ecb7ce7b6f388fb152",
-    "run-mcmc": "5aac7f776d1c6b99c9d691f07cf7dba0047649a849b22e6b1d230606854e7013",
-    "run-smc": "22097262fa8be488a3efc05fa423178310d8537c47e2ccaddcbe808467af94b0",
+    "oracle": "6a38a33919598a87b4a8b284c5b7abd1a8b6ce603aff867e7e56e1bacea246f3",
+    "run-mcmc": "00e0c27d93ae8c6cba71e5d3d7dbef584e016cd55f209677f9620ddbefda97cb",
+    "run-smc": "20651adec985abd75979570ea8c9ac6cc16de9a3016f08673802cc31980ff3eb",
 }
 # the exact (full-solve) loss path, per preset: sha256 of model.loss at 32
 # prior draws (generator seed 11, data seed 3, two data rows), then of
@@ -259,7 +259,7 @@ def test_run_smc_adv2d_work_golden(adv2d_run):
 
 def test_run_smc_adv2d_cell_builds_golden(adv2d_run):
     result, builds = adv2d_run
-    assert (builds, result.surrogate.n_atoms) == (ADV2D_CELL_BUILDS, 56)
+    assert (builds, result.surrogate.n_atoms) == (ADV2D_CELL_BUILDS, 57)
 
 
 def test_run_smc_elast_golden(elast_run):
@@ -269,7 +269,7 @@ def test_run_smc_elast_golden(elast_run):
 def test_run_smc_elast_work_golden(elast_run):
     result, builds = elast_run
     assert _work(result) == ELAST_WORK
-    assert (builds, result.surrogate.n_atoms) == (ELAST_CELL_BUILDS, 55)
+    assert (builds, result.surrogate.n_atoms) == (ELAST_CELL_BUILDS, 46)
 
 
 def test_run_smc_inclusion_golden(inclusion_run):
@@ -279,7 +279,7 @@ def test_run_smc_inclusion_golden(inclusion_run):
 def test_run_smc_inclusion_work_golden(inclusion_run):
     result, builds = inclusion_run
     assert _work(result) == INCLUSION_WORK
-    assert (builds, result.surrogate.n_atoms) == (INCLUSION_CELL_BUILDS, 94)
+    assert (builds, result.surrogate.n_atoms) == (INCLUSION_CELL_BUILDS, 145)
 
 
 def test_run_rwmh_chain_golden(adv1d_obs):
@@ -307,8 +307,8 @@ def test_exact_loss_golden(preset, mesh):
 # every cell spans all snapshots once there are 13 atoms), 20 particles,
 # data seed 0, sampler seeds 0-2; sha256 of the three clouds' points and
 # weights, then per call (full solves, reduced solves, cell builds)
-BENCH_SMC_ADV1D = ("0b24438b2d29d9ba046b7a587b41c45744e1e13425ad73c8e9367aa08bfd6938",
-                   ((9, 678, 45), (10, 697, 55), (10, 701, 55)))
+BENCH_SMC_ADV1D = ("ed2726c60b6c59ceefcbd2fea00dbeededb072ae74d6b070b58ad0204b93d42b",
+                   ((9, 537, 45), (12, 740, 72), (11, 728, 65)))
 
 
 def test_bench_smc_adv1d_shape_golden():
