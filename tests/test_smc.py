@@ -42,71 +42,87 @@ def test_config_rejects_bad_surrogate_sizes():
     assert SmcConfig(neighbor_count=0).neighbor_count == 0
 
 
-# every integer config key, by section, and the retired ones in their places
-COUNT_KEYS = [("smc", key) for key in ("particles", "mutation_steps", "max_iterations", "seed",
-                                       "neighbor_count", "atom_budget")] + [
-    ("mcmc", "samples"), ("mcmc", "burn_in"), ("weight_selection", "grid_size"),
-    ("data", "n_obs"), ("oracle", "grid")]
-# every float config key, by section, and the retired ones in their places
-FLOAT_KEYS = [("smc", key) for key in ("proposal_mixing", "e_thre_value")] + [
-    ("mcmc", "step_scale"), ("weight_selection", "range_factor"),
-    ("weight_selection", "stabilizer"), ("data", "noise_pct"), ("gibbs", "total_weight")]
+# Each case's id is a fixed string, raw<n>-<expected error>, so a key's cases
+# can leave without renaming the others.  Every integer config key, by
+# section, and the retired ones, each with its first case's n
+COUNT_KEYS = {("smc", "particles"): 10, ("smc", "mutation_steps"): 13,
+              ("smc", "max_iterations"): 16, ("smc", "seed"): 19,
+              ("smc", "neighbor_count"): 22, ("smc", "atom_budget"): 25,
+              ("mcmc", "samples"): 28, ("mcmc", "burn_in"): 31,
+              ("weight_selection", "grid_size"): 34, ("data", "n_obs"): 37,
+              ("oracle", "grid"): 40}
+# every float config key, by section, and the retired ones, likewise
+FLOAT_KEYS = {("smc", "proposal_mixing"): 57, ("smc", "e_thre_value"): 61,
+              ("mcmc", "step_scale"): 69, ("weight_selection", "range_factor"): 73,
+              ("weight_selection", "stabilizer"): 77, ("data", "noise_pct"): 81,
+              ("gibbs", "total_weight"): 85}
 # keys that became module constants, each with the name its unknown-key error
 # gives: the whole section where the section went.  A config that sets one
-# fails whatever the value; its cases sit where its checks were, which keeps
-# the positional ids of the cases after them
+# fails whatever the value
 RETIRED = {("smc", "atom_budget"): "smc.atom_budget", ("smc", "proposal_mixing"):
            "smc.proposal_mixing", ("weight_selection", "grid_size"): "weight_selection",
            ("weight_selection", "range_factor"): "weight_selection",
            ("weight_selection", "stabilizer"): "weight_selection", ("oracle", "grid"): "oracle"}
+BAD_COUNTS = (2.5, "3", True)
+BAD_FLOATS = (float("nan"), float("inf"), "0.5", True)
 
 
-def _case(section: str, key: str, value, error: str) -> tuple:
-    """(config, error) of a key set to a bad value; a retired key fails as unknown."""
+def _case(n: int, raw: dict, error: str):
+    """Case raw<n>: the config raw fails with a message that matches error."""
+    return pytest.param(raw, error, id=f"raw{n}-{error}")
+
+
+def _key_cases(n: int, section: str, key: str, values, error: str) -> list:
+    """Cases raw<n>, raw<n+1>, ...: the key set to each value in turn; a
+    retired key fails as unknown."""
     if (section, key) in RETIRED:
         error = f"unknown config key {RETIRED[section, key]};"
-    return {section: {key: value}}, error
+    return [_case(n + i, {section: {key: value}}, error) for i, value in enumerate(values)]
 
 
 @pytest.mark.parametrize("raw,key", [
-    ({"gibbs": {"total_weight": float("nan")}}, "total_weight"),
-    ({"gibbs": {"total_weight": "inf"}}, "total_weight"),
-    ({"gibbs": {"total_weight": -1.0}}, "total_weight"),
-    ({"smc": {"total_weight": float("nan")}}, "total_weight"),
-    ({"smc": {"max_iterations": 0}}, "max_iterations"),
-    ({"smc": {"e_thre_value": 0.0}}, "e_thre_value"),
-    ({"smc": {"e_thre_value": -1e-3}}, "e_thre_value"),
+    _case(0, {"gibbs": {"total_weight": float("nan")}}, "total_weight"),
+    _case(1, {"gibbs": {"total_weight": "inf"}}, "total_weight"),
+    _case(2, {"gibbs": {"total_weight": -1.0}}, "total_weight"),
+    _case(3, {"smc": {"total_weight": float("nan")}}, "total_weight"),
+    _case(4, {"smc": {"max_iterations": 0}}, "max_iterations"),
+    _case(5, {"smc": {"e_thre_value": 0.0}}, "e_thre_value"),
+    _case(6, {"smc": {"e_thre_value": -1e-3}}, "e_thre_value"),
     # the loss-std fraction is the constant smc.E_THRE_FRACTION: the retired
     # key fails even at a value it once took, and the error names it
-    ({"smc": {"e_thre_fraction": 0.02}}, "e_thre_fraction"),
-    ({"smc": {"e_thre_fraction": 0.25}}, "e_thre_fraction"),
-    ({"model": {"preset": "adv1d", "mesh": 5}}, "model.mesh must be a mapping, not 5")] + [
-    _case(section, key, value, f"{section}.{key} must be an integer")
-    for section, key in COUNT_KEYS for value in (2.5, "3", True)] + [
-    ({"model": {"preset": "adv3d"}}, "model.preset must be one of adv1d, adv2d,"),
-    ({"model": {"preset": "adv1d", "mesh": {"cells": 64.5}}}, "model.mesh.cells must be an int"),
-    ({"model": {"preset": "adv2d", "mesh": {"nx": 8.0}}}, "model.mesh.nx must be an integer"),
-    ({"model": {"preset": "adv1d", "mesh": {"cells": True}}}, "model.mesh.cells must be an int"),
-    ({"model": {"preset": "adv1d", "mesh": {"cells": 3}}}, "model.mesh.cells must be >= 4"),
-    ({"data": {"noise_pct": -0.1}}, "data.noise_pct must be >= 0")] + [
+    _case(7, {"smc": {"e_thre_fraction": 0.02}}, "e_thre_fraction"),
+    _case(8, {"smc": {"e_thre_fraction": 0.25}}, "e_thre_fraction"),
+    _case(9, {"model": {"preset": "adv1d", "mesh": 5}}, "model.mesh must be a mapping, not 5"),
+    *(case for (section, key), n in COUNT_KEYS.items()
+      for case in _key_cases(n, section, key, BAD_COUNTS,
+                             f"{section}.{key} must be an integer")),
+    _case(43, {"model": {"preset": "adv3d"}}, "model.preset must be one of adv1d, adv2d,"),
+    _case(44, {"model": {"preset": "adv1d", "mesh": {"cells": 64.5}}},
+          "model.mesh.cells must be an int"),
+    _case(45, {"model": {"preset": "adv2d", "mesh": {"nx": 8.0}}},
+          "model.mesh.nx must be an integer"),
+    _case(46, {"model": {"preset": "adv1d", "mesh": {"cells": True}}},
+          "model.mesh.cells must be an int"),
+    _case(47, {"model": {"preset": "adv1d", "mesh": {"cells": 3}}},
+          "model.mesh.cells must be >= 4"),
+    _case(48, {"data": {"noise_pct": -0.1}}, "data.noise_pct must be >= 0"),
     # the ESS target and its increment rule are constants: the retired keys
     # fail whatever their value
-    ({"smc": {key: value}}, f"unknown config key smc.{key}")
-    for key in ("ess_fraction", "backtrack_factor")
-    for value in (float("nan"), float("inf"), 0.5, True)] + [
-    _case(section, key, value, f"{section}.{key} must be a finite number")
-    for section, key in FLOAT_KEYS[:2] for value in (float("nan"), float("inf"), "0.5", True)] + [
-    # the retired smc.e_thre_fraction fails whatever its value; its cases sit
-    # where its float checks were, which keeps the positional ids of the
-    # cases after them
-    ({"smc": {"e_thre_fraction": value}}, "unknown config key smc.e_thre_fraction")
-    for value in (float("nan"), float("inf"), "0.5", True)] + [
-    _case(section, key, value, f"{section}.{key} must be a finite number")
-    for section, key in FLOAT_KEYS[2:] for value in (float("nan"), float("inf"), "0.5", True)] + [
-    ({"model": {"preset": "elast2d_layered", "mesh": {"nx": 4}}}, "model.mesh.nx must be >= 5"),
-    ({"model": {"preset": "elast2d_inclusion", "mesh": {"nx": 2}}},
-     "model.mesh.nx must be >= 3"),
-    ({"smc": {"particles": 3}}, "smc.particles must be >= 4")])
+    *_key_cases(49, "smc", "ess_fraction", (float("nan"), float("inf"), 0.5, True),
+                "unknown config key smc.ess_fraction"),
+    *_key_cases(53, "smc", "backtrack_factor", (float("nan"), float("inf"), 0.5, True),
+                "unknown config key smc.backtrack_factor"),
+    # the retired smc.e_thre_fraction fails whatever its value
+    *_key_cases(65, "smc", "e_thre_fraction", BAD_FLOATS,
+                "unknown config key smc.e_thre_fraction"),
+    *(case for (section, key), n in FLOAT_KEYS.items()
+      for case in _key_cases(n, section, key, BAD_FLOATS,
+                             f"{section}.{key} must be a finite number")),
+    _case(89, {"model": {"preset": "elast2d_layered", "mesh": {"nx": 4}}},
+          "model.mesh.nx must be >= 5"),
+    _case(90, {"model": {"preset": "elast2d_inclusion", "mesh": {"nx": 2}}},
+          "model.mesh.nx must be >= 3"),
+    _case(91, {"smc": {"particles": 3}}, "smc.particles must be >= 4")])
 def test_bad_smc_values_rejected_at_parse(raw, key):
     # before the check, a NaN total weight returned the prior after zero
     # iterations, an infinite one overflowed, max_iterations 0 failed at
