@@ -4,9 +4,9 @@ Each iteration: refine the surrogate over the current particles, pick the
 weight increment that keeps the effective sample size above half the
 particle count (the whole residual weight if it does, else by bisection on
 the increment), reweight, resample, then rediversify with an MCMC
-mutation kernel that leaves the current tempered target invariant; its
-chains draw from one random stream per iteration.  The schedule starts
-at zero accumulated weight and stops exactly at the requested total.
+mutation kernel that leaves the current tempered target invariant.  The
+schedule starts at zero accumulated weight and stops exactly at the
+requested total.
 """
 
 from __future__ import annotations
@@ -130,11 +130,8 @@ def resample(particles: ParticleSet, rng: np.random.Generator):
 
 def _log_proposal_ratio(x: np.ndarray, prop: np.ndarray, mean: np.ndarray,
                         var: np.ndarray):
-    """log q(x | prop) - log q(prop | x) of the AR(1) proposal, per row.
-
-    The proposal is reversible with respect to N(mean, var), so the ratio
-    is that density's ratio at x and prop, and the mixing gamma drops out.
-    """
+    """log q(x | prop) - log q(prop | x) of the AR(1) proposal, per row: it is
+    reversible with respect to N(mean, var), so gamma drops out."""
     return -0.5 * np.sum(((x - mean)**2 - (prop - mean)**2) / var, axis=-1)
 
 

@@ -323,8 +323,7 @@ def test_mutate_zero_weight_uniform_prior_moments():
     assert 0.1 < rate < 1.0
 
 
-@pytest.mark.parametrize("gamma", [0.0, 0.5, 0.9999])
-def test_mutation_detailed_balance_two_point(gamma):
+def test_mutation_detailed_balance_two_point():
     # pi(a) Q(b|a) min(1, R(a->b)) == pi(b) Q(a|b) min(1, R(b->a)), with Q the
     # AR(1) transition density and R's proposal ratio taken from the code
     from gibbsrb.smc import _log_proposal_ratio
@@ -335,7 +334,7 @@ def test_mutation_detailed_balance_two_point(gamma):
     w = 2.5
     loss = lambda x: float(np.sum(x**2))
 
-    def log_q(a, b):  # unnormalized log density of the move b -> a
+    def log_q(a, b, gamma):  # unnormalized log density of the move b -> a
         dev = a - mean - gamma * (b - mean)
         return -0.5 / (1.0 - gamma**2) * np.sum(dev**2 / var)
 
@@ -343,14 +342,15 @@ def test_mutation_detailed_balance_two_point(gamma):
         return -w * loss(x) + dom.log_pdf(x)
 
     rng = np.random.default_rng(4)
-    for _ in range(25):
-        a, b = rng.random((2, 2))
-        lr_ab = log_pi(b) - log_pi(a) + _log_proposal_ratio(a, b, mean, var)
-        flow_ab = log_pi(a) + log_q(b, a) + min(0.0, lr_ab)
-        lr_ba = log_pi(a) - log_pi(b) + _log_proposal_ratio(b, a, mean, var)
-        flow_ba = log_pi(b) + log_q(a, b) + min(0.0, lr_ba)
-        # the flows grow as 1 / (1 - gamma**2); rel scales the 1e-12 with them
-        assert flow_ab == pytest.approx(flow_ba, rel=1e-14, abs=1e-12)
+    for gamma in (0.0, 0.5, 0.9999):
+        for _ in range(25):
+            a, b = rng.random((2, 2))
+            lr_ab = log_pi(b) - log_pi(a) + _log_proposal_ratio(a, b, mean, var)
+            flow_ab = log_pi(a) + log_q(b, a, gamma) + min(0.0, lr_ab)
+            lr_ba = log_pi(a) - log_pi(b) + _log_proposal_ratio(b, a, mean, var)
+            flow_ba = log_pi(b) + log_q(a, b, gamma) + min(0.0, lr_ba)
+            # the flows grow as 1 / (1 - gamma**2); rel scales the 1e-12 with them
+            assert flow_ab == pytest.approx(flow_ba, rel=1e-14, abs=1e-12), gamma
 
 
 def test_mutate_rejects_outside_support(monkeypatch):
