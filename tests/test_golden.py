@@ -34,8 +34,8 @@ CLI_DIGESTS = {
     "atoms.csv":
         "f20412e8a111ef788f9fb5069d9fda63d122be29086917d6e985f45a60ade1eb",
 }
-LOSS_STD_FRACTION_DIGEST = "efafb07f49f422cfce701acfa95222579b87424a9c7ba5f66c2f10e4f857b4c3"
-ADV2D_DIGEST = "f616954506f980f8f50188dfcb0ce5b8973563651791cd1a3415ad3201e104b1"
+LOSS_STD_FRACTION_DIGEST = "1c7300beee094bfd0562059b7cbf9fe6561eaed4e0685878d3a5bfcf70602820"
+ADV2D_DIGEST = "f7defdfc466ac5fea7a6a799ea63293296d3e012cddc42f4458fdeda3a8e9d28"
 
 # The work each golden run does: per iteration the atoms added, the cumulative
 # full solves and the cumulative reduced solves; then the iteration count and
@@ -49,7 +49,7 @@ ADV2D_WORK = ([18, 15, 13, 5, 5], [19, 34, 47, 52, 57], [339, 527, 718, 871, 102
               {"full": 57, "sensitivity": 171, "stability": 0})
 # the shipped elast2d_layered smc section at nx 8, data and sampler seed 0:
 # five terms, beta priors and the l2 loss
-ELAST_DIGEST = "54fa820e4451ed95b9853dac2e545d04e4028b13802ef417e009ab474a160613"
+ELAST_DIGEST = "c11878a2fb24e979c0b70949c97e62fc7a63ec52b1c1be9468cf3fc17da21ea1"
 ELAST_WORK = ([5, 5, 1, 5, 6, 8, 8, 7],
               [6, 11, 12, 17, 23, 31, 39, 46],
               [946, 1852, 2544, 3349, 4295, 5389, 6505, 7397], 8,
@@ -60,7 +60,7 @@ ADV2D_CELL_BUILDS = 273
 # the shipped elast2d_inclusion smc section at nx 8 with 40 particles, data
 # and sampler seed 0: nine terms, a 145-atom cloud, more than the LU cache
 # holds, and the cell builds
-INCLUSION_DIGEST = "019eb71b4f47228f57a6411295f7db6c7eec084f6e4a3bb335aba98c087e6746"
+INCLUSION_DIGEST = "295b1e33f5cc51e3faa68dbbc43104053669df3acfb3e03d23a98e71c97463c2"
 INCLUSION_WORK = ([29, 12, 10, 12, 8, 8, 22, 15, 16, 12],
                   [30, 42, 52, 64, 72, 80, 102, 117, 133, 145],
                   [684, 935, 1203, 1562, 1826, 2198, 2970, 3372, 3766, 4103], 10,
@@ -75,6 +75,10 @@ CDF_DIGESTS = {
     "run-mcmc": "1d1ea1d79e49eb58fb116c3d96127702fec79b1f86752c46a7bdeae7057a6e56",
     "oracle": "20e47df9062dc112ed6eca065e8a98e82575785214eeedce7f758bc0d79e15c1",
 }
+# select-weight on the tiny config at seed 2, the default grid: sha256 of
+# weight_table.csv, then the manifest's w_final and w_opt
+SELECT_WEIGHT = ("ff0bdf85e6fd04fef84ba7b64345bf478d24298683aa3a3ce8014d19906df969",
+                 19.968752946460683, 11.662657850045811)
 # report.json of compare, the seed-7 and seed-8 runs against each kind of reference
 REPORT_DIGESTS = {
     "oracle": "6a38a33919598a87b4a8b284c5b7abd1a8b6ce603aff867e7e56e1bacea246f3",
@@ -180,6 +184,16 @@ def test_compare_report_golden(reference_runs, ref):
     assert _sha((out / "report.json").read_bytes()) == REPORT_DIGESTS[ref]
 
 
+def test_select_weight_golden(cli_run):
+    out = cli_run.parent / "select-weight"
+    assert main(["select-weight", "--config", str(cli_run.parent / "tiny.yaml"),
+                 "--seed", "2", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    got = (_sha((out / "weight_table.csv").read_bytes()), manifest["w_final"],
+           manifest["w_opt"])
+    assert got == SELECT_WEIGHT
+
+
 def test_run_smc_cli_artifacts_golden(cli_run):
     got = {name: _sha((cli_run / name).read_bytes()) for name in CLI_DIGESTS}
     assert got == CLI_DIGESTS
@@ -195,10 +209,11 @@ def test_run_smc_cli_work_golden(cli_run):
 
 
 def _result_digest(res) -> str:
+    """sha256 of the run's floats: the final cloud, the per-iteration losses
+    and thresholds and the atom locations.  The work counts are _work's."""
     h = hashlib.sha256()
     for arr in (res.particles.points, res.particles.weights,
                 *(rec.losses for rec in res.history),
-                np.array([rec.reduced_solves for rec in res.history]),
                 np.array([rec.e_thre for rec in res.history]),
                 np.array([a.location for a in res.surrogate.atoms])):
         h.update(np.ascontiguousarray(arr).tobytes())
