@@ -22,8 +22,8 @@ import numpy as np
 PACKAGE_VERSION = "0.1.0"  # pyproject.toml's [project] version; gibbsrb.__version__
 
 HISTORY_COLUMNS = ("t", "w_before", "w_after", "delta_w", "ess", "atoms_added",
-                   "acceptance_rate", "e_thre", "e_max", "replay_ess",
-                   "full_solves", "reduced_solves", "degenerate")
+                   "acceptance_rate", "e_thre", "e_max", "full_solves",
+                   "reduced_solves", "degenerate")
 
 
 def _cell(v):

@@ -51,7 +51,6 @@ class IterationRecord:
     losses: np.ndarray          # surrogate losses at the iteration-start points
     full_solves: int            # cumulative from the run's start, at iteration end
     reduced_solves: int         # likewise
-    replay_ess: float = float("nan")
     degenerate: bool = False
 
 
@@ -182,23 +181,19 @@ def mutate(particles: ParticleSet, loss_fn: Callable, domain: ParameterDomain,
     return ParticleSet(x, particles.weights.copy(), particles.generation), rate, lx
 
 
-def surrogate_losses(surrogate: Surrogate, points: np.ndarray, observations) -> np.ndarray:
-    """Surrogate losses at the points; raises where a reduced system is singular."""
-    losses = surrogate.loss_fn(observations)(points)
+def replay_consistency(surrogate: Surrogate, observations, particles: ParticleSet,
+                       w_t: float) -> ParticleSet:
+    """Reweight a particle cloud by the further weight w_t using the latest
+    surrogate; no full solves are involved, and by coherence the single-shot
+    update equals the incremental schedule.  Raises BasisDegeneracyError
+    where a reduced system is singular."""
+    if w_t == 0.0:
+        return particles
+    losses = surrogate.loss_fn(observations)(particles.points)
     if np.isnan(losses).any():
         raise BasisDegeneracyError("singular reduced system at "
                                    f"{int(np.isnan(losses).sum())} point(s)")
-    return losses
-
-
-def replay_consistency(surrogate: Surrogate, observations, initial: ParticleSet,
-                       w_t: float) -> ParticleSet:
-    """Reweight the initial particle cloud to the accumulated weight using
-    the latest surrogate; no full solves are involved, and by coherence the
-    single-shot update equals the incremental schedule."""
-    if w_t == 0.0:
-        return initial
-    return reweight(initial, surrogate_losses(surrogate, initial.points, observations), w_t)
+    return reweight(particles, losses, w_t)
 
 
 def _resolve_e_thre(config: SmcConfig, losses: np.ndarray) -> float:
@@ -253,11 +248,6 @@ def run_smc(model, observations, config: SmcConfig, *,
             exc.history = history
             raise
         losses = report.loss_values
-        try:
-            replay_ess = ess(replay_consistency(surrogate, observations, snapshots[0],
-                                                w_cur).weights)
-        except BasisDegeneracyError:  # a diagnostic must not abort the run
-            replay_ess = float("nan")
 
         delta_w, new_weights, ess_val, degenerate = adapt_step(
             particles.weights, losses, w_total - w_cur, ESS_FRACTION * config.particles)
@@ -276,8 +266,7 @@ def run_smc(model, observations, config: SmcConfig, *,
             atoms_added=report.atoms_added, acceptance_rate=acc_rate,
             e_thre=report.e_thre, e_max=report.e_max_final, losses=losses,
             full_solves=counts["full"] - counters0["full"],
-            reduced_solves=surrogate.reduced_solves - reduced0,
-            replay_ess=replay_ess, degenerate=degenerate))
+            reduced_solves=surrogate.reduced_solves - reduced0, degenerate=degenerate))
         particles = mutated
         w_cur = w_next
         snapshots.append(particles.copy())

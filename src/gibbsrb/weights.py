@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import gaussian_reference
-from .particles import ParticleSet, reweight
-from .smc import SmcConfig, SmcResult, run_smc, surrogate_losses
+from .smc import SmcConfig, SmcResult, replay_consistency, run_smc
 
 RANGE_FACTOR = 50.0  # T: the grid spans w_ref times [1/T, T]
 STABILIZER = 10.0    # S: the final weight's shrinkage toward w_ref
@@ -118,24 +117,13 @@ def evaluate_grid_via_smc(model, observations, smc_config: SmcConfig) -> Selecti
 
     cfg = SmcConfig(**{**smc_config.__dict__, "total_weight": float(grid.max())})
     result = run_smc(model, observations, cfg)
-    surrogate = result.surrogate
 
     boundaries = [0.0] + [rec.w_after for rec in result.history]
-    loss_cache: dict[int, np.ndarray] = {}
-
-    def losses_at(k: int) -> np.ndarray:
-        if k not in loss_cache:
-            loss_cache[k] = surrogate_losses(surrogate, result.snapshots[k].points,
-                                              observations)
-        return loss_cache[k]
-
     objectives = np.empty(grid.size)
     for i, w_c in enumerate(grid):
         k = int(np.searchsorted(boundaries, w_c, side="right") - 1)
-        k = min(k, len(result.snapshots) - 1)
-        start = result.snapshots[k]
-        delta = w_c - boundaries[k]
-        replayed = reweight(start, losses_at(k), delta) if delta > 0 else start
+        replayed = replay_consistency(result.surrogate, observations, result.snapshots[k],
+                                      w_c - boundaries[k])
         mean = replayed.weights @ replayed.points
         objectives[i] = residual_objective(mean, model, observations)
 

@@ -28,7 +28,7 @@ CLI_DIGESTS = {
     "particles.csv":
         "f102b8b7a888f8c43cf0bb066b1a36866cceadbfc5536b945bfaf1257d752bf8",
     "history.csv":
-        "f419beb1fff29d56b49381db8ff888f7aac4b741abc204f8384f85fcdf766267",
+        "36f2feb92633ee9c5bddbda8edab1a4612762719f7a0b1c70c10cc604f6c751d",
     "iteration_losses.csv":
         "248245e187036e82ed27ed8c59384054e38e7fe93ca48317227a9179f03a65c4",
     "atoms.csv":
@@ -41,31 +41,31 @@ ADV2D_DIGEST = "f7defdfc466ac5fea7a6a799ea63293296d3e012cddc42f4458fdeda3a8e9d28
 # full solves and the cumulative reduced solves; then the iteration count and
 # the run's solve counts.  A change of linear solver moves the last bits of
 # the floats but must leave these unchanged.
-CLI_WORK = ([16, 2, 0], [17, 19, 19], [425, 618, 768], 3,
+CLI_WORK = ([16, 2, 0], [17, 19, 19], [425, 588, 708], 3,
             {"full": 19, "sensitivity": 38, "stability": 0})
-LOSS_STD_FRACTION_WORK = ([3, 2, 0], [4, 6, 6], [158, 326, 445], 3,
+LOSS_STD_FRACTION_WORK = ([3, 2, 0], [4, 6, 6], [158, 302, 397], 3,
                           {"full": 6, "sensitivity": 12, "stability": 0})
-ADV2D_WORK = ([18, 15, 13, 5, 5], [19, 34, 47, 52, 57], [339, 527, 718, 871, 1022], 5,
+ADV2D_WORK = ([18, 15, 13, 5, 5], [19, 34, 47, 52, 57], [339, 503, 670, 799, 926], 5,
               {"full": 57, "sensitivity": 171, "stability": 0})
 # the shipped elast2d_layered smc section at nx 8, data and sampler seed 0:
 # five terms, beta priors and the l2 loss
 ELAST_DIGEST = "c11878a2fb24e979c0b70949c97e62fc7a63ec52b1c1be9468cf3fc17da21ea1"
 ELAST_WORK = ([5, 5, 1, 5, 6, 8, 8, 7],
               [6, 11, 12, 17, 23, 31, 39, 46],
-              [946, 1852, 2544, 3349, 4295, 5389, 6505, 7397], 8,
+              [946, 1752, 2344, 3049, 3895, 4889, 5905, 6697], 8,
               {"full": 46, "sensitivity": 230, "stability": 0})
-ELAST_CELL_BUILDS = 309
+ELAST_CELL_BUILDS = 262
 # cell basis builds of the adv2d golden run, as the bench counts them
-ADV2D_CELL_BUILDS = 273
+ADV2D_CELL_BUILDS = 255
 # the shipped elast2d_inclusion smc section at nx 8 with 40 particles, data
 # and sampler seed 0: nine terms, a 145-atom cloud, more than the LU cache
 # holds, and the cell builds
 INCLUSION_DIGEST = "295b1e33f5cc51e3faa68dbbc43104053669df3acfb3e03d23a98e71c97463c2"
 INCLUSION_WORK = ([29, 12, 10, 12, 8, 8, 22, 15, 16, 12],
                   [30, 42, 52, 64, 72, 80, 102, 117, 133, 145],
-                  [684, 935, 1203, 1562, 1826, 2198, 2970, 3372, 3766, 4103], 10,
+                  [684, 895, 1123, 1442, 1666, 1998, 2730, 3092, 3446, 3743], 10,
                   {"full": 145, "sensitivity": 1305, "stability": 0})
-INCLUSION_CELL_BUILDS = 865
+INCLUSION_CELL_BUILDS = 786
 # fixed-seed adv1d RWMH chain: sha256 of its samples, acceptance, full solves
 RWMH_CHAIN = ("a6e4256c14d0461f9b8e4ebc61b394ef6662d59da08ee538fc18340244e373f7",
               0.085, 286)
@@ -323,7 +323,7 @@ def test_exact_loss_golden(preset, mesh):
 # data seed 0, sampler seeds 0-2; sha256 of the three clouds' points and
 # weights, then per call (full solves, reduced solves, cell builds)
 BENCH_SMC_ADV1D = ("ed2726c60b6c59ceefcbd2fea00dbeededb072ae74d6b070b58ad0204b93d42b",
-                   ((9, 537, 45), (12, 740, 72), (11, 728, 65)))
+                   ((9, 497, 45), (12, 680, 62), (11, 668, 58)))
 
 
 def test_bench_smc_adv1d_shape_golden():

@@ -1,14 +1,11 @@
-import csv
-
 import numpy as np
 import pytest
 from scipy import optimize, stats
 
-from gibbsrb import ObservationSet, Surrogate, assemble, gen_data
+from gibbsrb import ObservationSet, Surrogate, assemble
 from gibbsrb.domain import ParameterDomain, PriorSpec
 from gibbsrb.localrb import BasisDegeneracyError
-from gibbsrb.particles import ParticleSet, empirical_moments, ess
-from gibbsrb.runio import write_history_csv
+from gibbsrb.particles import ParticleSet, empirical_moments
 from gibbsrb.seeding import PHASE_INIT, stream
 from gibbsrb.smc import (BISECTIONS, SmcConfig, SmcIterationError, adapt_step,
                          init_particles, mutate, replay_consistency, resample, run_smc)
@@ -650,42 +647,13 @@ def test_replay_costs_no_full_solves(adv1d_model, adv1d_obs):
     assert adv1d_model.counters.snapshot()["full"] == before
 
 
-class _SingularInReplay(ExactLoss):
-    """Exact losses, but NaN at the first initial particle whenever the whole
-    initial cloud is scored from iteration 2 on: the replay then meets a
-    singular reduced system there."""
-
-    def __init__(self, model, initial):
-        super().__init__(model)
-        self.initial = initial
-        self.iteration = 0
-
-    def loss_fn(self, observations):
-        exact = super().loss_fn(observations)
-
-        def fn(points):
-            out = exact(points)
-            if self.iteration >= 2 and np.array_equal(points, self.initial):
-                out[0] = np.nan
-            return out
-        return fn
-
-    def refine_over_particles(self, points, observations, e_thre):
-        self.iteration += 1
-        return super().refine_over_particles(points, observations, e_thre)
-
-
-def test_singular_replay_records_nan_and_run_finishes(adv1d_model, adv1d_obs, tmp_path):
-    cfg = SmcConfig(particles=20, total_weight=4.0, seed=3, mutation_steps=2)
-    initial = init_particles(adv1d_model.domain, cfg.particles, stream(cfg.seed, PHASE_INIT))
-    result = run_smc(adv1d_model, adv1d_obs, cfg,
-                     surrogate=_SingularInReplay(adv1d_model, initial.points))
-    assert result.final_weight == cfg.total_weight and result.iterations >= 3
-    assert result.history[0].replay_ess == pytest.approx(cfg.particles)  # w = 0: uniform
-    write_history_csv(tmp_path / "history.csv", result.history)
-    with (tmp_path / "history.csv").open() as fh:
-        rows = list(csv.DictReader(fh))
-    assert [r["replay_ess"] for r in rows[1:]] == ["nan"] * (len(rows) - 1)
+def test_replay_raises_on_singular_reduced_system():
+    class Singular:
+        def loss_fn(self, observations):
+            return lambda points: np.full(len(points), np.nan)
+    cloud = ParticleSet(np.zeros((3, 2)), np.full(3, 1.0 / 3))
+    with pytest.raises(BasisDegeneracyError, match="3 point"):
+        replay_consistency(Singular(), None, cloud, 1.0)
 
 
 # ----- Monte Carlo rate of the full pipeline (exact losses) -----
