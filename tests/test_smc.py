@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from scipy import optimize, stats
 
-from gibbsrb import ObservationSet, Surrogate, assemble
+from gibbsrb import ObservationSet, Surrogate, assemble, gen_data
 from gibbsrb.domain import ParameterDomain, PriorSpec
 from gibbsrb.localrb import BasisDegeneracyError
-from gibbsrb.particles import ParticleSet, empirical_moments
+from gibbsrb.particles import ParticleSet, empirical_moments, ess
 from gibbsrb.seeding import PHASE_INIT, stream
 from gibbsrb.smc import (BISECTIONS, SmcConfig, SmcIterationError, adapt_step,
                          init_particles, mutate, replay_consistency, resample, run_smc)
