@@ -4,10 +4,11 @@ A model is A(xi) u = f(xi) with A(xi) = sum_p theta_p(xi) A_p and
 f(xi) = sum_q phi_q(xi) f_q, plus an observation matrix mapping the state
 to measurement channels and a loss kind tying predictions to data.  The
 coefficients are affine in xi, theta(xi) = theta_0 + xi @ d theta / d xi.
-A(xi) is scattered into the storage of its LAPACK binding at places the
-binding gives at construction, and factorized by LU with partial pivoting
+A(xi) is factorized by LU with partial pivoting through its LAPACK binding
 (``bandlu``: the tridiagonal dgt* routines where kl = ku = 1, band dgb*
-routines otherwise); a solve's residual and the observation are gathers
+routines otherwise).  The binding owns the storage layout: this module
+hands it the operator terms once, then calls its ``assemble`` and
+``residual`` and never reads the storage.  The observation is a gather
 over per-row slot arrays, so a solve makes a fixed number of numpy calls
 whatever the band width.
 
@@ -24,7 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bandlu import BandLU, band_routines
+from .bandlu import BandLU, _ellpack, band_routines
 
 LOSS_KINDS = ("squared_l2", "l1", "l2")
 
@@ -49,24 +50,6 @@ class SolveCounters:
     def snapshot(self) -> dict:
         return {"full": self.full, "sensitivity": self.sensitivity,
                 "stability": self.stability}
-
-
-def _ellpack(rows: np.ndarray, cols: np.ndarray, values: np.ndarray, n_rows: int):
-    """Slot-major (ELLPACK) layout of entries listed row by row.
-
-    Entry e goes to slot s of its row, s counting the row's earlier entries:
-    flat place s * n_rows + rows[e] of a (w, n_rows) array, w the widest
-    row.  Returns those places, the (w, n_rows) columns and the
-    (..., w, n_rows) values; a padding slot holds column 0 and value 0.
-    """
-    counts = np.bincount(rows, minlength=n_rows)
-    w = int(counts.max(initial=0))
-    flat = (np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]) * n_rows + rows
-    columns = np.zeros(w * n_rows, dtype=np.int64)
-    columns[flat] = cols
-    slotted = np.zeros(values.shape[:-1] + (w * n_rows,))
-    slotted[..., flat] = values
-    return flat, columns.reshape(w, n_rows), slotted.reshape(values.shape[:-1] + (w, n_rows))
 
 
 def _csr_entries(T):
@@ -117,16 +100,10 @@ def vstack_csr(mats: list):
     return type(mats[0])(arrays, shape=(sum(M.shape[0] for M in mats), mats[0].shape[1]))
 
 
-def _operator_layout(terms: list, n: int):
-    """Fixed index arrays of the operator's exact path.
-
-    Returns the LAPACK binding for the band half-widths (kl, ku) of the
-    union pattern (``band_routines``); each term's values on that pattern
-    as a (P, w, n) slot-major array, row i's entries in ascending column
-    order in slots 0, 1, ...; the (w, n) column of each slot; and each
-    slot's flat place in the binding's buffer, or its spare last place for
-    a padding slot.
-    """
+def _operator_binding(terms: list, n: int):
+    """The LAPACK binding (``band_routines``) of the operator with these
+    terms, given each term's values on the terms' union pattern, row by row
+    in ascending column order."""
     # sorted keys compared with their successors, not np.unique, whose
     # masked-array check imports numpy.ma (17 ms) into every set-up
     keys, values = [], []
@@ -142,13 +119,7 @@ def _operator_layout(terms: list, n: int):
     stacked = np.zeros((len(terms), union.size))
     for p, (k, v) in enumerate(zip(keys, values)):
         stacked[p, np.searchsorted(union, k)] = v
-    rows, cols = union // n, union % n
-    kl, ku = int(max(0, np.max(rows - cols))), int(max(0, np.max(cols - rows)))
-    band = band_routines(n, kl, ku)
-    flat, columns, term_values = _ellpack(rows, cols, stacked, n)
-    positions = np.full(columns.size, band.ab.size - 1)
-    positions[flat] = band.places(rows, cols)
-    return band, term_values, columns, positions
+    return band_routines(n, union // n, union % n, stacked)
 
 
 def _check_factorization(xi, routine: str, info: int) -> None:
@@ -164,12 +135,12 @@ class ForwardModel:
     operator_terms[p] is A_p with theta_p(xi) = operator_coeff_offsets[p]
     + xi @ operator_coeff_grads[:, p]; likewise for the rhs.  The grads
     d theta_p / d xi_j are constants, also used for sensitivity solves.
-    The operator terms and the observation matrix are laid out for the
-    exact path at construction, so they must not change afterwards.  The
-    LAPACK binding (``bandlu.band_routines``) is chosen then from the band
-    half-widths and owns the storage layout: A(xi) is scattered into the
-    places it gives.  The solves share its buffers, so they must not run
-    concurrently.
+    The operator, rhs and observation terms are laid out for the exact
+    path at construction, so they must not change afterwards.  The LAPACK
+    binding (``bandlu.band_routines``) is chosen then from the band
+    half-widths and owns the storage layout: it assembles A(xi) and forms
+    the residual.  The solves share its buffers and the model's, so they
+    must not run concurrently.
     """
 
     name: str
@@ -203,10 +174,14 @@ class ForwardModel:
         if shapes != ((P,), (M, P), (Q,), (M, Q)):
             raise ValueError(f"coefficient arrays need shapes {((P,), (M, P), (Q,), (M, Q))}, "
                              f"got {shapes}")
-        (self._band, self._term_values, self._columns,
-         self._ab_positions) = _operator_layout(self.operator_terms, self.n_dof)
+        self._band = _operator_binding(self.operator_terms, self.n_dof)
+        self._rhs_terms = np.array(self.rhs_terms, dtype=float).reshape(Q, self.n_dof)
         _, self._obs_columns, self._obs_values = _ellpack(*_csr_entries(self.obs_matrix),
                                                           self.n_obs)
+        self._f, self._predicted = np.empty(self.n_dof), np.empty(self.n_obs)
+        # f does not move with xi where its coefficients do not (adv1d and
+        # elast): the same floats, since phi(xi) = phi(0) up to zero signs
+        self._fixed_f = None if self.rhs_coeff_grads.any() else self._rhs(self.rhs_coeff_offsets)
 
     @property
     def n_dof(self) -> int:
@@ -227,50 +202,29 @@ class ForwardModel:
         xi may also be an (n, M) array of points; the coefficients are then
         (n, P) and (n, Q) arrays, one row per point.
         """
-        xi = np.asarray(xi, dtype=float)
-        return (self.operator_coeff_offsets + xi @ self.operator_coeff_grads,
-                self.rhs_coeff_offsets + xi @ self.rhs_coeff_grads)
-
-    def _assemble(self, theta: np.ndarray, ab: np.ndarray | None = None):
-        """A at coefficients theta: (its slot-major union values, the flat
-        buffer of its binding's storage, zero off the union pattern: the
-        fill-in rows of dgb* storage and du2 of dgt* storage too).  The
-        storage is written into ab, the binding's buffer, or a fresh array;
-        ab is zeroed first, since a factorization overwrote it.
-
-        Term by term in order (a reduction over the outer axis adds
-        elementwise), so every entry is the same float as in the chained
-        sparse sum theta_0 A_0 + theta_1 A_1 + ...; entries outside the
-        terms' union pattern are zero.
-        """
-        values = np.add.reduce(theta[:, None, None] * self._term_values, axis=0)
-        if ab is None:
-            ab = np.zeros(self._band.ab.size)
-        else:
-            ab.fill(0.0)
-        ab[self._ab_positions] = values.reshape(-1)
-        return values, ab
+        xi = np.asarray(xi, dtype=float)  # ndarray.dot: matmul's BLAS call, less overhead
+        return (self.operator_coeff_offsets + xi.dot(self.operator_coeff_grads),
+                self.rhs_coeff_offsets + xi.dot(self.rhs_coeff_grads))
 
     def operator_at(self, xi: np.ndarray):
         """A(xi) as a scipy DIA array whose data is the diagonals' rows of
         the binding's storage (offsets ku, ..., -kl)."""
         import scipy.sparse as sp
-        ab = self._assemble(self.coefficients(xi)[0])[1]
+        ab = self._band.assemble(self.coefficients(xi)[0])[1]
         return sp.dia_array(self._band.diagonals(ab), shape=(self.n_dof, self.n_dof))
 
-    def _rhs(self, phi: np.ndarray) -> np.ndarray:
-        f = np.zeros(self.n_dof)
-        for c, term in zip(phi, self.rhs_terms):
-            f += c * term
-        return f
+    def _rhs(self, phi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """f at coefficients phi, into out or a fresh array: from zero, term
+        by term in order, as the sum 0 + phi_0 f_0 + phi_1 f_1 + ...."""
+        return np.add.reduce(phi[:, None] * self._rhs_terms, axis=0, initial=0.0, out=out)
 
     def rhs_at(self, xi: np.ndarray) -> np.ndarray:
         return self._rhs(self.coefficients(xi)[1])
 
     def factorize(self, xi: np.ndarray) -> tuple[np.ndarray, BandLU]:
-        """(the slot-major union values of A(xi), its LU factorization with
-        partial pivoting, by dgbtrf or dgttrf); raises ValueError outside the
-        parameter box, before assembling anything."""
+        """(the values of A(xi) that its binding's residual reads, its LU
+        factorization with partial pivoting, by dgbtrf or dgttrf); raises
+        ValueError outside the parameter box, before assembling anything."""
         values, ab = self._assemble_in_box(xi, self.coefficients(xi)[0])
         lu, info = self._band.factorize(ab)
         _check_factorization(xi, self._band.routines + "trf", info)
@@ -280,7 +234,7 @@ class ForwardModel:
         xi = np.asarray(xi, dtype=float)
         if not self.domain.contains_point(xi):
             raise ValueError(f"xi={xi} outside the parameter box")
-        return self._assemble(theta, ab)
+        return self._band.assemble(theta, ab)
 
     @property
     def band_lu_binding(self) -> str:
@@ -298,33 +252,34 @@ class ForwardModel:
 
         ``factors`` is the result of factorize(xi); by default one dgbsv or
         dgtsv call factorizes and solves, which gives the floats of dgbtrf
-        then dgbtrs, or of dgttrf then dgttrs.
+        then dgbtrs, or of dgttrf then dgttrs.  The state is a fresh array.
         """
-        theta, phi = self.coefficients(xi)
-        f = self._rhs(phi)
         if factors is None:
-            values, _ = self._assemble_in_box(xi, theta, self._band.ab)
-            u, info = self._band.factor_solve(f)
+            return self._solve(xi).copy()
+        values, lu = factors
+        f = self._rhs(self.coefficients(xi)[1])
+        return self._checked(xi, values, f, lu.solve(f))
+
+    def _solve(self, xi: np.ndarray) -> np.ndarray:
+        """solve_full(xi) by one dgbsv or dgtsv call, in the binding's buffer,
+        which the next solve overwrites."""
+        theta, phi = self.coefficients(xi)
+        values, _ = self._assemble_in_box(xi, theta, self._band.ab)
+        f = self._fixed_f if self._fixed_f is not None else self._rhs(phi, self._f)
+        u, info = self._band.factor_solve(f)
+        if info:
             _check_factorization(xi, self._band.routines + "sv", info)
-        else:
-            values, lu = factors
-            u = lu.solve(f)
-        r = self._residual(values, f, u)
-        resid = math.sqrt(r @ r)
-        if not math.isfinite(resid) or resid > 1e-10 * max(math.sqrt(f @ f), 1e-300):
+        return self._checked(xi, values, f, u)
+
+    def _checked(self, xi, values: np.ndarray, f: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """u, once the residual f - A u passes the check at 1e-10 |f|; raises
+        SolverError on a larger or non-finite one."""
+        r = self._band.residual(values, f, u)
+        resid = math.sqrt(r.dot(r))
+        if not math.isfinite(resid) or resid > 1e-10 * max(math.sqrt(f.dot(f)), 1e-300):
             raise SolverError(f"solver breakdown at xi={xi}: residual {resid:.3e}")
         self.counters.full += 1
         return u
-
-    def _residual(self, values: np.ndarray, f: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """f - A u for A's slot-major union values: row i subtracts its
-        entries a_ij u_j from f_i in ascending column order, one slot per
-        step.  The band's zeros off the union pattern are skipped, which
-        can change only the sign of an entry that is exactly zero."""
-        with np.errstate(invalid="ignore"):  # an overflowed u leaves NaN in r
-            terms = values * u[self._columns]
-            np.subtract(f, terms[0], out=terms[0])
-            return np.subtract.reduce(terms, axis=0)
 
     def solve_sensitivity(self, u: np.ndarray, lu: BandLU) -> np.ndarray:
         """Columns du/dxi_j solving A(xi) du/dxi_j = df/dxi_j - (dA/dxi_j) u,
@@ -345,11 +300,13 @@ class ForwardModel:
         return lu.solve(rhs)
 
     # ----- observation and loss -----
-    def observe(self, u: np.ndarray) -> np.ndarray:
-        """D u for one state u.  Each channel sums its entries d_ij u_j in
-        CSR storage order, in sequence from zero, as scipy's csr_matvec
-        does, so a finite u observes the same floats as obs_matrix @ u."""
-        return np.add.reduce(self._obs_values * u[self._obs_columns], axis=0, initial=0.0)
+    def observe(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """D u for one state u, into out or a fresh array.  Each channel sums
+        its entries d_ij u_j in CSR storage order, in sequence from zero, as
+        scipy's csr_matvec does, so a finite u observes the same floats as
+        obs_matrix @ u."""
+        return np.add.reduce(self._obs_values * u[self._obs_columns], axis=0, initial=0.0,
+                             out=out)
 
     def loss_from_prediction(self, predicted: np.ndarray, observations):
         """Cumulative loss sum_i loss(predicted, d_i) for the model's loss kind.
@@ -362,11 +319,14 @@ class ForwardModel:
         if self.loss_kind == "l2":
             return np.linalg.norm(resid, axis=-1).sum(axis=-1)
         terms = resid**2 if self.loss_kind == "squared_l2" else np.abs(resid)
-        return terms.reshape(resid.shape[:-2] + (observations.data.size,)).sum(axis=-1)
+        terms = terms.reshape(resid.shape[:-2] + (observations.data.size,))
+        return np.add.reduce(terms, axis=-1)  # ndarray.sum's reduction, without its wrapper
 
     def loss(self, xi: np.ndarray, observations) -> float:
-        return float(self.loss_from_prediction(self.observe(self.solve_full(xi)),
-                                               observations))
+        """The loss of solve_full(xi)'s prediction, with the state and the
+        prediction in the model's and its binding's buffers."""
+        predicted = self.observe(self._solve(xi), self._predicted)
+        return float(self.loss_from_prediction(predicted, observations))
 
     # ----- checks -----
     def check_invertibility(self) -> None:

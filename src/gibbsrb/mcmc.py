@@ -42,26 +42,30 @@ def run_rwmh(model, observations, weight: float, n_samples: int = 5000,
     rng = stream(seed, PHASE_MCMC)
     counters0 = model.counters.snapshot()["full"]
 
+    # bound once: the loop runs one full solve per step, and little else
+    normal, uniform = rng.standard_normal, rng.random
+    loss, log_pdf, dim = model.loss, domain.log_pdf, domain.dim
+
     x = domain.sample(1, rng)[0]
-    loss_x = model.loss(x, observations)
-    lp_x = domain.log_pdf(x)
+    loss_x = loss(x, observations)
+    lp_x = log_pdf(x)
     step = step_scale * domain.widths
 
     total = n_samples + burn_in
-    chain = np.empty((total, domain.dim))
+    chain = np.empty((total, dim))
     accepted = 0
     out_of_support = 0
     for i in range(total):
-        prop = x + step * rng.standard_normal(domain.dim)
-        u = rng.random()
-        lp_p = domain.log_pdf(prop)
+        prop = x + step * normal(dim)
+        u = uniform()
+        lp_p = log_pdf(prop)
         if not math.isfinite(lp_p):
             out_of_support += 1
             chain[i] = x
             continue
-        loss_p = model.loss(prop, observations)
+        loss_p = loss(prop, observations)
         log_alpha = -weight * (loss_p - loss_x) + lp_p - lp_x
-        if (np.log(u) if u > 0 else -np.inf) < log_alpha:
+        if (math.log(u) if u > 0 else -math.inf) < log_alpha:
             x, loss_x, lp_x = prop, loss_p, lp_p
             accepted += 1
         chain[i] = x

@@ -1,18 +1,21 @@
 """Band and tridiagonal LU through numpy's OpenBLAS and through scipy's
 LAPACK, with scipy.linalg.lapack as the reference."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.linalg import lapack
 
-from gibbsrb import assemble
+from gibbsrb import ObservationSet, assemble, gen_data
 from gibbsrb.domain import ParameterDomain
 from gibbsrb.forward import bandlu
 from gibbsrb.forward.model import ForwardModel, SolverError
 
 import test_golden
-from test_forward_models import SMALL_PRESET_IDS, _SMALL_PRESETS, _two_by_two_model
+from test_forward_models import (SMALL_PRESET_IDS, _SMALL_PRESETS, _probe_points,
+                                 _two_by_two_model)
 
 BINDINGS = ["openblas-ilp64", "scipy.linalg.lapack"]
 
@@ -67,7 +70,7 @@ def test_band_lu_bit_equal_to_scipy(binding, preset, mesh):
     band = model._band
     rng = np.random.default_rng(21)
     for xi in model.domain.sample(3, rng):
-        storage = band.view(model._assemble(model.coefficients(xi)[0])[1])
+        storage = band.view(band.assemble(model.coefficients(xi)[0])[1])
         factors_ref, piv_ref, solve_ref, factor_solve_ref = _scipy_reference(band, storage)
         _, lu = model.factorize(xi)
         factors = ([lu.lu] if band.routines == "dgb" else
@@ -79,6 +82,17 @@ def test_band_lu_bit_equal_to_scipy(binding, preset, mesh):
             assert lu.solve(b).tobytes() == solve_ref(b).tobytes()
         f = model.rhs_at(xi)
         assert model.solve_full(xi).tobytes() == factor_solve_ref(f).tobytes()
+
+
+@pytest.mark.parametrize("preset,mesh", _SMALL_PRESETS, ids=SMALL_PRESET_IDS)
+def test_loss_bit_equal_to_loss_of_full_solve(binding, preset, mesh):
+    # loss solves and observes in the model's and its binding's buffers,
+    # solve_full returns a fresh state; the calls alternate on one model
+    model = assemble(preset, mesh)
+    obs = gen_data(model, noise_pct=0.10, n=2, seed=5)
+    for xi in _probe_points(model):
+        ref = model.loss_from_prediction(model.observe(model.solve_full(xi)), obs)
+        assert np.float64(model.loss(xi, obs)).tobytes() == ref.tobytes()
 
 
 def _tridiagonal_model_missing_an_entry():
@@ -112,11 +126,14 @@ def test_tridiagonal_storage_rewritten_before_each_factorization(binding):
     model = _tridiagonal_model_missing_an_entry()
     assert (model.band_lu_binding, model.band_lu_routines) == (binding, "dgt")
     points = [np.array([0.3]), np.array([0.7])]
+    obs = ObservationSet(data=np.ones((1, 6)))
     solves = [model.solve_full(xi) for xi in points]
-    for xi, u in zip(points, solves):
+    losses = [model.loss(xi, obs) for xi in points]
+    for xi, u, loss in zip(points, solves, losses):
         fresh = _tridiagonal_model_missing_an_entry()
         assert u.tobytes() == fresh.solve_full(xi).tobytes()
         assert u.tobytes() == fresh.solve_full(xi, fresh.factorize(xi)).tobytes()
+        assert loss == _tridiagonal_model_missing_an_entry().loss(xi, obs)
 
 
 def test_openblas_solve_checks_the_shape_before_the_call():
@@ -138,6 +155,28 @@ def test_singular_operator_raises_through_each_binding(binding):
         model.factorize(np.array([1.0]))
     with pytest.raises(SolverError, match="dgtsv info 2"):
         model.solve_full(np.array([1.0]))
+
+
+def test_loss_failures_through_each_binding(binding):
+    # loss fails as solve_full does, counting no full solve: with dgtsv's
+    # info on a singular A, from the residual check without a warning on an
+    # overflowed solve, and before writing any buffer outside the box
+    model = _two_by_two_model(obs=1e-300 * np.eye(2))  # observes about 1e8
+    obs = ObservationSet(data=np.zeros((1, 2)))
+    with pytest.raises(SolverError, match="dgtsv info 2"):
+        model.loss(np.array([1.0]), obs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError, match="residual nan"):
+            model.loss(np.array([1.0 - 2.0**-52]), obs)
+    assert model.counters.full == 0
+    with pytest.raises(ValueError, match="outside"):
+        model.loss(np.array([1.5]), obs)
+    xi = np.array([0.0])  # the one point of the box whose solution is finite
+    with np.errstate(over="ignore"):  # |f|^2 overflows, f_1 being 1e308
+        loss = model.loss(xi, obs)
+        assert loss == _two_by_two_model(obs=1e-300 * np.eye(2)).loss(xi, obs)
+    assert 0.0 < loss < np.inf and model.counters.full == 1
 
 
 def test_factors_solve_through_the_binding_that_made_them(monkeypatch):

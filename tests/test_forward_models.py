@@ -195,26 +195,30 @@ def test_coefficient_shapes_are_checked(adv1d_model):
 
 
 def test_full_solve_assembles_operator_once(monkeypatch):
+    # assembly is the binding's: one per solve, also through loss
     model = assemble("adv1d", {"cells": 32})
-    calls = {"_assemble": 0, "coefficients": 0}
+    obs = gen_data(model, noise_pct=0.10, seed=0)
+    calls = {"assemble": 0, "coefficients": 0}
 
-    def spy(name):
-        original = getattr(ForwardModel, name)
+    def spy(owner, name):
+        original = getattr(owner, name)
 
         def counted(self, *args):
             calls[name] += 1
             return original(self, *args)
-        monkeypatch.setattr(ForwardModel, name, counted)
+        monkeypatch.setattr(owner, name, counted)
 
-    for name in calls:
-        spy(name)
+    spy(type(model._band), "assemble")
+    spy(ForwardModel, "coefficients")
     xi = np.array([0.31, 0.47])
     model.solve_full(xi)
-    assert calls == {"_assemble": 1, "coefficients": 1}
+    assert calls == {"assemble": 1, "coefficients": 1}
     factors = model.factorize(xi)
     u = model.solve_full(xi, factors)
     model.solve_sensitivity(u, factors[1])
-    assert calls == {"_assemble": 2, "coefficients": 3}
+    assert calls == {"assemble": 2, "coefficients": 3}
+    model.loss(xi, obs)
+    assert calls == {"assemble": 3, "coefficients": 4}
 
 
 @pytest.mark.parametrize("fixture", ["adv1d_model", "adv2d_small", "elast_small"])
@@ -228,6 +232,20 @@ def test_solve_residual_and_determinism(fixture, request):
     A = model.operator_at(xi)
     f = model.rhs_at(xi)
     assert np.linalg.norm(f - A @ u1) <= 1e-10 * np.linalg.norm(f)
+
+
+@pytest.mark.parametrize("fixture", ["adv1d_model", "adv2d_small", "elast_small"])
+def test_full_solve_state_is_the_callers_own(fixture, request):
+    # loss and solve_full reuse the model's and the binding's buffers, so
+    # a state that solve_full returned must not alias them
+    model = request.getfixturevalue(fixture)
+    obs = ObservationSet(data=np.zeros((1, model.n_obs)))
+    first, second = model.domain.sample(2, np.random.default_rng(6))
+    u = model.solve_full(first)
+    kept = u.copy()
+    model.loss(second, obs)
+    model.solve_full(second)
+    assert u.tobytes() == kept.tobytes()
 
 
 def _two_by_two_model(obs=np.eye(2)):
@@ -262,7 +280,7 @@ def test_gather_kernels_match_sparse_products(fixture, request):
     # at a random state the residual is O(|f|), at the solution rounding noise
     for u in (rng.standard_normal(model.n_dof), model.solve_full(xi)):
         ref = f - model.operator_at(xi) @ u
-        gap = np.linalg.norm(model._residual(values, f, u) - ref)
+        gap = np.linalg.norm(model._band.residual(values, f, u) - ref)
         assert gap <= 1e-12 * max(np.linalg.norm(ref), np.linalg.norm(f))
 
 
