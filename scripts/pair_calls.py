@@ -11,10 +11,12 @@ process keeps a speed of its own, so both workers start afresh every
 RESTART_EVERY seeds, and the side whose worker starts first alternates from
 block to block.
 
-It prints each side's median call wall time, the median ratio B / A of
-the calls' wall times with its quartiles, how many calls B ran faster,
-each side's mean full solves and iterations per call, and how many calls'
-digests (their samples or particles) are equal.
+It prints each side's median and 90th-percentile call wall time, the
+median ratio B / A of the calls' wall times with its quartiles, the ratio
+of the two sides' 90th percentiles (the statistic ``bench/run.py`` reports
+for ``wall_s``), how many calls B ran faster, each side's mean full solves
+and iterations per call, and how many calls' digests (their samples or
+particles) are equal.
 
     python scripts/pair_calls.py ../parent . --workload rwmh-adv1d --calls 300
 """
@@ -92,11 +94,17 @@ def paired_calls(checkouts: list, workload: str, n_calls: int) -> list:
     return pairs
 
 
+def p90(values: list) -> float:
+    """The 90th percentile, as ``bench/run.py`` takes it for a time."""
+    return statistics.quantiles(values, n=10, method="inclusive")[-1]
+
+
 def summary(pairs: list) -> dict:
     walls = [[rec["wall_s"] for rec in side] for side in zip(*pairs)]
     ratios = [b["wall_s"] / a["wall_s"] for a, b in pairs]
     q1, _, q3 = statistics.quantiles(ratios, n=4)
     return {"median_a": statistics.median(walls[0]), "median_b": statistics.median(walls[1]),
+            "p90_a": p90(walls[0]), "p90_b": p90(walls[1]),
             "ratio": statistics.median(ratios), "quartiles": (q1, q3),
             "wins": sum(b["wall_s"] < a["wall_s"] for a, b in pairs),
             "work": [{key: statistics.mean(rec[key] for rec in side)
@@ -117,10 +125,11 @@ def main(argv=None) -> int:
     s = summary(paired_calls(checkouts, args.workload, args.calls))
     n = args.calls
     print(f"{args.workload}: {n} calls per side, seeds 0-{n - 1}")
-    print(f"A {checkouts[0]}: median {s['median_a']:.4f} s")
-    print(f"B {checkouts[1]}: median {s['median_b']:.4f} s")
+    print(f"A {checkouts[0]}: median {s['median_a']:.4f} s, p90 {s['p90_a']:.4f} s")
+    print(f"B {checkouts[1]}: median {s['median_b']:.4f} s, p90 {s['p90_b']:.4f} s")
     print(f"B / A per call: median {s['ratio']:.3f} "
           f"[{s['quartiles'][0]:.3f}, {s['quartiles'][1]:.3f}]")
+    print(f"B / A of the p90s: {s['p90_b'] / s['p90_a']:.3f}")
     print(f"B faster: {s['wins']} of {n}")
     a, b = s["work"]
     print(f"mean per call, A / B: full solves {a['full_solves']:.2f} / {b['full_solves']:.2f}, "

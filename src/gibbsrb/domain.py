@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-_NEG_INF = np.float64(-np.inf)
 
 
 @dataclass(frozen=True)
@@ -54,6 +53,8 @@ class ParameterDomain:
             uniform_log_pdf = 0.0
             for w in self.widths:  # in log_pdf's order, so the same float
                 uniform_log_pdf += -np.log(w)
+            # a Python float, so a one-point caller's arithmetic is float arithmetic
+            uniform_log_pdf = float(uniform_log_pdf)
         object.__setattr__(self, "_uniform_log_pdf", uniform_log_pdf)
         object.__setattr__(self, "_box", tuple(zip(lower.tolist(), upper.tolist())))
 
@@ -90,7 +91,7 @@ class ParameterDomain:
         if self._uniform_log_pdf is not None:
             pts = np.asarray(points, dtype=float)
             if pts.ndim == 1:
-                return self._uniform_log_pdf if self.contains_point(pts) else _NEG_INF
+                return self._uniform_log_pdf if self.contains_point(pts) else -math.inf
             inside = ((pts >= self.lower) & (pts <= self.upper)).all(axis=-1)
             return np.where(inside, self._uniform_log_pdf, -np.inf)[()]
         arr = np.asarray(points, dtype=float)

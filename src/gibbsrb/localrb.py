@@ -5,11 +5,13 @@ atom carries a high-fidelity snapshot and its parameter gradient; the
 cell's basis stacks those with the snapshots of the N nearest atoms.  A
 Galerkin solve in the cell basis yields the surrogate state.
 
-A query builds, in one stacked pass, the cells it first lands in.  An
-indicator read forms the residuals f(xi) - A(xi) Phi c of each hosting
-cell's points and makes one band solve on them with the cell atom's LU,
-from an LU cache of the atoms' factorizations; loss-only queries never
-touch that cache.
+A query builds, in one stacked pass, the cells it first lands in.  It
+sorts its points by hosting cell once, so the online stage makes numpy
+calls per hosting cell, not per point.  An indicator read forms the
+residuals f(xi) - A(xi) Phi c of all its points through one sparse product
+and makes one band solve per hosting cell with the cell atom's LU, from an
+LU cache of the atoms' factorizations; loss-only queries never touch that
+cache.
 
 The state-error indicator is that preconditioned residual norm,
 ||A_k^{-1} (f(xi) - A(xi) Phi c)|| for the cell atom k.  It is an
@@ -77,6 +79,13 @@ def _groups(ks: list, key) -> dict:
     for k in ks:
         out.setdefault(key(k), []).append(k)
     return out
+
+
+def _runs(keys: list, slots: np.ndarray) -> dict:
+    """{keys[i]: (start, stop)} of the runs that the points with slot i take
+    up once the points are sorted by slot."""
+    ends = np.bincount(slots, minlength=len(keys)).cumsum().tolist()
+    return dict(zip(keys, zip([0] + ends[:-1], ends)))
 
 
 class Surrogate:
@@ -222,11 +231,10 @@ class Surrogate:
         # |R_jj| is the norm of source j's part orthogonal to the sources
         # before it; R has only min(n_dof, r) diagonal entries
         d = np.abs(np.diagonal(R, axis1=1, axis2=2))
-        bases = {}
-        for k, Sk, Qk, dk in zip(new, S, Q, d):
-            kept = np.zeros(Sk.shape[1], dtype=bool)
-            kept[:dk.size] = dk > ORTHO_DROP_TOL * np.linalg.norm(Sk[:, :dk.size], axis=0)
-            bases[k] = Qk if kept.all() else np.linalg.qr(Sk[:, kept])[0]
+        kept = np.zeros((len(new), S.shape[2]), dtype=bool)
+        kept[:, :d.shape[1]] = d > ORTHO_DROP_TOL * np.linalg.norm(S[:, :, :d.shape[1]], axis=1)
+        bases = {k: Qk if keep.all() else np.linalg.qr(Sk[:, keep])[0]
+                 for k, Sk, Qk, keep in zip(new, S, Q, kept)}
         P = len(self.model.operator_terms)
         for group in _groups(new, lambda k: bases[k].shape[1]).values():
             Phis = np.stack([bases[k] for k in group])
@@ -263,9 +271,10 @@ class Surrogate:
         """Reduced coefficients for points with gathered reduced operators
         ops (n, P, r, r) and right-hand sides rhs (n, Q, r), and operator and
         rhs coefficients ath (n, P) and fth (n, Q); NaN rows where the
-        reduced system is singular."""
-        G = sum(ath[:, p, None, None] * ops[:, p] for p in range(ath.shape[1]))
-        b = sum(fth[:, q, None] * rhs[:, q] for q in range(fth.shape[1]))
+        reduced system is singular.  G and b are sums over the outer axis
+        from zero, term by term in order."""
+        G = np.add.reduce(ath[:, :, None, None] * ops, axis=1, initial=0.0)
+        b = np.add.reduce(fth[:, :, None] * rhs, axis=1, initial=0.0)
         try:
             coeffs = np.linalg.solve(G, b[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
@@ -278,29 +287,6 @@ class Surrogate:
         self.reduced_solves += int(np.count_nonzero(~np.isnan(coeffs[:, 0])))
         return coeffs
 
-    def _raw_indicators(self, k: int, coeffs: np.ndarray, ath: np.ndarray,
-                        fth: np.ndarray) -> np.ndarray:
-        """||A_k^{-1} (f(xi) - A(xi) Phi c)|| at points hosted by cell k, for
-        their coefficients coeffs (n, r) and operator and rhs coefficients
-        ath (n, P) and fth (n, Q): one sparse product and one band solve
-        with atom k's LU.
-
-        Each point takes the same operations as the one-point forms
-        u = Phi @ c, f(xi) term by term as ForwardModel._rhs forms it,
-        f -= theta_p * (A_p @ u) per term, and np.linalg.norm(lu.solve(f)),
-        so the values are bit-identical to them.
-        """
-        n = self.model.n_dof
-        states = (self.cells[k].basis @ coeffs[:, :, None])[:, :, 0].T  # stacked matvecs
-        prods = self._stacked_terms @ states
-        resid = np.zeros(states.shape)
-        for q, f in enumerate(self.model.rhs_terms):
-            resid += fth[:, q] * f[:, None]
-        for p in range(ath.shape[1]):
-            resid -= ath[:, p] * prods[p * n:(p + 1) * n]
-        v = self._lu_for(k).solve(resid).T
-        return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
-
     def reduced_solve(self, points: np.ndarray, indicators: bool = True, hosts=None):
         """Galerkin solves at the rows of an (n, M) array of points, each in
         its nearest atom's cell: (hosting cells, coefficients, observed
@@ -308,45 +294,74 @@ class Surrogate:
         _nearest(points); it saves the search.
 
         The coefficients are an (n, r_max) array, NaN past each hosting
-        cell's basis rank r.  The points of all hosting cells of one rank
-        are solved in one stacked call, on the cells' arrays gathered per
-        point.  Where a cell's reduced system is singular the coefficients
-        and outputs are NaN and the raw indicator is inf.  The raw
-        indicators of each hosting cell's solved points come from one
-        _raw_indicators call, in order of first appearance.  With
-        ``indicators=False`` they are None, and no LU is looked up.
+        cell's basis rank r.  The points are sorted once by hosting cell,
+        the cells grouped by rank, so each cell's points and each rank's are
+        one run: a cell's reduced arrays are repeated over its run, and a
+        rank's points are solved in one stacked call.  Where a cell's
+        reduced system is singular the coefficients and outputs are NaN and
+        the raw indicator is inf.  An indicator read forms the residuals of
+        all solved points through one sparse product, then makes one band
+        solve per cell, in the order the solved points first meet the
+        cells, which fixes the LU cache's lookups.  Each value is
+        bit-identical to the one-point forms u = Phi @ c, f(xi) as
+        ForwardModel._rhs forms it, f -= theta_p * (A_p @ u) per term and
+        np.linalg.norm(lu.solve(f)).  With ``indicators=False`` the raw
+        indicators are None, and no LU is looked up.  The outputs are in
+        the order of the points.
         """
         points = np.asarray(points, dtype=float)
         n = len(points)
         ath, fth = self.model.coefficients(points)
         if hosts is None:
             hosts = self._nearest(points)
-        self._ensure_cells(list(dict.fromkeys(hosts.tolist())))
-        cells = [self.cells[k] for k in hosts.tolist()]  # per point
-        ranks = np.array([c.basis.shape[1] for c in cells], dtype=int)
-        coeffs = np.full((n, ranks.max(initial=0)), np.nan)
+        keys = list(dict.fromkeys(hosts.tolist()))  # hosting cells, first appearance
+        self._ensure_cells(keys)
+        by_rank = _groups(keys, lambda k: self.cells[k].basis.shape[1])
+        keys = [k for group in by_rank.values() for k in group]  # one run per rank too
+        slot = np.empty(len(self.cells), dtype=int)
+        slot[keys] = np.arange(len(keys))
+        slots = slot[hosts]
+        order = slots.argsort(kind="stable")  # each cell's points one run, in keys' order
+        runs = _runs(keys, slots)
+        ath, fth = ath[order], fth[order]
+        coeffs = np.full((n, max(by_rank, default=0)), np.nan)
         observed = np.full((n, self.model.n_obs), np.nan)
-        raws = np.full(n, np.inf) if indicators else None
-        for r in sorted(set(ranks.tolist())):  # np.unique would import numpy.ma
-            idx = np.flatnonzero(ranks == r)
-            group = [cells[i] for i in idx.tolist()]
-            c = self._solve_stack(np.stack([g.reduced_ops for g in group]),
-                                  np.stack([g.reduced_rhs for g in group]), ath[idx], fth[idx])
-            coeffs[idx, :r] = c
+        for r, group in by_rank.items():
+            lo, hi = runs[group[0]][0], runs[group[-1]][1]
+            cells = [self.cells[k] for k in group]
+            reps = [runs[k][1] - runs[k][0] for k in group]
+            ops = np.array([cell.reduced_ops for cell in cells]).repeat(reps, axis=0)
+            rhs = np.array([cell.reduced_rhs for cell in cells]).repeat(reps, axis=0)
+            obs = np.array([cell.obs_basis for cell in cells]).repeat(reps, axis=0)
+            c = self._solve_stack(ops, rhs, ath[lo:hi], fth[lo:hi])
+            coeffs[lo:hi, :r] = c
             ok = ~np.isnan(c[:, 0])
-            idx, c = idx[ok], c[ok]
-            group = [g for g, keep in zip(group, ok) if keep]
-            if not group:
-                continue
-            observed[idx] = (np.stack([g.obs_basis for g in group]) @ c[:, :, None])[:, :, 0]
+            observed[lo:hi][ok] = (obs[ok] @ c[ok, :, None])[:, :, 0]
+        raws = None
         if indicators:
-            # in order of first appearance, which fixes the LU cache order;
-            # an unsolved point's row is all NaN
-            solved = np.flatnonzero(~np.isnan(coeffs).all(axis=1)).tolist()
-            for k, idx in _groups(solved, hosts.tolist().__getitem__).items():
-                r = self.cells[k].basis.shape[1]
-                raws[idx] = self._raw_indicators(k, coeffs[idx, :r], ath[idx], fth[idx])
-        return hosts, coeffs, observed, raws
+            raws = np.full(n, np.inf)
+            sel = (~np.isnan(coeffs).all(axis=1)).nonzero()[0]  # an unsolved row is all NaN
+            runs = _runs(keys, slots[order[sel]])  # each cell's run of solved points
+            c, ath, fth, nd = coeffs[sel], ath[sel], fth[sel], self.model.n_dof
+            states = np.empty((nd, len(sel)))
+            for k, (a, b) in runs.items():  # stacked matvecs, one per point
+                basis = self.cells[k].basis
+                states[:, a:b] = (basis @ c[a:b, :basis.shape[1], None])[:, :, 0].T
+            prods = self._stacked_terms @ states
+            resid = np.zeros(states.shape)
+            for q, f in enumerate(self.model.rhs_terms):
+                resid += fth[:, q] * f[:, None]
+            for p in range(ath.shape[1]):
+                resid -= ath[:, p] * prods[p * nd:(p + 1) * nd]
+            v = np.empty((len(sel), nd))
+            # in the solved points' order of first appearance: the LU cache order
+            for k in dict.fromkeys(hosts[np.sort(order[sel])].tolist()):
+                a, b = runs[k]
+                v[a:b] = self._lu_for(k).solve(resid[:, a:b]).T
+            raws[sel] = np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+        back = order.argsort()  # the inverse permutation: the points' order
+        return (hosts, coeffs[back], observed[back],
+                None if raws is None else raws[back])
 
     def _evaluate(self, points: np.ndarray, observations, hosts=None):
         """(surrogate losses, raw indicators, data-distance sums) at the rows

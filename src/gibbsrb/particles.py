@@ -69,10 +69,10 @@ def log_reweight(log_weights: np.ndarray, losses: np.ndarray, delta_w: float) ->
 
 
 def _logsumexp(v: np.ndarray) -> float:
-    mx = np.max(v)
+    mx = v.max()
     if not np.isfinite(mx):
         raise FloatingPointError("all weights vanished in reweighting")
-    return mx + np.log(np.sum(np.exp(v - mx)))
+    return mx + np.log(np.exp(v - mx).sum())
 
 
 def reweight(particles: ParticleSet, losses: np.ndarray, delta_w: float) -> ParticleSet:
@@ -94,7 +94,7 @@ def reweight(particles: ParticleSet, losses: np.ndarray, delta_w: float) -> Part
 def ess(weights: np.ndarray) -> float:
     """Effective sample size 1 / sum(w_i^2); in [1, m] for normalized weights."""
     w = np.asarray(weights, dtype=float)
-    return float(1.0 / np.sum(w**2))
+    return float(1.0 / (w**2).sum())
 
 
 def empirical_moments(particles: ParticleSet, domain: ParameterDomain):

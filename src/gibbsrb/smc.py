@@ -20,7 +20,7 @@ import numpy as np
 from .config import SmcConfig  # re-exported: the schema lives in config
 from .domain import ParameterDomain
 from .localrb import AtomBudgetError, BasisDegeneracyError, Surrogate
-from .particles import ParticleSet, empirical_moments, ess, log_reweight, reweight
+from .particles import ParticleSet, _logsumexp, empirical_moments, ess, reweight
 from .seeding import PHASE_INIT, PHASE_MUTATE, PHASE_RESAMPLE, stream
 
 ESS_FRACTION = 0.5   # ESS target, as a fraction of the particle count
@@ -97,9 +97,13 @@ def adapt_step(weights: np.ndarray, losses: np.ndarray, residual_weight: float,
         raise ValueError("losses must be finite")
     with np.errstate(divide="ignore"):
         lw0 = np.log(np.asarray(weights, dtype=float))
+    losses = np.asarray(losses, dtype=float)
+    shifted = losses - losses.min()  # log_reweight's shift, once for every increment
 
     def reweighted(delta):
-        w = np.exp(log_reweight(lw0, losses, delta))
+        lw = lw0 - delta * shifted
+        lw -= _logsumexp(lw)
+        w = np.exp(lw)
         w /= w.sum()
         return w, ess(w)
 
@@ -159,10 +163,11 @@ def mutate(particles: ParticleSet, loss_fn: Callable, domain: ParameterDomain,
     lx = np.array(current_losses, dtype=float)
     lp_x = domain.log_pdf(x)
     accepts = np.zeros(m, dtype=int)
+    pull, sd = np.sqrt(1.0 - gamma**2), np.sqrt(var)
     for _ in range(config.mutation_steps):
         z = rng.standard_normal(x.shape)
         u = rng.random(m)  # for every chain, its proposal in support or not
-        prop = mean + gamma * (x - mean) + np.sqrt(1.0 - gamma**2) * (np.sqrt(var) * z)
+        prop = mean + gamma * (x - mean) + pull * (sd * z)
         lp_p = domain.log_pdf(prop)
         inside = np.isfinite(lp_p)
         l_p = np.full(m, np.nan)

@@ -53,6 +53,9 @@ def test_one_point_box_check_matches_the_batched_one():
     for x, lp in zip(pts, batched):
         assert d.contains_point(x) == bool(d.contains(x)[0])
         assert np.float64(d.log_pdf(x)).tobytes() == lp.tobytes()
+        # a Python float, inside the box and out: run_rwmh's MH ratio is
+        # float arithmetic, not numpy scalar arithmetic
+        assert type(d.log_pdf(x)) is float
 
 
 @pytest.mark.parametrize("priors", [(), (PriorSpec("beta", 1, 2), PriorSpec())])

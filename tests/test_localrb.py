@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -478,11 +480,12 @@ def test_batched_evaluation_bit_equal_to_one_point_forms(preset, request):
     assert np.array_equal(s.loss_fn(obs)(pts), losses, equal_nan=True)
 
 
-def test_batched_evaluation_mixes_basis_ranks(adv2d_small):
-    # atoms on the xi_1 = 0.4 plane span few directions, so their cells drop
-    # columns and the cloud's hosting cells come in several basis ranks
-    model = adv2d_small
-    obs = gen_data(model, noise_pct=0.10, n=2, seed=3)
+def _mixed_rank_cloud(model):
+    """(surrogate, 200 points, their hosting cells, the singular cell): atoms
+    on the xi_1 = 0.4 plane span few directions, so their cells drop columns
+    and the cloud's hosting cells come in several basis ranks; the first
+    point's cell has a reduced system that is singular everywhere.  Every
+    hosting cell is built."""
     s = Surrogate(model, neighbor_count=5)
     for x2, x3 in [(0.2, 0.2), (0.8, 0.2), (0.2, 0.8), (0.8, 0.8), (0.5, 0.5)]:
         s.add_atom(np.array([0.4, x2, x3]))
@@ -497,21 +500,27 @@ def test_batched_evaluation_mixes_basis_ranks(adv2d_small):
     cell.reduced_ops = np.zeros_like(cell.reduced_ops)
     ranks = {built_cell(s, k).basis.shape[1] for k in set(cells) - {singular}}
     assert len(ranks) >= 2
+    return s, pts, cells, singular
+
+
+def test_batched_evaluation_mixes_basis_ranks(adv2d_small):
+    model = adv2d_small
+    obs = gen_data(model, noise_pct=0.10, n=2, seed=3)
+    s, pts, cells, singular = _mixed_rank_cloud(model)
     ref = np.array([_scalar_eval(s, p, obs) for p in pts])
-    read = []
-    raw_indicators = s._raw_indicators
-    s._raw_indicators = lambda k, coeffs, *args: (read.append((k, len(coeffs)))
-                                                  or raw_indicators(k, coeffs, *args))
+    looked_up = []
+    lu_for = s._lu_for
+    s._lu_for = lambda k: looked_up.append(k) or lu_for(k)
     losses, raws, dist_sums = s._evaluate(pts, obs)
     assert np.array_equal(losses, ref[:, 0], equal_nan=True)
     assert np.array_equal(raws, ref[:, 1])
     assert np.array_equal(dist_sums, ref[:, 2])
     assert np.isnan(losses[cells == singular]).all()
     assert np.isfinite(losses[cells != singular]).all()
-    # one read per hosting cell with solved points, of exactly its points,
-    # in order of first appearance
+    # one LU lookup per hosting cell with solved points, none for the
+    # singular cell, in order of first appearance
     hosting = [k for k in dict.fromkeys(cells.tolist()) if k != singular]
-    assert read == [(k, np.count_nonzero(cells == k)) for k in hosting]
+    assert looked_up == hosting
     # coefficients are NaN-padded past each hosting cell's rank
     hosts, coeffs, observed, _ = s.reduced_solve(pts)
     assert np.array_equal(hosts, cells)
@@ -521,6 +530,49 @@ def test_batched_evaluation_mixes_basis_ranks(adv2d_small):
         assert np.isnan(c[r:]).all()
         solved = np.concatenate([c[:r], o])
         assert np.isnan(solved).all() if k == singular else np.isfinite(solved).all()
+
+
+class _CountingProduct:
+    """A stand-in for Surrogate._stacked_terms that counts its products."""
+
+    def __init__(self, terms):
+        self.terms, self.products = terms, 0
+
+    def __matmul__(self, dense):
+        self.products += 1
+        return self.terms @ dense
+
+
+def test_indicator_read_makes_one_sparse_product(adv2d_small):
+    # one product of the stacked terms per indicator read, whatever the
+    # number of hosting cells; a loss-only read makes none
+    s, pts, cells, singular = _mixed_rank_cloud(adv2d_small)
+    s._stacked_terms = counting = _CountingProduct(s._stacked_terms)
+    one_cell = pts[cells == cells[-1]]
+    assert len(one_cell) > 1 and len(set(cells.tolist())) >= 4
+    for read in (pts[-1:], one_cell, pts):
+        before = counting.products
+        s.reduced_solve(read)
+        assert counting.products == before + 1
+    before = counting.products
+    s.reduced_solve(pts, indicators=False)
+    assert counting.products == before
+
+
+def test_reduced_solve_returns_the_points_order(adv2d_small):
+    # the read sorts the points by hosting cell; its outputs come back in the
+    # order of the points, bit for bit, and it warns of nothing, singular
+    # points included
+    s, pts, cells, singular = _mixed_rank_cloud(adv2d_small)
+    perm = np.random.default_rng(23).permutation(len(pts))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        whole = s.reduced_solve(pts)
+        permuted = s.reduced_solve(pts[perm])
+    for a, b in zip(whole, permuted):
+        assert np.array_equal(a[perm], b, equal_nan=True)
+    assert np.isinf(whole[3][cells == singular]).all()
+    assert np.isfinite(whole[3][cells != singular]).all()
 
 
 def _one_cell_build(s, k):
