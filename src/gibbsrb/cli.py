@@ -214,9 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
                                             "inverse problems")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, needs_config=True):
-        if needs_config:
-            sp.add_argument("--config", required=True, help="YAML run config")
+    def common(sp):
+        sp.add_argument("--config", required=True, help="YAML run config")
         sp.add_argument("--seed", type=int, default=None, help="master seed override")
         sp.add_argument("--out", required=True, help="output directory")
 

@@ -3,6 +3,8 @@
 A model is A(xi) u = f(xi) with A(xi) = sum_p theta_p(xi) A_p and
 f(xi) = sum_q phi_q(xi) f_q, plus an observation matrix mapping the state
 to measurement channels and a loss kind tying predictions to data.  The
+model alone reads the loss kind: it turns predictions into losses, and a
+surrogate's state errors into loss-error bounds.  The
 coefficients are affine in xi, theta(xi) = theta_0 + xi @ d theta / d xi.
 A(xi) is factorized by LU with partial pivoting through its LAPACK binding
 (``bandlu``: the tridiagonal dgt* routines where kl = ku = 1, band dgb*
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -80,7 +83,7 @@ class CSRMatrix:
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)
-        terms = x[self._columns]
+        terms = x.take(self._columns, axis=0)
         terms *= self._values.reshape(self._values.shape + (1,) * (x.ndim - 1))
         return np.add.reduce(terms, axis=0, initial=0.0)
 
@@ -140,7 +143,8 @@ class ForwardModel:
     binding (``bandlu.band_routines``) is chosen then from the band
     half-widths and owns the storage layout: it assembles A(xi) and forms
     the residual.  The solves share its buffers and the model's, so they
-    must not run concurrently.
+    must not run concurrently.  Past the check at construction, only
+    ``loss_from_prediction`` and ``losses_and_bounds`` read ``loss_kind``.
     """
 
     name: str
@@ -322,6 +326,28 @@ class ForwardModel:
         terms = terms.reshape(resid.shape[:-2] + (observations.data.size,))
         return np.add.reduce(terms, axis=-1)  # ndarray.sum's reduction, without its wrapper
 
+    def losses_and_bounds(self, predicted: np.ndarray, eps_u: np.ndarray, observations):
+        """(losses, loss-error bounds) of an (n, n_obs) array of predictions
+        whose states are off by at most eps_u, an (n,) array, in norm.
+
+        The prediction error is then at most s = ||D||_2 eps_u per datum, so
+        the cumulative loss is off by at most 2 d s + n_data s^2 for the
+        squared loss, d the prediction's summed distances to the data, and
+        by n_data sqrt(n_obs) s for l1 and n_data s for l2.  The bound is inf
+        wherever eps_u is, NaN predictions included.
+        """
+        losses = self.loss_from_prediction(predicted, observations)
+        n_data = observations.n
+        if self.loss_kind == "squared_l2":
+            dist = np.linalg.norm(predicted[:, None, :] - observations.data, axis=-1).sum(axis=-1)
+            s = self.obs_norm * eps_u
+            bounds = 2.0 * dist * s + n_data * s**2
+        elif self.loss_kind == "l1":
+            bounds = n_data * np.sqrt(self.n_obs) * self.obs_norm * eps_u
+        else:
+            bounds = n_data * self.obs_norm * eps_u
+        return losses, np.where(np.isinf(eps_u), np.inf, bounds)
+
     def loss(self, xi: np.ndarray, observations) -> float:
         """The loss of solve_full(xi)'s prediction, with the state and the
         prediction in the model's and its binding's buffers."""
@@ -336,6 +362,8 @@ class ForwardModel:
         for xi in [center, *self.domain.sample(5, np.random.default_rng(0))]:
             self.factorize(xi)
 
-    def observation_operator_norm(self) -> float:
-        """Largest singular value of the observation matrix."""
+    @cached_property
+    def obs_norm(self) -> float:
+        """Largest singular value of the observation matrix, ||D||_2; one
+        SVD per model, made when a loss bound first needs it."""
         return float(np.linalg.svd(self.obs_matrix.toarray(), compute_uv=False)[0])

@@ -16,9 +16,8 @@ cache.
 The state-error indicator is that preconditioned residual norm,
 ||A_k^{-1} (f(xi) - A(xi) Phi c)|| for the cell atom k.  It is an
 estimate, not a certified bound: the true error can exceed it where A_k is
-a poor preconditioner for A(xi).  The loss indicator converts it through
-the loss kind: an exact quadratic bound for squared losses, Lipschitz
-constants for the l1/l2 kinds.
+a poor preconditioner for A(xi).  The model turns it into the loss
+indicator (ForwardModel.losses_and_bounds), which alone reads the loss kind.
 """
 
 from __future__ import annotations
@@ -109,7 +108,6 @@ class Surrogate:
         self._neighbor_d2 = np.zeros((0, self.neighbor_count))
         # [A_1; ...; A_P; D_obs]: one sparse product per cell build or indicator read
         self._stacked_terms = vstack_csr(list(model.operator_terms) + [model.obs_matrix])
-        self._obs_norm = model.observation_operator_norm()
         self._lu_cache: dict[int, object] = {}
         self._staged: dict[int, tuple] = {}  # a stacked pass's arrays per cell
         self.reduced_solves = 0
@@ -118,13 +116,6 @@ class Surrogate:
     @property
     def n_atoms(self) -> int:
         return len(self.atoms)
-
-    def holder_k(self, n_data: int) -> float:
-        """Lipschitz constant of the cumulative loss w.r.t. the state error."""
-        D = self.model.n_obs
-        if self.model.loss_kind == "l1":
-            return n_data * np.sqrt(D) * self._obs_norm
-        return n_data * self._obs_norm
 
     # ----- geometry -----
     def _nearest(self, points: np.ndarray) -> np.ndarray:
@@ -335,8 +326,7 @@ class Surrogate:
             obs = np.array([cell.obs_basis for cell in cells]).repeat(reps, axis=0)
             c = self._solve_stack(ops, rhs, ath[lo:hi], fth[lo:hi])
             coeffs[lo:hi, :r] = c
-            ok = ~np.isnan(c[:, 0])
-            observed[lo:hi][ok] = (obs[ok] @ c[ok, :, None])[:, :, 0]
+            observed[lo:hi] = (obs @ c[:, :, None])[:, :, 0]  # NaN where c is
         raws = None
         if indicators:
             raws = np.full(n, np.inf)
@@ -364,38 +354,21 @@ class Surrogate:
                 None if raws is None else raws[back])
 
     def _evaluate(self, points: np.ndarray, observations, hosts=None):
-        """(surrogate losses, raw indicators, data-distance sums) at the rows
-        of an (n, M) array of points, from reduced_solve; NaN, inf and 0
-        where a cell's reduced system is singular."""
+        """(surrogate losses, loss-error indicators) at the rows of an (n, M)
+        array of points, from reduced_solve; NaN and inf where a cell's
+        reduced system is singular."""
         _, _, observed, raws = self.reduced_solve(points, hosts=hosts)
-        losses = self.model.loss_from_prediction(observed, observations)
-        dist_sums = np.sum(np.linalg.norm(observed[:, None, :] - observations.data,
-                                          axis=-1), axis=-1)
-        dist_sums[np.isnan(dist_sums)] = 0.0
-        return losses, raws, dist_sums
-
-    def _loss_indicator_from_raw(self, raw, dist_sum, n_data: int) -> np.ndarray:
-        """Loss-error indicators from raw indicators, taken as the state
-        errors eps_u, and data-distance sums (arrays or scalars); +inf where
-        the reduced system is singular."""
-        eps_u = np.asarray(raw, dtype=float)
-        if self.model.loss_kind != "squared_l2":
-            return self.holder_k(n_data) * eps_u
-        step = self._obs_norm * eps_u
-        with np.errstate(invalid="ignore"):  # 0 * inf at singular points
-            ind = 2.0 * dist_sum * step + n_data * step**2
-        return np.where(np.isinf(eps_u), np.inf, ind)
+        return self.model.losses_and_bounds(observed, raws, observations)
 
     def surrogate_loss(self, xi: np.ndarray, observations):
         """(surrogate loss, loss-error indicator) at xi; raises
         BasisDegeneracyError where the reduced system is singular."""
         xi = np.asarray(xi, dtype=float)
-        losses, raws, dist_sums = self._evaluate(xi[None], observations)
+        losses, bounds = self._evaluate(xi[None], observations)
         if np.isnan(losses[0]):
             raise BasisDegeneracyError(
                 f"singular reduced system in cell {int(self._nearest(xi[None])[0])}")
-        return float(losses[0]), float(self._loss_indicator_from_raw(
-            raws[0], dist_sums[0], observations.n))
+        return float(losses[0]), float(bounds[0])
 
     def loss_fn(self, observations):
         """Surrogate losses at the rows of an (n, M) array (for samplers);
@@ -433,14 +406,13 @@ class Surrogate:
         scaled_pts = self.model.domain.scale(points)
         hosts = self._nearest(points)
         d2 = np.sum((scaled_pts - self._scaled_locs[hosts]) ** 2, axis=1)
-        losses, raws, dist_sums = self._evaluate(points, observations, hosts)
+        losses, inds = self._evaluate(points, observations, hosts)
         if callable(e_thre):
             e_thre = e_thre(losses)
         if e_thre <= 0:
             raise ValueError("e_thre must be positive")
 
-        # a particle's raw quantities hold while its cell is untouched
-        inds = self._loss_indicator_from_raw(raws, dist_sums, observations.n)
+        # a particle's loss and indicator hold while its cell is untouched
         start = self.n_atoms
         while np.max(inds) > e_thre:  # a NaN indicator ends refinement
             # the worst particle that holds no atom; ties take the lowest index
@@ -454,8 +426,6 @@ class Surrogate:
             # re-evaluate the particles in unbuilt cells, the new atom's and
             # those the neighbor refresh replaced
             idx = np.flatnonzero([self.cells[k].basis is None for k in hosts.tolist()])
-            losses[idx], raws[idx], dist_sums[idx] = self._evaluate(
-                points[idx], observations, hosts[idx])
-            inds = self._loss_indicator_from_raw(raws, dist_sums, observations.n)
+            losses[idx], inds[idx] = self._evaluate(points[idx], observations, hosts[idx])
         return RefinementReport(atoms_added=self.n_atoms - start, e_thre=float(e_thre),
                                 e_max_final=float(np.max(inds)), loss_values=losses)

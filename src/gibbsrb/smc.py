@@ -179,7 +179,9 @@ def mutate(particles: ParticleSet, loss_fn: Callable, domain: ParameterDomain,
             log_u = np.log(u)
         # out-of-support proposals keep a NaN loss; a NaN log_alpha never accepts
         acc = log_u < log_alpha
-        x[acc], lx[acc], lp_x[acc] = prop[acc], l_p[acc], lp_p[acc]
+        np.copyto(x, prop, where=acc[:, None])
+        np.copyto(lx, l_p, where=acc)
+        np.copyto(lp_x, lp_p, where=acc)
         accepts += acc
 
     rate = float(accepts.sum()) / max(m * config.mutation_steps, 1)

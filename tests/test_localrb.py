@@ -275,21 +275,52 @@ def test_indicator_zero_at_atoms(adv1d_model):
 
 
 def test_loss_indicator_quadratic_bound_arithmetic():
-    # squared loss, identity-like observation, known plug-in values:
-    # |obs - d| = 1, eps_u = 0.1 -> 2*1*0.1 + 0.01 = 0.21
-    class _Stub:
-        loss_kind = "squared_l2"
-
-    from gibbsrb.localrb import Surrogate as S
-
-    stub = S.__new__(S)
-    stub.model = _Stub()
-    stub._obs_norm = 1.0
-    observed = np.array([2.0, 0.0])
+    # squared loss, ||D||_2 = 1, known plug-in values:
+    # |obs - d| = 1, eps_u = 0.1 -> 2*1*0.1 + 0.01 = 0.21; a singular
+    # point (NaN prediction, eps_u = inf) gets inf
+    stub = ForwardModel.__new__(ForwardModel)
+    stub.loss_kind = "squared_l2"
+    stub.obs_norm = 1.0
     obs = ObservationSet(data=np.array([[1.0, 0.0]]))
-    dist_sum = float(np.sum(np.linalg.norm(observed[None, :] - obs.data, axis=1)))
-    val = stub._loss_indicator_from_raw(0.1, dist_sum, obs.n)
-    assert abs(val - 0.21) < 1e-14
+    predicted = np.array([[2.0, 0.0], [np.nan, np.nan]])
+    losses, bounds = stub.losses_and_bounds(predicted, np.array([0.1, np.inf]), obs)
+    assert losses[0] == 1.0 and np.isnan(losses[1])
+    assert abs(bounds[0] - 0.21) < 1e-14
+    assert bounds[1] == np.inf
+
+
+@pytest.mark.parametrize("preset", ["adv2d", "elast"], ids=["l1-adv2d", "l2-elast"])
+def test_loss_indicator_lipschitz_bound_arithmetic(preset, request):
+    model = request.getfixturevalue({"adv2d": "adv2d_small", "elast": "elast_small"}[preset])
+    assert model.loss_kind == {"adv2d": "l1", "elast": "l2"}[preset]
+    obs = gen_data(model, noise_pct=0.10, n=3, seed=4)
+    rng = np.random.default_rng(5)
+    predicted = obs.true_obs + 0.01 * rng.standard_normal((2, model.n_obs))
+    predicted = np.vstack([predicted, np.full(model.n_obs, np.nan)])
+    eps_u = np.array([0.1, 1e-3, np.inf])
+    losses, bounds = model.losses_and_bounds(predicted, eps_u, obs)
+    assert np.array_equal(losses, model.loss_from_prediction(predicted, obs), equal_nan=True)
+    assert bounds.tolist() == [_scalar_bound(model, e, None, obs.n) for e in eps_u]
+    # a state error of norm eps_u moves the loss by at most the bound
+    for p, e, b in zip(predicted[:2], eps_u[:2], bounds[:2]):
+        du = rng.standard_normal(model.n_dof)
+        moved = p + model.obs_matrix @ (e * du / np.linalg.norm(du))
+        gap = abs(model.loss_from_prediction(moved, obs) - model.loss_from_prediction(p, obs))
+        assert gap <= b
+
+
+def test_surrogates_on_one_model_make_one_svd(monkeypatch):
+    model = assemble("adv1d", {"cells": 64})
+    obs = gen_data(model, noise_pct=0.10, n=1, seed=0)
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    rng = np.random.default_rng(27)
+    for _ in range(2):
+        s = Surrogate(model)
+        s.refine_over_particles(rng.random((10, 2)), obs, e_thre=1e-3)
+        s.surrogate_loss(rng.random(2), obs)
+    assert len(calls) == 1
 
 
 def test_loss_gap_within_indicator(adv1d_model, adv1d_obs):
@@ -412,8 +443,23 @@ def test_atom_budget(adv1d_model, adv1d_obs, monkeypatch):
         s.refine_over_particles(rng.random((50, 2)), adv1d_obs, e_thre=1e-12)
 
 
+def _scalar_bound(model, raw, dist_sum, n_data):
+    """The loss-error bound of a state error raw by the scalar formulas, with
+    s = ||D||_2 raw: 2 d s + n_data s^2 for the squared loss, d the distance
+    sum, n_data sqrt(n_obs) s for l1 and n_data s for l2; inf where raw is."""
+    if np.isinf(raw):
+        return np.inf
+    norm = float(np.linalg.svd(model.obs_matrix.toarray(), compute_uv=False)[0])
+    if model.loss_kind == "squared_l2":
+        step = norm * raw
+        return 2.0 * dist_sum * step + n_data * step**2
+    if model.loss_kind == "l1":
+        return n_data * np.sqrt(model.n_obs) * norm * raw
+    return n_data * norm * raw
+
+
 def _scalar_eval(s, xi, observations):
-    """(loss, raw indicator, distance sum) at one point by the one-point
+    """(loss, raw indicator, loss-error bound) at one point by the one-point
     formulas: the reference for the batched evaluation."""
     model = s.model
     d2 = np.sum((s._scaled_locs - model.domain.scale(xi)) ** 2, axis=1)
@@ -425,7 +471,7 @@ def _scalar_eval(s, xi, observations):
     try:
         coeffs = np.linalg.solve(G, b)
     except np.linalg.LinAlgError:
-        return np.nan, np.inf, 0.0
+        return np.nan, np.inf, np.inf
     u = cell.basis @ coeffs
     r = model._rhs(fth)
     for a, M in zip(ath, model.operator_terms):
@@ -439,7 +485,8 @@ def _scalar_eval(s, xi, observations):
         loss = float(np.sum(np.abs(resid)))
     else:
         loss = float(np.sum(np.linalg.norm(resid, axis=1)))
-    return loss, raw, float(np.sum(np.linalg.norm(resid, axis=1)))
+    dist_sum = float(np.sum(np.linalg.norm(resid, axis=1)))
+    return loss, raw, _scalar_bound(model, raw, dist_sum, observations.n)
 
 
 # the ids keep the names these cases had when the indicator was a parameter
@@ -462,11 +509,11 @@ def test_batched_evaluation_bit_equal_to_one_point_forms(preset, request):
     cell.reduced_ops = [np.zeros_like(G) for G in cell.reduced_ops]
     ref = np.array([_scalar_eval(s, p, obs) for p in pts])
     before = s.reduced_solves
-    losses, raws, dist_sums = s._evaluate(pts, obs)
+    losses, bounds = s._evaluate(pts, obs)
     assert s.reduced_solves - before == np.count_nonzero(~np.isnan(ref[:, 0]))
     assert np.array_equal(losses, ref[:, 0], equal_nan=True)
-    assert np.array_equal(raws, ref[:, 1])
-    assert np.array_equal(dist_sums, ref[:, 2])
+    assert np.array_equal(bounds, ref[:, 2])
+    assert np.array_equal(s.reduced_solve(pts)[3], ref[:, 1])
     assert np.isnan(losses[np.array(cells) == singular]).all()
     assert np.isfinite(losses[np.array(cells) != singular]).all()
     for p, row in zip(pts[:40], ref[:40]):
@@ -476,7 +523,7 @@ def test_batched_evaluation_bit_equal_to_one_point_forms(preset, request):
         else:
             lbar, eps_l = s.surrogate_loss(p, obs)
             assert lbar == row[0]
-            assert eps_l == s._loss_indicator_from_raw(row[1], row[2], obs.n)
+            assert eps_l == row[2]
     assert np.array_equal(s.loss_fn(obs)(pts), losses, equal_nan=True)
 
 
@@ -511,10 +558,9 @@ def test_batched_evaluation_mixes_basis_ranks(adv2d_small):
     looked_up = []
     lu_for = s._lu_for
     s._lu_for = lambda k: looked_up.append(k) or lu_for(k)
-    losses, raws, dist_sums = s._evaluate(pts, obs)
+    losses, bounds = s._evaluate(pts, obs)
     assert np.array_equal(losses, ref[:, 0], equal_nan=True)
-    assert np.array_equal(raws, ref[:, 1])
-    assert np.array_equal(dist_sums, ref[:, 2])
+    assert np.array_equal(bounds, ref[:, 2])
     assert np.isnan(losses[cells == singular]).all()
     assert np.isfinite(losses[cells != singular]).all()
     # one LU lookup per hosting cell with solved points, none for the
@@ -522,8 +568,9 @@ def test_batched_evaluation_mixes_basis_ranks(adv2d_small):
     hosting = [k for k in dict.fromkeys(cells.tolist()) if k != singular]
     assert looked_up == hosting
     # coefficients are NaN-padded past each hosting cell's rank
-    hosts, coeffs, observed, _ = s.reduced_solve(pts)
+    hosts, coeffs, observed, raws = s.reduced_solve(pts)
     assert np.array_equal(hosts, cells)
+    assert np.array_equal(raws, ref[:, 1])
     assert coeffs.shape == (len(pts), max(s.cells[k].basis.shape[1] for k in set(cells)))
     for k, c, o in zip(hosts, coeffs, observed):
         r = s.cells[k].basis.shape[1]
@@ -795,9 +842,8 @@ def test_refinement_puts_atom_at_singular_point():
     singular = cells[0]
     cell = built_cell(s, singular)
     cell.reduced_ops = np.zeros_like(cell.reduced_ops)
-    losses, raws, dist_sums = s._evaluate(pts, obs)
+    losses, inds = s._evaluate(pts, obs)
     assert np.isnan(losses[cells == singular]).all()
-    inds = s._loss_indicator_from_raw(raws, dist_sums, obs.n)
     assert np.array_equal(np.isinf(inds), cells == singular)
     report = s.refine_over_particles(pts, obs, e_thre=1e-3)
     assert report.atoms_added > 0
