@@ -14,9 +14,10 @@ block to block.
 It prints each side's median and 90th-percentile call wall time, the
 median ratio B / A of the calls' wall times with its quartiles, the ratio
 of the two sides' 90th percentiles (the statistic ``bench/run.py`` reports
-for ``wall_s``), how many calls B ran faster, each side's mean full solves
-and iterations per call, and how many calls' digests (their samples or
-particles) are equal.
+for ``wall_s``), how many calls B ran faster, each side's mean full solves,
+iterations, reduced solves and LU factorizations per call, and how many
+calls' digests (their samples or particles) are equal.  It exits 1 when
+some call's digest or work count differs between the sides.
 
     python scripts/pair_calls.py ../parent . --workload rwmh-adv1d --calls 300
 """
@@ -31,8 +32,10 @@ from pathlib import Path
 
 PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 RESTART_EVERY = 20  # seeds per pair of worker processes
+WORK = ("full_solves", "iterations", "reduced_solves", "lu_factorizations")
 
-# the worker process: set up, then one call per seed read from stdin
+# the worker process: set up, then one call per seed read from stdin; it
+# returns the keys of the call's record that follow checkout and workload
 SERVE = """
 import json, sys
 sys.path.insert(0, sys.argv[1] + "/bench")
@@ -42,13 +45,13 @@ state = worker.setup(worker.WORKLOADS[workload])[1]
 print("ready", flush=True)
 for line in sys.stdin:
     rec = worker.run_once(workload, state, int(line))
-    print(json.dumps({key: rec[key] for key in ("wall_s", "digest", "full_solves",
-                                                "iterations")}), flush=True)
+    print(json.dumps({key: rec[key] for key in sys.argv[3:]}), flush=True)
 """
 
 
 def start(checkout: Path, workload: str) -> subprocess.Popen:
-    proc = subprocess.Popen([sys.executable, "-c", SERVE, str(checkout), workload],
+    proc = subprocess.Popen([sys.executable, "-c", SERVE, str(checkout), workload,
+                             "wall_s", "digest", *WORK],
                             cwd=checkout, env={**os.environ, **PINNED}, text=True,
                             stdin=subprocess.PIPE, stdout=subprocess.PIPE)
     if proc.stdout.readline().strip() != "ready":
@@ -107,9 +110,15 @@ def summary(pairs: list) -> dict:
             "p90_a": p90(walls[0]), "p90_b": p90(walls[1]),
             "ratio": statistics.median(ratios), "quartiles": (q1, q3),
             "wins": sum(b["wall_s"] < a["wall_s"] for a, b in pairs),
-            "work": [{key: statistics.mean(rec[key] for rec in side)
-                      for key in ("full_solves", "iterations")} for side in zip(*pairs)],
+            "work": [{key: statistics.mean(rec[key] for rec in side) for key in WORK}
+                     for side in zip(*pairs)],
             "digests_equal": sum(a["digest"] == b["digest"] for a, b in pairs)}
+
+
+def unequal_calls(pairs: list) -> list:
+    """The indices of the pairs whose digests or work counts differ."""
+    return [i for i, (a, b) in enumerate(pairs)
+            if any(a[key] != b[key] for key in ("digest",) + WORK)]
 
 
 def main(argv=None) -> int:
@@ -122,7 +131,8 @@ def main(argv=None) -> int:
     if args.calls < 2:
         ap.error("--calls must be at least 2, for the quartiles")
     checkouts = [args.checkout_a.resolve(), args.checkout_b.resolve()]
-    s = summary(paired_calls(checkouts, args.workload, args.calls))
+    pairs = paired_calls(checkouts, args.workload, args.calls)
+    s = summary(pairs)
     n = args.calls
     print(f"{args.workload}: {n} calls per side, seeds 0-{n - 1}")
     print(f"A {checkouts[0]}: median {s['median_a']:.4f} s, p90 {s['p90_a']:.4f} s")
@@ -132,10 +142,16 @@ def main(argv=None) -> int:
     print(f"B / A of the p90s: {s['p90_b'] / s['p90_a']:.3f}")
     print(f"B faster: {s['wins']} of {n}")
     a, b = s["work"]
+    print(f"mean per call, A / B: reduced solves {a['reduced_solves']:.2f} / "
+          f"{b['reduced_solves']:.2f}, LU factorizations {a['lu_factorizations']:.2f} / "
+          f"{b['lu_factorizations']:.2f}")
     print(f"mean per call, A / B: full solves {a['full_solves']:.2f} / {b['full_solves']:.2f}, "
           f"iterations {a['iterations']:.2f} / {b['iterations']:.2f}")
     print(f"digests equal: {s['digests_equal']} of {n}")
-    return 0
+    unequal = unequal_calls(pairs)
+    if unequal:
+        print(f"digests or work counts differ at seeds {unequal}", file=sys.stderr)
+    return 1 if unequal else 0
 
 
 if __name__ == "__main__":

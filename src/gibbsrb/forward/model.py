@@ -47,9 +47,6 @@ class SolveCounters:
         # name is kept for the readers of the counter snapshot
         self.stability = 0
 
-    def add(self, kind: str, n: int = 1) -> None:
-        setattr(self, kind, getattr(self, kind) + n)
-
     def snapshot(self) -> dict:
         return {"full": self.full, "sensitivity": self.sensitivity,
                 "stability": self.stability}
@@ -300,7 +297,7 @@ class ForwardModel:
             for p, g in enumerate(self.operator_coeff_grads[j]):
                 if g != 0.0:
                     rhs[:, j] -= g * (self.operator_terms[p] @ u)
-        self.counters.add("sensitivity", self.dim)
+        self.counters.sensitivity += self.dim
         return lu.solve(rhs)
 
     # ----- observation and loss -----

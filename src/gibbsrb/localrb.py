@@ -64,12 +64,13 @@ class RefinementReport:
 
 
 @dataclass
-class _Cell:
-    neighbors: tuple = ()
-    basis: np.ndarray | None = None           # (n_dof, r), orthonormal; None until built
-    reduced_ops: np.ndarray | None = None     # (P, r, r) Phi^T A_p Phi
-    reduced_rhs: np.ndarray | None = None     # (Q, r) Phi^T f_q
-    obs_basis: np.ndarray | None = None       # D_obs Phi
+class _Cell:  # a built cell; Surrogate.cells holds None for an unbuilt one
+    neighbors: tuple            # the N nearest other atoms, ties by index
+    reach: float                # a new atom strictly nearer joins neighbors
+    basis: np.ndarray           # (n_dof, r), orthonormal
+    reduced_ops: np.ndarray     # (P, r, r) Phi^T A_p Phi
+    reduced_rhs: np.ndarray     # (Q, r) Phi^T f_q
+    obs_basis: np.ndarray       # D_obs Phi
 
 
 def _groups(ks: list, key) -> dict:
@@ -92,8 +93,8 @@ class Surrogate:
 
     Evaluation takes whole arrays of points: the reduced systems of all the
     points whose cells share a basis rank are solved in one stacked call.
-    A cell whose neighbor set changes is replaced by a fresh, unbuilt one,
-    and an unbuilt cell is built when a query first lands in it, so
+    A cell whose neighbor set changes is unbuilt (None), and an unbuilt
+    cell is built when a query first lands in it, so
     evaluation changes cached state too; no method may run concurrently
     with another.
     """
@@ -102,10 +103,8 @@ class Surrogate:
         self.model = model
         self.neighbor_count = int(neighbor_count)
         self.atoms: list[Atom] = []
-        self.cells: list[_Cell] = []
+        self.cells: list[_Cell | None] = []
         self._scaled_locs = np.zeros((0, model.dim))
-        # squared distances of each atom's neighbors, in tuple order, inf-padded
-        self._neighbor_d2 = np.zeros((0, self.neighbor_count))
         # [A_1; ...; A_P; D_obs]: one sparse product per cell build or indicator read
         self._stacked_terms = vstack_csr(list(model.operator_terms) + [model.obs_matrix])
         self._lu_cache: dict[int, object] = {}
@@ -128,43 +127,25 @@ class Surrogate:
         d2 = ((s[:, None, :] - self._scaled_locs[None, :, :]) ** 2).sum(axis=2)
         return np.argmin(d2, axis=1)
 
-    def _insert_location(self, s: np.ndarray) -> None:
-        """Append a new atom's scaled location and unbuilt cell, and bring
-        every neighbor tuple up to date; a cell whose tuple changed is
-        replaced by a fresh, unbuilt cell with the new tuple, which frees
-        its stale arrays at once.
-
-        A tuple lists the neighbor_count nearest other atoms by squared
-        distance, ties by index.  The new atom has the highest index, so it
-        goes after equal distances, and only atoms whose tuple is short or
-        whose last neighbor lies strictly farther away take it in.
-        """
-        idx = len(self.cells)
-        N = self.neighbor_count
+    def _insert_location(self, s: np.ndarray, d2: np.ndarray) -> None:
+        """Append a new atom's scaled location s and unbuilt cell, and unbuild
+        (set to None) every built cell whose reach the atom lies strictly
+        inside, from its squared distances d2 to the atoms before it: the new
+        atom has the highest index, so it goes after equal distances, and it
+        joins exactly those cells' neighbor tuples."""
         self._scaled_locs = np.vstack([self._scaled_locs, s[None, :]])
-        self.cells.append(_Cell())
-        d2 = np.sum((self._scaled_locs - self._scaled_locs[idx]) ** 2, axis=1)[:idx]
-        if N:
-            for i in np.flatnonzero(d2 < self._neighbor_d2[:, -1]):
-                row = self._neighbor_d2[i]
-                pos = int(np.searchsorted(row, d2[i], side="right"))
-                row[pos + 1:] = row[pos:-1]
-                row[pos] = d2[i]
-                nb = self.cells[i].neighbors
-                self.cells[i] = _Cell(neighbors=(nb[:pos] + (idx,) + nb[pos:])[:N])
-        order = np.argsort(d2, kind="stable")[:N]
-        self.cells[idx].neighbors = tuple(order.tolist())
-        row = np.full(N, np.inf)
-        row[:order.size] = d2[order]
-        self._neighbor_d2 = np.vstack([self._neighbor_d2, row])
+        for i, (cell, d) in enumerate(zip(self.cells, d2.tolist())):
+            if cell is not None and d < cell.reach:
+                self.cells[i] = None
+        self.cells.append(None)
 
     # ----- construction -----
     def add_atom(self, xi: np.ndarray) -> int:
         """Insert an atom: one factorization of A(xi), shared by a full and a
         sensitivity solve, and kept in the LU cache for the indicator reads
         in the new cell.  It makes no reduced solve and builds no cell: the
-        new cell, and the fresh cell that replaces every cell whose neighbor
-        set changed, is unbuilt until a query lands in it.
+        new cell, and every cell whose neighbor set changed, is unbuilt
+        until a query lands in it.
 
         A point outside the parameter box raises ValueError from the
         factorization, before any surrogate state changes.
@@ -173,18 +154,16 @@ class Surrogate:
             raise AtomBudgetError(f"atom budget {ATOM_BUDGET} exhausted")
         xi = np.array(xi, dtype=float)
         s = self.model.domain.scale(xi)
-        if self.n_atoms:
-            d2 = np.sum((self._scaled_locs - s) ** 2, axis=1)
-            if np.sqrt(d2.min()) <= DUPLICATE_TOL:
-                raise DuplicateAtomError(f"atom at {xi} duplicates atom "
-                                         f"{int(np.argmin(d2))}")
+        d2 = np.sum((self._scaled_locs - s) ** 2, axis=1)
+        if self.n_atoms and np.sqrt(d2.min()) <= DUPLICATE_TOL:
+            raise DuplicateAtomError(f"atom at {xi} duplicates atom {int(np.argmin(d2))}")
         factors = self.model.factorize(xi)
         u = self.model.solve_full(xi, factors)
         grad = self.model.solve_sensitivity(u, factors[1])
         idx = self.n_atoms
         self.atoms.append(Atom(location=xi, snapshot=u, gradient=grad))
         self._lu_stash(idx, factors[1])
-        self._insert_location(s)
+        self._insert_location(s, d2)
         return idx
 
     def _lu_stash(self, idx, lu):
@@ -196,28 +175,38 @@ class Surrogate:
         lu = self._lu_cache.pop(idx, None)  # LRU: a hit moves to the back
         if lu is None:
             _, lu = self.model.factorize(self.atoms[idx].location)
-            self.model.counters.add("stability")
+            self.model.counters.stability += 1
         self._lu_stash(idx, lu)
         return lu
 
     def _ensure_cells(self, ks: list) -> None:
         """Build the unbuilt cells among ks in one stacked pass.
 
-        A basis is Q of a Householder QR of the sources [u_k | grad u_k |
-        u_j for each neighbor j], without the sources numerically in the
-        span of those before them.  Every neighbor tuple holds
-        min(N, atoms - 1) atoms, so one stacked QR serves all the new cells.
-        Per basis rank, one sparse product gives A_p Phi and D_obs Phi of the
-        new cells, and their reduced arrays follow from it.  Stacked LAPACK,
-        BLAS and CSR calls run the same kernel per matrix and per column, so
-        the arrays are bit-identical to one-cell builds.
+        A cell's neighbors are the N nearest other atoms by squared scaled
+        distance, ties by index (a stable argsort); its reach is the farthest
+        one's squared distance, inf when fewer than N and -inf when N = 0.
+        A basis is Q of a Householder QR of the sources [u_k | grad u_k | u_j
+        for each neighbor j], without the sources numerically in the span of
+        those before them.  Every tuple holds min(N, atoms - 1) atoms, so one
+        stacked QR serves all the new cells.  Per basis rank, one sparse
+        product gives A_p Phi and D_obs Phi of the new cells, and their
+        reduced arrays follow from it.  Stacked LAPACK, BLAS and CSR calls run
+        the same kernel per matrix and per column, so the arrays are
+        bit-identical to one-cell builds.
         """
-        new = [k for k in ks if self.cells[k].basis is None]
+        new = [k for k in ks if self.cells[k] is None]
         if not new:
             return
+        N, locs = self.neighbor_count, self._scaled_locs
+        d2 = np.sum((locs - locs[new, None]) ** 2, axis=2)
+        d2[range(len(new)), new] = -np.inf  # the cell's own atom sorts first
+        nbs = np.argsort(d2, axis=1, kind="stable")[:, 1:N + 1]
+        reach = (d2[range(len(new)), nbs[:, -1]] if 0 < N == nbs.shape[1]
+                 else np.full(len(new), np.inf if N else -np.inf))
+        tuples = {k: (tuple(nb), r) for k, nb, r in zip(new, nbs.tolist(), reach.tolist())}
         S = np.stack([np.column_stack(
             [self.atoms[k].snapshot, self.atoms[k].gradient]
-            + [self.atoms[j].snapshot for j in self.cells[k].neighbors]) for k in new])
+            + [self.atoms[j].snapshot for j in tuples[k][0]]) for k in new])
         Q, R = np.linalg.qr(S)
         # |R_jj| is the norm of source j's part orthogonal to the sources
         # before it; R has only min(n_dof, r) diagonal entries
@@ -234,17 +223,16 @@ class Surrogate:
             ops = np.stack([PhiT @ op_cols[:, p] for p in range(P)], axis=1)
             rhs = np.stack([PhiT @ f for f in self.model.rhs_terms], axis=1)
             for i, k in enumerate(group):
-                self._staged[k] = (Phis[i], ops[i], rhs[i], obs[i])
+                self._staged[k] = (*tuples[k], Phis[i], ops[i], rhs[i], obs[i])
         for k in new:
             self._build_cell(k)
 
     def _build_cell(self, k: int) -> None:
-        """Install unbuilt cell k's basis and reduced arrays from the stacked
-        pass in progress (_ensure_cells), as copies that hold no view into
-        the pass's arrays."""
-        cell = self.cells[k]
-        cell.basis, cell.reduced_ops, cell.reduced_rhs, cell.obs_basis = (
-            a.copy() for a in self._staged.pop(k))
+        """Install unbuilt cell k from the stacked pass in progress
+        (_ensure_cells), its arrays as copies that hold no view into the
+        pass's arrays."""
+        neighbors, reach, *arrays = self._staged.pop(k)
+        self.cells[k] = _Cell(neighbors, reach, *(a.copy() for a in arrays))
 
     def _products(self, Phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(A_p Phi as a (c, P, n_dof, r) array, D_obs Phi as a (c, D, r)
@@ -394,7 +382,7 @@ class Surrogate:
         One search gives each particle's host and squared scaled distance;
         an insertion moves only the particles strictly nearer the new atom
         (the highest index, so ties keep the lowest), leaves the new atom's
-        cell and every cell whose neighbor set changed unbuilt, and builds
+        cell and every cell whose neighbor set changed unbuilt (None), and builds
         the unbuilt hosting cells in one pass to re-evaluate their particles.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -423,9 +411,9 @@ class Surrogate:
             d2_new = np.sum((scaled_pts - self._scaled_locs[new]) ** 2, axis=1)
             moved = d2_new < d2
             hosts[moved], d2[moved] = new, d2_new[moved]
-            # re-evaluate the particles in unbuilt cells, the new atom's and
-            # those the neighbor refresh replaced
-            idx = np.flatnonzero([self.cells[k].basis is None for k in hosts.tolist()])
+            # re-evaluate the particles in unbuilt cells: the new atom's and
+            # those whose neighbor set it joined
+            idx = np.flatnonzero([self.cells[k] is None for k in hosts.tolist()])
             losses[idx], inds[idx] = self._evaluate(points[idx], observations, hosts[idx])
         return RefinementReport(atoms_added=self.n_atoms - start, e_thre=float(e_thre),
                                 e_max_final=float(np.max(inds)), loss_values=losses)

@@ -189,18 +189,21 @@ def mutate(particles: ParticleSet, loss_fn: Callable, domain: ParameterDomain,
 
 
 def replay_consistency(surrogate: Surrogate, observations, particles: ParticleSet,
-                       w_t: float) -> ParticleSet:
-    """Reweight a particle cloud by the further weight w_t using the latest
-    surrogate; no full solves are involved, and by coherence the single-shot
-    update equals the incremental schedule.  Raises BasisDegeneracyError
-    where a reduced system is singular."""
-    if w_t == 0.0:
-        return particles
+                       further) -> list:
+    """One cloud per further weight w in an array: the particle cloud
+    reweighted by w using the latest surrogate, or the cloud itself where
+    w = 0.  It scores the cloud once, and only if some w is nonzero; no full
+    solves are involved, and by coherence the single-shot update equals the
+    incremental schedule.  Raises BasisDegeneracyError where a reduced
+    system is singular."""
+    further = np.asarray(further, dtype=float).tolist()
+    if not any(further):
+        return [particles] * len(further)
     losses = surrogate.loss_fn(observations)(particles.points)
     if np.isnan(losses).any():
         raise BasisDegeneracyError("singular reduced system at "
                                    f"{int(np.isnan(losses).sum())} point(s)")
-    return reweight(particles, losses, w_t)
+    return [particles if w == 0.0 else reweight(particles, losses, w) for w in further]
 
 
 def _resolve_e_thre(config: SmcConfig, losses: np.ndarray) -> float:

@@ -109,8 +109,8 @@ def evaluate_grid_via_smc(model, observations, smc_config: SmcConfig) -> Selecti
     As the accumulated weight crosses a candidate, the posterior mean at
     exactly that candidate is recovered by replaying the latest iteration
     snapshot at or below it with the final surrogate (coherence makes the
-    replayed update exact); each candidate then costs one full solve for
-    the prediction residuals.
+    replayed update exact; the candidates that share a snapshot score it
+    once); each candidate then costs one full solve for its residuals.
     """
     grid = candidate_grid(observations.eps_std)
     n_eff = effective_n(observations)
@@ -119,13 +119,13 @@ def evaluate_grid_via_smc(model, observations, smc_config: SmcConfig) -> Selecti
     result = run_smc(model, observations, cfg)
 
     boundaries = [0.0] + [rec.w_after for rec in result.history]
+    snaps = np.searchsorted(boundaries, grid, side="right") - 1
     objectives = np.empty(grid.size)
-    for i, w_c in enumerate(grid):
-        k = int(np.searchsorted(boundaries, w_c, side="right") - 1)
-        replayed = replay_consistency(result.surrogate, observations, result.snapshots[k],
-                                      w_c - boundaries[k])
-        mean = replayed.weights @ replayed.points
-        objectives[i] = residual_objective(mean, model, observations)
+    for k in dict.fromkeys(snaps.tolist()):
+        clouds = replay_consistency(result.surrogate, observations, result.snapshots[k],
+                                    grid[snaps == k] - boundaries[k])
+        objectives[snaps == k] = [residual_objective(c.weights @ c.points, model, observations)
+                                  for c in clouds]
 
     w_final, w_opt = select_weight(grid, objectives, n_eff, observations.eps_std)
     return SelectionResult(w_final=w_final, w_opt=w_opt,

@@ -459,6 +459,24 @@ def test_sweep_neighbors_script_table(capsys):
         assert all(0.0 <= float(ks) <= 1.0 for ks in row[-2:])
 
 
+def test_pair_calls_unequal_calls_rule():
+    import importlib.util
+
+    root = Path(__file__).parents[1]
+    spec = importlib.util.spec_from_file_location("pair_calls", root / "scripts" / "pair_calls.py")
+    pair_calls = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pair_calls)
+    rec = {"wall_s": 1.0, "digest": "ab", "full_solves": 3, "iterations": 4,
+           "reduced_solves": 50, "lu_factorizations": 2}
+    pairs = [(rec, {**rec, "wall_s": 2.0})]  # time may differ, work may not
+    pairs += [(rec, {**rec, key: value}) for key, value in [
+        ("digest", "ac"), ("full_solves", 4), ("iterations", 5), ("reduced_solves", 49),
+        ("lu_factorizations", 3)]]
+    pairs.append(({**rec, "wall_s": 0.5}, rec))
+    assert pair_calls.unequal_calls(pairs) == [1, 2, 3, 4, 5]
+    assert pair_calls.unequal_calls(pairs[:1] + pairs[-1:]) == []
+
+
 def test_pair_calls_script_same_checkout_twice():
     root = Path(__file__).parents[1]
     done = subprocess.run([sys.executable, str(root / "scripts" / "pair_calls.py"), str(root),

@@ -34,9 +34,10 @@ def test_first_atom_basis_dimension(adv1d_model):
     s = Surrogate(adv1d_model)
     s.add_atom(np.array([0.5, 0.5]))
     assert s.n_atoms == 1
+    cell = built_cell(s, 0)
     # snapshot plus M gradient columns at most
-    assert built_cell(s, 0).basis.shape[1] <= 1 + adv1d_model.dim
-    assert s.cells[0].neighbors == ()
+    assert cell.basis.shape[1] <= 1 + adv1d_model.dim
+    assert cell.neighbors == () and cell.reach == np.inf
 
 
 def test_voronoi_corner_center_geometry(adv1d_surr):
@@ -233,7 +234,7 @@ def test_add_atom_outside_box_raises_before_factorizing(adv1d_model, monkeypatch
     s = Surrogate(adv1d_model)
     for a in np.random.default_rng(28).random((4, 2)):
         s.add_atom(a)
-    assert any(c.basis is None for c in s.cells)  # a query would build these
+    assert any(c is None for c in s.cells)  # a query would build these
     cells = list(s.cells)
     counts, solves = adv1d_model.counters.snapshot(), s.reduced_solves
     calls = []
@@ -628,9 +629,10 @@ def _one_cell_build(s, k):
     then R of a QR of A_k^{-1} [f_q | A_p Phi], whose ||R w|| with
     w = [phi(xi), -theta(xi) (x) c] is the raw indicator in exact
     arithmetic: the reference for the band-solve read."""
-    model, atom, cell = s.model, s.atoms[k], s.cells[k]
+    model, atom = s.model, s.atoms[k]
+    neighbors = _all_pairs_neighbors(s._scaled_locs, s.neighbor_count)[k]
     sources = np.column_stack([atom.snapshot, atom.gradient]
-                              + [s.atoms[j].snapshot for j in cell.neighbors])
+                              + [s.atoms[j].snapshot for j in neighbors])
     Phi, R = np.linalg.qr(sources)
     d = np.abs(np.diagonal(R))
     kept = np.zeros(sources.shape[1], dtype=bool)
@@ -670,7 +672,7 @@ def test_stacked_pass_bit_equal_to_one_cell_builds(adv2d_small, monkeypatch):
     # unbuilt cells of one rank
     obs = gen_data(adv2d_small, noise_pct=0.10, n=2, seed=3)
     s.loss_fn(obs)(np.array([s.atoms[k].location for k in ks[::2]]))
-    assert [s.cells[k].basis is None for k in ks] == [i % 2 == 1 for i in range(len(ks))]
+    assert [s.cells[k] is None for k in ks] == [i % 2 == 1 for i in range(len(ks))]
     prebuilt = {k: s.cells[k].basis for k in ks[::2]}
     qrs, installed, products = [], [], []
     qr, build, prod = np.linalg.qr, s._build_cell, s._products
@@ -771,7 +773,7 @@ def test_incremental_rebuild_equals_fresh_build(preset, request):
     assert len(built) > len(set(built))  # some cells were rebuilt
     for k in range(s.n_atoms):
         got = _cell_arrays(s, k)
-        s.cells[k] = localrb._Cell(neighbors=s.cells[k].neighbors)
+        s.cells[k] = None
         fresh = _cell_arrays(s, k)
         for a, b in zip(got, fresh):
             assert np.array_equal(a, b)
@@ -797,7 +799,7 @@ def test_stacked_products_bit_equal_to_per_term(preset, mesh):
 
 def _all_pairs_neighbors(locs, count):
     """Each atom's neighbor tuple by the all-pairs sort: the reference for
-    the incremental update."""
+    the cell builds."""
     n = len(locs)
     out = []
     for k in range(n):
@@ -816,15 +818,19 @@ def test_incremental_neighbor_sets_equal_all_pairs(adv1d_model, dim, count):
     pts = np.unique(np.vstack([lattice, rng.random((20, dim))]), axis=0)
     pts = pts[rng.permutation(len(pts))]
     s = Surrogate(adv1d_model, neighbor_count=count)
-    s._scaled_locs = np.zeros((0, dim))  # the tuples read only the scaled locations
+    # the tuples read only the scaled locations; the builds take any sources
+    s._scaled_locs = np.zeros((0, dim))
+    n_dof = adv1d_model.n_dof
     for p in pts:
-        before = list(s.cells)
-        s._insert_location(p)
+        before = [c.neighbors for c in s.cells]
+        s.atoms.append(localrb.Atom(p, rng.standard_normal(n_dof),
+                                    rng.standard_normal((n_dof, 2))))
+        s._insert_location(p, np.sum((s._scaled_locs - p) ** 2, axis=1))
         ref = _all_pairs_neighbors(s._scaled_locs, count)
+        # a built cell is unbuilt exactly when its tuple changed
+        assert [c is None for c in s.cells] == [b != r for b, r in zip(before, ref)] + [True]
+        s._ensure_cells(range(s.n_atoms))
         assert [c.neighbors for c in s.cells] == ref
-        # a cell is replaced by a fresh one exactly when its tuple changed
-        assert [c is not b for c, b in zip(s.cells, before)] \
-            == [b.neighbors != r for b, r in zip(before, ref)]
     # exact ties occurred
     assert any(len(set(np.sum((pts - p) ** 2, axis=1))) < len(pts) for p in pts)
 

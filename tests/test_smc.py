@@ -615,11 +615,13 @@ def test_replay_reproducible_and_uniform_at_zero(adv1d_model, adv1d_obs):
     rng = np.random.default_rng(15)
     surr.refine_over_particles(rng.random((20, 2)), adv1d_obs, e_thre=1e-2)
     init = init_particles(adv1d_model.domain, 25, stream(7, PHASE_INIT))
-    z = replay_consistency(surr, adv1d_obs, init, 0.0)
-    assert np.allclose(z.weights, 1.0 / 25)
-    a = replay_consistency(surr, adv1d_obs, init, 3.3)
-    b = replay_consistency(surr, adv1d_obs, init, 3.3)
+    [z] = replay_consistency(surr, adv1d_obs, init, np.array([0.0]))
+    assert z is init
+    a, z, b = replay_consistency(surr, adv1d_obs, init, np.array([3.3, 0.0, 3.3]))
+    assert z is init
     assert np.array_equal(a.weights, b.weights)
+    [c] = replay_consistency(surr, adv1d_obs, init, np.array([3.3]))
+    assert np.array_equal(a.weights, c.weights)
     assert np.array_equal(a.points, init.points)
     assert np.array_equal(init.weights, np.full(25, 1.0 / 25))  # left as it was
 
@@ -631,10 +633,11 @@ def test_replay_equals_incremental_by_coherence(adv1d_model, adv1d_obs):
     rng = np.random.default_rng(16)
     surr.refine_over_particles(rng.random((20, 2)), adv1d_obs, e_thre=1e-2)
     init = init_particles(adv1d_model.domain, 25, stream(8, PHASE_INIT))
-    single = replay_consistency(surr, adv1d_obs, init, 5.0)
+    single, first = replay_consistency(surr, adv1d_obs, init, np.array([5.0, 2.0]))
     losses = np.array([surr.surrogate_loss(p, adv1d_obs)[0] for p in init.points])
     stepped = reweight(reweight(init, losses, 2.0), losses, 3.0)
     assert np.max(np.abs(single.weights - stepped.weights)) < 1e-12
+    assert np.array_equal(first.weights, reweight(init, losses, 2.0).weights)
 
 
 def test_replay_costs_no_full_solves(adv1d_model, adv1d_obs):
@@ -643,7 +646,7 @@ def test_replay_costs_no_full_solves(adv1d_model, adv1d_obs):
     surr.refine_over_particles(rng.random((20, 2)), adv1d_obs, e_thre=1e-2)
     init = init_particles(adv1d_model.domain, 30, stream(9, PHASE_INIT))
     before = adv1d_model.counters.snapshot()["full"]
-    replay_consistency(surr, adv1d_obs, init, 4.0)
+    replay_consistency(surr, adv1d_obs, init, np.array([4.0, 1.0]))
     assert adv1d_model.counters.snapshot()["full"] == before
 
 
@@ -653,7 +656,9 @@ def test_replay_raises_on_singular_reduced_system():
             return lambda points: np.full(len(points), np.nan)
     cloud = ParticleSet(np.zeros((3, 2)), np.full(3, 1.0 / 3))
     with pytest.raises(BasisDegeneracyError, match="3 point"):
-        replay_consistency(Singular(), None, cloud, 1.0)
+        replay_consistency(Singular(), None, cloud, np.array([0.0, 1.0]))
+    # a cloud that no weight moves is not scored
+    assert replay_consistency(Singular(), None, cloud, np.zeros(2)) == [cloud, cloud]
 
 
 # ----- Monte Carlo rate of the full pipeline (exact losses) -----

@@ -143,6 +143,38 @@ def test_grid_of_one_equals_single_smc_run(adv1d_model, monkeypatch):
     assert min(w_ref, sel.w_opt) <= sel.w_final <= max(w_ref, sel.w_opt)
 
 
+def test_grid_scores_each_snapshot_at_most_once(adv1d_model, monkeypatch):
+    # candidates that share a snapshot replay it in one call, which scores
+    # the snapshot's points through the surrogate once
+    from gibbsrb import weights
+    from gibbsrb.localrb import Surrogate
+
+    _weight_grid(monkeypatch, GRID_SIZE=8)
+    scored, replays = [], []
+    loss_fn, replay = Surrogate.loss_fn, weights.replay_consistency
+
+    def counting_loss_fn(self, observations):
+        fn = loss_fn(self, observations)
+        return lambda points: scored.append(1) or fn(points)
+
+    def recording(surrogate, observations, particles, further):
+        before = len(scored)
+        clouds = replay(surrogate, observations, particles, further)
+        replays.append((particles, len(further), len(scored) - before))
+        return clouds
+    monkeypatch.setattr(Surrogate, "loss_fn", counting_loss_fn)
+    monkeypatch.setattr(weights, "replay_consistency", recording)
+    data = gen_data(adv1d_model, noise_pct=0.1, n=4, seed=3)
+    scfg = SmcConfig(particles=20, seed=4, e_thre_mode="fixed", e_thre_value=1e-2)
+    sel = evaluate_grid_via_smc(adv1d_model, data, scfg)
+    snapshots = [id(p) for p, _, _ in replays]
+    assert len(set(snapshots)) == len(snapshots) < sel.grid.size
+    assert all(id(p) in map(id, sel.smc_result.snapshots) for p, _, _ in replays)
+    assert sum(n for _, n, _ in replays) == sel.grid.size
+    assert all(calls <= 1 for _, _, calls in replays)
+    assert np.all(np.isfinite(sel.objectives))
+
+
 @pytest.mark.slow
 def test_pipeline_candidates_cover_grid(adv1d_model, monkeypatch):
     _weight_grid(monkeypatch, RANGE_FACTOR=10.0, GRID_SIZE=6)
