@@ -149,8 +149,7 @@ def cmd_oracle(args) -> int:
     from .oracle import DEFAULT_GRID, grid_posterior
     config, model, observations, out = _prepare(args)
     w_total = resolve_total_weight(config, observations)
-    grid = args.grid or str(DEFAULT_GRID)
-    shape = tuple(int(g) for g in grid.lower().split("x"))
+    shape = args.grid or (DEFAULT_GRID,)
     t0 = time.perf_counter()
     post = grid_posterior(model, model.domain, w_total, shape, observations)
     wall = time.perf_counter() - t0
@@ -208,6 +207,14 @@ def cmd_compare(args) -> int:
     return 0
 
 
+def _grid_shape(text: str) -> tuple:
+    """Nodes per axis, e.g. 60x60; grid_posterior checks their count and size."""
+    try:
+        return tuple(int(g) for g in text.lower().split("x"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected integers joined by x, not {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="gibbsrb",
                                 description="Gibbs-posterior inference for PDE "
@@ -235,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("oracle", help="tensor-grid posterior (M <= 3)")
     common(sp)
-    sp.add_argument("--grid", default=None,
+    sp.add_argument("--grid", type=_grid_shape, default=None,
                     help="nodes per axis, e.g. 60x60 (default: oracle.DEFAULT_GRID)")
     sp.set_defaults(fn=cmd_oracle)
 

@@ -95,6 +95,10 @@ class DataConfig:
     def __post_init__(self):
         _check_counts("data", vars(self), n_obs=1)
         _check_reals("data", vars(self), "noise_pct")
+        if self.truth is not None and not (isinstance(self.truth, list) and self.truth):
+            raise ValueError(f"data.truth must be a non-empty list, not {self.truth!r}")
+        entries = {f"truth xi_{j}": value for j, value in enumerate(self.truth or (), start=1)}
+        _check_reals("data", entries, *entries)
         if self.noise_pct < 0:
             raise ValueError("data.noise_pct must be >= 0")
 
@@ -196,7 +200,7 @@ def build_model(config: RunConfig):
 def build_observations(config: RunConfig, model, seed: int) -> ObservationSet:
     if config.data.csv:
         return ObservationSet.from_csv(config.data.csv)
-    truth = np.array(config.data.truth, dtype=float) if config.data.truth else None
+    truth = None if config.data.truth is None else np.array(config.data.truth, dtype=float)
     return gen_data(model, truth=truth, noise_pct=config.data.noise_pct,
                     n=config.data.n_obs, seed=seed)
 

@@ -12,7 +12,9 @@ routines otherwise).  The binding owns the storage layout: this module
 hands it the operator terms once, then calls its ``assemble`` and
 ``residual`` and never reads the storage.  The observation is a gather
 over per-row slot arrays, so a solve makes a fixed number of numpy calls
-whatever the band width.
+whatever the band width.  The model owns every affine sum over a stack of
+states or bases (``residuals``, ``project``), each from one sparse product
+of the stacked terms, so no other module reads a term list.
 
 The operator terms and the observation matrix are CSR matrices, read only
 through their arrays (data, indices, indptr), ``@``, ``shape`` and
@@ -219,8 +221,36 @@ class ForwardModel:
         by term in order, as the sum 0 + phi_0 f_0 + phi_1 f_1 + ...."""
         return np.add.reduce(phi[:, None] * self._rhs_terms, axis=0, initial=0.0, out=out)
 
-    def rhs_at(self, xi: np.ndarray) -> np.ndarray:
-        return self._rhs(self.coefficients(xi)[1])
+    @cached_property
+    def _stacked_terms(self):
+        """[A_1; ...; A_P; D] as one CSR matrix, stacked once per model."""
+        return vstack_csr(list(self.operator_terms) + [self.obs_matrix])
+
+    def residuals(self, theta: np.ndarray, phi: np.ndarray, states: np.ndarray) -> np.ndarray:
+        """f(phi_i) - sum_p theta_ip A_p u_i for the rows i of the (k, P) and
+        (k, Q) coefficients and the columns u_i of the (n_dof, k) states (one
+        column serves every row), as an (n_dof, k) array: f summed as _rhs
+        sums it, then theta_p (A_p u) subtracted term by term in order."""
+        n = self.n_dof
+        prods = self._stacked_terms @ states
+        resid = np.add.reduce(phi.T[:, None, :] * self._rhs_terms[:, :, None],
+                              axis=0, initial=0.0)
+        for p, t in enumerate(theta.T):
+            resid -= t * prods[p * n:(p + 1) * n]
+        return resid
+
+    def project(self, Phis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(Phi^T A_p Phi as a (c, P, r, r) array, Phi^T f_q as a (c, Q, r)
+        array, D Phi as a (c, n_obs, r) array) for a (c, n_dof, r) stack of
+        bases, from one sparse product; each column of A_p Phi and D Phi is
+        summed as in the term's own product M @ Phi."""
+        (c, n, r), P = Phis.shape, len(self.operator_terms)
+        prods = self._stacked_terms @ Phis.transpose(1, 0, 2).reshape(n, c * r)
+        prods = prods.reshape(-1, c, r).transpose(1, 0, 2)
+        PhiT = Phis.transpose(0, 2, 1)
+        ops = np.stack([PhiT @ prods[:, p * n:(p + 1) * n] for p in range(P)], axis=1)
+        rhs = np.stack([PhiT @ f for f in self._rhs_terms], axis=1)
+        return ops, rhs, prods[:, P * n:]
 
     def factorize(self, xi: np.ndarray) -> tuple[np.ndarray, BandLU]:
         """(the values of A(xi) that its binding's residual reads, its LU
@@ -286,19 +316,12 @@ class ForwardModel:
         """Columns du/dxi_j solving A(xi) du/dxi_j = df/dxi_j - (dA/dxi_j) u,
         where u is the state at xi and lu factorizes A(xi).
 
-        The coefficients are affine, so the right-hand sides depend on xi
-        only through u.
+        The coefficients are affine, so the right-hand side is u's residual
+        at the coefficient gradients, and it depends on xi only through u.
         """
-        rhs = np.zeros((self.n_dof, self.dim))
-        for j in range(self.dim):
-            for q, g in enumerate(self.rhs_coeff_grads[j]):
-                if g != 0.0:
-                    rhs[:, j] += g * self.rhs_terms[q]
-            for p, g in enumerate(self.operator_coeff_grads[j]):
-                if g != 0.0:
-                    rhs[:, j] -= g * (self.operator_terms[p] @ u)
         self.counters.sensitivity += self.dim
-        return lu.solve(rhs)
+        return lu.solve(self.residuals(self.operator_coeff_grads, self.rhs_coeff_grads,
+                                       u[:, None]))
 
     # ----- observation and loss -----
     def observe(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -6,12 +6,12 @@ cell's basis stacks those with the snapshots of the N nearest atoms.  A
 Galerkin solve in the cell basis yields the surrogate state.
 
 A query builds, in one stacked pass, the cells it first lands in.  It
-sorts its points by hosting cell once, so the online stage makes numpy
-calls per hosting cell, not per point.  An indicator read forms the
-residuals f(xi) - A(xi) Phi c of all its points through one sparse product
-and makes one band solve per hosting cell with the cell atom's LU, from an
-LU cache of the atoms' factorizations; loss-only queries never touch that
-cache.
+groups its points by hosting cell, so the online stage makes numpy calls
+per hosting cell, not per point.  An indicator read forms the residuals
+f(xi) - A(xi) Phi c of all its points through the model, which owns every
+affine sum, and makes one band solve per hosting cell with the cell atom's
+LU, from an LU cache of the atoms' factorizations; loss-only queries never
+touch that cache.
 
 The state-error indicator is that preconditioned residual norm,
 ||A_k^{-1} (f(xi) - A(xi) Phi c)|| for the cell atom k.  It is an
@@ -28,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_NEIGHBORS
-from .forward.model import vstack_csr
 
 DUPLICATE_TOL = 1e-12       # scaled-coordinate distance
 ORTHO_DROP_TOL = 1e-10      # relative column drop threshold in the basis QR
@@ -73,19 +72,12 @@ class _Cell:  # a built cell; Surrogate.cells holds None for an unbuilt one
     obs_basis: np.ndarray       # D_obs Phi
 
 
-def _groups(ks: list, key) -> dict:
-    """{key(k): [k, ...]}, keys and lists in the order of ks."""
+def _groups(ks, keys: list) -> dict:
+    """{key: [k, ...]} of each k of ks with its key of keys, in their order."""
     out: dict = {}
-    for k in ks:
-        out.setdefault(key(k), []).append(k)
+    for k, key in zip(ks, keys):
+        out.setdefault(key, []).append(k)
     return out
-
-
-def _runs(keys: list, slots: np.ndarray) -> dict:
-    """{keys[i]: (start, stop)} of the runs that the points with slot i take
-    up once the points are sorted by slot."""
-    ends = np.bincount(slots, minlength=len(keys)).cumsum().tolist()
-    return dict(zip(keys, zip([0] + ends[:-1], ends)))
 
 
 class Surrogate:
@@ -94,9 +86,8 @@ class Surrogate:
     Evaluation takes whole arrays of points: the reduced systems of all the
     points whose cells share a basis rank are solved in one stacked call.
     A cell whose neighbor set changes is unbuilt (None), and an unbuilt
-    cell is built when a query first lands in it, so
-    evaluation changes cached state too; no method may run concurrently
-    with another.
+    cell is built when a query first lands in it, so evaluation changes
+    cached state too; no method may run concurrently with another.
     """
 
     def __init__(self, model, neighbor_count: int = DEFAULT_NEIGHBORS):
@@ -105,8 +96,6 @@ class Surrogate:
         self.atoms: list[Atom] = []
         self.cells: list[_Cell | None] = []
         self._scaled_locs = np.zeros((0, model.dim))
-        # [A_1; ...; A_P; D_obs]: one sparse product per cell build or indicator read
-        self._stacked_terms = vstack_csr(list(model.operator_terms) + [model.obs_matrix])
         self._lu_cache: dict[int, object] = {}
         self._staged: dict[int, tuple] = {}  # a stacked pass's arrays per cell
         self.reduced_solves = 0
@@ -188,9 +177,9 @@ class Surrogate:
         A basis is Q of a Householder QR of the sources [u_k | grad u_k | u_j
         for each neighbor j], without the sources numerically in the span of
         those before them.  Every tuple holds min(N, atoms - 1) atoms, so one
-        stacked QR serves all the new cells.  Per basis rank, one sparse
-        product gives A_p Phi and D_obs Phi of the new cells, and their
-        reduced arrays follow from it.  Stacked LAPACK, BLAS and CSR calls run
+        stacked QR serves all the new cells.  Per basis rank, the model
+        projects its terms onto the new cells' bases (ForwardModel.project,
+        one sparse product).  Stacked LAPACK, BLAS and CSR calls run
         the same kernel per matrix and per column, so the arrays are
         bit-identical to one-cell builds.
         """
@@ -215,13 +204,9 @@ class Surrogate:
         kept[:, :d.shape[1]] = d > ORTHO_DROP_TOL * np.linalg.norm(S[:, :, :d.shape[1]], axis=1)
         bases = {k: Qk if keep.all() else np.linalg.qr(Sk[:, keep])[0]
                  for k, Sk, Qk, keep in zip(new, S, Q, kept)}
-        P = len(self.model.operator_terms)
-        for group in _groups(new, lambda k: bases[k].shape[1]).values():
+        for group in _groups(new, [bases[k].shape[1] for k in new]).values():
             Phis = np.stack([bases[k] for k in group])
-            op_cols, obs = self._products(Phis)
-            PhiT = Phis.transpose(0, 2, 1)
-            ops = np.stack([PhiT @ op_cols[:, p] for p in range(P)], axis=1)
-            rhs = np.stack([PhiT @ f for f in self.model.rhs_terms], axis=1)
+            ops, rhs, obs = self.model.project(Phis)
             for i, k in enumerate(group):
                 self._staged[k] = (*tuples[k], Phis[i], ops[i], rhs[i], obs[i])
         for k in new:
@@ -233,16 +218,6 @@ class Surrogate:
         pass's arrays."""
         neighbors, reach, *arrays = self._staged.pop(k)
         self.cells[k] = _Cell(neighbors, reach, *(a.copy() for a in arrays))
-
-    def _products(self, Phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(A_p Phi as a (c, P, n_dof, r) array, D_obs Phi as a (c, D, r)
-        array) for a (c, n_dof, r) stack of bases, from one sparse product;
-        each column is summed as in the term's own product M @ Phi."""
-        c, n, r = Phis.shape
-        P = len(self.model.operator_terms)
-        prods = self._stacked_terms @ Phis.transpose(1, 0, 2).reshape(n, c * r)
-        prods = prods.reshape(-1, c, r).transpose(1, 0, 2)
-        return prods[:, :P * n].reshape(c, P, n, r), prods[:, P * n:]
 
     # ----- evaluation -----
     def _solve_stack(self, ops: np.ndarray, rhs: np.ndarray, ath: np.ndarray,
@@ -269,24 +244,21 @@ class Surrogate:
     def reduced_solve(self, points: np.ndarray, indicators: bool = True, hosts=None):
         """Galerkin solves at the rows of an (n, M) array of points, each in
         its nearest atom's cell: (hosting cells, coefficients, observed
-        outputs, raw indicators).  ``hosts``, when given, must be
-        _nearest(points); it saves the search.
+        outputs, raw indicators), in the order of the points.  ``hosts``,
+        when given, must be _nearest(points); it saves the search.
 
         The coefficients are an (n, r_max) array, NaN past each hosting
-        cell's basis rank r.  The points are sorted once by hosting cell,
-        the cells grouped by rank, so each cell's points and each rank's are
-        one run: a cell's reduced arrays are repeated over its run, and a
-        rank's points are solved in one stacked call.  Where a cell's
-        reduced system is singular the coefficients and outputs are NaN and
-        the raw indicator is inf.  An indicator read forms the residuals of
-        all solved points through one sparse product, then makes one band
-        solve per cell, in the order the solved points first meet the
-        cells, which fixes the LU cache's lookups.  Each value is
-        bit-identical to the one-point forms u = Phi @ c, f(xi) as
-        ForwardModel._rhs forms it, f -= theta_p * (A_p @ u) per term and
-        np.linalg.norm(lu.solve(f)).  With ``indicators=False`` the raw
-        indicators are None, and no LU is looked up.  The outputs are in
-        the order of the points.
+        cell's basis rank r; where a cell's reduced system is singular the
+        coefficients and outputs are NaN and the raw indicator is inf.  Each
+        rank's points, picked by index, gather their cells' reduced arrays
+        and are solved in one stacked call.  An indicator read groups the
+        solved points by cell in order of first appearance, the LU cache's
+        lookup order: one stacked matvec and one band solve per cell, and
+        one ForwardModel.residuals call for all.  Each kernel works one
+        matrix or one column at a time, so every value is bit-identical to
+        the one-point forms, whatever the order of the points.  With
+        ``indicators=False`` the raw indicators are None, and no LU is
+        looked up.
         """
         points = np.asarray(points, dtype=float)
         n = len(points)
@@ -295,51 +267,38 @@ class Surrogate:
             hosts = self._nearest(points)
         keys = list(dict.fromkeys(hosts.tolist()))  # hosting cells, first appearance
         self._ensure_cells(keys)
-        by_rank = _groups(keys, lambda k: self.cells[k].basis.shape[1])
-        keys = [k for group in by_rank.values() for k in group]  # one run per rank too
-        slot = np.empty(len(self.cells), dtype=int)
-        slot[keys] = np.arange(len(keys))
-        slots = slot[hosts]
-        order = slots.argsort(kind="stable")  # each cell's points one run, in keys' order
-        runs = _runs(keys, slots)
-        ath, fth = ath[order], fth[order]
+        by_rank = _groups(keys, [self.cells[k].basis.shape[1] for k in keys])
         coeffs = np.full((n, max(by_rank, default=0)), np.nan)
         observed = np.full((n, self.model.n_obs), np.nan)
+        rank, slot = np.full((2, len(self.cells)), -1)  # slot: a cell's place in its rank
         for r, group in by_rank.items():
-            lo, hi = runs[group[0]][0], runs[group[-1]][1]
+            rank[group], slot[group] = r, range(len(group))
+            idx = np.flatnonzero(rank[hosts] == r)
+            pos = slot[hosts[idx]]
             cells = [self.cells[k] for k in group]
-            reps = [runs[k][1] - runs[k][0] for k in group]
-            ops = np.array([cell.reduced_ops for cell in cells]).repeat(reps, axis=0)
-            rhs = np.array([cell.reduced_rhs for cell in cells]).repeat(reps, axis=0)
-            obs = np.array([cell.obs_basis for cell in cells]).repeat(reps, axis=0)
-            c = self._solve_stack(ops, rhs, ath[lo:hi], fth[lo:hi])
-            coeffs[lo:hi, :r] = c
-            observed[lo:hi] = (obs @ c[:, :, None])[:, :, 0]  # NaN where c is
-        raws = None
-        if indicators:
-            raws = np.full(n, np.inf)
-            sel = (~np.isnan(coeffs).all(axis=1)).nonzero()[0]  # an unsolved row is all NaN
-            runs = _runs(keys, slots[order[sel]])  # each cell's run of solved points
-            c, ath, fth, nd = coeffs[sel], ath[sel], fth[sel], self.model.n_dof
-            states = np.empty((nd, len(sel)))
-            for k, (a, b) in runs.items():  # stacked matvecs, one per point
-                basis = self.cells[k].basis
-                states[:, a:b] = (basis @ c[a:b, :basis.shape[1], None])[:, :, 0].T
-            prods = self._stacked_terms @ states
-            resid = np.zeros(states.shape)
-            for q, f in enumerate(self.model.rhs_terms):
-                resid += fth[:, q] * f[:, None]
-            for p in range(ath.shape[1]):
-                resid -= ath[:, p] * prods[p * nd:(p + 1) * nd]
-            v = np.empty((len(sel), nd))
-            # in the solved points' order of first appearance: the LU cache order
-            for k in dict.fromkeys(hosts[np.sort(order[sel])].tolist()):
-                a, b = runs[k]
-                v[a:b] = self._lu_for(k).solve(resid[:, a:b]).T
-            raws[sel] = np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
-        back = order.argsort()  # the inverse permutation: the points' order
-        return (hosts, coeffs[back], observed[back],
-                None if raws is None else raws[back])
+            ops = np.array([cell.reduced_ops for cell in cells])[pos]
+            rhs = np.array([cell.reduced_rhs for cell in cells])[pos]
+            obs = np.array([cell.obs_basis for cell in cells])[pos]
+            c = self._solve_stack(ops, rhs, ath[idx], fth[idx])
+            coeffs[idx, :r] = c
+            observed[idx] = (obs @ c[:, :, None])[:, :, 0]  # NaN where c is
+        if not indicators:
+            return hosts, coeffs, observed, None
+        raws = np.full(n, np.inf)
+        sel = np.flatnonzero(~np.isnan(coeffs).all(axis=1))  # an unsolved row is all NaN
+        # {cell: its points' places in sel, as an index array}, in order of first appearance
+        by_cell = {k: np.array(i) for k, i in
+                   _groups(range(len(sel)), hosts[sel].tolist()).items()}
+        states = np.empty((self.model.n_dof, len(sel)))
+        for k, i in by_cell.items():  # stacked matvecs, one per point
+            basis = self.cells[k].basis
+            states[:, i] = (basis @ coeffs[sel[i], :basis.shape[1], None])[:, :, 0].T
+        resid = self.model.residuals(ath[sel], fth[sel], states)
+        v = np.empty((len(sel), self.model.n_dof))
+        for k, i in by_cell.items():  # the LU cache's lookups, in by_cell's order
+            v[i] = self._lu_for(k).solve(resid[:, i]).T
+        raws[sel] = np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+        return hosts, coeffs, observed, raws
 
     def _evaluate(self, points: np.ndarray, observations, hosts=None):
         """(surrogate losses, loss-error indicators) at the rows of an (n, M)

@@ -70,9 +70,8 @@ class GridPosterior:
         return np.sqrt(np.maximum(var, 0.0))
 
 
-def grid_posterior(model, domain, weight: float, grid_shape, observations,
-                   loss_fn=None) -> GridPosterior:
-    """Tensor-grid Gibbs posterior; loss_fn defaults to full-solve losses."""
+def grid_posterior(model, domain, weight: float, grid_shape, observations) -> GridPosterior:
+    """Tensor-grid Gibbs posterior of model.loss, one full solve per node."""
     grid_shape = tuple(int(g) for g in np.atleast_1d(grid_shape))
     if len(grid_shape) == 1:
         grid_shape = grid_shape * domain.dim
@@ -86,8 +85,6 @@ def grid_posterior(model, domain, weight: float, grid_shape, observations,
     n_nodes = int(np.prod(grid_shape))
     if n_nodes > MAX_GRID_NODES:
         raise ValueError(f"grid too large: {n_nodes} > {MAX_GRID_NODES} nodes")
-    if loss_fn is None:
-        loss_fn = lambda xi: model.loss(xi, observations)
 
     axes = [np.linspace(lo, hi, g) for lo, hi, g in
             zip(domain.lower, domain.upper, grid_shape)]
@@ -95,7 +92,7 @@ def grid_posterior(model, domain, weight: float, grid_shape, observations,
     pts = np.column_stack([m.ravel() for m in mesh])
 
     log_prior = domain.log_pdf(pts)
-    losses = np.array([loss_fn(xi) if np.isfinite(lp) else 0.0
+    losses = np.array([model.loss(xi, observations) if np.isfinite(lp) else 0.0
                        for xi, lp in zip(pts, log_prior)])
     log_un = (-weight * losses + log_prior).reshape(grid_shape)
 

@@ -80,7 +80,7 @@ def test_band_lu_bit_equal_to_scipy(binding, preset, mesh):
         for shape in [(model.n_dof,), (model.n_dof, 1), (model.n_dof, 45)]:
             b = rng.standard_normal(shape)
             assert lu.solve(b).tobytes() == solve_ref(b).tobytes()
-        f = model.rhs_at(xi)
+        f = model._rhs(model.coefficients(xi)[1])
         assert model.solve_full(xi).tobytes() == factor_solve_ref(f).tobytes()
 
 

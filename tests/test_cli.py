@@ -262,6 +262,18 @@ def test_oracle_grid_flag_of_one_node_rejected(tiny_config, tmp_path, grid, axis
     assert not (tmp_path / "oracle" / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("grid", ["abc", "60x"])
+def test_oracle_malformed_grid_flag_exits_at_parse(tiny_config, tmp_path, capsys, grid):
+    # a grid that is not integers joined by x failed with int()'s ValueError
+    # once the model was built and --out made
+    with pytest.raises(SystemExit) as exit_info:
+        main(["oracle", "--config", str(tiny_config), "--grid", grid,
+              "--out", str(tmp_path / "oracle")])
+    assert exit_info.value.code == 2
+    assert "--grid: expected integers joined by x" in capsys.readouterr().err
+    assert not (tmp_path / "oracle").exists()
+
+
 def test_compare_oracle_ks_matches_grid_posterior(tiny_config, tmp_path):
     # compare reads the oracle back from its CSV curves; the KS it reports
     # must be the one ks_distance gives against the GridPosterior in memory

@@ -1,3 +1,4 @@
+import types
 from dataclasses import replace
 from pathlib import Path
 
@@ -62,8 +63,8 @@ def test_h_proxy_beta_prior_reference():
 
 
 def test_h_proxy_grid_reference(adv1d_model, adv1d_obs):
-    post = grid_posterior(adv1d_model, adv1d_model.domain, 0.0, (31, 31),
-                          adv1d_obs, loss_fn=lambda xi: 0.0)
+    zero_loss = types.SimpleNamespace(loss=lambda xi, observations: 0.0)
+    post = grid_posterior(zero_loss, adv1d_model.domain, 0.0, (31, 31), adv1d_obs)
     rng = np.random.default_rng(4)
     runs = [make_set(rng.random((200, 2))) for _ in range(10)]
     # prior particles vs the flat posterior: same MC rate applies

@@ -230,7 +230,7 @@ def test_solve_residual_and_determinism(fixture, request):
     assert np.array_equal(u1, u2)
     assert np.array_equal(model.solve_full(xi, model.factorize(xi)), u1)
     A = model.operator_at(xi)
-    f = model.rhs_at(xi)
+    f = model._rhs(model.coefficients(xi)[1])
     assert np.linalg.norm(f - A @ u1) <= 1e-10 * np.linalg.norm(f)
 
 
@@ -276,7 +276,7 @@ def test_gather_kernels_match_sparse_products(fixture, request):
         assert np.array_equal(model.observe(u), model.obs_matrix @ u)
     xi = model.domain.sample(1, rng)[0]
     values, _ = model.factorize(xi)
-    f = model.rhs_at(xi)
+    f = model._rhs(model.coefficients(xi)[1])
     # at a random state the residual is O(|f|), at the solution rounding noise
     for u in (rng.standard_normal(model.n_dof), model.solve_full(xi)):
         ref = f - model.operator_at(xi) @ u
@@ -343,6 +343,53 @@ def test_band_solve_columns_independent(fixture, request):
         assert lu.solve(B[:, :k]).tobytes() == full[:, :k].tobytes()
     for j in range(B.shape[1]):
         assert lu.solve(B[:, j]).tobytes() == full[:, j].tobytes()
+
+
+def _per_term_sensitivity_rhs(model, u):
+    """The right-hand sides of the sensitivity solves by a double loop over
+    the parameters and the terms, skipping zero gradients: the reference
+    for ForwardModel.residuals at the coefficient gradients."""
+    rhs = np.zeros((model.n_dof, model.dim))
+    for j in range(model.dim):
+        for q, g in enumerate(model.rhs_coeff_grads[j]):
+            if g != 0.0:
+                rhs[:, j] += g * model.rhs_terms[q]
+        for p, g in enumerate(model.operator_coeff_grads[j]):
+            if g != 0.0:
+                rhs[:, j] -= g * (model.operator_terms[p] @ u)
+    return rhs
+
+
+@pytest.mark.parametrize("preset,mesh", _SMALL_PRESETS, ids=SMALL_PRESET_IDS)
+def test_sensitivity_bit_equal_to_per_term_loop(preset, mesh):
+    model = assemble(preset, mesh)
+    for xi in model.domain.sample(3, np.random.default_rng(14)):
+        factors = model.factorize(xi)
+        u = model.solve_full(xi, factors)
+        ref = factors[1].solve(_per_term_sensitivity_rhs(model, u))
+        assert model.solve_sensitivity(u, factors[1]).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("preset,mesh", _SMALL_PRESETS, ids=SMALL_PRESET_IDS)
+def test_residuals_bit_equal_to_one_point_form(preset, mesh):
+    # column i is _rhs(phi_i) - theta_i0 (A_0 @ u_i) - theta_i1 (A_1 @ u_i) - ...
+    model = assemble(preset, mesh)
+    rng = np.random.default_rng(15)
+    theta, phi = model.coefficients(model.domain.sample(5, rng))
+    states = rng.standard_normal((model.n_dof, 5))
+
+    def one_point(t, f, u):
+        r = model._rhs(f)
+        for tp, M in zip(t, model.operator_terms):
+            r -= tp * (M @ u)
+        return r
+    resid = model.residuals(theta, phi, states)
+    assert resid.shape == states.shape
+    for i in range(5):
+        assert resid[:, i].tobytes() == one_point(theta[i], phi[i], states[:, i]).tobytes()
+    shared = model.residuals(theta, phi, states[:, :1])  # one column for every row
+    for i in range(5):
+        assert shared[:, i].tobytes() == one_point(theta[i], phi[i], states[:, 0]).tobytes()
 
 
 @pytest.mark.parametrize("preset,mesh,n_pts", [

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -161,8 +162,8 @@ def test_cached_residual_equals_direct(adv1d_surr, adv1d_model):
     states, cells, raws = _states(adv1d_surr, pts)
     for xi, ubar, k, raw in zip(pts, states, cells, raws):
         _, lu = adv1d_model.factorize(adv1d_surr.atoms[k].location)
-        direct = np.linalg.norm(lu.solve(adv1d_model.rhs_at(xi)
-                                         - adv1d_model.operator_at(xi) @ ubar))
+        f = adv1d_model._rhs(adv1d_model.coefficients(xi)[1])
+        direct = np.linalg.norm(lu.solve(f - adv1d_model.operator_at(xi) @ ubar))
         assert abs(raw - direct) <= 1e-9 * max(direct, 1e-12)
 
 
@@ -173,10 +174,8 @@ def test_residual_scales_with_rhs(adv1d_model):
     xi = np.array([0.6, 0.6])
     r1 = _raw_indicator(s, xi)
 
-    import copy
-
-    m2 = copy.copy(adv1d_model)
-    m2.rhs_terms = [2.0 * f for f in adv1d_model.rhs_terms]
+    # a model of its own: the terms are laid out when the model is built
+    m2 = dataclasses.replace(adv1d_model, rhs_terms=[2.0 * f for f in adv1d_model.rhs_terms])
     s2 = Surrogate(m2)
     s2.add_atom(np.array([0.3, 0.3]))
     r2 = _raw_indicator(s2, xi)
@@ -225,7 +224,7 @@ def test_add_atom_factorizes_once(adv1d_model, monkeypatch):
         idx = s.add_atom(a)
         assert len(made) == len(solved_with) == n
         assert solved_with[-1] is made[-1][1] and s._lu_cache[idx] is made[-1][1]
-        u = made[-1][1].solve(adv1d_model.rhs_at(a))
+        u = made[-1][1].solve(adv1d_model._rhs(adv1d_model.coefficients(a)[1]))
         assert np.array_equal(s.atoms[idx].snapshot, u)
     assert adv1d_model.counters.stability == stability  # no LU cache miss
 
@@ -271,7 +270,7 @@ def test_indicator_zero_at_atoms(adv1d_model):
     s.add_atom(np.array([0.4, 0.6]))
     s.add_atom(np.array([0.7, 0.2]))
     eps_u = _raw_indicator(s, [0.4, 0.6])
-    f = adv1d_model.rhs_at(np.array([0.4, 0.6]))
+    f = adv1d_model._rhs(adv1d_model.coefficients(np.array([0.4, 0.6]))[1])
     assert eps_u <= 1e-7 * np.linalg.norm(f)
 
 
@@ -316,6 +315,23 @@ def test_surrogates_on_one_model_make_one_svd(monkeypatch):
     calls = []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    rng = np.random.default_rng(27)
+    for _ in range(2):
+        s = Surrogate(model)
+        s.refine_over_particles(rng.random((10, 2)), obs, e_thre=1e-3)
+        s.surrogate_loss(rng.random(2), obs)
+    assert len(calls) == 1
+
+
+def test_surrogates_on_one_model_stack_the_terms_once(monkeypatch):
+    from gibbsrb.forward import model as model_module
+
+    model = assemble("adv1d", {"cells": 64})
+    obs = gen_data(model, noise_pct=0.10, n=1, seed=0)
+    calls = []
+    vstack = model_module.vstack_csr
+    monkeypatch.setattr(model_module, "vstack_csr",
+                        lambda mats: calls.append(1) or vstack(mats))
     rng = np.random.default_rng(27)
     for _ in range(2):
         s = Surrogate(model)
@@ -581,7 +597,7 @@ def test_batched_evaluation_mixes_basis_ranks(adv2d_small):
 
 
 class _CountingProduct:
-    """A stand-in for Surrogate._stacked_terms that counts its products."""
+    """A stand-in for ForwardModel._stacked_terms that counts its products."""
 
     def __init__(self, terms):
         self.terms, self.products = terms, 0
@@ -591,11 +607,13 @@ class _CountingProduct:
         return self.terms @ dense
 
 
-def test_indicator_read_makes_one_sparse_product(adv2d_small):
+def test_indicator_read_makes_one_sparse_product(adv2d_small, monkeypatch):
     # one product of the stacked terms per indicator read, whatever the
-    # number of hosting cells; a loss-only read makes none
+    # number of hosting cells; a loss-only read makes none, and a
+    # sensitivity solve makes one
     s, pts, cells, singular = _mixed_rank_cloud(adv2d_small)
-    s._stacked_terms = counting = _CountingProduct(s._stacked_terms)
+    counting = _CountingProduct(adv2d_small._stacked_terms)
+    monkeypatch.setattr(adv2d_small, "_stacked_terms", counting)
     one_cell = pts[cells == cells[-1]]
     assert len(one_cell) > 1 and len(set(cells.tolist())) >= 4
     for read in (pts[-1:], one_cell, pts):
@@ -605,11 +623,13 @@ def test_indicator_read_makes_one_sparse_product(adv2d_small):
     before = counting.products
     s.reduced_solve(pts, indicators=False)
     assert counting.products == before
+    adv2d_small.solve_sensitivity(s.atoms[0].snapshot, s._lu_for(0))
+    assert counting.products == before + 1
 
 
 def test_reduced_solve_returns_the_points_order(adv2d_small):
-    # the read sorts the points by hosting cell; its outputs come back in the
-    # order of the points, bit for bit, and it warns of nothing, singular
+    # the read groups the points by hosting cell; its outputs come back in
+    # the order of the points, bit for bit, and it warns of nothing, singular
     # points included
     s, pts, cells, singular = _mixed_rank_cloud(adv2d_small)
     perm = np.random.default_rng(23).permutation(len(pts))
@@ -675,11 +695,12 @@ def test_stacked_pass_bit_equal_to_one_cell_builds(adv2d_small, monkeypatch):
     assert [s.cells[k] is None for k in ks] == [i % 2 == 1 for i in range(len(ks))]
     prebuilt = {k: s.cells[k].basis for k in ks[::2]}
     qrs, installed, products = [], [], []
-    qr, build, prod = np.linalg.qr, s._build_cell, s._products
+    qr, build, project = np.linalg.qr, s._build_cell, adv2d_small.project
     monkeypatch.setattr(np.linalg, "qr", lambda a, *args, **kw: qrs.append(a.ndim) or
                         qr(a, *args, **kw))
     s._build_cell = lambda k: installed.append(k) or build(k)
-    s._products = lambda Phis: products.append(Phis.shape[2]) or prod(Phis)
+    monkeypatch.setattr(adv2d_small, "project",
+                        lambda Phis: products.append(Phis.shape[2]) or project(Phis))
     s._ensure_cells(ks)
     assert installed == ks[1::2]  # one install per unbuilt cell, in the order asked
     assert all(s.cells[k].basis is Phi for k, Phi in prebuilt.items())  # left as built
@@ -787,13 +808,15 @@ def test_incremental_rebuild_equals_fresh_build(preset, request):
 ], ids=SMALL_PRESET_IDS)
 def test_stacked_products_bit_equal_to_per_term(preset, mesh):
     model = assemble(preset, mesh)
-    s = Surrogate(model)
     Phis = np.random.default_rng(24).standard_normal((3, model.n_dof, 9))
-    op_cols, obs_basis = s._products(Phis)
-    assert op_cols.shape[:2] == (3, len(model.operator_terms))
-    for Phi, cols, obs in zip(Phis, op_cols, obs_basis):
-        for AP, M in zip(cols, model.operator_terms):
-            assert np.array_equal(AP, np.asarray(M @ Phi))
+    ops, rhs, obs_basis = model.project(Phis)
+    assert ops.shape == (3, len(model.operator_terms), 9, 9)
+    assert rhs.shape == (3, len(model.rhs_terms), 9)
+    for Phi, op, b, obs in zip(Phis, ops, rhs, obs_basis):
+        for PAP, M in zip(op, model.operator_terms):
+            assert np.array_equal(PAP, Phi.T @ np.asarray(M @ Phi))
+        for Pf, f in zip(b, model.rhs_terms):
+            assert np.array_equal(Pf, Phi.T @ f)
         assert np.array_equal(obs, np.asarray(model.obs_matrix @ Phi))
 
 

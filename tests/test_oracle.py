@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -6,11 +8,13 @@ from gibbsrb import ObservationSet, gen_data
 from gibbsrb.domain import ParameterDomain, PriorSpec
 from gibbsrb.oracle import grid_posterior
 
+# a model whose loss is zero everywhere: the posterior is the prior
+ZERO_LOSS = types.SimpleNamespace(loss=lambda xi, observations: 0.0)
+
 
 def test_zero_weight_recovers_prior(adv1d_model):
     obs = gen_data(adv1d_model, noise_pct=0.1, seed=0)
-    post = grid_posterior(adv1d_model, adv1d_model.domain, 0.0, (41, 41), obs,
-                          loss_fn=lambda xi: 0.0)
+    post = grid_posterior(ZERO_LOSS, adv1d_model.domain, 0.0, (41, 41), obs)
     assert np.max(np.abs(post.density - 1.0)) < 1e-12
     x, cdf = post.marginal_cdf(0)
     assert np.max(np.abs(cdf - x)) < 1e-10
@@ -19,8 +23,7 @@ def test_zero_weight_recovers_prior(adv1d_model):
 def test_zero_weight_beta_prior(adv2d_small):
     obs = gen_data(adv2d_small, noise_pct=0.2, seed=0)
     dom = adv2d_small.domain
-    post = grid_posterior(adv2d_small, dom, 0.0, (21, 21, 21), obs,
-                          loss_fn=lambda xi: 0.0)
+    post = grid_posterior(ZERO_LOSS, dom, 0.0, (21, 21, 21), obs)
     x, cdf = post.marginal_cdf(0)
     exact = stats.beta(1, 2).cdf(x)
     assert np.max(np.abs(cdf - exact)) < 5e-3  # quadrature tolerance
@@ -29,20 +32,20 @@ def test_zero_weight_beta_prior(adv2d_small):
 def test_grid_cap():
     dom = ParameterDomain(np.zeros(3), np.ones(3))
     with pytest.raises(ValueError, match="grid too large"):
-        grid_posterior(None, dom, 1.0, (101, 101, 101), None, loss_fn=lambda xi: 0.0)
+        grid_posterior(ZERO_LOSS, dom, 1.0, (101, 101, 101), None)
 
 
 def test_dimension_cap():
     dom = ParameterDomain(np.zeros(4), np.ones(4))
     with pytest.raises(ValueError, match="M <= 3"):
-        grid_posterior(None, dom, 1.0, (5, 5, 5, 5), None, loss_fn=lambda xi: 0.0)
+        grid_posterior(ZERO_LOSS, dom, 1.0, (5, 5, 5, 5), None)
 
 
 @pytest.mark.parametrize("shape,axis", [(1, "xi_1"), ((5, 1), "xi_2"), ((0, 5), "xi_1")])
 def test_axis_of_fewer_than_two_nodes_rejected(shape, axis):
     dom = ParameterDomain(np.zeros(2), np.ones(2))
     with pytest.raises(ValueError, match=f"grid axis {axis} needs at least 2 nodes"):
-        grid_posterior(None, dom, 1.0, shape, None, loss_fn=lambda xi: 0.0)
+        grid_posterior(ZERO_LOSS, dom, 1.0, shape, None)
 
 
 def test_moments_of_known_gaussian_target():
@@ -50,9 +53,8 @@ def test_moments_of_known_gaussian_target():
     dom = ParameterDomain(np.zeros(2), np.ones(2))
     mu = np.array([0.45, 0.62])
     sig = 0.04
-    loss = lambda xi: float(np.sum((xi - mu) ** 2))
-    post = grid_posterior(None, dom, 1.0 / (2 * sig**2), (80, 80),
-                          None, loss_fn=loss)
+    model = types.SimpleNamespace(loss=lambda xi, observations: float(np.sum((xi - mu) ** 2)))
+    post = grid_posterior(model, dom, 1.0 / (2 * sig**2), (80, 80), None)
     assert np.max(np.abs(post.mean() - mu)) < 2e-3
     assert np.max(np.abs(post.marginal_std() - sig)) < 2e-3
 

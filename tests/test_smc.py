@@ -119,7 +119,15 @@ def _key_cases(n: int, section: str, key: str, values, error: str) -> list:
           "model.mesh.nx must be >= 5"),
     _case(90, {"model": {"preset": "elast2d_inclusion", "mesh": {"nx": 2}}},
           "model.mesh.nx must be >= 3"),
-    _case(91, {"smc": {"particles": 3}}, "smc.particles must be >= 4")])
+    _case(91, {"smc": {"particles": 3}}, "smc.particles must be >= 4"),
+    # a truth that is not a list of finite numbers ran at the preset's truth
+    # (an empty list), at xi_1 = 1.0 (a bool) or at a string's number
+    _case(92, {"data": {"truth": []}}, "data.truth must be a non-empty list"),
+    _case(93, {"data": {"truth": 0.2}}, "data.truth must be a non-empty list"),
+    _case(94, {"data": {"truth": [True, 0.7]}}, "data.truth xi_1 must be a finite number"),
+    _case(95, {"data": {"truth": ["0.2", 0.7]}}, "data.truth xi_1 must be a finite number"),
+    _case(96, {"data": {"truth": [0.2, float("nan")]}},
+          "data.truth xi_2 must be a finite number")])
 def test_bad_smc_values_rejected_at_parse(raw, key):
     # before the check, a NaN total weight returned the prior after zero
     # iterations, an infinite one overflowed, max_iterations 0 failed at
@@ -137,7 +145,7 @@ def test_bad_smc_values_rejected_at_parse(raw, key):
         RunConfig.from_dict(raw)
     RunConfig.from_dict({"gibbs": {"total_weight": 0.0},
                          "smc": {"max_iterations": 1, "e_thre_value": 1e-300},
-                         "data": {"noise_pct": 0},
+                         "data": {"noise_pct": 0, "truth": [0.2, 1]},
                          "model": {"preset": "adv1d", "mesh": {"cells": 4}}})
     # numpy integers are counts too, stored as ints so that the digest
     # and the manifest serialize them
