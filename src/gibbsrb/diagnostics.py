@@ -3,8 +3,9 @@
 The distribution metric used in the analysis takes a supremum over all
 test functions bounded by one, which is not computable; ``h_proxy``
 maximizes over a finite dictionary instead (coordinate threshold
-indicators plus clipped first and second moments).  The dictionary value
-lower-bounds the true supremum, so upper-bound claims remain valid tests.
+indicators plus clipped first and second moments), against a particle
+set or a grid posterior.  The dictionary value lower-bounds the true
+supremum, so upper-bound claims remain valid tests.
 """
 
 from __future__ import annotations
@@ -31,63 +32,41 @@ FINAL_ESS_FRACTION = 0.99
 # dictionary-based proxy for the bounded-test-function metric
 # --------------------------------------------------------------------------
 
-def _dictionary(domain: ParameterDomain):
-    """Bounded test functions: per-dimension threshold indicators and
-    box-scaled first/second monomials clipped to [-1, 1]."""
-    fns = []
-    for j in range(domain.dim):
-        lo, w = domain.lower[j], domain.widths[j]
-        for c in np.linspace(lo, lo + w, THRESHOLDS_PER_DIM + 2)[1:-1]:
-            fns.append(("ind", j, c))
-        fns.append(("lin", j, None))
-        fns.append(("sq", j, None))
-    return fns
+def _test_functions(x: np.ndarray, lo: float, w: float) -> np.ndarray:
+    """(THRESHOLDS_PER_DIM + 2, n) values at x of the test functions of a
+    coordinate on [lo, lo + w]: threshold indicators, then box-scaled
+    first and second monomials clipped to [-1, 1]."""
+    c = np.linspace(lo, lo + w, THRESHOLDS_PER_DIM + 2)[1:-1, None]
+    s = 2.0 * (x - lo) / w - 1.0
+    return np.vstack([x <= c, np.clip(s, -1.0, 1.0), np.clip(s**2, -1.0, 1.0)])
 
 
-def _apply(fn, x: np.ndarray, domain: ParameterDomain) -> np.ndarray:
-    """The test function fn at the values x of its coordinate."""
-    kind, j, c = fn
-    if kind == "ind":
-        return (x <= c).astype(float)
-    s = 2.0 * (x - domain.lower[j]) / domain.widths[j] - 1.0
-    return np.clip(s if kind == "lin" else s**2, -1.0, 1.0)
-
-
-def _expectation(fn, dist, domain: ParameterDomain) -> float:
-    """E[fn] under a ParticleSet, a GridPosterior or 'prior' (analytic)."""
-    kind, j, c = fn
-    if isinstance(dist, ParticleSet):
-        return float(dist.weights @ _apply(fn, dist.points[:, j], domain))
-    if isinstance(dist, GridPosterior):
-        # summed like GridPosterior.mean, not by a BLAS dot
-        x, mass = dist.marginal_masses(j)
-        return float(np.sum(mass * _apply(fn, x, domain)))
-    if dist == "prior":
-        if kind == "ind":
-            return float(domain.marginal_cdf(j, c))
-        mean, var = domain.marginal_mean_var(j)
-        lo, w = domain.lower[j], domain.widths[j]
-        if kind == "lin":
-            return 2.0 * (mean - lo) / w - 1.0
-        # E[s^2] for s = 2 (x - lo)/w - 1
-        m2 = var + mean**2
-        return 4.0 * (m2 - 2 * lo * mean + lo**2) / w**2 - 4.0 * (mean - lo) / w + 1.0
-    raise TypeError(f"unsupported reference {type(dist)!r}")
+def _expectations(reference, j: int, domain: ParameterDomain) -> np.ndarray:
+    """E[f] under a ParticleSet or a GridPosterior for each test function f
+    of coordinate j."""
+    lo, w = domain.lower[j], domain.widths[j]
+    if isinstance(reference, ParticleSet):
+        table = _test_functions(reference.points[:, j], lo, w)
+        return np.array([reference.weights @ f for f in table])
+    if isinstance(reference, GridPosterior):
+        x, mass = reference.marginal_masses(j)  # summed like mean(), not by a BLAS dot
+        return np.array([np.sum(mass * f) for f in _test_functions(x, lo, w)])
+    raise TypeError(f"unsupported reference {type(reference)!r}")
 
 
 def h_proxy(runs: list[ParticleSet], reference, domain: ParameterDomain) -> float:
     """max over the dictionary of sqrt(mean over runs |rho_run[f] - rho_ref[f]|^2).
 
-    ``reference`` may be a ParticleSet, a GridPosterior, or the string
-    'prior' for the analytic prior expectations.
+    ``reference`` is a ParticleSet or a GridPosterior.
     """
     if not runs:
         raise ValueError("need at least one run")
     worst = 0.0
-    for fn in _dictionary(domain):
-        ref_val = _expectation(fn, reference, domain)
-        sq = [(_expectation(fn, r, domain) - ref_val) ** 2 for r in runs]
-        worst = max(worst, np.sqrt(np.mean(sq)))
+    for j in range(domain.dim):
+        ref = _expectations(reference, j, domain)
+        # (functions, runs), so each function's mean sums one contiguous row pairwise
+        gaps = np.column_stack([_expectations(r, j, domain) - ref for r in runs])
+        worst = max(worst, np.max(np.sqrt(np.mean(gaps**2, axis=1))))
     return float(worst)
 
 
@@ -115,14 +94,13 @@ def marginal_cdf(reference, j: int):
 
     A GridPosterior gives its trapezoid CDF at the grid nodes, read by
     linear interpolation; a ParticleSet its weighted empirical CDF; an
-    (n, M) sample array the empirical CDF of column j, an (n,) array its own.
+    (n, M) sample array the empirical CDF of column j.
     """
     if isinstance(reference, GridPosterior):
         return reference.marginal_cdf(j)
     if isinstance(reference, ParticleSet):
         return weighted_cdf(reference.points[:, j], reference.weights)
-    samples = np.asarray(reference, dtype=float)
-    col = samples[:, j] if samples.ndim > 1 else samples
+    col = np.asarray(reference, dtype=float)[:, j]
     return weighted_cdf(col, np.full(col.size, 1.0 / col.size))
 
 

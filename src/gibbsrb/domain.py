@@ -113,25 +113,6 @@ class ParameterDomain:
         lp[np.isnan(lp)] = -np.inf
         return lp if arr.ndim > 1 else lp[0]
 
-    def marginal_cdf(self, j: int, x: np.ndarray) -> np.ndarray:
-        spec = self.priors[j]
-        z = np.clip((np.asarray(x, dtype=float) - self.lower[j]) / self.widths[j], 0.0, 1.0)
-        if spec.kind == "uniform":
-            return z
-        from scipy.special import betainc  # beta priors only
-
-        return betainc(spec.p, spec.q, z)
-
-    def marginal_mean_var(self, j: int) -> tuple[float, float]:
-        spec = self.priors[j]
-        if spec.kind == "uniform":
-            mu, var = 0.5, 1.0 / 12.0
-        else:
-            s = spec.p + spec.q
-            mu, var = spec.p / s, spec.p * spec.q / (s**2 * (s + 1.0))
-        w = self.widths[j]
-        return float(self.lower[j] + w * mu), float(w * w * var)
-
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """n iid prior draws, shape (n, M)."""
         cols = []

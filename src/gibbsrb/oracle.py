@@ -66,7 +66,8 @@ class GridPosterior:
 
     def marginal_std(self) -> np.ndarray:
         masses = map(self.marginal_masses, range(self.dim))
-        var = [np.sum(mass * (x - mu) ** 2) for (x, mass), mu in zip(masses, self.mean())]
+        # each mean summed as mean() sums it
+        var = [np.sum(mass * (x - np.sum(mass * x)) ** 2) for x, mass in masses]
         return np.sqrt(np.maximum(var, 0.0))
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from .config import SmcConfig  # re-exported: the schema lives in config
 from .domain import ParameterDomain
 from .localrb import AtomBudgetError, BasisDegeneracyError, Surrogate
-from .particles import ParticleSet, _logsumexp, empirical_moments, ess, reweight
+from .particles import ParticleSet, empirical_moments, ess, log_reweight, reweight
 from .seeding import PHASE_INIT, PHASE_MUTATE, PHASE_RESAMPLE, stream
 
 ESS_FRACTION = 0.5   # ESS target, as a fraction of the particle count
@@ -98,12 +98,9 @@ def adapt_step(weights: np.ndarray, losses: np.ndarray, residual_weight: float,
     with np.errstate(divide="ignore"):
         lw0 = np.log(np.asarray(weights, dtype=float))
     losses = np.asarray(losses, dtype=float)
-    shifted = losses - losses.min()  # log_reweight's shift, once for every increment
 
     def reweighted(delta):
-        lw = lw0 - delta * shifted
-        lw -= _logsumexp(lw)
-        w = np.exp(lw)
+        w = np.exp(log_reweight(lw0, losses, delta))
         w /= w.sum()
         return w, ess(w)
 

@@ -7,7 +7,8 @@ import pytest
 
 from gibbsrb import assemble, gen_data
 from gibbsrb.config import RunConfig, build_model, build_observations, resolve_total_weight
-from gibbsrb.diagnostics import FINAL_ESS_FRACTION, bound_suite, h_proxy, ks_distance
+from gibbsrb.diagnostics import (FINAL_ESS_FRACTION, THRESHOLDS_PER_DIM, bound_suite, h_proxy,
+                                 ks_distance)
 from gibbsrb.domain import ParameterDomain, PriorSpec
 from gibbsrb.oracle import grid_posterior
 from gibbsrb.particles import ParticleSet
@@ -46,29 +47,69 @@ def test_h_proxy_nonnegative_and_bounded():
     assert 0.0 <= v <= 2.0  # |f| <= 1 caps any single expectation gap at 2
 
 
-def test_h_proxy_prior_mc_rate():
-    dom = uniform_domain(2)
-    rng = np.random.default_rng(2)
-    m = 100
-    runs = [make_set(dom.sample(m, rng)) for _ in range(20)]
-    v = h_proxy(runs, "prior", dom)
-    assert v <= 1.0 / np.sqrt(m)
-
-
-def test_h_proxy_beta_prior_reference():
-    dom = ParameterDomain(np.zeros(1), np.ones(1), (PriorSpec("beta", 3, 1),))
-    rng = np.random.default_rng(3)
-    runs = [make_set(dom.sample(400, rng)) for _ in range(10)]
-    assert h_proxy(runs, "prior", dom) <= 1.0 / np.sqrt(400)
-
-
-def test_h_proxy_grid_reference(adv1d_model, adv1d_obs):
+@pytest.mark.parametrize("priors, grid, m", [
+    ((PriorSpec(), PriorSpec()), (31, 31), 200),
+    ((PriorSpec("beta", 3, 1),), (101,), 400),
+], ids=["uniform-2d", "beta31-1d"])
+def test_h_proxy_grid_reference(priors, grid, m):
+    dom = ParameterDomain(np.zeros(len(priors)), np.ones(len(priors)), priors)
     zero_loss = types.SimpleNamespace(loss=lambda xi, observations: 0.0)
-    post = grid_posterior(zero_loss, adv1d_model.domain, 0.0, (31, 31), adv1d_obs)
+    post = grid_posterior(zero_loss, dom, 0.0, grid, None)
     rng = np.random.default_rng(4)
-    runs = [make_set(rng.random((200, 2))) for _ in range(10)]
-    # prior particles vs the flat posterior: same MC rate applies
-    assert h_proxy(runs, post, adv1d_model.domain) <= 1.0 / np.sqrt(200)
+    runs = [make_set(dom.sample(m, rng)) for _ in range(10)]
+    # prior draws against the grid's prior: the Monte Carlo rate applies
+    assert h_proxy(runs, post, dom) <= 1.0 / np.sqrt(m)
+
+
+def _h_per_function(runs, reference, domain):
+    """h_proxy one test function at a time, each expectation a Python float."""
+    def expectation(dist, j, kind, c):
+        if isinstance(dist, ParticleSet):
+            x = dist.points[:, j]
+            reduce = lambda f: float(dist.weights @ f)
+        else:
+            x, mass = dist.marginal_masses(j)
+            reduce = lambda f: float(np.sum(mass * f))
+        if kind == "ind":
+            return reduce((x <= c).astype(float))
+        s = 2.0 * (x - domain.lower[j]) / domain.widths[j] - 1.0
+        return reduce(np.clip(s if kind == "lin" else s**2, -1.0, 1.0))
+
+    worst = 0.0
+    for j in range(domain.dim):
+        lo, w = domain.lower[j], domain.widths[j]
+        cuts = np.linspace(lo, lo + w, THRESHOLDS_PER_DIM + 2)[1:-1]
+        for kind, c in [*(("ind", c) for c in cuts), ("lin", None), ("sq", None)]:
+            ref = expectation(reference, j, kind, c)
+            sq = [(expectation(r, j, kind, c) - ref) ** 2 for r in runs]
+            worst = max(worst, np.sqrt(np.mean(sq)))
+    return float(worst)
+
+
+@pytest.mark.parametrize("kind", ["particles", "grid"])
+@pytest.mark.parametrize("n_runs", [1, 2, 7, 20])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_h_proxy_bit_equal_to_per_function_form(dim, n_runs, kind):
+    priors = (PriorSpec("beta", 2.5, 4.0), PriorSpec(), PriorSpec("beta", 1.5, 2.2))[:dim]
+    dom = ParameterDomain(np.array([-1.0, 0.1, 2.0][:dim]), np.array([2.0, 10.0, 2.5][:dim]),
+                          priors)
+    rng = np.random.default_rng(100 * dim + n_runs)
+
+    def cloud(m):  # weighted points, some outside the box so the clipping acts
+        pts = dom.lower + dom.widths * (1.2 * rng.random((m, dim)) - 0.1)
+        return ParticleSet(pts, rng.dirichlet(np.ones(m)))
+
+    if kind == "grid":
+        centre = dom.lower + 0.3 * dom.widths
+        model = types.SimpleNamespace(loss=lambda xi, observations: float(
+            np.sum(((xi - centre) / dom.widths) ** 2)))
+        reference = grid_posterior(model, dom, 5.0, 9, None)
+    else:
+        reference = cloud(60)
+    runs = [cloud(int(m)) for m in rng.integers(20, 80, n_runs)]
+    h = h_proxy(runs, reference, dom)
+    assert h > 0.0
+    assert h == _h_per_function(runs, reference, dom)
 
 
 # ----- KS distance -----
@@ -97,7 +138,7 @@ def test_ks_weighted_against_samples():
     w = 2.0 * np.sqrt(pts)
     ps = ParticleSet(pts[:, None], w / w.sum())
     ref = rng.random(4000)
-    assert ks_distance(ps, ref, 0) < 0.05
+    assert ks_distance(ps, ref[:, None], 0) < 0.05
 
 
 # ----- bound suite -----

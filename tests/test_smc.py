@@ -182,9 +182,9 @@ def test_init_beta_prior_moments():
     dom = ParameterDomain(np.zeros(1), np.ones(1), (PriorSpec("beta", 1, 2),))
     m = 4000
     ps = init_particles(dom, m, np.random.default_rng(1))
-    mean, var = dom.marginal_mean_var(0)
-    assert mean == pytest.approx(1.0 / 3.0)
-    assert abs(ps.points[:, 0].mean() - mean) < 3 * np.sqrt(var / m)
+    ref = stats.beta(1, 2)
+    assert ref.mean() == pytest.approx(1.0 / 3.0)
+    assert abs(ps.points[:, 0].mean() - ref.mean()) < 3 * np.sqrt(ref.var() / m)
 
 
 def test_init_seed_reproducible():
