@@ -20,6 +20,7 @@ import numpy as np
 from .config import RunConfig, build_model, build_observations, resolve_total_weight
 from .diagnostics import bound_suite, h_proxy, ks_distance, marginal_cdf
 from .domain import ParameterDomain
+from .oracle import GridPosterior
 from .particles import ParticleSet
 from .runio import (HISTORY_COLUMNS, pin_blas_threads, read_csv, read_json, write_atoms_csv,
                     write_cdfs_csv, write_csv, write_history_csv, write_json,
@@ -110,7 +111,7 @@ def cmd_run_mcmc(args) -> int:
                      step_scale=config.mcmc.step_scale, seed=config.smc.seed)
     wall = time.perf_counter() - t0
     chain.to_csv(out / "chain.csv")
-    _write_marginal_cdfs(out, chain.samples, model.dim)
+    _write_marginal_cdfs(out, ParticleSet.equal_weight(chain.samples), model.dim)
     observations.to_csv(out / "observations.csv")
     write_manifest(out / "manifest.json", config=config, seed=config.smc.seed,
                    model=model, extra={
@@ -170,38 +171,40 @@ def cmd_oracle(args) -> int:
 
 
 def _load_ref(ref_dir: Path):
-    """(one reference per dimension for ks_distance, the particle set for
-    h_proxy or None): an oracle's CDF curves, interpolated; a chain's
-    samples; an SMC run's particles."""
+    """The reference in a run directory: an oracle's grid posterior, from its
+    density and nodes; a chain's samples, equally weighted; an SMC run's
+    particles.  Exits with a one-line message where there is none."""
     command = read_json(ref_dir / "manifest.json").get("command")
-    if command == "oracle":
-        _, table = read_csv(ref_dir / "marginal_cdfs.csv")
-        curves = [table[table[:, 0] == j + 1, 1:].T for j in range(int(table[:, 0].max()))]
-        return [lambda x, gx=gx, gc=gc: np.interp(x, gx, gc, left=0.0, right=1.0)
-                for gx, gc in curves], None
-    if command == "run-mcmc":
-        samples = read_csv(ref_dir / "chain.csv")[1]
-        return [samples] * samples.shape[1], None
-    particles = ParticleSet.from_csv(ref_dir / "particles.csv")
-    return [particles] * particles.dim, particles
+    try:
+        if command == "oracle":
+            nodes = read_csv(ref_dir / "marginal_cdfs.csv")[1]
+            axes = [nodes[nodes[:, 0] == j, 1] for j in np.unique(nodes[:, 0])]
+            return GridPosterior(axes, np.load(ref_dir / "density.npy"))
+        if command == "run-mcmc":
+            return ParticleSet.equal_weight(read_csv(ref_dir / "chain.csv")[1])
+        if command == "run-smc":
+            return ParticleSet.from_csv(ref_dir / "particles.csv")
+    except FileNotFoundError:
+        pass
+    sys.exit(f"compare: --ref {ref_dir} holds no reference distribution; "
+             f"its manifest records command {command!r}")
 
 
 def cmd_compare(args) -> int:
+    runs = [ParticleSet.from_csv(Path(r) / "particles.csv") for r in args.run]
+    ref = _load_ref(Path(args.ref))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    runs = [ParticleSet.from_csv(Path(r) / "particles.csv") for r in args.run]
-    refs, ref_particles = _load_ref(Path(args.ref))
     lo = np.min([r.points.min(axis=0) for r in runs], axis=0)
     hi = np.max([r.points.max(axis=0) for r in runs], axis=0)
     pad = 1e-9 + 1e-9 * (hi - lo)
     domain = ParameterDomain(lo - pad - 1e-6, hi + pad + 1e-6)
 
-    ks = {f"xi_{j + 1}": [ks_distance(r, refs[j], j) for r in runs]
-          for j in range(runs[0].dim)}
+    ks = {f"xi_{j + 1}": [ks_distance(r, ref, j) for r in runs] for j in range(runs[0].dim)}
     report = {"ks_per_run": ks,
               "ks_median": {k: float(np.median(v)) for k, v in ks.items()}}
-    if len(runs) >= 2 and ref_particles is not None:
-        report["h_proxy"] = h_proxy(runs, ref_particles, domain)
+    if len(runs) >= 2:
+        report["h_proxy"] = h_proxy(runs, ref, domain)
     write_json(out / "report.json", report)
     print(json.dumps(report["ks_median"], indent=2, sort_keys=True))
     return 0

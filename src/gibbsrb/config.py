@@ -110,7 +110,7 @@ class McmcConfig:
     step_scale: float = 0.1
 
     def __post_init__(self):
-        _check_counts("mcmc", vars(self), samples=1, burn_in=0)
+        _check_counts("mcmc", vars(self), samples=2, burn_in=0)
         _check_reals("mcmc", vars(self), "step_scale")
         if not self.step_scale > 0:
             raise ValueError("mcmc step_scale must be > 0")

@@ -57,17 +57,17 @@ def _expectations(reference, j: int, domain: ParameterDomain) -> np.ndarray:
 def h_proxy(runs: list[ParticleSet], reference, domain: ParameterDomain) -> float:
     """max over the dictionary of sqrt(mean over runs |rho_run[f] - rho_ref[f]|^2).
 
-    ``reference`` is a ParticleSet or a GridPosterior.
+    ``reference`` is a ParticleSet or a GridPosterior; NaN when any gap is NaN.
     """
     if not runs:
         raise ValueError("need at least one run")
-    worst = 0.0
+    rms = []
     for j in range(domain.dim):
         ref = _expectations(reference, j, domain)
         # (functions, runs), so each function's mean sums one contiguous row pairwise
         gaps = np.column_stack([_expectations(r, j, domain) - ref for r in runs])
-        worst = max(worst, np.max(np.sqrt(np.mean(gaps**2, axis=1))))
-    return float(worst)
+        rms.append(np.sqrt(np.mean(gaps**2, axis=1)))
+    return float(np.max(rms))  # np.max, unlike max(), propagates NaN
 
 
 # --------------------------------------------------------------------------
@@ -93,41 +93,30 @@ def marginal_cdf(reference, j: int):
     """(knots, cdf values) of the j-th marginal of a reference distribution.
 
     A GridPosterior gives its trapezoid CDF at the grid nodes, read by
-    linear interpolation; a ParticleSet its weighted empirical CDF; an
-    (n, M) sample array the empirical CDF of column j.
+    linear interpolation; a ParticleSet its weighted empirical CDF.
     """
     if isinstance(reference, GridPosterior):
         return reference.marginal_cdf(j)
     if isinstance(reference, ParticleSet):
         return weighted_cdf(reference.points[:, j], reference.weights)
-    col = np.asarray(reference, dtype=float)[:, j]
-    return weighted_cdf(col, np.full(col.size, 1.0 / col.size))
+    raise TypeError(f"unsupported reference {type(reference)!r}")
 
 
 def ks_distance(particles: ParticleSet, reference, dim: int) -> float:
-    """Sup distance between the weighted marginal empirical CDF and a
-    reference CDF, evaluated over the merged support points.
-
-    ``reference``: a callable CDF, or anything ``marginal_cdf`` reads.
-    """
+    """Sup distance between the weighted marginal empirical CDF and the
+    reference's (a ParticleSet or a GridPosterior), evaluated over the
+    merged support points."""
     xw, cw = weighted_cdf(particles.points[:, dim], particles.weights)
-    if callable(reference):
-        ref_cdf, support, jump_ref = reference, xw, False
-    else:
-        rx, rc = marginal_cdf(reference, dim)
-        jump_ref = not isinstance(reference, GridPosterior)
-        if jump_ref:
-            ref_cdf = lambda x: _eval_step_cdf(rx, rc, x)
-        else:
-            ref_cdf = lambda x: np.interp(x, rx, rc, left=0.0, right=1.0)
-        support = np.concatenate([xw, rx])
-
-    support = np.unique(support)
+    rx, rc = marginal_cdf(reference, dim)
+    support = np.unique(np.concatenate([xw, rx]))
     left_pts = np.nextafter(support, -np.inf)
     emp = _eval_step_cdf(xw, cw, support)
     emp_left = _eval_step_cdf(xw, cw, left_pts)
-    ref = ref_cdf(support)
-    ref_left = ref_cdf(left_pts) if jump_ref else ref
+    if isinstance(reference, ParticleSet):
+        ref = _eval_step_cdf(rx, rc, support)
+        ref_left = _eval_step_cdf(rx, rc, left_pts)
+    else:
+        ref = ref_left = np.interp(support, rx, rc, left=0.0, right=1.0)
     # sup |F - G|: attained at a jump point (right values) or just before
     # one (left limits); for a continuous reference the left pair reduces
     # to the classic |F(x-) - G(x)| term

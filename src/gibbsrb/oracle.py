@@ -29,7 +29,7 @@ def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
 class GridPosterior:
     axes: list          # per-dimension node arrays
     density: np.ndarray  # normalized density on the tensor grid
-    log_unnorm: np.ndarray
+    log_unnorm: np.ndarray | None = None  # unnormalized log density, if kept
 
     @property
     def dim(self) -> int:
@@ -93,6 +93,9 @@ def grid_posterior(model, domain, weight: float, grid_shape, observations) -> Gr
     pts = np.column_stack([m.ravel() for m in mesh])
 
     log_prior = domain.log_pdf(pts)
+    if np.any(log_prior == np.inf):  # a Beta prior with p or q below 1, at a box edge
+        node = pts[np.argmax(log_prior)].tolist()
+        raise ValueError(f"unnormalized log density is +inf at node xi = {node}")
     losses = np.array([model.loss(xi, observations) if np.isfinite(lp) else 0.0
                        for xi, lp in zip(pts, log_prior)])
     log_un = (-weight * losses + log_prior).reshape(grid_shape)

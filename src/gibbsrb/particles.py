@@ -38,6 +38,11 @@ class ParticleSet:
         if abs(self.weights.sum() - 1.0) > 1e-12:
             raise ValueError(f"weights sum to {self.weights.sum()!r}, not 1")
 
+    @classmethod
+    def equal_weight(cls, points, generation: int = 0) -> "ParticleSet":
+        """The points, each weighted 1/m."""
+        return cls(points, np.full(len(points), 1.0 / len(points)), generation)
+
     @property
     def m(self) -> int:
         return self.points.shape[0]

@@ -76,7 +76,7 @@ class SmcResult:
 
 def init_particles(domain: ParameterDomain, m: int, rng: np.random.Generator) -> ParticleSet:
     """m iid prior draws with uniform weights."""
-    return ParticleSet(domain.sample(m, rng), np.full(m, 1.0 / m), generation=0)
+    return ParticleSet.equal_weight(domain.sample(m, rng))
 
 
 def adapt_step(weights: np.ndarray, losses: np.ndarray, residual_weight: float,
@@ -124,8 +124,7 @@ def resample(particles: ParticleSet, rng: np.random.Generator):
     (uniform-weight set, indices)."""
     m = particles.m
     idx = rng.choice(m, size=m, replace=True, p=particles.weights)
-    return ParticleSet(particles.points[idx], np.full(m, 1.0 / m),
-                       generation=particles.generation + 1), idx
+    return ParticleSet.equal_weight(particles.points[idx], particles.generation + 1), idx
 
 
 def _log_proposal_ratio(x: np.ndarray, prop: np.ndarray, mean: np.ndarray,

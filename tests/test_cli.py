@@ -274,32 +274,99 @@ def test_oracle_malformed_grid_flag_exits_at_parse(tiny_config, tmp_path, capsys
     assert not (tmp_path / "oracle").exists()
 
 
-def test_compare_oracle_ks_matches_grid_posterior(tiny_config, tmp_path):
-    # compare reads the oracle back from its CSV curves; the KS it reports
-    # must be the one ks_distance gives against the GridPosterior in memory
-    from gibbsrb.config import RunConfig, build_model, build_observations, resolve_total_weight
-    from gibbsrb.diagnostics import ks_distance
-    from gibbsrb.oracle import grid_posterior
+def _tiny_runs(tiny_config, tmp_path, seeds=(1, 2)):
+    """(run-smc directories, their particle sets) of the tiny config."""
     from gibbsrb.particles import ParticleSet
 
-    run_dirs = [tmp_path / f"run{seed}" for seed in (1, 2)]
-    for seed, run_dir in zip((1, 2), run_dirs):
+    run_dirs = [tmp_path / f"run{seed}" for seed in seeds]
+    for seed, run_dir in zip(seeds, run_dirs):
         main(["run-smc", "--config", str(tiny_config), "--seed", str(seed),
               "--out", str(run_dir)])
-    main(["oracle", "--config", str(tiny_config), "--seed", "1", "--grid", "25x25",
-          "--out", str(tmp_path / "oracle")])
-    main(["compare", *[a for d in run_dirs for a in ("--run", str(d))],
-          "--ref", str(tmp_path / "oracle"), "--out", str(tmp_path / "cmp")])
-    report = json.loads((tmp_path / "cmp" / "report.json").read_text())
+    return run_dirs, [ParticleSet.from_csv(d / "particles.csv") for d in run_dirs]
+
+
+def _compare(run_dirs, ref_dir, out):
+    assert main(["compare", *[a for d in run_dirs for a in ("--run", str(d))],
+                 "--ref", str(ref_dir), "--out", str(out)]) == 0
+    return json.loads((out / "report.json").read_text())
+
+
+def _tiny_model(tiny_config, seed):
+    """(config, model, observations, total weight) as the CLI builds them."""
+    from gibbsrb.config import RunConfig, build_model, build_observations, resolve_total_weight
 
     config = RunConfig.from_yaml(tiny_config)
     model = build_model(config)
-    obs = build_observations(config, model, 1)
-    grid = grid_posterior(model, model.domain, resolve_total_weight(config, obs), (25, 25), obs)
-    runs = [ParticleSet.from_csv(d / "particles.csv") for d in run_dirs]
+    obs = build_observations(config, model, seed)
+    return config, model, obs, resolve_total_weight(config, obs)
+
+
+def test_compare_oracle_ks_matches_grid_posterior(tiny_config, tmp_path):
+    # compare reads the oracle back as a GridPosterior; the KS it reports
+    # must be the one ks_distance gives against the GridPosterior in memory
+    from gibbsrb.diagnostics import ks_distance
+    from gibbsrb.oracle import grid_posterior
+
+    run_dirs, runs = _tiny_runs(tiny_config, tmp_path)
+    main(["oracle", "--config", str(tiny_config), "--seed", "1", "--grid", "25x25",
+          "--out", str(tmp_path / "oracle")])
+    report = _compare(run_dirs, tmp_path / "oracle", tmp_path / "cmp")
+
+    _, model, obs, weight = _tiny_model(tiny_config, 1)
+    grid = grid_posterior(model, model.domain, weight, (25, 25), obs)
     for j in range(model.dim):
-        expected = [ks_distance(run, grid, j) for run in runs]
-        assert report["ks_per_run"][f"xi_{j + 1}"] == pytest.approx(expected, rel=0, abs=1e-12)
+        assert report["ks_per_run"][f"xi_{j + 1}"] == [ks_distance(run, grid, j) for run in runs]
+    assert report["h_proxy"] > 0.0
+
+
+def test_compare_mcmc_ks_matches_equal_weight_chain(tiny_config, tmp_path):
+    # a chain reference is its samples, each weighted 1/n
+    from gibbsrb.diagnostics import ks_distance
+    from gibbsrb.mcmc import run_rwmh
+    from gibbsrb.particles import ParticleSet
+
+    run_dirs, runs = _tiny_runs(tiny_config, tmp_path)
+    main(["run-mcmc", "--config", str(tiny_config), "--seed", "5",
+          "--out", str(tmp_path / "mcmc")])
+    report = _compare(run_dirs, tmp_path / "mcmc", tmp_path / "cmp")
+
+    config, model, obs, weight = _tiny_model(tiny_config, 5)
+    chain = run_rwmh(model, obs, weight, n_samples=config.mcmc.samples,
+                     burn_in=config.mcmc.burn_in, step_scale=config.mcmc.step_scale, seed=5)
+    samples = ParticleSet.equal_weight(chain.samples)
+    for j in range(model.dim):
+        assert report["ks_per_run"][f"xi_{j + 1}"] == [ks_distance(run, samples, j)
+                                                      for run in runs]
+    assert report["h_proxy"] > 0.0
+
+
+def test_compare_smc_reference_reports_h_proxy(tiny_config, tmp_path):
+    run_dirs, _ = _tiny_runs(tiny_config, tmp_path, seeds=(1, 2, 3))
+    report = _compare(run_dirs[:2], run_dirs[2], tmp_path / "cmp")
+    assert report["h_proxy"] > 0.0
+
+
+@pytest.mark.parametrize("kind", ["select-weight", "failed-run-smc"])
+def test_compare_ref_without_a_distribution_exits_with_one_line(tiny_config, tmp_path,
+                                                                monkeypatch, kind):
+    # such a directory used to end in a FileNotFoundError traceback on particles.csv
+    run_dirs, _ = _tiny_runs(tiny_config, tmp_path, seeds=(1,))
+    ref = tmp_path / kind
+    if kind == "select-weight":
+        monkeypatch.setattr("gibbsrb.weights.RANGE_FACTOR", 5.0)
+        monkeypatch.setattr("gibbsrb.weights.GRID_SIZE", 4)
+        assert main(["select-weight", "--config", str(tiny_config), "--out", str(ref)]) == 0
+    else:
+        monkeypatch.setattr("gibbsrb.localrb.ATOM_BUDGET", 2)
+        assert main(["run-smc", "--config", str(tiny_config), "--out", str(ref)]) != 0
+    with pytest.raises(SystemExit) as exit_info:
+        main(["compare", "--run", str(run_dirs[0]), "--ref", str(ref),
+              "--out", str(tmp_path / "cmp")])
+    # a string code: Python prints it to stderr and exits with status 1
+    message = exit_info.value.code
+    assert isinstance(message, str) and "\n" not in message
+    assert str(ref) in message and repr(kind.removeprefix("failed-")) in message
+    assert not (tmp_path / "cmp").exists()
 
 
 def test_compare_two_runs(tiny_config, tmp_path):
@@ -434,17 +501,18 @@ def test_every_config_parses_and_round_trips():
 
 
 @pytest.mark.parametrize("section,key,value", [
-    ("mcmc", "samples", 0), ("mcmc", "burn_in", -1), ("mcmc", "step_scale", 0.0),
-    ("mcmc", "step_scale", -1.0)])
+    ("mcmc", "samples", 0), ("mcmc", "samples", 1), ("mcmc", "burn_in", -1),
+    ("mcmc", "step_scale", 0.0), ("mcmc", "step_scale", -1.0)])
 def test_bad_mcmc_and_oracle_values_rejected_at_parse(section, key, value):
     # before the check, samples 0 ran the whole chain and then divided by
-    # zero in marginal_cdf; the oracle's grid is a flag, checked in
+    # zero in marginal_cdf; one sample is no ParticleSet, which needs two;
+    # the oracle's grid is a flag, checked in
     # test_oracle_grid_flag_of_one_node_rejected
     from gibbsrb.config import RunConfig
 
     with pytest.raises(ValueError, match=key):
         RunConfig.from_dict({section: {key: value}})
-    RunConfig.from_dict({"mcmc": {"samples": 1, "burn_in": 0, "step_scale": 1e-3}})
+    RunConfig.from_dict({"mcmc": {"samples": 2, "burn_in": 0, "step_scale": 1e-3}})
 
 
 def test_sweep_neighbors_script_table(capsys):

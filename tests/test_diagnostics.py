@@ -8,9 +8,9 @@ import pytest
 from gibbsrb import assemble, gen_data
 from gibbsrb.config import RunConfig, build_model, build_observations, resolve_total_weight
 from gibbsrb.diagnostics import (FINAL_ESS_FRACTION, THRESHOLDS_PER_DIM, bound_suite, h_proxy,
-                                 ks_distance)
+                                 ks_distance, marginal_cdf)
 from gibbsrb.domain import ParameterDomain, PriorSpec
-from gibbsrb.oracle import grid_posterior
+from gibbsrb.oracle import GridPosterior, grid_posterior
 from gibbsrb.particles import ParticleSet
 from gibbsrb.smc import SmcConfig, init_particles, run_smc
 
@@ -19,6 +19,10 @@ from exact_loss import ExactLoss
 
 def uniform_domain(dim=2):
     return ParameterDomain(np.zeros(dim), np.ones(dim))
+
+
+# U[0, 1] as a two-node grid: its CDF, read by linear interpolation, is x
+UNIFORM_GRID = GridPosterior([np.array([0.0, 1.0])], np.ones(2))
 
 
 def make_set(points, weights=None):
@@ -59,6 +63,14 @@ def test_h_proxy_grid_reference(priors, grid, m):
     runs = [make_set(dom.sample(m, rng)) for _ in range(10)]
     # prior draws against the grid's prior: the Monte Carlo rate applies
     assert h_proxy(runs, post, dom) <= 1.0 / np.sqrt(m)
+
+
+def test_h_proxy_nan_against_a_nan_density():
+    # max(0.0, nan) is 0.0: a NaN reference used to read as a perfect match
+    rng = np.random.default_rng(2)
+    runs = [make_set(rng.random(30)) for _ in range(3)]
+    nan_grid = GridPosterior([np.linspace(0.0, 1.0, 11)], np.full(11, np.nan))
+    assert np.isnan(h_proxy(runs, nan_grid, uniform_domain(1)))
 
 
 def _h_per_function(runs, reference, domain):
@@ -121,13 +133,13 @@ def test_ks_identical_sets():
 
 def test_ks_point_mass_vs_uniform_cdf():
     ps = make_set(np.full(10, 0.5))
-    assert ks_distance(ps, lambda x: np.clip(x, 0, 1), 0) == pytest.approx(0.5)
+    assert ks_distance(ps, UNIFORM_GRID, 0) == pytest.approx(0.5)
 
 
 def test_ks_dkw_uniform():
     rng = np.random.default_rng(6)
     ps = make_set(rng.random(1000))
-    d = ks_distance(ps, lambda x: np.clip(x, 0, 1), 0)
+    d = ks_distance(ps, UNIFORM_GRID, 0)
     assert d <= 0.06  # DKW: P(d > 0.06) < 1% at m = 1000
 
 
@@ -137,8 +149,21 @@ def test_ks_weighted_against_samples():
     pts = rng.random(4000) ** 2  # x = u^2 -> density 1/(2 sqrt(x))
     w = 2.0 * np.sqrt(pts)
     ps = ParticleSet(pts[:, None], w / w.sum())
-    ref = rng.random(4000)
-    assert ks_distance(ps, ref[:, None], 0) < 0.05
+    ref = ParticleSet.equal_weight(rng.random((4000, 1)))
+    assert ks_distance(ps, ref, 0) < 0.05
+
+
+@pytest.mark.parametrize("reference", [lambda x: np.clip(x, 0, 1),
+                                       np.random.default_rng(8).random((50, 1))],
+                         ids=["callable-cdf", "sample-array"])
+def test_reference_of_another_type_rejected(reference):
+    ps = make_set(np.random.default_rng(9).random(20))
+    with pytest.raises(TypeError, match="unsupported reference"):
+        ks_distance(ps, reference, 0)
+    with pytest.raises(TypeError, match="unsupported reference"):
+        marginal_cdf(reference, 0)
+    with pytest.raises(TypeError, match="unsupported reference"):
+        h_proxy([ps, ps], reference, uniform_domain(1))
 
 
 # ----- bound suite -----

@@ -86,3 +86,14 @@ def test_bayes_special_case(adv1d_model):
 
     scale = max(1.0, np.max(post.density))
     assert np.max(np.abs(post.density - dens_ref)) <= 1e-12 * scale
+
+
+def test_unbounded_prior_density_at_a_node_rejected(adv1d_model):
+    # Beta(0.8, 2.2) is +inf at its lower edge, which the grid holds as a
+    # node; the density used to come back all NaN
+    dom = ParameterDomain(adv1d_model.domain.lower, adv1d_model.domain.upper,
+                          (PriorSpec("beta", 0.8, 2.2), PriorSpec()))
+    before = adv1d_model.counters.snapshot()
+    with pytest.raises(ValueError, match=r"\+inf at node xi = \[0\.0, 0\.0\]"):
+        grid_posterior(adv1d_model, dom, 1.0, 11, None)
+    assert adv1d_model.counters.snapshot() == before  # raised before any solve
