@@ -81,8 +81,8 @@ SELECT_WEIGHT = ("ff0bdf85e6fd04fef84ba7b64345bf478d24298683aa3a3ce8014d19906df9
                  19.968752946460683, 11.662657850045811)
 # report.json of compare, the seed-7 and seed-8 runs against each kind of reference
 REPORT_DIGESTS = {
-    "oracle": "6a38a33919598a87b4a8b284c5b7abd1a8b6ce603aff867e7e56e1bacea246f3",
-    "run-mcmc": "00e0c27d93ae8c6cba71e5d3d7dbef584e016cd55f209677f9620ddbefda97cb",
+    "oracle": "28f0f5cbe3312cad5377c988de62bb7707efeddf466977a34d4723b0d22fbe9f",
+    "run-mcmc": "b427a079b0dde1ad43eb0e8259950ae358ef52b4e628da8e6084f3e27aee6baa",
     "run-smc": "20651adec985abd75979570ea8c9ac6cc16de9a3016f08673802cc31980ff3eb",
 }
 # the exact (full-solve) loss path, per preset: sha256 of model.loss at 32
