@@ -16,8 +16,10 @@ median ratio B / A of the calls' wall times with its quartiles, the ratio
 of the two sides' 90th percentiles (the statistic ``bench/run.py`` reports
 for ``wall_s``), how many calls B ran faster, each side's mean full solves,
 iterations, reduced solves and LU factorizations per call, and how many
-calls' digests (their samples or particles) are equal.  It exits 1 when
-some call's digest or work count differs between the sides.
+calls' work counts and digests (their samples or particles) are equal.  It
+exits 1 when some call's work count differs between the sides, 2 when only
+digests differ (a change that moves floats, not work), and 0 when every
+call is equal.
 
     python scripts/pair_calls.py ../parent . --workload rwmh-adv1d --calls 300
 """
@@ -111,14 +113,20 @@ def summary(pairs: list) -> dict:
             "ratio": statistics.median(ratios), "quartiles": (q1, q3),
             "wins": sum(b["wall_s"] < a["wall_s"] for a, b in pairs),
             "work": [{key: statistics.mean(rec[key] for rec in side) for key in WORK}
-                     for side in zip(*pairs)],
-            "digests_equal": sum(a["digest"] == b["digest"] for a, b in pairs)}
+                     for side in zip(*pairs)]}
 
 
-def unequal_calls(pairs: list) -> list:
-    """The indices of the pairs whose digests or work counts differ."""
-    return [i for i, (a, b) in enumerate(pairs)
-            if any(a[key] != b[key] for key in ("digest",) + WORK)]
+def unequal_calls(pairs: list, keys: tuple = ("digest",) + WORK) -> list:
+    """The indices of the pairs whose records differ at any of keys."""
+    return [i for i, (a, b) in enumerate(pairs) if any(a[key] != b[key] for key in keys)]
+
+
+def exit_status(pairs: list) -> int:
+    """1 when some pair's work counts differ, else 2 when some pair's digests
+    differ, else 0."""
+    if unequal_calls(pairs, WORK):
+        return 1
+    return 2 if unequal_calls(pairs, ("digest",)) else 0
 
 
 def main(argv=None) -> int:
@@ -147,11 +155,14 @@ def main(argv=None) -> int:
           f"{b['lu_factorizations']:.2f}")
     print(f"mean per call, A / B: full solves {a['full_solves']:.2f} / {b['full_solves']:.2f}, "
           f"iterations {a['iterations']:.2f} / {b['iterations']:.2f}")
-    print(f"digests equal: {s['digests_equal']} of {n}")
-    unequal = unequal_calls(pairs)
-    if unequal:
-        print(f"digests or work counts differ at seeds {unequal}", file=sys.stderr)
-    return 1 if unequal else 0
+    unequal = {what: unequal_calls(pairs, keys)
+               for what, keys in (("work counts", WORK), ("digests", ("digest",)))}
+    for what, seeds in unequal.items():
+        print(f"{what} equal: {n - len(seeds)} of {n}")
+    for what, seeds in unequal.items():
+        if seeds:
+            print(f"{what} differ at seeds {seeds}", file=sys.stderr)
+    return exit_status(pairs)
 
 
 if __name__ == "__main__":

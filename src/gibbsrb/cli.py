@@ -170,29 +170,32 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def _load_ref(ref_dir: Path):
-    """The reference in a run directory: an oracle's grid posterior, from its
-    density and nodes; a chain's samples, equally weighted; an SMC run's
-    particles.  Exits with a one-line message where there is none."""
-    command = read_json(ref_dir / "manifest.json").get("command")
+def _load_distribution(flag: str, run_dir: Path, kind=(ParticleSet, GridPosterior)):
+    """The oracle grid posterior, equal-weight chain or SMC particles of the run
+    directory given to compare's flag; a one-line exit where it holds none of kind."""
+    dist, found = None, "it holds no manifest.json"
     try:
+        command = read_json(run_dir / "manifest.json").get("command")
+        found = f"its manifest records command {command!r}"
         if command == "oracle":
-            nodes = read_csv(ref_dir / "marginal_cdfs.csv")[1]
+            nodes = read_csv(run_dir / "marginal_cdfs.csv")[1]
             axes = [nodes[nodes[:, 0] == j, 1] for j in np.unique(nodes[:, 0])]
-            return GridPosterior(axes, np.load(ref_dir / "density.npy"))
-        if command == "run-mcmc":
-            return ParticleSet.equal_weight(read_csv(ref_dir / "chain.csv")[1])
-        if command == "run-smc":
-            return ParticleSet.from_csv(ref_dir / "particles.csv")
+            dist = GridPosterior(axes, np.load(run_dir / "density.npy"))
+        elif command == "run-mcmc":
+            dist = ParticleSet.equal_weight(read_csv(run_dir / "chain.csv")[1])
+        elif command == "run-smc":
+            dist = ParticleSet.from_csv(run_dir / "particles.csv")
     except FileNotFoundError:
         pass
-    sys.exit(f"compare: --ref {ref_dir} holds no reference distribution; "
-             f"its manifest records command {command!r}")
+    if not isinstance(dist, kind):
+        wanted = "particle set" if kind is ParticleSet else "reference distribution"
+        sys.exit(f"compare: {flag} {run_dir} holds no {wanted}; {found}")
+    return dist
 
 
 def cmd_compare(args) -> int:
-    runs = [ParticleSet.from_csv(Path(r) / "particles.csv") for r in args.run]
-    ref = _load_ref(Path(args.ref))
+    runs = [_load_distribution("--run", Path(r), ParticleSet) for r in args.run]
+    ref = _load_distribution("--ref", Path(args.ref))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     lo = np.min([r.points.min(axis=0) for r in runs], axis=0)

@@ -1,9 +1,10 @@
 """Locally refined reduced-basis surrogate for the forward map and the loss.
 
-Parameter space is partitioned into Voronoi cells seeded at atoms.  Each
-atom carries a high-fidelity snapshot and its parameter gradient; the
-cell's basis stacks those with the snapshots of the N nearest atoms.  A
-Galerkin solve in the cell basis yields the surrogate state.
+Parameter space is partitioned into Voronoi cells seeded at atoms, each with a
+high-fidelity snapshot and its parameter gradient.  A cell's basis spans its
+atom's snapshot, the N nearest atoms' snapshots and its atom's gradient, up to
+the first source numerically in the span of those before it.  A Galerkin solve
+in the cell basis yields the surrogate state.
 
 A query builds, in one stacked pass, the cells it first lands in.  It
 groups its points by hosting cell, so the online stage makes numpy calls
@@ -30,7 +31,7 @@ import numpy as np
 from .config import DEFAULT_NEIGHBORS
 
 DUPLICATE_TOL = 1e-12       # scaled-coordinate distance
-ORTHO_DROP_TOL = 1e-10      # relative column drop threshold in the basis QR
+ORTHO_DROP_TOL = 1e-10      # a basis ends at a source with |R_jj| <= this * its norm
 _LU_CACHE_SIZE = 64        # atom LUs kept for indicator reads; a miss refactorizes
 ATOM_BUDGET = 2000          # atoms a surrogate may hold; refinement past it fails
 
@@ -174,14 +175,15 @@ class Surrogate:
         A cell's neighbors are the N nearest other atoms by squared scaled
         distance, ties by index (a stable argsort); its reach is the farthest
         one's squared distance, inf when fewer than N and -inf when N = 0.
-        A basis is Q of a Householder QR of the sources [u_k | grad u_k | u_j
-        for each neighbor j], without the sources numerically in the span of
-        those before them.  Every tuple holds min(N, atoms - 1) atoms, so one
-        stacked QR serves all the new cells.  Per basis rank, the model
-        projects its terms onto the new cells' bases (ForwardModel.project,
-        one sparse product).  Stacked LAPACK, BLAS and CSR calls run
-        the same kernel per matrix and per column, so the arrays are
-        bit-identical to one-cell builds.
+        Its basis is Q[:, :r] of a Householder QR of the sources [u_k | u_j
+        per neighbor j, nearest first | grad u_k]: r ends before the first
+        source whose |R_jj| is at most ORTHO_DROP_TOL times its norm, or at
+        n_dof.  Every tuple holds min(N, atoms - 1) atoms, so one stacked QR
+        serves all the new cells.  Per basis rank, the model projects its
+        terms onto the new cells' bases (ForwardModel.project, one sparse
+        product).  Stacked LAPACK, BLAS and CSR calls run the same kernel
+        per matrix and per column, so the arrays are bit-identical to
+        one-cell builds.
         """
         new = [k for k in ks if self.cells[k] is None]
         if not new:
@@ -194,21 +196,16 @@ class Surrogate:
                  else np.full(len(new), np.inf if N else -np.inf))
         tuples = {k: (tuple(nb), r) for k, nb, r in zip(new, nbs.tolist(), reach.tolist())}
         S = np.stack([np.column_stack(
-            [self.atoms[k].snapshot, self.atoms[k].gradient]
-            + [self.atoms[j].snapshot for j in tuples[k][0]]) for k in new])
+            [self.atoms[k].snapshot] + [self.atoms[j].snapshot for j in tuples[k][0]]
+            + [self.atoms[k].gradient]) for k in new])
         Q, R = np.linalg.qr(S)
-        # |R_jj| is the norm of source j's part orthogonal to the sources
-        # before it; R has only min(n_dof, r) diagonal entries
-        d = np.abs(np.diagonal(R, axis1=1, axis2=2))
-        kept = np.zeros((len(new), S.shape[2]), dtype=bool)
-        kept[:, :d.shape[1]] = d > ORTHO_DROP_TOL * np.linalg.norm(S[:, :, :d.shape[1]], axis=1)
-        bases = {k: Qk if keep.all() else np.linalg.qr(Sk[:, keep])[0]
-                 for k, Sk, Qk, keep in zip(new, S, Q, kept)}
-        for group in _groups(new, [bases[k].shape[1] for k in new]).values():
-            Phis = np.stack([bases[k] for k in group])
-            ops, rhs, obs = self.model.project(Phis)
-            for i, k in enumerate(group):
-                self._staged[k] = (*tuples[k], Phis[i], ops[i], rhs[i], obs[i])
+        d = np.abs(np.diagonal(R, axis1=1, axis2=2))  # min(n_dof, sources) entries
+        dependent = d <= ORTHO_DROP_TOL * np.linalg.norm(S[:, :, :d.shape[1]], axis=1)
+        ranks = np.where(dependent.any(axis=1), dependent.argmax(axis=1), d.shape[1])
+        for r, rows in _groups(range(len(new)), ranks.tolist()).items():
+            Phis = Q[rows, :, :r]
+            for k, *arrays in zip([new[i] for i in rows], Phis, *self.model.project(Phis)):
+                self._staged[k] = (*tuples[k], *arrays)
         for k in new:
             self._build_cell(k)
 

@@ -346,6 +346,17 @@ def test_compare_smc_reference_reports_h_proxy(tiny_config, tmp_path):
     assert report["h_proxy"] > 0.0
 
 
+def _compare_exit_message(run_dir, ref_dir, out) -> str:
+    """The one line compare exits with: a string code, which Python prints
+    to stderr with exit status 1."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["compare", "--run", str(run_dir), "--ref", str(ref_dir), "--out", str(out)])
+    message = exit_info.value.code
+    assert isinstance(message, str) and "\n" not in message
+    assert not out.exists()
+    return message
+
+
 @pytest.mark.parametrize("kind", ["select-weight", "failed-run-smc"])
 def test_compare_ref_without_a_distribution_exits_with_one_line(tiny_config, tmp_path,
                                                                 monkeypatch, kind):
@@ -359,14 +370,32 @@ def test_compare_ref_without_a_distribution_exits_with_one_line(tiny_config, tmp
     else:
         monkeypatch.setattr("gibbsrb.localrb.ATOM_BUDGET", 2)
         assert main(["run-smc", "--config", str(tiny_config), "--out", str(ref)]) != 0
-    with pytest.raises(SystemExit) as exit_info:
-        main(["compare", "--run", str(run_dirs[0]), "--ref", str(ref),
-              "--out", str(tmp_path / "cmp")])
-    # a string code: Python prints it to stderr and exits with status 1
-    message = exit_info.value.code
-    assert isinstance(message, str) and "\n" not in message
+    message = _compare_exit_message(run_dirs[0], ref, tmp_path / "cmp")
     assert str(ref) in message and repr(kind.removeprefix("failed-")) in message
-    assert not (tmp_path / "cmp").exists()
+
+
+@pytest.mark.parametrize("flag", ["--run", "--ref"])
+def test_compare_dir_without_a_manifest_exits_with_one_line(tiny_config, tmp_path, flag):
+    # such a directory used to end in a FileNotFoundError traceback
+    run_dirs, _ = _tiny_runs(tiny_config, tmp_path, seeds=(1,))
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    dirs = {"--run": run_dirs[0], "--ref": run_dirs[0], flag: empty}
+    message = _compare_exit_message(dirs["--run"], dirs["--ref"], tmp_path / "cmp")
+    assert message.startswith(f"compare: {flag} {empty} holds no ")
+    assert message.endswith("no manifest.json")
+
+
+def test_compare_run_without_a_particle_set_exits_with_one_line(tiny_config, tmp_path):
+    # an oracle directory given to --run used to end in a FileNotFoundError
+    # traceback on particles.csv
+    run_dirs, _ = _tiny_runs(tiny_config, tmp_path, seeds=(1,))
+    oracle = tmp_path / "oracle"
+    assert main(["oracle", "--config", str(tiny_config), "--grid", "9x9",
+                 "--out", str(oracle)]) == 0
+    message = _compare_exit_message(oracle, run_dirs[0], tmp_path / "cmp")
+    assert message == (f"compare: --run {oracle} holds no particle set; "
+                       "its manifest records command 'oracle'")
 
 
 def test_compare_two_runs(tiny_config, tmp_path):
@@ -539,7 +568,10 @@ def test_sweep_neighbors_script_table(capsys):
         assert all(0.0 <= float(ks) <= 1.0 for ks in row[-2:])
 
 
-def test_pair_calls_unequal_calls_rule():
+def _pair_calls_records():
+    """(scripts/pair_calls.py as a module, one hand-made call record, pairs
+    of records: equal but for time, then each with one key changed on the
+    B side, then equal again)."""
     import importlib.util
 
     root = Path(__file__).parents[1]
@@ -553,8 +585,26 @@ def test_pair_calls_unequal_calls_rule():
         ("digest", "ac"), ("full_solves", 4), ("iterations", 5), ("reduced_solves", 49),
         ("lu_factorizations", 3)]]
     pairs.append(({**rec, "wall_s": 0.5}, rec))
+    return pair_calls, rec, pairs
+
+
+def test_pair_calls_unequal_calls_rule():
+    pair_calls, _, pairs = _pair_calls_records()
     assert pair_calls.unequal_calls(pairs) == [1, 2, 3, 4, 5]
     assert pair_calls.unequal_calls(pairs[:1] + pairs[-1:]) == []
+
+
+def test_pair_calls_exit_status_rule():
+    # a work count that differs exits 1, with or without a digest that
+    # does; digests alone exit 2, floats moved and work kept; equal calls,
+    # however timed, exit 0
+    pair_calls, rec, pairs = _pair_calls_records()
+    assert pair_calls.exit_status(pairs) == 1
+    for i in range(2, 6):
+        assert pair_calls.exit_status(pairs[:1] + pairs[i:i + 1]) == 1
+    assert pair_calls.exit_status([(rec, {**rec, "digest": "ac", "full_solves": 4})]) == 1
+    assert pair_calls.exit_status(pairs[:2] + pairs[-1:]) == 2
+    assert pair_calls.exit_status(pairs[:1] + pairs[-1:]) == 0
 
 
 def test_pair_calls_script_same_checkout_twice():
@@ -567,5 +617,5 @@ def test_pair_calls_script_same_checkout_twice():
     assert lines[3].startswith("B / A per call: median ")
     # the same calls on both sides do the same work
     assert re.fullmatch(r"mean per call, A / B: full solves (\d+\.\d\d) / \1, "
-                        r"iterations 200\.00 / 200\.00", lines[-2])
-    assert lines[-1] == "digests equal: 4 of 4"
+                        r"iterations 200\.00 / 200\.00", lines[-3])
+    assert lines[-2:] == ["work counts equal: 4 of 4", "digests equal: 4 of 4"]

@@ -96,6 +96,43 @@ def test_rank_deficient_snapshots_are_dropped(adv2d_small):
     assert np.max(np.abs(G - np.eye(G.shape[0]))) < 1e-10
 
 
+@pytest.mark.parametrize("fixture,dropped", [
+    ("adv1d_model", 0), ("adv2d_small", 1), ("elast_small", 1)])
+def test_build_pass_makes_one_qr(fixture, dropped, request, monkeypatch):
+    # on adv2d u is linear in the source magnitudes, and on elast
+    # u(c xi) = u(xi) / c, so u_k lies in the span of its gradients and the
+    # last gradient, the trailing source, is the one each cell drops
+    model = request.getfixturevalue(fixture)
+    s = Surrogate(model, neighbor_count=5)
+    for a in model.domain.sample(9, np.random.default_rng(34)):
+        s.add_atom(a)
+    qrs, qr = [], np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda a, *args, **kw: qrs.append(a.shape) or
+                        qr(a, *args, **kw))
+    s._ensure_cells(range(s.n_atoms))
+    sources = 1 + 5 + model.dim
+    assert qrs == [(s.n_atoms, model.n_dof, sources)]
+    assert [cell.basis.shape[1] for cell in s.cells] == [sources - dropped] * s.n_atoms
+
+
+def test_dependent_neighbor_ends_the_basis(adv1d_surr):
+    # the cell's third neighbor gets a copy of its first neighbor's snapshot,
+    # so the basis ends just before that source, gradients and all
+    s = adv1d_surr
+    for a in np.random.default_rng(35).random((8, 2)):
+        s.add_atom(a)
+    k = 4
+    first, _, third = built_cell(s, k).neighbors[:3]
+    s.atoms[third] = dataclasses.replace(s.atoms[third], snapshot=s.atoms[first].snapshot.copy())
+    s.cells[k] = None
+    basis = built_cell(s, k).basis
+    assert basis.shape[1] == 3
+    u = s.atoms[k].snapshot
+    assert np.allclose(basis[:, 0] * np.sign(basis[:, 0] @ u), u / np.linalg.norm(u),
+                       rtol=0, atol=1e-14)
+    assert np.max(np.abs(basis.T @ basis - np.eye(3))) < 1e-12
+
+
 def test_orthonormal_bases(adv1d_surr):
     rng = np.random.default_rng(1)
     for a in rng.random((8, 2)):
@@ -644,21 +681,22 @@ def test_reduced_solve_returns_the_points_order(adv2d_small):
 
 
 def _one_cell_build(s, k):
-    """Cell k's basis and reduced arrays by the one-cell formulas (2-D QRs,
+    """Cell k's basis and reduced arrays by the one-cell formulas (a 2-D QR
+    of the sources [u_k | neighbors' u_j, nearest first | grad u_k], cut
+    before the first source with |R_jj| <= ORTHO_DROP_TOL times its norm;
     one sparse product per term): the reference for the stacked passes;
     then R of a QR of A_k^{-1} [f_q | A_p Phi], whose ||R w|| with
     w = [phi(xi), -theta(xi) (x) c] is the raw indicator in exact
     arithmetic: the reference for the band-solve read."""
     model, atom = s.model, s.atoms[k]
     neighbors = _all_pairs_neighbors(s._scaled_locs, s.neighbor_count)[k]
-    sources = np.column_stack([atom.snapshot, atom.gradient]
-                              + [s.atoms[j].snapshot for j in neighbors])
-    Phi, R = np.linalg.qr(sources)
+    sources = np.column_stack([atom.snapshot] + [s.atoms[j].snapshot for j in neighbors]
+                              + [atom.gradient])
+    Q, R = np.linalg.qr(sources)
     d = np.abs(np.diagonal(R))
-    kept = np.zeros(sources.shape[1], dtype=bool)
-    kept[:d.size] = d > localrb.ORTHO_DROP_TOL * np.linalg.norm(sources[:, :d.size], axis=0)
-    if not kept.all():
-        Phi = np.linalg.qr(sources[:, kept])[0]
+    r = next((j for j in range(d.size)
+              if d[j] <= localrb.ORTHO_DROP_TOL * np.linalg.norm(sources[:, j])), d.size)
+    Phi = Q[:, :r].copy()  # contiguous, as the pass's bases
     op_cols = [np.asarray(M @ Phi) for M in model.operator_terms]
     theta, _ = model.coefficients(atom.location)
     p0 = int(np.argmax(np.abs(theta)))
@@ -708,9 +746,9 @@ def test_stacked_pass_bit_equal_to_one_cell_builds(adv2d_small, monkeypatch):
     assert len(ks) >= 5 and len(new_ranks) >= 2
     assert {Phi.shape[1] for Phi in prebuilt.values()} & new_ranks
     # one sparse product per rank of the new cells; one stacked QR for their
-    # bases, and 2-D ones only where a cell drops columns
+    # bases and no other, though cells drop columns
     assert sorted(products) == sorted(new_ranks)
-    assert qrs.count(3) == 1
+    assert qrs == [3]
     monkeypatch.setattr(np.linalg, "qr", qr)
     for k in ks:
         cell = s.cells[k]
