@@ -26,16 +26,16 @@ from test_cli import TINY_SMC
 
 CLI_DIGESTS = {
     "particles.csv":
-        "f102b8b7a888f8c43cf0bb066b1a36866cceadbfc5536b945bfaf1257d752bf8",
+        "e3b2add3262ce0a875a878f8223938ffd03d5dec9082e4372711f9681786a263",
     "history.csv":
-        "36f2feb92633ee9c5bddbda8edab1a4612762719f7a0b1c70c10cc604f6c751d",
+        "a585e0109d787d0ab98397278fe7f3490add844cfedd44b48aea2ba395830179",
     "iteration_losses.csv":
-        "248245e187036e82ed27ed8c59384054e38e7fe93ca48317227a9179f03a65c4",
+        "058587a98a0a07aa0b0b530a13d91e7df7cd00310d19698b1f9b353cc3448a75",
     "atoms.csv":
-        "f20412e8a111ef788f9fb5069d9fda63d122be29086917d6e985f45a60ade1eb",
+        "941c1b16868bd9faf8bf0e951a2beb0787465d45248446cc43caa1b6839f171a",
 }
-LOSS_STD_FRACTION_DIGEST = "1c7300beee094bfd0562059b7cbf9fe6561eaed4e0685878d3a5bfcf70602820"
-ADV2D_DIGEST = "f7defdfc466ac5fea7a6a799ea63293296d3e012cddc42f4458fdeda3a8e9d28"
+LOSS_STD_FRACTION_DIGEST = "03374bde1bb6e19680cded2946b4bf8ffa987607bbaaa9dfcb787abb746ceba6"
+ADV2D_DIGEST = "cb70cbd00a8adbd24edf59ab321be903500673f033fd023f5b2f1ba9097d6d36"
 
 # The work each golden run does: per iteration the atoms added, the cumulative
 # full solves and the cumulative reduced solves; then the iteration count and
@@ -49,7 +49,7 @@ ADV2D_WORK = ([18, 15, 13, 5, 5], [19, 34, 47, 52, 57], [339, 503, 670, 799, 926
               {"full": 57, "sensitivity": 171, "stability": 0})
 # the shipped elast2d_layered smc section at nx 8, data and sampler seed 0:
 # five terms, beta priors and the l2 loss
-ELAST_DIGEST = "c11878a2fb24e979c0b70949c97e62fc7a63ec52b1c1be9468cf3fc17da21ea1"
+ELAST_DIGEST = "5d11d4f688a45cca2c5f8b945191fd997ce1392ef64c0710be95f311ac710eb4"
 ELAST_WORK = ([5, 5, 1, 5, 6, 8, 8, 7],
               [6, 11, 12, 17, 23, 31, 39, 46],
               [946, 1752, 2344, 3049, 3895, 4889, 5905, 6697], 8,
@@ -60,7 +60,7 @@ ADV2D_CELL_BUILDS = 255
 # the shipped elast2d_inclusion smc section at nx 8 with 40 particles, data
 # and sampler seed 0: nine terms, a 145-atom cloud, more than the LU cache
 # holds, and the cell builds
-INCLUSION_DIGEST = "295b1e33f5cc51e3faa68dbbc43104053669df3acfb3e03d23a98e71c97463c2"
+INCLUSION_DIGEST = "d7d35a65c1c5b7cb4082923121c521f192db1a9765c155612eb9d3e4912ddbf4"
 INCLUSION_WORK = ([29, 12, 10, 12, 8, 8, 22, 15, 16, 12],
                   [30, 42, 52, 64, 72, 80, 102, 117, 133, 145],
                   [684, 895, 1123, 1442, 1666, 1998, 2730, 3092, 3446, 3743], 10,
@@ -71,17 +71,17 @@ RWMH_CHAIN = ("a6e4256c14d0461f9b8e4ebc61b394ef6662d59da08ee538fc18340244e373f7"
               0.085, 286)
 # marginal_cdfs.csv of the tiny run-smc (seed 7), run-mcmc and oracle runs
 CDF_DIGESTS = {
-    "run-smc": "54d178521669ef06dc20a83f96e5c819eb5da7ac5c490198ef83c0c58e9f731b",
+    "run-smc": "4c4a32f71637e111989f8bcba1b6708b852dac9b345c022b9cc8b0ffadb5ef12",
     "run-mcmc": "1d1ea1d79e49eb58fb116c3d96127702fec79b1f86752c46a7bdeae7057a6e56",
     "oracle": "20e47df9062dc112ed6eca065e8a98e82575785214eeedce7f758bc0d79e15c1",
 }
 # select-weight on the tiny config at seed 2, the default grid: sha256 of
 # weight_table.csv, then the manifest's w_final and w_opt
-SELECT_WEIGHT = ("ff0bdf85e6fd04fef84ba7b64345bf478d24298683aa3a3ce8014d19906df969",
+SELECT_WEIGHT = ("88b76684d05d87730933d568ff0b350cc01b6607342a698525a00876b6e55235",
                  19.968752946460683, 11.662657850045811)
 # report.json of compare, the seed-7 and seed-8 runs against each kind of reference
 REPORT_DIGESTS = {
-    "oracle": "28f0f5cbe3312cad5377c988de62bb7707efeddf466977a34d4723b0d22fbe9f",
+    "oracle": "3fae04835ad65643b66eb7e212a73f96086e13ff489daf37bbb7aebfdf7f4e8a",
     "run-mcmc": "b427a079b0dde1ad43eb0e8259950ae358ef52b4e628da8e6084f3e27aee6baa",
     "run-smc": "20651adec985abd75979570ea8c9ac6cc16de9a3016f08673802cc31980ff3eb",
 }
@@ -329,7 +329,7 @@ def test_exact_loss_golden(preset, mesh):
 # every cell spans all snapshots once there are 13 atoms), 20 particles,
 # data seed 0, sampler seeds 0-2; sha256 of the three clouds' points and
 # weights, then per call (full solves, reduced solves, cell builds)
-BENCH_SMC_ADV1D = ("ed2726c60b6c59ceefcbd2fea00dbeededb072ae74d6b070b58ad0204b93d42b",
+BENCH_SMC_ADV1D = ("db7d1ab27ab92734a96d46f437708714a0a8ac589d2aea6915d93a4648a9d296",
                    ((9, 497, 45), (12, 680, 62), (11, 668, 58)))
 
 
