@@ -14,7 +14,9 @@ block to block.
 It prints each side's median and 90th-percentile call wall time, the
 median ratio B / A of the calls' wall times with its quartiles, the ratio
 of the two sides' 90th percentiles (the statistic ``bench/run.py`` reports
-for ``wall_s``), how many calls B ran faster, each side's mean full solves,
+for ``wall_s``), how many calls B ran faster, each side's median set-up
+time (the ``setup_s`` of ``worker.setup``, over its worker starts; a worker
+reports it on its ready line), each side's mean full solves,
 iterations, reduced solves and LU factorizations per call, and how many
 calls' work counts and digests (their samples or particles) are equal.  It
 exits 1 when some call's work count differs between the sides, 2 when only
@@ -43,22 +45,24 @@ import json, sys
 sys.path.insert(0, sys.argv[1] + "/bench")
 import worker
 workload = sys.argv[2]
-state = worker.setup(worker.WORKLOADS[workload])[1]
-print("ready", flush=True)
+timings, state = worker.setup(worker.WORKLOADS[workload])
+print("ready", json.dumps(timings), flush=True)
 for line in sys.stdin:
     rec = worker.run_once(workload, state, int(line))
     print(json.dumps({key: rec[key] for key in sys.argv[3:]}), flush=True)
 """
 
 
-def start(checkout: Path, workload: str) -> subprocess.Popen:
+def start(checkout: Path, workload: str):
+    """(a worker process set up for workload, its set-up timings)."""
     proc = subprocess.Popen([sys.executable, "-c", SERVE, str(checkout), workload,
                              "wall_s", "digest", *WORK],
                             cwd=checkout, env={**os.environ, **PINNED}, text=True,
                             stdin=subprocess.PIPE, stdout=subprocess.PIPE)
-    if proc.stdout.readline().strip() != "ready":
+    ready, _, timings = proc.stdout.readline().partition(" ")
+    if ready != "ready":
         raise RuntimeError(f"the worker of {checkout} failed to set up")
-    return proc
+    return proc, json.loads(timings)
 
 
 def call(proc: subprocess.Popen, seed: int) -> dict:
@@ -80,15 +84,17 @@ def stop(proc: subprocess.Popen) -> None:
     proc.stdout.close()
 
 
-def paired_calls(checkouts: list, workload: str, n_calls: int) -> list:
-    """Per seed, the records of (A, B), from a fresh pair of workers per
-    block of RESTART_EVERY seeds; A's starts first in even blocks."""
-    pairs = []
+def paired_calls(checkouts: list, workload: str, n_calls: int):
+    """(per seed, the records of (A, B); per side, the set-up timings of its
+    workers), from a fresh pair of workers per block of RESTART_EVERY
+    seeds; A's starts first in even blocks."""
+    pairs, setups = [], ([], [])
     for block, first in enumerate(range(0, n_calls, RESTART_EVERY)):
         procs = {}
         try:
             for side in ((0, 1) if block % 2 == 0 else (1, 0)):
-                procs[side] = start(checkouts[side], workload)
+                procs[side], timings = start(checkouts[side], workload)
+                setups[side].append(timings)
             for seed in range(first, min(first + RESTART_EVERY, n_calls)):
                 order = (0, 1) if seed % 2 == 0 else (1, 0)
                 recs = {side: call(procs[side], seed) for side in order}
@@ -96,7 +102,7 @@ def paired_calls(checkouts: list, workload: str, n_calls: int) -> list:
         finally:
             for proc in procs.values():
                 stop(proc)
-    return pairs
+    return pairs, setups
 
 
 def p90(values: list) -> float:
@@ -139,7 +145,7 @@ def main(argv=None) -> int:
     if args.calls < 2:
         ap.error("--calls must be at least 2, for the quartiles")
     checkouts = [args.checkout_a.resolve(), args.checkout_b.resolve()]
-    pairs = paired_calls(checkouts, args.workload, args.calls)
+    pairs, setups = paired_calls(checkouts, args.workload, args.calls)
     s = summary(pairs)
     n = args.calls
     print(f"{args.workload}: {n} calls per side, seeds 0-{n - 1}")
@@ -149,6 +155,9 @@ def main(argv=None) -> int:
           f"[{s['quartiles'][0]:.3f}, {s['quartiles'][1]:.3f}]")
     print(f"B / A of the p90s: {s['p90_b'] / s['p90_a']:.3f}")
     print(f"B faster: {s['wins']} of {n}")
+    setup_a, setup_b = (statistics.median(t["setup_s"] for t in side) for side in setups)
+    print(f"setup_s median over {len(setups[0])} worker starts per side: "
+          f"A {setup_a:.4f} s, B {setup_b:.4f} s")
     a, b = s["work"]
     print(f"mean per call, A / B: reduced solves {a['reduced_solves']:.2f} / "
           f"{b['reduced_solves']:.2f}, LU factorizations {a['lu_factorizations']:.2f} / "

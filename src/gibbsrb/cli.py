@@ -22,17 +22,12 @@ from .diagnostics import bound_suite, h_proxy, ks_distance, marginal_cdf
 from .domain import ParameterDomain
 from .oracle import GridPosterior
 from .particles import ParticleSet
-from .runio import (HISTORY_COLUMNS, pin_blas_threads, read_csv, read_json, write_atoms_csv,
-                    write_cdfs_csv, write_csv, write_history_csv, write_json,
-                    write_losses_csv, write_manifest)
+from .runio import (pin_blas_threads, read_csv, read_json, write_atoms_csv, write_cdfs_csv,
+                    write_csv, write_json, write_losses_csv, write_manifest)
 
 
 def _write_marginal_cdfs(out: Path, dist, dim: int) -> None:
     write_cdfs_csv(out / "marginal_cdfs.csv", [(j, *marginal_cdf(dist, j)) for j in range(dim)])
-
-
-def _iteration_table(history) -> list:
-    return [{c: getattr(r, c) for c in HISTORY_COLUMNS} for r in history]
 
 
 def _prepare(args):
@@ -48,7 +43,7 @@ def _prepare(args):
 
 def cmd_run_smc(args) -> int:
     from .localrb import AtomBudgetError
-    from .smc import SmcIterationError, run_smc
+    from .smc import HISTORY_COLUMNS, SmcIterationError, run_smc
     config, model, observations, out = _prepare(args)
     w_total = resolve_total_weight(config, observations)
     smc_cfg = replace(config.smc, total_weight=w_total)
@@ -64,10 +59,11 @@ def cmd_run_smc(args) -> int:
         manifest.update(status="failed", error=f"{type(exc).__name__}: {exc}")
     wall = time.perf_counter() - t0
     counts = model.counters.snapshot()
+    table = [{c: getattr(r, c) for c in HISTORY_COLUMNS} for r in history]
     manifest.update(iterations=len(history), wall_time_s=wall,
                     solve_counts={k: counts[k] - counts0[k] for k in counts},
-                    iteration_table=_iteration_table(history))
-    write_history_csv(out / "history.csv", history)
+                    iteration_table=table)
+    write_csv(out / "history.csv", HISTORY_COLUMNS, (row.values() for row in table))
     if result is None:
         write_manifest(out / "manifest.json", config=config, seed=smc_cfg.seed,
                        model=model, extra=manifest)

@@ -10,11 +10,11 @@ A(xi) is factorized by LU with partial pivoting through its LAPACK binding
 (``bandlu``: the tridiagonal dgt* routines where kl = ku = 1, band dgb*
 routines otherwise).  The binding owns the storage layout: this module
 hands it the operator terms once, then calls its ``assemble`` and
-``residual`` and never reads the storage.  The observation is a gather
-over per-row slot arrays, so a solve makes a fixed number of numpy calls
-whatever the band width.  The model owns every affine sum over a stack of
-states or bases (``residuals``, ``project``), each from one sparse product
-of the stacked terms, so no other module reads a term list.
+``residual`` and never reads the storage.  The observation is the
+observation matrix's own product, D u.  The model owns every affine sum
+over a stack of states or bases (``residuals``, ``project``), each from
+one sparse product of the stacked terms, so no other module reads a term
+list.
 
 The operator terms and the observation matrix are CSR matrices, read only
 through their arrays (data, indices, indptr), ``@``, ``shape`` and
@@ -70,7 +70,8 @@ class CSRMatrix:
     x, vector or (n, k) array, gives the same floats as scipy.  It gathers
     x over the rows' slots (``_ellpack``) and sums over the slot axis, a
     reduction over an outer axis, which numpy adds in sequence; so it suits
-    matrices with few entries per row.
+    matrices with few entries per row.  A vector is gathered directly, so a
+    product costs a fixed number of numpy calls.
     """
 
     format = "csr"
@@ -82,6 +83,8 @@ class CSRMatrix:
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)
+        if x.ndim == 1:
+            return np.add.reduce(self._values * x[self._columns], axis=0, initial=0.0)
         terms = x.take(self._columns, axis=0)
         terms *= self._values.reshape(self._values.shape + (1,) * (x.ndim - 1))
         return np.add.reduce(terms, axis=0, initial=0.0)
@@ -179,9 +182,7 @@ class ForwardModel:
                              f"got {shapes}")
         self._band = _operator_binding(self.operator_terms, self.n_dof)
         self._rhs_terms = np.array(self.rhs_terms, dtype=float).reshape(Q, self.n_dof)
-        _, self._obs_columns, self._obs_values = _ellpack(*_csr_entries(self.obs_matrix),
-                                                          self.n_obs)
-        self._f, self._predicted = np.empty(self.n_dof), np.empty(self.n_obs)
+        self._f = np.empty(self.n_dof)
         # f does not move with xi where its coefficients do not (adv1d and
         # elast): the same floats, since phi(xi) = phi(0) up to zero signs
         self._fixed_f = None if self.rhs_coeff_grads.any() else self._rhs(self.rhs_coeff_offsets)
@@ -324,13 +325,9 @@ class ForwardModel:
                                        u[:, None]))
 
     # ----- observation and loss -----
-    def observe(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """D u for one state u, into out or a fresh array.  Each channel sums
-        its entries d_ij u_j in CSR storage order, in sequence from zero, as
-        scipy's csr_matvec does, so a finite u observes the same floats as
-        obs_matrix @ u."""
-        return np.add.reduce(self._obs_values * u[self._obs_columns], axis=0, initial=0.0,
-                             out=out)
+    def observe(self, u: np.ndarray) -> np.ndarray:
+        """D u for one state u, the observation matrix's own product."""
+        return self.obs_matrix @ u
 
     def loss_from_prediction(self, predicted: np.ndarray, observations):
         """Cumulative loss sum_i loss(predicted, d_i) for the model's loss kind.
@@ -369,10 +366,9 @@ class ForwardModel:
         return losses, np.where(np.isinf(eps_u), np.inf, bounds)
 
     def loss(self, xi: np.ndarray, observations) -> float:
-        """The loss of solve_full(xi)'s prediction, with the state and the
-        prediction in the model's and its binding's buffers."""
-        predicted = self.observe(self._solve(xi), self._predicted)
-        return float(self.loss_from_prediction(predicted, observations))
+        """The loss of solve_full(xi)'s prediction, with the state in the
+        binding's buffer."""
+        return float(self.loss_from_prediction(self.observe(self._solve(xi)), observations))
 
     # ----- checks -----
     def check_invertibility(self) -> None:

@@ -2,8 +2,8 @@
 
 Parameter space is partitioned into Voronoi cells seeded at atoms, each with a
 high-fidelity snapshot and its parameter gradient.  A cell's basis spans its
-atom's snapshot, the N nearest atoms' snapshots and its atom's gradient, up to
-the first source numerically in the span of those before it.  A Galerkin solve
+atom's snapshot, the N nearest atoms' snapshots and its atom's gradient, less
+each source numerically in the span of those before it.  A Galerkin solve
 in the cell basis yields the surrogate state.
 
 A query builds, in one stacked pass, the cells it first lands in.  It
@@ -31,7 +31,7 @@ import numpy as np
 from .config import DEFAULT_NEIGHBORS
 
 DUPLICATE_TOL = 1e-12       # scaled-coordinate distance
-ORTHO_DROP_TOL = 1e-10      # a basis ends at a source with |R_jj| <= this * its norm
+ORTHO_DROP_TOL = 1e-10      # a basis drops a source with |R_jj| <= this * its norm
 _LU_CACHE_SIZE = 64        # atom LUs kept for indicator reads; a miss refactorizes
 ATOM_BUDGET = 2000          # atoms a surrogate may hold; refinement past it fails
 
@@ -71,6 +71,21 @@ class _Cell:  # a built cell; Surrogate.cells holds None for an unbuilt one
     reduced_ops: np.ndarray     # (P, r, r) Phi^T A_p Phi
     reduced_rhs: np.ndarray     # (Q, r) Phi^T f_q
     obs_basis: np.ndarray       # D_obs Phi
+
+
+def _bases(S: np.ndarray):
+    """(Q, ranks) of the (c, n_dof, s) stack S of cells' sources, cell i's
+    basis being Q[i, :, :ranks[i]], by the rule of Surrogate._ensure_cells."""
+    Q, R = np.linalg.qr(S)
+    d = np.abs(np.diagonal(R, axis1=1, axis2=2))  # min(n_dof, sources) entries
+    dependent = d <= ORTHO_DROP_TOL * np.linalg.norm(S[:, :, :d.shape[1]], axis=1)
+    ranks = np.where(dependent.any(axis=1), dependent.argmax(axis=1), d.shape[1])
+    for i in np.flatnonzero(dependent.sum(axis=1) + ranks < d.shape[1]):
+        # a dependent source precedes an independent one: QR the rest again
+        keep = np.r_[~dependent[i], np.ones(S.shape[2] - d.shape[1], dtype=bool)]
+        q, r = _bases(S[i:i + 1, :, keep])
+        Q[i, :, :r[0]], ranks[i] = q[0, :, :r[0]], r[0]
+    return Q, ranks
 
 
 def _groups(ks, keys: list) -> dict:
@@ -179,11 +194,13 @@ class Surrogate:
         per neighbor j, nearest first | grad u_k]: r ends before the first
         source whose |R_jj| is at most ORTHO_DROP_TOL times its norm, or at
         n_dof.  Every tuple holds min(N, atoms - 1) atoms, so one stacked QR
-        serves all the new cells.  Per basis rank, the model projects its
-        terms onto the new cells' bases (ForwardModel.project, one sparse
-        product).  Stacked LAPACK, BLAS and CSR calls run the same kernel
-        per matrix and per column, so the arrays are bit-identical to
-        one-cell builds.
+        serves all the new cells.  A cell where such a dependent source
+        precedes an independent one drops its dependent sources and QRs the
+        rest again, until they all trail, so it loses only them.
+        Per basis rank, the model projects its terms onto the new cells'
+        bases (ForwardModel.project, one sparse product).  Stacked LAPACK,
+        BLAS and CSR calls run the same kernel per matrix and per column,
+        so the arrays are bit-identical to one-cell builds.
         """
         new = [k for k in ks if self.cells[k] is None]
         if not new:
@@ -198,10 +215,7 @@ class Surrogate:
         S = np.stack([np.column_stack(
             [self.atoms[k].snapshot] + [self.atoms[j].snapshot for j in tuples[k][0]]
             + [self.atoms[k].gradient]) for k in new])
-        Q, R = np.linalg.qr(S)
-        d = np.abs(np.diagonal(R, axis1=1, axis2=2))  # min(n_dof, sources) entries
-        dependent = d <= ORTHO_DROP_TOL * np.linalg.norm(S[:, :, :d.shape[1]], axis=1)
-        ranks = np.where(dependent.any(axis=1), dependent.argmax(axis=1), d.shape[1])
+        Q, ranks = _bases(S)
         for r, rows in _groups(range(len(new)), ranks.tolist()).items():
             Phis = Q[rows, :, :r]
             for k, *arrays in zip([new[i] for i in rows], Phis, *self.model.project(Phis)):

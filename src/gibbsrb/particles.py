@@ -51,9 +51,6 @@ class ParticleSet:
     def dim(self) -> int:
         return self.points.shape[1]
 
-    def copy(self) -> "ParticleSet":
-        return ParticleSet(self.points.copy(), self.weights.copy(), self.generation)
-
     def to_csv(self, path) -> None:
         write_csv(path, [f"xi_{j + 1}" for j in range(self.dim)] + ["weight", "generation"],
                   ([*row, wt, self.generation] for row, wt in zip(self.points, self.weights)))
@@ -68,16 +65,16 @@ class ParticleSet:
 def log_reweight(log_weights: np.ndarray, losses: np.ndarray, delta_w: float) -> np.ndarray:
     """Normalized log-weights after one Gibbs increment."""
     losses = np.asarray(losses, dtype=float)
-    lw = log_weights - delta_w * (losses - losses.min())
-    lw -= _logsumexp(lw)
-    return lw
+    return normalize_log(log_weights - delta_w * (losses - losses.min()))
 
 
-def _logsumexp(v: np.ndarray) -> float:
-    mx = v.max()
+def normalize_log(lw: np.ndarray) -> np.ndarray:
+    """lw less its log-sum-exp, in place: log-weights whose exponentials sum to one."""
+    mx = lw.max()
     if not np.isfinite(mx):
         raise FloatingPointError("all weights vanished in reweighting")
-    return mx + np.log(np.exp(v - mx).sum())
+    lw -= mx + np.log(np.exp(lw - mx).sum())
+    return lw
 
 
 def reweight(particles: ParticleSet, losses: np.ndarray, delta_w: float) -> ParticleSet:

@@ -21,10 +21,6 @@ import numpy as np
 
 PACKAGE_VERSION = "0.1.0"  # pyproject.toml's [project] version; gibbsrb.__version__
 
-HISTORY_COLUMNS = ("t", "w_before", "w_after", "delta_w", "ess", "atoms_added",
-                   "acceptance_rate", "e_thre", "e_max", "full_solves",
-                   "reduced_solves", "degenerate")
-
 
 def _cell(v):
     if isinstance(v, numbers.Integral):  # bool included
@@ -52,11 +48,6 @@ def write_json(path, obj) -> None:
 
 def read_json(path):
     return json.loads(Path(path).read_text())
-
-
-def write_history_csv(path, history) -> None:
-    write_csv(path, HISTORY_COLUMNS,
-              ([getattr(rec, c) for c in HISTORY_COLUMNS] for rec in history))
 
 
 def write_atoms_csv(path, surrogate) -> None:

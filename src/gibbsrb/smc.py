@@ -12,7 +12,7 @@ requested total.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor  # patched by bench/layers.py
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -20,7 +20,7 @@ import numpy as np
 from .config import SmcConfig  # re-exported: the schema lives in config
 from .domain import ParameterDomain
 from .localrb import AtomBudgetError, BasisDegeneracyError, Surrogate
-from .particles import ParticleSet, empirical_moments, ess, log_reweight, reweight
+from .particles import ParticleSet, empirical_moments, ess, normalize_log, reweight
 from .seeding import PHASE_INIT, PHASE_MUTATE, PHASE_RESAMPLE, stream
 
 ESS_FRACTION = 0.5   # ESS target, as a fraction of the particle count
@@ -52,6 +52,10 @@ class IterationRecord:
     full_solves: int            # cumulative from the run's start, at iteration end
     reduced_solves: int         # likewise
     degenerate: bool = False
+
+
+# history.csv's header and the keys of the manifest's iteration_table
+HISTORY_COLUMNS = tuple(f.name for f in fields(IterationRecord) if f.name != "losses")
 
 
 @dataclass
@@ -98,9 +102,10 @@ def adapt_step(weights: np.ndarray, losses: np.ndarray, residual_weight: float,
     with np.errstate(divide="ignore"):
         lw0 = np.log(np.asarray(weights, dtype=float))
     losses = np.asarray(losses, dtype=float)
+    shifted = losses - losses.min()  # log_reweight's shift, formed once per call
 
     def reweighted(delta):
-        w = np.exp(log_reweight(lw0, losses, delta))
+        w = np.exp(normalize_log(lw0 - delta * shifted))
         w /= w.sum()
         return w, ess(w)
 
@@ -181,7 +186,7 @@ def mutate(particles: ParticleSet, loss_fn: Callable, domain: ParameterDomain,
         accepts += acc
 
     rate = float(accepts.sum()) / max(m * config.mutation_steps, 1)
-    return ParticleSet(x, particles.weights.copy(), particles.generation), rate, lx
+    return ParticleSet(x, particles.weights, particles.generation), rate, lx
 
 
 def replay_consistency(surrogate: Surrogate, observations, particles: ParticleSet,
@@ -235,7 +240,7 @@ def run_smc(model, observations, config: SmcConfig, *,
     w_cur = 0.0
     t = 0
     history: list[IterationRecord] = []
-    snapshots = [particles.copy()]
+    snapshots = [particles]
     final_losses = None
 
     while w_cur < w_total:
@@ -275,7 +280,7 @@ def run_smc(model, observations, config: SmcConfig, *,
             reduced_solves=surrogate.reduced_solves - reduced0, degenerate=degenerate))
         particles = mutated
         w_cur = w_next
-        snapshots.append(particles.copy())
+        snapshots.append(particles)
 
     counts = model.counters.snapshot()
     return SmcResult(

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -11,7 +12,8 @@ import pytest
 
 import gibbsrb
 from gibbsrb.cli import main
-from gibbsrb.runio import HISTORY_COLUMNS, read_csv
+from gibbsrb.runio import read_csv
+from gibbsrb.smc import HISTORY_COLUMNS, IterationRecord
 
 TINY_SMC = """
 model: {preset: adv1d, mesh: {cells: 64}}
@@ -71,6 +73,22 @@ def test_run_smc_artifacts(tiny_config, tmp_path):
     assert all(sorted(row) == sorted(history_header.split(",")) for row in table)
     header = (out / "particles.csv").read_text().splitlines()[0]
     assert header == "xi_1,xi_2,weight,generation"
+
+
+def test_history_schema_is_the_iteration_record(tiny_config, tmp_path):
+    # history.csv's columns and the manifest's iteration_table keys are the
+    # IterationRecord fields but the per-particle losses, in field order,
+    # and both hold the same values
+    fields = [f.name for f in dataclasses.fields(IterationRecord) if f.name != "losses"]
+    assert list(HISTORY_COLUMNS) == fields
+    out = tmp_path / "run"
+    assert main(["run-smc", "--config", str(tiny_config), "--seed", "7",
+                 "--out", str(out)]) == 0
+    header, rows = read_csv(out / "history.csv")
+    assert header == fields
+    table = json.loads((out / "manifest.json").read_text())["iteration_table"]
+    assert all(sorted(row) == sorted(fields) for row in table)  # the JSON sorts keys
+    assert [[row[c] for c in fields] for row in table] == rows.tolist()
 
 
 @pytest.mark.parametrize("limit,error,iterations", [
@@ -615,6 +633,9 @@ def test_pair_calls_script_same_checkout_twice():
     lines = done.stdout.splitlines()
     assert lines[0] == "rwmh-adv1d: 4 calls per side, seeds 0-3"
     assert lines[3].startswith("B / A per call: median ")
+    # one pair of workers serves the four calls; each reports its set-up time
+    assert re.fullmatch(r"setup_s median over 1 worker starts per side: "
+                        r"A \d+\.\d{4} s, B \d+\.\d{4} s", lines[6])
     # the same calls on both sides do the same work
     assert re.fullmatch(r"mean per call, A / B: full solves (\d+\.\d\d) / \1, "
                         r"iterations 200\.00 / 200\.00", lines[-3])

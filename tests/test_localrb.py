@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import warnings
 
 import numpy as np
@@ -115,9 +116,23 @@ def test_build_pass_makes_one_qr(fixture, dropped, request, monkeypatch):
     assert [cell.basis.shape[1] for cell in s.cells] == [sources - dropped] * s.n_atoms
 
 
-def test_dependent_neighbor_ends_the_basis(adv1d_surr):
+def _cell_sources(s, k):
+    """Cell k's sources [u_k | neighbors' u_j, nearest first | grad u_k]."""
+    atom = s.atoms[k]
+    return np.column_stack([atom.snapshot] + [s.atoms[j].snapshot for j in s.cells[k].neighbors]
+                           + [atom.gradient])
+
+
+def _assert_spans(basis, sources):
+    """basis is orthonormal and every source lies in its span."""
+    assert np.max(np.abs(basis.T @ basis - np.eye(basis.shape[1]))) < 1e-12
+    gap = np.linalg.norm(sources - basis @ (basis.T @ sources), axis=0)
+    assert np.all(gap <= 1e-9 * np.linalg.norm(sources, axis=0))
+
+
+def test_dependent_neighbor_drops_only_itself(adv1d_surr):
     # the cell's third neighbor gets a copy of its first neighbor's snapshot,
-    # so the basis ends just before that source, gradients and all
+    # so the basis keeps every source but that copy, gradients included
     s = adv1d_surr
     for a in np.random.default_rng(35).random((8, 2)):
         s.add_atom(a)
@@ -126,11 +141,24 @@ def test_dependent_neighbor_ends_the_basis(adv1d_surr):
     s.atoms[third] = dataclasses.replace(s.atoms[third], snapshot=s.atoms[first].snapshot.copy())
     s.cells[k] = None
     basis = built_cell(s, k).basis
-    assert basis.shape[1] == 3
+    assert basis.shape[1] == 1 + 5 + 2 - 1
     u = s.atoms[k].snapshot
     assert np.allclose(basis[:, 0] * np.sign(basis[:, 0] @ u), u / np.linalg.norm(u),
                        rtol=0, atol=1e-14)
-    assert np.max(np.abs(basis.T @ basis - np.eye(3))) < 1e-12
+    _assert_spans(basis, _cell_sources(s, k))
+
+
+def test_leading_dependent_sources_keep_the_later_ones(adv2d_small):
+    # on the xi_1 = 0.4 plane u is linear in (xi_2, xi_3) and u(0.5, 0.5) =
+    # 2.5 u(0.2, 0.2), so a cell's nearest neighbor can be parallel to u_k;
+    # every cell still keeps u_k, one more snapshot and the xi_1 gradient
+    s = Surrogate(adv2d_small, neighbor_count=5)
+    for x2, x3 in [(0.2, 0.2), (0.8, 0.2), (0.2, 0.8), (0.8, 0.8), (0.5, 0.5)]:
+        s.add_atom(np.array([0.4, x2, x3]))
+    s._ensure_cells(range(s.n_atoms))
+    assert [cell.basis.shape[1] for cell in s.cells] == [3] * 5
+    for k, cell in enumerate(s.cells):
+        _assert_spans(cell.basis, _cell_sources(s, k))
 
 
 def test_orthonormal_bases(adv1d_surr):
@@ -680,23 +708,35 @@ def test_reduced_solve_returns_the_points_order(adv2d_small):
     assert np.isfinite(whole[3][cells != singular]).all()
 
 
-def _one_cell_build(s, k):
-    """Cell k's basis and reduced arrays by the one-cell formulas (a 2-D QR
-    of the sources [u_k | neighbors' u_j, nearest first | grad u_k], cut
-    before the first source with |R_jj| <= ORTHO_DROP_TOL times its norm;
-    one sparse product per term): the reference for the stacked passes;
-    then R of a QR of A_k^{-1} [f_q | A_p Phi], whose ||R w|| with
-    w = [phi(xi), -theta(xi) (x) c] is the raw indicator in exact
-    arithmetic: the reference for the band-solve read."""
-    model, atom = s.model, s.atoms[k]
+def _one_cell_basis(s, k):
+    """(cell k's basis, the QRs it took) by the one-cell rule: 2-D QRs of
+    the sources [u_k | neighbors' u_j, nearest first | grad u_k], the
+    sources with |R_jj| <= ORTHO_DROP_TOL times their norm dropped before
+    the next QR until none precedes a kept one; the basis is Q cut before
+    the first dropped source."""
+    atom = s.atoms[k]
     neighbors = _all_pairs_neighbors(s._scaled_locs, s.neighbor_count)[k]
     sources = np.column_stack([atom.snapshot] + [s.atoms[j].snapshot for j in neighbors]
                               + [atom.gradient])
-    Q, R = np.linalg.qr(sources)
-    d = np.abs(np.diagonal(R))
-    r = next((j for j in range(d.size)
-              if d[j] <= localrb.ORTHO_DROP_TOL * np.linalg.norm(sources[:, j])), d.size)
-    Phi = Q[:, :r].copy()  # contiguous, as the pass's bases
+    for qrs in itertools.count(1):
+        Q, R = np.linalg.qr(sources)
+        d = np.abs(np.diagonal(R))
+        kept = [j for j in range(sources.shape[1]) if j >= d.size
+                or d[j] > localrb.ORTHO_DROP_TOL * np.linalg.norm(sources[:, j])]
+        r = next((j for j in range(d.size) if j not in kept), d.size)
+        if all(j not in kept for j in range(r, d.size)):
+            return Q[:, :r].copy(), qrs  # contiguous, as the pass's bases
+        sources = sources[:, kept]
+
+
+def _one_cell_build(s, k):
+    """Cell k's basis (_one_cell_basis) and reduced arrays by the one-cell
+    formulas (one sparse product per term): the reference for the stacked
+    passes; then R of a QR of A_k^{-1} [f_q | A_p Phi], whose ||R w|| with
+    w = [phi(xi), -theta(xi) (x) c] is the raw indicator in exact
+    arithmetic: the reference for the band-solve read."""
+    model, atom = s.model, s.atoms[k]
+    Phi = _one_cell_basis(s, k)[0]
     op_cols = [np.asarray(M @ Phi) for M in model.operator_terms]
     theta, _ = model.coefficients(atom.location)
     p0 = int(np.argmax(np.abs(theta)))
@@ -746,10 +786,12 @@ def test_stacked_pass_bit_equal_to_one_cell_builds(adv2d_small, monkeypatch):
     assert len(ks) >= 5 and len(new_ranks) >= 2
     assert {Phi.shape[1] for Phi in prebuilt.values()} & new_ranks
     # one sparse product per rank of the new cells; one stacked QR for their
-    # bases and no other, though cells drop columns
+    # bases, then one per further round of a cell whose dropped source
+    # preceded a kept one, as many as the one-cell rule takes
     assert sorted(products) == sorted(new_ranks)
-    assert qrs == [3]
     monkeypatch.setattr(np.linalg, "qr", qr)
+    rounds = [_one_cell_basis(s, k)[1] - 1 for k in installed]
+    assert sum(rounds) > 0 and qrs == [3] * (1 + sum(rounds))
     for k in ks:
         cell = s.cells[k]
         got = [cell.basis, cell.reduced_ops, cell.reduced_rhs, cell.obs_basis]
