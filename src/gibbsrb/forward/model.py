@@ -70,8 +70,8 @@ class CSRMatrix:
     x, vector or (n, k) array, gives the same floats as scipy.  It gathers
     x over the rows' slots (``_ellpack``) and sums over the slot axis, a
     reduction over an outer axis, which numpy adds in sequence; so it suits
-    matrices with few entries per row.  A vector is gathered directly, so a
-    product costs a fixed number of numpy calls.
+    matrices with few entries per row.  A vector skips the take, reshape and
+    in-place product: the same floats in fewer numpy calls.
     """
 
     format = "csr"
