@@ -24,6 +24,13 @@ digests differ (a change that moves floats, not work), and 0 when every
 call is equal.
 
     python scripts/pair_calls.py ../parent . --workload rwmh-adv1d --calls 300
+
+The benchmark's adv1d workloads hold few points per cell, so a change to
+the surrogate's read or build path is paired at elast scale too, with
+``--workload smc-elast-layered`` (layered elasticity at nx 16, 0.3-0.7 s
+per call on a 2-vCPU VM):
+
+    python scripts/pair_calls.py ../parent . --workload smc-elast-layered --calls 40
 """
 
 import argparse

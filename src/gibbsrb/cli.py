@@ -22,12 +22,12 @@ from .diagnostics import bound_suite, h_proxy, ks_distance, marginal_cdf
 from .domain import ParameterDomain
 from .oracle import GridPosterior
 from .particles import ParticleSet
-from .runio import (pin_blas_threads, read_csv, read_json, write_atoms_csv, write_cdfs_csv,
-                    write_csv, write_json, write_losses_csv, write_manifest)
+from .runio import pin_blas_threads, read_csv, read_json, write_csv, write_json, write_manifest
 
 
 def _write_marginal_cdfs(out: Path, dist, dim: int) -> None:
-    write_cdfs_csv(out / "marginal_cdfs.csv", [(j, *marginal_cdf(dist, j)) for j in range(dim)])
+    write_csv(out / "marginal_cdfs.csv", ["dimension", "x", "cdf"],
+              ([j + 1, x, c] for j in range(dim) for x, c in zip(*marginal_cdf(dist, j))))
 
 
 def _prepare(args):
@@ -73,8 +73,10 @@ def cmd_run_smc(args) -> int:
     result.particles.to_csv(out / "particles.csv")
     for k, snap in enumerate(result.snapshots):
         snap.to_csv(out / f"particles_iter_{k:03d}.csv")
-    write_losses_csv(out / "iteration_losses.csv", result.history)
-    write_atoms_csv(out / "atoms.csv", result.surrogate)
+    write_csv(out / "iteration_losses.csv", ["t", "particle", "surrogate_loss"],
+              ([rec.t, i, v] for rec in history for i, v in enumerate(rec.losses)))
+    write_csv(out / "atoms.csv", ["atom", *[f"xi_{j + 1}" for j in range(model.dim)]],
+              ([k, *atom.location] for k, atom in enumerate(result.surrogate.atoms)))
     observations.to_csv(out / "observations.csv")
     _write_marginal_cdfs(out, result.particles, model.dim)
 

@@ -7,12 +7,12 @@ each source numerically in the span of those before it.  A Galerkin solve
 in the cell basis yields the surrogate state.
 
 A query builds, in one stacked pass, the cells it first lands in.  It
-groups its points by hosting cell, so the online stage makes numpy calls
-per hosting cell, not per point.  An indicator read forms the residuals
-f(xi) - A(xi) Phi c of all its points through the model, which owns every
-affine sum, and makes one band solve per hosting cell with the cell atom's
-LU, from an LU cache of the atoms' factorizations; loss-only queries never
-touch that cache.
+groups its points by their cells' basis rank, and each rank's points stack
+their own cells' reduced arrays into one Galerkin solve.  An indicator
+read forms the residuals f(xi) - A(xi) Phi c of all its points through the
+model, which owns every affine sum, and makes one band solve per hosting
+cell with the cell atom's LU, from an LU cache of the atoms'
+factorizations; loss-only queries never touch that cache.
 
 The state-error indicator is that preconditioned residual norm,
 ||A_k^{-1} (f(xi) - A(xi) Phi c)|| for the cell atom k.  It is an
@@ -260,36 +260,32 @@ class Surrogate:
 
         The coefficients are an (n, r_max) array, NaN past each hosting
         cell's basis rank r; where a cell's reduced system is singular the
-        coefficients and outputs are NaN and the raw indicator is inf.  Each
-        rank's points, picked by index, gather their cells' reduced arrays
-        and are solved in one stacked call.  An indicator read groups the
-        solved points by cell in order of first appearance, the LU cache's
-        lookup order: one stacked matvec and one band solve per cell, and
-        one ForwardModel.residuals call for all.  Each kernel works one
-        matrix or one column at a time, so every value is bit-identical to
-        the one-point forms, whatever the order of the points.  With
-        ``indicators=False`` the raw indicators are None, and no LU is
-        looked up.
+        coefficients and outputs are NaN and the raw indicator is inf.  The
+        points are grouped by their cells' basis rank, in order of first
+        appearance; each rank's points stack their own cells' reduced
+        arrays and are solved in one stacked call.  An indicator read groups
+        the solved points by cell in order of first appearance, the LU
+        cache's lookup order: one stacked matvec and one band solve per
+        cell, and one ForwardModel.residuals call for all.  Each kernel
+        works one matrix or one column at a time, so every value is
+        bit-identical to the one-point forms, whatever the order of the
+        points.  With ``indicators=False`` the raw indicators are None, and
+        no LU is looked up.
         """
         points = np.asarray(points, dtype=float)
         n = len(points)
         ath, fth = self.model.coefficients(points)
         if hosts is None:
             hosts = self._nearest(points)
-        keys = list(dict.fromkeys(hosts.tolist()))  # hosting cells, first appearance
-        self._ensure_cells(keys)
-        by_rank = _groups(keys, [self.cells[k].basis.shape[1] for k in keys])
+        self._ensure_cells(list(dict.fromkeys(hosts.tolist())))
+        cells = [self.cells[k] for k in hosts.tolist()]  # each point's cell
+        by_rank = _groups(range(n), [cell.basis.shape[1] for cell in cells])
         coeffs = np.full((n, max(by_rank, default=0)), np.nan)
         observed = np.full((n, self.model.n_obs), np.nan)
-        rank, slot = np.full((2, len(self.cells)), -1)  # slot: a cell's place in its rank
-        for r, group in by_rank.items():
-            rank[group], slot[group] = r, range(len(group))
-            idx = np.flatnonzero(rank[hosts] == r)
-            pos = slot[hosts[idx]]
-            cells = [self.cells[k] for k in group]
-            ops = np.array([cell.reduced_ops for cell in cells])[pos]
-            rhs = np.array([cell.reduced_rhs for cell in cells])[pos]
-            obs = np.array([cell.obs_basis for cell in cells])[pos]
+        for r, idx in by_rank.items():
+            ops = np.array([cells[i].reduced_ops for i in idx])
+            rhs = np.array([cells[i].reduced_rhs for i in idx])
+            obs = np.array([cells[i].obs_basis for i in idx])
             c = self._solve_stack(ops, rhs, ath[idx], fth[idx])
             coeffs[idx, :r] = c
             observed[idx] = (obs @ c[:, :, None])[:, :, 0]  # NaN where c is

@@ -1,4 +1,5 @@
-"""Run artifacts: the one CSV dialect and the JSON format.
+"""Run artifacts (the one CSV dialect, the JSON format, the manifest) and
+the BLAS thread helpers.
 
 Every CSV has a header row and ends lines with \r\n (the csv module's
 default); bools and integers are written as integers and every other value
@@ -48,22 +49,6 @@ def write_json(path, obj) -> None:
 
 def read_json(path):
     return json.loads(Path(path).read_text())
-
-
-def write_atoms_csv(path, surrogate) -> None:
-    write_csv(path, ["atom", *[f"xi_{j + 1}" for j in range(surrogate.model.dim)]],
-              ([k, *atom.location] for k, atom in enumerate(surrogate.atoms)))
-
-
-def write_losses_csv(path, history) -> None:
-    write_csv(path, ["t", "particle", "surrogate_loss"],
-              ([rec.t, i, v] for rec in history for i, v in enumerate(rec.losses)))
-
-
-def write_cdfs_csv(path, curves) -> None:
-    """curves: iterable of (dimension_index, x array, cdf array)."""
-    write_csv(path, ["dimension", "x", "cdf"],
-              ([j + 1, xv, cv] for j, x, c in curves for xv, cv in zip(x, c)))
 
 
 def openblas_libraries() -> list:

@@ -680,8 +680,28 @@ def test_indicator_read_makes_one_sparse_product(adv2d_small, monkeypatch):
     assert counting.products == before + 1
 
 
+def test_read_makes_one_stacked_solve_per_basis_rank(adv2d_small, monkeypatch):
+    # each basis rank among a read's points is one _solve_stack call over
+    # all its points, in order of first appearance, however many cells and
+    # points share it; a loss-only read stacks the same way
+    s, pts, cells, singular = _mixed_rank_cloud(adv2d_small)
+    stacks = []
+    solve_stack = s._solve_stack
+    monkeypatch.setattr(s, "_solve_stack",
+                        lambda ops, *rest: stacks.append(ops.shape) or solve_stack(ops, *rest))
+    one_cell = pts[cells == cells[-1]]
+    assert len(one_cell) > 1
+    for read in (pts, one_cell):
+        ranks = [s.cells[k].basis.shape[1] for k in s._nearest(read).tolist()]
+        expected = [(r, ranks.count(r)) for r in dict.fromkeys(ranks)]
+        for indicators in (True, False):
+            stacks.clear()
+            s.reduced_solve(read, indicators=indicators)
+            assert [(shape[2], shape[0]) for shape in stacks] == expected
+
+
 def test_reduced_solve_returns_the_points_order(adv2d_small):
-    # the read groups the points by hosting cell; its outputs come back in
+    # the read groups the points by basis rank; its outputs come back in
     # the order of the points, bit for bit, and it warns of nothing, singular
     # points included
     s, pts, cells, singular = _mixed_rank_cloud(adv2d_small)
