@@ -1,10 +1,10 @@
 """YAML run configuration.
 
 A sampler setting has a config key when its callers need different values;
-a value they all share is a constant of the module that reads it.  A
-preset's physics are constants of its builder, and ``model.mesh`` sets only
-its sizes.  The shipped files under configs/ reproduce the three built-in
-experiments end to end.
+a value they all share, or a limit no shipped run reaches, is a constant of
+the module that reads it.  A preset's physics are constants of its builder,
+and ``model.mesh`` sets only its sizes.  The shipped files under configs/
+reproduce the three built-in experiments end to end.
 
 This module owns the whole config schema, the sampler section included
 (``SmcConfig``, the surrogate default and the Gaussian-reference weight);
@@ -68,14 +68,13 @@ class SmcConfig:
     mutation_steps: int = 5
     e_thre_mode: str = "loss_std_fraction"  # or "fixed"
     e_thre_value: float = 1e-3
-    max_iterations: int = 50
     seed: int = 0
     neighbor_count: int = DEFAULT_NEIGHBORS
 
     def __post_init__(self):
         # 4 particles: the ESS target, half of them, is then at least 2
-        _check_counts("smc", vars(self), particles=4, mutation_steps=0, max_iterations=1,
-                      seed=0, neighbor_count=0)
+        _check_counts("smc", vars(self), particles=4, mutation_steps=0, seed=0,
+                      neighbor_count=0)
         _check_reals("smc", vars(self), "total_weight", "e_thre_value")
         if self.total_weight < 0:
             raise ValueError("total_weight must be >= 0")

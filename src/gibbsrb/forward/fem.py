@@ -1,8 +1,9 @@
 """The bilinear-quad (Q1) FEM presets: adv2d and elast2d.
 
 Imported by ``presets.assemble`` for their presets only, so an adv1d run
-neither compiles nor loads them.  Both assemble with scipy.sparse, imported
-in their builders, whose sums of duplicate element entries fix their floats.
+neither compiles nor loads them.  ``_q1_matrix`` assembles every operator
+matrix, the affine terms and both ``direct`` references alike; its
+scipy.sparse sums of duplicate element entries fix their floats.
 """
 
 from __future__ import annotations
@@ -53,6 +54,18 @@ def _gauss_data(n):
     return out
 
 
+def _q1_matrix(dofs, local, n, free):
+    """CSR matrix of n dofs that scatters local[e], or one local matrix shared
+    by all elements, at element e's dofs (row e of dofs), restricted to the
+    free dofs."""
+    import scipy.sparse as sp
+    k = dofs.shape[1]
+    vals = np.broadcast_to(local, (len(dofs), k, k)).ravel()
+    rows = np.repeat(dofs, k, axis=1).ravel()
+    cols = np.tile(dofs, (1, k)).ravel()
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()[np.ix_(free, free)]
+
+
 def _interp_rows(points, nodes, n, free, component=None):
     """Bilinear interpolation rows at arbitrary points, restricted to free dofs.
 
@@ -95,7 +108,6 @@ def adv2d(nx: int = 32, obs_grid: int = 7) -> ForwardModel:
     kappa = 0.02 + 0.98 xi_1; v = 13 e_x + 9 (-x, y); two Gaussian sources
     with magnitudes 10 xi_2 and 5 xi_3.
     """
-    import scipy.sparse as sp
     nodes, elems = _grid(nx)
     gauss = _gauss_data(nx)
     xy = nodes[elems]  # (E, 4, 2)
@@ -114,22 +126,14 @@ def adv2d(nx: int = 32, obs_grid: int = 7) -> ForwardModel:
         np.add.at(f1, elems, det * 10.0 * _G1(P[:, 0], P[:, 1])[:, None] * N)
         np.add.at(f2, elems, det * 5.0 * _G2(P[:, 0], P[:, 1])[:, None] * N)
 
-    rows = np.repeat(elems, 4, axis=1).ravel()
-    cols = np.tile(elems, (1, 4)).ravel()
     nn = len(nodes)
-    K_full = sp.coo_matrix((np.tile(K_loc.ravel(), nE), (rows, cols)),
-                           shape=(nn, nn)).tocsr()
-    C_full = sp.coo_matrix((C_all.ravel(), (rows, cols)), shape=(nn, nn)).tocsr()
-
     free = np.where(nodes[:, 1] > 0)[0]  # clamp y = 0
-    K = K_full[np.ix_(free, free)]
-    C = C_full[np.ix_(free, free)]
 
     pts = _obs_grid_points(obs_grid)
     obs = _interp_rows(pts, nodes, nx, free)
 
     # theta = (0.02 + 0.98 xi_1, 1), phi = (xi_2, xi_3)
-    a_terms = [sp.csr_matrix(K), sp.csr_matrix(C)]
+    a_terms = [_q1_matrix(elems, K_loc, nn, free), _q1_matrix(elems, C_all, nn, free)]
     a_offsets = np.array([0.02, 1.0])
     a_grads = np.array([[0.98, 0.0], [0.0, 0.0], [0.0, 0.0]])
     f_terms = [f1[free], f2[free]]
@@ -142,9 +146,7 @@ def adv2d(nx: int = 32, obs_grid: int = 7) -> ForwardModel:
 
     def direct(xi):
         # single element-level assembly with kappa baked in
-        vals = ((0.02 + 0.98 * xi[0]) * K_loc[None, :, :] + C_all).ravel()
-        A = sp.coo_matrix((vals, (rows, cols)), shape=(nn, nn)).tocsc()
-        return A[np.ix_(free, free)]
+        return _q1_matrix(elems, (0.02 + 0.98 * xi[0]) * K_loc + C_all, nn, free)
 
     return ForwardModel(
         name="adv2d",
@@ -177,7 +179,6 @@ def elast2d(nx: int = 32, obs_grid: int = 9, layout: str = "layered") -> Forward
     """Plane-stress elasticity on an nx x nx grid, Poisson ratio POISSON,
     clamped bottom edge, uniform downward traction TRACTION on the top
     edge; unknown Young's modulus per region."""
-    import scipy.sparse as sp
     if layout not in ("layered", "inclusion"):
         raise ValueError("layout must be 'layered' or 'inclusion'")
     nodes, elems = _grid(nx)
@@ -201,14 +202,6 @@ def elast2d(nx: int = 32, obs_grid: int = 9, layout: str = "layered") -> Forward
     edofs[:, 1::2] = 2 * elems + 1
     nn2 = 2 * len(nodes)
 
-    a_terms_full = []
-    for r in range(n_regions):
-        sel = edofs[region == r]
-        rows = np.repeat(sel, 8, axis=1).ravel()
-        cols = np.tile(sel, (1, 8)).ravel()
-        vals = np.tile(K_loc.ravel(), len(sel))
-        a_terms_full.append(sp.coo_matrix((vals, (rows, cols)), shape=(nn2, nn2)).tocsr())
-
     # downward traction on the top edge, consistent nodal loads
     load = np.zeros(nn2)
     h = 1.0 / nx
@@ -222,7 +215,7 @@ def elast2d(nx: int = 32, obs_grid: int = 9, layout: str = "layered") -> Forward
     free = np.setdiff1d(np.arange(nn2), fixed)
 
     # theta_r = xi_r, phi = (1,)
-    a_terms = [sp.csr_matrix(M[np.ix_(free, free)]) for M in a_terms_full]
+    a_terms = [_q1_matrix(edofs[region == r], K_loc, nn2, free) for r in range(n_regions)]
     a_offsets = np.zeros(n_regions)
     a_grads = np.eye(n_regions)
     f_terms = [load[free]]
@@ -240,15 +233,10 @@ def elast2d(nx: int = 32, obs_grid: int = 9, layout: str = "layered") -> Forward
         truth = np.ones(9)
         truth[4] = 5.0
 
-    all_rows = np.repeat(edofs, 8, axis=1).ravel()
-    all_cols = np.tile(edofs, (1, 8)).ravel()
-
     def direct(xi):
         # element-by-element assembly with the modulus baked in, so this
         # path does not reuse the precomputed per-region matrices
-        vals = (np.asarray(xi)[region][:, None, None] * K_loc).ravel()
-        A = sp.coo_matrix((vals, (all_rows, all_cols)), shape=(nn2, nn2)).tocsc()
-        return A[np.ix_(free, free)]
+        return _q1_matrix(edofs, np.asarray(xi)[region][:, None, None] * K_loc, nn2, free)
 
     return ForwardModel(
         name=f"elast2d_{layout}",

@@ -45,7 +45,9 @@ class AtomBudgetError(RuntimeError):
 
 
 class BasisDegeneracyError(RuntimeError):
-    """Singular reduced system; caller should add an atom at the query point."""
+    """Singular reduced system, raised by ``Surrogate.surrogate_loss`` and
+    ``smc.replay_consistency``; ``reduced_solve`` itself returns NaN
+    coefficients and an inf indicator there instead."""
 
 
 @dataclass

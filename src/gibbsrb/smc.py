@@ -31,6 +31,7 @@ E_THRE_FLOOR = 1e-8  # least refinement threshold, in loss units
 # a log-weight by about 0.25-0.5
 E_THRE_FRACTION = 0.25
 PROPOSAL_MIXING = 0.5  # the mutation's AR(1) pull gamma toward the weighted mean
+MAX_ITERATIONS = 80  # iteration cap; the shipped configs' runs take 3-24
 
 
 class SmcIterationError(RuntimeError):
@@ -64,7 +65,6 @@ class SmcResult:
     history: list
     snapshots: list             # particle sets at t = 0..N (start, then per iteration)
     surrogate: Surrogate
-    config: SmcConfig
     final_losses: Optional[np.ndarray]  # surrogate losses at the final points, from
                                         # the last mutation; None after no iteration
     solve_counts: dict = field(default_factory=dict)
@@ -245,9 +245,8 @@ def run_smc(model, observations, config: SmcConfig, *,
 
     while w_cur < w_total:
         t += 1
-        if t > config.max_iterations:
-            exc = SmcIterationError(
-                f"max iterations ({config.max_iterations}) reached at W={w_cur:g}")
+        if t > MAX_ITERATIONS:
+            exc = SmcIterationError(f"max iterations ({MAX_ITERATIONS}) reached at W={w_cur:g}")
             exc.history = history
             raise exc
 
@@ -285,6 +284,6 @@ def run_smc(model, observations, config: SmcConfig, *,
     counts = model.counters.snapshot()
     return SmcResult(
         particles=particles, history=history, snapshots=snapshots,
-        surrogate=surrogate, config=config, final_losses=final_losses,
+        surrogate=surrogate, final_losses=final_losses,
         solve_counts={k: counts[k] - counters0[k] for k in counts},
     )

@@ -9,7 +9,7 @@ Gaussian reference when few observations are available.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -115,7 +115,7 @@ def evaluate_grid_via_smc(model, observations, smc_config: SmcConfig) -> Selecti
     grid = candidate_grid(observations.eps_std)
     n_eff = effective_n(observations)
 
-    cfg = SmcConfig(**{**smc_config.__dict__, "total_weight": float(grid.max())})
+    cfg = replace(smc_config, total_weight=float(grid.max()))
     result = run_smc(model, observations, cfg)
 
     boundaries = [0.0] + [rec.w_after for rec in result.history]

@@ -97,15 +97,14 @@ def test_history_schema_is_the_iteration_record(tiny_config, tmp_path):
 ])
 def test_failed_run_smc_leaves_history_and_manifest(tmp_path, monkeypatch, limit, error,
                                                     iterations):
-    # the atom budget is the constant localrb.ATOM_BUDGET, the iteration cap
-    # an smc config key
+    # both limits are constants: the atom budget localrb.ATOM_BUDGET, the
+    # iteration cap smc.MAX_ITERATIONS
     key, value = limit.split(": ")
+    module, constant = {"atom_budget": ("localrb", "ATOM_BUDGET"),
+                        "max_iterations": ("smc", "MAX_ITERATIONS")}[key]
+    monkeypatch.setattr(f"gibbsrb.{module}.{constant}", int(value))
     config = tmp_path / "tiny.yaml"
-    if key == "atom_budget":
-        monkeypatch.setattr("gibbsrb.localrb.ATOM_BUDGET", int(value))
-        config.write_text(TINY_SMC)
-    else:
-        config.write_text(TINY_SMC.replace("smc:\n", f"smc:\n  {limit}\n"))
+    config.write_text(TINY_SMC)
     out = tmp_path / "run"
     rc = main(["run-smc", "--config", str(config), "--seed", "7", "--out", str(out)])
     assert rc != 0

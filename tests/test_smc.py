@@ -57,7 +57,8 @@ FLOAT_KEYS = {("smc", "proposal_mixing"): 57, ("smc", "e_thre_value"): 61,
 # gives: the whole section where the section went.  A config that sets one
 # fails whatever the value
 RETIRED = {("smc", "atom_budget"): "smc.atom_budget", ("smc", "proposal_mixing"):
-           "smc.proposal_mixing", ("weight_selection", "grid_size"): "weight_selection",
+           "smc.proposal_mixing", ("smc", "max_iterations"): "smc.max_iterations",
+           ("weight_selection", "grid_size"): "weight_selection",
            ("weight_selection", "range_factor"): "weight_selection",
            ("weight_selection", "stabilizer"): "weight_selection", ("oracle", "grid"): "oracle"}
 BAD_COUNTS = (2.5, "3", True)
@@ -144,7 +145,7 @@ def test_bad_smc_values_rejected_at_parse(raw, key):
     with pytest.raises(ValueError, match=key):
         RunConfig.from_dict(raw)
     RunConfig.from_dict({"gibbs": {"total_weight": 0.0},
-                         "smc": {"max_iterations": 1, "e_thre_value": 1e-300},
+                         "smc": {"e_thre_value": 1e-300},
                          "data": {"noise_pct": 0, "truth": [0.2, 1]},
                          "model": {"preset": "adv1d", "mesh": {"cells": 4}}})
     # numpy integers are counts too, stored as ints so that the digest
@@ -594,9 +595,10 @@ def test_loss_std_fraction_scores_each_cloud_once(adv1d_model, adv1d_obs, monkey
         atoms += rec.atoms_added
 
 
-def test_run_smc_iteration_cap(adv1d_model, adv1d_obs):
-    cfg = SmcConfig(particles=16, total_weight=1e9, max_iterations=2, seed=5,
-                    e_thre_mode="fixed", e_thre_value=1e-2)
+def test_run_smc_iteration_cap(adv1d_model, adv1d_obs, monkeypatch):
+    monkeypatch.setattr("gibbsrb.smc.MAX_ITERATIONS", 2)
+    cfg = SmcConfig(particles=16, total_weight=1e9, seed=5, e_thre_mode="fixed",
+                    e_thre_value=1e-2)
     with pytest.raises(SmcIterationError) as info:
         run_smc(adv1d_model, adv1d_obs, cfg)
     # the finished iterations leave with the error
