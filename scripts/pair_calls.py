@@ -16,8 +16,8 @@ median ratio B / A of the calls' wall times with its quartiles, the ratio
 of the two sides' 90th percentiles (the statistic ``bench/run.py`` reports
 for ``wall_s``), how many calls B ran faster, each side's median set-up
 time (the ``setup_s`` of ``worker.setup``, over its worker starts; a worker
-reports it on its ready line), each side's mean full solves,
-iterations, reduced solves and LU factorizations per call, and how many
+reports it on its ready line), each side's mean full solves, iterations,
+reduced solves, cell builds and LU factorizations per call, and how many
 calls' work counts and digests (their samples or particles) are equal.  It
 exits 1 when some call's work count differs between the sides, 2 when only
 digests differ (a change that moves floats, not work), and 0 when every
@@ -43,19 +43,25 @@ from pathlib import Path
 
 PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 RESTART_EVERY = 20  # seeds per pair of worker processes
-WORK = ("full_solves", "iterations", "reduced_solves", "lu_factorizations")
+WORK = ("full_solves", "iterations", "reduced_solves", "cell_builds", "lu_factorizations")
 
 # the worker process: set up, then one call per seed read from stdin; it
-# returns the keys of the call's record that follow checkout and workload
+# returns the keys of the call's record that follow checkout and workload.
+# Cell builds are tallied by the checkout's own bench wrapper, which every
+# checkout has, so a parent without Surrogate.cell_builds pairs as well.
 SERVE = """
 import json, sys
 sys.path.insert(0, sys.argv[1] + "/bench")
 import worker
 workload = sys.argv[2]
 timings, state = worker.setup(worker.WORKLOADS[workload])
+from gibbsrb import localrb
+tally = worker.count_cell_builds(localrb.Surrogate)
 print("ready", json.dumps(timings), flush=True)
 for line in sys.stdin:
+    builds = len(tally)
     rec = worker.run_once(workload, state, int(line))
+    rec["cell_builds"] = len(tally) - builds
     print(json.dumps({key: rec[key] for key in sys.argv[3:]}), flush=True)
 """
 
@@ -167,7 +173,8 @@ def main(argv=None) -> int:
           f"A {setup_a:.4f} s, B {setup_b:.4f} s")
     a, b = s["work"]
     print(f"mean per call, A / B: reduced solves {a['reduced_solves']:.2f} / "
-          f"{b['reduced_solves']:.2f}, LU factorizations {a['lu_factorizations']:.2f} / "
+          f"{b['reduced_solves']:.2f}, cell builds {a['cell_builds']:.2f} / "
+          f"{b['cell_builds']:.2f}, LU factorizations {a['lu_factorizations']:.2f} / "
           f"{b['lu_factorizations']:.2f}")
     print(f"mean per call, A / B: full solves {a['full_solves']:.2f} / {b['full_solves']:.2f}, "
           f"iterations {a['iterations']:.2f} / {b['iterations']:.2f}")

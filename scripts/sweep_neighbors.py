@@ -28,7 +28,6 @@ sys.path.insert(0, str(ROOT / "src"))
 from gibbsrb.config import (RunConfig, build_model, build_observations,  # noqa: E402
                             resolve_total_weight)
 from gibbsrb.diagnostics import ks_distance  # noqa: E402
-from gibbsrb.localrb import Surrogate  # noqa: E402
 from gibbsrb.oracle import DEFAULT_GRID, grid_posterior  # noqa: E402
 from gibbsrb.particles import ParticleSet  # noqa: E402
 from gibbsrb.runio import pin_blas_threads  # noqa: E402
@@ -36,16 +35,6 @@ from gibbsrb.smc import run_smc  # noqa: E402
 
 NEIGHBORS = (2, 5, 8, 12, 20, 30)
 DATA_SEED = 0
-
-
-class CountingSurrogate(Surrogate):
-    """A Surrogate that counts its cell builds."""
-
-    cell_builds = 0
-
-    def _build_cell(self, k):
-        self.cell_builds += 1
-        return super()._build_cell(k)
 
 
 def _span(values) -> str:
@@ -58,13 +47,12 @@ def sweep_row(model, obs, smc_cfg, n: int, seeds, grid) -> dict:
     atoms, full, builds, walls, clouds = [], [], [], [], []
     for seed in seeds:
         cfg = replace(smc_cfg, neighbor_count=n, seed=seed)
-        surrogate = CountingSurrogate(model, neighbor_count=n)
         t0 = time.perf_counter()
-        result = run_smc(model, obs, cfg, surrogate=surrogate)
+        result = run_smc(model, obs, cfg)
         walls.append(time.perf_counter() - t0)
-        atoms.append(surrogate.n_atoms)
+        atoms.append(result.surrogate.n_atoms)
         full.append(result.solve_counts["full"])
-        builds.append(surrogate.cell_builds)
+        builds.append(result.surrogate.cell_builds)
         clouds.append(result.particles)
     pooled = ParticleSet(np.vstack([c.points for c in clouds]),
                          np.concatenate([c.weights for c in clouds]) / len(clouds))

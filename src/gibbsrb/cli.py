@@ -88,6 +88,7 @@ def cmd_run_smc(args) -> int:
 
     manifest.update(final_weight=result.final_weight,
                     reduced_solves=result.surrogate.reduced_solves,
+                    cell_builds=result.surrogate.cell_builds,
                     atoms=result.surrogate.n_atoms, bound_suite_passed=verified)
     write_manifest(out / "manifest.json", config=config, seed=smc_cfg.seed,
                    model=model, extra=manifest)

@@ -117,6 +117,7 @@ class Surrogate:
         self._lu_cache: dict[int, object] = {}
         self._staged: dict[int, tuple] = {}  # a stacked pass's arrays per cell
         self.reduced_solves = 0
+        self.cell_builds = 0
 
     # ----- bookkeeping -----
     @property
@@ -224,6 +225,7 @@ class Surrogate:
                 self._staged[k] = (*tuples[k], *arrays)
         for k in new:
             self._build_cell(k)
+        self.cell_builds += len(new)
 
     def _build_cell(self, k: int) -> None:
         """Install unbuilt cell k from the stacked pass in progress

@@ -35,13 +35,12 @@ class GridPosterior:
     def dim(self) -> int:
         return len(self.axes)
 
-    def marginal_density(self, j: int) -> np.ndarray:
-        # integrate out every other axis, highest first so indices stay valid
+    def marginal_density(self, j: int | None) -> np.ndarray:
+        # integrate out every axis but j (all of them for j None, the total
+        # mass), highest first so the lower axes keep their indices
         dens = self.density
         for k in sorted(set(range(self.dim)) - {j}, reverse=True):
             dens = np.tensordot(dens, _trapezoid_weights(self.axes[k]), axes=([k], [0]))
-            if k < j:
-                j -= 1
         return dens
 
     def marginal_masses(self, j: int):
@@ -100,10 +99,6 @@ def grid_posterior(model, domain, weight: float, grid_shape, observations) -> Gr
                        for xi, lp in zip(pts, log_prior)])
     log_un = (-weight * losses + log_prior).reshape(grid_shape)
 
-    shift = np.max(log_un)
-    dens = np.exp(log_un - shift)
-    norm = dens
-    for j in reversed(range(len(axes))):
-        norm = np.tensordot(norm, _trapezoid_weights(axes[j]), axes=([j], [0]))
-    dens = dens / float(norm)
+    dens = np.exp(log_un - np.max(log_un))
+    dens = dens / float(GridPosterior(axes, dens).marginal_density(None))
     return GridPosterior(axes=axes, density=dens, log_unnorm=log_un)

@@ -1,4 +1,7 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 # small kernels run fastest on one BLAS thread; the pin only takes effect
 # when set before numpy is first imported
@@ -9,6 +12,16 @@ import numpy as np
 import pytest
 
 from gibbsrb import assemble, gen_data
+
+SRC = str(Path(__file__).parents[1] / "src")
+
+
+def fresh_python(*args, **env) -> str:
+    """The stdout of ``python *args`` in a new process, with this checkout's
+    src first on PYTHONPATH and ``env`` added to the environment."""
+    path = os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])
+    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": path, **env},
+                          check=True, capture_output=True, text=True).stdout
 
 
 @pytest.fixture(scope="session")

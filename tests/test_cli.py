@@ -15,6 +15,8 @@ from gibbsrb.cli import main
 from gibbsrb.runio import read_csv
 from gibbsrb.smc import HISTORY_COLUMNS, IterationRecord
 
+from conftest import fresh_python
+
 TINY_SMC = """
 model: {preset: adv1d, mesh: {cells: 64}}
 data: {truth: [0.2, 0.7], noise_pct: 0.10, n_obs: 1}
@@ -169,20 +171,15 @@ def test_run_mcmc_artifacts(tiny_config, tmp_path):
 
 
 def test_cli_pins_blas_threads(tiny_config, tmp_path):
-    src = str(Path(gibbsrb.__file__).parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
-               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    probe = subprocess.run(
-        [sys.executable, "-c", "import gibbsrb.runio as r; print(r.blas_threads())"],
-        env=env, check=True, capture_output=True, text=True).stdout.strip()
+    probe = fresh_python("-c", "import gibbsrb.runio as r; print(r.blas_threads())",
+                         OPENBLAS_NUM_THREADS="2").strip()
     if probe == "None":
         pytest.skip("no OpenBLAS library found in the process")
     # the environment alone leaves OpenBLAS at 2 threads where 2 cores exist
     assert int(probe) == min(2, len(os.sched_getaffinity(0)))
     out = tmp_path / "chain"
-    subprocess.run([sys.executable, "-m", "gibbsrb.cli", "run-mcmc", "--config",
-                    str(tiny_config), "--seed", "5", "--out", str(out)],
-                   env=env, check=True, capture_output=True)
+    fresh_python("-m", "gibbsrb.cli", "run-mcmc", "--config", str(tiny_config), "--seed", "5",
+                 "--out", str(out), OPENBLAS_NUM_THREADS="2")
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["blas_threads"] == 1
 
@@ -197,12 +194,9 @@ print("loaded:", *sorted(name for name in sys.argv[3:] if name in sys.modules))
 
 def test_run_mcmc_leaves_the_surrogate_stack_unloaded(tiny_config, tmp_path):
     # run-mcmc runs no SMC, so the CLI must not import it for every command
-    src = str(Path(gibbsrb.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     unused = ["gibbsrb.smc", "gibbsrb.localrb", "gibbsrb.weights", "concurrent.futures"]
-    loaded = subprocess.run([sys.executable, "-c", RUN_MCMC_MODULES, str(tiny_config),
-                             str(tmp_path / "chain"), *unused],
-                            env=env, check=True, capture_output=True, text=True).stdout
+    loaded = fresh_python("-c", RUN_MCMC_MODULES, str(tiny_config), str(tmp_path / "chain"),
+                          *unused)
     assert (tmp_path / "chain" / "chain.csv").exists()
     assert loaded.splitlines()[-1] == "loaded:"
 
@@ -218,14 +212,10 @@ mcmc: {samples: 20, burn_in: 5, step_scale: 0.05}
 def test_cli_pins_blas_threads_of_scipy_loaded_later(tmp_path):
     # elast's beta priors load scipy, and with it scipy's own OpenBLAS,
     # after main has pinned the threads of the one numpy loaded
-    src = str(Path(gibbsrb.__file__).parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
-               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     config, out = tmp_path / "elast.yaml", tmp_path / "chain"
     config.write_text(TINY_ELAST_MCMC)
-    subprocess.run([sys.executable, "-m", "gibbsrb.cli", "run-mcmc", "--config",
-                    str(config), "--seed", "5", "--out", str(out)],
-                   env=env, check=True, capture_output=True)
+    fresh_python("-m", "gibbsrb.cli", "run-mcmc", "--config", str(config), "--seed", "5",
+                 "--out", str(out), OPENBLAS_NUM_THREADS="2")
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["band_lu_routines"] == "dgb"  # elast's band is wider than 1
     if manifest["blas_threads"] is None:
@@ -596,18 +586,18 @@ def _pair_calls_records():
     pair_calls = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(pair_calls)
     rec = {"wall_s": 1.0, "digest": "ab", "full_solves": 3, "iterations": 4,
-           "reduced_solves": 50, "lu_factorizations": 2}
+           "reduced_solves": 50, "cell_builds": 20, "lu_factorizations": 2}
     pairs = [(rec, {**rec, "wall_s": 2.0})]  # time may differ, work may not
     pairs += [(rec, {**rec, key: value}) for key, value in [
         ("digest", "ac"), ("full_solves", 4), ("iterations", 5), ("reduced_solves", 49),
-        ("lu_factorizations", 3)]]
+        ("cell_builds", 21), ("lu_factorizations", 3)]]
     pairs.append(({**rec, "wall_s": 0.5}, rec))
     return pair_calls, rec, pairs
 
 
 def test_pair_calls_unequal_calls_rule():
     pair_calls, _, pairs = _pair_calls_records()
-    assert pair_calls.unequal_calls(pairs) == [1, 2, 3, 4, 5]
+    assert pair_calls.unequal_calls(pairs) == [1, 2, 3, 4, 5, 6]
     assert pair_calls.unequal_calls(pairs[:1] + pairs[-1:]) == []
 
 
@@ -617,7 +607,7 @@ def test_pair_calls_exit_status_rule():
     # however timed, exit 0
     pair_calls, rec, pairs = _pair_calls_records()
     assert pair_calls.exit_status(pairs) == 1
-    for i in range(2, 6):
+    for i in range(2, 7):
         assert pair_calls.exit_status(pairs[:1] + pairs[i:i + 1]) == 1
     assert pair_calls.exit_status([(rec, {**rec, "digest": "ac", "full_solves": 4})]) == 1
     assert pair_calls.exit_status(pairs[:2] + pairs[-1:]) == 2
@@ -635,7 +625,9 @@ def test_pair_calls_script_same_checkout_twice():
     # one pair of workers serves the four calls; each reports its set-up time
     assert re.fullmatch(r"setup_s median over 1 worker starts per side: "
                         r"A \d+\.\d{4} s, B \d+\.\d{4} s", lines[6])
-    # the same calls on both sides do the same work
+    # the same calls on both sides do the same work; a chain builds no cell
+    assert re.match(r"mean per call, A / B: reduced solves 0\.00 / 0\.00, "
+                    r"cell builds 0\.00 / 0\.00, ", lines[-4])
     assert re.fullmatch(r"mean per call, A / B: full solves (\d+\.\d\d) / \1, "
                         r"iterations 200\.00 / 200\.00", lines[-3])
     assert lines[-2:] == ["work counts equal: 4 of 4", "digests equal: 4 of 4"]

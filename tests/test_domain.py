@@ -1,15 +1,12 @@
-import os
-import subprocess
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
-import gibbsrb
 from gibbsrb.domain import ParameterDomain, PriorSpec
+
+from conftest import fresh_python
 
 
 def test_bounds_validation():
@@ -158,20 +155,13 @@ def test_log_pdf_bit_equal_to_scipy_2d():
     assert n_nan > 0
 
 
-def _fresh_python(code: str) -> str:
-    src = str(Path(gibbsrb.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True)
-    return out.stdout.strip()
-
-
 def test_import_leaves_scipy_stats_unloaded():
-    assert _fresh_python("import sys, gibbsrb; print('scipy.stats' in sys.modules)") == "False"
+    code = "import sys, gibbsrb; print('scipy.stats' in sys.modules)"
+    assert fresh_python("-c", code).strip() == "False"
 
 
 def test_uniform_prior_leaves_scipy_special_unloaded():
     code = ("import sys, numpy as np, gibbsrb; m = gibbsrb.assemble('adv1d', {}); "
             "m.domain.log_pdf(m.domain.sample(5, np.random.default_rng(0))); "
             "print('scipy.special' in sys.modules)")
-    assert _fresh_python(code) == "False"
+    assert fresh_python("-c", code).strip() == "False"

@@ -3,9 +3,6 @@ import hashlib
 import inspect
 import itertools
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +17,7 @@ from gibbsrb.forward import bandlu, fem, presets
 from gibbsrb.forward.model import CSRMatrix, ForwardModel, SolverError, vstack_csr
 
 import test_golden
-from conftest import analytic_adv1d
+from conftest import analytic_adv1d, fresh_python
 
 # frozen from Richardson extrapolation over meshes 512/1024/2048 (order ~2.0,
 # cross-checked against the closed form); truth xi = (0.2, 0.7)
@@ -482,12 +479,8 @@ def test_observations_csv_roundtrip(tmp_path, adv1d_model):
 def test_import_leaves_sparse_linalg_unloaded():
     # the observation norm is a dense SVD, and no solve goes through
     # scipy.sparse.linalg, so importing the package must not load it
-    src = str(Path(gibbsrb.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     probe = "import sys, gibbsrb; print('scipy.sparse.linalg' in sys.modules)"
-    loaded = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                            capture_output=True, text=True).stdout.strip()
-    assert loaded == "False"
+    assert fresh_python("-c", probe).strip() == "False"
 
 
 ADV1D_SETUP = """
@@ -510,23 +503,15 @@ def test_adv1d_setup_imports_only_what_it_runs():
     # the set-up every CLI command and bench worker pays before its first
     # solve: the package, the config schema and the adv1d build, without
     # the samplers, the FEM builders or numpy.ma (17 ms, via np.unique)
-    src = str(Path(gibbsrb.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     config = Path(__file__).parents[1] / "configs" / "adv1d.yaml"
-    loaded = subprocess.run([sys.executable, "-c", ADV1D_SETUP, str(config), *SETUP_UNUSED],
-                            env=env, check=True, capture_output=True, text=True)
-    assert loaded.stdout.strip() == ""
+    assert fresh_python("-c", ADV1D_SETUP, str(config), *SETUP_UNUSED).strip() == ""
 
 
 def test_lazy_exports_resolve():
     # each name in a fresh process, where none has been looked up before
-    src = str(Path(gibbsrb.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     probe = ("import gibbsrb\nfor name in gibbsrb.__all__:\n"
              "    exec(f'from gibbsrb import {name}')\nprint(len(gibbsrb.__all__))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True).stdout.strip()
-    assert out == str(len(gibbsrb.__all__))
+    assert fresh_python("-c", probe).strip() == str(len(gibbsrb.__all__))
     assert set(gibbsrb.__all__) <= set(dir(gibbsrb))
     with pytest.raises(AttributeError, match="no_such_name"):
         gibbsrb.no_such_name
@@ -614,14 +599,11 @@ print(sorted(name for name in sys.modules
 def test_adv1d_path_imports_no_scipy(tmp_path):
     if bandlu._ilp64_routines() is None:
         pytest.skip("no 64-bit-integer OpenBLAS loaded: band LU falls back to scipy")
-    src = str(Path(gibbsrb.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     config = Path(__file__).parents[1] / "configs" / "adv1d.yaml"
     tiny = tmp_path / "tiny.yaml"
     tiny.write_text(test_golden.TINY_SMC)
-    loaded = subprocess.run([sys.executable, "-c", ADV1D_PATH, str(config), str(tiny),
-                             str(tmp_path)], env=env, check=True, capture_output=True, text=True)
-    assert loaded.stdout.strip().splitlines()[-1] == "[]"
+    loaded = fresh_python("-c", ADV1D_PATH, str(config), str(tiny), str(tmp_path))
+    assert loaded.strip().splitlines()[-1] == "[]"
     assert (tmp_path / "run-mcmc" / "chain.csv").exists()
     manifest = json.loads((tmp_path / "run-smc" / "manifest.json").read_text())
     assert manifest["band_lu"] == "openblas-ilp64"

@@ -8,7 +8,6 @@ CHANGES.md.
 import csv
 import hashlib
 import json
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +16,6 @@ import pytest
 from gibbsrb import assemble, gen_data
 from gibbsrb.cli import main
 from gibbsrb.config import RunConfig, build_observations, resolve_total_weight
-from gibbsrb.localrb import Surrogate
 from gibbsrb.mcmc import run_rwmh
 from gibbsrb.smc import SmcConfig, run_smc
 from gibbsrb.weights import gaussian_reference
@@ -43,6 +41,7 @@ ADV2D_DIGEST = "cb70cbd00a8adbd24edf59ab321be903500673f033fd023f5b2f1ba9097d6d36
 # the floats but must leave these unchanged.
 CLI_WORK = ([16, 2, 0], [17, 19, 19], [425, 588, 708], 3,
             {"full": 19, "sensitivity": 38, "stability": 0})
+CLI_CELL_BUILDS = 100  # the manifest's cell_builds
 LOSS_STD_FRACTION_WORK = ([3, 2, 0], [4, 6, 6], [158, 302, 397], 3,
                           {"full": 6, "sensitivity": 12, "stability": 0})
 ADV2D_WORK = ([18, 15, 13, 5, 5], [19, 34, 47, 52, 57], [339, 503, 670, 799, 926], 5,
@@ -55,7 +54,7 @@ ELAST_WORK = ([5, 5, 1, 5, 6, 8, 8, 7],
               [946, 1752, 2344, 3049, 3895, 4889, 5905, 6697], 8,
               {"full": 46, "sensitivity": 230, "stability": 0})
 ELAST_CELL_BUILDS = 262
-# cell basis builds of the adv2d golden run, as the bench counts them
+# cell basis builds of the adv2d golden run (Surrogate.cell_builds)
 ADV2D_CELL_BUILDS = 255
 # the shipped elast2d_inclusion smc section at nx 8 with 40 particles, data
 # and sampler seed 0: nine terms, a 145-atom cloud, more than the LU cache
@@ -119,34 +118,15 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@contextmanager
-def counting_cell_builds():
-    """Yield a list of the cells built inside the block, one entry per
-    Surrogate._build_cell call, counted by a bare wrapper as
-    bench/worker.py's count_cell_builds does."""
-    original = Surrogate.__dict__["_build_cell"]
-    tally = []
-
-    def counted(self, k):
-        tally.append(k)
-        return original(self, k)
-    Surrogate._build_cell = counted
-    try:
-        yield tally
-    finally:
-        Surrogate._build_cell = original
-
-
 def _shipped_run(name: str, nx: int, **smc):
-    """(result, cell builds) of run_smc on configs/<name>.yaml at mesh nx,
-    data and sampler seed 0, with the smc keys ``smc`` overridden."""
+    """The result of run_smc on configs/<name>.yaml at mesh nx, data and
+    sampler seed 0, with the smc keys ``smc`` overridden."""
     config = RunConfig.from_yaml(Path(__file__).parents[1] / "configs" / f"{name}.yaml")
     model = assemble(config.preset, {**config.mesh, "nx": nx})
     obs = build_observations(config, model, seed=0)
     cfg = SmcConfig(**{**config.smc.__dict__, **smc, "seed": 0,
                        "total_weight": resolve_total_weight(config, obs)})
-    with counting_cell_builds() as tally:
-        return run_smc(model, obs, cfg), len(tally)
+    return run_smc(model, obs, cfg)
 
 
 @pytest.fixture(scope="module")
@@ -213,6 +193,7 @@ def test_run_smc_cli_work_golden(cli_run):
     got = tuple([int(r[k]) for r in rows] for k in ("atoms_added", "full_solves",
                                                      "reduced_solves"))
     assert got + (len(rows), manifest["solve_counts"]) == CLI_WORK
+    assert manifest["cell_builds"] == CLI_CELL_BUILDS
 
 
 def _result_digest(res) -> str:
@@ -242,19 +223,16 @@ def loss_std_fraction_run(adv1d_model, adv1d_obs):
 
 @pytest.fixture(scope="module")
 def adv2d_run():
-    """(result, cell builds)."""
     # two operator and two rhs terms, 18-column residual factors
     model = assemble("adv2d", {"nx": 12})
     obs = gen_data(model, noise_pct=0.10, n=2, seed=3)
     cfg = SmcConfig(particles=24, total_weight=6.0, seed=17, mutation_steps=3,
                     e_thre_mode="fixed", e_thre_value=1e-3)
-    with counting_cell_builds() as tally:
-        return run_smc(model, obs, cfg), len(tally)
+    return run_smc(model, obs, cfg)
 
 
 @pytest.fixture(scope="module")
 def elast_run():
-    """(result, cell builds)."""
     return _shipped_run("elast2d_layered", 8)
 
 
@@ -272,36 +250,36 @@ def test_run_smc_loss_std_fraction_work_golden(loss_std_fraction_run):
 
 
 def test_run_smc_adv2d_calibrated_fixed_golden(adv2d_run):
-    assert _result_digest(adv2d_run[0]) == ADV2D_DIGEST
+    assert _result_digest(adv2d_run) == ADV2D_DIGEST
 
 
 def test_run_smc_adv2d_work_golden(adv2d_run):
-    assert _work(adv2d_run[0]) == ADV2D_WORK
+    assert _work(adv2d_run) == ADV2D_WORK
 
 
 def test_run_smc_adv2d_cell_builds_golden(adv2d_run):
-    result, builds = adv2d_run
-    assert (builds, result.surrogate.n_atoms) == (ADV2D_CELL_BUILDS, 57)
+    surrogate = adv2d_run.surrogate
+    assert (surrogate.cell_builds, surrogate.n_atoms) == (ADV2D_CELL_BUILDS, 57)
 
 
 def test_run_smc_elast_golden(elast_run):
-    assert _result_digest(elast_run[0]) == ELAST_DIGEST
+    assert _result_digest(elast_run) == ELAST_DIGEST
 
 
 def test_run_smc_elast_work_golden(elast_run):
-    result, builds = elast_run
-    assert _work(result) == ELAST_WORK
-    assert (builds, result.surrogate.n_atoms) == (ELAST_CELL_BUILDS, 46)
+    assert _work(elast_run) == ELAST_WORK
+    surrogate = elast_run.surrogate
+    assert (surrogate.cell_builds, surrogate.n_atoms) == (ELAST_CELL_BUILDS, 46)
 
 
 def test_run_smc_inclusion_golden(inclusion_run):
-    assert _result_digest(inclusion_run[0]) == INCLUSION_DIGEST
+    assert _result_digest(inclusion_run) == INCLUSION_DIGEST
 
 
 def test_run_smc_inclusion_work_golden(inclusion_run):
-    result, builds = inclusion_run
-    assert _work(result) == INCLUSION_WORK
-    assert (builds, result.surrogate.n_atoms) == (INCLUSION_CELL_BUILDS, 145)
+    assert _work(inclusion_run) == INCLUSION_WORK
+    surrogate = inclusion_run.surrogate
+    assert (surrogate.cell_builds, surrogate.n_atoms) == (INCLUSION_CELL_BUILDS, 145)
 
 
 def test_run_rwmh_chain_golden(adv1d_obs):
@@ -339,14 +317,12 @@ def test_bench_smc_adv1d_shape_golden():
     obs = build_observations(config, model, seed=0)
     weight = resolve_total_weight(config, obs)
     h, work = hashlib.sha256(), []
-    with counting_cell_builds() as tally:
-        for seed in range(3):
-            builds = len(tally)
-            cfg = SmcConfig(**{**config.smc.__dict__, "particles": 20, "seed": seed,
-                               "total_weight": weight})
-            res = run_smc(model, obs, cfg)
-            h.update(res.particles.points.tobytes())
-            h.update(res.particles.weights.tobytes())
-            work.append((res.solve_counts["full"], res.surrogate.reduced_solves,
-                         len(tally) - builds))
+    for seed in range(3):
+        cfg = SmcConfig(**{**config.smc.__dict__, "particles": 20, "seed": seed,
+                           "total_weight": weight})
+        res = run_smc(model, obs, cfg)
+        h.update(res.particles.points.tobytes())
+        h.update(res.particles.weights.tobytes())
+        work.append((res.solve_counts["full"], res.surrogate.reduced_solves,
+                     res.surrogate.cell_builds))
     assert (h.hexdigest(), tuple(work)) == BENCH_SMC_ADV1D

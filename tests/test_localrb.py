@@ -886,6 +886,7 @@ def test_incremental_rebuild_equals_fresh_build(preset, request):
         fresh = _cell_arrays(s, k)
         for a, b in zip(got, fresh):
             assert np.array_equal(a, b)
+    assert s.cell_builds == len(built)
 
 
 @pytest.mark.parametrize("preset,mesh", [
